@@ -27,7 +27,7 @@ from .ie.train import TrainConfig, train_tagger
 from .kg import Graph, KgError
 from .ontology import (SCHEMA, build_seed_ontology, check_ontology_pitfalls,
                        data_path, default_prefixes, seed_statistics)
-from .quality import QualityConfig, assess
+from .quality import QualityConfig, QualityConfigError, assess
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -59,17 +59,26 @@ class AppConfig:
                     file_values = json.load(fh)
             except OSError as exc:
                 raise UserError(f"cannot read config file: {exc}") from exc
+            except ValueError as exc:
+                raise UserError(f"config file {config_path} is not valid "
+                                f"JSON: {exc}") from exc
+            if not isinstance(file_values, dict):
+                raise UserError(f"config file {config_path} must hold a "
+                                "JSON object")
 
         def pick(flag_name, env_name, file_key, default, convert):
-            flag = getattr(args, flag_name, None)
-            if flag is not None:
-                return convert(flag)
-            env = os.environ.get(ENV_PREFIX + env_name)
-            if env is not None:
-                return convert(env)
-            if file_key in file_values:
-                return convert(file_values[file_key])
-            return default
+            value = getattr(args, flag_name, None)
+            if value is None:
+                value = os.environ.get(ENV_PREFIX + env_name)
+            if value is None:
+                value = file_values.get(file_key)
+            if value is None:
+                return default
+            try:
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise UserError(f"bad {file_key} setting {value!r}: "
+                                f"{exc}") from exc
 
         cfg = cls(
             data_dir=pick("data_dir", "DATA_DIR", "data_dir", None,
@@ -343,7 +352,10 @@ def cmd_explain(args, cfg: AppConfig) -> int:
 
 def _qa_output(graph: Graph, cfg: AppConfig, fmt: str) -> str:
     if cfg.quality_config is not None:
-        quality_cfg = QualityConfig.from_json(cfg.quality_config)
+        try:
+            quality_cfg = QualityConfig.from_json(cfg.quality_config)
+        except QualityConfigError as exc:
+            raise UserError(str(exc)) from exc
     else:
         quality_cfg = QualityConfig.for_ono_seed()
     report = assess(graph, quality_cfg)

@@ -134,9 +134,17 @@ def read_corpus_dir(path) -> list[Document]:
         except (OSError, UnicodeDecodeError) as exc:
             log.warning("skipping unreadable corpus file %s: %s", file, exc)
             continue
-        for line in lines:
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            docs.append(preprocess(record["text"], record["id"]))
+            try:
+                record = json.loads(line)
+                text, doc_id = record["text"], record["id"]
+                if not (isinstance(text, str) and isinstance(doc_id, str)):
+                    raise TypeError("id and text must be strings")
+            except (ValueError, KeyError, TypeError) as exc:
+                log.warning("skipping malformed record %s:%d: %s", file,
+                            number, exc)
+                continue
+            docs.append(preprocess(text, doc_id))
     return docs

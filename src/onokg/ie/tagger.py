@@ -44,6 +44,10 @@ class DimensionError(ValueError):
     pass
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose content cannot describe a model."""
+
+
 def _case_class(word: str) -> str:
     if word.isupper() and len(word) > 1:
         return "upper"
@@ -129,7 +133,10 @@ class FeatureSpace:
     def from_dict(cls, mapping: dict[str, int]) -> "FeatureSpace":
         space = cls()
         for name, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
-            assert space.intern(name) == idx
+            if space.intern(name) != idx:
+                raise CheckpointError(
+                    f"feature {name!r} has id {idx!r}; feature ids must "
+                    f"run from 0 to {len(mapping) - 1} without gaps")
         space.frozen = True
         return space
 

@@ -268,48 +268,62 @@ class Graph:
         for s, p, o in sorted(self._triples):
             yield Triple(self._terms[s], self._terms[p], self._terms[o])
 
-    def id_triples(self) -> set[tuple[int, int, int]]:
-        return set(self._triples)
-
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
         """Triples matching all bound positions, in id-sorted order."""
-        keys = self._match_ids(s, p, o)
-        return [Triple(self._terms[a], self._terms[b], self._terms[c])
+        get = self._term_ids.get
+        keys = self.match_ids(None if s is None else get(s, -1),
+                              None if p is None else get(p, -1),
+                              None if o is None else get(o, -1))
+        terms = self._terms
+        return [Triple(terms[a], terms[b], terms[c])
                 for a, b, c in sorted(keys)]
 
-    def _match_ids(self, s, p, o):
-        sid = pid = oid = None
+    def match_ids(self, s: Optional[int] = None, p: Optional[int] = None,
+                  o: Optional[int] = None) -> list[tuple[int, int, int]]:
+        """Id triples matching all bound id positions, in no set order.
+
+        An id that no stored triple uses (say -1 for an unknown term)
+        matches nothing.
+        """
+        if s is not None and p is not None and o is not None:
+            return [(s, p, o)] if (s, p, o) in self._triples else []
+        if s is not None and p is not None:
+            return [(s, p, x) for x in self._spo.get(s, {}).get(p, ())]
+        if s is not None and o is not None:
+            return [(s, x, o) for x in self._osp.get(o, {}).get(s, ())]
+        if p is not None and o is not None:
+            return [(x, p, o) for x in self._pos.get(p, {}).get(o, ())]
         if s is not None:
-            sid = self.term_id(s)
-            if sid is None:
-                return []
-        if p is not None:
-            pid = self.term_id(p)
-            if pid is None:
-                return []
-        if o is not None:
-            oid = self.term_id(o)
-            if oid is None:
-                return []
-        if sid is not None and pid is not None and oid is not None:
-            return [(sid, pid, oid)] if (sid, pid, oid) in self._triples else []
-        if sid is not None and pid is not None:
-            return [(sid, pid, x) for x in self._spo.get(sid, {}).get(pid, ())]
-        if sid is not None and oid is not None:
-            return [(sid, x, oid) for x in self._osp.get(oid, {}).get(sid, ())]
-        if pid is not None and oid is not None:
-            return [(x, pid, oid) for x in self._pos.get(pid, {}).get(oid, ())]
-        if sid is not None:
-            return [(sid, a, b) for a, objs in self._spo.get(sid, {}).items()
+            return [(s, a, b) for a, objs in self._spo.get(s, {}).items()
                     for b in objs]
-        if pid is not None:
-            return [(b, pid, a) for a, subjs in self._pos.get(pid, {}).items()
+        if p is not None:
+            return [(b, p, a) for a, subjs in self._pos.get(p, {}).items()
                     for b in subjs]
-        if oid is not None:
-            return [(a, b, oid) for a, preds in self._osp.get(oid, {}).items()
+        if o is not None:
+            return [(a, b, o) for a, preds in self._osp.get(o, {}).items()
                     for b in preds]
         return list(self._triples)
+
+    def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
+                  o: Optional[int] = None) -> int:
+        """How many triples `match_ids` would return, read off the index
+        sizes without building them."""
+        if s is not None and p is not None and o is not None:
+            return int((s, p, o) in self._triples)
+        if s is not None and p is not None:
+            return len(self._spo.get(s, {}).get(p, ()))
+        if s is not None and o is not None:
+            return len(self._osp.get(o, {}).get(s, ()))
+        if p is not None and o is not None:
+            return len(self._pos.get(p, {}).get(o, ()))
+        if s is not None:
+            return sum(map(len, self._spo.get(s, {}).values()))
+        if p is not None:
+            return sum(map(len, self._pos.get(p, {}).values()))
+        if o is not None:
+            return sum(map(len, self._osp.get(o, {}).values()))
+        return len(self._triples)
 
     def subjects(self) -> list[Term]:
         """Distinct subject terms, id-sorted."""
@@ -349,12 +363,3 @@ class Graph:
                for s, ps in ss.items() for p in ps}
         return spo == pos == osp == self._triples
 
-
-def insert_triple(graph: Graph, t: Triple) -> bool:
-    return graph.insert(t)
-
-
-def match_pattern(graph: Graph, s: Optional[Term] = None,
-                  p: Optional[Term] = None,
-                  o: Optional[Term] = None) -> list[Triple]:
-    return graph.match(s, p, o)

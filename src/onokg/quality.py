@@ -15,13 +15,17 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kg import Graph, Term
+from .kg import Graph, KgError, Term
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
                        XSD, OnoSchema, iri)
 
 DEFAULT_HOME_NAMESPACES = (ONO, ASSOC, NORM)
 
 RESOLVER_MODES = ("offline-allowlist", "syntactic", "live")
+
+
+class QualityConfigError(ValueError):
+    """A quality config file that does not describe a valid config."""
 
 
 @dataclass
@@ -59,7 +63,36 @@ class QualityConfig:
     @classmethod
     def from_json(cls, path) -> "QualityConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise QualityConfigError(
+                    f"quality config {path} is not valid JSON: {exc}"
+                ) from None
+        try:
+            return cls._from_dict(raw)
+        except (TypeError, ValueError, KgError) as exc:
+            raise QualityConfigError(
+                f"bad quality config {path}: {exc}") from None
+
+    @classmethod
+    def _from_dict(cls, raw) -> "QualityConfig":
+        if not isinstance(raw, dict):
+            raise TypeError("expected a JSON object")
+        if ("completeness_class" in raw) != ("completeness_predicate" in raw):
+            raise ValueError("completeness_class and completeness_predicate "
+                             "must be given together")
+        for key in ("gold_classes", "gold_properties", "home_namespaces",
+                    "label_predicates", "allowlist"):
+            value = raw.get(key, [])
+            if not isinstance(value, list) \
+                    or not all(isinstance(v, str) for v in value):
+                raise TypeError(f"{key} must be a list of strings")
+        for key in ("range_lower", "range_upper"):
+            value = raw.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{key} must be a number")
+
         def terms(key):
             return tuple(iri(v) for v in raw.get(key, ()))
         kwargs = dict(
@@ -227,9 +260,10 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     for s in linkable:
         if any(is_foreign(t.object) for t in graph.match(s, None, None)):
             linked.append(s)
+    linked_set = set(linked)
     report.metrics["interlinking_completeness"] = MetricResult.ratio(
         "interlinking_completeness", len(linked), len(linkable),
-        [s.lexical for s in linkable if s not in set(linked)])
+        [s.lexical for s in linkable if s not in linked_set])
 
     # 3. property completeness for (class, predicate)
     if cfg.completeness_class is not None \
@@ -312,9 +346,10 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
                    if term.kind == "iri"})
     accepted = [u for u in uris if resolve_uri(cfg.resolver_mode, u,
                                                cfg.allowlist)]
+    accepted_set = set(accepted)
     report.metrics["dereferenceable_uris"] = MetricResult.ratio(
         "dereferenceable_uris", len(accepted), len(uris),
-        [u for u in uris if u not in set(accepted)])
+        [u for u in uris if u not in accepted_set])
 
     # 9. back links: objects that are home-namespace IRIs
     object_terms = sorted(objects, key=lambda t: (t.kind, t.lexical))

@@ -11,11 +11,27 @@ as false for that row; the logical operators are then plain boolean. A
 bare GROUP BY with no aggregates collapses each group to one row of its
 grouping key. Result rows are sorted by term, so evaluation output is
 deterministic across runs and insertion orders.
-"""
 
+Evaluation runs on the graph's integer term ids, never on Term objects
+per row. Each pattern's constants are looked up once; a constant the
+graph lacks makes the result empty, and a VALUES term it lacks gets a
+query-local negative id so that it is still projected. A sub-select is
+evaluated once and joined as a table on the variables it projects.
+Patterns are joined greedily, in the style of RDF-3X: the next one is
+the cheapest of those sharing a bound variable, costed by its match count
+on the SPO/POS/OSP index sizes, with ties going to the pattern written
+first. Each FILTER is split at its top-level `&&`, and each conjunct runs
+right after the join that binds the last of its variables (a conjunct
+over a variable nothing binds runs at the end, where that leaf is false).
+Regexes compile once per query and each filter leaf caches its result per
+term id. Ids become Terms only for the final rows. The answer, as a bag
+of rows, is the same as joining the patterns in written order and
+filtering afterwards; `tests/oracles.py` checks that by brute force.
+"""
 from __future__ import annotations
 
 import json
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -562,114 +578,282 @@ def _numeric(term: Term) -> float:
     return float(term.lexical)
 
 
-def _eval_filter(node: FilterNode, row: dict[str, Term]) -> bool:
-    if isinstance(node, OrExpr):
-        return any(_eval_filter(p, row) for p in node.parts)
-    if isinstance(node, AndExpr):
-        return all(_eval_filter(p, row) for p in node.parts)
+class _IdSpace:
+    """The graph's term ids, plus negative query-local ids for terms the
+    graph lacks, such as VALUES terms, so that every bound value is an int.
+    Within one space, id equality is term equality."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._local_ids: dict[Term, int] = {}
+        self._local: list[Term] = []
+
+    def id_of(self, term: Term) -> int:
+        tid = self.graph.term_id(term)
+        if tid is None:
+            tid = self._local_ids.get(term)
+            if tid is None:
+                self._local.append(term)
+                tid = self._local_ids[term] = -len(self._local)
+        return tid
+
+    def term(self, tid: int) -> Term:
+        return self.graph.term(tid) if tid >= 0 else self._local[-tid - 1]
+
+
+def _conjuncts(filters: list[FilterNode]) -> list[FilterNode]:
+    """The top-level `&&` operands of every FILTER. Only these are split:
+    an operand of `||` or `!` stays inside its conjunct."""
+    out = []
+    for node in filters:
+        out.extend(node.parts if isinstance(node, AndExpr) else (node,))
+    return out
+
+
+def _filter_vars(node: FilterNode) -> set[str]:
+    if isinstance(node, (AndExpr, OrExpr)):
+        return set().union(*(_filter_vars(p) for p in node.parts))
     if isinstance(node, NotExpr):
-        return not _eval_filter(node.operand, row)
+        return _filter_vars(node.operand)
     if isinstance(node, Regex):
-        value = row.get(node.var.name)
-        if value is None or value.kind != "literal":
-            return False
-        return _compile_regex(node.pattern).search(value.lexical) is not None
+        return {node.var.name}
+    return {n.name for n in (node.lhs, node.rhs) if isinstance(n, Var)}
+
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
+            "<": operator.lt, "=": operator.eq}
+
+
+def _number_or_none(term: Term) -> Optional[float]:
+    try:
+        return _numeric(term)
+    except ValueError:
+        return None
+
+
+def _compile_filter(node: FilterNode, slots: dict[str, int],
+                    space: _IdSpace, numbers: dict[int, Optional[float]]):
+    """A predicate over id rows for a filter tree. Regexes compile once;
+    a regex leaf caches its result per term id, and `numbers` caches
+    numeric values per term id across leaves. A leaf over a variable
+    that has no slot is false."""
+    if isinstance(node, (AndExpr, OrExpr)):
+        parts = [_compile_filter(p, slots, space, numbers)
+                 for p in node.parts]
+        combine = all if isinstance(node, AndExpr) else any
+        return lambda row: combine(f(row) for f in parts)
+    if isinstance(node, NotExpr):
+        inner = _compile_filter(node.operand, slots, space, numbers)
+        return lambda row: not inner(row)
+    if isinstance(node, Regex):
+        slot = slots.get(node.var.name)
+        if slot is None:
+            return lambda row: False
+        search = _compile_regex(node.pattern).search
+        cache: dict[int, bool] = {}
+
+        def matches(row):
+            tid = row[slot]
+            hit = cache.get(tid)
+            if hit is None:
+                term = space.term(tid)
+                hit = cache[tid] = term.kind == "literal" \
+                    and search(term.lexical) is not None
+            return hit
+        return matches
     if isinstance(node, Comparison):
-        try:
-            lhs = _operand_value(node.lhs, row)
-            rhs = _operand_value(node.rhs, row)
-        except (ValueError, KeyError):
-            return False
-        return {
-            ">=": lhs >= rhs, "<=": lhs <= rhs,
-            ">": lhs > rhs, "<": lhs < rhs, "=": lhs == rhs,
-        }[node.op]
+        def operand(n: Node):
+            if not isinstance(n, Var):
+                value = _number_or_none(n)
+                return lambda row: value
+            slot = slots.get(n.name)
+            if slot is None:
+                return lambda row: None
+
+            def number(row):
+                tid = row[slot]
+                if tid not in numbers:
+                    numbers[tid] = _number_or_none(space.term(tid))
+                return numbers[tid]
+            return number
+
+        lhs, rhs, compare = operand(node.lhs), operand(node.rhs), \
+            _COMPARE[node.op]
+
+        def holds(row):
+            left, right = lhs(row), rhs(row)
+            return left is not None and right is not None \
+                and compare(left, right)
+        return holds
     raise SparqlError(f"unknown filter node {node!r}")
 
 
-def _operand_value(node: Node, row: dict[str, Term]) -> float:
-    term = row[node.name] if isinstance(node, Var) else node
-    return _numeric(term)
+@dataclass
+class _Step:
+    """One pattern or sub-select table of a query, compiled to ids."""
+    index: int                   # position in the query, breaks ties
+    variables: list[str]         # distinct, in order of first position
+    estimate: int                # rows it matches on its constants alone
+    pattern: Optional[tuple] = None  # (s, p, o), each a term id or a Var
+    table: Optional[tuple[list[str], list]] = None  # sub-select result
 
 
-def _match_pattern(graph: Graph, pattern: TriplePattern,
-                   row: dict[str, Term]) -> list[dict[str, Term]]:
-    def concrete(node: Node) -> Optional[Term]:
-        if isinstance(node, Var):
-            return row.get(node.name)
-        return node
-
-    s, p, o = concrete(pattern.s), concrete(pattern.p), concrete(pattern.o)
+def _join_pattern(graph: Graph, rows: list[tuple], step: _Step,
+                  slots: dict[str, int]) -> list[tuple]:
+    """Extend each row by the matches of a triple pattern, probing the
+    index with every position a constant or an already bound variable
+    fixes. New variables are appended to the row in `step.variables`
+    order; a variable repeated in the pattern must match one term."""
+    fixed, take, same = [], [], []
+    first: dict[str, int] = {}
+    for pos, node in enumerate(step.pattern):
+        if not isinstance(node, Var):
+            fixed.append((False, node))
+        elif node.name in slots:
+            fixed.append((True, slots[node.name]))
+        else:
+            fixed.append((False, None))
+            if node.name in first:
+                same.append((first[node.name], pos))
+            else:
+                first[node.name] = pos
+                take.append(pos)
+    (s_var, s), (p_var, p), (o_var, o) = fixed
+    match_ids = graph.match_ids
     out = []
-    for t in graph.match(s, p, o):
-        new = dict(row)
-        ok = True
-        for node, value in ((pattern.s, t.subject), (pattern.p, t.predicate),
-                            (pattern.o, t.object)):
-            if isinstance(node, Var):
-                bound = new.get(node.name)
-                if bound is None:
-                    new[node.name] = value
-                elif bound != value:
-                    ok = False
-                    break
-        if ok:
-            out.append(new)
+    for row in rows:
+        for t in match_ids(row[s] if s_var else s, row[p] if p_var else p,
+                           row[o] if o_var else o):
+            if same and any(t[i] != t[j] for i, j in same):
+                continue
+            out.append(row + tuple([t[i] for i in take]))
     return out
+
+
+def _join_table(rows: list[tuple], step: _Step,
+                slots: dict[str, int]) -> list[tuple]:
+    """Hash join with a sub-select's rows on the variables both share."""
+    header, table = step.table
+    column = {}
+    for i, name in enumerate(header):
+        column.setdefault(name, i)
+    shared = [(column[n], slots[n]) for n in step.variables if n in slots]
+    added = [column[n] for n in step.variables if n not in slots]
+    index: dict[tuple, list[tuple]] = {}
+    for sub in table:
+        index.setdefault(tuple([sub[i] for i, _ in shared]), []).append(
+            tuple([sub[i] for i in added]))
+    out = []
+    for row in rows:
+        for ext in index.get(tuple([row[j] for _, j in shared]), ()):
+            out.append(row + ext)
+    return out
+
+
+def _plan(steps: list[_Step], bound: set[str]) -> list[_Step]:
+    """Greedy join order: among the steps that share a variable with what
+    is already bound (all steps if none does), take the one whose estimate
+    is smallest; a pattern all of whose variables are bound is a lookup
+    and estimates at most 1. Ties go to the step written first."""
+    bound = set(bound)
+    remaining = list(steps)
+    order = []
+
+    def cost(step: _Step):
+        estimate = step.estimate
+        if step.pattern is not None and bound.issuperset(step.variables):
+            estimate = min(estimate, 1)
+        return estimate, step.index
+
+    while remaining:
+        linked = [s for s in remaining if bound.intersection(s.variables)]
+        step = min(linked or remaining, key=cost)
+        remaining.remove(step)
+        order.append(step)
+        bound.update(step.variables)
+    return order
+
+
+def _solve(graph: Graph, query: SelectQuery,
+           space: _IdSpace) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The projected, grouped and deduplicated rows of a query, as ids."""
+    header = [v.name for v in query.projection]
+    slots: dict[str, int] = {}
+    rows: list[tuple] = [()]
+    if query.values is not None:
+        slots[query.values.var.name] = 0
+        rows = [(space.id_of(t),) for t in query.values.terms]
+    steps = []
+    for index, elem in enumerate(query.pattern):
+        if isinstance(elem, SubSelect):
+            table = _solve(graph, elem.query, space)
+            steps.append(_Step(index, list(dict.fromkeys(table[0])),
+                               len(table[1]), table=table))
+            continue
+        pattern = []
+        for node in (elem.s, elem.p, elem.o):
+            if not isinstance(node, Var):
+                node = graph.term_id(node)
+                if node is None:  # a constant the graph lacks matches nothing
+                    return header, []
+            pattern.append(node)
+        names = [n.name for n in pattern if isinstance(n, Var)]
+        ids = [None if isinstance(n, Var) else n for n in pattern]
+        steps.append(_Step(index, list(dict.fromkeys(names)),
+                           graph.count_ids(*ids), pattern=tuple(pattern)))
+    order = _plan(steps, set(slots))
+
+    # push each conjunct down to the first step that binds all of its
+    # variables; one over a never-bound variable runs after the last step
+    bind_step = dict.fromkeys(slots, 0)
+    for n, step in enumerate(order, start=1):
+        for name in step.variables:
+            bind_step.setdefault(name, n)
+    final = {name: slot for slot, name in enumerate(bind_step)}
+    pending: dict[int, list] = {}
+    numbers: dict[int, Optional[float]] = {}
+    for conjunct in _conjuncts(query.filters):
+        at = max((bind_step.get(v, len(order)) for v in
+                  _filter_vars(conjunct)), default=0)
+        pending.setdefault(at, []).append(
+            _compile_filter(conjunct, final, space, numbers))
+
+    def apply(n: int, rows: list[tuple]) -> list[tuple]:
+        for keep in pending.get(n, ()):
+            rows = [row for row in rows if keep(row)]
+        return rows
+
+    rows = apply(0, rows)
+    for n, step in enumerate(order, start=1):
+        if step.pattern is not None:
+            rows = _join_pattern(graph, rows, step, slots)
+        else:
+            rows = _join_table(rows, step, slots)
+        for name in step.variables:
+            slots.setdefault(name, len(slots))
+        rows = apply(n, rows)
+
+    if query.group_by:
+        key_slots = [slots[v.name] for v in query.group_by]
+        groups: dict[tuple, tuple] = {}
+        for row in rows:
+            groups.setdefault(tuple([row[i] for i in key_slots]), row)
+        rows = list(groups.values())
+    take = [slots[name] for name in header]
+    projected = [tuple([row[i] for i in take]) for row in rows]
+    if query.distinct:
+        projected = list(dict.fromkeys(projected))
+    return header, projected
 
 
 def evaluate(graph: Graph, query: SelectQuery) -> SolutionTable:
     """Natural join of pattern matches, cross-joined with VALUES, filtered,
-    projected, deduplicated, grouped."""
-    if query.values is not None:
-        rows: list[dict[str, Term]] = [{query.values.var.name: t}
-                                       for t in query.values.terms]
-    else:
-        rows = [{}]
-    for elem in query.pattern:
-        next_rows: list[dict[str, Term]] = []
-        if isinstance(elem, TriplePattern):
-            for row in rows:
-                next_rows.extend(_match_pattern(graph, elem, row))
-        else:
-            sub = evaluate(graph, elem.query)
-            for row in rows:
-                for sub_row in sub.rows:
-                    merged = dict(row)
-                    ok = True
-                    for name, value in zip(sub.header, sub_row):
-                        bound = merged.get(name)
-                        if bound is None:
-                            merged[name] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                    if ok:
-                        next_rows.append(merged)
-        rows = next_rows
-        if not rows:
-            break
-    for filt in query.filters:
-        rows = [row for row in rows if _eval_filter(filt, row)]
-    if query.group_by:
-        seen = set()
-        grouped = []
-        for row in rows:
-            key = tuple(row[v.name] for v in query.group_by)
-            if key not in seen:
-                seen.add(key)
-                grouped.append(row)
-        rows = grouped
-    header = [v.name for v in query.projection]
-    projected = [tuple(row[v.name] for v in query.projection) for row in rows]
-    if query.distinct:
-        unique = []
-        seen_rows = set()
-        for row in projected:
-            if row not in seen_rows:
-                seen_rows.add(row)
-                unique.append(row)
-        projected = unique
+    grouped, projected, deduplicated and sorted; see the module docstring
+    for how it is evaluated."""
+    space = _IdSpace(graph)
+    header, rows = _solve(graph, query, space)
+    term = space.term
+    projected = [tuple([term(i) for i in row]) for row in rows]
     projected.sort(key=lambda r: tuple(_term_sort_key(t) for t in r))
     return SolutionTable(header, projected)
 

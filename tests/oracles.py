@@ -7,6 +7,8 @@ beyond the Term/Triple data model.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from onokg import dlx
@@ -391,4 +393,101 @@ def random_sparql_query(rng: np.random.Generator, graph: Graph
     distinct = bool(rng.random() < 0.5)
     group_by = list(projection) if rng.random() < 0.3 else []
     return SelectQuery(PrefixTable(), projection, distinct, patterns,
+                       values, filters, group_by)
+
+
+def random_rich_sparql_query(rng: np.random.Generator, graph: Graph,
+                             depth: int = 1,
+                             names: Optional[dict] = None) -> SelectQuery:
+    """Like `random_sparql_query`, but reaching the cases a join planner
+    and filter push-down can get wrong: sub-selects whose inner variables
+    stay hidden, `&&` of 2-3 conjuncts under `||` and `!`, filters over a
+    variable no pattern binds, VALUES terms the graph lacks or repeats, a
+    variable repeated in one pattern, and constants the graph lacks.
+
+    Patterns are walks over stored triples, so that joins often match:
+    `names` maps a term to the variable that stands for it.
+    """
+    from onokg.kg import PrefixTable, literal
+    individuals = graph_vocabulary(graph)[2]
+    ghosts = [iri(EX + "ghost"), literal("77")]
+    names = {} if names is None else names
+    # a sub-select's own variables may reuse an outer name for another
+    # term; unprojected, they must stay hidden from the outer query
+    fresh = ["a", "b", "c"] if depth else ["c", "h"]
+
+    def pick(items):
+        return items[int(rng.integers(len(items)))]
+
+    def node(term: Term, position: int):
+        roll = rng.random()
+        if roll < 0.05:
+            return pick(ghosts)
+        if term in names and roll < 0.8:
+            return Var(names[term])
+        unused = [n for n in fresh if n not in names.values()]
+        if unused and roll < (0.3 if position == 1 else 0.7):
+            names[term] = unused[0]
+            return Var(unused[0])
+        if roll > 0.95:  # a variable already standing for another term
+            return Var(pick(fresh))
+        return term
+
+    triples = list(graph)
+    pattern = []
+    for _ in range(int(rng.integers(1, 4 if depth else 3))):
+        linked = [t for t in triples if any(x in names for x in t)]
+        triple = pick(linked if linked and rng.random() < 0.8 else triples)
+        s, p, o = (node(term, i) for i, term in enumerate(triple))
+        if rng.random() < 0.1:
+            o = s = Var(pick(fresh))
+        pattern.append(TriplePattern(s, p, o))
+    scope = {v for t in pattern for v in t.variables()}
+    if depth and rng.random() < 0.35:
+        sub = random_rich_sparql_query(rng, graph, depth - 1, dict(names))
+        pattern.insert(int(rng.integers(len(pattern) + 1)), SubSelect(sub))
+        scope |= {v.name for v in sub.projection}
+    values = None
+    if rng.random() < 0.4:
+        name = pick(sorted(scope) + ["v"])
+        known = [t for t, n in names.items() if n == name]
+        terms = tuple(pick(known * 3 + individuals + ghosts)
+                      for _ in range(int(rng.integers(1, 5))))
+        values = Values(Var(name), terms)
+        scope.add(name)
+    if not scope:
+        pattern.append(TriplePattern(Var("a"), RDF_TYPE, Var("b")))
+        scope = {"a", "b"}
+    scope = sorted(scope)
+
+    def leaf():
+        # ?z is never bound
+        target = Var("z" if rng.random() < 0.1 else pick(scope))
+        roll = rng.random()
+        if roll < 0.3:
+            return Regex(target, pick(["^1", "5", "^e"]))
+        op = pick([">=", "<=", ">", "<", "="])
+        if roll < 0.45:
+            return Comparison(op, target, Var(pick(scope)))
+        return Comparison(op, target, literal(str(rng.integers(0, 50))))
+
+    def expr(level: int):
+        roll = rng.random()
+        if level <= 0 or roll < 0.35:
+            return leaf()
+        if roll < 0.65:
+            return AndExpr(tuple(expr(level - 1)
+                                 for _ in range(int(rng.integers(2, 4)))))
+        if roll < 0.85:
+            return OrExpr(tuple(expr(level - 1)
+                                for _ in range(int(rng.integers(2, 4)))))
+        return NotExpr(expr(level - 1))
+
+    filters = [expr(2) for _ in range(int(rng.integers(0, 3)))]
+    projection = [Var(v) for v in
+                  sorted(rng.choice(scope, size=int(rng.integers(
+                      1, len(scope) + 1)), replace=False))]
+    distinct = bool(rng.random() < 0.5)
+    group_by = list(projection) if rng.random() < 0.3 else []
+    return SelectQuery(PrefixTable(), projection, distinct, pattern,
                        values, filters, group_by)

@@ -254,6 +254,53 @@ class TestConfigPrecedence:
             AppConfig.resolve(argparse.Namespace(threshold=1.5))
 
 
+class TestConfigErrors:
+    """A bad config file ends in one `error:` line and exit code 1."""
+
+    def assert_one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_config_not_json(self, kg_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{seed: 3", encoding="utf-8")
+        self.assert_one_error_line(
+            capsys, ["--config", str(path), "qa", "--kg", str(kg_file)])
+
+    def test_config_not_an_object(self, kg_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('"seed"', encoding="utf-8")
+        self.assert_one_error_line(
+            capsys, ["--config", str(path), "qa", "--kg", str(kg_file)])
+
+    def test_config_bad_value(self, kg_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": "many"}', encoding="utf-8")
+        self.assert_one_error_line(
+            capsys, ["--config", str(path), "qa", "--kg", str(kg_file)])
+
+    @pytest.mark.parametrize("text", [
+        '{"completeness_class": "http://x.org/C"}',
+        '{"completeness_predicate": "http://x.org/p"}',
+        '{"gold_classes": [',
+        '["not", "an", "object"]',
+        '{"range_predicate": "http://x.org/p", "range_lower": 5, '
+        '"range_upper": 1}',
+        '{"resolver_mode": "psychic"}',
+        '{"gold_classes": [3]}',
+        '{"home_namespaces": "http://x.org/"}',
+        '{"range_predicate": "http://x.org/p", "range_lower": "1", '
+        '"range_upper": "5"}',
+    ])
+    def test_quality_config_errors(self, kg_file, tmp_path, capsys, text):
+        path = tmp_path / "quality.json"
+        path.write_text(text, encoding="utf-8")
+        self.assert_one_error_line(
+            capsys, ["qa", "--kg", str(kg_file), "--quality-config",
+                     str(path)])
+
 class TestTrainCommand:
     def test_small_training_run(self, tmp_path, capsys):
         out = tmp_path / "small.json"

@@ -112,3 +112,22 @@ class TestDemoCorpusIngest:
         report = ingest_documents(seed_copy, docs, checkpoint, alias_table,
                                   0.5)
         assert report.proposed >= 1
+
+    def test_malformed_jsonl_lines_are_skipped(self, tmp_path, caplog):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "j1", "text": "RB1 causes BLCA."}\n'
+                        '{"id": "j2", "text": \n'
+                        '{"text": "no id"}\n'
+                        '["a", "list"]\n'
+                        '{"id": "j5", "text": 5}\n'
+                        '{"id": 6, "text": "TP53 causes BRCA."}\n'
+                        '{"id": "j7", "text": "TP53 causes BRCA."}\n',
+                        encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            docs = read_corpus_dir(tmp_path)
+        assert [d.id for d in docs] == ["j1", "j7"]
+        skipped = [r.getMessage() for r in caplog.records
+                   if "malformed record" in r.getMessage()]
+        assert [m.split(": ")[0].rsplit(":", 1)[1] for m in skipped] \
+            == ["2", "3", "4", "5", "6"]
+        assert all(str(path) in m for m in skipped)

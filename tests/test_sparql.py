@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_graph, random_sparql_query, sparql_rows
+from oracles import (random_graph, random_rich_sparql_query,
+                     random_sparql_query, sparql_rows)
 from onokg.kg import Graph, PrefixTable, Triple, iri, literal
 from onokg.ontology import ONO, RDF_TYPE, SCHEMA, default_prefixes, ono
 from onokg.sparql import (SolutionTable, SparqlParseError, SubSelect,
@@ -135,6 +138,62 @@ class TestEvaluate:
         labels = {row[0].lexical for row in table.rows}
         assert "TP53" in labels
 
+    def test_values_term_absent_from_graph_is_projected(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:o")))
+        table = run_query(g, "SELECT ?v ?x WHERE { VALUES ?v { <a:ghost> "
+                             "<a:s> } ?x <a:p> <a:o> . }")
+        assert table.rows == [(iri("a:ghost"), iri("a:s")),
+                              (iri("a:s"), iri("a:s"))]
+
+    def test_constant_absent_from_graph_empties_bgp(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:o")))
+        table = run_query(g, "SELECT ?x WHERE { ?x <a:p> ?y . "
+                             "?x <a:ghost> ?z . }")
+        assert table.rows == []
+
+    def test_unbound_variable_under_or_and_not(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:n"), literal("5")))
+        # ?z is bound by no pattern, so a leaf over it is false: the
+        # disjunct and the negation must see it that way
+        either = run_query(g, "SELECT ?x WHERE { ?x <a:n> ?n . "
+                              "FILTER (?z > 1 || ?n > 1) }")
+        assert len(either.rows) == 1
+        negated = run_query(g, "SELECT ?x WHERE { ?x <a:n> ?n . "
+                               "FILTER (!(?z > 1) && ?n > 1) }")
+        assert len(negated.rows) == 1
+        conjoined = run_query(g, "SELECT ?x WHERE { ?x <a:n> ?n . "
+                                 "FILTER (?z > 1 && ?n > 1) }")
+        assert conjoined.rows == []
+
+    def test_repeated_variable_binds_one_term(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:s")))
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:o")))
+        table = run_query(g, "SELECT ?x WHERE { ?x <a:p> ?x . }")
+        assert table.rows == [(iri("a:s"),)]
+
+    def test_sub_select_hides_inner_variables(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:o")))
+        g.insert(Triple(iri("a:o"), iri("a:q"), iri("a:t")))
+        # the inner ?y is not projected, so it does not join with the
+        # outer ?y
+        table = run_query(g, "SELECT ?x ?y WHERE { ?x <a:p> ?y . "
+                             "{ SELECT ?x WHERE { ?x <a:p> ?w . "
+                             "?w <a:q> ?y . } } }")
+        assert table.rows == [(iri("a:s"), iri("a:o"))]
+
+    def test_duplicate_values_keep_bag_multiplicity(self):
+        g = Graph()
+        g.insert(Triple(iri("a:s"), iri("a:p"), iri("a:o")))
+        text = "SELECT {} ?v WHERE {{ VALUES ?v {{ <a:s> <a:s> }} " \
+               "?v <a:p> ?o . }}"
+        assert len(run_query(g, text.format("")).rows) == 2
+        assert len(run_query(g, text.format("DISTINCT")).rows) == 1
+
 
 class TestQueryPack:
     def test_pack_parses_and_matches_oracle(self, fixtures_graph):
@@ -204,6 +263,16 @@ class TestProperties:
             query.pattern = list(reversed(query.pattern))
             assert set(evaluate(graph, query).rows) == base
 
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rich_random_queries_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, max_triples=40)
+        for _ in range(4):
+            query = random_rich_sparql_query(rng, graph)
+            engine = sorted(evaluate(graph, query).rows, key=repr)
+            assert engine == sorted(sparql_rows(graph, query), key=repr)
 
 class TestExport:
     def test_json_table_schema(self):

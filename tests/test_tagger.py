@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import central_difference
-from onokg.ie.tagger import (DimensionError, FeatureSpace, K, TAGS,
-                             TaggerModel, encode_sentence, gold_tags,
+from onokg.ie.tagger import (CheckpointError, DimensionError, FeatureSpace,
+                             K, TAGS, TaggerModel, encode_sentence, gold_tags,
                              load_checkpoint, loss_and_gradients,
                              save_checkpoint, sequence_loss,
                              tag_probabilities, tagging_loss)
@@ -230,6 +230,12 @@ class TestCheckpoint:
                                          re_encoded.feature_ids)
             assert np.allclose(reference, observed, atol=1e-12)
 
+
+    def test_gapped_feature_ids_rejected(self):
+        with pytest.raises(CheckpointError, match="without gaps"):
+            FeatureSpace.from_dict({"w=a": 0, "w=b": 2})
+        with pytest.raises(CheckpointError):
+            FeatureSpace.from_dict({"w=a": 0, "w=b": 0})
 
 def test_sequence_loss_floor_keeps_finite():
     rng = np.random.default_rng(10)
