@@ -58,7 +58,7 @@ class AppConfig:
                 with open(config_path, encoding="utf-8") as fh:
                     file_values = json.load(fh)
             except OSError as exc:
-                raise UserError(f"cannot read config file: {exc}") from exc
+                raise OSError(f"cannot read config file: {exc}") from exc
             except ValueError as exc:
                 raise UserError(f"config file {config_path} is not valid "
                                 f"JSON: {exc}") from exc
@@ -166,9 +166,8 @@ def cmd_query(args, cfg: AppConfig) -> int:
     return EXIT_OK
 
 
-def _dlq_output(graph: Graph, expression: str, fmt: str,
-                index: Optional[dlx.AboxIndex] = None) -> str:
-    results = dlx.query(graph, expression, index)
+def _dlq_output(graph: Graph, expression: str, fmt: str) -> str:
+    results = dlx.query(graph, expression)
     names = [t.local_name() for t in results]
     if fmt == "json":
         return json.dumps(names, indent=2)
@@ -178,12 +177,11 @@ def _dlq_output(graph: Graph, expression: str, fmt: str,
 def cmd_dlq(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     if args.pack:
-        index = dlx.AboxIndex(graph)
         with open(data_path("dlx_pack.json"), encoding="utf-8") as fh:
             pack = json.load(fh)
         for entry in pack:
             try:
-                results = dlx.query(graph, entry["expression"], index)
+                results = dlx.query(graph, entry["expression"])
             except dlx.UnknownNameError as exc:
                 # pack queries may name nodes a given KG does not carry
                 print(f"{entry['id']}: (skipped: {exc})")
@@ -416,7 +414,6 @@ REPL_HELP = """commands:
 
 def cmd_repl(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
-    index = dlx.AboxIndex(graph)
     checkpoint = None
     interactive = sys.stdin.isatty()
     if interactive:
@@ -435,7 +432,7 @@ def cmd_repl(args, cfg: AppConfig) -> int:
                 print(_format_solutions(sparql.run_query(graph, text),
                                         "table"))
             elif command == ":dlq":
-                print(_dlq_output(graph, rest, "table", index))
+                print(_dlq_output(graph, rest, "table"))
             elif command == ":deduce":
                 rule_name, _, instance_name = rest.partition(" ")
                 rule = dlx.SYLLOGISM_RULES.get(rule_name)
@@ -443,10 +440,9 @@ def cmd_repl(args, cfg: AppConfig) -> int:
                     known = ", ".join(sorted(dlx.SYLLOGISM_RULES))
                     print(f"unknown rule {rule_name!r}; known: {known}")
                     continue
-                resolver = dlx.NameResolver(graph)
-                instance = resolver.resolve(instance_name.strip())
-                deduction = dlx.deduce_syllogism(graph, rule, instance,
-                                                 index=index)
+                instance = graph.cached(dlx.NameResolver).resolve(
+                    instance_name.strip())
+                deduction = dlx.deduce_syllogism(graph, rule, instance)
                 if not deduction.holds:
                     print("no derivation (membership premise not asserted)")
                 else:

@@ -14,6 +14,13 @@ hierarchy) plus the resolved node itself when that node is also used as an
 individual. The nominal half is what makes fillers like `some BRCA` or
 `some High` work, since cohorts, significance levels, and evidence sources
 are individuals in the graph.
+
+Atomic names resolve through the graph's shared `ontology.ClassIndex`. The
+index, the `AboxIndex` built on it and the `NameResolver` are memoized with
+`Graph.cached`, so repeated queries share them and a graph write (such as
+a persisted deduction) makes the next query rebuild them. A cyclic
+subclass hierarchy raises `HierarchyCycleError` in DL queries, while
+`ontology.check_ontology_pitfalls` (the `qa` command) reports it.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .kg import Graph, KgError, Term, Triple
-from .ontology import (OWL, RDF, RDF_TYPE, RDFS, RDFS_SUBCLASS, SCHEMA,
-                       OnoSchema, iri)
+from .ontology import (OWL, RDF, RDF_TYPE, RDFS, RDFS_LABEL, SCHEMA,
+                       ClassIndex, iri)
 
 _META_TYPES = {
     iri(OWL + "Class"), iri(RDFS + "Class"), iri(RDF + "Property"),
@@ -59,8 +66,8 @@ class UnknownNameError(DlxError):
 
 class HierarchyCycleError(DlxError):
     def __init__(self, cycle: list[Term]):
-        names = " -> ".join(t.local_name() for t in cycle)
-        super().__init__(f"subclass hierarchy contains a cycle: {names}")
+        names = ", ".join(t.local_name() for t in cycle)
+        super().__init__(f"subclass hierarchy contains a cycle among {names}")
         self.cycle = cycle
 
 
@@ -151,19 +158,17 @@ class NameResolver:
     have-/has- alias spellings.
     """
 
-    def __init__(self, graph: Optional[Graph], schema: OnoSchema = SCHEMA):
+    def __init__(self, graph: Graph):
         self._exact: dict[str, set[Term]] = {}
         self._folded: dict[str, set[Term]] = {}
-        for term in schema.classes() + schema.properties():
+        for term in SCHEMA.classes() + SCHEMA.properties():
             self._register(term.local_name(), term)
-        if graph is not None:
-            from .ontology import RDFS_LABEL
-            for term in graph.terms():
-                if term.kind == "iri":
-                    self._register(term.local_name(), term)
-            for t in graph.match(None, RDFS_LABEL, None):
-                if t.object.kind == "literal":
-                    self._register(t.object.lexical, t.subject)
+        for term in graph.terms():
+            if term.kind == "iri":
+                self._register(term.local_name(), term)
+        for t in graph.match(None, RDFS_LABEL, None):
+            if t.object.kind == "literal":
+                self._register(t.object.lexical, t.subject)
 
     def _register(self, name: str, term: Term) -> None:
         self._exact.setdefault(name, set()).add(term)
@@ -232,13 +237,12 @@ class _Tokens:
         return tok
 
 
-def parse_dlx(text: str, graph: Optional[Graph] = None,
-              schema: OnoSchema = SCHEMA,
-              resolver: Optional[NameResolver] = None) -> ClassExpression:
-    """Parse a class expression, resolving names against graph and schema."""
+def parse_dlx(text: str, graph: Graph) -> ClassExpression:
+    """Parse a class expression, resolving names against the graph and the
+    ONO schema."""
     if not text.strip():
         raise DlxParseError("empty expression", 0)
-    resolver = resolver or NameResolver(graph, schema)
+    resolver = graph.cached(NameResolver)
     tokens = _Tokens(text)
     expr = _parse_or(tokens, resolver)
     trailing = tokens.peek()
@@ -315,79 +319,28 @@ def _parse_restriction(tokens: _Tokens, resolver: NameResolver, name: str,
 
 
 # ---------------------------------------------------------------------------
-# subclass closure
-
-def subclass_closure(graph: Graph) -> dict[Term, frozenset[Term]]:
-    """Reflexive-transitive closure of asserted subClassOf.
-
-    Maps every class mentioned in the hierarchy to its ancestor set
-    (including itself). Raises HierarchyCycleError on a cycle.
-    """
-    parents: dict[Term, set[Term]] = {}
-    for t in graph.match(None, RDFS_SUBCLASS, None):
-        parents.setdefault(t.subject, set()).add(t.object)
-        parents.setdefault(t.object, set())
-    closure: dict[Term, frozenset[Term]] = {}
-    visiting: list[Term] = []
-    on_path: set[Term] = set()
-
-    def ancestors(node: Term) -> frozenset[Term]:
-        if node in closure:
-            return closure[node]
-        if node in on_path:
-            cycle = visiting[visiting.index(node):] + [node]
-            raise HierarchyCycleError(cycle)
-        visiting.append(node)
-        on_path.add(node)
-        out = {node}
-        for parent in parents.get(node, ()):
-            out |= ancestors(parent)
-        visiting.pop()
-        on_path.discard(node)
-        closure[node] = frozenset(out)
-        return closure[node]
-
-    for node in sorted(parents, key=lambda t: t.lexical):
-        ancestors(node)
-    return closure
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 class AboxIndex:
-    """Per-graph evaluation index: typed instances with subclass closure,
-    per-property successor maps, and the queried universe.
+    """Per-graph evaluation index over the graph's `ClassIndex`: typed
+    instances, per-property successor maps, and the queried universe.
 
-    Built once per graph version; read-only afterwards, so it can be shared
-    across threads.
+    Raises HierarchyCycleError, naming the members of the first cyclic
+    component, when the subclass hierarchy has a cycle. Get it through
+    `graph.cached(AboxIndex)` so it is built once per graph state.
     """
 
-    def __init__(self, graph: Graph, schema: OnoSchema = SCHEMA):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.schema = schema
-        self._closure = subclass_closure(graph)
-        self._direct: dict[Term, set[Term]] = {}
+        self.hierarchy = graph.cached(ClassIndex)
+        if self.hierarchy.cycles:
+            raise HierarchyCycleError(list(self.hierarchy.cycles[0]))
         self._individuals: set[Term] = set()
-        for t in graph.match(None, RDF_TYPE, None):
-            self._direct.setdefault(t.object, set()).add(t.subject)
-            if t.object not in _META_TYPES:
-                self._individuals.add(t.subject)
-        self._descendants: dict[Term, set[Term]] = {}
-        for child, ancestors in self._closure.items():
-            for parent in ancestors:
-                self._descendants.setdefault(parent, set()).add(child)
+        for cls, members in self.hierarchy.direct.items():
+            if cls not in _META_TYPES:
+                self._individuals |= members
         self._succ: dict[tuple[Term, bool], dict[Term, set[Term]]] = {}
         self.universe: frozenset[Term] = frozenset(graph.nodes())
-
-    def class_instances(self, cls: Term) -> set[Term]:
-        out: set[Term] = set()
-        for sub in self._descendants.get(cls, {cls}):
-            out |= self._direct.get(sub, set())
-        return out
-
-    def is_individual(self, term: Term) -> bool:
-        return term in self._individuals
 
     def successors(self, prop: PropRef) -> dict[Term, set[Term]]:
         key = (prop.term, prop.inverse)
@@ -405,9 +358,9 @@ class AboxIndex:
 
     def evaluate(self, expr: ClassExpression) -> set[Term]:
         if isinstance(expr, Atomic):
-            out = self.class_instances(expr.term)
-            if self.is_individual(expr.term):
-                out = out | {expr.term}
+            out = self.hierarchy.instances(expr.term)
+            if expr.term in self._individuals:
+                out.add(expr.term)
             return out
         if isinstance(expr, And):
             parts = [self.evaluate(p) for p in expr.parts]
@@ -441,17 +394,14 @@ class AboxIndex:
         raise DlxError(f"unknown expression node {expr!r}")
 
 
-def instances(graph: Graph, expr: ClassExpression,
-              index: Optional[AboxIndex] = None,
-              schema: OnoSchema = SCHEMA) -> list[Term]:
+def instances(graph: Graph, expr: ClassExpression) -> list[Term]:
     """Members of the class expression, sorted for deterministic output."""
-    index = index or AboxIndex(graph, schema)
-    return sorted(index.evaluate(expr), key=lambda t: (t.kind, t.lexical))
+    return sorted(graph.cached(AboxIndex).evaluate(expr),
+                  key=lambda t: (t.kind, t.lexical))
 
 
-def query(graph: Graph, text: str, index: Optional[AboxIndex] = None,
-          schema: OnoSchema = SCHEMA) -> list[Term]:
-    return instances(graph, parse_dlx(text, graph, schema), index, schema)
+def query(graph: Graph, text: str) -> list[Term]:
+    return instances(graph, parse_dlx(text, graph))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +425,7 @@ SYLLOGISM_RULES = {
 
 
 def deduce_syllogism(graph: Graph, rule: tuple[Term, Term, Term],
-                     instance: Term, persist: bool = False,
-                     schema: OnoSchema = SCHEMA,
-                     index: Optional[AboxIndex] = None) -> Deduction:
+                     instance: Term, persist: bool = False) -> Deduction:
     """Apply `every A <property> B` to an asserted member of A.
 
     Returns the derived triple plus a two-premise proof trace; with no
@@ -485,8 +433,7 @@ def deduce_syllogism(graph: Graph, rule: tuple[Term, Term, Term],
     the graph unless persist is requested.
     """
     class_a, prop, class_b = rule
-    index = index or AboxIndex(graph, schema)
-    if instance not in index.class_instances(class_a):
+    if instance not in graph.cached(AboxIndex).hierarchy.instances(class_a):
         return Deduction(derived=None, trace=[])
     derived = Triple(instance, prop, class_b)
     trace = [

@@ -6,14 +6,24 @@ output) deterministic for a deterministic build sequence. Triples are kept
 as a set of id-triples plus three nested indexes (SPO, POS, OSP) so any
 combination of bound/unbound pattern positions is answered from an index.
 
+Derived values (class indexes, name tables) are memoized on the graph by
+`Graph.cached` and dropped by every `insert` or `remove` that changes the
+triple set, so a derived value never outlives the graph state it was built
+from.
+
 Concurrency contract: many concurrent readers or one writer. The store
-takes no locks itself; Graph values can be handed between threads.
+takes no locks itself; Graph values can be handed between threads. Readers
+may fill the derived-value cache: two readers that race on the same entry
+each build an equal value and one of them is kept, which is benign. A write
+clears the cache, and writes already exclude readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
+
+T = TypeVar("T")
 
 IRI = "iri"
 LITERAL = "literal"
@@ -203,6 +213,7 @@ class Graph:
         self._spo: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
         self._osp: dict[int, dict[int, set[int]]] = {}
+        self._derived: dict[Callable, object] = {}
 
     # dictionary
 
@@ -236,6 +247,8 @@ class Graph:
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        if self._derived:
+            self._derived.clear()
         return True
 
     def add(self, subject: Term, predicate: Term, object: Term) -> bool:
@@ -252,7 +265,21 @@ class Graph:
         self._spo[s][p].discard(o)
         self._pos[p][o].discard(s)
         self._osp[o][s].discard(p)
+        self._derived.clear()
         return True
+
+    def cached(self, build: Callable[["Graph"], T]) -> T:
+        """`build(self)`, built once per graph state.
+
+        The value is kept until the next insert or remove that changes the
+        graph, so it must be derived from the triples alone and must not be
+        mutated by callers.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     # access
 

@@ -487,109 +487,98 @@ class PitfallReport:
         return "\n".join(lines)
 
 
-def _subclass_edges(graph: Graph) -> dict[Term, set[Term]]:
-    edges: dict[Term, set[Term]] = {}
-    for t in graph.match(None, RDFS_SUBCLASS, None):
-        edges.setdefault(t.subject, set()).add(t.object)
-        edges.setdefault(t.object, set())
-    return edges
+def _by_iri(terms) -> list[Term]:
+    return sorted(terms, key=lambda t: t.lexical)
 
 
-def _hierarchy_cycles(graph: Graph) -> list[list[Term]]:
-    """Cycles in the subclass relation, one entry per strongly connected
-    component of size > 1 (or with a self-loop)."""
-    edges = _subclass_edges(graph)
-    index: dict[Term, int] = {}
-    low: dict[Term, int] = {}
-    on_stack: set[Term] = set()
-    stack: list[Term] = []
-    counter = [0]
-    cycles: list[list[Term]] = []
+class ClassIndex:
+    """The asserted subclass hierarchy and rdf:type extents of one graph
+    state: the one place that reads rdfs:subClassOf.
 
-    def strongconnect(root: Term):
-        work = [(root, iter(sorted(edges.get(root, ()),
-                                   key=lambda t: t.lexical)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(edges.get(succ, ()),
-                                                   key=lambda t: t.lexical))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
+    `parents`/`children` map every class in the hierarchy to its direct
+    super-/subclasses, `direct` maps every type to its directly typed
+    subjects, and `cycles` lists the hierarchy's strongly connected
+    components that hold a cycle (more than one class, or a self-loop),
+    each sorted by IRI. Get it through `graph.cached(ClassIndex)` so it is
+    built once per graph state; it is read-only afterwards.
+    """
+
+    def __init__(self, graph: Graph):
+        self.parents: dict[Term, set[Term]] = {}
+        self.children: dict[Term, set[Term]] = {}
+        for t in graph.match(None, RDFS_SUBCLASS, None):
+            self.parents.setdefault(t.subject, set()).add(t.object)
+            self.parents.setdefault(t.object, set())
+            self.children.setdefault(t.object, set()).add(t.subject)
+        self.direct: dict[Term, set[Term]] = {}
+        for t in graph.match(None, RDF_TYPE, None):
+            self.direct.setdefault(t.object, set()).add(t.subject)
+        self.cycles = self._cyclic_components()
+
+    def classes(self) -> set[Term]:
+        """Every class in the hierarchy or used as an rdf:type object."""
+        return set(self.parents) | set(self.direct)
+
+    def descendants(self, cls: Term) -> set[Term]:
+        """cls and every class below it; terminates on cycles."""
+        seen = {cls}
+        queue = [cls]
+        while queue:
+            for child in self.children.get(queue.pop(), ()):
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        return seen
+
+    def instances(self, cls: Term) -> set[Term]:
+        """Subjects typed with cls or any class below it (a new set)."""
+        out: set[Term] = set()
+        for sub in self.descendants(cls):
+            out |= self.direct.get(sub, set())
+        return out
+
+    def _cyclic_components(self) -> list[tuple[Term, ...]]:
+        # Tarjan's algorithm, iterative, visiting nodes in IRI order
+        edges = self.parents
+        index: dict[Term, int] = {}
+        low: dict[Term, int] = {}
+        on_stack: set[Term] = set()
+        stack: list[Term] = []
+        cycles: list[tuple[Term, ...]] = []
+        for root in _by_iri(edges):
+            if root in index:
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(_by_iri(edges[root])))]
+            while work:
+                node, it = work[-1]
+                for succ in it:
+                    if succ not in index:
+                        index[succ] = low[succ] = len(index)
+                        stack.append(succ)
+                        on_stack.add(succ)
+                        work.append((succ, iter(_by_iri(edges[succ]))))
                         break
-                if len(component) > 1 or node in edges.get(node, ()):
-                    cycles.append(sorted(component, key=lambda t: t.lexical))
-
-    for node in sorted(edges, key=lambda t: t.lexical):
-        if node not in index:
-            strongconnect(node)
-    return cycles
-
-
-def _classes_and_properties(graph: Graph) -> tuple[set[Term], set[Term]]:
-    classes: set[Term] = set()
-    properties: set[Term] = set()
-    for t in graph.match(None, RDFS_SUBCLASS, None):
-        classes.add(t.subject)
-        classes.add(t.object)
-    for t in graph.match(None, RDF_TYPE, None):
-        classes.add(t.object)
-    properties.update(graph.predicates())
-    for prop in (RDFS_DOMAIN, RDFS_RANGE):
-        for t in graph.match(None, prop, None):
-            properties.add(t.subject)
-    return classes, properties
-
-
-def _type_instances(graph: Graph) -> dict[Term, set[Term]]:
-    direct: dict[Term, set[Term]] = {}
-    for t in graph.match(None, RDF_TYPE, None):
-        direct.setdefault(t.object, set()).add(t.subject)
-    return direct
-
-
-def _instances_with_closure(graph: Graph, cls: Term,
-                            direct: dict[Term, set[Term]]) -> set[Term]:
-    # cycle-tolerant downward reachability over subClassOf
-    children: dict[Term, set[Term]] = {}
-    for t in graph.match(None, RDFS_SUBCLASS, None):
-        children.setdefault(t.object, set()).add(t.subject)
-    seen = {cls}
-    queue = [cls]
-    out: set[Term] = set()
-    while queue:
-        node = queue.pop()
-        out |= direct.get(node, set())
-        for child in children.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return out
+                    if succ in on_stack:
+                        low[node] = min(low[node], index[succ])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        component = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.append(member)
+                            if member == node:
+                                break
+                        if len(component) > 1 or node in edges[node]:
+                            cycles.append(tuple(_by_iri(component)))
+        return cycles
 
 
 def check_ontology_pitfalls(graph: Graph,
@@ -598,9 +587,13 @@ def check_ontology_pitfalls(graph: Graph,
     """Local versions of the three scanner findings: hierarchy cycles,
     identifier naming, and domains/ranges declared as an intersection of
     classes with no common instances."""
-    report = PitfallReport(cycles=_hierarchy_cycles(graph))
+    index = graph.cached(ClassIndex)
+    report = PitfallReport(cycles=[list(c) for c in index.cycles])
 
-    classes, properties = _classes_and_properties(graph)
+    classes = index.classes()
+    properties = set(graph.predicates())
+    for prop in (RDFS_DOMAIN, RDFS_RANGE):
+        properties.update(t.subject for t in graph.match(None, prop, None))
     builtin = (RDF, RDFS, OWL, XSD)
 
     def in_scope(term: Term) -> bool:
@@ -620,7 +613,6 @@ def check_ontology_pitfalls(graph: Graph,
             report.naming_violations.append(
                 (prop, "property names use lowerCamelCase"))
 
-    direct = _type_instances(graph)
     for position, pred in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
         declared: dict[Term, list[Term]] = {}
         for t in graph.match(None, pred, None):
@@ -629,9 +621,9 @@ def check_ontology_pitfalls(graph: Graph,
             targets = declared[prop]
             if len(targets) < 2:
                 continue
-            shared = _instances_with_closure(graph, targets[0], direct)
+            shared = index.instances(targets[0])
             for cls in targets[1:]:
-                shared &= _instances_with_closure(graph, cls, direct)
+                shared &= index.instances(cls)
             if not shared:
                 report.intersection_conflicts.append(
                     (prop, position, sorted(targets, key=lambda t: t.lexical)))

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .kg import Graph, KgError, Term
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
-                       XSD, OnoSchema, iri)
+                       XSD, ClassIndex, OnoSchema, iri)
 
 DEFAULT_HOME_NAMESPACES = (ONO, ASSOC, NORM)
 
@@ -268,12 +268,12 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     # 3. property completeness for (class, predicate)
     if cfg.completeness_class is not None \
             and cfg.completeness_predicate is not None:
-        members = _instances_of(graph, cfg.completeness_class)
-        covered = [m for m in members
-                   if graph.match(m, cfg.completeness_predicate, None)]
+        members = graph.cached(ClassIndex).instances(cfg.completeness_class)
+        missing = sorted(m.lexical for m in members if not graph.match(
+            m, cfg.completeness_predicate, None))
         report.metrics["property_completeness"] = MetricResult.ratio(
-            "property_completeness", len(covered), len(members),
-            sorted(m.lexical for m in set(members) - set(covered)))
+            "property_completeness", len(members) - len(missing),
+            len(members), missing)
     else:
         report.metrics["property_completeness"] = \
             MetricResult.skipped("property_completeness")
@@ -378,21 +378,3 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
 
     return report
 
-
-def _instances_of(graph: Graph, cls: Term) -> list[Term]:
-    from .ontology import RDF_TYPE, RDFS_SUBCLASS
-    children: dict[Term, set[Term]] = {}
-    for t in graph.match(None, RDFS_SUBCLASS, None):
-        children.setdefault(t.object, set()).add(t.subject)
-    seen = {cls}
-    queue = [cls]
-    out: set[Term] = set()
-    while queue:
-        node = queue.pop()
-        for t in graph.match(None, RDF_TYPE, node):
-            out.add(t.subject)
-        for child in children.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return sorted(out, key=lambda t: (t.kind, t.lexical))

@@ -46,6 +46,17 @@ def _subclass_ancestors(triples, cls: Term) -> set[Term]:
     return out
 
 
+def _class_members(triples, cls: Term) -> set[Term]:
+    return {t.subject for t in triples if t.predicate == RDF_TYPE
+            and cls in _subclass_ancestors(triples, t.object)}
+
+
+def class_instances(graph: Graph, cls: Term) -> set[Term]:
+    """Subjects typed with cls or a class below it, by fixpoint scans; a
+    cyclic hierarchy only makes the fixpoint stop sooner."""
+    return _class_members(_scan(graph), cls)
+
+
 def _universe(triples) -> set[Term]:
     out = set()
     for t in triples:
@@ -72,11 +83,7 @@ def dl_instances(graph: Graph, expr) -> set[Term]:
 
     def evaluate(node) -> set[Term]:
         if isinstance(node, dlx.Atomic):
-            out = set()
-            for t in triples:
-                if t.predicate == RDF_TYPE and node.term in \
-                        _subclass_ancestors(triples, t.object):
-                    out.add(t.subject)
+            out = _class_members(triples, node.term)
             for t in triples:
                 if t.predicate == RDF_TYPE and t.subject == node.term \
                         and t.object not in _META:

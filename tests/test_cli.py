@@ -255,13 +255,21 @@ class TestConfigPrecedence:
 
 
 class TestConfigErrors:
-    """A bad config file ends in one `error:` line and exit code 1."""
+    """A bad config file ends in one `error:` line and exit code 1; one
+    that cannot be read exits 2, like any other I/O error."""
 
-    def assert_one_error_line(self, capsys, argv):
-        assert main(argv) == 1
+    def assert_one_error_line(self, capsys, argv, code=1):
+        assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_config_unreadable(self, kg_file, tmp_path, capsys, name):
+        path = tmp_path / name
+        self.assert_one_error_line(
+            capsys, ["--config", str(path), "qa", "--kg", str(kg_file)],
+            code=2)
 
     def test_config_not_json(self, kg_file, tmp_path, capsys):
         path = tmp_path / "cfg.json"

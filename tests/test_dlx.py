@@ -8,10 +8,10 @@ from onokg import dlx
 from onokg.dlx import (AboxIndex, And, Atomic, DlxParseError,
                        HierarchyCycleError, MaxCard, MinCard, Only, Or,
                        PropRef, Some, SYLLOGISM_RULES, UnknownNameError,
-                       deduce_syllogism, instances, parse_dlx, query,
-                       subclass_closure)
+                       deduce_syllogism, instances, parse_dlx, query)
 from onokg.kg import Graph, Triple, iri
-from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, data_path, ono)
+from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, ClassIndex, data_path,
+                            ono)
 
 
 class TestParser:
@@ -106,10 +106,9 @@ def test_paper_query_pack_matches_oracle(fixtures_graph):
     with open(data_path("dlx_pack.json"), encoding="utf-8") as fh:
         pack = json.load(fh)
     assert len(pack) == 17
-    index = AboxIndex(fixtures_graph)
     for entry in pack:
         expr = parse_dlx(entry["expression"], fixtures_graph)
-        engine = set(instances(fixtures_graph, expr, index))
+        engine = set(instances(fixtures_graph, expr))
         oracle = dl_instances(fixtures_graph, expr)
         assert engine == oracle, entry["id"]
 
@@ -119,10 +118,9 @@ def test_random_expressions_match_oracle():
     mismatches = 0
     for _ in range(60):
         graph = random_graph(rng, max_triples=60)
-        index = AboxIndex(graph)
         for _ in range(4):
             expr = random_dl_expr(rng, graph, depth=3)
-            if set(instances(graph, expr, index)) != \
+            if set(instances(graph, expr)) != \
                     dl_instances(graph, expr):
                 mismatches += 1
     assert mismatches == 0
@@ -168,17 +166,17 @@ class TestClosure:
     def test_single_class_reflexive(self):
         g = Graph()
         g.insert(Triple(ono("Solo"), RDFS_SUBCLASS, ono("Solo2")))
-        closure = subclass_closure(g)
-        assert closure[ono("Solo2")] == frozenset({ono("Solo2")})
-        assert closure[ono("Solo")] == frozenset({ono("Solo"),
-                                                  ono("Solo2")})
+        index = ClassIndex(g)
+        assert index.descendants(ono("Solo")) == {ono("Solo")}
+        assert index.descendants(ono("Solo2")) == {ono("Solo"),
+                                                   ono("Solo2")}
 
     def test_cycle_raises_with_members(self):
         g = Graph()
         g.insert(Triple(ono("Alpha"), RDFS_SUBCLASS, ono("Beta")))
         g.insert(Triple(ono("Beta"), RDFS_SUBCLASS, ono("Alpha")))
         with pytest.raises(HierarchyCycleError) as err:
-            subclass_closure(g)
+            AboxIndex(g)
         assert {ono("Alpha"), ono("Beta")} <= set(err.value.cycle)
 
     def test_random_dag_matches_matrix_reachability(self):
@@ -186,9 +184,9 @@ class TestClosure:
         rng = np.random.default_rng(3)
         for _ in range(15):
             graph = random_graph(rng, max_triples=40)
-            closure = subclass_closure(graph)
-            pairs = {(c, p) for c, parents in closure.items()
-                     for p in parents}
+            index = ClassIndex(graph)
+            pairs = {(c, p) for p in index.parents
+                     for c in index.descendants(p)}
             assert pairs == reachability_closure(graph)
 
 
@@ -229,3 +227,27 @@ class TestSyllogism:
                                      SYLLOGISM_RULES["oncogene-rule"],
                                      ono("TP53"), persist=True)
         assert deduction.derived in seed_copy
+
+
+def test_concurrent_readers_fill_the_shared_cache(seed_copy):
+    # Readers race to fill the graph's derived-value cache (ClassIndex,
+    # AboxIndex, NameResolver); each must get a lone reader's answer.
+    import sys
+    import threading
+    text = "Cancer and inverse causes some TP53"
+    expected = query(seed_copy.copy(), text)
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(query(seed_copy, text)))
+        for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)

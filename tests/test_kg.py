@@ -67,6 +67,28 @@ class TestGraph:
         assert g.remove(triple) is True
         assert triple not in g
 
+    def test_cached_value_lives_until_a_change(self):
+        g = Graph()
+        first = t(iri("a:s"), iri("a:p"), iri("a:o"))
+        second = t(iri("a:s"), iri("a:p"), iri("a:o2"))
+        g.insert(first)
+        builds = []
+
+        def size(graph):
+            builds.append(len(graph))
+            return len(graph)
+
+        assert g.cached(size) == g.cached(size) == 1
+        g.insert(first)    # already present: no change
+        g.remove(second)   # absent: no change
+        assert g.cached(size) == 1 and builds == [1]
+        g.insert(second)
+        assert g.cached(size) == 2
+        g.remove(first)
+        assert g.cached(size) == 1
+        assert builds == [1, 2, 1]
+        assert g.copy().cached(size) == 1 and builds == [1, 2, 1, 1]
+
     def test_match_bound_positions(self):
         g = Graph()
         g.insert(t(ono("TP53"), ono("causes"), ono("BRCA")))

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
-from oracles import reachability_closure
-from onokg.dlx import subclass_closure
+from oracles import class_instances, random_graph, reachability_closure
+from onokg import dlx
+from onokg.quality import QualityConfig, assess
 from onokg.kg import Graph, Triple, iri, literal
 from onokg.ontology import (ONO, RDF_TYPE, RDFS_DOMAIN, RDFS_LABEL,
                             RDFS_SUBCLASS, SCHEMA, AssociationFeature,
+                            ClassIndex,
                             DataFileError, ReferentialError,
                             add_biomarker, add_cancer, add_schema,
                             assert_association, build_seed_ontology,
@@ -105,14 +108,96 @@ class TestAssertAssociation:
 
 class TestSubclassReachability:
     def test_closure_matches_matrix_powers(self, seed_graph):
-        closure = subclass_closure(seed_graph)
-        pairs = {(child, parent) for child, parents in closure.items()
-                 for parent in parents}
+        index = ClassIndex(seed_graph)
+        pairs = {(child, parent) for parent in index.parents
+                 for child in index.descendants(parent)}
         assert pairs == reachability_closure(seed_graph)
 
     def test_cancer_reaches_disease(self, seed_graph):
-        closure = subclass_closure(seed_graph)
-        assert SCHEMA.disease in closure[SCHEMA.cancer]
+        index = ClassIndex(seed_graph)
+        assert SCHEMA.cancer in index.descendants(SCHEMA.disease)
+
+
+class TestClassIndex:
+    def test_instances_match_scan_oracle_with_and_without_cycle(self):
+        rng = np.random.default_rng(29)
+        cyclic = 0
+        for _ in range(40):
+            graph = random_graph(rng, max_triples=80)
+            index = graph.cached(ClassIndex)
+            assert not index.cycles
+            for cls in index.classes():
+                assert index.instances(cls) == class_instances(graph, cls)
+            edges = graph.match(None, RDFS_SUBCLASS, None)
+            if not edges:
+                continue
+            cyclic += 1
+            # close a cycle through the first edge and every path beside it
+            low, high = edges[0].subject, edges[0].object
+            graph.insert(Triple(high, RDFS_SUBCLASS, low))
+            reach = reachability_closure(graph)
+            members = {c for c, p in reach if p == low and (low, c) in reach}
+            index = graph.cached(ClassIndex)
+            assert [set(c) for c in index.cycles] == [members]
+            for cls in index.classes():
+                assert index.instances(cls) == class_instances(graph, cls)
+            report = check_ontology_pitfalls(graph)
+            assert [set(c) for c in report.cycles] == [members]
+            quality = assess(graph, QualityConfig(
+                completeness_class=low, completeness_predicate=RDFS_LABEL))
+            assert quality["property_completeness"].denominator == \
+                len(class_instances(graph, low))
+            with pytest.raises(dlx.HierarchyCycleError) as err:
+                dlx.AboxIndex(graph)
+            assert set(err.value.cycle) == members
+            for member in members:
+                assert member.local_name() in str(err.value)
+        assert cyclic >= 20
+
+
+class TestDerivedIndexesFollowWrites:
+    """DL queries, quality metrics and pitfall checks read indexes cached
+    on the graph; every write must make the next call see it."""
+
+    def observe(self, graph):
+        members = dlx.query(graph, "Cancer")
+        report = assess(graph, QualityConfig.for_ono_seed())
+        completeness = report["property_completeness"]
+        pitfalls = check_ontology_pitfalls(graph)
+        return (members, completeness.denominator, completeness.sample,
+                [term for term, _ in pitfalls.naming_violations])
+
+    def test_insert_then_remove(self, seed_copy):
+        before = self.observe(seed_copy)
+        subclass = ono("soft_tissue_sarcoma")
+        edge = Triple(subclass, RDFS_SUBCLASS, SCHEMA.cancer)
+        typed = Triple(ono("EWS"), RDF_TYPE, subclass)
+        seed_copy.insert(edge)
+        seed_copy.insert(typed)
+        members, total, missing, misnamed = self.observe(seed_copy)
+        assert ono("EWS") in members and ono("EWS") not in before[0]
+        assert total == before[1] + 1
+        assert ono("EWS").lexical in missing
+        assert misnamed == [subclass]
+        seed_copy.remove(typed)
+        seed_copy.remove(edge)
+        assert self.observe(seed_copy) == before
+
+    def test_persisted_deduction_is_queryable(self, seed_copy):
+        # The derived triple's object is the class Cancer itself, which is
+        # not an instance of Cancer, so `causes some Cancer` cannot show it;
+        # `causes min 1` does.
+        gene = add_biomarker(seed_copy, "NEWONC", "Oncogene")
+        seed_copy.add(gene, RDF_TYPE, SCHEMA.oncogene)
+        question = "Oncogene and causes min 1"
+        assert gene not in dlx.query(seed_copy, question)
+        deduction = dlx.deduce_syllogism(
+            seed_copy, dlx.SYLLOGISM_RULES["oncogene-rule"], gene,
+            persist=True)
+        assert deduction.holds
+        assert gene in dlx.query(seed_copy, question)
+        assert SCHEMA.cancer in dlx.query(seed_copy,
+                                          "inverse causes some NEWONC")
 
 
 class TestPitfalls:
