@@ -382,17 +382,14 @@ def cmd_export(args, cfg: AppConfig) -> int:
         if args.format == "ntriples":
             ntriples.save_file(graph, out)
         elif args.format == "json":
-            rows = [[t.subject.n3(), t.predicate.n3(), t.object.n3()]
-                    for t in graph]
+            rows = list(ntriples.rendered_rows(graph))
             out.write_text(json.dumps(rows, indent=2), encoding="utf-8")
         else:
             import csv as _csv
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 writer = _csv.writer(fh)
                 writer.writerow(["subject", "predicate", "object"])
-                for t in graph:
-                    writer.writerow([t.subject.n3(), t.predicate.n3(),
-                                     t.object.n3()])
+                writer.writerows(ntriples.rendered_rows(graph))
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO

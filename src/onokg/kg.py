@@ -5,6 +5,8 @@ ordering (and everything sorted by it, such as serialization and query
 output) deterministic for a deterministic build sequence. Triples are kept
 as a set of id-triples plus three nested indexes (SPO, POS, OSP) so any
 combination of bound/unbound pattern positions is answered from an index.
+An index entry goes with the last triple under it, so a term is in use
+exactly when some index has it as a key; its id stays reserved regardless.
 
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every `insert` or `remove` that changes the
@@ -21,7 +23,7 @@ clears the cache, and writes already exclude readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -232,14 +234,32 @@ class Graph:
         return self._terms[tid]
 
     def terms(self) -> Iterator[Term]:
-        return iter(self._terms)
+        """Terms that some stored triple uses, in id order.
+
+        A term whose last triple was removed is left out, but it keeps its
+        id: ids are never reused or renumbered.
+        """
+        spo, pos, osp = self._spo, self._pos, self._osp
+        return (term for tid, term in enumerate(self._terms)
+                if tid in spo or tid in pos or tid in osp)
+
+    def id_terms(self) -> list[Term]:
+        """Every interned term, indexed by its id (unused ones included)."""
+        return list(self._terms)
 
     # mutation
 
     def insert(self, t: Triple) -> bool:
         """Insert a triple; True iff it was not already present."""
-        key = (self.intern(t.subject), self.intern(t.predicate),
-               self.intern(t.object))
+        return self._add_id((self.intern(t.subject), self.intern(t.predicate),
+                             self.intern(t.object)))
+
+    def add_ids(self, rows: Iterable[tuple[int, int, int]]) -> int:
+        """Add id triples whose ids `intern` gave out and whose predicate is
+        an IRI and subject not a literal; how many were not yet stored."""
+        return sum(map(self._add_id, rows))
+
+    def _add_id(self, key: tuple[int, int, int]) -> bool:
         if key in self._triples:
             return False
         self._triples.add(key)
@@ -262,9 +282,14 @@ class Graph:
             return False
         s, p, o = ids
         self._triples.discard((s, p, o))
-        self._spo[s][p].discard(o)
-        self._pos[p][o].discard(s)
-        self._osp[o][s].discard(p)
+        for index, a, b, c in ((self._spo, s, p, o), (self._pos, p, o, s),
+                               (self._osp, o, s, p)):
+            inner = index[a]
+            inner[b].discard(c)
+            if not inner[b]:
+                del inner[b]
+                if not inner:
+                    del index[a]
         self._derived.clear()
         return True
 
@@ -292,8 +317,12 @@ class Graph:
         return None not in ids and ids in self._triples
 
     def __iter__(self) -> Iterator[Triple]:
-        for s, p, o in sorted(self._triples):
+        for s, p, o in self.id_rows():
             yield Triple(self._terms[s], self._terms[p], self._terms[o])
+
+    def id_rows(self) -> list[tuple[int, int, int]]:
+        """The stored id triples, sorted: the order iteration yields."""
+        return sorted(self._triples)
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
@@ -354,16 +383,13 @@ class Graph:
 
     def subjects(self) -> list[Term]:
         """Distinct subject terms, id-sorted."""
-        return [self._terms[i] for i in sorted(self._spo)
-                if self._spo[i] and any(self._spo[i].values())]
+        return [self._terms[i] for i in sorted(self._spo)]
 
     def objects(self) -> list[Term]:
-        return [self._terms[i] for i in sorted(self._osp)
-                if self._osp[i] and any(self._osp[i].values())]
+        return [self._terms[i] for i in sorted(self._osp)]
 
     def predicates(self) -> list[Term]:
-        return [self._terms[i] for i in sorted(self._pos)
-                if self._pos[i] and any(self._pos[i].values())]
+        return [self._terms[i] for i in sorted(self._pos)]
 
     def nodes(self) -> list[Term]:
         """Distinct non-literal terms used in subject or object position."""

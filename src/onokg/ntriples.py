@@ -7,17 +7,54 @@ Files are UTF-8 with LF line endings.
 
 The parser recovers at line granularity: every malformed line produces one
 issue (with its line number) and parsing continues, so a single call
-reports all problems. Blank-node labels are renamed on load to fresh
-sequential labels (b0, b1, ...), so labels are not stable across a load.
+reports all problems. Each call parses into a fresh graph, and blank-node
+labels are renamed to fresh sequential labels (b0, b1, ...) per call, so
+labels are not stable across a load and never meet those of another graph.
+
+Parsing works in term-id space. A dict maps the raw text of each token
+already read (`<a:x>`, `"v"@en`, `_:n`) to its term id. A line whose three
+tokens are all in it becomes an id triple with no further work; any other
+line, a malformed one included, goes through `_LineScanner`, the only
+validator, and its tokens enter the dict once the whole line is valid.
+Term ids therefore follow first use on valid lines, as inserting the
+triples one by one would give them, and the id triples are added to the
+graph in one batch at the end. Serialization renders each term id once
+and joins the id-sorted triples.
+
+`save_file` writes all or nothing: the text goes to a temporary file in
+the target's directory, which then replaces the target. A failed write
+removes the temporary file and leaves the target's bytes as they were.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
+import secrets
+import shutil
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .kg import BLANK, Graph, Term, Triple, ValidationError, blank, iri, literal
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+# One triple line cut into its subject, predicate and object tokens, with
+# the scanner's gaps and terminator. Each token ends where `_LineScanner`
+# ends it: an IRI at the first '>', a literal at the first unescaped '"'
+# plus an optional ^^<dt> or @lang, a blank label before the first
+# character that is not alphanumeric, '_' or '-' (a label cut shorter would
+# leave a character that starts no gap, token or terminator). A literal
+# subject or a non-IRI predicate does not match. So a match splits a line
+# as the scanner would, and a line whose three token texts all passed the
+# scanner before is valid; the match alone checks no token text.
+_IRI = r"<[^>]*>"
+_BLANK = r"_:[\w-]+"
+_LITERAL = r'"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^<[^>]*>|@(?:[^\W_]|-)+)?'
+_TRIPLE_LINE = re.compile(
+    rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
+    r"[ \t]*\.[ \t]*(?:#.*)?")
 
 
 @dataclass
@@ -54,15 +91,17 @@ class _LineScanner:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def read_term(self) -> Term:
+    def read_token(self) -> tuple[str, Term]:
+        """The next term and the text it was read from."""
         self.skip_ws()
+        start = self.pos
+        term = self.read_term()
+        return self.text[start:self.pos], term
+
+    def read_term(self) -> Term:
         ch = self.peek()
         if ch == "<":
             return self._read_iri()
@@ -148,38 +187,52 @@ class _LineScanner:
             raise ValidationError(f"unexpected trailing content {rest!r}")
 
 
-def parse_ntriples(text: str, graph: Graph | None = None) -> ParseResult:
-    """Parse N-Triples subset text, recovering per line.
+def parse_ntriples(text: str) -> ParseResult:
+    """Parse N-Triples subset text into a fresh graph, recovering per line.
 
     Returns the (possibly partial) graph together with all issues found.
     """
-    graph = graph if graph is not None else Graph()
+    graph = Graph()
     issues: list[ParseIssue] = []
+    token_ids: dict[str, int] = {}
     blank_map: dict[str, Term] = {}
-    counter = 0
+    rows: list[tuple[int, int, int]] = []
+
+    # A blank node's label is handed out once its line has passed the
+    # scanner, before the subject and predicate kinds are checked.
+    def fresh(term: Term) -> Term:
+        if term.kind != BLANK:
+            return term
+        if term.lexical not in blank_map:
+            blank_map[term.lexical] = blank(f"b{len(blank_map)}")
+        return blank_map[term.lexical]
+
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        m = _TRIPLE_LINE.fullmatch(raw)
+        if m is not None:
+            s, p, o = m.groups()
+            try:
+                rows.append((token_ids[s], token_ids[p], token_ids[o]))
+                continue
+            except KeyError:
+                pass  # a token not read before: scan the line
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         scanner = _LineScanner(raw)
         try:
-            s = scanner.read_term()
-            p = scanner.read_term()
-            o = scanner.read_term()
+            tokens = [scanner.read_token() for _ in range(3)]
             scanner.read_terminator()
-            if s.kind == BLANK:
-                if s.lexical not in blank_map:
-                    blank_map[s.lexical] = blank(f"b{counter}")
-                    counter += 1
-                s = blank_map[s.lexical]
-            if o.kind == BLANK:
-                if o.lexical not in blank_map:
-                    blank_map[o.lexical] = blank(f"b{counter}")
-                    counter += 1
-                o = blank_map[o.lexical]
-            graph.insert(Triple(s, p, o))
+            (_, s), (_, p), (_, o) = tokens
+            triple = Triple(fresh(s), p, fresh(o))
         except ValidationError as exc:
             issues.append(ParseIssue(lineno, str(exc)))
+            continue
+        row = tuple(map(graph.intern, triple))
+        for (token, _), tid in zip(tokens, row):
+            token_ids[token] = tid
+        rows.append(row)
+    graph.add_ids(rows)
     return ParseResult(graph, issues)
 
 
@@ -191,10 +244,19 @@ def parse_ntriples_strict(text: str) -> Graph:
     return result.graph
 
 
+def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:
+    """Each triple's three terms in N-Triples form, in id-sorted order.
+
+    Every term id is rendered once, however many triples use it.
+    """
+    n3 = [term.n3() for term in graph.id_terms()]
+    for s, p, o in graph.id_rows():
+        yield n3[s], n3[p], n3[o]
+
+
 def serialize_ntriples(graph: Graph) -> str:
     """One line per triple, sorted by term ids for determinism."""
-    return "".join(f"{t.subject.n3()} {t.predicate.n3()} {t.object.n3()} .\n"
-                   for t in graph)
+    return "".join([f"{s} {p} {o} .\n" for s, p, o in rendered_rows(graph)])
 
 
 def load_file(path) -> ParseResult:
@@ -203,5 +265,24 @@ def load_file(path) -> ParseResult:
 
 
 def save_file(graph: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_ntriples(graph))
+    """Write the graph's N-Triples to `path`, all or nothing.
+
+    The text goes to a temporary file next to the target, which then
+    replaces it; on any failure the temporary file is removed and the
+    target keeps its old bytes. A symlink is followed, so its target is
+    replaced and the link kept; an existing target keeps its permissions.
+    """
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(serialize_ntriples(graph))
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -1,3 +1,4 @@
+import errno
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from onokg import ntriples
 from onokg.ie import corpus as corpus_mod
 from onokg.ie.tagger import FeatureSpace, save_checkpoint
 from onokg.ie.train import TrainConfig, train_tagger
@@ -28,6 +30,35 @@ def fixtures_graph(seed_graph):
     graph = seed_graph.copy()
     apply_query_fixtures(graph)
     return graph
+
+
+class _FailingWrites:
+    """A file whose write stores half of its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture()
+def failing_writes(monkeypatch):
+    """Every file `ntriples` writes gets half its text, then the disk is
+    full."""
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return fh if mode == "r" else _FailingWrites(fh)
+
+    monkeypatch.setattr(ntriples, "open", failing_open, raising=False)
 
 
 class TrainedTagger:

@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from onokg import dlx
-from onokg.kg import Graph, Term, iri
+from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
+                      iri, literal)
 from onokg.ontology import RDF_TYPE, RDFS_SUBCLASS
 from onokg.sparql import (AndExpr, Comparison, NotExpr, OrExpr, Regex,
                           SelectQuery, SubSelect, TriplePattern, Values,
@@ -272,13 +273,151 @@ def spans_by_regex(tags: list[str]) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# N-Triples parsing by scanning every line character by character, the
+# parser as it was before it worked in term-id space: every term of every
+# line is read and validated, and each triple goes through Graph.insert.
+
+_NT_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+
+class _NtScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def read_term(self) -> Term:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "<":
+            return self._read_iri()
+        if ch == '"':
+            return self._read_literal()
+        if ch == "_" and self.text[self.pos:self.pos + 2] == "_:":
+            return self._read_blank()
+        if ch == "":
+            raise ValidationError("unexpected end of line, expected a term")
+        raise ValidationError(f"unexpected character {ch!r}, expected a term")
+
+    def _read_iri(self) -> Term:
+        end = self.text.find(">", self.pos + 1)
+        if end < 0:
+            raise ValidationError("unterminated IRI (missing '>')")
+        value = self.text[self.pos + 1:end]
+        self.pos = end + 1
+        if ":" not in value:
+            raise ValidationError(f"relative IRI not allowed: <{value}>")
+        if any(c in value for c in ' "<'):
+            raise ValidationError(f"invalid character in IRI: <{value}>")
+        return iri(value)
+
+    def _read_blank(self) -> Term:
+        self.pos += 2
+        start = self.pos
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                             or self.text[self.pos] in "_-"):
+            self.pos += 1
+        label = self.text[start:self.pos]
+        if not label:
+            raise ValidationError("blank node with empty label")
+        return blank(label)
+
+    def _read_literal(self) -> Term:
+        self.pos += 1
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise ValidationError("unterminated literal")
+            ch = self.text[self.pos]
+            if ch == '"':
+                self.pos += 1
+                break
+            if ch == "\\":
+                if self.pos + 1 >= len(self.text):
+                    raise ValidationError("unterminated literal")
+                esc = self.text[self.pos + 1]
+                if esc not in _NT_ESCAPES:
+                    raise ValidationError(f"unsupported escape \\{esc}")
+                out.append(_NT_ESCAPES[esc])
+                self.pos += 2
+                continue
+            out.append(ch)
+            self.pos += 1
+        value = "".join(out)
+        if self.text[self.pos:self.pos + 2] == "^^":
+            self.pos += 2
+            if self.peek() != "<":
+                raise ValidationError("datatype must be an IRI in angle brackets")
+            dt = self._read_iri()
+            return literal(value, datatype=dt.lexical)
+        if self.peek() == "@":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                                 or self.text[self.pos] == "-"):
+                self.pos += 1
+            tag = self.text[start:self.pos]
+            if not tag:
+                raise ValidationError("empty language tag")
+            return literal(value, language=tag)
+        return literal(value)
+
+    def read_terminator(self):
+        self.skip_ws()
+        if self.peek() != ".":
+            raise ValidationError("missing '.' terminator")
+        self.pos += 1
+        self.skip_ws()
+        rest = self.text[self.pos:]
+        if rest and not rest.startswith("#"):
+            raise ValidationError(f"unexpected trailing content {rest!r}")
+
+
+def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
+    """The graph and the (line, message) issues of an N-Triples text."""
+    graph = Graph()
+    issues: list[tuple[int, str]] = []
+    blank_map: dict[str, Term] = {}
+    counter = 0
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        scanner = _NtScanner(raw)
+        try:
+            s = scanner.read_term()
+            p = scanner.read_term()
+            o = scanner.read_term()
+            scanner.read_terminator()
+            if s.kind == BLANK:
+                if s.lexical not in blank_map:
+                    blank_map[s.lexical] = blank(f"b{counter}")
+                    counter += 1
+                s = blank_map[s.lexical]
+            if o.kind == BLANK:
+                if o.lexical not in blank_map:
+                    blank_map[o.lexical] = blank(f"b{counter}")
+                    counter += 1
+                o = blank_map[o.lexical]
+            graph.insert(Triple(s, p, o))
+        except ValidationError as exc:
+            issues.append((lineno, str(exc)))
+    return graph, issues
+
+
+# ---------------------------------------------------------------------------
 # random structure generators
 
 EX = "http://example.org/x#"
 
 
 def random_graph(rng: np.random.Generator, max_triples: int = 200) -> Graph:
-    from onokg.kg import Triple, literal
     graph = Graph()
     entities = [iri(EX + f"e{i}") for i in range(rng.integers(4, 16))]
     classes = [iri(EX + f"C{i}") for i in range(rng.integers(2, 6))]

@@ -189,6 +189,21 @@ class TestModelCommands:
                      "--out", str(out)]) == 0
         assert "proposed 0" in capsys.readouterr().out
 
+    def test_failed_in_place_ingest_keeps_kg(self, kg_file, checkpoint_path,
+                                             tmp_path, failing_writes,
+                                             capsys):
+        from onokg.ontology import data_path
+        kg = tmp_path / "kg.nt"
+        kg.write_bytes(kg_file.read_bytes())
+        capsys.readouterr()
+        assert main(["ingest", "--kg", str(kg),
+                     "--corpus", str(data_path("demo_corpus")),
+                     "--model", str(checkpoint_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write")
+        assert kg.read_bytes() == kg_file.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["kg.nt"]
+
     def test_missing_model_exits_errorcode(self, kg_file, tmp_path):
         code = main(["tag", "--model", str(tmp_path / "none.json"),
                      "--text", "x"])

@@ -66,6 +66,16 @@ class TestParser:
         with pytest.raises(DlxParseError):
             parse_dlx("Biomarker Cancer", seed_graph)
 
+    def test_removed_term_stops_resolving(self, seed_copy):
+        edge = Triple(ono("Sarcoma"), RDFS_SUBCLASS, ono("Cancer"))
+        with pytest.raises(UnknownNameError, match="Sarcoma"):
+            query(seed_copy, "Sarcoma")
+        seed_copy.insert(edge)
+        assert query(seed_copy, "Sarcoma") == []
+        seed_copy.remove(edge)
+        with pytest.raises(UnknownNameError, match="Sarcoma"):
+            query(seed_copy, "Sarcoma")
+
 
 class TestInstances:
     def test_inverse_causes_tp53(self, seed_graph):

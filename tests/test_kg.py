@@ -67,6 +67,24 @@ class TestGraph:
         assert g.remove(triple) is True
         assert triple not in g
 
+    def test_terms_are_those_in_use(self):
+        g = Graph()
+        first = t(iri("a:s"), iri("a:p"), literal("v"))
+        second = t(iri("a:s"), iri("a:q"), iri("a:o"))
+        g.insert(first)
+        g.insert(second)
+        g.remove(second)
+        assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v")]
+        assert g.predicates() == [iri("a:p")] and g.objects() == [literal("v")]
+        g.insert(second)
+        assert g.term_id(iri("a:o")) == 4  # the id is kept, not reissued
+        assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v"),
+                                   iri("a:q"), iri("a:o")]
+        g.remove(first)
+        g.remove(second)
+        assert list(g.terms()) == [] and g.subjects() == []
+        assert g.check_indexes()
+
     def test_cached_value_lives_until_a_change(self):
         g = Graph()
         first = t(iri("a:s"), iri("a:p"), iri("a:o"))

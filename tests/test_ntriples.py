@@ -1,10 +1,14 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_ntriples_scan
 from onokg.kg import Graph, Triple, blank, iri, literal
 from onokg.ntriples import (NTriplesParseError, parse_ntriples,
-                            parse_ntriples_strict, serialize_ntriples)
+                            parse_ntriples_strict, save_file,
+                            serialize_ntriples)
 
 
 class TestParse:
@@ -78,6 +82,59 @@ class TestParse:
         with pytest.raises(NTriplesParseError):
             parse_ntriples_strict('<a:s> <a:p> .')
 
+    def test_each_parse_starts_a_fresh_graph(self):
+        # Parsing into an existing graph used to hand out b0 again, which
+        # merged the new blank node with the graph's own _:b0.
+        existing = parse_ntriples_strict("_:a <a:p> <a:o> .")
+        with pytest.raises(TypeError):
+            parse_ntriples("_:x <a:q> <a:o> .", graph=existing)
+        result = parse_ntriples("_:x <a:q> <a:o> .")
+        assert result.graph is not existing
+        assert list(result.graph) == [Triple(blank("b0"), iri("a:q"),
+                                             iri("a:o"))]
+        assert list(existing) == [Triple(blank("b0"), iri("a:p"),
+                                         iri("a:o"))]
+
+    def test_repeated_tokens_share_one_id(self):
+        g = parse_ntriples_strict('<a:s> <a:p> "x\ty" .\n'
+                                  '<a:s> <a:p> "x\\ty" .\n'
+                                  '<a:s>\t<a:p>"x\ty".# same triple\n'
+                                  '_:n <a:p> <a:s> .\n_:n <a:p> <a:s> .')
+        assert len(g) == 2
+        assert list(g.terms()) == [iri("a:s"), iri("a:p"),
+                                   literal("x\ty"), blank("b0")]
+
+
+class TestSave:
+    def test_failed_write_keeps_target(self, tmp_path, failing_writes,
+                                       seed_graph):
+        target = tmp_path / "kg.nt"
+        target.write_bytes(b"<a:s> <a:p> <a:o> .\n")
+        with pytest.raises(OSError, match="No space"):
+            save_file(seed_graph, target)
+        assert target.read_bytes() == b"<a:s> <a:p> <a:o> .\n"
+        assert os.listdir(tmp_path) == ["kg.nt"]
+
+    def test_failed_write_creates_nothing(self, tmp_path, failing_writes,
+                                          seed_graph):
+        with pytest.raises(OSError):
+            save_file(seed_graph, tmp_path / "new.nt")
+        assert os.listdir(tmp_path) == []
+
+    def test_replaces_through_symlink_keeping_mode(self, tmp_path,
+                                                   seed_graph):
+        real = tmp_path / "real.nt"
+        real.write_text("old\n", encoding="utf-8")
+        real.chmod(0o640)
+        link = tmp_path / "link.nt"
+        link.symlink_to(real)
+        save_file(seed_graph, link)
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == \
+            serialize_ntriples(seed_graph)
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.nt", "real.nt"]
+
 
 class TestSerialize:
     def test_empty_graph(self):
@@ -120,3 +177,55 @@ def test_round_trip_identity(triples):
     reparsed = parse_ntriples_strict(serialize_ntriples(g))
     assert set(reparsed) == set(g)
     assert len(reparsed) == len(g)
+
+
+# Token pools for the differential test, (good, bad) per line position.
+# Each text keeps a few good tokens per position, and a line draws from the
+# bad pool of a position one time in ten. So most lines are valid and
+# repeat tokens that earlier lines already read, and the faulty ones reuse
+# those tokens around the fault.
+_NT_POOLS = [
+    (['', '', ' ', '\t'], ['\r']),
+    (['<a:s>', '<a:s2>', '_:x', '_:y', '_:e-1', '_:\u00e91'],
+     ['"v"', '"5"^^<x:int>', '<rel>', '_:', '<a:s', '<a: s>']),
+    ([' ', ' ', '\t', '', '  '], []),
+    (['<a:p>', '<a:q>'], ['_:x', '"v"', '<a"p>', '<rel>']),
+    ([' ', ' ', '\t', '', '  '], []),
+    (['<a:o>', '<a:s>', '_:x', '_:z', '"v"', '"v"@en', '"v"@en-GB',
+      '"v"@\u00df', '"5"^^<x:int>', '"a\\"b"', '"t\\tb"', '"t\tb"',
+      '"q\\\\"', '"n\\nl"', '"# not"', '"\\""'],
+     ['"bad\\q"', '"open', '"x"@', '"x"^^y', '"x"^^<rel>', '<rel>',
+      '<a:o b>', '"\\"']),
+    ([' .', ' .', '.', ' . # note', '\t.\t', ' .  #x\r'],
+     [' .\r', '', ' .x', ' . .', ' . <a:o>']),
+]
+_NT_OTHER = ['', '# comment', '  # indented', '\r', '   ', '\t# tab']
+
+
+@st.composite
+def _nt_text(draw):
+    palette = [draw(st.lists(st.sampled_from(good), min_size=1, max_size=3))
+               for good, _ in _NT_POOLS]
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_NT_OTHER)))
+            continue
+        parts = []
+        for (_, bad), good in zip(_NT_POOLS, palette):
+            faulty = bad and draw(st.integers(0, 9)) == 0
+            parts.append(draw(st.sampled_from(bad if faulty else good)))
+        lines.append("".join(parts))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nt_text())
+def test_parser_matches_scan_oracle(text):
+    result = parse_ntriples(text)
+    graph, issues = parse_ntriples_scan(text)
+    assert [(i.line, i.message) for i in result.issues] == issues
+    assert list(result.graph.terms()) == list(graph.terms())
+    assert result.graph.id_rows() == graph.id_rows()
+    assert serialize_ntriples(result.graph) == serialize_ntriples(graph)
+    assert result.graph.check_indexes()
