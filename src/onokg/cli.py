@@ -23,10 +23,10 @@ from .ie import pipeline as pipeline_mod
 from .ie.linking import AliasTable
 from .ie.preprocess import preprocess
 from .ie.tagger import Checkpoint, load_checkpoint, save_checkpoint
-from .ie.train import TrainConfig, train_tagger
+from .ie.train import TrainConfig, TrainingDiverged, train_tagger
 from .kg import Graph, KgError
-from .ontology import (SCHEMA, build_seed_ontology, check_ontology_pitfalls,
-                       data_path, default_prefixes, seed_statistics)
+from .ontology import (build_seed_ontology, check_ontology_pitfalls,
+                       data_path, seed_statistics)
 from .quality import QualityConfig, QualityConfigError, assess
 
 EXIT_OK = 0
@@ -196,20 +196,29 @@ def cmd_dlq(args, cfg: AppConfig) -> int:
 
 
 def cmd_train(args, cfg: AppConfig) -> int:
+    try:
+        train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                                seed=cfg.seed, batch_size=args.batch_size)
+    except ValueError as exc:
+        raise UserError(f"bad training option: {exc}") from exc
     sentences = corpus_mod.make_corpus(args.sentences, seed=cfg.seed)
     train_set, test_set = corpus_mod.split_corpus(sentences)
+    if not train_set:
+        raise UserError(f"--sentences {args.sentences} leaves no training "
+                        "sentences; use at least 2")
     vocab = corpus_mod.default_vocab()
     gazetteers = corpus_mod.build_gazetteers()
     space = corpus_mod.FeatureSpace()
-    encoded = {etype: corpus_mod.encode_corpus(train_set, vocab, space,
-                                               gazetteers, etype)
-               for etype in corpus_mod.ENTITY_TYPES}
+    encoded = corpus_mod.encode_corpus(train_set, vocab, space, gazetteers)
     space.freeze()
-    train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                            seed=cfg.seed, batch_size=args.batch_size)
     models = {}
     for etype in corpus_mod.ENTITY_TYPES:
-        model, losses = train_tagger(encoded[etype], train_cfg, space, etype)
+        try:
+            model, losses = train_tagger(encoded[etype], train_cfg, space,
+                                         etype)
+        except TrainingDiverged as exc:
+            raise UserError(f"training the {etype} tagger diverged: "
+                            f"{exc}") from exc
         models[etype] = model
         curve = " ".join(f"{loss:.4f}" for loss in losses)
         print(f"{etype}: loss per epoch: {curve}")

@@ -411,7 +411,6 @@ def query(graph: Graph, text: str) -> list[Term]:
 class Deduction:
     derived: Optional[Triple]
     trace: list[str] = field(default_factory=list)
-    derived_provenance: str = "syllogism"
 
     @property
     def holds(self) -> bool:

@@ -24,12 +24,10 @@ def head_network(model: TaggerModel) -> FeedForwardNet:
     return FeedForwardNet([Layer(model.weights, model.bias, "identity")])
 
 
-def _feature_offsets(model: TaggerModel) -> dict[int, int]:
-    offsets = {}
-    for name, idx in model.space.to_dict().items():
-        family = name.split("=", 1)[0]
-        offsets[idx] = _CONTEXT_OFFSET.get(family, 0)
-    return offsets
+def _feature_offset(model: TaggerModel, fid: int) -> int:
+    """Word offset of the position a feature describes (-1, 0 or +1)."""
+    family = model.space.name(fid).split("=", 1)[0]
+    return _CONTEXT_OFFSET.get(family, 0)
 
 
 def piece_relevance(model: TaggerModel, encoded: EncodedSentence,
@@ -64,7 +62,6 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
     probs = tag_probabilities(model, encoded.feature_ids)
     tags = probs.argmax(axis=1)
     mentions = decode_entities(encoded, {model.entity_type: (tags, probs)})
-    offsets = _feature_offsets(model)
     scores = np.zeros(len(encoded.words))
     entity_words = {i for m in mentions for i in range(m.start, m.end)}
     for pos, (word_idx, head) in enumerate(zip(encoded.word_of_piece,
@@ -75,7 +72,7 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
                                      epsilon, delta)
         ids = encoded.feature_ids[pos]
         for fid in ids:
-            target_word = word_idx + offsets.get(int(fid), 0)
+            target_word = word_idx + _feature_offset(model, int(fid))
             if 0 <= target_word < len(scores):
                 scores[target_word] += rmap.scores[fid]
     return scores

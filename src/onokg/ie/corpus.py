@@ -10,7 +10,7 @@ deterministic. Entity-level scoring uses exact span+type matching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,13 +138,18 @@ def split_corpus(corpus: Sequence[LabeledSentence], train_fraction: float = 0.8
 
 def encode_corpus(corpus: Sequence[LabeledSentence],
                   vocab: SubwordVocab, space: FeatureSpace,
-                  gazetteers: dict[str, Gazetteer], entity_type: str
-                  ) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    examples = []
+                  gazetteers: dict[str, Gazetteer]
+                  ) -> dict[str, list[tuple[list[np.ndarray], np.ndarray]]]:
+    """Training examples (feature ids, gold tags) per entity type.
+
+    Each sentence is encoded once; the types share its feature-id arrays.
+    """
+    examples: dict[str, list] = {etype: [] for etype in ENTITY_TYPES}
     for sentence in corpus:
         encoded = encode_sentence(sentence.words, vocab, space, gazetteers)
-        labels = gold_tags(encoded, sentence.spans_for(entity_type))
-        examples.append((encoded.feature_ids, labels))
+        for etype, typed in examples.items():
+            typed.append((encoded.feature_ids,
+                          gold_tags(encoded, sentence.spans_for(etype))))
     return examples
 
 
@@ -169,14 +174,11 @@ class EntityScores:
 def evaluate_entities(models: dict[str, TaggerModel],
                       corpus: Sequence[LabeledSentence],
                       vocab: SubwordVocab, space: FeatureSpace,
-                      gazetteers: dict[str, Gazetteer],
-                      encoded_cache: Optional[Sequence[EncodedSentence]] = None
-                      ) -> EntityScores:
+                      gazetteers: dict[str, Gazetteer]) -> EntityScores:
     """Exact-match entity-level precision/recall over merged typed spans."""
     predicted = gold = correct = 0
-    for i, sentence in enumerate(corpus):
-        encoded = encoded_cache[i] if encoded_cache is not None else \
-            encode_sentence(sentence.words, vocab, space, gazetteers)
+    for sentence in corpus:
+        encoded = encode_sentence(sentence.words, vocab, space, gazetteers)
         mentions = decode_entities(encoded, tag_sentence(models, encoded))
         found = {(m.entity_type, m.start, m.end) for m in mentions}
         truth = {(etype, start, end)

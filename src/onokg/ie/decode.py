@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..kg import Term
-from .tagger import TAG_INDEX, TAGS, EncodedSentence
+from .tagger import TAGS, EncodedSentence
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def encode_word_tags(spans: Sequence[tuple[int, int]], n: int) -> list[str]:
     return tags
 
 
-def _span_candidates(words, word_tags, word_probs, entity_type):
+def _span_candidates(word_tags, word_probs, entity_type):
     out = []
     for start, end in find_spans(word_tags):
         score = float(np.mean(word_probs[start:end]))
@@ -108,8 +108,8 @@ def decode_entities(encoded: EncodedSentence,
     for entity_type in sorted(tagged):
         tags, probs = tagged[entity_type]
         word_tags, word_probs = word_level_tags(encoded, tags, probs)
-        candidates.extend(_span_candidates(encoded.words, word_tags,
-                                           word_probs, entity_type))
+        candidates.extend(_span_candidates(word_tags, word_probs,
+                                           entity_type))
     # same-span probability distribution over candidate types
     by_span: dict[tuple[int, int], list[tuple[str, float]]] = {}
     for start, end, etype, score in candidates:
@@ -135,10 +135,3 @@ def decode_entities(encoded: EncodedSentence,
     mentions.sort(key=lambda m: (m.start, m.end))
     return mentions
 
-
-def decode_single_type(encoded: EncodedSentence, tags: Sequence[int],
-                       probabilities: np.ndarray, entity_type: str,
-                       doc_id: str = "", sentence_index: int = 0
-                       ) -> list[EntityMention]:
-    return decode_entities(encoded, {entity_type: (tags, probabilities)},
-                           doc_id, sentence_index)

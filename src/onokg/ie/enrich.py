@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..kg import Graph, Term, Triple, iri, literal
-from ..ontology import NORM, RDF, SCHEMA, OnoSchema
+from ..ontology import NORM, RDF, SCHEMA
 from .relations import RelationCandidate
 
 RDF_SUBJECT = iri(RDF + "subject")
@@ -38,13 +38,12 @@ class EnrichmentReport:
                 f"rejected {self.rejected}")
 
 
-def _relation_property(label: str, schema: OnoSchema) -> Term:
-    return {
-        "causes": schema.causes,
-        "hasType": schema.has_type,
-        "isA": schema.is_a,
-        "hasEvidence": schema.has_evidence,
-    }[label]
+_RELATION_PROPERTY = {
+    "causes": SCHEMA.causes,
+    "hasType": SCHEMA.has_type,
+    "isA": SCHEMA.is_a,
+    "hasEvidence": SCHEMA.has_evidence,
+}
 
 
 def statement_node(triple: Triple) -> Term:
@@ -54,37 +53,33 @@ def statement_node(triple: Triple) -> Term:
     return iri(f"{NORM}stmt/{digest}")
 
 
-def add_provenance(graph: Graph, triple: Triple, source: str,
-                   schema: OnoSchema = SCHEMA) -> Term:
+def add_provenance(graph: Graph, triple: Triple, source: str) -> Term:
     node = statement_node(triple)
     graph.add(node, RDF_SUBJECT, triple.subject)
     graph.add(node, RDF_PREDICATE, triple.predicate)
     graph.add(node, RDF_OBJECT, triple.object)
-    graph.add(node, schema.source_document, literal(source))
+    graph.add(node, SCHEMA.source_document, literal(source))
     return node
 
 
-def candidate_triple(candidate: RelationCandidate,
-                     schema: OnoSchema = SCHEMA) -> Triple:
-    return Triple(candidate.subject,
-                  _relation_property(candidate.label, schema),
+def candidate_triple(candidate: RelationCandidate) -> Triple:
+    return Triple(candidate.subject, _RELATION_PROPERTY[candidate.label],
                   candidate.object)
 
 
 def enrich_kg(graph: Graph, candidates: list[RelationCandidate],
-              threshold: float = 0.5,
-              schema: OnoSchema = SCHEMA) -> EnrichmentReport:
+              threshold: float = 0.5) -> EnrichmentReport:
     report = EnrichmentReport()
     for candidate in candidates:
         report.proposed += 1
         if candidate.label == "none" or candidate.confidence < threshold:
             report.rejected += 1
             continue
-        triple = candidate_triple(candidate, schema)
+        triple = candidate_triple(candidate)
         report.accepted += 1
         if graph.insert(triple):
             report.added.append(triple)
         else:
             report.duplicates += 1
-        add_provenance(graph, triple, candidate.doc_id, schema)
+        add_provenance(graph, triple, candidate.doc_id)
     return report

@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..kg import Graph, Term, iri
-from ..ontology import (NORM, RDFS_LABEL, RDF_TYPE, SCHEMA, OnoSchema,
-                        default_prefixes)
+from ..ontology import NORM, RDFS_LABEL, RDF_TYPE, SCHEMA, default_prefixes
 from .preprocess import stem, tokenize
 
 
@@ -46,8 +45,7 @@ class AliasTable:
 
     @classmethod
     def build(cls, graph: Optional[Graph] = None,
-              csv_path: Optional[Path] = None,
-              schema: OnoSchema = SCHEMA) -> "AliasTable":
+              csv_path: Optional[Path] = None) -> "AliasTable":
         table = cls()
         if csv_path is not None:
             prefixes = default_prefixes()
@@ -59,13 +57,13 @@ class AliasTable:
                     not target.startswith("http") else iri(target)
                 table.add(row["surface"], row["type"], term)
         if graph is not None:
-            for t in graph.match(None, RDF_TYPE, schema.biomarker):
+            for t in graph.match(None, RDF_TYPE, SCHEMA.biomarker):
                 for lbl in graph.match(t.subject, RDFS_LABEL, None):
                     table.add(lbl.object.lexical, "Gene", t.subject)
-            for t in graph.match(None, RDF_TYPE, schema.cancer):
+            for t in graph.match(None, RDF_TYPE, SCHEMA.cancer):
                 for lbl in graph.match(t.subject, RDFS_LABEL, None):
                     table.add(lbl.object.lexical, "Disease", t.subject)
-                for name in graph.match(t.subject, schema.full_name, None):
+                for name in graph.match(t.subject, SCHEMA.full_name, None):
                     table.add(name.object.lexical, "Disease", t.subject)
         return table
 

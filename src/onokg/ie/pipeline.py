@@ -6,20 +6,24 @@ not depend on arrival order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from ..kg import Graph
-from ..ontology import SCHEMA, OnoSchema
 from .decode import EntityMention, decode_entities
 from .enrich import EnrichmentReport, enrich_kg
 from .linking import AliasTable, link_entity
 from .preprocess import Document, preprocess, stopwords
 from .relations import RelationCandidate, extract_relations
-from .tagger import Checkpoint, encode_sentence
+from .tagger import Checkpoint, EncodedSentence, encode_sentence
 from .corpus import tag_sentence
 
 log = logging.getLogger(__name__)
+
+# The longest encoding ([CLS] + pieces + [SEP]) tagged at once; a longer
+# sentence is cut by split_to_fit, and each chunk is encoded and tagged on
+# its own.
+MAX_PIECES = 128
 
 
 def split_to_fit(words: list[str], vocab, max_len: int,
@@ -69,51 +73,53 @@ class DocumentExtraction:
 
 
 def extract_document(doc: Document, checkpoint: Checkpoint,
-                     alias_table: AliasTable,
-                     schema: OnoSchema = SCHEMA,
-                     max_len: int = 128) -> DocumentExtraction:
+                     alias_table: AliasTable) -> DocumentExtraction:
     result = DocumentExtraction(doc.id)
     space = next(iter(checkpoint.models.values())).space
+
+    def encode(words: list[str]) -> EncodedSentence:
+        return encode_sentence(words, checkpoint.vocab, space,
+                               checkpoint.gazetteers)
+
     for sent_idx, sentence in enumerate(doc.sentences):
         words = [t.form for t in sentence]
-        for offset, chunk in split_to_fit(words, checkpoint.vocab, max_len,
-                                          checkpoint.gazetteers):
-            encoded = encode_sentence(chunk, checkpoint.vocab, space,
-                                      checkpoint.gazetteers)
+        encoded = encode(words)
+        if len(encoded) <= MAX_PIECES:
+            chunks = [(0, encoded)]
+        else:
+            chunks = [(offset, encode(chunk)) for offset, chunk in
+                      split_to_fit(words, checkpoint.vocab, MAX_PIECES,
+                                   checkpoint.gazetteers)]
+        for offset, encoded in chunks:
             mentions = decode_entities(
                 encoded, tag_sentence(checkpoint.models, encoded),
                 doc.id, sent_idx)
             for mention in mentions:
-                mention.start += offset
-                mention.end += offset
                 mention.normalized_id = link_entity(
                     mention.surface, mention.entity_type, alias_table)
-            result.mentions.extend(mentions)
-            local = [EntityMention(
-                doc_id=m.doc_id, sentence_index=m.sentence_index,
-                start=m.start - offset, end=m.end - offset,
-                surface=m.surface, entity_type=m.entity_type,
-                score=m.score, type_distribution=m.type_distribution,
-                normalized_id=m.normalized_id) for m in mentions]
+            # relations see chunk-local spans; the result holds sentence
+            # spans
             result.candidates.extend(extract_relations(
-                chunk, local, doc.id, sent_idx, schema))
+                encoded.words, mentions, doc.id, sent_idx))
+            if offset:
+                mentions = [replace(m, start=m.start + offset,
+                                    end=m.end + offset) for m in mentions]
+            result.mentions.extend(mentions)
     return result
 
 
 def ingest_documents(graph: Graph, docs: Sequence[Document],
                      checkpoint: Checkpoint, alias_table: AliasTable,
-                     threshold: float = 0.5,
-                     schema: OnoSchema = SCHEMA) -> EnrichmentReport:
+                     threshold: float = 0.5) -> EnrichmentReport:
     candidates: list[RelationCandidate] = []
     for doc in sorted(docs, key=lambda d: d.id):
         try:
-            extraction = extract_document(doc, checkpoint, alias_table,
-                                          schema)
+            extraction = extract_document(doc, checkpoint, alias_table)
         except Exception as exc:  # a bad document must not sink the batch
             log.warning("skipping document %s: %s", doc.id, exc)
             continue
         candidates.extend(extraction.candidates)
-    return enrich_kg(graph, candidates, threshold, schema)
+    return enrich_kg(graph, candidates, threshold)
 
 
 def read_corpus_dir(path) -> list[Document]:

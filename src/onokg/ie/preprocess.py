@@ -119,9 +119,6 @@ class Document:
             blocks.append("\n".join(lines))
         return "\n\n".join(blocks) + ("\n" if blocks else "")
 
-    def words(self, sentence_index: int) -> list[str]:
-        return [t.form for t in self.sentences[sentence_index]]
-
 
 def split_sentences(text: str) -> list[str]:
     parts = [p.strip() for p in _SENTENCE_END.split(text)]

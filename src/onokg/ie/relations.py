@@ -1,22 +1,21 @@
 """Relation extraction over anonymized sentences.
 
-Mention spans are replaced by @GENE$/@DISEASE$ slots; a rule backend then
-matches token templates against the anonymized sentence and produces
+Mention spans are replaced by @GENE$/@DISEASE$ slots; fixed token
+templates are then matched against the anonymized sentence and produce
 labeled candidates (causes, hasType, isA, hasEvidence). Biomarker-type
 words (POTSF, Oncogene, ...) and evidence sources (PubMed, ...) are
 controlled-vocabulary terms matched lexically, not free-text entities.
 Mention pairs not covered by any template yield a `none` candidate with
-confidence 0. The backend is a callable taking and returning the same
-shapes, so a learned classifier can be dropped in behind the contract.
+confidence 0. The templates are the only relation extractor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..kg import Term
-from ..ontology import SCHEMA, OnoSchema
+from ..ontology import SCHEMA
 from .decode import EntityMention
 
 GENE_SLOT = "@GENE$"
@@ -42,22 +41,19 @@ class RelationCandidate:
             raise ValueError(f"unknown relation label {self.label!r}")
 
 
-def _type_lexicon(schema: OnoSchema) -> dict[str, Term]:
-    return {
-        "potsf": schema.potsf,
-        "oncogene": schema.oncogene,
-        "oncogenes": schema.oncogene,
-        "protein-coding": schema.protein_coding,
-        "proteincoding": schema.protein_coding,
-    }
+_TYPE_LEXICON = {
+    "potsf": SCHEMA.potsf,
+    "oncogene": SCHEMA.oncogene,
+    "oncogenes": SCHEMA.oncogene,
+    "protein-coding": SCHEMA.protein_coding,
+    "proteincoding": SCHEMA.protein_coding,
+}
 
-
-def _source_lexicon(schema: OnoSchema) -> dict[str, Term]:
-    return {
-        "pubmed": schema.pubmed,
-        "mesh": schema.mesh,
-        "cancerindex": schema.cancer_index,
-    }
+_SOURCE_LEXICON = {
+    "pubmed": SCHEMA.pubmed,
+    "mesh": SCHEMA.mesh,
+    "cancerindex": SCHEMA.cancer_index,
+}
 
 
 # template elements
@@ -134,15 +130,14 @@ class _AnonToken:
     source_term: Optional[Term] = None
 
 
-def anonymize(words: Sequence[str], mentions: Sequence[EntityMention],
-              schema: OnoSchema = SCHEMA) -> list[_AnonToken]:
+def anonymize(words: Sequence[str], mentions: Sequence[EntityMention]
+              ) -> list[_AnonToken]:
     """Replace mention spans with @GENE$/@DISEASE$ slot tokens."""
-    types = _type_lexicon(schema)
-    sources = _source_lexicon(schema)
     by_start = {}
     for m in sorted(mentions, key=lambda m: m.start):
         # controlled-vocabulary words stay literal even if tagged
-        if m.surface.lower() in types or m.surface.lower() in sources:
+        if m.surface.lower() in _TYPE_LEXICON \
+                or m.surface.lower() in _SOURCE_LEXICON:
             continue
         by_start[m.start] = m
     out: list[_AnonToken] = []
@@ -156,8 +151,8 @@ def anonymize(words: Sequence[str], mentions: Sequence[EntityMention],
             i = mention.end
             continue
         lower = words[i].lower()
-        out.append(_AnonToken(words[i], type_term=types.get(lower),
-                              source_term=sources.get(lower)))
+        out.append(_AnonToken(words[i], type_term=_TYPE_LEXICON.get(lower),
+                              source_term=_SOURCE_LEXICON.get(lower)))
         i += 1
     return out
 
@@ -203,10 +198,10 @@ def _match_at(tokens: Sequence[_AnonToken], start: int, pattern: Pattern
     return captures
 
 
-def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken],
-               schema: OnoSchema) -> Optional[Term]:
+def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken]
+               ) -> Optional[Term]:
     if slot == "DISEASE_CLASS":
-        return schema.disease
+        return SCHEMA.disease
     if slot == "CONTEXT":
         # anaphoric subject: last type term before the match, else the
         # nearest preceding mention
@@ -228,9 +223,8 @@ def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken],
     return token.mention.normalized_id if token.mention else None
 
 
-def rule_backend(tokens: Sequence[_AnonToken], doc_id: str,
-                 sentence_index: int,
-                 schema: OnoSchema = SCHEMA) -> list[RelationCandidate]:
+def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
+                    sentence_index: int) -> list[RelationCandidate]:
     text = anonymized_text(tokens)
     candidates: list[RelationCandidate] = []
     covered_pairs: set[tuple[int, int]] = set()
@@ -240,10 +234,8 @@ def rule_backend(tokens: Sequence[_AnonToken], doc_id: str,
             captures = _match_at(tokens, start, pattern)
             if captures is None:
                 continue
-            subject = _slot_term(pattern.subject_slot, captures, tokens,
-                                 schema)
-            object_ = _slot_term(pattern.object_slot, captures, tokens,
-                                 schema)
+            subject = _slot_term(pattern.subject_slot, captures, tokens)
+            object_ = _slot_term(pattern.object_slot, captures, tokens)
             if subject is None or object_ is None:
                 continue
             participants = [tok.mention for tok in captures.values()
@@ -278,16 +270,10 @@ def rule_backend(tokens: Sequence[_AnonToken], doc_id: str,
     return candidates
 
 
-RelationBackend = Callable[..., list[RelationCandidate]]
-
-
 def extract_relations(words: Sequence[str],
                       mentions: Sequence[EntityMention],
-                      doc_id: str = "", sentence_index: int = 0,
-                      schema: OnoSchema = SCHEMA,
-                      backend: Optional[RelationBackend] = None
+                      doc_id: str = "", sentence_index: int = 0
                       ) -> list[RelationCandidate]:
-    """Anonymize the sentence and run the (pluggable) relation backend."""
-    tokens = anonymize(words, mentions, schema)
-    backend = backend or rule_backend
-    return backend(tokens, doc_id, sentence_index, schema=schema)
+    """Anonymize the sentence and match the relation templates."""
+    return _match_patterns(anonymize(words, mentions), doc_id,
+                           sentence_index)

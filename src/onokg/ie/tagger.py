@@ -20,25 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .preprocess import stopwords
-from .wordpiece import CONTINUATION, SubwordVocab
+from .wordpiece import SubwordVocab
 
 TAGS = ("B", "I", "O", "X", "[CLS]", "[SEP]", "PAD")
 TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 K = len(TAGS)
 
 PROB_FLOOR = 1e-12
-
-# Table of published fine-tuning settings, recorded as provenance only;
-# they parameterize transformer training, not this linear head.
-BERT_VARIANT_SETTINGS = {
-    "BioBERT-cased": {"learning_rate": 3e-5, "epochs": 6,
-                      "max_seq_len": 128, "dropout": 0.3, "batch_size": 16},
-    "SciBERT-cased": {"learning_rate": 5e-5, "epochs": 6,
-                      "max_seq_len": 128, "dropout": 0.3, "batch_size": 16},
-    "BERT-cased": {"learning_rate": 2e-5, "epochs": 5,
-                   "max_seq_len": 128, "dropout": 0.4, "batch_size": 16},
-}
-
 
 class DimensionError(ValueError):
     pass
@@ -105,6 +93,7 @@ class FeatureSpace:
 
     def __init__(self):
         self._index: dict[str, int] = {}
+        self._names: list[str] = []
         self.frozen = False
 
     def __len__(self):
@@ -118,7 +107,11 @@ class FeatureSpace:
                 return self._index.get(f"{family}=<unk>")
             idx = len(self._index)
             self._index[name] = idx
+            self._names.append(name)
         return idx
+
+    def name(self, idx: int) -> str:
+        return self._names[idx]
 
     def freeze(self):
         if not self.frozen:
@@ -250,25 +243,18 @@ class TaggerModel:
                    entity_type)
 
 
-def _check_ids(model: TaggerModel, feature_ids: Sequence[np.ndarray]):
-    for row in feature_ids:
-        if len(row) and row.max() >= model.hidden_size:
-            raise DimensionError(
-                f"feature id {int(row.max())} out of range for hidden size "
-                f"{model.hidden_size}")
-
-
 def logits(model: TaggerModel, feature_ids: Sequence[np.ndarray]
            ) -> np.ndarray:
     """T_i W^T + b for every token; T_i is the multi-hot feature vector."""
-    _check_ids(model, feature_ids)
-    if not feature_ids:
-        return np.zeros((0, K))
-    flat = np.concatenate(feature_ids) if any(len(r) for r in feature_ids) \
-        else np.zeros(0, dtype=np.int64)
-    counts = np.array([len(r) for r in feature_ids])
+    counts = np.array([len(r) for r in feature_ids], dtype=np.int64)
     out = np.repeat(model.bias[None, :], len(feature_ids), axis=0)
-    if len(flat):
+    if counts.sum():
+        flat = np.concatenate(feature_ids)
+        top = int(flat.max())
+        if top >= model.hidden_size:
+            raise DimensionError(
+                f"feature id {top} out of range for hidden size "
+                f"{model.hidden_size}")
         cols = model.weights[:, flat]                      # (K, total)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         nonempty = counts > 0
@@ -330,7 +316,11 @@ def loss_and_gradients(model: TaggerModel,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one shared feature table plus per-type heads
+# checkpoint format: one JSON object holding the tag set, the shared feature
+# table (name -> id), the subword vocabulary, the gazetteer surfaces, the
+# per-type heads (weights and bias) and the training settings. Checkpoints
+# written before the "provenance" key (a table of BERT fine-tuning settings
+# nothing read) was dropped still load: unknown keys are ignored.
 
 def save_checkpoint(path, models: dict[str, TaggerModel],
                     vocab: SubwordVocab, gazetteers: dict[str, Gazetteer],
@@ -350,7 +340,6 @@ def save_checkpoint(path, models: dict[str, TaggerModel],
             for name, m in models.items()
         },
         "config": config or {},
-        "provenance": BERT_VARIANT_SETTINGS,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -370,8 +359,14 @@ def load_checkpoint(path) -> Checkpoint:
     space = FeatureSpace.from_dict(payload["features"])
     models = {}
     for name, data in payload["models"].items():
-        models[name] = TaggerModel(space, np.asarray(data["weights"]),
-                                   np.asarray(data["bias"]), name)
+        weights = np.asarray(data["weights"], dtype=float)
+        bias = np.asarray(data["bias"], dtype=float)
+        if weights.shape != (K, len(space)) or bias.shape != (K,):
+            raise CheckpointError(
+                f"model {name!r} has weights {weights.shape} and bias "
+                f"{bias.shape}; the feature table needs ({K}, "
+                f"{len(space)}) and ({K},)")
+        models[name] = TaggerModel(space, weights, bias, name)
     vocab = SubwordVocab(payload["vocab"])
     gazetteers = {name: Gazetteer(surfaces)
                   for name, surfaces in payload["gazetteers"].items()}

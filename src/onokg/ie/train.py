@@ -1,16 +1,19 @@
-"""Gradient training for the tagger head: Adam with gradient clipping,
-seeded per-epoch shuffling, and an optional linear learning-rate decay.
-Runs are fully deterministic for a fixed seed.
+"""Gradient training for the tagger head: Adam at a constant learning rate
+with gradient clipping, and seeded per-epoch shuffling. Runs are fully
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tagger import (BERT_VARIANT_SETTINGS, FeatureSpace, TaggerModel,
-                     loss_and_gradients, tagging_loss)
+from .tagger import FeatureSpace, TaggerModel, loss_and_gradients, tagging_loss
+
+# Gradients whose joint L2 norm exceeds this are scaled down to it.
+CLIP_NORM = 5.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -21,43 +24,29 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 10
-    max_seq_len: int = 128
-    dropout: float = 0.0
     batch_size: int = 16
     seed: int = 42
-    clip_norm: float = 5.0
-    schedule: str = "constant"  # or "linear"
-    provenance: dict = field(
-        default_factory=lambda: dict(BERT_VARIANT_SETTINGS))
 
     def __post_init__(self):
-        if self.schedule not in ("constant", "linear"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch size must be at least 1, got {self.batch_size}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(
+                f"learning rate must be finite, got {self.learning_rate}")
 
 
-def _clip(grad_w: np.ndarray, grad_b: np.ndarray, max_norm: float):
+def _clip(grad_w: np.ndarray, grad_b: np.ndarray):
     norm = float(np.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum()))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         grad_w *= scale
         grad_b *= scale
     return grad_w, grad_b
 
 
-def _dropout_ids(example, rate: float, rng: np.random.Generator):
-    ids, labels = example
-    kept = []
-    for row in ids:
-        if len(row) == 0:
-            kept.append(row)
-            continue
-        mask = rng.random(len(row)) >= rate
-        kept.append(row[mask])
-    return kept, labels
-
-
+# overflow shows up as a non-finite loss, which raises TrainingDiverged
+@np.errstate(over="ignore", invalid="ignore")
 def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace,
                  entity_type: str = "Gene"
                  ) -> tuple[TaggerModel, list[float]]:
@@ -74,24 +63,18 @@ def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace,
     v_b = np.zeros_like(model.bias)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    total_steps = cfg.epochs * max(1, int(np.ceil(len(examples)
-                                                  / cfg.batch_size)))
+    lr = cfg.learning_rate
     losses: list[float] = []
     for _epoch in range(cfg.epochs):
         order = rng.permutation(len(examples))
         for start in range(0, len(examples), cfg.batch_size):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            if cfg.dropout > 0.0:
-                batch = [_dropout_ids(ex, cfg.dropout, rng) for ex in batch]
             loss, grad_w, grad_b = loss_and_gradients(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     "non-finite loss; lower the learning rate")
-            grad_w, grad_b = _clip(grad_w, grad_b, cfg.clip_norm)
+            grad_w, grad_b = _clip(grad_w, grad_b)
             step += 1
-            lr = cfg.learning_rate
-            if cfg.schedule == "linear":
-                lr *= max(0.0, 1.0 - (step - 1) / total_steps)
             m_w = beta1 * m_w + (1 - beta1) * grad_w
             v_w = beta2 * v_w + (1 - beta2) * grad_w ** 2
             m_b = beta1 * m_b + (1 - beta1) * grad_b

@@ -19,12 +19,6 @@ class SubwordVocab:
         self.pieces = frozenset(pieces)
         self.unknown = unknown
 
-    @classmethod
-    def from_file(cls, path) -> "SubwordVocab":
-        with open(path, encoding="utf-8") as fh:
-            pieces = [line.rstrip("\n") for line in fh if line.strip()]
-        return cls(pieces)
-
     def covers(self, word: str) -> bool:
         """Every character of word is present as head and continuation."""
         return all(c in self.pieces and CONTINUATION + c in self.pieces

@@ -17,8 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .kg import (Graph, KgError, PrefixTable, Term, Triple, iri, literal,
-                 typed_int)
+from .kg import Graph, KgError, PrefixTable, Term, iri, literal, typed_int
 
 ONO = "http://www.example.com/ontologies/ono/ono.owl#"
 ASSOC = "http://www.example.com/ontologies/ono/assoc#"
@@ -243,9 +242,9 @@ def load_gene_list(name: str, data_dir: Optional[Path] = None
 # ---------------------------------------------------------------------------
 # graph construction
 
-def add_schema(graph: Graph, schema: OnoSchema = SCHEMA) -> None:
+def add_schema(graph: Graph) -> None:
     """Class hierarchy, enum members, property declarations, labels."""
-    s = schema
+    s = SCHEMA
     hierarchy = [
         (s.disease_of_cellular_proliferation, s.disease),
         (s.cancer, s.disease_of_cellular_proliferation),
@@ -311,138 +310,130 @@ def add_schema(graph: Graph, schema: OnoSchema = SCHEMA) -> None:
             graph.add(prop, RDFS_RANGE, range_)
 
 
-def add_cancer(graph: Graph, code: str, name: str,
-               schema: OnoSchema = SCHEMA) -> Term:
+def add_cancer(graph: Graph, code: str, name: str) -> Term:
     node = ono(code)
-    graph.add(node, RDF_TYPE, schema.cancer)
+    graph.add(node, RDF_TYPE, SCHEMA.cancer)
     graph.add(node, RDFS_LABEL, literal(code))
-    graph.add(node, schema.full_name, literal(name))
+    graph.add(node, SCHEMA.full_name, literal(name))
     return node
 
 
-def add_biomarker(graph: Graph, symbol: str, gene_type: str,
-                  schema: OnoSchema = SCHEMA) -> Term:
+def add_biomarker(graph: Graph, symbol: str, gene_type: str) -> Term:
     node = ono(symbol)
-    type_term = schema.gene_type_term(gene_type)
-    graph.add(node, RDF_TYPE, schema.biomarker)
+    type_term = SCHEMA.gene_type_term(gene_type)
+    graph.add(node, RDF_TYPE, SCHEMA.biomarker)
     graph.add(node, RDFS_LABEL, literal(symbol))
-    graph.add(node, schema.is_a, type_term)
-    graph.add(node, schema.has_type, type_term)
+    graph.add(node, SCHEMA.is_a, type_term)
+    graph.add(node, SCHEMA.has_type, type_term)
     return node
 
 
-def assert_association(graph: Graph, f: AssociationFeature,
-                       schema: OnoSchema = SCHEMA) -> Term:
+def assert_association(graph: Graph, f: AssociationFeature) -> Term:
     """Reify a gene-disease association as a Feature node.
 
     The node IRI is a deterministic function of the whole association
     tuple, so re-asserting an identical association is a no-op that
     returns the existing node.
     """
-    if not graph.match(f.gene, RDF_TYPE, schema.biomarker):
+    if not graph.match(f.gene, RDF_TYPE, SCHEMA.biomarker):
         raise ReferentialError(f"unknown gene {f.gene.n3()}")
-    if not graph.match(f.cancer, RDF_TYPE, schema.cancer):
+    if not graph.match(f.cancer, RDF_TYPE, SCHEMA.cancer):
         raise ReferentialError(f"unknown cancer {f.cancer.n3()}")
     slug = "_".join([f.gene.local_name(), f.cancer.local_name(),
                      f.significance, f.evidence.local_name(),
                      str(f.citations)])
     node = iri(ASSOC + slug)
-    sig = schema.significance_term(f.significance)
+    sig = SCHEMA.significance_term(f.significance)
     cites = typed_int(f.citations)
-    graph.add(node, RDF_TYPE, schema.feature)
-    graph.add(node, schema.feature_gene, f.gene)
-    graph.add(node, schema.feature_cancer, f.cancer)
-    graph.add(node, schema.has_significance, sig)
-    graph.add(node, schema.has_evidence, f.evidence)
-    graph.add(node, schema.has_citations, cites)
-    graph.add(f.gene, schema.causes, f.cancer)
-    graph.add(f.gene, schema.cross_responsibility, f.cancer)
-    graph.add(f.gene, schema.has_significance, sig)
-    graph.add(f.gene, schema.has_evidence, f.evidence)
-    graph.add(f.gene, schema.has_citations, cites)
+    graph.add(node, RDF_TYPE, SCHEMA.feature)
+    graph.add(node, SCHEMA.feature_gene, f.gene)
+    graph.add(node, SCHEMA.feature_cancer, f.cancer)
+    graph.add(node, SCHEMA.has_significance, sig)
+    graph.add(node, SCHEMA.has_evidence, f.evidence)
+    graph.add(node, SCHEMA.has_citations, cites)
+    graph.add(f.gene, SCHEMA.causes, f.cancer)
+    graph.add(f.gene, SCHEMA.cross_responsibility, f.cancer)
+    graph.add(f.gene, SCHEMA.has_significance, sig)
+    graph.add(f.gene, SCHEMA.has_evidence, f.evidence)
+    graph.add(f.gene, SCHEMA.has_citations, cites)
     return node
 
 
-def _assert_association_rows(graph: Graph, rows: list[dict],
-                             schema: OnoSchema) -> None:
+def _assert_association_rows(graph: Graph, rows: list[dict]) -> None:
     for row in rows:
         assert_association(graph, AssociationFeature(
             gene=ono(row["gene"]),
             cancer=ono(row["cohort"]),
             significance=row["significance"],
-            evidence=schema.evidence_term(row["evidence"]),
+            evidence=SCHEMA.evidence_term(row["evidence"]),
             citations=row["citations"],
-        ), schema)
+        ))
 
 
-def build_seed_ontology(data_dir: Optional[Path] = None,
-                        schema: OnoSchema = SCHEMA) -> Graph:
+def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
     """Assemble the seed KG from the bundled data files."""
     graph = Graph()
-    add_schema(graph, schema)
+    add_schema(graph)
     for code, name in load_cohorts(data_dir):
-        add_cancer(graph, code, name, schema)
+        add_cancer(graph, code, name)
     # Medulloblastoma is referenced by the curated associations but is not
     # one of the 33 cohort codes; it is carried as a 34th Cancer instance.
-    add_cancer(graph, "MED", "Medulloblastoma", schema)
+    add_cancer(graph, "MED", "Medulloblastoma")
     for symbol in load_potsf_genes(data_dir):
-        add_biomarker(graph, symbol, "POTSF", schema)
+        add_biomarker(graph, symbol, "POTSF")
     for symbol, gene_type in load_gene_list("extension_genes.csv", data_dir):
-        add_biomarker(graph, symbol, gene_type, schema)
+        add_biomarker(graph, symbol, gene_type)
     # TP53 is additionally asserted as an Oncogene instance; the deduction
     # examples rely on that membership premise.
-    graph.add(ono("TP53"), RDF_TYPE, schema.oncogene)
+    graph.add(ono("TP53"), RDF_TYPE, SCHEMA.oncogene)
     # Example GO annotation on AKT1, kept for the hasGOAssociation pattern.
     go_node = iri(ASSOC + "AKT1_GO_0000060")
-    graph.add(ono("AKT1"), schema.has_go_association, go_node)
+    graph.add(ono("AKT1"), SCHEMA.has_go_association, go_node)
     graph.add(go_node, RDF_TYPE, iri(OBO + "GO_0000060"))
     _assert_association_rows(graph, load_associations("associations.csv",
-                                                      data_dir), schema)
+                                                      data_dir))
     _assert_association_rows(
-        graph, load_associations("extension_associations.csv", data_dir),
-        schema)
+        graph, load_associations("extension_associations.csv", data_dir))
     return graph
 
 
 def load_extension(graph: Graph, cancers_csv: Optional[Path] = None,
                    genes_csv: Optional[Path] = None,
-                   associations_csv: Optional[Path] = None,
-                   schema: OnoSchema = SCHEMA) -> None:
+                   associations_csv: Optional[Path] = None) -> None:
     """Extend a graph with additional cancers, genes, and associations."""
     if cancers_csv is not None:
         for row in _read_csv(Path(cancers_csv), ("code", "name")):
-            add_cancer(graph, row["code"], row["name"], schema)
+            add_cancer(graph, row["code"], row["name"])
     if genes_csv is not None:
         for row in _read_csv(Path(genes_csv), ("symbol", "geneType")):
-            add_biomarker(graph, row["symbol"], row["geneType"], schema)
+            add_biomarker(graph, row["symbol"], row["geneType"])
     if associations_csv is not None:
         path = Path(associations_csv)
         rows = _read_csv(path, ("gene", "cohort", "significance", "evidence",
                                 "citations"))
         for row in rows:
             row["citations"] = int(row["citations"])
-        _assert_association_rows(graph, rows, schema)
+        _assert_association_rows(graph, rows)
 
 
-def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None,
-                         schema: OnoSchema = SCHEMA) -> None:
+def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None
+                         ) -> None:
     """Demo cancers/genes used by the bundled query packs (not seed data)."""
     load_extension(graph,
                    cancers_csv=_open_data("fixture_cancers.csv", data_dir),
                    genes_csv=_open_data("fixture_genes.csv", data_dir),
                    associations_csv=_open_data("fixture_associations.csv",
-                                               data_dir),
-                   schema=schema)
+                                               data_dir))
 
 
-def seed_statistics(graph: Graph, schema: OnoSchema = SCHEMA) -> dict:
-    cancers = {t.subject for t in graph.match(None, RDF_TYPE, schema.cancer)}
+def seed_statistics(graph: Graph) -> dict:
+    cancers = {t.subject for t in graph.match(None, RDF_TYPE, SCHEMA.cancer)}
     biomarkers = {t.subject for t in graph.match(None, RDF_TYPE,
-                                                 schema.biomarker)}
-    potsf = {t.subject for t in graph.match(None, schema.has_type,
-                                            schema.potsf)}
+                                                 SCHEMA.biomarker)}
+    potsf = {t.subject for t in graph.match(None, SCHEMA.has_type,
+                                            SCHEMA.potsf)}
     features = {t.subject for t in graph.match(None, RDF_TYPE,
-                                               schema.feature)}
+                                               SCHEMA.feature)}
     return {
         "triples": len(graph),
         "cancers": len(cancers),

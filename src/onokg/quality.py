@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .kg import Graph, KgError, Term
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
-                       XSD, ClassIndex, OnoSchema, iri)
+                       XSD, ClassIndex, iri)
 
 DEFAULT_HOME_NAMESPACES = (ONO, ASSOC, NORM)
 
@@ -49,13 +49,13 @@ class QualityConfig:
             raise ValueError(f"unknown resolver mode {self.resolver_mode!r}")
 
     @classmethod
-    def for_ono_seed(cls, schema: OnoSchema = SCHEMA) -> "QualityConfig":
+    def for_ono_seed(cls) -> "QualityConfig":
         return cls(
-            gold_classes=tuple(schema.classes()),
-            gold_properties=tuple(schema.properties()),
-            completeness_class=schema.cancer,
-            completeness_predicate=schema.full_name,
-            range_predicate=schema.has_citations,
+            gold_classes=tuple(SCHEMA.classes()),
+            gold_properties=tuple(SCHEMA.properties()),
+            completeness_class=SCHEMA.cancer,
+            completeness_predicate=SCHEMA.full_name,
+            range_predicate=SCHEMA.has_citations,
             range_lower=0, range_upper=10_000_000,
             allowlist=DEFAULT_HOME_NAMESPACES,
         )

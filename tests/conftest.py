@@ -72,12 +72,8 @@ class TrainedTagger:
         self.vocab = demo_vocab()
         self.gazetteers = corpus_mod.build_gazetteers()
         self.space = FeatureSpace()
-        self.examples = {
-            etype: corpus_mod.encode_corpus(self.train_set, self.vocab,
-                                            self.space, self.gazetteers,
-                                            etype)
-            for etype in corpus_mod.ENTITY_TYPES
-        }
+        self.examples = corpus_mod.encode_corpus(
+            self.train_set, self.vocab, self.space, self.gazetteers)
         self.space.freeze()
         self.models = {}
         self.losses = {}

@@ -204,6 +204,28 @@ class TestModelCommands:
         assert kg.read_bytes() == kg_file.read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["kg.nt"]
 
+    @pytest.mark.parametrize("command", ["tag", "explain", "ingest"])
+    def test_checkpoint_narrower_than_features(self, kg_file,
+                                               checkpoint_path, tmp_path,
+                                               capsys, command):
+        from onokg.ontology import data_path
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        for model in payload["models"].values():
+            model["weights"] = [row[:10] for row in model["weights"]]
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(payload), encoding="utf-8")
+        argv = {"tag": ["tag", "--text", "TP53 causes Breast Cancer."],
+                "explain": ["explain", "--text", "TP53 causes BRCA."],
+                "ingest": ["ingest", "--kg", str(kg_file), "--corpus",
+                           str(data_path("demo_corpus")), "--out",
+                           str(tmp_path / "out.nt")]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--model", str(narrow)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed checkpoint {narrow}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.nt").exists()
+
     def test_missing_model_exits_errorcode(self, kg_file, tmp_path):
         code = main(["tag", "--model", str(tmp_path / "none.json"),
                      "--text", "x"])
@@ -335,6 +357,19 @@ class TestTrainCommand:
         from onokg.ie.tagger import load_checkpoint
         loaded = load_checkpoint(out)
         assert set(loaded.models) == {"Disease", "Gene"}
+
+    # overflow warnings would print lines of their own next to the error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option", [
+        ["--batch-size", "0"], ["--sentences", "0"], ["--sentences", "1"],
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e308"]])
+    def test_bad_option_one_error_line(self, tmp_path, capsys, option):
+        out = tmp_path / "model.json"
+        assert main(["train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1", *option]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExplainJson:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import spans_by_regex
-from onokg.ie.decode import (decode_entities, decode_single_type,
-                             encode_word_tags, find_spans, word_level_tags)
+from onokg.ie.decode import (decode_entities, encode_word_tags, find_spans,
+                             word_level_tags)
 from onokg.ie.tagger import (FeatureSpace, TAG_INDEX, encode_sentence,
                              gold_tags)
 from onokg.ie.wordpiece import demo_vocab
@@ -146,7 +146,7 @@ class TestTypeResolution:
         words = ["TP53", "acts", "."]
         encoded = _encoded(words)
         tags, probs = self._tagged(encoded, ["B", "O", "O"], 0.9)
-        mentions = decode_single_type(encoded, tags, probs, "Gene")
+        mentions = decode_entities(encoded, {"Gene": (tags, probs)})
         assert [m.surface for m in mentions] == ["TP53"]
 
 

@@ -1,12 +1,18 @@
 """Document-level extraction and ingest (trained model end to end)."""
 
+from dataclasses import replace
+
 import pytest
 
-from onokg.ie.linking import AliasTable
-from onokg.ie.pipeline import (extract_document, ingest_documents,
-                               read_corpus_dir, split_to_fit)
+from onokg.ie.corpus import make_corpus, tag_sentence
+from onokg.ie.decode import decode_entities
+from onokg.ie.linking import AliasTable, link_entity
+from onokg.ie.pipeline import (MAX_PIECES, extract_document,
+                               ingest_documents, read_corpus_dir,
+                               split_to_fit)
 from onokg.ie.preprocess import preprocess
-from onokg.ie.tagger import Checkpoint
+from onokg.ie.relations import extract_relations
+from onokg.ie.tagger import Checkpoint, encode_sentence
 from onokg.kg import Triple
 from onokg.ontology import SCHEMA, data_path, ono
 
@@ -51,6 +57,50 @@ class TestSplitToFit:
             if "Breast" in chunk:
                 i = chunk.index("Breast")
                 assert chunk[i:i + 3] == ["Breast", "invasive", "carcinoma"]
+
+
+class TestLongSentences:
+    """A sentence longer than MAX_PIECES is tagged chunk by chunk."""
+
+    def test_matches_hand_encoded_chunks(self, checkpoint, alias_table):
+        clauses = [" ".join(w for w in s.words if w != ".")
+                   for s in make_corpus(60, seed=5)]
+        text = " ; ".join(clauses[:40]) + ". " + clauses[40] + ". " \
+            + " ; ".join(clauses[41:]) + "."
+        doc = preprocess(text, "long")
+        extraction = extract_document(doc, checkpoint, alias_table)
+
+        def encode(words):
+            return encode_sentence(words, checkpoint.vocab,
+                                   checkpoint.models["Gene"].space,
+                                   checkpoint.gazetteers)
+
+        mentions, candidates, lengths, shifted = [], [], [], 0
+        for sent_idx, sentence in enumerate(doc.sentences):
+            words = [t.form for t in sentence]
+            lengths.append(len(encode(words)))
+            chunks = split_to_fit(words, checkpoint.vocab, MAX_PIECES,
+                                  checkpoint.gazetteers)
+            for offset, chunk in chunks:
+                encoded = encode(chunk)
+                assert len(encoded) <= MAX_PIECES
+                found = decode_entities(
+                    encoded, tag_sentence(checkpoint.models, encoded),
+                    doc.id, sent_idx)
+                for m in found:
+                    m.normalized_id = link_entity(m.surface, m.entity_type,
+                                                  alias_table)
+                candidates += extract_relations(chunk, found, doc.id,
+                                                sent_idx)
+                mentions += [replace(m, start=m.start + offset,
+                                     end=m.end + offset) for m in found]
+                shifted += len(found) if offset else 0
+        assert lengths[0] > 2 * MAX_PIECES and lengths[1] <= MAX_PIECES \
+            and lengths[2] > MAX_PIECES
+        assert shifted
+        assert [c for c in candidates if c.label != "none"]
+        assert extraction.mentions == mentions
+        assert extraction.candidates == candidates
 
 
 class TestFig4Extraction:

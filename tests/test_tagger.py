@@ -9,6 +9,7 @@ from onokg.ie.tagger import (CheckpointError, DimensionError, FeatureSpace,
                              load_checkpoint, loss_and_gradients,
                              save_checkpoint, sequence_loss,
                              tag_probabilities, tagging_loss)
+from onokg.ie.corpus import ENTITY_TYPES, encode_corpus
 from onokg.ie.train import TrainConfig, train_tagger
 from onokg.ie.wordpiece import demo_vocab
 
@@ -196,6 +197,33 @@ class TestTraining:
             train_tagger([], TrainConfig(), space)
 
 
+def test_encode_corpus_matches_per_sentence_encoding(trained):
+    sentences = trained.train_set[:60]
+    space, reference_space = FeatureSpace(), FeatureSpace()
+    examples = encode_corpus(sentences, trained.vocab, space,
+                             trained.gazetteers)
+    assert list(examples) == list(ENTITY_TYPES)
+    for i, sentence in enumerate(sentences):
+        encoded = encode_sentence(sentence.words, trained.vocab,
+                                  reference_space, trained.gazetteers)
+        for etype in ENTITY_TYPES:
+            ids, labels = examples[etype][i]
+            assert len(ids) == len(encoded.feature_ids)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(ids, encoded.feature_ids))
+            assert np.array_equal(
+                labels, gold_tags(encoded, sentence.spans_for(etype)))
+    assert space.to_dict() == reference_space.to_dict()
+
+
+@pytest.mark.parametrize("settings", [{"batch_size": 0},
+                                      {"learning_rate": float("nan")},
+                                      {"learning_rate": float("-inf")}])
+def test_train_config_rejects(settings):
+    with pytest.raises(ValueError):
+        TrainConfig(**settings)
+
+
 class TestCheckpoint:
     def test_round_trip(self, trained, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -230,6 +258,31 @@ class TestCheckpoint:
                                          re_encoded.feature_ids)
             assert np.allclose(reference, observed, atol=1e-12)
 
+
+    def test_weights_must_fit_the_feature_table(self, trained, tmp_path):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, trained.models, trained.vocab,
+                        trained.gazetteers)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["models"]["Gene"]["weights"] = [
+            row[:10] for row in payload["models"]["Gene"]["weights"]]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=r"\(7, 10\)"):
+            load_checkpoint(path)
+
+    def test_provenance_key_ignored(self, trained, tmp_path):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, trained.models, trained.vocab,
+                        trained.gazetteers)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "provenance" not in payload
+        payload["provenance"] = {"BioBERT-cased": {"epochs": 6}}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_checkpoint(path)
+        for name, model in trained.models.items():
+            assert np.array_equal(loaded.models[name].weights, model.weights)
 
     def test_gapped_feature_ids_rejected(self):
         with pytest.raises(CheckpointError, match="without gaps"):
