@@ -10,6 +10,9 @@ seed (timings go to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -109,6 +112,16 @@ def _load_graph(path) -> Graph:
     return result.graph
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Name the target in an OSError raised while writing it; `main` turns
+    that into one `error:` line and exit code 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_checkpoint(path) -> Checkpoint:
     if path is None:
         raise UserError("a tagger checkpoint is required (--model)")
@@ -126,11 +139,8 @@ def _load_checkpoint(path) -> Checkpoint:
 def cmd_build(args, cfg: AppConfig) -> int:
     graph = build_seed_ontology(cfg.data_dir)
     out = Path(args.out)
-    try:
+    with _writing(out):
         ntriples.save_file(graph, out)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     stats = seed_statistics(graph)
     for key in ("triples", "cancers", "biomarkers", "potsf_biomarkers",
                 "features"):
@@ -229,15 +239,12 @@ def cmd_train(args, cfg: AppConfig) -> int:
           f"({scores.correct}/{scores.predicted} predicted, "
           f"{scores.gold} gold)")
     out = Path(args.out)
-    try:
+    with _writing(out):
         save_checkpoint(out, models, vocab, gazetteers,
                         config={"sentences": args.sentences,
                                 "seed": cfg.seed, "epochs": args.epochs,
                                 "learning_rate": args.lr,
                                 "batch_size": args.batch_size})
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
@@ -306,11 +313,8 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
     report = pipeline_mod.ingest_documents(graph, docs, checkpoint, table,
                                            threshold)
     out = Path(args.out) if args.out else Path(args.kg)
-    try:
+    with _writing(out):
         ntriples.save_file(graph, out)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(report.summary())
     print(f"graph now has {len(graph)} triples -> {out}")
     return EXIT_OK
@@ -346,11 +350,8 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     else:
         rendered = render_heatmap(tokens, scores, args.format)
     if args.out:
-        try:
-            Path(args.out).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with _writing(args.out):
+            ntriples.write_atomic(args.out, rendered)
         print(f"heatmap written to {args.out}")
     else:
         sys.stdout.write(rendered)
@@ -387,21 +388,18 @@ def cmd_qa(args, cfg: AppConfig) -> int:
 def cmd_export(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     out = Path(args.out)
-    try:
+    with _writing(out):
         if args.format == "ntriples":
             ntriples.save_file(graph, out)
         elif args.format == "json":
             rows = list(ntriples.rendered_rows(graph))
-            out.write_text(json.dumps(rows, indent=2), encoding="utf-8")
+            ntriples.write_atomic(out, json.dumps(rows, indent=2))
         else:
-            import csv as _csv
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(["subject", "predicate", "object"])
-                writer.writerows(ntriples.rendered_rows(graph))
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+            buffer = io.StringIO()
+            csv.writer(buffer).writerows(
+                [("subject", "predicate", "object"),
+                 *ntriples.rendered_rows(graph)])
+            ntriples.write_atomic(out, buffer.getvalue())
     print(f"exported {len(graph)} triples to {out}")
     return EXIT_OK
 

@@ -15,12 +15,15 @@ individual. The nominal half is what makes fillers like `some BRCA` or
 `some High` work, since cohorts, significance levels, and evidence sources
 are individuals in the graph.
 
-Atomic names resolve through the graph's shared `ontology.ClassIndex`. The
-index, the `AboxIndex` built on it and the `NameResolver` are memoized with
-`Graph.cached`, so repeated queries share them and a graph write (such as
-a persisted deduction) makes the next query rebuild them. A cyclic
-subclass hierarchy raises `HierarchyCycleError` in DL queries, while
-`ontology.check_ontology_pitfalls` (the `qa` command) reports it.
+Names resolve to Terms, but evaluation runs over term ids: the graph's
+shared `ontology.ClassIndex` gives class extents as id sets, `AboxIndex`
+builds per-property successor maps from `Graph.match_ids`, and every node
+of an expression evaluates to a set of ids. Only `instances` turns ids
+back into Terms, sorted for output. The index, the `AboxIndex` built on it
+and the `NameResolver` are memoized with `Graph.cached`, so repeated
+queries share them and a graph write makes the next query rebuild them. A
+cyclic subclass hierarchy raises `HierarchyCycleError` in DL queries,
+while `ontology.check_ontology_pitfalls` (the `qa` command) reports it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .kg import Graph, KgError, Term, Triple
+from .kg import LITERAL, Graph, KgError, Term, Triple
 from .ontology import (OWL, RDF, RDF_TYPE, RDFS, RDFS_LABEL, SCHEMA,
                        ClassIndex, iri)
 
@@ -166,9 +169,11 @@ class NameResolver:
         for term in graph.terms():
             if term.kind == "iri":
                 self._register(term.local_name(), term)
-        for t in graph.match(None, RDFS_LABEL, None):
-            if t.object.kind == "literal":
-                self._register(t.object.lexical, t.subject)
+        term = graph.term
+        for s, _, o in graph.match_ids(None, graph.term_id(RDFS_LABEL)):
+            label = term(o)
+            if label.kind == LITERAL:
+                self._register(label.lexical, term(s))
 
     def _register(self, name: str, term: Term) -> None:
         self._exact.setdefault(name, set()).add(term)
@@ -322,8 +327,9 @@ def _parse_restriction(tokens: _Tokens, resolver: NameResolver, name: str,
 # evaluation
 
 class AboxIndex:
-    """Per-graph evaluation index over the graph's `ClassIndex`: typed
-    instances, per-property successor maps, and the queried universe.
+    """Per-graph evaluation index over the graph's `ClassIndex`, in term
+    ids: typed individuals, per-property successor maps, and the queried
+    universe (every non-literal subject or object).
 
     Raises HierarchyCycleError, naming the members of the first cyclic
     component, when the subclass hierarchy has a cycle. Get it through
@@ -335,32 +341,39 @@ class AboxIndex:
         self.hierarchy = graph.cached(ClassIndex)
         if self.hierarchy.cycles:
             raise HierarchyCycleError(list(self.hierarchy.cycles[0]))
-        self._individuals: set[Term] = set()
+        meta = {graph.term_id(t) for t in _META_TYPES}
+        self._individuals: set[int] = set()
         for cls, members in self.hierarchy.direct.items():
-            if cls not in _META_TYPES:
+            if cls not in meta:
                 self._individuals |= members
-        self._succ: dict[tuple[Term, bool], dict[Term, set[Term]]] = {}
-        self.universe: frozenset[Term] = frozenset(graph.nodes())
+        self._literal = [t.kind == LITERAL for t in graph.id_terms()]
+        self._succ: dict[tuple[Term, bool], dict[int, set[int]]] = {}
+        rows = graph.match_ids()
+        literal = self._literal
+        self.universe: frozenset[int] = frozenset(
+            {s for s, _, _ in rows}.union(
+                o for _, _, o in rows if not literal[o]))
 
-    def successors(self, prop: PropRef) -> dict[Term, set[Term]]:
+    def successors(self, prop: PropRef) -> dict[int, set[int]]:
         key = (prop.term, prop.inverse)
         cached = self._succ.get(key)
         if cached is None:
             cached = {}
-            for t in self.graph.match(None, prop.term, None):
-                src, dst = (t.object, t.subject) if prop.inverse \
-                    else (t.subject, t.object)
-                if src.kind == "literal":
-                    continue
-                cached.setdefault(src, set()).add(dst)
+            literal = self._literal
+            for s, _, o in self.graph.match_ids(
+                    None, self.graph.term_id(prop.term)):
+                src, dst = (o, s) if prop.inverse else (s, o)
+                if not literal[src]:
+                    cached.setdefault(src, set()).add(dst)
             self._succ[key] = cached
         return cached
 
-    def evaluate(self, expr: ClassExpression) -> set[Term]:
+    def evaluate(self, expr: ClassExpression) -> set[int]:
         if isinstance(expr, Atomic):
-            out = self.hierarchy.instances(expr.term)
-            if expr.term in self._individuals:
-                out.add(expr.term)
+            tid = self.graph.term_id(expr.term)
+            out = self.hierarchy.instances(tid)
+            if tid in self._individuals:
+                out.add(tid)
             return out
         if isinstance(expr, And):
             parts = [self.evaluate(p) for p in expr.parts]
@@ -369,7 +382,7 @@ class AboxIndex:
                 out = out & p
             return out
         if isinstance(expr, Or):
-            out: set[Term] = set()
+            out: set[int] = set()
             for p in expr.parts:
                 out |= self.evaluate(p)
             return out
@@ -396,7 +409,7 @@ class AboxIndex:
 
 def instances(graph: Graph, expr: ClassExpression) -> list[Term]:
     """Members of the class expression, sorted for deterministic output."""
-    return sorted(graph.cached(AboxIndex).evaluate(expr),
+    return sorted(map(graph.term, graph.cached(AboxIndex).evaluate(expr)),
                   key=lambda t: (t.kind, t.lexical))
 
 
@@ -424,15 +437,17 @@ SYLLOGISM_RULES = {
 
 
 def deduce_syllogism(graph: Graph, rule: tuple[Term, Term, Term],
-                     instance: Term, persist: bool = False) -> Deduction:
+                     instance: Term) -> Deduction:
     """Apply `every A <property> B` to an asserted member of A.
 
     Returns the derived triple plus a two-premise proof trace; with no
-    membership premise the deduction is empty. Derived triples stay out of
-    the graph unless persist is requested.
+    membership premise the deduction is empty. The derived triple is not
+    added to the graph.
     """
     class_a, prop, class_b = rule
-    if instance not in graph.cached(AboxIndex).hierarchy.instances(class_a):
+    members = graph.cached(AboxIndex).hierarchy.instances(
+        graph.term_id(class_a))
+    if graph.term_id(instance) not in members:
         return Deduction(derived=None, trace=[])
     derived = Triple(instance, prop, class_b)
     trace = [
@@ -442,6 +457,4 @@ def deduce_syllogism(graph: Graph, rule: tuple[Term, Term, Term],
         f"conclusion: {instance.local_name()} {prop.local_name()} "
         f"{class_b.local_name()}",
     ]
-    if persist:
-        graph.insert(derived)
     return Deduction(derived=derived, trace=trace)

@@ -57,14 +57,18 @@ class AliasTable:
                     not target.startswith("http") else iri(target)
                 table.add(row["surface"], row["type"], term)
         if graph is not None:
-            for t in graph.match(None, RDF_TYPE, SCHEMA.biomarker):
-                for lbl in graph.match(t.subject, RDFS_LABEL, None):
-                    table.add(lbl.object.lexical, "Gene", t.subject)
-            for t in graph.match(None, RDF_TYPE, SCHEMA.cancer):
-                for lbl in graph.match(t.subject, RDFS_LABEL, None):
-                    table.add(lbl.object.lexical, "Disease", t.subject)
-                for name in graph.match(t.subject, SCHEMA.full_name, None):
-                    table.add(name.object.lexical, "Disease", t.subject)
+            ids, term_of = graph.term_id, graph.term
+            # in id order, so the first surface added for a key wins
+            for rdf_class, entity_type, predicates in (
+                    (SCHEMA.biomarker, "Gene", (RDFS_LABEL,)),
+                    (SCHEMA.cancer, "Disease", (RDFS_LABEL,
+                                                SCHEMA.full_name))):
+                for s, _, _ in sorted(graph.match_ids(None, ids(RDF_TYPE),
+                                                      ids(rdf_class))):
+                    for p in predicates:
+                        for _, _, o in sorted(graph.match_ids(s, ids(p))):
+                            table.add(term_of(o).lexical, entity_type,
+                                      term_of(s))
         return table
 
 

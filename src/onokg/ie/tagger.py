@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..ntriples import write_atomic
 from .preprocess import stopwords
 from .wordpiece import SubwordVocab
 
@@ -341,8 +342,7 @@ def save_checkpoint(path, models: dict[str, TaggerModel],
         },
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_atomic(path, json.dumps(payload))
 
 
 @dataclass
@@ -356,6 +356,13 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CheckpointError("a checkpoint must be a JSON object")
+    if not isinstance(payload["features"], dict):
+        raise CheckpointError('"features" must be a JSON object')
+    if not isinstance(payload["models"], dict) or not payload["models"]:
+        raise CheckpointError('"models" must be a JSON object naming at '
+                              'least one model')
     space = FeatureSpace.from_dict(payload["features"])
     models = {}
     for name, data in payload["models"].items():

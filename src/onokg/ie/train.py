@@ -28,6 +28,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch size must be at least 1, got {self.batch_size}")

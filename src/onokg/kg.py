@@ -8,6 +8,12 @@ combination of bound/unbound pattern positions is answered from an index.
 An index entry goes with the last triple under it, so a term is in use
 exactly when some index has it as a key; its id stays reserved regardless.
 
+Readers in this package work on ids: `match_ids` and `count_ids` answer a
+pattern from the indexes, `term_id` gives -1 for a term never interned
+(which matches nothing), and Terms are looked up only for output. `match`
+is the Term-space convenience for outside callers: it builds and sorts a
+`Triple` for every hit.
+
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every `insert` or `remove` that changes the
 triple set, so a derived value never outlives the graph state it was built
@@ -70,18 +76,6 @@ class Term:
             raise ValidationError("a literal has at most one of datatype, language")
         if self.datatype is not None and ":" not in self.datatype:
             raise ValidationError(f"datatype IRI must be absolute: {self.datatype!r}")
-
-    @property
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
-    @property
-    def is_literal(self) -> bool:
-        return self.kind == LITERAL
-
-    @property
-    def is_blank(self) -> bool:
-        return self.kind == BLANK
 
     def local_name(self) -> str:
         """Last path/fragment segment of an IRI (the name after '#' or '/')."""
@@ -178,19 +172,6 @@ class PrefixTable:
             raise ValidationError(f"not a prefixed name: {qname!r}")
         return iri(self.namespace(prefix) + local)
 
-    def compact(self, term: Term) -> str:
-        """Shorten an IRI with the longest matching namespace, for display."""
-        if term.kind != IRI:
-            return term.n3()
-        best = None
-        for prefix, ns in self._ns.items():
-            if term.lexical.startswith(ns):
-                if best is None or len(ns) > len(self._ns[best]):
-                    best = prefix
-        if best is None:
-            return term.n3()
-        return f"{best}:{term.lexical[len(self._ns[best]):]}"
-
     def items(self):
         return self._ns.items()
 
@@ -199,10 +180,6 @@ class PrefixTable:
 
     def __contains__(self, prefix: str) -> bool:
         return prefix in self._ns
-
-
-def expand_prefixed(prefixes: PrefixTable, qname: str) -> Term:
-    return prefixes.expand(qname)
 
 
 class Graph:
@@ -227,8 +204,9 @@ class Graph:
             self._terms.append(term)
         return tid
 
-    def term_id(self, term: Term) -> Optional[int]:
-        return self._term_ids.get(term)
+    def term_id(self, term: Term) -> int:
+        """The term's id, or -1 (which matches nothing) if never interned."""
+        return self._term_ids.get(term, -1)
 
     def term(self, tid: int) -> Term:
         return self._terms[tid]
@@ -278,10 +256,10 @@ class Graph:
         """Remove a triple; False (and no change) if absent."""
         ids = (self.term_id(t.subject), self.term_id(t.predicate),
                self.term_id(t.object))
-        if None in ids or ids not in self._triples:
+        if ids not in self._triples:
             return False
         s, p, o = ids
-        self._triples.discard((s, p, o))
+        self._triples.discard(ids)
         for index, a, b, c in ((self._spo, s, p, o), (self._pos, p, o, s),
                                (self._osp, o, s, p)):
             inner = index[a]
@@ -312,9 +290,8 @@ class Graph:
         return len(self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        ids = (self.term_id(t.subject), self.term_id(t.predicate),
-               self.term_id(t.object))
-        return None not in ids and ids in self._triples
+        return (self.term_id(t.subject), self.term_id(t.predicate),
+                self.term_id(t.object)) in self._triples
 
     def __iter__(self) -> Iterator[Triple]:
         for s, p, o in self.id_rows():
@@ -327,10 +304,10 @@ class Graph:
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
         """Triples matching all bound positions, in id-sorted order."""
-        get = self._term_ids.get
-        keys = self.match_ids(None if s is None else get(s, -1),
-                              None if p is None else get(p, -1),
-                              None if o is None else get(o, -1))
+        get = self.term_id
+        keys = self.match_ids(None if s is None else get(s),
+                              None if p is None else get(p),
+                              None if o is None else get(o))
         terms = self._terms
         return [Triple(terms[a], terms[b], terms[c])
                 for a, b, c in sorted(keys)]
@@ -381,29 +358,12 @@ class Graph:
             return sum(map(len, self._osp.get(o, {}).values()))
         return len(self._triples)
 
-    def subjects(self) -> list[Term]:
-        """Distinct subject terms, id-sorted."""
-        return [self._terms[i] for i in sorted(self._spo)]
-
-    def objects(self) -> list[Term]:
-        return [self._terms[i] for i in sorted(self._osp)]
-
-    def predicates(self) -> list[Term]:
-        return [self._terms[i] for i in sorted(self._pos)]
-
-    def nodes(self) -> list[Term]:
-        """Distinct non-literal terms used in subject or object position."""
-        ids = set()
-        for s, _, o in self._triples:
-            ids.add(s)
-            if self._terms[o].kind != LITERAL:
-                ids.add(o)
-        return [self._terms[i] for i in sorted(ids)]
-
     def copy(self) -> "Graph":
+        """A graph of the same triples, its ids given out in id-row order."""
         g = Graph()
-        for t in self:
-            g.insert(t)
+        terms, intern = self._terms, g.intern
+        g.add_ids([(intern(terms[s]), intern(terms[p]), intern(terms[o]))
+                   for s, p, o in self.id_rows()])
         return g
 
     def check_indexes(self) -> bool:

@@ -21,9 +21,11 @@ triples one by one would give them, and the id triples are added to the
 graph in one batch at the end. Serialization renders each term id once
 and joins the id-sorted triples.
 
-`save_file` writes all or nothing: the text goes to a temporary file in
-the target's directory, which then replaces the target. A failed write
-removes the temporary file and leaves the target's bytes as they were.
+`save_file` writes all or nothing through `write_atomic`, which the
+package's other file writers (checkpoints, exports, heatmaps) use too: the
+text goes to a temporary file in the target's directory, which then
+replaces the target. A failed write removes the temporary file and leaves
+the target's bytes as they were.
 """
 
 from __future__ import annotations
@@ -265,20 +267,26 @@ def load_file(path) -> ParseResult:
 
 
 def save_file(graph: Graph, path) -> None:
-    """Write the graph's N-Triples to `path`, all or nothing.
+    """Write the graph's N-Triples to `path`, all or nothing."""
+    write_atomic(path, serialize_ntriples(graph))
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, all or nothing.
 
     The text goes to a temporary file next to the target, which then
     replaces it; on any failure the temporary file is removed and the
     target keeps its old bytes. A symlink is followed, so its target is
     replaced and the link kept; an existing target keeps its permissions.
+    Line endings are written as given.
     """
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(serialize_ntriples(graph))
+            fh.write(text)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)

@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .kg import Graph, KgError, PrefixTable, Term, iri, literal, typed_int
+from .kg import (Graph, KgError, PrefixTable, Term, Triple, iri, literal,
+                 typed_int)
 
 ONO = "http://www.example.com/ontologies/ono/ono.owl#"
 ASSOC = "http://www.example.com/ontologies/ono/assoc#"
@@ -142,20 +143,6 @@ def default_prefixes() -> PrefixTable:
         "owl": OWL,
         "xsd": XSD,
     })
-
-
-@dataclass(frozen=True)
-class BiomarkerRecord:
-    symbol: str
-    gene_type: str
-    evidence_types: frozenset[str] = frozenset()
-    citations: int = 0
-
-    def __post_init__(self):
-        if self.gene_type not in GENE_TYPES:
-            raise KgError(f"unknown gene type {self.gene_type!r}")
-        if self.evidence_types and self.citations < 1:
-            raise KgError("a biomarker with evidence needs at least 1 citation")
 
 
 @dataclass(frozen=True)
@@ -335,9 +322,9 @@ def assert_association(graph: Graph, f: AssociationFeature) -> Term:
     tuple, so re-asserting an identical association is a no-op that
     returns the existing node.
     """
-    if not graph.match(f.gene, RDF_TYPE, SCHEMA.biomarker):
+    if Triple(f.gene, RDF_TYPE, SCHEMA.biomarker) not in graph:
         raise ReferentialError(f"unknown gene {f.gene.n3()}")
-    if not graph.match(f.cancer, RDF_TYPE, SCHEMA.cancer):
+    if Triple(f.cancer, RDF_TYPE, SCHEMA.cancer) not in graph:
         raise ReferentialError(f"unknown cancer {f.cancer.n3()}")
     slug = "_".join([f.gene.local_name(), f.cancer.local_name(),
                      f.significance, f.evidence.local_name(),
@@ -427,19 +414,14 @@ def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None
 
 
 def seed_statistics(graph: Graph) -> dict:
-    cancers = {t.subject for t in graph.match(None, RDF_TYPE, SCHEMA.cancer)}
-    biomarkers = {t.subject for t in graph.match(None, RDF_TYPE,
-                                                 SCHEMA.biomarker)}
-    potsf = {t.subject for t in graph.match(None, SCHEMA.has_type,
-                                            SCHEMA.potsf)}
-    features = {t.subject for t in graph.match(None, RDF_TYPE,
-                                               SCHEMA.feature)}
+    def subjects(p: Term, o: Term) -> int:
+        return graph.count_ids(None, graph.term_id(p), graph.term_id(o))
     return {
         "triples": len(graph),
-        "cancers": len(cancers),
-        "biomarkers": len(biomarkers),
-        "potsf_biomarkers": len(potsf),
-        "features": len(features),
+        "cancers": subjects(RDF_TYPE, SCHEMA.cancer),
+        "biomarkers": subjects(RDF_TYPE, SCHEMA.biomarker),
+        "potsf_biomarkers": subjects(SCHEMA.has_type, SCHEMA.potsf),
+        "features": subjects(RDF_TYPE, SCHEMA.feature),
     }
 
 
@@ -484,33 +466,34 @@ def _by_iri(terms) -> list[Term]:
 
 class ClassIndex:
     """The asserted subclass hierarchy and rdf:type extents of one graph
-    state: the one place that reads rdfs:subClassOf.
+    state, keyed by term id: the one place that reads rdfs:subClassOf.
 
-    `parents`/`children` map every class in the hierarchy to its direct
-    super-/subclasses, `direct` maps every type to its directly typed
-    subjects, and `cycles` lists the hierarchy's strongly connected
-    components that hold a cycle (more than one class, or a self-loop),
-    each sorted by IRI. Get it through `graph.cached(ClassIndex)` so it is
-    built once per graph state; it is read-only afterwards.
+    `parents`/`children` map the id of every class in the hierarchy to the
+    ids of its direct super-/subclasses, and `direct` maps the id of every
+    type to the ids of its directly typed subjects. Only `cycles` holds
+    Terms: the hierarchy's strongly connected components that hold a cycle
+    (more than one class, or a self-loop), each sorted by IRI. Get it
+    through `graph.cached(ClassIndex)` so it is built once per graph state;
+    it is read-only afterwards.
     """
 
     def __init__(self, graph: Graph):
-        self.parents: dict[Term, set[Term]] = {}
-        self.children: dict[Term, set[Term]] = {}
-        for t in graph.match(None, RDFS_SUBCLASS, None):
-            self.parents.setdefault(t.subject, set()).add(t.object)
-            self.parents.setdefault(t.object, set())
-            self.children.setdefault(t.object, set()).add(t.subject)
-        self.direct: dict[Term, set[Term]] = {}
-        for t in graph.match(None, RDF_TYPE, None):
-            self.direct.setdefault(t.object, set()).add(t.subject)
-        self.cycles = self._cyclic_components()
+        self.parents: dict[int, set[int]] = {}
+        self.children: dict[int, set[int]] = {}
+        for s, _, o in graph.match_ids(None, graph.term_id(RDFS_SUBCLASS)):
+            self.parents.setdefault(s, set()).add(o)
+            self.parents.setdefault(o, set())
+            self.children.setdefault(o, set()).add(s)
+        self.direct: dict[int, set[int]] = {}
+        for s, _, o in graph.match_ids(None, graph.term_id(RDF_TYPE)):
+            self.direct.setdefault(o, set()).add(s)
+        self.cycles = self._cyclic_components(graph.term)
 
-    def classes(self) -> set[Term]:
+    def classes(self) -> set[int]:
         """Every class in the hierarchy or used as an rdf:type object."""
         return set(self.parents) | set(self.direct)
 
-    def descendants(self, cls: Term) -> set[Term]:
+    def descendants(self, cls: int) -> set[int]:
         """cls and every class below it; terminates on cycles."""
         seen = {cls}
         queue = [cls]
@@ -521,28 +504,30 @@ class ClassIndex:
                     queue.append(child)
         return seen
 
-    def instances(self, cls: Term) -> set[Term]:
+    def instances(self, cls: int) -> set[int]:
         """Subjects typed with cls or any class below it (a new set)."""
-        out: set[Term] = set()
+        out: set[int] = set()
         for sub in self.descendants(cls):
             out |= self.direct.get(sub, set())
         return out
 
-    def _cyclic_components(self) -> list[tuple[Term, ...]]:
+    def _cyclic_components(self, term) -> list[tuple[Term, ...]]:
         # Tarjan's algorithm, iterative, visiting nodes in IRI order
+        def by_iri(ids) -> list[int]:
+            return sorted(ids, key=lambda i: term(i).lexical)
         edges = self.parents
-        index: dict[Term, int] = {}
-        low: dict[Term, int] = {}
-        on_stack: set[Term] = set()
-        stack: list[Term] = []
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        on_stack: set[int] = set()
+        stack: list[int] = []
         cycles: list[tuple[Term, ...]] = []
-        for root in _by_iri(edges):
+        for root in by_iri(edges):
             if root in index:
                 continue
             index[root] = low[root] = len(index)
             stack.append(root)
             on_stack.add(root)
-            work = [(root, iter(_by_iri(edges[root])))]
+            work = [(root, iter(by_iri(edges[root])))]
             while work:
                 node, it = work[-1]
                 for succ in it:
@@ -550,7 +535,7 @@ class ClassIndex:
                         index[succ] = low[succ] = len(index)
                         stack.append(succ)
                         on_stack.add(succ)
-                        work.append((succ, iter(_by_iri(edges[succ]))))
+                        work.append((succ, iter(by_iri(edges[succ]))))
                         break
                     if succ in on_stack:
                         low[node] = min(low[node], index[succ])
@@ -568,7 +553,8 @@ class ClassIndex:
                             if member == node:
                                 break
                         if len(component) > 1 or node in edges[node]:
-                            cycles.append(tuple(_by_iri(component)))
+                            cycles.append(tuple(_by_iri(map(term,
+                                                            component))))
         return cycles
 
 
@@ -580,36 +566,36 @@ def check_ontology_pitfalls(graph: Graph,
     classes with no common instances."""
     index = graph.cached(ClassIndex)
     report = PitfallReport(cycles=[list(c) for c in index.cycles])
+    term = graph.term
 
+    declared: dict[str, dict[int, list[int]]] = {}
+    for position, pred in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
+        targets = declared[position] = {}
+        for s, _, o in graph.match_ids(None, graph.term_id(pred)):
+            targets.setdefault(s, []).append(o)
     classes = index.classes()
-    properties = set(graph.predicates())
-    for prop in (RDFS_DOMAIN, RDFS_RANGE):
-        properties.update(t.subject for t in graph.match(None, prop, None))
+    properties = {p for _, p, _ in graph.match_ids()}.union(
+        *declared.values())
     builtin = (RDF, RDFS, OWL, XSD)
 
-    def in_scope(term: Term) -> bool:
-        return (term.kind == "iri"
-                and any(term.lexical.startswith(ns) for ns in home_namespaces)
-                and not any(term.lexical.startswith(ns) for ns in builtin))
+    def in_scope(t: Term) -> bool:
+        return (t.kind == "iri"
+                and any(t.lexical.startswith(ns) for ns in home_namespaces)
+                and not any(t.lexical.startswith(ns) for ns in builtin))
 
-    for cls in sorted(classes, key=lambda t: t.lexical):
+    for cls in _by_iri(map(term, classes)):
         if in_scope(cls) and not CLASS_NAME_PATTERN.match(cls.local_name()):
             report.naming_violations.append(
                 (cls, "class names use UpperCamelCase"))
-    for prop in sorted(properties, key=lambda t: t.lexical):
-        if prop in classes:
-            continue
+    for prop in _by_iri(map(term, properties - classes)):
         if in_scope(prop) and not PROPERTY_NAME_PATTERN.match(
                 prop.local_name()):
             report.naming_violations.append(
                 (prop, "property names use lowerCamelCase"))
 
-    for position, pred in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
-        declared: dict[Term, list[Term]] = {}
-        for t in graph.match(None, pred, None):
-            declared.setdefault(t.subject, []).append(t.object)
-        for prop in sorted(declared, key=lambda t: t.lexical):
-            targets = declared[prop]
+    for position, targets_of in declared.items():
+        for prop in sorted(targets_of, key=lambda i: term(i).lexical):
+            targets = targets_of[prop]
             if len(targets) < 2:
                 continue
             shared = index.instances(targets[0])
@@ -617,5 +603,5 @@ def check_ontology_pitfalls(graph: Graph,
                 shared &= index.instances(cls)
             if not shared:
                 report.intersection_conflicts.append(
-                    (prop, position, sorted(targets, key=lambda t: t.lexical)))
+                    (term(prop), position, _by_iri(map(term, targets))))
     return report

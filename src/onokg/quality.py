@@ -6,6 +6,11 @@ numerator/denominator so fixtures can be checked against hand counts
 exactly; a metric whose configuration is missing is reported as skipped,
 and a 0/0 ratio is reported as 1.0 and flagged vacuous. "Foreign" always
 means: an IRI outside the configured home namespaces.
+
+The metrics are computed over term ids: one pass over the id triples
+groups each subject's (predicate, object) pairs, and a per-id flag says
+whether a term is an IRI in a home namespace. Terms are looked up only to
+write the samples.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kg import Graph, KgError, Term
+from .kg import IRI, LITERAL, Graph, KgError, Term
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
                        XSD, ClassIndex, iri)
 
@@ -225,156 +230,147 @@ def _valid_date(lexical: str) -> bool:
 # ---------------------------------------------------------------------------
 # the assessment
 
+def _valid_lexical(term: Term) -> bool:
+    ok = bool(_DATATYPE_CHECKS[term.datatype].match(term.lexical))
+    if term.datatype == XSD + "date":
+        return ok and _valid_date(term.lexical)
+    return ok
+
+
 def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     report = QualityReport()
-    home = cfg.home_namespaces
+    metrics = report.metrics
+    terms = graph.id_terms()
+    ids = graph.term_id
+    namespaces = tuple(cfg.home_namespaces)
+    home = [t.kind == IRI and t.lexical.startswith(namespaces)
+            for t in terms]
+    foreign = [t.kind == IRI and not h for t, h in zip(terms, home)]
 
-    def is_home(term: Term) -> bool:
-        return term.kind == "iri" and any(term.lexical.startswith(ns)
-                                          for ns in home)
-
-    def is_foreign(term: Term) -> bool:
-        return term.kind == "iri" and not is_home(term)
-
-    triples = list(graph)
-    subjects = sorted({t.subject for t in triples},
-                      key=lambda t: (t.kind, t.lexical))
-    objects = {t.object for t in triples}
-    predicates = {t.predicate for t in triples}
+    rows = graph.match_ids()
+    description: dict[int, list[tuple[int, int]]] = {}
+    for s, p, o in rows:
+        description.setdefault(s, []).append((p, o))
+    subjects = sorted(description, key=lambda i: (terms[i].kind,
+                                                  terms[i].lexical))
+    objects = {o for _, _, o in rows}
+    predicates = {p for _, p, _ in rows}
+    used = objects.union(predicates, subjects)
 
     # 1. schema completeness
     gold = set(cfg.gold_classes) | set(cfg.gold_properties)
     if gold:
-        used = {term for t in triples for term in t}
-        present = gold & used
-        missing = sorted(g.lexical for g in gold - present)
-        report.metrics["schema_completeness"] = MetricResult.ratio(
-            "schema_completeness", len(present), len(gold), missing)
+        missing = sorted(g.lexical for g in gold if ids(g) not in used)
+        metrics["schema_completeness"] = MetricResult.ratio(
+            "schema_completeness", len(gold) - len(missing), len(gold),
+            missing)
     else:
-        report.metrics["schema_completeness"] = \
+        metrics["schema_completeness"] = \
             MetricResult.skipped("schema_completeness")
 
     # 2. interlinking completeness: home subjects with >= 1 foreign object
-    linkable = [s for s in subjects if is_home(s)]
-    linked = []
-    for s in linkable:
-        if any(is_foreign(t.object) for t in graph.match(s, None, None)):
-            linked.append(s)
-    linked_set = set(linked)
-    report.metrics["interlinking_completeness"] = MetricResult.ratio(
-        "interlinking_completeness", len(linked), len(linkable),
-        [s.lexical for s in linkable if s not in linked_set])
+    linkable = [s for s in subjects if home[s]]
+    unlinked = [terms[s].lexical for s in linkable
+                if not any(foreign[o] for _, o in description[s])]
+    metrics["interlinking_completeness"] = MetricResult.ratio(
+        "interlinking_completeness", len(linkable) - len(unlinked),
+        len(linkable), unlinked)
 
     # 3. property completeness for (class, predicate)
     if cfg.completeness_class is not None \
             and cfg.completeness_predicate is not None:
-        members = graph.cached(ClassIndex).instances(cfg.completeness_class)
-        missing = sorted(m.lexical for m in members if not graph.match(
-            m, cfg.completeness_predicate, None))
-        report.metrics["property_completeness"] = MetricResult.ratio(
+        members = graph.cached(ClassIndex).instances(
+            ids(cfg.completeness_class))
+        predicate = ids(cfg.completeness_predicate)
+        missing = sorted(terms[m].lexical for m in members
+                         if not graph.count_ids(m, predicate))
+        metrics["property_completeness"] = MetricResult.ratio(
             "property_completeness", len(members) - len(missing),
             len(members), missing)
     else:
-        report.metrics["property_completeness"] = \
+        metrics["property_completeness"] = \
             MetricResult.skipped("property_completeness")
 
     # 4. numeric range violations for a predicate
     if cfg.range_predicate is not None:
         total = 0
         violations = []
-        for t in graph.match(None, cfg.range_predicate, None):
-            if t.object.kind != "literal":
+        for s, _, o in sorted(graph.match_ids(None,
+                                              ids(cfg.range_predicate))):
+            if terms[o].kind != LITERAL:
                 continue
             try:
-                value = float(t.object.lexical)
+                value = float(terms[o].lexical)
             except ValueError:
                 continue
             total += 1
             if not cfg.range_lower <= value <= cfg.range_upper:
-                violations.append(f"{t.subject.lexical}: {t.object.lexical}")
-        report.metrics["numeric_range_violations"] = MetricResult(
+                violations.append(f"{terms[s].lexical}: {terms[o].lexical}")
+        metrics["numeric_range_violations"] = MetricResult(
             "numeric_range_violations", "count", float(len(violations)),
             len(violations), total, "ok", violations[:100])
     else:
-        report.metrics["numeric_range_violations"] = \
+        metrics["numeric_range_violations"] = \
             MetricResult.skipped("numeric_range_violations")
 
     # 5. extensional conciseness: distinct (p, o) description sets
-    descriptions: dict[Term, frozenset] = {}
+    duplicate_sets: dict[frozenset, list[int]] = {}
     for s in subjects:
-        descriptions[s] = frozenset((t.predicate, t.object)
-                                    for t in graph.match(s, None, None))
-    distinct = len(set(descriptions.values()))
-    duplicate_sets: dict[frozenset, list[Term]] = {}
-    for s, d in descriptions.items():
-        duplicate_sets.setdefault(d, []).append(s)
-    duplicated = [", ".join(x.lexical for x in group)
+        duplicate_sets.setdefault(frozenset(description[s]), []).append(s)
+    duplicated = [", ".join(terms[x].lexical for x in group)
                   for group in duplicate_sets.values() if len(group) > 1]
-    report.metrics["extensional_conciseness"] = MetricResult.ratio(
-        "extensional_conciseness", distinct, len(subjects), duplicated)
+    metrics["extensional_conciseness"] = MetricResult.ratio(
+        "extensional_conciseness", len(duplicate_sets), len(subjects),
+        duplicated)
 
     # 6. external sameAs links
-    external = [t for t in graph.match(None, OWL_SAMEAS, None)
-                if is_foreign(t.object)]
-    report.metrics["external_sameas_links"] = MetricResult.count(
+    external = [(s, o) for s, _, o in sorted(graph.match_ids(
+        None, ids(OWL_SAMEAS))) if foreign[o]]
+    metrics["external_sameas_links"] = MetricResult.count(
         "external_sameas_links", len(external),
-        [f"{t.subject.lexical} -> {t.object.lexical}" for t in external])
+        [f"{terms[s].lexical} -> {terms[o].lexical}" for s, o in external])
 
-    # 7. datatype compatibility over the validated xsd types
-    checked = 0
-    valid = 0
-    invalid = []
-    for t in triples:
-        obj = t.object
-        if obj.kind != "literal" or obj.datatype not in _DATATYPE_CHECKS:
-            continue
-        checked += 1
-        if obj.datatype == XSD + "date":
-            ok = bool(_DATATYPE_CHECKS[obj.datatype].match(obj.lexical)) \
-                and _valid_date(obj.lexical)
-        else:
-            ok = bool(_DATATYPE_CHECKS[obj.datatype].match(obj.lexical))
-        if ok:
-            valid += 1
-        else:
-            invalid.append(f"{obj.lexical!r} as {obj.datatype}")
-    report.metrics["datatype_compatibility"] = MetricResult.ratio(
-        "datatype_compatibility", valid, checked, invalid)
+    # 7. datatype compatibility over the validated xsd types, per triple
+    validated = {o: _valid_lexical(terms[o]) for o in objects
+                 if terms[o].kind == LITERAL
+                 and terms[o].datatype in _DATATYPE_CHECKS}
+    checked = sum(graph.count_ids(None, None, o) for o in validated)
+    invalid = sorted(row for o, ok in validated.items() if not ok
+                     for row in graph.match_ids(None, None, o))
+    metrics["datatype_compatibility"] = MetricResult.ratio(
+        "datatype_compatibility", checked - len(invalid), checked,
+        [f"{terms[o].lexical!r} as {terms[o].datatype}"
+         for _, _, o in invalid])
 
     # 8. dereferenceable URIs across all three positions
-    uris = sorted({term.lexical for t in triples for term in t
-                   if term.kind == "iri"})
-    accepted = [u for u in uris if resolve_uri(cfg.resolver_mode, u,
-                                               cfg.allowlist)]
-    accepted_set = set(accepted)
-    report.metrics["dereferenceable_uris"] = MetricResult.ratio(
-        "dereferenceable_uris", len(accepted), len(uris),
-        [u for u in uris if u not in accepted_set])
+    uris = sorted(terms[i].lexical for i in used if terms[i].kind == IRI)
+    rejected = [u for u in uris if not resolve_uri(cfg.resolver_mode, u,
+                                                   cfg.allowlist)]
+    metrics["dereferenceable_uris"] = MetricResult.ratio(
+        "dereferenceable_uris", len(uris) - len(rejected), len(uris),
+        rejected)
 
     # 9. back links: objects that are home-namespace IRIs
-    object_terms = sorted(objects, key=lambda t: (t.kind, t.lexical))
-    back = [o for o in object_terms if is_home(o)]
-    report.metrics["dereferenceable_back_links"] = MetricResult.ratio(
-        "dereferenceable_back_links", len(back), len(object_terms))
+    metrics["dereferenceable_back_links"] = MetricResult.ratio(
+        "dereferenceable_back_links", sum(home[o] for o in objects),
+        len(objects))
 
     # 10. forward links: subjects that are home-namespace IRIs
-    forward = [s for s in subjects if is_home(s)]
-    report.metrics["dereferenceable_forward_links"] = MetricResult.ratio(
-        "dereferenceable_forward_links", len(forward), len(subjects))
+    metrics["dereferenceable_forward_links"] = MetricResult.ratio(
+        "dereferenceable_forward_links", len(linkable), len(subjects))
 
     # 11/12. coverage: distinct properties, distinct described instances
-    report.metrics["coverage_detail"] = MetricResult.count(
+    metrics["coverage_detail"] = MetricResult.count(
         "coverage_detail", len(predicates))
-    report.metrics["coverage_scope"] = MetricResult.count(
+    metrics["coverage_scope"] = MetricResult.count(
         "coverage_scope", len(subjects))
 
     # 13. labeled resources
-    labeled = [s for s in subjects
-               if any(graph.match(s, p, None)
-                      for p in cfg.label_predicates)]
-    report.metrics["labeled_resources"] = MetricResult.ratio(
-        "labeled_resources", len(labeled), len(subjects),
-        sorted(s.lexical for s in set(subjects) - set(labeled)))
+    labels = {ids(p) for p in cfg.label_predicates}
+    unlabeled = sorted(terms[s].lexical for s in subjects
+                       if not any(p in labels for p, _ in description[s]))
+    metrics["labeled_resources"] = MetricResult.ratio(
+        "labeled_resources", len(subjects) - len(unlabeled), len(subjects),
+        unlabeled)
 
     return report
-

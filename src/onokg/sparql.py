@@ -533,9 +533,6 @@ class SolutionTable:
     header: list[str]
     rows: list[tuple[Term, ...]]
 
-    def as_set(self) -> set[tuple[Term, ...]]:
-        return set(self.rows)
-
     def to_json(self) -> str:
         return json.dumps({
             "header": self.header,
@@ -590,7 +587,7 @@ class _IdSpace:
 
     def id_of(self, term: Term) -> int:
         tid = self.graph.term_id(term)
-        if tid is None:
+        if tid < 0:
             tid = self._local_ids.get(term)
             if tid is None:
                 self._local.append(term)
@@ -794,7 +791,7 @@ def _solve(graph: Graph, query: SelectQuery,
         for node in (elem.s, elem.p, elem.o):
             if not isinstance(node, Var):
                 node = graph.term_id(node)
-                if node is None:  # a constant the graph lacks matches nothing
+                if node < 0:  # a constant the graph lacks matches nothing
                     return header, []
             pattern.append(node)
         names = [n.name for n in pattern if isinstance(n, Var)]

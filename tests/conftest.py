@@ -52,8 +52,8 @@ class _FailingWrites:
 
 @pytest.fixture()
 def failing_writes(monkeypatch):
-    """Every file `ntriples` writes gets half its text, then the disk is
-    full."""
+    """Every file `ntriples.write_atomic` writes (KG files, checkpoints,
+    exports, heatmaps) gets half its text, then the disk is full."""
     def failing_open(file, mode="r", **kwargs):
         fh = open(file, mode, **kwargs)
         return fh if mode == "r" else _FailingWrites(fh)

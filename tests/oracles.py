@@ -7,6 +7,8 @@ beyond the Term/Triple data model.
 
 from __future__ import annotations
 
+import datetime
+import re
 from typing import Optional
 
 import numpy as np
@@ -14,7 +16,9 @@ import numpy as np
 from onokg import dlx
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
-from onokg.ontology import RDF_TYPE, RDFS_SUBCLASS
+from onokg.ontology import (ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
+                            RDFS_DOMAIN, RDFS_LABEL, RDFS_RANGE,
+                            RDFS_SUBCLASS, XSD)
 from onokg.sparql import (AndExpr, Comparison, NotExpr, OrExpr, Regex,
                           SelectQuery, SubSelect, TriplePattern, Values,
                           Var, _compile_regex)
@@ -137,6 +141,213 @@ def reachability_closure(graph: Graph) -> set[tuple[Term, Term]]:
         mat = nxt
     return {(nodes[i], nodes[j]) for i in range(n) for j in range(n)
             if mat[i, j]}
+
+
+# ---------------------------------------------------------------------------
+# linked-data quality metrics (after the dimensions of Zaveri et al.,
+# "Quality assessment for Linked Data: a survey", SWJ 2016) and ontology
+# pitfalls (after the OOPS! catalogue), each read straight off the triple
+# list
+
+def _by_kind_lexical(terms) -> list[Term]:
+    return sorted(terms, key=lambda t: (t.kind, t.lexical))
+
+
+def _valid_typed(term: Term) -> bool:
+    lex = term.lexical
+    if term.datatype == XSD + "integer":
+        return re.fullmatch(r"[+-]?[0-9]+", lex) is not None
+    if term.datatype == XSD + "decimal":
+        return re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)",
+                            lex) is not None
+    if term.datatype == XSD + "boolean":
+        return lex in ("true", "false", "0", "1")
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", lex) is None:
+        return False
+    try:
+        datetime.date(int(lex[:4]), int(lex[5:7]), int(lex[8:]))
+    except ValueError:
+        return False
+    return True
+
+
+_TYPED = {XSD + name for name in ("integer", "decimal", "boolean", "date")}
+
+
+def quality_metrics(graph: Graph, cfg) -> dict[str, tuple]:
+    """Each of the 13 metrics of `quality.assess` as (kind, value,
+    numerator, denominator, status, sample)."""
+    triples = _scan(graph)
+    out: dict[str, tuple] = {}
+
+    def home(term: Term) -> bool:
+        return term.kind == "iri" and any(
+            term.lexical.startswith(ns) for ns in cfg.home_namespaces)
+
+    def foreign(term: Term) -> bool:
+        return term.kind == "iri" and not home(term)
+
+    def ratio(name, numerator, denominator, sample=()):
+        if denominator == 0:
+            out[name] = ("ratio", 1.0, 0, 0, "vacuous", [])
+        else:
+            out[name] = ("ratio", numerator / denominator, numerator,
+                         denominator, "ok", list(sample)[:100])
+
+    def count(name, n, denominator=0, sample=()):
+        out[name] = ("count", float(n), n, denominator, "ok",
+                     list(sample)[:100])
+
+    def skipped(name):
+        out[name] = ("ratio", 0.0, 0, 0, "skipped", [])
+
+    subjects = _by_kind_lexical({t.subject for t in triples})
+    objects = {t.object for t in triples}
+
+    def description(s: Term) -> frozenset:
+        return frozenset((t.predicate, t.object) for t in triples
+                         if t.subject == s)
+
+    # 1. share of the gold classes and properties some triple uses
+    gold = set(cfg.gold_classes) | set(cfg.gold_properties)
+    used = {term for t in triples for term in t}
+    if gold:
+        ratio("schema_completeness", len(gold & used), len(gold),
+              sorted(g.lexical for g in gold - used))
+    else:
+        skipped("schema_completeness")
+    # 2. home subjects with an outward link
+    linkable = [s for s in subjects if home(s)]
+    unlinked = [s.lexical for s in linkable
+                if not any(foreign(o) for _, o in description(s))]
+    ratio("interlinking_completeness", len(linkable) - len(unlinked),
+          len(linkable), unlinked)
+    # 3. class members carrying the predicate
+    if cfg.completeness_class is not None \
+            and cfg.completeness_predicate is not None:
+        members = _class_members(triples, cfg.completeness_class)
+        missing = sorted(m.lexical for m in members
+                         if not any(t.subject == m
+                                    and t.predicate
+                                    == cfg.completeness_predicate
+                                    for t in triples))
+        ratio("property_completeness", len(members) - len(missing),
+              len(members), missing)
+    else:
+        skipped("property_completeness")
+    # 4. numeric literals of the predicate outside [lower, upper]
+    if cfg.range_predicate is not None:
+        numeric = []
+        for t in triples:
+            if t.predicate != cfg.range_predicate \
+                    or t.object.kind != "literal":
+                continue
+            try:
+                numeric.append((t, float(t.object.lexical)))
+            except ValueError:
+                pass
+        bad = [f"{t.subject.lexical}: {t.object.lexical}"
+               for t, value in numeric
+               if not cfg.range_lower <= value <= cfg.range_upper]
+        count("numeric_range_violations", len(bad), len(numeric), bad)
+    else:
+        skipped("numeric_range_violations")
+    # 5. subjects whose whole description no earlier subject has
+    groups: dict[frozenset, list[Term]] = {}
+    for s in subjects:
+        groups.setdefault(description(s), []).append(s)
+    ratio("extensional_conciseness", len(groups), len(subjects),
+          [", ".join(x.lexical for x in group)
+           for group in groups.values() if len(group) > 1])
+    # 6. sameAs links to foreign IRIs
+    links = [t for t in triples
+             if t.predicate == OWL_SAMEAS and foreign(t.object)]
+    count("external_sameas_links", len(links), 0,
+          [f"{t.subject.lexical} -> {t.object.lexical}" for t in links])
+    # 7. typed literals whose lexical form fits their xsd type, per triple
+    typed = [t.object for t in triples if t.object.kind == "literal"
+             and t.object.datatype in _TYPED]
+    ratio("datatype_compatibility",
+          sum(_valid_typed(o) for o in typed), len(typed),
+          [f"{o.lexical!r} as {o.datatype}" for o in typed
+           if not _valid_typed(o)])
+    # 8. IRIs the resolver accepts
+    uris = sorted({term.lexical for term in used if term.kind == "iri"})
+    if cfg.resolver_mode == "syntactic":
+        accepted = [u for u in uris if ":" in u]
+    else:
+        accepted = [u for u in uris
+                    if any(u.startswith(ns) for ns in cfg.allowlist)]
+    ratio("dereferenceable_uris", len(accepted), len(uris),
+          [u for u in uris if u not in accepted])
+    # 9./10. home objects, home subjects
+    ratio("dereferenceable_back_links",
+          len([o for o in objects if home(o)]), len(objects))
+    ratio("dereferenceable_forward_links",
+          len([s for s in subjects if home(s)]), len(subjects))
+    # 11./12. distinct predicates, distinct subjects
+    count("coverage_detail", len({t.predicate for t in triples}))
+    count("coverage_scope", len(subjects))
+    # 13. subjects with a label under any label predicate
+    unlabeled = sorted(s.lexical for s in subjects
+                       if not any(p in cfg.label_predicates
+                                  for p, _ in description(s)))
+    ratio("labeled_resources", len(subjects) - len(unlabeled),
+          len(subjects), unlabeled)
+    return out
+
+
+def pitfalls(graph: Graph, home_namespaces=(ONO,)):
+    """(cycles, naming violations, intersection conflicts) as
+    `ontology.check_ontology_pitfalls` reports them; the cycles as a set
+    of IRI-sorted tuples."""
+    triples = _scan(graph)
+
+    def by_iri(terms) -> list[Term]:
+        return sorted(terms, key=lambda t: t.lexical)
+
+    edges = [t for t in triples if t.predicate == RDFS_SUBCLASS]
+    hierarchy = {x for t in edges for x in (t.subject, t.object)}
+    cycles = set()
+    for cls in hierarchy:
+        above = _subclass_ancestors(triples, cls)
+        if any(cls in _subclass_ancestors(triples, t.object)
+               for t in edges if t.subject == cls):
+            cycles.add(tuple(by_iri(
+                c for c in above
+                if cls in _subclass_ancestors(triples, c))))
+
+    classes = hierarchy | {t.object for t in triples
+                           if t.predicate == RDF_TYPE}
+    properties = {t.predicate for t in triples} | {
+        t.subject for t in triples if t.predicate in (RDFS_DOMAIN,
+                                                      RDFS_RANGE)}
+
+    def in_scope(term: Term) -> bool:
+        return term.kind == "iri" \
+            and any(term.lexical.startswith(ns) for ns in home_namespaces) \
+            and not any(term.lexical.startswith(ns)
+                        for ns in (RDF, RDFS, OWL, XSD))
+
+    naming = [(c, "class names use UpperCamelCase")
+              for c in by_iri(classes) if in_scope(c)
+              and not re.fullmatch(r"[A-Z][A-Za-z0-9]*", c.local_name())]
+    naming += [(p, "property names use lowerCamelCase")
+               for p in by_iri(properties - classes) if in_scope(p)
+               and not re.fullmatch(r"[a-z][A-Za-z0-9]*", p.local_name())]
+
+    conflicts = []
+    for position, pred in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
+        declared: dict[Term, set[Term]] = {}
+        for t in triples:
+            if t.predicate == pred:
+                declared.setdefault(t.subject, set()).add(t.object)
+        for prop in by_iri(declared):
+            targets = declared[prop]
+            if len(targets) > 1 and not set.intersection(
+                    *(_class_members(triples, c) for c in targets)):
+                conflicts.append((prop, position, by_iri(targets)))
+    return cycles, naming, conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +628,24 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
 EX = "http://example.org/x#"
 
 
-def random_graph(rng: np.random.Generator, max_triples: int = 200) -> Graph:
+FOREIGN = "http://elsewhere.org/y#"
+
+_TYPED_LEXICALS = ("12", "-3", "+7", "1.5", ".5", "5.", "abc", "", "true",
+                   "0", "yes", "2020-02-29", "2021-02-29", "2020-13-01",
+                   "20-01-01")
+
+
+def random_graph(rng: np.random.Generator, max_triples: int = 200,
+                 planted: bool = False) -> Graph:
+    """A random graph over a few entities, classes and properties.
+
+    `planted` adds what the quality metrics and pitfall checks look for:
+    foreign IRIs, blank nodes, owl:sameAs links, labels under two label
+    predicates, xsd literals of good and bad lexical form, `ex:hasCitations`
+    counts around the range 0..20, subjects with equal descriptions,
+    subclass cycles, properties with several domains or ranges, and class
+    and property names in the ONO namespace, some badly cased.
+    """
     graph = Graph()
     entities = [iri(EX + f"e{i}") for i in range(rng.integers(4, 16))]
     classes = [iri(EX + f"C{i}") for i in range(rng.integers(2, 6))]
@@ -443,7 +671,51 @@ def random_graph(rng: np.random.Generator, max_triples: int = 200) -> Graph:
             graph.insert(Triple(entities[rng.integers(len(entities))],
                                 props[rng.integers(len(props))],
                                 literal(str(rng.integers(0, 50)))))
+    if planted:
+        _plant(rng, graph, entities, classes, props, max_triples)
     return graph
+
+
+def _plant(rng, graph, entities, classes, props, max_triples) -> None:
+    def pick(items):
+        return items[int(rng.integers(len(items)))]
+
+    foreign = [iri(FOREIGN + f"f{i}") for i in range(3)]
+    blanks = [blank(f"n{i}") for i in range(2)]
+    classes = classes + [iri(ONO + "Tumour"), iri(ONO + "bad_class")]
+    props = props + [iri(ONO + "hasPart"), iri(ONO + "BadProp")]
+    subjects = entities + blanks + foreign[:1]
+    datatypes = [XSD + name for name in ("integer", "decimal", "boolean",
+                                         "date", "string")]
+    for _ in range(int(rng.integers(1, max(2, max_triples // 3)))):
+        kind = int(rng.integers(10))
+        s = pick(subjects)
+        if kind == 0:
+            graph.insert(Triple(s, pick(props), pick(foreign + blanks)))
+        elif kind == 1:
+            graph.insert(Triple(s, OWL_SAMEAS, pick(foreign + entities)))
+        elif kind == 2:
+            graph.insert(Triple(s, iri(EX + "value"), literal(
+                pick(_TYPED_LEXICALS), datatype=pick(datatypes))))
+        elif kind == 3:
+            graph.insert(Triple(s, iri(EX + "hasCitations"), literal(
+                str(rng.integers(-5, 30)), datatype=XSD + "integer")))
+        elif kind == 4:
+            graph.insert(Triple(s, pick([RDFS_LABEL, iri(EX + "name")]),
+                                literal(f"l{rng.integers(3)}")))
+        elif kind == 5:
+            graph.insert(Triple(s, RDF_TYPE, pick(classes)))
+        elif kind == 6:
+            twin = iri(EX + f"twin{rng.integers(4)}")
+            graph.insert(Triple(twin, iri(EX + "note"), literal("same")))
+        elif kind == 7 and rng.random() < 0.3:
+            graph.insert(Triple(classes[-3], RDFS_SUBCLASS, pick(classes)))
+        elif kind == 8:
+            prop, position = pick(props), pick([RDFS_DOMAIN, RDFS_RANGE])
+            for _ in range(2):
+                graph.insert(Triple(prop, position, pick(classes)))
+        else:
+            graph.insert(Triple(s, pick(props), pick(entities)))
 
 
 def graph_vocabulary(graph: Graph):

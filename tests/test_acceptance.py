@@ -76,7 +76,8 @@ def test_criterion_03_dl_oracle_equivalence(fixtures_graph):
     index = dlx.AboxIndex(fixtures_graph)
     for entry in pack:
         expr = dlx.parse_dlx(entry["expression"], fixtures_graph)
-        if set(index.evaluate(expr)) != dl_instances(fixtures_graph, expr):
+        if set(map(fixtures_graph.term, index.evaluate(expr))) != \
+                dl_instances(fixtures_graph, expr):
             mismatches += 1
     rng = np.random.default_rng(101)
     checked = 0
@@ -85,7 +86,8 @@ def test_criterion_03_dl_oracle_equivalence(fixtures_graph):
         graph_index = dlx.AboxIndex(graph)
         for _ in range(4):
             expr = random_dl_expr(rng, graph, depth=3)
-            if set(graph_index.evaluate(expr)) != dl_instances(graph, expr):
+            if set(map(graph.term, graph_index.evaluate(expr))) != \
+                    dl_instances(graph, expr):
                 mismatches += 1
             checked += 1
             if checked >= 200:

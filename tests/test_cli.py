@@ -208,21 +208,40 @@ class TestModelCommands:
     def test_checkpoint_narrower_than_features(self, kg_file,
                                                checkpoint_path, tmp_path,
                                                capsys, command):
-        from onokg.ontology import data_path
         payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
         for model in payload["models"].values():
             model["weights"] = [row[:10] for row in model["weights"]]
-        narrow = tmp_path / "narrow.json"
-        narrow.write_text(json.dumps(payload), encoding="utf-8")
+        self.assert_malformed(payload, kg_file, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("command", ["tag", "explain", "ingest"])
+    @pytest.mark.parametrize("defect", ["no models", "features not object",
+                                        "not an object"])
+    def test_checkpoint_without_models_or_feature_table(
+            self, kg_file, checkpoint_path, tmp_path, capsys, command,
+            defect):
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        if defect == "no models":
+            payload["models"] = {}
+        elif defect == "features not object":
+            payload["features"] = [1, 2]
+        else:
+            payload = [payload]
+        self.assert_malformed(payload, kg_file, tmp_path, capsys, command)
+
+    @staticmethod
+    def assert_malformed(payload, kg_file, tmp_path, capsys, command):
+        from onokg.ontology import data_path
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
         argv = {"tag": ["tag", "--text", "TP53 causes Breast Cancer."],
                 "explain": ["explain", "--text", "TP53 causes BRCA."],
                 "ingest": ["ingest", "--kg", str(kg_file), "--corpus",
                            str(data_path("demo_corpus")), "--out",
                            str(tmp_path / "out.nt")]}[command]
         capsys.readouterr()
-        assert main(argv + ["--model", str(narrow)]) == 1
+        assert main(argv + ["--model", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: malformed checkpoint {narrow}")
+        assert err.startswith(f"error: malformed checkpoint {bad}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.nt").exists()
 
@@ -251,6 +270,19 @@ class TestQaExport:
                      "--format", "csv"]) == 0
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header == "subject,predicate,object"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_export_keeps_target(self, kg_file, tmp_path, capsys,
+                                        failing_writes, fmt):
+        out = tmp_path / f"kg.{fmt}"
+        out.write_text("old\n", encoding="utf-8")
+        assert main(["export", "--kg", str(kg_file), "--out", str(out),
+                     "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
     def test_export_round_trip(self, kg_file, tmp_path):
         from onokg.ntriples import load_file
@@ -362,7 +394,8 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("option", [
         ["--batch-size", "0"], ["--sentences", "0"], ["--sentences", "1"],
-        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e308"]])
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e308"],
+        ["--epochs", "0"], ["--epochs", "-2"]])
     def test_bad_option_one_error_line(self, tmp_path, capsys, option):
         out = tmp_path / "model.json"
         assert main(["train", "--out", str(out), "--sentences", "20",
@@ -370,6 +403,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_failed_checkpoint_write_leaves_nothing(self, tmp_path, capsys,
+                                                     failing_writes):
+        out = tmp_path / "model.json"
+        assert main(["train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1 and "No space" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExplainJson:

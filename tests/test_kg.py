@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
-                      ValidationError, blank, expand_prefixed, iri, literal)
+                      ValidationError, blank, iri, literal)
 from onokg.ontology import ONO, ono
 
 
@@ -75,14 +75,20 @@ class TestGraph:
         g.insert(second)
         g.remove(second)
         assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v")]
-        assert g.predicates() == [iri("a:p")] and g.objects() == [literal("v")]
+        # ids: a:s 0, a:p 1, "v" 2, a:q 3, a:o 4
+        assert [g.count_ids(None, i) for i in range(5)] == [0, 1, 0, 0, 0]
+        assert [g.count_ids(None, None, i) for i in range(5)] == \
+            [0, 0, 1, 0, 0]
+        assert g.match_ids(None, 3) == g.match_ids(None, None, 4) == []
         g.insert(second)
         assert g.term_id(iri("a:o")) == 4  # the id is kept, not reissued
         assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v"),
                                    iri("a:q"), iri("a:o")]
         g.remove(first)
         g.remove(second)
-        assert list(g.terms()) == [] and g.subjects() == []
+        assert list(g.terms()) == [] and g.match_ids() == []
+        assert all(g.count_ids(i) == g.count_ids(None, i)
+                   == g.count_ids(None, None, i) == 0 for i in range(5))
         assert g.check_indexes()
 
     def test_cached_value_lives_until_a_change(self):
@@ -196,7 +202,7 @@ def test_insert_remove_idempotence(triples):
 class TestPrefixTable:
     def test_expand(self):
         table = PrefixTable({"ono": ONO})
-        assert expand_prefixed(table, "ono:TP53") == ono("TP53")
+        assert table.expand("ono:TP53") == ono("TP53")
 
     def test_unknown_prefix_names_it(self):
         table = PrefixTable()
@@ -206,10 +212,6 @@ class TestPrefixTable:
     def test_empty_local_part(self):
         table = PrefixTable({"ono": ONO})
         assert table.expand("ono:") == iri(ONO)
-
-    def test_compact_prefers_longest_namespace(self):
-        table = PrefixTable({"a": "http://x.org/", "b": "http://x.org/y/"})
-        assert table.compact(iri("http://x.org/y/z")) == "b:z"
 
 
 def test_concurrent_readers_see_consistent_results(seed_graph):

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
+from oracles import EX as RANDOM_EX, FOREIGN, pitfalls, quality_metrics, \
+    random_graph
 from onokg.kg import Graph, Triple, iri, literal, typed_int
-from onokg.ontology import OWL_SAMEAS, RDF_TYPE, RDFS_LABEL, SCHEMA, XSD
+from onokg.ontology import (OWL_SAMEAS, RDF_TYPE, RDFS_LABEL, SCHEMA, XSD,
+                            check_ontology_pitfalls)
 from onokg.quality import (MetricResult, QualityConfig, assess, resolve_uri)
 
 EX = "http://example.org/q#"
@@ -206,3 +210,52 @@ def test_metric_result_vacuous_constructor():
     result = MetricResult.ratio("m", 0, 0)
     assert result.status == "vacuous"
     assert result.value == 1.0
+
+
+def random_config(rng) -> QualityConfig:
+    def rx(name):
+        return iri(RANDOM_EX + name)
+    homes = [(RANDOM_EX,), (RANDOM_EX, FOREIGN), (FOREIGN,), ()]
+    return QualityConfig(
+        gold_classes=(rx("C0"), rx("C4"), rx("Missing")),
+        gold_properties=(rx("p1"), rx("hasCitations"), OWL_SAMEAS),
+        home_namespaces=homes[int(rng.integers(len(homes)))],
+        label_predicates=(RDFS_LABEL, rx("name")),
+        completeness_class=rx("C1") if rng.random() < 0.8 else None,
+        completeness_predicate=RDFS_LABEL,
+        range_predicate=rx("hasCitations") if rng.random() < 0.8 else None,
+        range_lower=0, range_upper=20,
+        resolver_mode="syntactic" if rng.random() < 0.2
+        else "offline-allowlist",
+        allowlist=(RANDOM_EX,))
+
+
+def test_metrics_and_pitfalls_match_scan_oracles():
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(["cycles", "naming", "conflicts", "duplicates",
+                          "bad_literals", "sameas", "range"], 0)
+    for _ in range(60):
+        graph = random_graph(rng, max_triples=120, planted=True)
+        cfg = random_config(rng)
+        report = assess(graph, cfg)
+        got = {name: (m.kind, m.value, m.numerator, m.denominator, m.status,
+                      m.sample) for name, m in report.metrics.items()}
+        expected = quality_metrics(graph, cfg)
+        assert list(got) == list(expected)
+        for name in got:
+            assert got[name] == expected[name], name
+        cycles, naming, conflicts = pitfalls(graph)
+        found = check_ontology_pitfalls(graph)
+        assert {tuple(c) for c in found.cycles} == cycles
+        assert len(found.cycles) == len(cycles)
+        assert found.naming_violations == naming
+        assert found.intersection_conflicts == conflicts
+        for key, hit in (
+                ("cycles", cycles), ("naming", naming),
+                ("conflicts", conflicts),
+                ("duplicates", report["extensional_conciseness"].sample),
+                ("bad_literals", report["datatype_compatibility"].sample),
+                ("sameas", report["external_sameas_links"].numerator),
+                ("range", report["numeric_range_violations"].numerator)):
+            seen[key] += bool(hit)
+    assert min(seen.values()) >= 5, seen

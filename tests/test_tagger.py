@@ -218,7 +218,8 @@ def test_encode_corpus_matches_per_sentence_encoding(trained):
 
 @pytest.mark.parametrize("settings", [{"batch_size": 0},
                                       {"learning_rate": float("nan")},
-                                      {"learning_rate": float("-inf")}])
+                                      {"learning_rate": float("-inf")},
+                                      {"epochs": 0}, {"epochs": -1}])
 def test_train_config_rejects(settings):
     with pytest.raises(ValueError):
         TrainConfig(**settings)
