@@ -9,6 +9,20 @@ A 1e-12 probability floor keeps the loss finite.
 
 One model is trained per entity type; the decoder reconciles overlapping
 spans from different type models by their probabilities.
+
+Training works on packed batches. The piece rows of a batch's sentences
+are taken in order: their feature ids run into one flat array, with a
+count per piece, and each sentence keeps the bounds of its rows. One
+`logits` call scores every piece (one `np.add.reduceat` segment per
+piece), and the weight gradient is one `np.bincount` per tag over the
+flat ids, weighted by each piece's delta. A checkpoint stays the same to
+the bit as under a per-sentence loop: a piece's logit sums the same
+weights in the same order; bincount adds to each weight column in index
+order, which is piece order; and the per-sentence mean NLL and bias sums
+stay one `mean` / `sum` per sentence segment, as one reduceat over the
+sentences would reassociate their additions. `tagging_loss` scores a
+corpus `LOSS_CHUNK` sentences at a time, so its (K, features) gather stays
+near 1 MB on the template corpus whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -96,6 +110,10 @@ class FeatureSpace:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self.frozen = False
+        # encode_sentence's word types, per vocabulary. They stay valid
+        # while the space lives: a name never changes id, and freezing only
+        # adds the <unk> slots, which no interned name falls back to.
+        self.word_types: dict[SubwordVocab, dict[str, _WordType]] = {}
 
     def __len__(self):
         return len(self._index)
@@ -125,6 +143,8 @@ class FeatureSpace:
 
     @classmethod
     def from_dict(cls, mapping: dict[str, int]) -> "FeatureSpace":
+        if not all(isinstance(idx, int) for idx in mapping.values()):
+            raise CheckpointError("feature ids must be integers")
         space = cls()
         for name, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
             if space.intern(name) != idx:
@@ -149,49 +169,89 @@ class EncodedSentence:
         return len(self.pieces)
 
 
+class _WordType:
+    """What encode_sentence derives from a word alone: its pieces, its
+    lowercase form and case class (also a neighbour's context), and the ids
+    of each piece's own features (piece, head/cont, word, case, stopword),
+    which are interned at the type's first encoding."""
+
+    __slots__ = ("pieces", "lower", "case", "stop", "own")
+
+    def __init__(self, word: str, vocab: SubwordVocab):
+        self.pieces = vocab.tokenize(word)
+        self.lower = word.lower()
+        self.case = _case_class(word)
+        self.stop = ["stop"] if self.lower in stopwords() else []
+        self.own: Optional[list[frozenset]] = None
+
+    def intern(self, space: FeatureSpace, context: list[str],
+               tail: list[str]) -> None:
+        """Intern the word's rows name by name in row order, so that a
+        growing space numbers features in first-use order; keep each
+        piece's own ids."""
+        self.own = []
+        for j, piece in enumerate(self.pieces):
+            own = [f"p={piece}", "head" if j == 0 else "cont",
+                   f"w={self.lower}", f"case={self.case}"]
+            for name in own + context + self.stop + tail:
+                space.intern(name)
+            self.own.append(_interned(space, own + self.stop))
+
+
+def _interned(space: FeatureSpace, names) -> frozenset:
+    return frozenset(fid for fid in map(space.intern, names)
+                     if fid is not None)
+
+
 def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
                     space: FeatureSpace,
                     gazetteers: dict[str, Gazetteer]) -> EncodedSentence:
-    stop = stopwords()
-    lower = [w.lower() for w in words]
-    marks = {name: gaz.mark(words) for name, gaz in gazetteers.items()}
+    """Each piece row holds the sorted ids of its word type's own features
+    and of the features of its position: the neighbours' forms and case
+    classes, first/last, and one gazetteer mark per gazetteer. Word types
+    are cached on the space (see `FeatureSpace.word_types`)."""
+    cache = space.word_types.setdefault(vocab, {})
+    types = []
+    for word in words:
+        wtype = cache.get(word)
+        if wtype is None:
+            wtype = cache[word] = _WordType(word, vocab)
+        types.append(wtype)
+    marks = [(f"gaz-{name}=", gaz.mark(words))
+             for name, gaz in gazetteers.items()]
+    last = len(words) - 1
     pieces: list[str] = ["[CLS]"]
     word_of_piece: list[int] = [-1]
     is_head: list[bool] = [False]
-    features: list[list[str]] = [["special=[CLS]"]]
-    for i, word in enumerate(words):
-        word_feats = [
-            f"w={lower[i]}",
-            f"case={_case_class(word)}",
-            f"prev={lower[i - 1] if i > 0 else '<s>'}",
-            f"next={lower[i + 1] if i + 1 < len(words) else '</s>'}",
-            f"prevcase={_case_class(words[i - 1]) if i > 0 else '<s>'}",
-            f"nextcase={_case_class(words[i + 1]) if i + 1 < len(words) else '</s>'}",
-        ]
-        if lower[i] in stop:
-            word_feats.append("stop")
-        if i == 0:
-            word_feats.append("first")
-        if i == len(words) - 1:
-            word_feats.append("last")
-        for name, mark in marks.items():
-            word_feats.append(f"gaz-{name}={mark[i]}")
-        for j, piece in enumerate(vocab.tokenize(word)):
+    ids = [_row(_interned(space, ["special=[CLS]"]))]
+    for i, wtype in enumerate(types):
+        if not wtype.pieces:    # no rows, so no names to intern
+            continue
+        before = types[i - 1] if i > 0 else None
+        after = types[i + 1] if i < last else None
+        context = [f"prev={before.lower}" if before else "prev=<s>",
+                   f"next={after.lower}" if after else "next=</s>",
+                   f"prevcase={before.case}" if before else "prevcase=<s>",
+                   f"nextcase={after.case}" if after else "nextcase=</s>"]
+        tail = (["first"] if i == 0 else []) + (["last"] if i == last else [])
+        tail += [prefix + mark[i] for prefix, mark in marks]
+        if wtype.own is None:
+            wtype.intern(space, context, tail)
+        position = _interned(space, context + tail)
+        for j, piece in enumerate(wtype.pieces):
             pieces.append(piece)
             word_of_piece.append(i)
             is_head.append(j == 0)
-            features.append([f"p={piece}",
-                             "head" if j == 0 else "cont"] + word_feats)
+            ids.append(_row(wtype.own[j] | position))
     pieces.append("[SEP]")
     word_of_piece.append(-1)
     is_head.append(False)
-    features.append(["special=[SEP]"])
-    ids = []
-    for names in features:
-        row = sorted({fid for fid in (space.intern(n) for n in names)
-                      if fid is not None})
-        ids.append(np.asarray(row, dtype=np.int64))
+    ids.append(_row(_interned(space, ["special=[SEP]"])))
     return EncodedSentence(list(words), pieces, word_of_piece, is_head, ids)
+
+
+def _row(fids: frozenset) -> np.ndarray:
+    return np.asarray(sorted(fids), dtype=np.int64)
 
 
 def gold_tags(encoded: EncodedSentence,
@@ -247,7 +307,8 @@ class TaggerModel:
 def logits(model: TaggerModel, feature_ids: Sequence[np.ndarray]
            ) -> np.ndarray:
     """T_i W^T + b for every token; T_i is the multi-hot feature vector."""
-    counts = np.array([len(r) for r in feature_ids], dtype=np.int64)
+    counts = np.fromiter(map(len, feature_ids), dtype=np.int64,
+                         count=len(feature_ids))
     out = np.repeat(model.bias[None, :], len(feature_ids), axis=0)
     if counts.sum():
         flat = np.concatenate(feature_ids)
@@ -256,7 +317,7 @@ def logits(model: TaggerModel, feature_ids: Sequence[np.ndarray]
             raise DimensionError(
                 f"feature id {top} out of range for hidden size "
                 f"{model.hidden_size}")
-        cols = model.weights[:, flat]                      # (K, total)
+        cols = model.weights.take(flat, axis=1)            # (K, total)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         nonempty = counts > 0
         sums = np.add.reduceat(cols, offsets[nonempty], axis=1)
@@ -276,11 +337,28 @@ def tag_probabilities(model: TaggerModel,
     return softmax(logits(model, feature_ids))
 
 
-def sequence_loss(model: TaggerModel, feature_ids: Sequence[np.ndarray],
-                  labels: np.ndarray) -> float:
-    probs = tag_probabilities(model, feature_ids)
+# tagging_loss scores a corpus this many sentences at a time, which bounds
+# the (K, pieces x features) gather inside logits to about 1 MB.
+LOSS_CHUNK = 64
+
+
+def _packed(model: TaggerModel,
+            batch: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]):
+    """The batch's piece rows in order, their tag distributions from one
+    logits call, their gold labels, and each sentence's row bounds."""
+    rows = [row for ids, _labels in batch for row in ids]
+    labels = np.concatenate([labels for _ids, labels in batch])
+    ends = np.cumsum([len(labels) for _ids, labels in batch])
+    return rows, tag_probabilities(model, rows), labels, ends
+
+
+def _sentence_losses(probs: np.ndarray, labels: np.ndarray,
+                     ends: np.ndarray) -> list[float]:
+    """Mean NLL of each sentence, one np.mean per sentence segment."""
     picked = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
-    return float(-np.mean(np.log(picked)))
+    log_picked = np.log(picked)
+    starts = np.concatenate(([0], ends[:-1]))
+    return [float(-log_picked[a:b].mean()) for a, b in zip(starts, ends)]
 
 
 def tagging_loss(model: TaggerModel,
@@ -289,30 +367,43 @@ def tagging_loss(model: TaggerModel,
     """Mean over sequences of the per-sequence mean NLL."""
     if not batch:
         return 0.0
-    return float(np.mean([sequence_loss(model, ids, labels)
-                          for ids, labels in batch]))
+    losses: list[float] = []
+    for start in range(0, len(batch), LOSS_CHUNK):
+        _rows, probs, labels, ends = _packed(
+            model, batch[start:start + LOSS_CHUNK])
+        losses += _sentence_losses(probs, labels, ends)
+    return float(np.mean(losses))
 
 
 def loss_and_gradients(model: TaggerModel,
                        batch: Sequence[tuple[Sequence[np.ndarray],
                                              np.ndarray]]
                        ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Analytic gradient of tagging_loss w.r.t. weights and bias."""
-    grad_w = np.zeros_like(model.weights)
-    grad_b = np.zeros_like(model.bias)
+    """Analytic gradient of tagging_loss w.r.t. weights and bias.
+
+    delta = (p - onehot(label)) / (n * batch size) for every piece of an
+    n-piece sentence. The bias gradient sums delta sentence by sentence;
+    the weight gradient adds each piece's delta to the columns of its
+    features with one bincount per tag, in piece order.
+    """
+    rows, probs, labels, ends = _packed(model, batch)
     total = 0.0
-    for ids, labels in batch:
-        probs = tag_probabilities(model, ids)
-        n = len(labels)
-        picked = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
-        total += float(-np.mean(np.log(picked)))
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n * len(batch)
-        grad_b += delta.sum(axis=0)
-        for i, row in enumerate(ids):
-            if len(row):
-                grad_w[:, row] += delta[i][:, None]
+    for loss in _sentence_losses(probs, labels, ends):
+        total += loss           # not sum(): it compensates from Python 3.12
+    lengths = np.diff(ends, prepend=0)
+    delta = probs               # probs is not read again
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= np.repeat(lengths * len(batch), lengths)[:, None]
+    grad_b = np.zeros_like(model.bias)
+    for a, b in zip(ends - lengths, ends):
+        grad_b += delta[a:b].sum(axis=0)
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.concatenate(rows)
+    per_feature = np.repeat(delta.T, counts, axis=1)       # (K, total)
+    grad_w = np.empty_like(model.weights)
+    for k in range(K):
+        grad_w[k] = np.bincount(flat, weights=per_feature[k],
+                                minlength=model.hidden_size)
     return total / len(batch), grad_w, grad_b
 
 
@@ -353,6 +444,10 @@ class Checkpoint:
     config: dict = field(default_factory=dict)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -363,11 +458,22 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(payload["models"], dict) or not payload["models"]:
         raise CheckpointError('"models" must be a JSON object naming at '
                               'least one model')
+    if not _is_string_list(payload["vocab"]):
+        raise CheckpointError('"vocab" must be a list of strings')
+    if not (isinstance(payload["gazetteers"], dict)
+            and all(map(_is_string_list, payload["gazetteers"].values()))):
+        raise CheckpointError('"gazetteers" must be a JSON object of '
+                              'lists of strings')
     space = FeatureSpace.from_dict(payload["features"])
     models = {}
     for name, data in payload["models"].items():
-        weights = np.asarray(data["weights"], dtype=float)
-        bias = np.asarray(data["bias"], dtype=float)
+        if not isinstance(data, dict):
+            raise CheckpointError(f"model {name!r} must be a JSON object")
+        try:
+            weights = np.asarray(data["weights"], dtype=float)
+            bias = np.asarray(data["bias"], dtype=float)
+        except TypeError as exc:
+            raise CheckpointError(f"model {name!r}: {exc}") from exc
         if weights.shape != (K, len(space)) or bias.shape != (K,):
             raise CheckpointError(
                 f"model {name!r} has weights {weights.shape} and bias "

@@ -1,6 +1,13 @@
 """Gradient training for the tagger head: Adam at a constant learning rate
 with gradient clipping, and seeded per-epoch shuffling. Runs are fully
 deterministic for a fixed seed.
+
+Each step makes one packed `loss_and_gradients` call for its batch, and
+each epoch ends with one `tagging_loss` over the corpus, which scores it
+in chunks of `tagger.LOSS_CHUNK` sentences to bound its memory. Both add
+in the order a sentence-by-sentence loop would (see `ie.tagger`), so the
+weights, the loss curve and the checkpoint bytes do not depend on the
+packing.
 """
 
 from __future__ import annotations

@@ -278,19 +278,30 @@ def write_atomic(path, text: str) -> None:
     replaces it; on any failure the temporary file is removed and the
     target keeps its old bytes. A symlink is followed, so its target is
     replaced and the link kept; an existing target keeps its permissions.
-    Line endings are written as given.
+    Line endings are written as given. An OSError that names a file is
+    raised again without the names, as they include the temporary file's;
+    the caller knows the target.
     """
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _unnamed(exc) from exc
     try:
         with fh:
             fh.write(text)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise _unnamed(exc) from exc
         raise
+
+
+def _unnamed(exc: OSError) -> OSError:
+    return type(exc)(exc.errno, exc.strerror)

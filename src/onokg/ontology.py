@@ -428,8 +428,9 @@ def seed_statistics(graph: Graph) -> dict:
 # ---------------------------------------------------------------------------
 # ontology pitfall checks
 
-CLASS_NAME_PATTERN = re.compile(r"^[A-Z][A-Za-z0-9]*$")
-PROPERTY_NAME_PATTERN = re.compile(r"^[a-z][A-Za-z0-9]*$")
+# matched with fullmatch: `$` would let a trailing newline through
+CLASS_NAME_PATTERN = re.compile(r"[A-Z][A-Za-z0-9]*")
+PROPERTY_NAME_PATTERN = re.compile(r"[a-z][A-Za-z0-9]*")
 
 
 @dataclass
@@ -584,11 +585,12 @@ def check_ontology_pitfalls(graph: Graph,
                 and not any(t.lexical.startswith(ns) for ns in builtin))
 
     for cls in _by_iri(map(term, classes)):
-        if in_scope(cls) and not CLASS_NAME_PATTERN.match(cls.local_name()):
+        if in_scope(cls) and not CLASS_NAME_PATTERN.fullmatch(
+                cls.local_name()):
             report.naming_violations.append(
                 (cls, "class names use UpperCamelCase"))
     for prop in _by_iri(map(term, properties - classes)):
-        if in_scope(prop) and not PROPERTY_NAME_PATTERN.match(
+        if in_scope(prop) and not PROPERTY_NAME_PATTERN.fullmatch(
                 prop.local_name()):
             report.naming_violations.append(
                 (prop, "property names use lowerCamelCase"))

@@ -210,11 +210,14 @@ def _live_fetch(uri: str) -> bool:
 # ---------------------------------------------------------------------------
 # datatype validators
 
+# whole-string patterns over ASCII digits: fullmatch, because `$` also
+# matches before a trailing newline, and [0-9], because \d also matches
+# other scripts' digits
 _DATATYPE_CHECKS = {
-    XSD + "integer": re.compile(r"^[+-]?\d+$"),
-    XSD + "decimal": re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$"),
-    XSD + "boolean": re.compile(r"^(true|false|0|1)$"),
-    XSD + "date": re.compile(r"^\d{4}-\d{2}-\d{2}$"),
+    XSD + "integer": re.compile(r"[+-]?[0-9]+"),
+    XSD + "decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)"),
+    XSD + "boolean": re.compile(r"true|false|0|1"),
+    XSD + "date": re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"),
 }
 
 
@@ -231,7 +234,7 @@ def _valid_date(lexical: str) -> bool:
 # the assessment
 
 def _valid_lexical(term: Term) -> bool:
-    ok = bool(_DATATYPE_CHECKS[term.datatype].match(term.lexical))
+    ok = bool(_DATATYPE_CHECKS[term.datatype].fullmatch(term.lexical))
     if term.datatype == XSD + "date":
         return ok and _valid_date(term.lexical)
     return ok

@@ -14,6 +14,8 @@ from typing import Optional
 import numpy as np
 
 from onokg import dlx
+from onokg.ie.preprocess import stopwords
+from onokg.ie.tagger import PROB_FLOOR, EncodedSentence
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
 from onokg.ontology import (ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
@@ -473,6 +475,120 @@ def central_difference(function, x: np.ndarray, h: float = 1e-5
     return grad
 
 
+# ---------------------------------------------------------------------------
+# The tagger's training path as it was before batches were packed: one
+# logits call per sentence, a Python loop over the pieces for the weight
+# gradient, and every feature name of every row interned in row order.
+
+def _case_class(word: str) -> str:
+    if word.isupper() and len(word) > 1:
+        return "upper"
+    if word[:1].isupper():
+        return "title"
+    if any(c.isdigit() for c in word):
+        return "digit"
+    if word.islower():
+        return "lower"
+    return "other"
+
+
+def encode_sentence(words, vocab, space, gazetteers) -> EncodedSentence:
+    stop = stopwords()
+    lower = [w.lower() for w in words]
+    marks = {name: gaz.mark(words) for name, gaz in gazetteers.items()}
+    pieces: list[str] = ["[CLS]"]
+    word_of_piece: list[int] = [-1]
+    is_head: list[bool] = [False]
+    features: list[list[str]] = [["special=[CLS]"]]
+    for i, word in enumerate(words):
+        word_feats = [
+            f"w={lower[i]}",
+            f"case={_case_class(word)}",
+            f"prev={lower[i - 1] if i > 0 else '<s>'}",
+            f"next={lower[i + 1] if i + 1 < len(words) else '</s>'}",
+            f"prevcase={_case_class(words[i - 1]) if i > 0 else '<s>'}",
+            f"nextcase={_case_class(words[i + 1]) if i + 1 < len(words) else '</s>'}",
+        ]
+        if lower[i] in stop:
+            word_feats.append("stop")
+        if i == 0:
+            word_feats.append("first")
+        if i == len(words) - 1:
+            word_feats.append("last")
+        for name, mark in marks.items():
+            word_feats.append(f"gaz-{name}={mark[i]}")
+        for j, piece in enumerate(vocab.tokenize(word)):
+            pieces.append(piece)
+            word_of_piece.append(i)
+            is_head.append(j == 0)
+            features.append([f"p={piece}",
+                             "head" if j == 0 else "cont"] + word_feats)
+    pieces.append("[SEP]")
+    word_of_piece.append(-1)
+    is_head.append(False)
+    features.append(["special=[SEP]"])
+    ids = []
+    for names in features:
+        row = sorted({fid for fid in (space.intern(n) for n in names)
+                      if fid is not None})
+        ids.append(np.asarray(row, dtype=np.int64))
+    return EncodedSentence(list(words), pieces, word_of_piece, is_head, ids)
+
+
+def _logits(model, feature_ids) -> np.ndarray:
+    counts = np.array([len(r) for r in feature_ids], dtype=np.int64)
+    out = np.repeat(model.bias[None, :], len(feature_ids), axis=0)
+    if counts.sum():
+        flat = np.concatenate(feature_ids)
+        cols = model.weights[:, flat]                      # (K, total)
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        nonempty = counts > 0
+        sums = np.add.reduceat(cols, offsets[nonempty], axis=1)
+        out[nonempty] += sums.T
+    return out
+
+
+def _tag_probabilities(model, feature_ids) -> np.ndarray:
+    scores = _logits(model, feature_ids)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _sequence_loss(model, feature_ids, labels) -> float:
+    probs = _tag_probabilities(model, feature_ids)
+    picked = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
+    return float(-np.mean(np.log(picked)))
+
+
+def tagging_loss(model, batch) -> float:
+    """Mean over sequences of the per-sequence mean NLL."""
+    if not batch:
+        return 0.0
+    return float(np.mean([_sequence_loss(model, ids, labels)
+                          for ids, labels in batch]))
+
+
+def loss_and_gradients(model, batch):
+    """Analytic gradient of tagging_loss w.r.t. weights and bias."""
+    grad_w = np.zeros_like(model.weights)
+    grad_b = np.zeros_like(model.bias)
+    total = 0.0
+    for ids, labels in batch:
+        probs = _tag_probabilities(model, ids)
+        n = len(labels)
+        picked = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
+        total += float(-np.mean(np.log(picked)))
+        delta = probs.copy()
+        delta[np.arange(n), labels] -= 1.0
+        delta /= n * len(batch)
+        grad_b += delta.sum(axis=0)
+        for i, row in enumerate(ids):
+            if len(row):
+                grad_w[:, row] += delta[i][:, None]
+    return total / len(batch), grad_w, grad_b
+
+
 def spans_by_regex(tags: list[str]) -> list[tuple[int, int]]:
     """Reference span finder over the word-level tag string."""
     import re
@@ -633,6 +749,11 @@ FOREIGN = "http://elsewhere.org/y#"
 _TYPED_LEXICALS = ("12", "-3", "+7", "1.5", ".5", "5.", "abc", "", "true",
                    "0", "yes", "2020-02-29", "2021-02-29", "2020-13-01",
                    "20-01-01")
+# lexical forms that a `$` anchor or a \d class would let through
+_LEXICAL_TRAPS = (("12\n", "integer"), ("\u0661\u0662", "integer"),
+                  ("1.\u0665", "decimal"), ("true\n", "boolean"),
+                  ("2020-02-29\n", "date"),
+                  ("\u0662\u0660\u0662\u0660-02-29", "date"))
 
 
 def random_graph(rng: np.random.Generator, max_triples: int = 200,
@@ -644,7 +765,8 @@ def random_graph(rng: np.random.Generator, max_triples: int = 200,
     predicates, xsd literals of good and bad lexical form, `ex:hasCitations`
     counts around the range 0..20, subjects with equal descriptions,
     subclass cycles, properties with several domains or ranges, and class
-    and property names in the ONO namespace, some badly cased.
+    and property names in the ONO namespace, some badly cased or ending
+    in a newline.
     """
     graph = Graph()
     entities = [iri(EX + f"e{i}") for i in range(rng.integers(4, 16))]
@@ -682,8 +804,11 @@ def _plant(rng, graph, entities, classes, props, max_triples) -> None:
 
     foreign = [iri(FOREIGN + f"f{i}") for i in range(3)]
     blanks = [blank(f"n{i}") for i in range(2)]
-    classes = classes + [iri(ONO + "Tumour"), iri(ONO + "bad_class")]
-    props = props + [iri(ONO + "hasPart"), iri(ONO + "BadProp")]
+    looped = classes[-1]    # the source of the planted subclass cycles
+    classes = classes + [iri(ONO + "Tumour"), iri(ONO + "bad_class"),
+                         iri(ONO + "Lesion\n")]
+    props = props + [iri(ONO + "hasPart"), iri(ONO + "BadProp"),
+                     iri(ONO + "hasStage\n")]
     subjects = entities + blanks + foreign[:1]
     datatypes = [XSD + name for name in ("integer", "decimal", "boolean",
                                          "date", "string")]
@@ -694,6 +819,10 @@ def _plant(rng, graph, entities, classes, props, max_triples) -> None:
             graph.insert(Triple(s, pick(props), pick(foreign + blanks)))
         elif kind == 1:
             graph.insert(Triple(s, OWL_SAMEAS, pick(foreign + entities)))
+        elif kind == 2 and rng.random() < 0.3:
+            lexical, datatype = pick(_LEXICAL_TRAPS)
+            graph.insert(Triple(s, iri(EX + "value"), literal(
+                lexical, datatype=XSD + datatype)))
         elif kind == 2:
             graph.insert(Triple(s, iri(EX + "value"), literal(
                 pick(_TYPED_LEXICALS), datatype=pick(datatypes))))
@@ -709,7 +838,7 @@ def _plant(rng, graph, entities, classes, props, max_triples) -> None:
             twin = iri(EX + f"twin{rng.integers(4)}")
             graph.insert(Triple(twin, iri(EX + "note"), literal("same")))
         elif kind == 7 and rng.random() < 0.3:
-            graph.insert(Triple(classes[-3], RDFS_SUBCLASS, pick(classes)))
+            graph.insert(Triple(looped, RDFS_SUBCLASS, pick(classes)))
         elif kind == 8:
             prop, position = pick(props), pick([RDFS_DOMAIN, RDFS_RANGE])
             for _ in range(2):

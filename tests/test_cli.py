@@ -43,6 +43,19 @@ class TestBuild:
         missing_parent = tmp_path / "no" / "such" / "dir" / "s.nt"
         assert main(["build", "--out", str(missing_parent)]) == 2
 
+    @pytest.mark.parametrize("target", ["no/such/dir/s.nt", "a-directory"])
+    def test_write_error_names_only_the_target(self, tmp_path, capsys,
+                                               target):
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / target
+        assert main(["build", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        prefix = f"error: cannot write {out}: "
+        assert len(err) == 1 and err[0].startswith(prefix)
+        # no other path, such as the temporary file's
+        assert str(tmp_path) not in err[0][len(prefix):]
+        assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+
 
 class TestQuery:
     def test_pack_runs(self, kg_file, capsys):
@@ -227,6 +240,20 @@ class TestModelCommands:
         else:
             payload = [payload]
         self.assert_malformed(payload, kg_file, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("part, value", [
+        ("models", {"Gene": 5}),
+        ("models", {"Gene": {"weights": {}, "bias": [0] * 7}}),
+        ("gazetteers", [1]), ("vocab", 3),
+        ("features", {"w=a": "0", "w=b": 1})],
+        ids=["model not object", "weights not numbers",
+             "gazetteers not object", "vocab not strings",
+             "feature id not int"])
+    def test_checkpoint_with_malformed_part(self, kg_file, checkpoint_path,
+                                            tmp_path, capsys, part, value):
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        payload[part] = value
+        self.assert_malformed(payload, kg_file, tmp_path, capsys, "tag")
 
     @staticmethod
     def assert_malformed(payload, kg_file, tmp_path, capsys, command):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import central_difference
 from onokg.ie.tagger import (CheckpointError, DimensionError, FeatureSpace,
                              K, TAGS, TaggerModel, encode_sentence, gold_tags,
                              load_checkpoint, loss_and_gradients,
-                             save_checkpoint, sequence_loss,
+                             save_checkpoint,
                              tag_probabilities, tagging_loss)
-from onokg.ie.corpus import ENTITY_TYPES, encode_corpus
+from onokg.ie import train as train_mod
+from onokg.ie.corpus import (ENTITY_TYPES, build_gazetteers, encode_corpus,
+                             make_corpus)
 from onokg.ie.train import TrainConfig, train_tagger
 from onokg.ie.wordpiece import demo_vocab
 
@@ -216,6 +219,91 @@ def test_encode_corpus_matches_per_sentence_encoding(trained):
     assert space.to_dict() == reference_space.to_dict()
 
 
+def _oracle_batch(rng, hidden, sentences):
+    """Sentences of 1..12 rows of up to 6 distinct ids, some rows H-1."""
+    batch = []
+    for _ in range(sentences):
+        n = int(rng.integers(1, 13))
+        ids = [np.sort(rng.choice(hidden, replace=False,
+                                  size=int(rng.integers(min(7, hidden)))))
+               for _ in range(n)]
+        if rng.random() < 0.3:
+            ids[int(rng.integers(n))] = np.array([hidden - 1])
+        batch.append((ids, rng.integers(0, K, size=n)))
+    return batch
+
+
+def assert_same_encoding(got, want):
+    assert (got.words, got.pieces, got.word_of_piece, got.is_head_piece) == (
+        want.words, want.pieces, want.word_of_piece, want.is_head_piece)
+    assert len(got.feature_ids) == len(want.feature_ids)
+    for a, b in zip(got.feature_ids, want.feature_ids):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestPackedTrainingMatchesOracle:
+    """The packed loss, gradients and encoder against the per-sentence
+    versions they replaced (tests/oracles.py), bit for bit."""
+
+    def test_loss_and_gradients(self):
+        rng = np.random.default_rng(71)
+        for trial in range(60):
+            model = random_model(rng, hidden=int(rng.integers(3, 20)),
+                                 scale=float(rng.choice([0.1, 1.0, 30.0])))
+            batch = _oracle_batch(rng, model.hidden_size,
+                                  1 if trial % 5 == 0 else 16)
+            loss, grad_w, grad_b = loss_and_gradients(model, batch)
+            want_loss, want_w, want_b = oracles.loss_and_gradients(model,
+                                                                   batch)
+            assert loss == want_loss
+            assert np.array_equal(grad_w, want_w)
+            assert np.array_equal(grad_b, want_b)
+
+    def test_tagging_loss_across_chunks(self):
+        rng = np.random.default_rng(72)
+        for size in (1, 63, 64, 65, 150):
+            model = random_model(rng, hidden=9)
+            batch = _oracle_batch(rng, model.hidden_size, size)
+            assert tagging_loss(model, batch) == oracles.tagging_loss(model,
+                                                                      batch)
+
+    def test_encoding_and_feature_order(self):
+        vocab, gazetteers = demo_vocab(), build_gazetteers()
+        # a one-word sentence first, so that "first" and "last" are new
+        sentences = [["a"], ["TP53", "TP53", "and", "tp53", "Ω", ""],
+                     ["Breast", "Cancer", "Breast", "Cancer", "."]]
+        sentences += [s.words for s in make_corpus(80, seed=73)]
+        space, reference = FeatureSpace(), FeatureSpace()
+        for words in sentences[:63]:
+            assert_same_encoding(
+                encode_sentence(words, vocab, space, gazetteers),
+                oracles.encode_sentence(words, vocab, reference, gazetteers))
+        assert list(space.to_dict().items()) == list(
+            reference.to_dict().items())
+        space.freeze()
+        reference.freeze()
+        for words in sentences[63:] + [["Unseen", "XQZ9", "words", "TP53"]]:
+            assert_same_encoding(
+                encode_sentence(words, vocab, space, gazetteers),
+                oracles.encode_sentence(words, vocab, reference, gazetteers))
+
+    def test_trained_weights(self, monkeypatch):
+        def train(space):
+            examples = encode_corpus(make_corpus(60, seed=74), demo_vocab(),
+                                     space, build_gazetteers())["Gene"]
+            space.freeze()
+            return train_tagger(examples, TrainConfig(epochs=2), space)
+
+        model, losses = train(FeatureSpace())
+        monkeypatch.setattr(train_mod, "loss_and_gradients",
+                            oracles.loss_and_gradients)
+        monkeypatch.setattr(train_mod, "tagging_loss", oracles.tagging_loss)
+        want_model, want_losses = train(FeatureSpace())
+        assert losses == want_losses
+        assert np.array_equal(model.weights, want_model.weights)
+        assert np.array_equal(model.bias, want_model.bias)
+
+
 @pytest.mark.parametrize("settings", [{"batch_size": 0},
                                       {"learning_rate": float("nan")},
                                       {"learning_rate": float("-inf")},
@@ -298,6 +386,6 @@ def test_sequence_loss_floor_keeps_finite():
     model.bias[0] = 1e9  # probability of other tags underflows to 0
     ids = random_ids(rng, model.hidden_size, 3)
     labels = np.array([1, 2, 3])
-    loss = sequence_loss(model, ids, labels)
+    loss = tagging_loss(model, [(ids, labels)])
     assert np.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-6)
