@@ -304,14 +304,25 @@ class TaggerModel:
                    entity_type)
 
 
-def logits(model: TaggerModel, feature_ids: Sequence[np.ndarray]
-           ) -> np.ndarray:
-    """T_i W^T + b for every token; T_i is the multi-hot feature vector."""
+def _pack(feature_ids: Sequence[np.ndarray]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's feature ids run together, and each token's count."""
     counts = np.fromiter(map(len, feature_ids), dtype=np.int64,
                          count=len(feature_ids))
-    out = np.repeat(model.bias[None, :], len(feature_ids), axis=0)
-    if counts.sum():
-        flat = np.concatenate(feature_ids)
+    if not len(feature_ids):
+        return np.zeros(0, dtype=np.int64), counts
+    return np.concatenate(feature_ids), counts
+
+
+def logits(model: TaggerModel, flat: np.ndarray, counts: np.ndarray
+           ) -> np.ndarray:
+    """T_i W^T + b for every token; T_i is the multi-hot feature vector.
+
+    The tokens come packed by `_pack`: token i has the `counts[i]` feature
+    ids that follow those of the tokens before it in `flat`.
+    """
+    out = np.repeat(model.bias[None, :], len(counts), axis=0)
+    if len(flat):
         top = int(flat.max())
         if top >= model.hidden_size:
             raise DimensionError(
@@ -334,7 +345,7 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def tag_probabilities(model: TaggerModel,
                       feature_ids: Sequence[np.ndarray]) -> np.ndarray:
     """Per-token distributions over the 7 tags; rows sum to 1."""
-    return softmax(logits(model, feature_ids))
+    return softmax(logits(model, *_pack(feature_ids)))
 
 
 # tagging_loss scores a corpus this many sentences at a time, which bounds
@@ -344,12 +355,13 @@ LOSS_CHUNK = 64
 
 def _packed(model: TaggerModel,
             batch: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]):
-    """The batch's piece rows in order, their tag distributions from one
-    logits call, their gold labels, and each sentence's row bounds."""
-    rows = [row for ids, _labels in batch for row in ids]
+    """The batch's piece rows in order, packed (flat ids and counts),
+    their tag distributions from one logits call, their gold labels, and
+    each sentence's row bounds."""
+    flat, counts = _pack([row for ids, _labels in batch for row in ids])
     labels = np.concatenate([labels for _ids, labels in batch])
     ends = np.cumsum([len(labels) for _ids, labels in batch])
-    return rows, tag_probabilities(model, rows), labels, ends
+    return flat, counts, softmax(logits(model, flat, counts)), labels, ends
 
 
 def _sentence_losses(probs: np.ndarray, labels: np.ndarray,
@@ -369,7 +381,7 @@ def tagging_loss(model: TaggerModel,
         return 0.0
     losses: list[float] = []
     for start in range(0, len(batch), LOSS_CHUNK):
-        _rows, probs, labels, ends = _packed(
+        _flat, _counts, probs, labels, ends = _packed(
             model, batch[start:start + LOSS_CHUNK])
         losses += _sentence_losses(probs, labels, ends)
     return float(np.mean(losses))
@@ -386,7 +398,7 @@ def loss_and_gradients(model: TaggerModel,
     the weight gradient adds each piece's delta to the columns of its
     features with one bincount per tag, in piece order.
     """
-    rows, probs, labels, ends = _packed(model, batch)
+    flat, counts, probs, labels, ends = _packed(model, batch)
     total = 0.0
     for loss in _sentence_losses(probs, labels, ends):
         total += loss           # not sum(): it compensates from Python 3.12
@@ -397,8 +409,6 @@ def loss_and_gradients(model: TaggerModel,
     grad_b = np.zeros_like(model.bias)
     for a, b in zip(ends - lengths, ends):
         grad_b += delta[a:b].sum(axis=0)
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.concatenate(rows)
     per_feature = np.repeat(delta.T, counts, axis=1)       # (K, total)
     grad_w = np.empty_like(model.weights)
     for k in range(K):

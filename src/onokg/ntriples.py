@@ -17,9 +17,11 @@ tokens are all in it becomes an id triple with no further work; any other
 line, a malformed one included, goes through `_LineScanner`, the only
 validator, and its tokens enter the dict once the whole line is valid.
 Term ids therefore follow first use on valid lines, as inserting the
-triples one by one would give them, and the id triples are added to the
-graph in one batch at the end. Serialization renders each term id once
-and joins the id-sorted triples.
+triples one by one would give them. The id rows go straight to the
+store's bulk base build (`Graph.add_ids`) at the end: one sort for the
+whole file, which also drops repeated lines. Serialization renders each
+term id once and joins the id-sorted triples, which the sorted base gives
+without a sort.
 
 `save_file` writes all or nothing through `write_atomic`, which the
 package's other file writers (checkpoints, exports, heatmaps) use too: the

@@ -17,12 +17,19 @@ per row. Each pattern's constants are looked up once; a constant the
 graph lacks makes the result empty, and a VALUES term it lacks gets a
 query-local negative id so that it is still projected. A sub-select is
 evaluated once and joined as a table on the variables it projects.
+Each FILTER is split at its top-level `&&`. A conjunct that is one regex
+also filters, up front, the matches of each pattern that binds its
+variable, and that pattern joins as the table of the matches left.
 Patterns are joined greedily, in the style of RDF-3X: the next one is
 the cheapest of those sharing a bound variable, costed by its match count
-on the SPO/POS/OSP index sizes, with ties going to the pattern written
-first. Each FILTER is split at its top-level `&&`, and each conjunct runs
-right after the join that binds the last of its variables (a conjunct
-over a variable nothing binds runs at the end, where that leaf is false).
+on the SPO/POS/OSP index sizes, narrowed by the values any table allows
+for a shared variable, with ties going to the pattern written first. The
+first step is the one that, joined with its cheapest neighbour pattern,
+gives the fewest rows, counted on the index, so a one-row filtered label
+whose value fans out to thousands of rows does not start the order. Each
+conjunct runs right after the join that binds the last of its variables
+(a conjunct over a variable nothing binds runs at the end, where that
+leaf is false).
 Regexes compile once per query and each filter leaf caches its result per
 term id. Ids become Terms only for the final rows. The answer, as a bag
 of rows, is the same as joining the patterns in written order and
@@ -717,13 +724,18 @@ def _join_pattern(graph: Graph, rows: list[tuple], step: _Step,
                 take.append(pos)
     (s_var, s), (p_var, p), (o_var, o) = fixed
     match_ids = graph.match_ids
+    width = len(take)
+    pick = operator.itemgetter(*take) if take else None
     out = []
     for row in rows:
         for t in match_ids(row[s] if s_var else s, row[p] if p_var else p,
                            row[o] if o_var else o):
             if same and any(t[i] != t[j] for i, j in same):
                 continue
-            out.append(row + tuple([t[i] for i in take]))
+            if width == 1:
+                out.append(row + (pick(t),))
+            else:
+                out.append(row + pick(t) if width else row)
     return out
 
 
@@ -747,28 +759,125 @@ def _join_table(rows: list[tuple], step: _Step,
     return out
 
 
-def _plan(steps: list[_Step], bound: set[str]) -> list[_Step]:
+def _prefiltered(graph: Graph, step: _Step, regexes: list[Regex],
+                 space: _IdSpace, numbers: dict[int, Optional[float]]) -> _Step:
+    """A pattern as the table of its matches that pass the regexes over
+    its variables, so that the planner costs it by the rows that survive
+    them. Each regex still runs where it is pushed down; a kept row passes
+    it again."""
+    slots = {name: i for i, name in enumerate(step.variables)}
+    rows = _join_pattern(graph, [()], step, {})
+    for regex in regexes:
+        keep = _compile_filter(regex, slots, space, numbers)
+        rows = [row for row in rows if keep(row)]
+    return _Step(step.index, step.variables, len(rows),
+                 table=(step.variables, rows))
+
+
+def _plan(graph: Graph, steps: list[_Step], rows: list[tuple],
+          slots: dict[str, int]) -> list[_Step]:
     """Greedy join order: among the steps that share a variable with what
-    is already bound (all steps if none does), take the one whose estimate
-    is smallest; a pattern all of whose variables are bound is a lookup
-    and estimates at most 1. Ties go to the step written first."""
-    bound = set(bound)
+    is already bound, take the one whose estimate is smallest; a pattern
+    all of whose variables are bound is a lookup and estimates at most 1.
+    Ties go to the step written first. The first steps, and those after
+    a step that shares nothing with what came before, come from
+    `_start`."""
+    bound = set(slots)
     remaining = list(steps)
-    order = []
+    order: list[_Step] = []
+    narrowed = _narrowed_estimates(graph, steps)
 
     def cost(step: _Step):
-        estimate = step.estimate
+        estimate = narrowed.get(step.index, step.estimate)
         if step.pattern is not None and bound.issuperset(step.variables):
             estimate = min(estimate, 1)
         return estimate, step.index
 
     while remaining:
         linked = [s for s in remaining if bound.intersection(s.variables)]
-        step = min(linked or remaining, key=cost)
-        remaining.remove(step)
-        order.append(step)
-        bound.update(step.variables)
+        if order and linked:
+            chosen = [min(linked, key=cost)]
+        elif order:
+            chosen = _start(graph, remaining, [()], {})
+        else:
+            chosen = _start(graph, remaining, rows, slots)
+        for step in chosen:
+            remaining.remove(step)
+            order.append(step)
+            bound.update(step.variables)
     return order
+
+
+def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
+           slots: dict[str, int]) -> list[_Step]:
+    """The step to join `rows` with first, and the pattern to join next:
+    the pair that yields the fewest rows, counted on the index from the
+    rows the first step actually gives. So a small filtered table whose
+    values fan out widely does not start the order. Steps are tried
+    smallest estimate first, and none whose estimate reaches the best
+    pair found so far; a step with no pattern to pair with costs its own
+    rows."""
+    best: Optional[tuple[int, list[_Step]]] = None
+    for first in sorted(steps, key=lambda s: (s.estimate, s.index)):
+        if best is not None and len(rows) * first.estimate >= best[0]:
+            break
+        joined = _join(graph, rows, first, slots)
+        after = dict(slots)
+        for name in first.variables:
+            after.setdefault(name, len(after))
+        size, pair = len(joined), [first]
+        for step in steps:
+            if step is first or step.pattern is None \
+                    or not after.keys() & set(step.variables):
+                continue
+            total = len(joined) + sum(
+                graph.count_ids(*_probe(step.pattern, row, after))
+                for row in joined)
+            if len(pair) == 1 or total < size:
+                size, pair = total, [first, step]
+        if best is None or size < best[0]:
+            best = (size, pair)
+    return best[1]
+
+
+def _narrowed_estimates(graph: Graph, steps: list[_Step]) -> dict[int, int]:
+    """Pattern estimates narrowed by the tables: a pattern that shares a
+    variable with a table step matches at most the triples whose value
+    there is one the table holds, counted on the index. This is how a
+    regex pre-filter on one pattern reaches the patterns around it."""
+    narrowed: dict[int, int] = {}
+    for table in steps:
+        if table.table is None:
+            continue
+        header, rows = table.table
+        for step in steps:
+            if step.pattern is None:
+                continue
+            for name in table.variables:
+                if name not in step.variables:
+                    continue
+                column = header.index(name)
+                total = sum(graph.count_ids(*_probe(step.pattern, (value,),
+                                                    {name: 0}))
+                            for value in {row[column] for row in rows})
+                narrowed[step.index] = min(
+                    total, narrowed.get(step.index, step.estimate))
+    return narrowed
+
+
+def _probe(pattern: tuple, row: tuple,
+           slots: dict[str, int]) -> list[Optional[int]]:
+    """The ids to probe the index with for a pattern: its constants, the
+    values `row` holds for the variables in `slots`, None for the rest."""
+    return [n if not isinstance(n, Var) else
+            row[slots[n.name]] if n.name in slots else None for n in pattern]
+
+
+def _join(graph: Graph, rows: list[tuple], step: _Step,
+          slots: dict[str, int]) -> list[tuple]:
+    if step.pattern is not None:
+        return _join_pattern(graph, rows, step, slots)
+    return _join_table(rows, step, slots)
 
 
 def _solve(graph: Graph, query: SelectQuery,
@@ -780,6 +889,8 @@ def _solve(graph: Graph, query: SelectQuery,
     if query.values is not None:
         slots[query.values.var.name] = 0
         rows = [(space.id_of(t),) for t in query.values.terms]
+    conjuncts = _conjuncts(query.filters)
+    numbers: dict[int, Optional[float]] = {}
     steps = []
     for index, elem in enumerate(query.pattern):
         if isinstance(elem, SubSelect):
@@ -796,9 +907,14 @@ def _solve(graph: Graph, query: SelectQuery,
             pattern.append(node)
         names = [n.name for n in pattern if isinstance(n, Var)]
         ids = [None if isinstance(n, Var) else n for n in pattern]
-        steps.append(_Step(index, list(dict.fromkeys(names)),
-                           graph.count_ids(*ids), pattern=tuple(pattern)))
-    order = _plan(steps, set(slots))
+        step = _Step(index, list(dict.fromkeys(names)),
+                     graph.count_ids(*ids), pattern=tuple(pattern))
+        regexes = [c for c in conjuncts
+                   if isinstance(c, Regex) and c.var.name in step.variables]
+        if regexes:
+            step = _prefiltered(graph, step, regexes, space, numbers)
+        steps.append(step)
+    order = _plan(graph, steps, rows, slots)
 
     # push each conjunct down to the first step that binds all of its
     # variables; one over a never-bound variable runs after the last step
@@ -808,8 +924,7 @@ def _solve(graph: Graph, query: SelectQuery,
             bind_step.setdefault(name, n)
     final = {name: slot for slot, name in enumerate(bind_step)}
     pending: dict[int, list] = {}
-    numbers: dict[int, Optional[float]] = {}
-    for conjunct in _conjuncts(query.filters):
+    for conjunct in conjuncts:
         at = max((bind_step.get(v, len(order)) for v in
                   _filter_vars(conjunct)), default=0)
         pending.setdefault(at, []).append(
@@ -822,10 +937,7 @@ def _solve(graph: Graph, query: SelectQuery,
 
     rows = apply(0, rows)
     for n, step in enumerate(order, start=1):
-        if step.pattern is not None:
-            rows = _join_pattern(graph, rows, step, slots)
-        else:
-            rows = _join_table(rows, step, slots)
+        rows = _join(graph, rows, step, slots)
         for name in step.variables:
             slots.setdefault(name, len(slots))
         rows = apply(n, rows)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -97,6 +98,25 @@ class TestQuery:
                           str(query)])
         assert first.stdout == second.stdout
         assert first.returncode == 0
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(fixtures_kg_file):
+    # set and dict order over Terms follows the hash seed, and the store's
+    # match order follows its layout: neither may reach stdout
+    script = ("import sys\nfrom onokg.cli import main\n"
+              "for argv in ([\"query\", \"--pack\"], [\"dlq\", \"--pack\"],"
+              " [\"qa\", \"--format\", \"json\"]):\n"
+              "    assert main([*argv, \"--kg\", sys.argv[1]]) == 0\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(fixtures_kg_file)],
+            capture_output=True, env={**os.environ,
+                                      "PYTHONHASHSEED": hash_seed})
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"## q") == 5  # the pack ran
 
 
 class TestDlq:

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
                       ValidationError, blank, iri, literal)
@@ -181,6 +183,84 @@ def test_match_equals_linear_scan(triples):
                     and (o is None or x.object == o)]
         assert sorted(g.match(s, p, o), key=repr) == \
             sorted(expected, key=repr)
+
+
+_POOL_TRIPLES = [Triple(s, p, o) for s in _SUBJECTS for p in _PREDICATES
+                 for o in _OBJECTS]
+
+
+def _snapshot(graph):
+    return frozenset(graph.id_rows())
+
+
+class GraphMachine(RuleBasedStateMachine):
+    """`Graph` against a plain set of triples, through every write path:
+    single inserts and removes, bulk `add_ids` (which builds the sorted
+    base, or rebuilds it on a non-empty graph) and `copy`. With so few
+    terms, removes and re-inserts often hit triples of the base."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = Graph()
+        self.model: set[Triple] = set()
+
+    @rule(triple=st.sampled_from(_POOL_TRIPLES))
+    def insert(self, triple):
+        assert self.graph.insert(triple) is (triple not in self.model)
+        self.model.add(triple)
+
+    @rule(triple=st.sampled_from(_POOL_TRIPLES))
+    def remove(self, triple):
+        assert self.graph.remove(triple) is (triple in self.model)
+        self.model.discard(triple)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove_stored(self, data):
+        self.remove(data.draw(st.sampled_from(sorted(self.model, key=repr))))
+
+    @rule(triples=st.lists(st.sampled_from(_POOL_TRIPLES), max_size=12))
+    def add_ids(self, triples):
+        g = self.graph
+        rows = [(g.intern(s), g.intern(p), g.intern(o)) for s, p, o in triples]
+        assert g.add_ids(rows) == len(set(triples) - self.model)
+        self.model.update(triples)
+
+    @rule()
+    def copy(self):
+        before = list(self.graph.terms())
+        self.graph = self.graph.copy()
+        assert set(self.graph.terms()) == set(before)
+
+    @invariant()
+    def agrees_with_model(self):
+        g = self.graph
+        ids = {(g.term_id(s), g.term_id(p), g.term_id(o))
+               for s, p, o in self.model}
+        assert g.check_indexes()
+        assert len(g) == len(ids)
+        assert g.id_rows() == sorted(ids)
+        assert g.cached(_snapshot) == ids  # a stale memo would differ
+        assert all((t in g) is (t in self.model) for t in _POOL_TRIPLES)
+        used = {term for triple in self.model for term in triple}
+        assert list(g.terms()) == sorted(used, key=g.term_id)
+        # every bound/unbound shape, with ids in use, unused, unknown (-1)
+        # and one of a term only ever seen in another position
+        def keys(terms, other):
+            return [None, -1] + [g.term_id(term) for term in terms + [other]]
+        for s, p, o in itertools.product(
+                keys(_SUBJECTS, literal("v")), keys(_PREDICATES, iri("a:s1")),
+                keys(_OBJECTS, iri("a:p1"))):
+            expected = sorted(row for row in ids
+                              if s in (None, row[0]) and p in (None, row[1])
+                              and o in (None, row[2]))
+            assert sorted(g.match_ids(s, p, o)) == expected
+            assert g.count_ids(s, p, o) == len(expected)
+
+
+TestGraphMachine = GraphMachine.TestCase
+TestGraphMachine.settings = settings(max_examples=60, stateful_step_count=25,
+                                     derandomize=True, deadline=None)
 
 
 @settings(max_examples=60, deadline=None)
