@@ -459,8 +459,17 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Insert a triple; True iff it was not already present."""
-        return self._add_id((self.intern(t.subject), self.intern(t.predicate),
-                             self.intern(t.object)))
+        key = (self.intern(t.subject), self.intern(t.predicate),
+               self.intern(t.object))
+        if self._base.n and self._base.has(key):
+            if key not in self._dead:
+                return False
+            self._dead.remove(key)
+        elif not self._delta.add(key):
+            return False
+        if self._derived:
+            self._derived.clear()
+        return True
 
     def add_ids(self, rows: Iterable[tuple[int, int, int]]) -> int:
         """Add id triples whose ids `intern` gave out and whose predicate is
@@ -480,17 +489,6 @@ class Graph:
         if added and self._derived:
             self._derived.clear()
         return added
-
-    def _add_id(self, key: tuple[int, int, int]) -> bool:
-        if self._base.n and self._base.has(key):
-            if key not in self._dead:
-                return False
-            self._dead.remove(key)
-        elif not self._delta.add(key):
-            return False
-        if self._derived:
-            self._derived.clear()
-        return True
 
     def add(self, subject: Term, predicate: Term, object: Term) -> bool:
         return self.insert(Triple(subject, predicate, object))

@@ -723,19 +723,21 @@ def _join_pattern(graph: Graph, rows: list[tuple], step: _Step,
                 first[node.name] = pos
                 take.append(pos)
     (s_var, s), (p_var, p), (o_var, o) = fixed
+    if not take:  # a lookup: each row is kept or dropped
+        count = graph.count_ids
+        return [row for row in rows
+                if count(row[s] if s_var else s, row[p] if p_var else p,
+                         row[o] if o_var else o)]
     match_ids = graph.match_ids
     width = len(take)
-    pick = operator.itemgetter(*take) if take else None
+    pick = operator.itemgetter(*take)
     out = []
     for row in rows:
         for t in match_ids(row[s] if s_var else s, row[p] if p_var else p,
                            row[o] if o_var else o):
             if same and any(t[i] != t[j] for i, j in same):
                 continue
-            if width == 1:
-                out.append(row + (pick(t),))
-            else:
-                out.append(row + pick(t) if width else row)
+            out.append(row + (pick(t),) if width == 1 else row + pick(t))
     return out
 
 
