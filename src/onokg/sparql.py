@@ -762,7 +762,8 @@ def _join_table(rows: list[tuple], step: _Step,
 
 
 def _prefiltered(graph: Graph, step: _Step, regexes: list[Regex],
-                 space: _IdSpace, numbers: dict[int, Optional[float]]) -> _Step:
+                 space: _IdSpace,
+                 numbers: dict[int, Optional[float]]) -> _Step:
     """A pattern as the table of its matches that pass the regexes over
     its variables, so that the planner costs it by the rows that survive
     them. Each regex still runs where it is pushed down; a kept row passes
