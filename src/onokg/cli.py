@@ -106,6 +106,8 @@ def _load_graph(path) -> Graph:
         result = ntriples.load_file(path)
     except OSError as exc:
         raise OSError(f"cannot read KG file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UserError(f"KG file {path} is not UTF-8: {exc}") from exc
     if result.issues:
         details = "; ".join(str(i) for i in result.issues[:5])
         raise UserError(f"KG file {path} has parse errors: {details}")
@@ -168,7 +170,7 @@ def cmd_query(args, cfg: AppConfig) -> int:
     if not args.file:
         raise UserError("either --file or --pack is required")
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = _read_text(args.file)
     except OSError as exc:
         raise OSError(f"cannot read query file: {exc}") from exc
     table = sparql.run_query(graph, text)
@@ -432,7 +434,7 @@ def cmd_repl(args, cfg: AppConfig) -> int:
             if command == ":quit":
                 return EXIT_OK
             elif command == ":sparql":
-                text = Path(rest).read_text(encoding="utf-8")
+                text = _read_text(rest)
                 print(_format_solutions(sparql.run_query(graph, text),
                                         "table"))
             elif command == ":dlq":
@@ -477,11 +479,19 @@ def cmd_repl(args, cfg: AppConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes are a user error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def _read_text_arg(args) -> str:
     if getattr(args, "text", None):
         return args.text
     if getattr(args, "file", None):
-        return Path(args.file).read_text(encoding="utf-8")
+        return _read_text(args.file)
     raise UserError("provide --text or --file")
 
 

@@ -4,28 +4,32 @@ Terms are interned to integer ids in first-insertion order, which makes id
 ordering (and everything sorted by it, such as serialization and query
 output) deterministic for a deterministic build sequence.
 
-The triples live in two parts, so that any combination of bound and
-unbound pattern positions is answered from an index:
+The triples live in two disjoint parts:
 
 - the base, an immutable sorted triple set: the SPO, POS and OSP
   permutations (as in RDF-3X) as `array.array` id columns with offsets per
-  first key. One bulk sort builds it and drops duplicates; probes search
-  its columns with `bisect`, and numpy only builds it;
-- the delta, the triples inserted since, in three nested-dict indexes
-  (SPO, POS, OSP, as in a Hexastore). It is the only code that writes
-  single triples.
+  first key, so that any combination of bound and unbound pattern
+  positions is answered from an index. One bulk sort builds it and drops
+  duplicates; probes search its columns with `bisect`, and numpy only
+  builds it;
+- the buffer, the triples inserted since, in one SPO nested dict. It is
+  the only code that writes single triples, and it answers membership and
+  the sorted id rows, nothing else.
 
-Removing a delta triple deletes it and every index entry left empty;
-removing a base triple records a tombstone. Readers see the base minus the
-tombstones plus the delta: the delta and the base are disjoint, and the
-tombstones are base triples. A term is in use exactly when some stored
-triple has it; its id stays reserved regardless.
+Fold rule: the shape of a read decides, not a size. `insert`, membership,
+all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `copy` and `add_ids`
+read the two parts as they are. Any other `match_ids`/`count_ids` shape,
+and `terms()`, first fold a non-empty buffer into the base: `add_ids` of
+no new rows, one bulk build of the base and buffer triples. So a graph
+built by inserts, as the ontology API builds one, is saved by reading the
+buffer's keys in order and folded once, when it is first queried. `add_ids`
+(the N-Triples parse and `copy`) always builds the base, from the stored
+triples and its rows, and leaves the buffer empty.
 
-Merge rule: only a bulk `add_ids` (the N-Triples parse and `copy`) builds
-the base. On a non-empty graph it builds it again from the stored triples
-and the new rows, and the delta and tombstones start empty. `insert` never
-merges, so a graph built by inserts alone, as the ontology API builds one,
-stays all delta and pays no sort.
+Removing a buffered triple discards it; removing a base triple builds the
+base again without it (no command removes). There are no tombstones:
+every stored triple is in exactly one part. A term is in use exactly when
+some stored triple has it; its id stays reserved regardless.
 
 Readers in this package work on ids: `match_ids` and `count_ids` answer a
 pattern from the indexes, `term_id` gives -1 for a term never interned
@@ -35,15 +39,23 @@ is the Term-space convenience for outside callers: it builds and sorts a
 
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every write that changes the triple set, so
-a derived value never outlives the graph state it was built from.
+a derived value never outlives the graph state it was built from. A fold
+changes no triple and keeps them.
 
-Concurrency contract: many concurrent readers or one writer. A read
-changes nothing: the base is never modified after its build, and readers
-only look at the delta and the tombstones. The store takes no locks
-itself; Graph values can be handed between threads. Readers may fill the
-derived-value cache: two readers that race on the same entry each build
-an equal value and one of them is kept, which is benign. A write (insert,
-remove, add_ids) clears the cache, and writes already exclude readers.
+Concurrency contract: many concurrent readers or one writer. The store
+takes no locks itself; Graph values can be handed between threads. The
+base and the buffer are held as one (base, buffer) pair in one
+attribute, so a reader takes both at once and answers from that pair. A
+read may replace the pair only by a fold, and only with an equal pair:
+the fold builds a new base from the pair it took and publishes it with a
+new, empty buffer in one assignment, and it never mutates a base or a
+buffer that has been published. So readers that race on a fold each
+build an equal base and the last assignment is kept, and a reader that
+took the old pair finishes on it. Readers may fill the derived-value
+cache in the same way: two that race on an entry each build an equal
+value and one of them is kept. A write (insert, remove, add_ids) changes
+the buffer in place or replaces the pair, and clears the cache; writes
+already exclude readers.
 """
 
 from __future__ import annotations
@@ -255,11 +267,13 @@ def _column(values) -> array:
 
 class _Base:
     """An immutable set of id triples in three sorted permutations (SPO,
-    POS, OSP), built in bulk from an (n, 3) id array; duplicates dropped.
-    Numpy builds it; probes read plain arrays."""
+    POS, OSP), built in bulk from id rows; duplicates dropped. Numpy
+    builds it; probes read plain arrays."""
 
-    def __init__(self, rows: np.ndarray, size: int):
-        spo = rows[np.lexsort(rows.T[::-1])]
+    def __init__(self, rows: Iterable[tuple[int, int, int]], size: int):
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        spo = flat.reshape(-1, 3)
+        spo = spo[np.lexsort(spo.T[::-1])]
         if len(spo) > 1:
             spo = spo[np.concatenate(([True], (spo[1:] != spo[:-1]).any(1)))]
         s, p, o = spo.T
@@ -287,8 +301,7 @@ class _Base:
         return list(zip(self.subjects, self.spo.second, self.spo.third))
 
     def count(self, s, p, o) -> int:
-        if s is not None and p is not None and o is not None:
-            return int(self.has((s, p, o)))
+        """How many triples match a pattern with an unbound position."""
         if s is not None and p is not None:
             lo, hi = self.spo.span(s, p)
         elif s is not None and o is not None:
@@ -306,18 +319,18 @@ class _Base:
         return hi - lo
 
 
-_EMPTY = _Base(np.empty((0, 3), dtype=np.int64), 0)
+_EMPTY = _Base((), 0)
 
 
-class _Delta:
-    """Triples written since the base was built, in three nested-dict
-    indexes (SPO, POS, OSP). An index entry goes with the last triple
-    under it."""
+class _Buffer:
+    """Triples inserted since the base was built, as subject -> predicate
+    -> set of objects. A discard may leave an empty set behind, which no
+    read sees."""
+
+    __slots__ = ("spo", "n")
 
     def __init__(self):
         self.spo: dict[int, dict[int, set[int]]] = {}
-        self.pos: dict[int, dict[int, set[int]]] = {}
-        self.osp: dict[int, dict[int, set[int]]] = {}
         self.n = 0
 
     def has(self, key: tuple[int, int, int]) -> bool:
@@ -330,8 +343,6 @@ class _Delta:
         if o in objs:
             return False
         objs.add(o)
-        self.pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self.osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self.n += 1
         return True
 
@@ -339,19 +350,9 @@ class _Delta:
         if not self.has(key):
             return False
         s, p, o = key
-        for index, a, b, c in ((self.spo, s, p, o), (self.pos, p, o, s),
-                               (self.osp, o, s, p)):
-            inner = index[a]
-            inner[b].discard(c)
-            if not inner[b]:
-                del inner[b]
-                if not inner:
-                    del index[a]
+        self.spo[s][p].remove(o)
         self.n -= 1
         return True
-
-    def uses(self, tid: int) -> bool:
-        return tid in self.spo or tid in self.pos or tid in self.osp
 
     def rows(self) -> list[tuple[int, int, int]]:
         """Every triple, sorted: keys are read in order, no tuple sort."""
@@ -359,65 +360,17 @@ class _Delta:
         return [(s, p, o) for s in sorted(spo) for p in sorted(spo[s])
                 for o in sorted(spo[s][p])]
 
-    def match(self, s, p, o) -> list[tuple[int, int, int]]:
-        if s is not None and p is not None and o is not None:
-            return [(s, p, o)] if self.has((s, p, o)) else []
-        if s is not None and p is not None:
-            return [(s, p, x) for x in self.spo.get(s, {}).get(p, ())]
-        if s is not None and o is not None:
-            return [(s, x, o) for x in self.osp.get(o, {}).get(s, ())]
-        if p is not None and o is not None:
-            return [(x, p, o) for x in self.pos.get(p, {}).get(o, ())]
-        if s is not None:
-            return [(s, a, b) for a, objs in self.spo.get(s, {}).items()
-                    for b in objs]
-        if p is not None:
-            return [(b, p, a) for a, subjs in self.pos.get(p, {}).items()
-                    for b in subjs]
-        if o is not None:
-            return [(a, b, o) for a, preds in self.osp.get(o, {}).items()
-                    for b in preds]
-        return [(a, b, c) for a, ps in self.spo.items()
-                for b, objs in ps.items() for c in objs]
-
-    def count(self, s, p, o) -> int:
-        if s is not None and p is not None and o is not None:
-            return int(self.has((s, p, o)))
-        if s is not None and p is not None:
-            return len(self.spo.get(s, {}).get(p, ()))
-        if s is not None and o is not None:
-            return len(self.osp.get(o, {}).get(s, ()))
-        if p is not None and o is not None:
-            return len(self.pos.get(p, {}).get(o, ()))
-        if s is not None:
-            return sum(map(len, self.spo.get(s, {}).values()))
-        if p is not None:
-            return sum(map(len, self.pos.get(p, {}).values()))
-        if o is not None:
-            return sum(map(len, self.osp.get(o, {}).values()))
-        return self.n
-
-    def check(self) -> bool:
-        """All three indexes hold the same `n` triples."""
-        spo = {(s, p, o) for s, ps in self.spo.items()
-               for p, os_ in ps.items() for o in os_}
-        pos = {(s, p, o) for p, os_ in self.pos.items()
-               for o, ss in os_.items() for s in ss}
-        osp = {(s, p, o) for o, ss in self.osp.items()
-               for s, ps in ss.items() for p in ps}
-        return spo == pos == osp and len(spo) == self.n
-
 
 class Graph:
-    """Set of triples over a term dictionary: a sorted base, a dict delta
-    of later inserts and tombstones for base triples removed since."""
+    """Set of triples over a term dictionary: a sorted base and a buffer of
+    later inserts, held as one (base, buffer) pair. A read that needs an
+    index the buffer lacks folds the buffer into the base first and
+    publishes the equal, folded pair in one assignment."""
 
     def __init__(self):
         self._term_ids: dict[Term, int] = {}
         self._terms: list[Term] = []
-        self._base = _EMPTY
-        self._delta = _Delta()
-        self._dead: set[tuple[int, int, int]] = set()
+        self._store: tuple[_Base, _Buffer] = (_EMPTY, _Buffer())
         self._derived: dict[Callable, object] = {}
 
     # dictionary
@@ -438,18 +391,14 @@ class Graph:
         return self._terms[tid]
 
     def terms(self) -> Iterator[Term]:
-        """Terms that some stored triple uses, in id order.
+        """Terms that some stored triple uses, in id order; folds.
 
         A term whose last triple was removed is left out, but it keeps its
         id: ids are never reused or renumbered.
         """
-        used, delta = self._base.used, self._delta
-        gone = {tid for row in self._dead for tid in row
-                if not (self.count_ids(tid) or self.count_ids(None, tid)
-                        or self.count_ids(None, None, tid))}
+        used = self._folded().used
         return (term for tid, term in enumerate(self._terms)
-                if (tid < len(used) and used[tid] and tid not in gone)
-                or delta.uses(tid))
+                if tid < len(used) and used[tid])
 
     def id_terms(self) -> list[Term]:
         """Every interned term, indexed by its id (unused ones included)."""
@@ -461,11 +410,8 @@ class Graph:
         """Insert a triple; True iff it was not already present."""
         key = (self.intern(t.subject), self.intern(t.predicate),
                self.intern(t.object))
-        if self._base.n and self._base.has(key):
-            if key not in self._dead:
-                return False
-            self._dead.remove(key)
-        elif not self._delta.add(key):
+        base, buffer = self._store
+        if base.n and base.has(key) or not buffer.add(key):
             return False
         if self._derived:
             self._derived.clear()
@@ -475,17 +421,17 @@ class Graph:
         """Add id triples whose ids `intern` gave out and whose predicate is
         an IRI and subject not a literal; how many were not yet stored.
 
-        The base is built again from the stored triples and `rows`, and the
-        delta and tombstones start empty.
+        The base is built again from the stored triples and `rows`, and
+        published with an empty buffer in one assignment. With no rows this
+        is the fold, which readers may run.
         """
-        before = len(self)
+        base, buffer = self._store
+        before = base.n + buffer.n
         if before:
-            rows = chain(self.id_rows(), rows)
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-        self._base = _Base(flat.reshape(-1, 3), len(self._terms))
-        self._delta = _Delta()
-        self._dead = set()
-        added = len(self) - before
+            rows = chain(base.rows(), buffer.rows(), rows)
+        base = _Base(rows, len(self._terms))
+        self._store = (base, _Buffer())
+        added = base.n - before
         if added and self._derived:
             self._derived.clear()
         return added
@@ -494,13 +440,16 @@ class Graph:
         return self.insert(Triple(subject, predicate, object))
 
     def remove(self, t: Triple) -> bool:
-        """Remove a triple; False (and no change) if absent."""
+        """Remove a triple; False (and no change) if absent. A base triple
+        is removed by building the base again without it."""
         key = (self.term_id(t.subject), self.term_id(t.predicate),
                self.term_id(t.object))
-        if not self._delta.discard(key):
-            if key in self._dead or not self._base.has(key):
+        base, buffer = self._store
+        if not buffer.discard(key):
+            if not base.has(key):
                 return False
-            self._dead.add(key)
+            rows = (row for row in base.rows() if row != key)
+            self._store = (_Base(rows, len(self._terms)), buffer)
         self._derived.clear()
         return True
 
@@ -519,8 +468,18 @@ class Graph:
 
     # access
 
+    def _folded(self) -> _Base:
+        """The base, after folding the buffer into it if it holds any
+        triple."""
+        base, buffer = self._store
+        if buffer.n:
+            self.add_ids(())
+            base = self._store[0]
+        return base
+
     def __len__(self) -> int:
-        return self._base.n - len(self._dead) + self._delta.n
+        base, buffer = self._store
+        return base.n + buffer.n
 
     def __contains__(self, t: Triple) -> bool:
         return bool(self.match_ids(self.term_id(t.subject),
@@ -534,17 +493,15 @@ class Graph:
     def id_rows(self) -> list[tuple[int, int, int]]:
         """The stored id triples, sorted: the order iteration yields.
 
-        The base and the delta are each read in sorted order, so this is
-        one merge of two sorted runs.
+        The base and the buffer are each read in sorted order; the rows are
+        sorted together only when both parts hold triples.
         """
-        rows = self._base.rows()
-        if self._dead:
-            rows = [row for row in rows if row not in self._dead]
-        if not self._delta.n:
-            return rows
-        if not rows:
-            return self._delta.rows()
-        rows += self._delta.rows()
+        base, buffer = self._store
+        if not buffer.n:
+            return base.rows()
+        if not base.n:
+            return buffer.rows()
+        rows = base.rows() + buffer.rows()
         rows.sort()
         return rows
 
@@ -562,53 +519,46 @@ class Graph:
     def match_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> list[tuple[int, int, int]]:
         """Id triples matching all bound id positions, in no set order.
+        Folds unless all three are bound.
 
         An id that no stored triple uses (say -1 for an unknown term)
         matches nothing.
         """
-        base, delta = self._base, self._delta
         if s is not None and p is not None and o is not None:
             key = (s, p, o)
-            if base.has(key):
-                return [] if key in self._dead else [key]
-            return [key] if delta.n and delta.has(key) else []
+            base, buffer = self._store
+            return [key] if base.has(key) or buffer.has(key) else []
+        base = self._folded()
         if s is not None and p is not None:
             lo, hi = base.spo.span(s, p)
             third = base.spo.third
-            rows = ([(s, p, third[lo])] if hi - lo == 1
+            return ([(s, p, third[lo])] if hi - lo == 1
                     else [(s, p, x) for x in third[lo:hi]])
-        elif s is not None and o is not None:
+        if s is not None and o is not None:
             lo, hi = base.osp.span(o, s)
             third = base.osp.third
-            rows = ([(s, third[lo], o)] if hi - lo == 1
+            return ([(s, third[lo], o)] if hi - lo == 1
                     else [(s, x, o) for x in third[lo:hi]])
-        elif p is not None and o is not None:
+        if p is not None and o is not None:
             lo, hi = base.pos.span(p, o)
             third = base.pos.third
-            rows = ([(third[lo], p, o)] if hi - lo == 1
+            return ([(third[lo], p, o)] if hi - lo == 1
                     else [(x, p, o) for x in third[lo:hi]])
-        elif s is not None:
-            rows = [(s, a, b) for a, b in base.spo.pairs(*base.spo.span(s))]
-        elif p is not None:
-            rows = [(b, p, a) for a, b in base.pos.pairs(*base.pos.span(p))]
-        elif o is not None:
-            rows = [(a, b, o) for a, b in base.osp.pairs(*base.osp.span(o))]
-        else:
-            rows = base.rows()
-        if delta.n:
-            rows += delta.match(s, p, o)
-        if self._dead:
-            rows = [row for row in rows if row not in self._dead]
-        return rows
+        if s is not None:
+            return [(s, a, b) for a, b in base.spo.pairs(*base.spo.span(s))]
+        if p is not None:
+            return [(b, p, a) for a, b in base.pos.pairs(*base.pos.span(p))]
+        if o is not None:
+            return [(a, b, o) for a, b in base.osp.pairs(*base.osp.span(o))]
+        return base.rows()
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:
-        """How many triples `match_ids` would return; read off the index
-        sizes without building them while no base triple is removed."""
-        if self._dead:
+        """How many triples `match_ids` would return, read off the index
+        sizes. Folds unless all three positions are bound."""
+        if s is not None and p is not None and o is not None:
             return len(self.match_ids(s, p, o))
-        n = self._base.count(s, p, o)
-        return n + self._delta.count(s, p, o) if self._delta.n else n
+        return self._folded().count(s, p, o)
 
     def copy(self) -> "Graph":
         """A graph of the same triples, its ids given out in id-row order."""
@@ -619,10 +569,9 @@ class Graph:
         return g
 
     def check_indexes(self) -> bool:
-        """The base permutations hold one sorted, duplicate-free set, the
-        delta indexes another, disjoint from it, the tombstones are base
-        triples, and the sizes agree."""
-        base = self._base
+        """The base permutations hold one sorted, duplicate-free set, and
+        the buffer `n` more triples, none of them in the base."""
+        base, buffer = self._store
         spo, pos, osp = (base.spo.triples(), base.pos.triples(),
                          base.osp.triples())
         stored = set(spo)
@@ -631,6 +580,6 @@ class Graph:
         same = (base.rows() == spo and len(spo) == base.n
                 and {(s, p, o) for p, o, s in pos} == stored
                 and {(s, p, o) for o, s, p in osp} == stored)
-        delta = self._delta
-        return (ordered and same and delta.check() and self._dead <= stored
-                and not any(map(delta.has, stored)))
+        buffered = buffer.rows()
+        return (ordered and same and len(buffered) == buffer.n
+                and not any(map(base.has, buffered)))

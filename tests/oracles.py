@@ -8,6 +8,7 @@ beyond the Term/Triple data model.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import re
 from typing import Optional
 
@@ -18,7 +19,7 @@ from onokg.ie.preprocess import stopwords
 from onokg.ie.tagger import PROB_FLOOR, EncodedSentence
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
-from onokg.ontology import (ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
+from onokg.ontology import (NORM, ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
                             RDFS_DOMAIN, RDFS_LABEL, RDFS_RANGE,
                             RDFS_SUBCLASS, XSD)
 from onokg.sparql import (AndExpr, Comparison, NotExpr, OrExpr, Regex,
@@ -736,6 +737,52 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
         except ValidationError as exc:
             issues.append((lineno, str(exc)))
     return graph, issues
+
+
+# ---------------------------------------------------------------------------
+# KG enrichment as set algebra over the triple set
+
+_RELATION = {"causes": ONO + "causes", "hasType": ONO + "hasType",
+             "isA": ONO + "isA", "hasEvidence": ONO + "hasEvidence"}
+
+
+def enriched(graph: Graph, candidates, threshold: float):
+    """What enriching `graph` with `candidates` should give: the report's
+    counts and added triples, and the graph's triple set afterwards.
+
+    A candidate is rejected when its label is "none" or its confidence is
+    below `threshold`, and accepted otherwise. An accepted triple that the
+    graph already holds, or that an earlier candidate added, is a
+    duplicate; every accepted candidate, duplicate or not, adds the four
+    triples that reify its triple: a statement node named by the SHA-1 of
+    the triple's N-Triples terms, with its subject, predicate, object and
+    the candidate's source document.
+    """
+    triples = set(_scan(graph))
+    report = {"proposed": len(candidates), "accepted": 0, "duplicates": 0,
+              "rejected": 0, "added": []}
+    for candidate in candidates:
+        if candidate.label == "none" or candidate.confidence < threshold:
+            report["rejected"] += 1
+            continue
+        report["accepted"] += 1
+        triple = Triple(candidate.subject, iri(_RELATION[candidate.label]),
+                        candidate.object)
+        if triple in triples:
+            report["duplicates"] += 1
+        else:
+            report["added"].append(triple)
+            triples.add(triple)
+        key = "\x1f".join(term.n3() for term in triple)
+        node = iri(NORM + "stmt/"
+                   + hashlib.sha1(key.encode("utf-8")).hexdigest()[:16])
+        triples.update(Triple(node, iri(RDF + name), value) for name, value
+                       in (("subject", triple.subject),
+                           ("predicate", triple.predicate),
+                           ("object", triple.object)))
+        triples.add(Triple(node, iri(ONO + "sourceDocument"),
+                           literal(candidate.doc_id)))
+    return report, triples
 
 
 # ---------------------------------------------------------------------------

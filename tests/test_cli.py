@@ -493,3 +493,46 @@ class TestReplSparqlAndQa:
         repl = run_cli(["repl", "--kg", str(kg_file)],
                        input=":qa\n:quit\n")
         assert repl.stdout == batch.stdout
+
+
+class TestNonUtf8Input:
+    """A KG, query or text file that is not UTF-8 ends in one `error:`
+    line and exit code 1, and the REPL reports it and goes on."""
+
+    BAD_NT = b'<a:x> <a:p> "\xff" .\n'
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--kg", "{bad_nt}", "--pack"],
+        ["dlq", "--kg", "{bad_nt}", "--pack"],
+        ["qa", "--kg", "{bad_nt}"],
+        ["export", "--kg", "{bad_nt}", "--out", "{tmp}/out.nt"],
+        ["ingest", "--kg", "{bad_nt}", "--corpus", "{tmp}"],
+        ["repl", "--kg", "{bad_nt}"],
+        ["query", "--kg", "{kg}", "--file", "{bad_text}"],
+        ["tag", "--model", "{model}", "--file", "{bad_text}"],
+        ["extract", "--model", "{model}", "--file", "{bad_text}"],
+        ["explain", "--model", "{model}", "--file", "{bad_text}"],
+    ], ids=["query-pack", "dlq-pack", "qa", "export", "ingest", "repl",
+            "query-file", "tag-file", "extract-file", "explain-file"])
+    def test_one_error_line(self, argv, kg_file, checkpoint_path, tmp_path,
+                            capsys):
+        bad_nt, bad_text = tmp_path / "bad.nt", tmp_path / "bad.txt"
+        bad_nt.write_bytes(self.BAD_NT)
+        bad_text.write_bytes(b"TP53 causes \xff cancer.\n")
+        names = {"bad_nt": bad_nt, "bad_text": bad_text, "tmp": tmp_path,
+                 "kg": kg_file, "model": checkpoint_path}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+    def test_repl_sparql_reports_and_goes_on(self, kg_file, tmp_path):
+        query = tmp_path / "bad.rq"
+        query.write_bytes(b"SELECT ?s WHERE { ?s ?p \"\xff\" . }\n")
+        result = run_cli(["repl", "--kg", str(kg_file)],
+                         input=f":sparql {query}\n:dlq Oncogene\n:quit\n")
+        assert result.returncode == 0 and result.stderr == ""
+        first, *rest = result.stdout.splitlines()
+        assert first.startswith("error: ") and "not UTF-8" in first
+        batch = run_cli(["dlq", "--kg", str(kg_file), "Oncogene"])
+        assert "\n".join(rest) + "\n" == batch.stdout

@@ -8,10 +8,12 @@ from onokg.ie.decode import EntityMention
 from onokg.ie.enrich import enrich_kg
 from onokg.ie.linking import AliasTable, link_entity, mint_normalized_id
 from onokg.ie.preprocess import Document, preprocess, stem
-from onokg.ie.relations import extract_relations
+from onokg.ie.relations import RelationCandidate, extract_relations
 from onokg.ie.wordpiece import SubwordVocab, demo_vocab, join_pieces
 from onokg.kg import Triple, iri
-from onokg.ontology import SCHEMA, data_path, ono
+from onokg.ntriples import parse_ntriples, serialize_ntriples
+from onokg.ontology import SCHEMA, build_seed_ontology, data_path, ono
+from oracles import enriched
 
 FIG4 = ("TP53 is responsible for a disease called Breast Cancer. "
         "TP53 has POTSF functionality, which is mentioned in numerous "
@@ -239,3 +241,56 @@ class TestEnrich:
         assert Triple(ono("BRCA"), SCHEMA.is_a, SCHEMA.disease) in seed_copy
         assert Triple(SCHEMA.potsf, SCHEMA.has_evidence,
                       SCHEMA.pubmed) in seed_copy
+
+
+_LABEL_OF = {SCHEMA.causes: "causes", SCHEMA.has_type: "hasType",
+             SCHEMA.is_a: "isA", SCHEMA.has_evidence: "hasEvidence"}
+_NEW_SUBJECTS = [ono("TP53"), ono("NEWGENE"), SCHEMA.potsf,
+                 iri("http://example.org/g1")]
+_NEW_OBJECTS = [ono("BRCA"), ono("NEWCANCER"), SCHEMA.disease,
+                SCHEMA.pubmed]
+_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def _candidates(draw, stored):
+    """Candidates over seed triples (duplicates of stored ones), new pairs
+    and earlier candidates repeated, with confidences on the threshold
+    grid and between."""
+    drawn = []
+    for _ in range(draw(st.integers(0, 12))):
+        source = draw(st.sampled_from(["stored", "new", "again"]))
+        if source == "again" and drawn:
+            subject, label, obj = draw(st.sampled_from(drawn))
+        elif source == "stored":
+            subject, label, obj = draw(st.sampled_from(stored))
+        else:
+            subject = draw(st.sampled_from(_NEW_SUBJECTS))
+            label = draw(st.sampled_from(["causes", "hasType", "isA",
+                                          "hasEvidence", "none"]))
+            obj = draw(st.sampled_from(_NEW_OBJECTS))
+        drawn.append((subject, label, obj))
+    return [RelationCandidate(
+        doc_id=draw(st.sampled_from(["d1", "d2"])), sentence_index=0,
+        anonymized="", participants=[], label=label,
+        confidence=draw(st.sampled_from(_GRID) | st.floats(0.0, 1.0)),
+        subject=subject, object=obj) for subject, label, obj in drawn]
+
+
+_STORED = [(t.subject, _LABEL_OF[t.predicate], t.object)
+           for t in build_seed_ontology() if t.predicate in _LABEL_OF]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(candidates=_candidates(_STORED), threshold=st.sampled_from(_GRID))
+def test_enrichment_matches_oracle(seed_graph, candidates, threshold):
+    # a parsed graph holds the seed in its sorted base; an insert-built one
+    # holds it in the insert buffer
+    parsed = parse_ntriples(serialize_ntriples(seed_graph)).graph
+    for graph in (parsed, build_seed_ontology()):
+        expected, triples = enriched(graph, candidates, threshold)
+        report = enrich_kg(graph, candidates, threshold)
+        assert {name: getattr(report, name) for name in expected} == expected
+        assert set(graph) == triples and len(graph) == len(triples)
+        assert graph.check_indexes()
+        assert graph.count_ids() == len(triples)  # folds the buffer

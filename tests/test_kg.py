@@ -152,6 +152,36 @@ class TestGraph:
         assert seed_graph.check_indexes()
 
 
+def test_only_indexed_reads_fold_the_buffer():
+    # the reads the ontology API, ingest and save make keep the insert
+    # buffer; any other match_ids/count_ids shape, or terms(), folds it
+    # into a new base and leaves the published (base, buffer) pair as it was
+    from onokg.ontology import build_seed_ontology
+    g = build_seed_ontology()
+    published = g._store
+    rows = g.id_rows()
+    first = next(iter(g))
+    assert g.insert(first) is False and first in g and len(g) == len(rows)
+    assert g.match_ids(*rows[0]) == [rows[0]] and g.count_ids(*rows[0]) == 1
+    assert set(g.copy()) == set(g)
+    assert g._store is published
+    s, p, o = rows[0]
+    shapes = [(s, p, None), (s, None, o), (None, p, o), (s, None, None),
+              (None, p, None), (None, None, o), (None, None, None)]
+    reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
+             + [lambda g, k=k: g.count_ids(*k) for k in shapes]
+             + [lambda g: list(g.terms())])
+    for read in reads:
+        g = build_seed_ontology()
+        base, buffer = published = g._store
+        read(g)
+        assert g._store[0].n == len(rows) and g._store[1].n == 0
+        assert g._store[0] is not base and g._store[1] is not buffer
+        assert published == (base, buffer) and base.n == 0
+        assert buffer.n == len(rows) and buffer.rows() == rows
+        assert g.id_rows() == rows and g.check_indexes()
+
+
 # pools kept tiny so patterns actually overlap
 _SUBJECTS = [iri("a:s1"), iri("a:s2"), blank("n1")]
 _PREDICATES = [iri("a:p1"), iri("a:p2")]
@@ -295,21 +325,53 @@ class TestPrefixTable:
 
 
 def test_concurrent_readers_see_consistent_results(seed_graph):
-    # reader-or-writer contract: many readers may share one graph value
+    # reader-or-writer contract: many readers may share one graph value,
+    # also a fresh insert-built one, whose first indexed read folds its
+    # buffer. Thread 0 reads at once and folds; the others poll `len` for
+    # a while first, so some of them read while a fold publishes. Each
+    # call into the store pauses first, which widens every gap between two
+    # steps of a fold, as a preemptive scheduler might.
+    import sys
     import threading
-    from onokg.ontology import SCHEMA
+    import time
+    from onokg.ontology import SCHEMA, build_seed_ontology
 
-    outputs = [None] * 8
+    def read(graph):
+        return (len(graph), graph.id_rows(),
+                [t.subject for t in graph.match(None, SCHEMA.has_type,
+                                                SCHEMA.potsf)])
 
-    def read(slot):
-        outputs[slot] = [t.subject for t in
-                         seed_graph.match(None, SCHEMA.has_type,
-                                          SCHEMA.potsf)]
+    def pause(frame, event, _arg):
+        if event == "call" and frame.f_globals.get("__name__") == "onokg.kg":
+            time.sleep(1e-4)
 
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert all(out == outputs[0] for out in outputs)
-    assert len(outputs[0]) == 83
+    def race(graph):
+        outputs = [None] * 8
+        start = threading.Barrier(8, timeout=60)
+
+        def run(slot):
+            sys.setprofile(pause)
+            start.wait()
+            polled = {len(graph) for _ in range(30 * slot)}
+            outputs[slot] = (polled, [read(graph) for _ in range(3)])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        return outputs
+
+    expected = read(build_seed_ontology())
+    assert len(expected[2]) == 83
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [race(seed_graph)] + [race(build_seed_ontology())
+                                     for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for outputs in runs:
+        for polled, reads in outputs:
+            assert polled <= {expected[0]} and reads == [expected] * 3
