@@ -2,9 +2,11 @@
 
 Subcommands: build, ingest, train, tag, extract, query, dlq, repl,
 explain, qa, export. Configuration precedence is flags > ONOKG_* env vars
-> --config JSON file. Exit codes: 0 success, 1 user/parse error, 2 I/O
-error. Output of build/query/dlq is byte-stable for identical inputs and
-seed (timings go to stderr).
+> --config JSON file. Exit codes: 0 success; 1 user or parse error,
+including a bad input or `--data-dir` data file (not UTF-8, malformed, a
+short row); 2 I/O error, such as a file that cannot be read or written.
+Output of build/query/dlq is byte-stable for identical inputs and seed
+(timings go to stderr).
 """
 
 from __future__ import annotations
@@ -58,10 +60,7 @@ class AppConfig:
             or os.environ.get(ENV_PREFIX + "CONFIG")
         if config_path:
             try:
-                with open(config_path, encoding="utf-8") as fh:
-                    file_values = json.load(fh)
-            except OSError as exc:
-                raise OSError(f"cannot read config file: {exc}") from exc
+                file_values = json.loads(ntriples.read_text(config_path))
             except ValueError as exc:
                 raise UserError(f"config file {config_path} is not valid "
                                 f"JSON: {exc}") from exc
@@ -102,12 +101,7 @@ class AppConfig:
 
 
 def _load_graph(path) -> Graph:
-    try:
-        result = ntriples.load_file(path)
-    except OSError as exc:
-        raise OSError(f"cannot read KG file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UserError(f"KG file {path} is not UTF-8: {exc}") from exc
+    result = ntriples.load_file(path)
     if result.issues:
         details = "; ".join(str(i) for i in result.issues[:5])
         raise UserError(f"KG file {path} has parse errors: {details}")
@@ -129,8 +123,6 @@ def _load_checkpoint(path) -> Checkpoint:
         raise UserError("a tagger checkpoint is required (--model)")
     try:
         return load_checkpoint(path)
-    except OSError as exc:
-        raise OSError(f"cannot read checkpoint {path}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise UserError(f"malformed checkpoint {path}: {exc}") from exc
 
@@ -169,11 +161,7 @@ def cmd_query(args, cfg: AppConfig) -> int:
         return EXIT_OK
     if not args.file:
         raise UserError("either --file or --pack is required")
-    try:
-        text = _read_text(args.file)
-    except OSError as exc:
-        raise OSError(f"cannot read query file: {exc}") from exc
-    table = sparql.run_query(graph, text)
+    table = sparql.run_query(graph, ntriples.read_text(args.file))
     print(_format_solutions(table, args.format))
     return EXIT_OK
 
@@ -189,8 +177,7 @@ def _dlq_output(graph: Graph, expression: str, fmt: str) -> str:
 def cmd_dlq(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     if args.pack:
-        with open(data_path("dlx_pack.json"), encoding="utf-8") as fh:
-            pack = json.load(fh)
+        pack = json.loads(ntriples.read_text(data_path("dlx_pack.json")))
         for entry in pack:
             try:
                 results = dlx.query(graph, entry["expression"])
@@ -434,7 +421,7 @@ def cmd_repl(args, cfg: AppConfig) -> int:
             if command == ":quit":
                 return EXIT_OK
             elif command == ":sparql":
-                text = _read_text(rest)
+                text = ntriples.read_text(rest)
                 print(_format_solutions(sparql.run_query(graph, text),
                                         "table"))
             elif command == ":dlq":
@@ -479,19 +466,11 @@ def cmd_repl(args, cfg: AppConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file; other bytes are a user error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UserError(f"{path} is not UTF-8: {exc}") from exc
-
-
 def _read_text_arg(args) -> str:
     if getattr(args, "text", None):
         return args.text
     if getattr(args, "file", None):
-        return _read_text(args.file)
+        return ntriples.read_text(args.file)
     raise UserError("provide --text or --file")
 
 
@@ -599,7 +578,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = AppConfig.resolve(args)
         return args.func(args, cfg)
-    except (UserError, KgError, ntriples.NTriplesParseError) as exc:
+    except (UserError, KgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except OSError as exc:

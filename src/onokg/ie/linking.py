@@ -9,13 +9,13 @@ normalization namespace, so linking is a pure function of
 
 from __future__ import annotations
 
-import csv
 import re
 from pathlib import Path
 from typing import Optional
 
 from ..kg import Graph, Term, iri
-from ..ontology import NORM, RDFS_LABEL, RDF_TYPE, SCHEMA, default_prefixes
+from ..ontology import (NORM, RDFS_LABEL, RDF_TYPE, SCHEMA, default_prefixes,
+                        read_csv)
 from .preprocess import stem, tokenize
 
 
@@ -49,9 +49,7 @@ class AliasTable:
         table = cls()
         if csv_path is not None:
             prefixes = default_prefixes()
-            with open(csv_path, encoding="utf-8", newline="") as fh:
-                lines = [ln for ln in fh if not ln.startswith("#")]
-            for row in csv.DictReader(lines):
+            for row in read_csv(csv_path, ("surface", "type", "canonicalIRI")):
                 target = row["canonicalIRI"]
                 term = prefixes.expand(target) if ":" in target and \
                     not target.startswith("http") else iri(target)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..kg import Graph
+from ..ntriples import EncodingError, read_text
 from .decode import EntityMention, decode_entities
 from .enrich import EnrichmentReport, enrich_kg
 from .linking import AliasTable, link_entity
@@ -130,15 +131,14 @@ def read_corpus_dir(path) -> list[Document]:
     root = Path(path)
     for file in sorted(root.glob("*.txt")):
         try:
-            docs.append(preprocess(file.read_text(encoding="utf-8"),
-                                   file.stem))
-        except (OSError, UnicodeDecodeError) as exc:
-            log.warning("skipping unreadable document %s: %s", file, exc)
+            docs.append(preprocess(read_text(file), file.stem))
+        except (OSError, EncodingError) as exc:
+            log.warning("skipping unreadable document: %s", exc)
     for file in sorted(root.glob("*.jsonl")):
         try:
-            lines = file.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            log.warning("skipping unreadable corpus file %s: %s", file, exc)
+            lines = read_text(file).splitlines()
+        except (OSError, EncodingError) as exc:
+            log.warning("skipping unreadable corpus file: %s", exc)
             continue
         for number, line in enumerate(lines, start=1):
             if not line.strip():

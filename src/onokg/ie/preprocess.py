@@ -12,8 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from typing import Optional
+
+from ..ntriples import read_text
+from ..ontology import data_path
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9\-']*|[^\sA-Za-z0-9]")
 _SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
@@ -50,9 +52,8 @@ _KEEP_SHORT = 3  # never strip a word down below this many characters
 
 @lru_cache(maxsize=1)
 def stopwords() -> frozenset[str]:
-    path = resources.files("onokg").joinpath("data", "stopwords.txt")
     words = {line.strip() for line in
-             path.read_text(encoding="utf-8").splitlines()
+             read_text(data_path("stopwords.txt")).splitlines()
              if line.strip() and not line.startswith("#")}
     return frozenset(words)
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..ntriples import write_atomic
+from ..ntriples import read_text, write_atomic
 from .preprocess import stopwords
 from .wordpiece import SubwordVocab
 
@@ -459,8 +459,7 @@ def _is_string_list(value) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(read_text(path))
     if not isinstance(payload, dict):
         raise CheckpointError("a checkpoint must be a JSON object")
     if not isinstance(payload["features"], dict):

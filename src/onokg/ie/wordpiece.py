@@ -8,7 +8,9 @@ alphabet collapses to the unknown marker, so tokenization is total.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
+
+from ..ntriples import read_text
+from ..ontology import data_path
 
 UNKNOWN = "[UNK]"
 CONTINUATION = "##"
@@ -58,7 +60,5 @@ def join_pieces(pieces: list[str]) -> str:
 
 @lru_cache(maxsize=1)
 def demo_vocab() -> SubwordVocab:
-    path = resources.files("onokg").joinpath("data", "demo_vocab.txt")
-    with path.open(encoding="utf-8") as fh:
-        pieces = [line.rstrip("\n") for line in fh if line.strip()]
-    return SubwordVocab(pieces)
+    lines = read_text(data_path("demo_vocab.txt")).splitlines()
+    return SubwordVocab([line for line in lines if line.strip()])

@@ -23,11 +23,12 @@ whole file, which also drops repeated lines. Serialization renders each
 term id once and joins the id-sorted triples, which the sorted base gives
 without a sort.
 
-`save_file` writes all or nothing through `write_atomic`, which the
-package's other file writers (checkpoints, exports, heatmaps) use too: the
-text goes to a temporary file in the target's directory, which then
-replaces the target. A failed write removes the temporary file and leaves
-the target's bytes as they were.
+The package's two file boundaries live here. Every input file (KG, query,
+text, corpus, config, checkpoint, bundled and `--data-dir` data) is read by
+`read_text`. Every output file is written all or nothing by `write_atomic`:
+the text goes to a temporary file in the target's directory, which then
+replaces the target, and a failed write leaves the target's bytes as they
+were.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .kg import BLANK, Graph, Term, Triple, ValidationError, blank, iri, literal
+from .kg import (BLANK, Graph, KgError, Term, Triple, ValidationError, blank,
+                 iri, literal)
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
@@ -78,6 +80,10 @@ class ParseResult:
     @property
     def ok(self) -> bool:
         return not self.issues
+
+
+class EncodingError(KgError):
+    """A file whose bytes are not UTF-8."""
 
 
 class NTriplesParseError(Exception):
@@ -264,13 +270,27 @@ def serialize_ntriples(graph: Graph) -> str:
 
 
 def load_file(path) -> ParseResult:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_ntriples(fh.read())
+    return parse_ntriples(read_text(path))
 
 
 def save_file(graph: Graph, path) -> None:
     """Write the graph's N-Triples to `path`, all or nothing."""
     write_atomic(path, serialize_ntriples(graph))
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file `path`, with line endings as stored.
+
+    An OSError is raised again as `cannot read <path>: <reason>`; bytes
+    that are not UTF-8 raise `EncodingError`, which names the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def write_atomic(path, text: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Optional
 
 from .kg import (Graph, KgError, PrefixTable, Term, Triple, iri, literal,
                  typed_int)
+from .ntriples import read_text
 
 ONO = "http://www.example.com/ontologies/ono/ono.owl#"
 ASSOC = "http://www.example.com/ontologies/ono/assoc#"
@@ -177,39 +179,52 @@ def _open_data(name: str, data_dir: Optional[Path]):
 def load_cohorts(data_dir: Optional[Path] = None) -> list[tuple[str, str]]:
     """The 33 (code, carcinoma name) cohort pairs."""
     path = _open_data("cohorts.csv", data_dir)
-    rows = _read_csv(path, ("code", "name"))
-    pairs = [(r["code"], r["name"]) for r in rows]
-    codes = [c for c, _ in pairs]
-    if len(pairs) != 33 or len(set(codes)) != 33:
-        raise DataFileError(f"{path}: expected 33 unique cohort codes, "
-                            f"got {len(pairs)}")
+    pairs = [(r["code"], r["name"]) for r in read_csv(path, ("code", "name"))]
+    _check_unique(path, [code for code, _ in pairs], 33, "cohort codes")
     return pairs
 
 
 def load_potsf_genes(data_dir: Optional[Path] = None) -> list[str]:
     path = _open_data("potsf_genes.txt", data_dir)
-    symbols = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
+    symbols = [line.strip() for line in read_text(path).splitlines()
                if line.strip() and not line.startswith("#")]
-    if len(symbols) != 83 or len(set(symbols)) != 83:
-        raise DataFileError(f"{path}: expected 83 unique gene symbols, "
-                            f"got {len(symbols)}")
+    _check_unique(path, symbols, 83, "gene symbols")
     return symbols
 
 
-def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
+def _check_unique(path: Path, values: list[str], expected: int,
+                  what: str) -> None:
+    counts = Counter(values)
+    if len(values) == len(counts) == expected:
+        return
+    repeated = [value for value, n in counts.items() if n > 1]
+    detail = f"; {repeated[0]!r} is repeated" if repeated else ""
+    raise DataFileError(f"{path}: expected {expected} unique {what}, got "
+                        f"{len(counts)}{detail}")
+
+
+def read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The rows under the header `columns`, as dicts; '#' lines and blank
+    lines are skipped, and a row with a missing or extra field is an error."""
+    lines = [line for line in read_text(path).splitlines(keepends=True)
+             if not line.startswith("#")]
+    try:
+        rows = [row for row in csv.reader(lines) if row]
+    except csv.Error as exc:
+        raise DataFileError(f"{path}: {exc}") from None
+    if not rows or tuple(rows[0]) != columns:
         raise DataFileError(f"{path}: expected header {','.join(columns)}")
-    return list(reader)
+    for row in rows[1:]:
+        if len(row) != len(columns):
+            raise DataFileError(f"{path}: expected {len(columns)} fields, "
+                                f"got {len(row)} in {','.join(row)!r}")
+    return [dict(zip(columns, row)) for row in rows[1:]]
 
 
-def load_associations(name: str, data_dir: Optional[Path] = None
-                      ) -> list[dict]:
-    path = _open_data(name, data_dir)
-    rows = _read_csv(path, ("gene", "cohort", "significance", "evidence",
-                            "citations"))
+def load_associations(path: Path) -> list[dict]:
+    """The rows of an associations CSV file, citations parsed."""
+    rows = read_csv(path, ("gene", "cohort", "significance", "evidence",
+                           "citations"))
     for row in rows:
         try:
             row["citations"] = int(row["citations"])
@@ -222,7 +237,7 @@ def load_associations(name: str, data_dir: Optional[Path] = None
 def load_gene_list(name: str, data_dir: Optional[Path] = None
                    ) -> list[tuple[str, str]]:
     path = _open_data(name, data_dir)
-    rows = _read_csv(path, ("symbol", "geneType"))
+    rows = read_csv(path, ("symbol", "geneType"))
     return [(r["symbol"], r["geneType"]) for r in rows]
 
 
@@ -377,10 +392,9 @@ def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
     go_node = iri(ASSOC + "AKT1_GO_0000060")
     graph.add(ono("AKT1"), SCHEMA.has_go_association, go_node)
     graph.add(go_node, RDF_TYPE, iri(OBO + "GO_0000060"))
-    _assert_association_rows(graph, load_associations("associations.csv",
-                                                      data_dir))
-    _assert_association_rows(
-        graph, load_associations("extension_associations.csv", data_dir))
+    for name in ("associations.csv", "extension_associations.csv"):
+        _assert_association_rows(
+            graph, load_associations(_open_data(name, data_dir)))
     return graph
 
 
@@ -389,18 +403,14 @@ def load_extension(graph: Graph, cancers_csv: Optional[Path] = None,
                    associations_csv: Optional[Path] = None) -> None:
     """Extend a graph with additional cancers, genes, and associations."""
     if cancers_csv is not None:
-        for row in _read_csv(Path(cancers_csv), ("code", "name")):
+        for row in read_csv(Path(cancers_csv), ("code", "name")):
             add_cancer(graph, row["code"], row["name"])
     if genes_csv is not None:
-        for row in _read_csv(Path(genes_csv), ("symbol", "geneType")):
+        for row in read_csv(Path(genes_csv), ("symbol", "geneType")):
             add_biomarker(graph, row["symbol"], row["geneType"])
     if associations_csv is not None:
-        path = Path(associations_csv)
-        rows = _read_csv(path, ("gene", "cohort", "significance", "evidence",
-                                "citations"))
-        for row in rows:
-            row["citations"] = int(row["citations"])
-        _assert_association_rows(graph, rows)
+        _assert_association_rows(graph,
+                                 load_associations(Path(associations_csv)))
 
 
 def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .kg import IRI, LITERAL, Graph, KgError, Term
+from .ntriples import read_text
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
                        XSD, ClassIndex, iri)
 
@@ -67,13 +68,11 @@ class QualityConfig:
 
     @classmethod
     def from_json(cls, path) -> "QualityConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:
-                raise QualityConfigError(
-                    f"quality config {path} is not valid JSON: {exc}"
-                ) from None
+        try:
+            raw = json.loads(read_text(path))
+        except ValueError as exc:
+            raise QualityConfigError(
+                f"quality config {path} is not valid JSON: {exc}") from None
         try:
             return cls._from_dict(raw)
         except (TypeError, ValueError, KgError) as exc:

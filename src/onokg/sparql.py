@@ -42,13 +42,12 @@ import operator
 import re
 import time
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 from typing import Optional, Union
 
 from .kg import (Graph, KgError, PrefixTable, Term, UnknownPrefixError,
                  iri, literal)
-from .ontology import RDF, default_prefixes
+from .ntriples import read_text
+from .ontology import RDF, data_path, default_prefixes
 
 RDF_TYPE = iri(RDF + "type")
 
@@ -986,24 +985,19 @@ class PackResult:
     seconds: float
 
 
-def pack_dir() -> Path:
-    return Path(str(resources.files("onokg").joinpath("data", "sparql_pack")))
-
-
-def load_query_pack(directory: Optional[Path] = None) -> list[tuple[str, str]]:
-    directory = Path(directory) if directory else pack_dir()
-    queries = []
-    for path in sorted(directory.glob("*.rq")):
-        queries.append((path.stem, path.read_text(encoding="utf-8")))
+def load_query_pack() -> list[tuple[str, str]]:
+    """The bundled (name, text) queries, in file-name order."""
+    directory = data_path("sparql_pack")
+    queries = [(path.stem, read_text(path))
+               for path in sorted(directory.glob("*.rq"))]
     if not queries:
         raise SparqlError(f"no .rq files in {directory}")
     return queries
 
 
-def run_query_pack(graph: Graph,
-                   directory: Optional[Path] = None) -> list[PackResult]:
+def run_query_pack(graph: Graph) -> list[PackResult]:
     results = []
-    for name, text in load_query_pack(directory):
+    for name, text in load_query_pack():
         query = parse_select(text, default_prefixes())
         start = time.perf_counter()
         table = evaluate(graph, query)

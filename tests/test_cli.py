@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onokg.cli import main
+from onokg.ontology import data_path
 
 
 @pytest.fixture(scope="module")
@@ -536,3 +542,205 @@ class TestNonUtf8Input:
         assert first.startswith("error: ") and "not UTF-8" in first
         batch = run_cli(["dlq", "--kg", str(kg_file), "Oncogene"])
         assert "\n".join(rest) + "\n" == batch.stdout
+
+
+class TestNewlines:
+    """A query or text file with CRLF line endings prints what its LF copy
+    prints: the reader keeps line endings, and both tokenizers treat a
+    carriage return as whitespace."""
+
+    QUERY = ("PREFIX ono: <http://www.example.com/ontologies/ono/ono.owl#>\n"
+             "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+             "# POTSF genes and their labels\n"
+             "SELECT DISTINCT ?l WHERE {\n  ?g ono:isA ono:POTSF .\n"
+             "  ?g rdfs:label ?l .\n}\n")
+    TEXT = ("TP53 causes Breast Cancer.\n\nBRCA1 is responsible for a\n"
+            "disease called Ovarian Cancer.\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--kg", "{kg}", "--file", "{file}"],
+        ["tag", "--model", "{model}", "--file", "{file}"],
+        ["explain", "--model", "{model}", "--format", "json", "--file",
+         "{file}"],
+    ], ids=["query", "tag", "explain-json"])
+    def test_crlf_prints_what_lf_prints(self, argv, kg_file, checkpoint_path,
+                                        tmp_path, capsys):
+        text = self.QUERY if argv[0] == "query" else self.TEXT
+        outputs = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "input"
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            names = {"kg": kg_file, "model": checkpoint_path, "file": path}
+            assert main([arg.format(**names) for arg in argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "TP53" in outputs[0]
+
+
+# the bundled files `build` reads, all of which --data-dir replaces
+DATA_FILES = ("cohorts.csv", "potsf_genes.txt", "associations.csv",
+              "extension_genes.csv", "extension_associations.csv")
+
+
+def copy_data_dir(root):
+    root.mkdir(exist_ok=True)
+    for name in DATA_FILES:
+        shutil.copy(data_path(name), root / name)
+    return root
+
+
+def run_quietly(argv):
+    """The exit code and stderr of `main(argv)`; an exception escaping
+    `main` fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_failed_cleanly(code, err, out=None):
+    assert code in (1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out is None or not out.exists()
+
+
+class TestDataDir:
+    """Bad `--data-dir` files end in one `error:` line and exit code 1, and
+    `build` writes nothing."""
+
+    def build(self, data_dir):
+        out = data_dir / "out.nt"
+        return (*run_quietly(["--data-dir", str(data_dir), "build", "--out",
+                              str(out)]), out)
+
+    def test_copy_builds_the_seed(self, tmp_path, kg_file):
+        code, err, out = self.build(copy_data_dir(tmp_path / "data"))
+        assert code == 0 and err == ""
+        assert out.read_bytes() == kg_file.read_bytes()
+
+    @pytest.mark.parametrize("name", DATA_FILES)
+    def test_not_utf8(self, tmp_path, name):
+        data_dir = copy_data_dir(tmp_path / "data")
+        with open(data_dir / name, "ab") as fh:
+            fh.write(b"\xff\n")
+        code, err, out = self.build(data_dir)
+        assert_failed_cleanly(code, err, out)
+        assert code == 1 and f"{name} is not UTF-8" in err
+
+    @pytest.mark.parametrize("name", [n for n in DATA_FILES
+                                      if n.endswith(".csv")])
+    def test_short_row(self, tmp_path, name):
+        data_dir = copy_data_dir(tmp_path / "data")
+        with open(data_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("X\n")
+        code, err, out = self.build(data_dir)
+        assert_failed_cleanly(code, err, out)
+        assert code == 1 and f"{name}: expected " in err
+        assert "got 1 in 'X'" in err
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("cohorts.csv", "BLCA,", "ACC,",
+         "expected 33 unique cohort codes, got 32; 'ACC' is repeated"),
+        ("potsf_genes.txt", "CAMTA1\n", "BRCA1\n",
+         "expected 83 unique gene symbols, got 82; 'BRCA1' is repeated"),
+    ])
+    def test_repeated_value_is_named(self, tmp_path, name, old, new,
+                                     message):
+        data_dir = copy_data_dir(tmp_path / "data")
+        path = data_dir / name
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code, err, out = self.build(data_dir)
+        assert_failed_cleanly(code, err, out)
+        assert code == 1 and err.endswith(f"{name}: {message}\n")
+
+
+@st.composite
+def mutated(draw, text: bytes) -> bytes:
+    """`text` with one byte inserted, a span of up to 40 bytes deleted, or
+    one line repeated."""
+    kind = draw(st.sampled_from(("insert", "delete", "repeat")))
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "insert":
+        byte = draw(st.sampled_from((b"\xff", b"\x00", b'"', b",", b"\n")))
+        return text[:at] + byte + text[at:]
+    if kind == "delete":
+        return text[:at] + text[at + draw(st.integers(1, 40)):]
+    lines = text.splitlines(keepends=True)
+    line = draw(st.integers(0, len(lines) - 1))
+    return b"".join(lines[:line + 1] + lines[line:])
+
+
+class TestFuzzedInputFiles:
+    """A mutated input file either still works or ends in one `error:`
+    line, exit code 1 or 2 and no output file; never in a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_data_dir_file(self, workdir, data):
+        data_dir = copy_data_dir(workdir / "data")
+        name = data.draw(st.sampled_from(DATA_FILES), label="file")
+        path = data_dir / name
+        path.write_bytes(data.draw(mutated(path.read_bytes()),
+                                   label="text"))
+        out = workdir / "out.nt"
+        out.unlink(missing_ok=True)
+        code, err = run_quietly(["--data-dir", str(data_dir), "build",
+                                 "--out", str(out)])
+        if code != 0:
+            assert_failed_cleanly(code, err, out)
+
+    CONFIG = {"seed": 7, "threshold": 0.25,
+              "data_dir": str(data_path("cohorts.csv").parent)}
+    QUALITY = {
+        "gold_classes": ["http://www.example.com/ontologies/ono/ono.owl#"
+                         "Cancer"],
+        "home_namespaces": ["http://www.example.com/ontologies/ono/"],
+        "completeness_class": "http://www.example.com/ontologies/ono/"
+                              "ono.owl#Cancer",
+        "completeness_predicate": "http://www.example.com/ontologies/ono/"
+                                  "ono.owl#fullName",
+        "range_predicate": "http://www.example.com/ontologies/ono/ono.owl#"
+                           "hasCitations",
+        "range_lower": 0, "range_upper": 1000,
+        "resolver_mode": "syntactic"}
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_config(self, workdir, data):
+        path = workdir / "config.json"
+        text = json.dumps(self.CONFIG, indent=1).encode("utf-8")
+        path.write_bytes(data.draw(mutated(text)))
+        out = workdir / "config-out.nt"
+        out.unlink(missing_ok=True)
+        code, err = run_quietly(["--config", str(path), "build", "--out",
+                                 str(out)])
+        if code != 0:
+            assert_failed_cleanly(code, err, out)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_quality_config(self, workdir, kg_file, data):
+        path = workdir / "quality.json"
+        text = json.dumps(self.QUALITY, indent=1).encode("utf-8")
+        path.write_bytes(data.draw(mutated(text)))
+        code, err = run_quietly(["qa", "--kg", str(kg_file),
+                                 "--quality-config", str(path)])
+        if code != 0:
+            assert_failed_cleanly(code, err)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, workdir, checkpoint_path, data):
+        path = workdir / "model.json"
+        path.write_bytes(data.draw(mutated(checkpoint_path.read_bytes())))
+        code, err = run_quietly(["tag", "--model", str(path), "--text",
+                                 "TP53 causes Breast Cancer."])
+        if code != 0:
+            assert_failed_cleanly(code, err)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_ntriples_scan
-from onokg.kg import Graph, Triple, blank, iri, literal
-from onokg.ntriples import (NTriplesParseError, parse_ntriples,
-                            parse_ntriples_strict, save_file,
-                            serialize_ntriples)
+from onokg.kg import Graph, KgError, Triple, blank, iri, literal
+from onokg.ntriples import (EncodingError, NTriplesParseError,
+                            parse_ntriples, parse_ntriples_strict,
+                            read_text, save_file, serialize_ntriples)
 
 
 class TestParse:
@@ -134,6 +134,27 @@ class TestSave:
             serialize_ntriples(seed_graph)
         assert real.stat().st_mode & 0o777 == 0o640
         assert sorted(os.listdir(tmp_path)) == ["link.nt", "real.nt"]
+
+
+class TestReadText:
+    def test_keeps_line_endings(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\r\nb\rc\n\u00e9".encode("utf-8"))
+        assert read_text(path) == "a\r\nb\rc\n\u00e9"
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_os_error_names_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(OSError) as info:
+            read_text(path)
+        assert str(info.value).startswith(f"cannot read {path}: ")
+
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(EncodingError, match=f"{path} is not UTF-8"):
+            read_text(path)
+        assert issubclass(EncodingError, KgError)
 
 
 class TestSerialize:

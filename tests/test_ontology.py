@@ -12,7 +12,8 @@ from onokg.ontology import (ONO, RDF_TYPE, RDFS_DOMAIN, RDFS_LABEL,
                             add_biomarker, add_cancer, add_schema,
                             assert_association, build_seed_ontology,
                             check_ontology_pitfalls, load_cohorts,
-                            load_potsf_genes, ono, seed_statistics)
+                            load_extension, load_potsf_genes, ono,
+                            seed_statistics)
 
 
 class TestSeedCardinalities:
@@ -71,6 +72,23 @@ class TestDataFiles:
     def test_missing_data_dir(self, tmp_path):
         with pytest.raises(DataFileError, match="cohorts.csv"):
             load_cohorts(tmp_path)
+
+    def test_extension_citations_are_checked(self, tmp_path, seed_copy):
+        path = tmp_path / "assoc.csv"
+        path.write_text("gene,cohort,significance,evidence,citations\n"
+                        "TP53,BRCA,HIGH,PubMed,many\n", encoding="utf-8")
+        with pytest.raises(DataFileError,
+                           match="assoc.csv: bad citations value 'many'"):
+            load_extension(seed_copy, associations_csv=path)
+
+    def test_alias_row_with_missing_field(self, tmp_path):
+        from onokg.ie.linking import AliasTable
+        path = tmp_path / "aliases.csv"
+        path.write_text("surface,type,canonicalIRI\nLi-Fraumeni,Gene\n",
+                        encoding="utf-8")
+        with pytest.raises(DataFileError,
+                           match="aliases.csv: expected 3 fields, got 2"):
+            AliasTable.build(csv_path=path)
 
 
 class TestAssertAssociation:
