@@ -4,6 +4,16 @@ Terms are interned to integer ids in first-insertion order, which makes id
 ordering (and everything sorted by it, such as serialization and query
 output) deterministic for a deterministic build sequence.
 
+Term syntax lives here, one rule per term kind, in the terms of the
+N-Triples subset. `Term` applies it, so every term the API accepts loads
+back from a saved file, and the N-Triples and SPARQL parsers read terms
+with the same patterns:
+- an IRI or datatype: absolute (a `:`), no space, `"`, `<`, `>` or newline;
+- a blank label (`BLANK_LABEL`): alphanumerics, `_` and `-`, non-empty;
+- a language tag (`LANGUAGE_TAG`): alphanumerics and `-`, non-empty;
+- a literal: any text. Quoted (`QUOTED`), it escapes `"`, `\\`, newline
+  and tab (`escape_literal`, undone by `unescape`).
+
 The triples live in two disjoint parts:
 
 - the base, an immutable sorted triple set: the SPO, POS and OSP
@@ -60,6 +70,7 @@ already exclude readers.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -89,6 +100,41 @@ class UnknownPrefixError(KgError):
         self.prefix = prefix
 
 
+# Term syntax (see the module docstring); the parsers reuse `.pattern`
+BLANK_LABEL = re.compile(r"[\w-]+")
+LANGUAGE_TAG = re.compile(r"(?:[^\W_]|-)+")
+QUOTED = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _check_iri(value: str) -> None:
+    """Raise ValidationError unless `value` may stand inside `<...>`."""
+    if ":" not in value:
+        raise ValidationError(f"relative IRI not allowed: <{value}>")
+    if (" " in value or '"' in value or "<" in value or ">" in value
+            or "\n" in value):
+        raise ValidationError(f"invalid character in IRI: <{value}>")
+
+
+def escape_literal(text: str) -> str:
+    return (text.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n").replace("\t", "\\t"))
+
+
+def unescape(body: str) -> str:
+    """The text of a quoted literal's body (quotes excluded), unescaped."""
+    return _ESCAPE.sub(_unescape_one, body)
+
+
+def _unescape_one(match: re.Match) -> str:
+    try:
+        return _ESCAPES[match.group(1)]
+    except KeyError:
+        raise ValidationError(
+            f"unsupported escape \\{match.group(1)}") from None
+
+
 @dataclass(frozen=True)
 class Term:
     """An RDF-style term: IRI, literal, or blank node.
@@ -103,16 +149,23 @@ class Term:
     language: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in (IRI, LITERAL, BLANK):
-            raise ValidationError(f"unknown term kind {self.kind!r}")
-        if self.kind == IRI and ":" not in self.lexical:
-            raise ValidationError(f"IRI must be absolute: {self.lexical!r}")
-        if self.kind != LITERAL and (self.datatype or self.language):
+        kind, datatype, language = self.kind, self.datatype, self.language
+        if kind == IRI:
+            _check_iri(self.lexical)
+        elif kind == BLANK and not BLANK_LABEL.fullmatch(self.lexical):
+            raise ValidationError(f"invalid blank node label: {self.lexical!r}")
+        elif kind not in (LITERAL, BLANK):
+            raise ValidationError(f"unknown term kind {kind!r}")
+        if datatype is None and language is None:
+            return
+        if kind != LITERAL:
             raise ValidationError("datatype/language are only valid on literals")
-        if self.datatype is not None and self.language is not None:
+        if datatype is not None and language is not None:
             raise ValidationError("a literal has at most one of datatype, language")
-        if self.datatype is not None and ":" not in self.datatype:
-            raise ValidationError(f"datatype IRI must be absolute: {self.datatype!r}")
+        if datatype is not None:
+            _check_iri(datatype)
+        elif not LANGUAGE_TAG.fullmatch(language):
+            raise ValidationError(f"invalid language tag: {language!r}")
 
     def local_name(self) -> str:
         """Last path/fragment segment of an IRI (the name after '#' or '/')."""
@@ -160,12 +213,6 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 def typed_int(value: int) -> Term:
     return Term(LITERAL, str(int(value)), datatype=XSD + "integer")
-
-
-def escape_literal(text: str) -> str:
-    # Normative escape set for the N-Triples subset: \" \\ \n \t
-    return (text.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\t", "\\t"))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ labels are not stable across a load and never meet those of another graph.
 Parsing works in term-id space. A dict maps the raw text of each token
 already read (`<a:x>`, `"v"@en`, `_:n`) to its term id. A line whose three
 tokens are all in it becomes an id triple with no further work; any other
-line, a malformed one included, goes through `_LineScanner`, the only
-validator, and its tokens enter the dict once the whole line is valid.
+line, a malformed one included, goes through `_LineScanner`, whose Terms
+validate it, and its tokens enter the dict once the whole line is valid.
 Term ids therefore follow first use on valid lines, as inserting the
 triples one by one would give them. The id rows go straight to the
 store's bulk base build (`Graph.add_ids`) at the end: one sort for the
@@ -41,23 +41,18 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .kg import (BLANK, Graph, KgError, Term, Triple, ValidationError, blank,
-                 iri, literal)
-
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+from .kg import (BLANK, BLANK_LABEL, LANGUAGE_TAG, QUOTED, Graph, KgError,
+                 Term, Triple, ValidationError, blank, iri, literal, unescape)
 
 # One triple line cut into its subject, predicate and object tokens, with
-# the scanner's gaps and terminator. Each token ends where `_LineScanner`
-# ends it: an IRI at the first '>', a literal at the first unescaped '"'
-# plus an optional ^^<dt> or @lang, a blank label before the first
-# character that is not alphanumeric, '_' or '-' (a label cut shorter would
-# leave a character that starts no gap, token or terminator). A literal
-# subject or a non-IRI predicate does not match. So a match splits a line
-# as the scanner would, and a line whose three token texts all passed the
-# scanner before is valid; the match alone checks no token text.
+# the scanner's gaps and terminator. The tokens are the patterns that
+# `_LineScanner` reads (an IRI ends at the first '>'), so a match splits a
+# line as the scanner would; a literal subject or a non-IRI predicate does
+# not match. A line whose three token texts all made valid Terms before is
+# valid: the match alone checks no token text, `Term` does.
 _IRI = r"<[^>]*>"
-_BLANK = r"_:[\w-]+"
-_LITERAL = r'"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^<[^>]*>|@(?:[^\W_]|-)+)?'
+_BLANK = rf"_:{BLANK_LABEL.pattern}"
+_LITERAL = rf"{QUOTED.pattern}(?:\^\^{_IRI}|@{LANGUAGE_TAG.pattern})?"
 _TRIPLE_LINE = re.compile(
     rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
     r"[ \t]*\.[ \t]*(?:#.*)?")
@@ -84,12 +79,6 @@ class ParseResult:
 
 class EncodingError(KgError):
     """A file whose bytes are not UTF-8."""
-
-
-class NTriplesParseError(Exception):
-    def __init__(self, issues: list[ParseIssue]):
-        super().__init__("; ".join(str(i) for i in issues))
-        self.issues = issues
 
 
 class _LineScanner:
@@ -124,66 +113,39 @@ class _LineScanner:
         raise ValidationError(f"unexpected character {ch!r}, expected a term")
 
     def _read_iri(self) -> Term:
-        end = self.text.find(">", self.pos + 1)
+        start = self.pos + 1
+        end = self.text.find(">", start)
         if end < 0:
             raise ValidationError("unterminated IRI (missing '>')")
-        value = self.text[self.pos + 1:end]
         self.pos = end + 1
-        if ":" not in value:
-            raise ValidationError(f"relative IRI not allowed: <{value}>")
-        if any(c in value for c in ' "<'):
-            raise ValidationError(f"invalid character in IRI: <{value}>")
-        return iri(value)
+        return iri(self.text[start:end])
 
     def _read_blank(self) -> Term:
-        self.pos += 2
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "_-"):
-            self.pos += 1
-        label = self.text[start:self.pos]
-        if not label:
+        m = BLANK_LABEL.match(self.text, self.pos + 2)
+        if m is None:
             raise ValidationError("blank node with empty label")
-        return blank(label)
+        self.pos = m.end()
+        return blank(m.group())
 
     def _read_literal(self) -> Term:
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ValidationError("unterminated literal")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                break
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise ValidationError("unterminated literal")
-                esc = self.text[self.pos + 1]
-                if esc not in _ESCAPES:
-                    raise ValidationError(f"unsupported escape \\{esc}")
-                out.append(_ESCAPES[esc])
-                self.pos += 2
-                continue
-            out.append(ch)
-            self.pos += 1
-        value = "".join(out)
-        if self.text[self.pos:self.pos + 2] == "^^":
+        m = QUOTED.match(self.text, self.pos)
+        if m is None:
+            # an unsupported escape is reported before the missing quote
+            unescape(self.text[self.pos + 1:])
+            raise ValidationError("unterminated literal")
+        self.pos = m.end()
+        value = unescape(m.group()[1:-1])
+        if self.text.startswith("^^", self.pos):
             self.pos += 2
             if self.peek() != "<":
                 raise ValidationError("datatype must be an IRI in angle brackets")
-            dt = self._read_iri()
-            return literal(value, datatype=dt.lexical)
+            return literal(value, datatype=self._read_iri().lexical)
         if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                                 or self.text[self.pos] == "-"):
-                self.pos += 1
-            tag = self.text[start:self.pos]
-            if not tag:
+            m = LANGUAGE_TAG.match(self.text, self.pos + 1)
+            if m is None:
                 raise ValidationError("empty language tag")
-            return literal(value, language=tag)
+            self.pos = m.end()
+            return literal(value, language=m.group())
         return literal(value)
 
     def read_terminator(self):
@@ -244,14 +206,6 @@ def parse_ntriples(text: str) -> ParseResult:
         rows.append(row)
     graph.add_ids(rows)
     return ParseResult(graph, issues)
-
-
-def parse_ntriples_strict(text: str) -> Graph:
-    """Parse, raising NTriplesParseError if any line is malformed."""
-    result = parse_ntriples(text)
-    if not result.ok:
-        raise NTriplesParseError(result.issues)
-    return result.graph
 
 
 def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .kg import (Graph, KgError, PrefixTable, Term, Triple, iri, literal,
                  typed_int)
@@ -221,6 +222,16 @@ def read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows[1:]]
 
 
+@contextmanager
+def _row_of(path: Path, *fields) -> Iterator[None]:
+    """Raise a KgError again as a DataFileError naming the file and row."""
+    try:
+        yield
+    except KgError as exc:
+        raise DataFileError(
+            f"{path}: {exc} in {','.join(map(str, fields))!r}") from None
+
+
 def load_associations(path: Path) -> list[dict]:
     """The rows of an associations CSV file, citations parsed."""
     rows = read_csv(path, ("gene", "cohort", "significance", "evidence",
@@ -361,30 +372,37 @@ def assert_association(graph: Graph, f: AssociationFeature) -> Term:
     return node
 
 
-def _assert_association_rows(graph: Graph, rows: list[dict]) -> None:
-    for row in rows:
-        assert_association(graph, AssociationFeature(
-            gene=ono(row["gene"]),
-            cancer=ono(row["cohort"]),
-            significance=row["significance"],
-            evidence=SCHEMA.evidence_term(row["evidence"]),
-            citations=row["citations"],
-        ))
+def _assert_association_rows(graph: Graph, path: Path) -> None:
+    for row in load_associations(path):
+        with _row_of(path, *row.values()):
+            assert_association(graph, AssociationFeature(
+                gene=ono(row["gene"]),
+                cancer=ono(row["cohort"]),
+                significance=row["significance"],
+                evidence=SCHEMA.evidence_term(row["evidence"]),
+                citations=row["citations"],
+            ))
 
 
 def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
     """Assemble the seed KG from the bundled data files."""
     graph = Graph()
     add_schema(graph)
+    path = _open_data("cohorts.csv", data_dir)
     for code, name in load_cohorts(data_dir):
-        add_cancer(graph, code, name)
+        with _row_of(path, code, name):
+            add_cancer(graph, code, name)
     # Medulloblastoma is referenced by the curated associations but is not
     # one of the 33 cohort codes; it is carried as a 34th Cancer instance.
     add_cancer(graph, "MED", "Medulloblastoma")
+    path = _open_data("potsf_genes.txt", data_dir)
     for symbol in load_potsf_genes(data_dir):
-        add_biomarker(graph, symbol, "POTSF")
+        with _row_of(path, symbol):
+            add_biomarker(graph, symbol, "POTSF")
+    path = _open_data("extension_genes.csv", data_dir)
     for symbol, gene_type in load_gene_list("extension_genes.csv", data_dir):
-        add_biomarker(graph, symbol, gene_type)
+        with _row_of(path, symbol, gene_type):
+            add_biomarker(graph, symbol, gene_type)
     # TP53 is additionally asserted as an Oncogene instance; the deduction
     # examples rely on that membership premise.
     graph.add(ono("TP53"), RDF_TYPE, SCHEMA.oncogene)
@@ -393,8 +411,7 @@ def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
     graph.add(ono("AKT1"), SCHEMA.has_go_association, go_node)
     graph.add(go_node, RDF_TYPE, iri(OBO + "GO_0000060"))
     for name in ("associations.csv", "extension_associations.csv"):
-        _assert_association_rows(
-            graph, load_associations(_open_data(name, data_dir)))
+        _assert_association_rows(graph, _open_data(name, data_dir))
     return graph
 
 
@@ -404,13 +421,14 @@ def load_extension(graph: Graph, cancers_csv: Optional[Path] = None,
     """Extend a graph with additional cancers, genes, and associations."""
     if cancers_csv is not None:
         for row in read_csv(Path(cancers_csv), ("code", "name")):
-            add_cancer(graph, row["code"], row["name"])
+            with _row_of(cancers_csv, *row.values()):
+                add_cancer(graph, row["code"], row["name"])
     if genes_csv is not None:
         for row in read_csv(Path(genes_csv), ("symbol", "geneType")):
-            add_biomarker(graph, row["symbol"], row["geneType"])
+            with _row_of(genes_csv, *row.values()):
+                add_biomarker(graph, row["symbol"], row["geneType"])
     if associations_csv is not None:
-        _assert_association_rows(graph,
-                                 load_associations(Path(associations_csv)))
+        _assert_association_rows(graph, Path(associations_csv))
 
 
 def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None
@@ -449,11 +467,6 @@ class PitfallReport:
     naming_violations: list[tuple[Term, str]] = field(default_factory=list)
     intersection_conflicts: list[tuple[Term, str, list[Term]]] = \
         field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not (self.cycles or self.naming_violations
-                    or self.intersection_conflicts)
 
     def summary(self) -> str:
         lines = [f"hierarchy cycles: {len(self.cycles)}"]

@@ -44,8 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .kg import (Graph, KgError, PrefixTable, Term, UnknownPrefixError,
-                 iri, literal)
+from .kg import (QUOTED, Graph, KgError, PrefixTable, Term,
+                 UnknownPrefixError, ValidationError, iri, literal, unescape)
 from .ntriples import read_text
 from .ontology import RDF, data_path, default_prefixes
 
@@ -158,20 +158,18 @@ class SelectQuery:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
   | (?P<iri><[^<>\s]*>)
-  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<string>{QUOTED.pattern})
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>\d+(?:\.\d+)?)
   | (?P<op>&&|\|\||>=|<=|!=|[><=!])
-  | (?P<punct>[{}().;,])
+  | (?P<punct>[{{}}().;,])
   | (?P<pname>[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z0-9_\-.]*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
 """, re.VERBOSE)
-
-_STRING_ESCAPES = {'\\"': '"', "\\\\": "\\", "\\n": "\n", "\\t": "\t"}
 
 KEYWORDS = {"prefix", "select", "distinct", "where", "filter", "values",
             "group", "by", "regex"}
@@ -208,22 +206,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _unescape(raw: str, line: int, col: int) -> str:
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            pair = body[i:i + 2]
-            if pair not in _STRING_ESCAPES:
-                raise SparqlParseError(f"unsupported escape {pair!r}",
-                                       line, col)
-            out.append(_STRING_ESCAPES[pair])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+def _checked(tok: _Token, make, value: str):
+    """`make(value)`; a ValidationError becomes a parse error at `tok`."""
+    try:
+        return make(value)
+    except ValidationError as exc:
+        raise SparqlParseError(str(exc), tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +385,19 @@ class _Parser:
                                        tok.line, tok.col)
             return Var(tok.value[1:])
         if tok.kind == "iri":
-            value = tok.value[1:-1]
-            if ":" not in value:
-                raise SparqlParseError(f"relative IRI <{value}>",
-                                       tok.line, tok.col)
-            return iri(value)
+            return _checked(tok, iri, tok.value[1:-1])
         if tok.kind == "pname":
             prefix, _, local = tok.value.partition(":")
             try:
-                return iri(self.prefixes.namespace(prefix) + local)
+                return _checked(tok, iri,
+                                self.prefixes.namespace(prefix) + local)
             except UnknownPrefixError:
                 raise SparqlParseError(f"unknown prefix {prefix!r}",
                                        tok.line, tok.col) from None
         if tok.kind == "name" and tok.value == "a" and predicate:
             return RDF_TYPE
         if tok.kind == "string":
-            return literal(_unescape(tok.value, tok.line, tok.col))
+            return literal(_checked(tok, unescape, tok.value[1:-1]))
         if tok.kind == "number":
             return literal(tok.value)
         raise SparqlParseError(f"unexpected token {tok.value!r} in pattern",
@@ -462,7 +447,7 @@ class _Parser:
         if pat.kind != "string":
             raise SparqlParseError("regex takes a quoted pattern",
                                    pat.line, pat.col)
-        pattern = _unescape(pat.value, pat.line, pat.col)
+        pattern = _checked(pat, unescape, pat.value[1:-1])
         _compile_regex(pattern, pat.line, pat.col)
         self.expect_punct(")")
         return Regex(var, pattern)
@@ -485,7 +470,7 @@ class _Parser:
         if tok.kind == "number":
             return literal(tok.value)
         if tok.kind == "string":
-            return literal(_unescape(tok.value, tok.line, tok.col))
+            return literal(_checked(tok, unescape, tok.value[1:-1]))
         raise SparqlParseError(f"unexpected operand {tok.value!r}",
                                tok.line, tok.col)
 

@@ -813,7 +813,7 @@ def random_graph(rng: np.random.Generator, max_triples: int = 200,
     counts around the range 0..20, subjects with equal descriptions,
     subclass cycles, properties with several domains or ranges, and class
     and property names in the ONO namespace, some badly cased or ending
-    in a newline.
+    in a tab.
     """
     graph = Graph()
     entities = [iri(EX + f"e{i}") for i in range(rng.integers(4, 16))]
@@ -853,9 +853,9 @@ def _plant(rng, graph, entities, classes, props, max_triples) -> None:
     blanks = [blank(f"n{i}") for i in range(2)]
     looped = classes[-1]    # the source of the planted subclass cycles
     classes = classes + [iri(ONO + "Tumour"), iri(ONO + "bad_class"),
-                         iri(ONO + "Lesion\n")]
+                         iri(ONO + "Lesion\t")]
     props = props + [iri(ONO + "hasPart"), iri(ONO + "BadProp"),
-                     iri(ONO + "hasStage\n")]
+                     iri(ONO + "hasStage\t")]
     subjects = entities + blanks + foreign[:1]
     datatypes = [XSD + name for name in ("integer", "decimal", "boolean",
                                          "date", "string")]

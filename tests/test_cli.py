@@ -656,15 +656,31 @@ class TestDataDir:
         assert_failed_cleanly(code, err, out)
         assert code == 1 and err.endswith(f"{name}: {message}\n")
 
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("potsf_genes.txt", "WHSC1L1\n", 'WHSC1L1"Q\n',
+         'invalid character in IRI: <http://www.example.com/ontologies/ono/'
+         'ono.owl#WHSC1L1"Q> in \'WHSC1L1"Q\''),
+        ("associations.csv", "TP53,MED,LOW,MeSH,7\n",
+         "TP53,MED,LOW,MeSH,7\nTP53,BRCA,HIGH,PubMed,-5\n",
+         "citations must be nonnegative in 'TP53,BRCA,HIGH,PubMed,-5'"),
+        ("extension_genes.csv", "ERBB2,Oncogene\n",
+         "ERBB2,Oncogene\nFOO1,Oncogen\n",
+         "unknown gene type 'Oncogen' in 'FOO1,Oncogen'"),
+    ], ids=["quote-in-symbol", "negative-citations", "unknown-gene-type"])
+    def test_bad_row_names_file_and_row(self, tmp_path, name, old, new,
+                                        message):
+        self.test_repeated_value_is_named(tmp_path, name, old, new, message)
+
 
 @st.composite
-def mutated(draw, text: bytes) -> bytes:
-    """`text` with one byte inserted, a span of up to 40 bytes deleted, or
-    one line repeated."""
+def mutated(draw, text: bytes,
+            inserts=(b"\xff", b"\x00", b'"', b",", b"\n")) -> bytes:
+    """`text` with one byte of `inserts` inserted, a span of up to 40 bytes
+    deleted, or one line repeated."""
     kind = draw(st.sampled_from(("insert", "delete", "repeat")))
     at = draw(st.integers(0, len(text) - 1))
     if kind == "insert":
-        byte = draw(st.sampled_from((b"\xff", b"\x00", b'"', b",", b"\n")))
+        byte = draw(st.sampled_from(inserts))
         return text[:at] + byte + text[at:]
     if kind == "delete":
         return text[:at] + text[at + draw(st.integers(1, 40)):]
@@ -695,6 +711,8 @@ class TestFuzzedInputFiles:
                                  "--out", str(out)])
         if code != 0:
             assert_failed_cleanly(code, err, out)
+        else:
+            assert run_quietly(["qa", "--kg", str(out)]) == (0, "")
 
     CONFIG = {"seed": 7, "threshold": 0.25,
               "data_dir": str(data_path("cohorts.csv").parent)}
@@ -734,6 +752,63 @@ class TestFuzzedInputFiles:
                                  "--quality-config", str(path)])
         if code != 0:
             assert_failed_cleanly(code, err)
+
+    # bytes that open, close or escape a token of the query and DL syntaxes
+    SYNTAX = (b"\xff", b"\x00", b'"', b"\\", b"<", b">", b"{", b"}", b"(",
+              b")", b"?", b":", b".", b" ", b"\n")
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_query_file(self, workdir, kg_file, data):
+        source = data.draw(st.sampled_from(
+            sorted(data_path("sparql_pack").glob("*.rq"))), label="query")
+        path = workdir / "query.rq"
+        path.write_bytes(data.draw(mutated(source.read_bytes(), self.SYNTAX),
+                                   label="text"))
+        code, err = run_quietly(["query", "--kg", str(kg_file), "--file",
+                                 str(path)])
+        if code != 0:
+            assert_failed_cleanly(code, err)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_dlq_expression(self, kg_file, data):
+        pack = json.loads(data_path("dlx_pack.json").read_text(
+            encoding="utf-8"))
+        source = data.draw(st.sampled_from(
+            [entry["expression"] for entry in pack]), label="expression")
+        text = data.draw(mutated(source.encode("utf-8"), self.SYNTAX),
+                         label="text")
+        # as the command line hands over bytes that are not UTF-8
+        expr = text.decode("utf-8", "surrogateescape")
+        code, err = run_quietly(["dlq", "--kg", str(kg_file), expr])
+        if code != 0:
+            assert_failed_cleanly(code, err)
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_ingest_corpus_file(self, workdir, kg_file, checkpoint_path,
+                                data):
+        corpus = workdir / "corpus"
+        shutil.rmtree(corpus, ignore_errors=True)
+        shutil.copytree(data_path("demo_corpus"), corpus)
+        (corpus / "more.jsonl").write_text(json.dumps(
+            {"id": "d4", "text": "TP53 causes Breast Cancer."}) + "\n",
+            encoding="utf-8")
+        path = corpus / data.draw(st.sampled_from(
+            sorted(p.name for p in corpus.iterdir())), label="file")
+        path.write_bytes(data.draw(mutated(path.read_bytes(), self.SYNTAX),
+                                   label="text"))
+        kg = workdir / "ingest.nt"
+        kg.write_bytes(kg_file.read_bytes())
+        code, err = run_quietly(["ingest", "--kg", str(kg), "--corpus",
+                                 str(corpus), "--model",
+                                 str(checkpoint_path)])
+        if code != 0:
+            assert_failed_cleanly(code, err)
+            assert kg.read_bytes() == kg_file.read_bytes()
+        else:
+            assert run_quietly(["qa", "--kg", str(kg)])[0] == 0
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())

@@ -20,6 +20,39 @@ class TestTerm:
         with pytest.raises(ValidationError):
             iri("relative")
 
+    @pytest.mark.parametrize("value, message", [
+        ("a b", "relative IRI not allowed: <a b>"),
+        ("a:x y", "invalid character in IRI: <a:x y>"),
+        ('a:x"', 'invalid character in IRI: <a:x">'),
+        ("a:<x", "invalid character in IRI: <a:<x>"),
+        ("a:x>", "invalid character in IRI: <a:x>>"),
+        # the names that `tests/oracles.random_graph` once planted
+        (ONO + "Lesion\n", f"invalid character in IRI: <{ONO}Lesion\n>"),
+        (ONO + "hasStage\n", f"invalid character in IRI: <{ONO}hasStage\n>"),
+    ])
+    def test_iri_rule(self, value, message):
+        with pytest.raises(ValidationError) as info:
+            iri(value)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            literal("v", datatype=value)
+        assert str(info.value) == message
+
+    def test_iri_may_hold_a_tab_or_carriage_return(self):
+        assert iri("a:x\ty\r").lexical == "a:x\ty\r"
+
+    @pytest.mark.parametrize("label", ["", "a b", "a:b", "a.b", "x\n"])
+    def test_blank_label_rule(self, label):
+        with pytest.raises(ValidationError, match="invalid blank node label"):
+            blank(label)
+        assert blank("bé_-1").lexical == "bé_-1"
+
+    @pytest.mark.parametrize("tag", ["", "en US", "en_US", "en\n"])
+    def test_language_tag_rule(self, tag):
+        with pytest.raises(ValidationError, match="invalid language tag"):
+            literal("x", language=tag)
+        assert literal("x", language="en-é").language == "en-é"
+
     def test_literal_datatype_language_exclusive(self):
         with pytest.raises(ValidationError):
             Term("literal", "x", datatype="a:b", language="en")

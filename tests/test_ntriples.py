@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_ntriples_scan
-from onokg.kg import Graph, KgError, Triple, blank, iri, literal
-from onokg.ntriples import (EncodingError, NTriplesParseError,
-                            parse_ntriples, parse_ntriples_strict,
-                            read_text, save_file, serialize_ntriples)
+from onokg.kg import (Graph, KgError, Triple, ValidationError, blank, iri,
+                      literal)
+from onokg.ntriples import (EncodingError, parse_ntriples, read_text,
+                            save_file, serialize_ntriples)
 
 
 class TestParse:
@@ -19,26 +19,29 @@ class TestParse:
         assert triple.object == literal("v")
 
     def test_datatype_and_language(self):
-        g = parse_ntriples_strict(
+        result = parse_ntriples(
             '<a:s> <a:p> "5"^^<a:int> .\n<a:s> <a:p> "x"@en .')
-        objects = {t.object for t in g}
+        assert result.ok
+        objects = {t.object for t in result.graph}
         assert literal("5", datatype="a:int") in objects
         assert literal("x", language="en") in objects
 
     def test_escapes(self):
-        g = parse_ntriples_strict('<a:s> <a:p> "a\\"b\\\\c\\nd\\te" .')
-        (triple,) = list(g)
+        result = parse_ntriples('<a:s> <a:p> "a\\"b\\\\c\\nd\\te" .')
+        assert result.ok
+        (triple,) = list(result.graph)
         assert triple.object.lexical == 'a"b\\c\nd\te'
 
     def test_comments_and_blank_lines(self):
-        g = parse_ntriples_strict('# header\n\n<a:s> <a:p> <a:o> .\n')
-        assert len(g) == 1
+        result = parse_ntriples('# header\n\n<a:s> <a:p> <a:o> .\n')
+        assert result.ok and len(result.graph) == 1
 
     def test_blank_nodes_renamed_fresh(self):
-        g = parse_ntriples_strict('_:x <a:p> _:y .\n_:y <a:p> _:x .')
-        labels = {t.subject.lexical for t in g}
+        result = parse_ntriples('_:x <a:p> _:y .\n_:y <a:p> _:x .')
+        assert result.ok
+        labels = {t.subject.lexical for t in result.graph}
         assert labels == {"b0", "b1"}
-        assert len(g) == 2
+        assert len(result.graph) == 2
 
     def test_missing_terminator_reports_line(self):
         result = parse_ntriples('<a:s> <a:p> <a:o> .\n<a:s> <a:p> <a:o>')
@@ -79,13 +82,16 @@ class TestParse:
         assert len(result.graph) == 2
 
     def test_strict_raises(self):
-        with pytest.raises(NTriplesParseError):
-            parse_ntriples_strict('<a:s> <a:p> .')
+        result = parse_ntriples('<a:s> <a:p> .')
+        assert [str(issue) for issue in result.issues] == [
+            "line 1: unexpected character '.', expected a term"]
 
     def test_each_parse_starts_a_fresh_graph(self):
         # Parsing into an existing graph used to hand out b0 again, which
         # merged the new blank node with the graph's own _:b0.
-        existing = parse_ntriples_strict("_:a <a:p> <a:o> .")
+        first = parse_ntriples("_:a <a:p> <a:o> .")
+        assert first.ok
+        existing = first.graph
         with pytest.raises(TypeError):
             parse_ntriples("_:x <a:q> <a:o> .", graph=existing)
         result = parse_ntriples("_:x <a:q> <a:o> .")
@@ -96,10 +102,12 @@ class TestParse:
                                          iri("a:o"))]
 
     def test_repeated_tokens_share_one_id(self):
-        g = parse_ntriples_strict('<a:s> <a:p> "x\ty" .\n'
-                                  '<a:s> <a:p> "x\\ty" .\n'
-                                  '<a:s>\t<a:p>"x\ty".# same triple\n'
-                                  '_:n <a:p> <a:s> .\n_:n <a:p> <a:s> .')
+        result = parse_ntriples('<a:s> <a:p> "x\ty" .\n'
+                                '<a:s> <a:p> "x\\ty" .\n'
+                                '<a:s>\t<a:p>"x\ty".# same triple\n'
+                                '_:n <a:p> <a:s> .\n_:n <a:p> <a:s> .')
+        assert result.ok
+        g = result.graph
         assert len(g) == 2
         assert list(g.terms()) == [iri("a:s"), iri("a:p"),
                                    literal("x\ty"), blank("b0")]
@@ -169,7 +177,9 @@ class TestSerialize:
 
     def test_seed_round_trip(self, seed_graph):
         text = serialize_ntriples(seed_graph)
-        reparsed = parse_ntriples_strict(text)
+        result = parse_ntriples(text)
+        assert result.ok
+        reparsed = result.graph
         assert len(reparsed) == len(seed_graph)
         assert set(reparsed) == set(seed_graph)
 
@@ -195,9 +205,54 @@ def test_round_trip_identity(triples):
     g = Graph()
     for triple in triples:
         g.insert(triple)
-    reparsed = parse_ntriples_strict(serialize_ntriples(g))
+    result = parse_ntriples(serialize_ntriples(g))
+    assert result.ok
+    reparsed = result.graph
     assert set(reparsed) == set(g)
     assert len(reparsed) == len(g)
+
+
+def _made(make, *args):
+    """`make(*args)`, or None where the term rule rejects it."""
+    try:
+        return make(*args)
+    except ValidationError:
+        return None
+
+
+_hostile = st.text(st.sampled_from('ab:"<> \r\n\t\\\u2028\u00e9\u4e2d_-@^#.'),
+                   max_size=6)
+_iri_texts = st.builds(str.__add__, st.sampled_from(["a:", "", "h://x/#"]),
+                       _hostile)
+_hostile_iris = _iri_texts.map(lambda v: _made(iri, v))
+_hostile_blanks = _hostile.map(lambda v: _made(blank, v))
+_hostile_literals = st.builds(
+    lambda v, dt, lang: _made(literal, v, dt, lang), _hostile,
+    st.none() | _iri_texts, st.none() | _hostile)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_hostile_iris | _hostile_blanks, _hostile_iris,
+                          _hostile_iris | _hostile_blanks | _hostile_literals),
+                max_size=8))
+def test_every_term_the_api_accepts_loads_back(rows):
+    g = Graph()
+    for row in rows:
+        if None not in row:
+            g.insert(Triple(*row))
+    result = parse_ntriples(serialize_ntriples(g))
+    assert result.ok, result.issues
+    # the parser names blank nodes b0, b1, ... in the order the file
+    # meets them, which is the graph's iteration order
+    names = {}
+
+    def renamed(term):
+        if term.kind != "blank":
+            return term
+        return names.setdefault(term.lexical, blank(f"b{len(names)}"))
+    assert set(result.graph) == {Triple(renamed(s), p, renamed(o))
+                                 for s, p, o in g}
+    assert len(result.graph) == len(g)
 
 
 # Token pools for the differential test, (good, bad) per line position.

@@ -226,7 +226,9 @@ class TestDerivedIndexesFollowWrites:
 class TestPitfalls:
     def test_seed_is_clean(self, seed_graph):
         report = check_ontology_pitfalls(seed_graph)
-        assert report.clean
+        assert report.cycles == []
+        assert report.naming_violations == []
+        assert report.intersection_conflicts == []
 
     def test_planted_cycle(self):
         g = Graph()

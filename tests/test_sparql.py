@@ -69,6 +69,23 @@ class TestParser:
             parse_select("SELECT ?x WHERE { ?x <a:p> }")
         assert err.value.line >= 1 and err.value.col >= 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT ?x WHERE {\n  ?x <rel> <a:o> . }",
+         "2:6: relative IRI not allowed: <rel>"),
+        ('SELECT ?x WHERE { ?x <a:"p> <a:o> . }',
+         '1:22: invalid character in IRI: <a:"p>'),
+        ("PREFIX ex: <a>\nSELECT ?x WHERE { ?x ex:p <a:o> . }",
+         "2:22: relative IRI not allowed: <ap>"),
+        ('SELECT ?x WHERE {\n  ?x <a:p> "a\\qb" . }',
+         "2:12: unsupported escape \\q"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "\\d")) }',
+         "1:51: unsupported escape \\d"),
+    ])
+    def test_term_error_names_the_token(self, text, message):
+        with pytest.raises(SparqlParseError) as err:
+            parse_select(text)
+        assert str(err.value) == message
+
     def test_values_clause(self):
         query = parse_select(
             'SELECT ?v WHERE { VALUES ?v { <a:x> "lit" } }')
