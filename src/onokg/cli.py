@@ -16,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -314,14 +315,17 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     from .explain.heatmap import render_heatmap
     from .ie.tagger import encode_sentence
     import numpy as np
+    if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
+        raise UserError(f"--epsilon must be a finite number >= 0, got "
+                        f"{args.epsilon}")
+    if not math.isfinite(args.delta):
+        raise UserError(f"--delta must be a finite number, got {args.delta}")
     checkpoint = _load_checkpoint(args.model or cfg.model_path)
     text = _read_text_arg(args)
-    doc = preprocess(text, "cli")
     space = next(iter(checkpoint.models.values())).space
     tokens: list[str] = []
     scores: list[float] = []
-    for sentence in doc.sentences:
-        words = [t.form for t in sentence]
+    for words in preprocess(text).sentences:
         encoded = encode_sentence(words, checkpoint.vocab, space,
                                   checkpoint.gazetteers)
         combined = np.zeros(len(words))

@@ -8,6 +8,10 @@ Grammar (keywords case-insensitive, `and` binds tighter than `or`):
     restriction := ['inverse'] NAME ('some' unit | 'only' unit
                                      | 'min' INT | 'max' INT)
 
+A parenthesized expression and a `some`/`only` filler each open one
+nesting level; an expression nested deeper than `MAX_NESTING` levels is a
+`DlxParseError` at the token that opens the level too many.
+
 Evaluation is closed-world instance retrieval: an atomic name denotes the
 instances of the class it resolves to (through the asserted subclass
 hierarchy) plus the resolved node itself when that node is also used as an
@@ -41,6 +45,10 @@ _META_TYPES = {
 }
 
 KEYWORDS = {"and", "or", "some", "only", "min", "max", "inverse"}
+
+# The parser recurses once per nesting level; this bound keeps it far from
+# the interpreter's recursion limit.
+MAX_NESTING = 100
 
 # The query tables use both have-/has- spellings for these properties.
 _PROPERTY_ALIASES = {
@@ -230,6 +238,14 @@ class _Tokens:
                 continue
             raise DlxParseError(f"unexpected character {ch!r}", pos)
         self.index = 0
+        self.depth = 0
+
+    def enter(self, pos: int) -> None:
+        """Open one nesting level at offset `pos`; the caller closes it."""
+        if self.depth == MAX_NESTING:
+            raise DlxParseError(f"expression nested deeper than "
+                                f"{MAX_NESTING} levels", pos)
+        self.depth += 1
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.items[self.index] if self.index < len(self.items) else None
@@ -284,10 +300,12 @@ def _parse_unit(tokens: _Tokens, resolver: NameResolver) -> ClassExpression:
     tok = tokens.next()
     kind, value, pos = tok
     if kind == "punct" and value == "(":
+        tokens.enter(pos)
         inner = _parse_or(tokens, resolver)
         closing = tokens.next()
         if closing[0] != "punct" or closing[1] != ")":
             raise DlxParseError("expected ')'", closing[2])
+        tokens.depth -= 1
         return inner
     if kind == "kw" and value == "inverse":
         name_tok = tokens.next()
@@ -319,7 +337,9 @@ def _parse_restriction(tokens: _Tokens, resolver: NameResolver, name: str,
                                 f"'{op[1]}'", num[2])
         n = int(num[1])
         return MinCard(prop, n) if op[1] == "min" else MaxCard(prop, n)
+    tokens.enter(op[2])
     filler = _parse_unit(tokens, resolver)
+    tokens.depth -= 1
     return Some(prop, filler) if op[1] == "some" else Only(prop, filler)
 
 

@@ -80,16 +80,6 @@ def find_spans(word_tags: Sequence[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def encode_word_tags(spans: Sequence[tuple[int, int]], n: int) -> list[str]:
-    """Inverse of find_spans for non-overlapping spans."""
-    tags = ["O"] * n
-    for start, end in spans:
-        tags[start] = "B"
-        for i in range(start + 1, end):
-            tags[i] = "I"
-    return tags
-
-
 def _span_candidates(word_tags, word_probs, entity_type):
     out = []
     for start, end in find_spans(word_tags):

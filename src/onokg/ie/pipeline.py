@@ -82,8 +82,7 @@ def extract_document(doc: Document, checkpoint: Checkpoint,
         return encode_sentence(words, checkpoint.vocab, space,
                                checkpoint.gazetteers)
 
-    for sent_idx, sentence in enumerate(doc.sentences):
-        words = [t.form for t in sentence]
+    for sent_idx, words in enumerate(doc.sentences):
         encoded = encode(words)
         if len(encoded) <= MAX_PIECES:
             chunks = [(0, encoded)]

@@ -29,7 +29,6 @@ class RelationCandidate:
     doc_id: str
     sentence_index: int
     anonymized: str
-    participants: list[EntityMention]
     label: str
     confidence: float
     subject: Optional[Term]
@@ -238,9 +237,6 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
             object_ = _slot_term(pattern.object_slot, captures, tokens)
             if subject is None or object_ is None:
                 continue
-            participants = [tok.mention for tok in captures.values()
-                            if isinstance(tok, _AnonToken)
-                            and tok.mention is not None]
             key = (pattern.label, subject, object_)
             if key in seen:
                 continue
@@ -251,7 +247,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
                 covered_pairs.add((gene.mention.start, disease.mention.start))
             candidates.append(RelationCandidate(
                 doc_id=doc_id, sentence_index=sentence_index,
-                anonymized=text, participants=participants,
+                anonymized=text,
                 label=pattern.label, confidence=pattern.confidence,
                 subject=subject, object=object_, pattern=pattern.name))
     genes = [t.mention for t in tokens
@@ -264,7 +260,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
             if (g.start, d.start) not in covered_pairs:
                 candidates.append(RelationCandidate(
                     doc_id=doc_id, sentence_index=sentence_index,
-                    anonymized=text, participants=[g, d], label="none",
+                    anonymized=text, label="none",
                     confidence=0.0, subject=g.normalized_id,
                     object=d.normalized_id, pattern=""))
     return candidates

@@ -21,11 +21,6 @@ class SubwordVocab:
         self.pieces = frozenset(pieces)
         self.unknown = unknown
 
-    def covers(self, word: str) -> bool:
-        """Every character of word is present as head and continuation."""
-        return all(c in self.pieces and CONTINUATION + c in self.pieces
-                   for c in word)
-
     def tokenize(self, word: str) -> list[str]:
         if not word:
             return []
@@ -50,12 +45,6 @@ class SubwordVocab:
 
     def __len__(self):
         return len(self.pieces)
-
-
-def join_pieces(pieces: list[str]) -> str:
-    """Inverse of tokenize for in-vocabulary words."""
-    return "".join(p[len(CONTINUATION):] if p.startswith(CONTINUATION) else p
-                   for p in pieces)
 
 
 @lru_cache(maxsize=1)

@@ -415,32 +415,6 @@ def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
     return graph
 
 
-def load_extension(graph: Graph, cancers_csv: Optional[Path] = None,
-                   genes_csv: Optional[Path] = None,
-                   associations_csv: Optional[Path] = None) -> None:
-    """Extend a graph with additional cancers, genes, and associations."""
-    if cancers_csv is not None:
-        for row in read_csv(Path(cancers_csv), ("code", "name")):
-            with _row_of(cancers_csv, *row.values()):
-                add_cancer(graph, row["code"], row["name"])
-    if genes_csv is not None:
-        for row in read_csv(Path(genes_csv), ("symbol", "geneType")):
-            with _row_of(genes_csv, *row.values()):
-                add_biomarker(graph, row["symbol"], row["geneType"])
-    if associations_csv is not None:
-        _assert_association_rows(graph, Path(associations_csv))
-
-
-def apply_query_fixtures(graph: Graph, data_dir: Optional[Path] = None
-                         ) -> None:
-    """Demo cancers/genes used by the bundled query packs (not seed data)."""
-    load_extension(graph,
-                   cancers_csv=_open_data("fixture_cancers.csv", data_dir),
-                   genes_csv=_open_data("fixture_genes.csv", data_dir),
-                   associations_csv=_open_data("fixture_associations.csv",
-                                               data_dir))
-
-
 def seed_statistics(graph: Graph) -> dict:
     def subjects(p: Term, o: Term) -> int:
         return graph.count_ids(None, graph.term_id(p), graph.term_id(o))

@@ -11,7 +11,8 @@ from onokg.ie import corpus as corpus_mod
 from onokg.ie.tagger import FeatureSpace, save_checkpoint
 from onokg.ie.train import TrainConfig, train_tagger
 from onokg.ie.wordpiece import demo_vocab
-from onokg.ontology import apply_query_fixtures, build_seed_ontology
+from onokg.ontology import build_seed_ontology
+from helpers import apply_query_fixtures
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import encode_word_tags
 from oracles import (central_difference, dl_instances, random_dl_expr,
                      random_graph, random_sparql_query, sparql_rows)
 from onokg import dlx
@@ -18,7 +19,7 @@ from onokg.explain import (FeedForwardNet, Layer,
                            SingularDenominatorError, gradient, lrp,
                            sensitivity)
 from onokg.ie import corpus as corpus_mod
-from onokg.ie.decode import encode_word_tags, find_spans
+from onokg.ie.decode import find_spans
 from onokg.ie.linking import AliasTable
 from onokg.ie.pipeline import extract_document
 from onokg.ie.preprocess import preprocess

@@ -480,6 +480,67 @@ class TestExplainJson:
         assert payload["method"] == "lrp"
 
 
+    @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
+    @pytest.mark.parametrize("option,value", [
+        ("--epsilon", "-1"), ("--epsilon", "nan"), ("--epsilon", "inf"),
+        ("--epsilon", "-inf"), ("--delta", "nan"), ("--delta", "inf"),
+        ("--delta", "-inf")])
+    def test_bad_epsilon_or_delta_exits_1(self, checkpoint_path, capsys,
+                                          method, option, value):
+        code = main(["explain", "--model", str(checkpoint_path),
+                     "--text", "TP53 causes Breast Cancer.",
+                     "--method", method, f"{option}={value}",
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {option} must be a finite number")
+        assert err.count("\n") == 1
+
+
+class TestDeepNesting:
+    """Input nested deeper than the parsers' limit ends in one `error:`
+    line at the token that opens the level too many, not a
+    RecursionError."""
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("shape", ["parentheses", "fillers"])
+    def test_dlq(self, kg_file, depth, shape):
+        expression = "(" * depth + "Cancer" + ")" * depth \
+            if shape == "parentheses" else "causes some " * depth + "Cancer"
+        code, err = run_quietly(["dlq", "--kg", str(kg_file), expression])
+        assert_failed_cleanly(code, err)
+        offset = 100 if shape == "parentheses" else 100 * 12 + 7
+        assert err == "error: expression nested deeper than 100 levels " \
+            f"(at offset {offset})\n"
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("shape", ["negations", "parentheses"])
+    def test_query_file(self, kg_file, tmp_path, depth, shape):
+        prefix = "SELECT ?x WHERE { ?x ?p ?o . FILTER ("
+        inner = "!" * depth + "(?o = 1)" if shape == "negations" \
+            else "(" * depth + "?o = 1" + ")" * depth
+        query = tmp_path / "deep.rq"
+        query.write_text(prefix + inner + ") }", encoding="utf-8")
+        code, err = run_quietly(["query", "--kg", str(kg_file), "--file",
+                                 str(query)])
+        assert_failed_cleanly(code, err)
+        # the group opens level 1, so the 100th ! or ( opens level 101
+        column = len(prefix) + 100
+        assert err == f"error: 1:{column}: query nested deeper than 100 " \
+            "levels\n"
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_repl_dlq(self, kg_file, depth):
+        expression = "(" * depth + "Cancer" + ")" * depth
+        result = run_cli(["repl", "--kg", str(kg_file)],
+                         input=f":dlq {expression}\n:dlq Cancer\n:quit\n")
+        assert result.returncode == 0 and result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[0] == "error: expression nested deeper than 100 " \
+            "levels (at offset 100)"
+        assert len([line for line in lines if line]) == 1 + 34
+
+
 class TestReplSparqlAndQa:
     def test_repl_sparql_matches_batch(self, kg_file, tmp_path):
         query = tmp_path / "q.rq"

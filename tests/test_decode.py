@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import encode_word_tags
 from oracles import spans_by_regex
-from onokg.ie.decode import (decode_entities, encode_word_tags, find_spans,
-                             word_level_tags)
+from onokg.ie.decode import decode_entities, find_spans, word_level_tags
 from onokg.ie.tagger import (FeatureSpace, TAG_INDEX, encode_sentence,
                              gold_tags)
 from onokg.ie.wordpiece import demo_vocab

@@ -6,9 +6,10 @@ import pytest
 from oracles import dl_instances, random_dl_expr, random_graph
 from onokg import dlx
 from onokg.dlx import (AboxIndex, And, Atomic, DlxParseError,
-                       HierarchyCycleError, MaxCard, MinCard, Only, Or,
-                       PropRef, Some, SYLLOGISM_RULES, UnknownNameError,
-                       deduce_syllogism, instances, parse_dlx, query)
+                       HierarchyCycleError, MAX_NESTING, MaxCard, MinCard,
+                       Only, Or, PropRef, Some, SYLLOGISM_RULES,
+                       UnknownNameError, deduce_syllogism, instances,
+                       parse_dlx, query)
 from onokg.kg import Graph, Triple, iri
 from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, ClassIndex, data_path,
                             ono)
@@ -65,6 +66,16 @@ class TestParser:
     def test_trailing_tokens(self, seed_graph):
         with pytest.raises(DlxParseError):
             parse_dlx("Biomarker Cancer", seed_graph)
+
+    # the error names the `(` or the `some` that opens level 101
+    @pytest.mark.parametrize("opening,closing,offset", [
+        ("(", ")", 100), ("causes some ", "", 100 * 12 + 7)])
+    def test_nesting_limit(self, seed_graph, opening, closing, offset):
+        deepest = opening * MAX_NESTING + "Cancer" + closing * MAX_NESTING
+        assert parse_dlx(deepest, seed_graph) is not None
+        with pytest.raises(DlxParseError, match="nested deeper than 100 "
+                           f"levels \\(at offset {offset}\\)"):
+            parse_dlx(opening + deepest + closing, seed_graph)
 
     def test_removed_term_stops_resolving(self, seed_copy):
         edge = Triple(ono("Sarcoma"), RDFS_SUBCLASS, ono("Cancer"))

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from onokg.ie.decode import EntityMention
 from onokg.ie.enrich import enrich_kg
 from onokg.ie.linking import AliasTable, link_entity, mint_normalized_id
-from onokg.ie.preprocess import Document, preprocess, stem
+from onokg.ie.preprocess import preprocess, stem, stopwords
 from onokg.ie.relations import RelationCandidate, extract_relations
-from onokg.ie.wordpiece import SubwordVocab, demo_vocab, join_pieces
+from onokg.ie.wordpiece import SubwordVocab, demo_vocab
 from onokg.kg import Triple, iri
 from onokg.ntriples import parse_ntriples, serialize_ntriples
 from onokg.ontology import SCHEMA, build_seed_ontology, data_path, ono
+from helpers import conll, covers, join_pieces
 from oracles import enriched
 
 FIG4 = ("TP53 is responsible for a disease called Breast Cancer. "
@@ -24,30 +25,30 @@ class TestPreprocess:
     def test_short_sentence_tokens_and_stopwords(self):
         doc = preprocess("TP53 is an oncogene.")
         (sentence,) = doc.sentences
-        assert [t.form for t in sentence] == ["TP53", "is", "an",
-                                              "oncogene", "."]
-        assert [t.is_stop for t in sentence] == [False, True, True, False,
-                                                 False]
+        assert sentence == ["TP53", "is", "an", "oncogene", "."]
+        assert [w.lower() in stopwords() for w in sentence] == \
+            [False, True, True, False, False]
 
     def test_conll_deterministic(self):
         text = "BRCA1 causes Ovarian Cancer. It was reported twice."
-        assert preprocess(text).conll() == preprocess(text).conll()
+        assert conll(preprocess(text)) == conll(preprocess(text))
 
     def test_conll_format(self):
         doc = preprocess("TP53 is an oncogene.")
-        lines = doc.conll().strip().split("\n")
+        lines = conll(doc).strip().split("\n")
         assert lines[0].split("\t") == ["1", "TP53", "tp53", "PROPN", "0"]
         assert lines[1].split("\t") == ["2", "is", "is", "VERB", "1"]
 
     def test_fig4_content_words_not_stopworded(self):
         doc = preprocess(FIG4)
-        content = {t.form for s in doc.sentences for t in s if not t.is_stop}
+        content = {w for s in doc.sentences for w in s
+                   if w.lower() not in stopwords()}
         assert {"TP53", "Breast", "Cancer", "POTSF", "PubMed"} <= content
 
     def test_empty_text(self):
         doc = preprocess("")
         assert doc.sentences == []
-        assert doc.conll() == ""
+        assert conll(doc) == ""
 
     def test_two_sentences(self):
         doc = preprocess(FIG4)
@@ -92,8 +93,8 @@ class TestWordPiece:
 
     def test_demo_vocab_covers_ascii_words(self):
         vocab = demo_vocab()
-        assert vocab.covers("PubMed")
-        assert vocab.covers("cystadenocarcinoma")
+        assert covers(vocab, "PubMed")
+        assert covers(vocab, "cystadenocarcinoma")
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,7 @@ def _candidates(draw, stored):
         drawn.append((subject, label, obj))
     return [RelationCandidate(
         doc_id=draw(st.sampled_from(["d1", "d2"])), sentence_index=0,
-        anonymized="", participants=[], label=label,
+        anonymized="", label=label,
         confidence=draw(st.sampled_from(_GRID) | st.floats(0.0, 1.0)),
         subject=subject, object=obj) for subject, label, obj in drawn]
 

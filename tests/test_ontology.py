@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import load_extension
 from oracles import class_instances, random_graph, reachability_closure
 from onokg import dlx
 from onokg.quality import QualityConfig, assess
@@ -12,8 +13,7 @@ from onokg.ontology import (ONO, RDF_TYPE, RDFS_DOMAIN, RDFS_LABEL,
                             add_biomarker, add_cancer, add_schema,
                             assert_association, build_seed_ontology,
                             check_ontology_pitfalls, load_cohorts,
-                            load_extension, load_potsf_genes, ono,
-                            seed_statistics)
+                            load_potsf_genes, ono, seed_statistics)
 
 
 class TestSeedCardinalities:

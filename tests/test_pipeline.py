@@ -76,8 +76,7 @@ class TestLongSentences:
                                    checkpoint.gazetteers)
 
         mentions, candidates, lengths, shifted = [], [], [], 0
-        for sent_idx, sentence in enumerate(doc.sentences):
-            words = [t.form for t in sentence]
+        for sent_idx, words in enumerate(doc.sentences):
             lengths.append(len(encode(words)))
             chunks = split_to_fit(words, checkpoint.vocab, MAX_PIECES,
                                   checkpoint.gazetteers)

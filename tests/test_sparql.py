@@ -9,9 +9,10 @@ from oracles import (random_graph, random_rich_sparql_query,
                      random_sparql_query, sparql_rows)
 from onokg.kg import Graph, PrefixTable, Triple, iri, literal
 from onokg.ontology import ONO, RDF_TYPE, SCHEMA, default_prefixes, ono
-from onokg.sparql import (SolutionTable, SparqlParseError, SubSelect,
-                          TriplePattern, Var, evaluate, load_query_pack,
-                          parse_select, run_query, run_query_pack)
+from onokg.sparql import (MAX_NESTING, SolutionTable, SparqlParseError,
+                          SubSelect, TriplePattern, Var, evaluate,
+                          load_query_pack, parse_select, run_query,
+                          run_query_pack)
 
 FIG5_STYLE = """
 PREFIX ono: <http://www.example.com/ontologies/ono/ono.owl#>
@@ -53,6 +54,16 @@ class TestParser:
     def test_unknown_prefix(self):
         with pytest.raises(SparqlParseError, match="unknown prefix"):
             parse_select("SELECT ?x WHERE { ?x zzz:p <a:o> . }")
+
+    def test_nesting_limit(self):
+        # the group opens the first level and each ! one more, so the
+        # error names the 100th !
+        head = "SELECT ?x WHERE { ?x <a:p> ?y . FILTER ("
+        deepest = "!" * (MAX_NESTING - 1) + "?y = 1) }"
+        assert len(parse_select(head + deepest).filters) == 1
+        with pytest.raises(SparqlParseError, match=f"1:{len(head) + 100}: "
+                           "query nested deeper than 100 levels"):
+            parse_select(head + "!" + deepest)
 
     def test_malformed_filter(self):
         with pytest.raises(SparqlParseError):
