@@ -21,13 +21,14 @@ are individuals in the graph.
 
 Names resolve to Terms, but evaluation runs over term ids: the graph's
 shared `ontology.ClassIndex` gives class extents as id sets, `AboxIndex`
-builds per-property successor maps from `Graph.match_ids`, and every node
-of an expression evaluates to a set of ids. Only `instances` turns ids
-back into Terms, sorted for output. The index, the `AboxIndex` built on it
-and the `NameResolver` are memoized with `Graph.cached`, so repeated
-queries share them and a graph write makes the next query rebuild them. A
-cyclic subclass hierarchy raises `HierarchyCycleError` in DL queries,
-while `ontology.check_ontology_pitfalls` (the `qa` command) reports it.
+builds per-property successor maps from `Graph.match_ids` and its universe
+from `Graph.key_ids`, and every node of an expression evaluates to a set
+of ids. Only `instances` turns ids back into Terms, sorted for output.
+The index, the `AboxIndex` built on it and the `NameResolver` are
+memoized with `Graph.cached`, so repeated queries share them and a graph
+write makes the next query rebuild them. A cyclic subclass hierarchy
+raises `HierarchyCycleError` in DL queries, while
+`ontology.check_ontology_pitfalls` (the `qa` command) reports it.
 """
 
 from __future__ import annotations
@@ -368,11 +369,9 @@ class AboxIndex:
                 self._individuals |= members
         self._literal = [t.kind == LITERAL for t in graph.id_terms()]
         self._succ: dict[tuple[Term, bool], dict[int, set[int]]] = {}
-        rows = graph.match_ids()
         literal = self._literal
-        self.universe: frozenset[int] = frozenset(
-            {s for s, _, _ in rows}.union(
-                o for _, _, o in rows if not literal[o]))
+        self.universe: frozenset[int] = frozenset(graph.key_ids(0)).union(
+            o for o in graph.key_ids(2) if not literal[o])
 
     def successors(self, prop: PropRef) -> dict[int, set[int]]:
         key = (prop.term, prop.inverse)

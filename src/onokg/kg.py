@@ -29,12 +29,13 @@ The triples live in two disjoint parts:
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
 all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `copy` and `add_ids`
 read the two parts as they are. Any other `match_ids`/`count_ids` shape,
-and `terms()`, first fold a non-empty buffer into the base: `add_ids` of
-no new rows, one bulk build of the base and buffer triples. So a graph
-built by inserts, as the ontology API builds one, is saved by reading the
-buffer's keys in order and folded once, when it is first queried. `add_ids`
-(the N-Triples parse and `copy`) always builds the base, from the stored
-triples and its rows, and leaves the buffer empty.
+`key_ids` and `terms()` first fold a non-empty buffer into the base:
+`add_ids` of no new ids, one bulk build of the base and buffer triples.
+So a graph built by inserts, as the ontology API builds one, is saved by
+reading the buffer's keys in order and folded once, when it is first
+queried. `add_ids` (the N-Triples parse and `copy`) always builds the
+base, from the stored triples and its flat ids, and leaves the buffer
+empty.
 
 Removing a buffered triple discards it; removing a base triple builds the
 base again without it (no command removes). There are no tombstones:
@@ -75,7 +76,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -301,6 +302,11 @@ class _Sorted:
     def pairs(self, lo: int, hi: int):
         return zip(self.second[lo:hi], self.third[lo:hi])
 
+    def firsts(self) -> list[int]:
+        """The first keys that begin some row, ascending."""
+        counts = np.diff(np.frombuffer(self.off, dtype=np.int64))
+        return np.flatnonzero(counts).tolist()
+
     def triples(self) -> list[tuple[int, int, int]]:
         """Every row as (first, second, third), in stored order."""
         off, second, third = self.off, self.second, self.third
@@ -314,11 +320,10 @@ def _column(values) -> array:
 
 class _Base:
     """An immutable set of id triples in three sorted permutations (SPO,
-    POS, OSP), built in bulk from id rows; duplicates dropped. Numpy
-    builds it; probes read plain arrays."""
+    POS, OSP), built in bulk from flat ids (s0, p0, o0, s1, ...);
+    duplicates dropped. Numpy builds it; probes read plain arrays."""
 
-    def __init__(self, rows: Iterable[tuple[int, int, int]], size: int):
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    def __init__(self, flat: np.ndarray, size: int):
         spo = flat.reshape(-1, 3)
         spo = spo[np.lexsort(spo.T[::-1])]
         if len(spo) > 1:
@@ -347,6 +352,12 @@ class _Base:
         """Every triple, sorted."""
         return list(zip(self.subjects, self.spo.second, self.spo.third))
 
+    def flat(self) -> np.ndarray:
+        """Every triple, sorted, as flat ids."""
+        columns = (self.subjects, self.spo.second, self.spo.third)
+        return np.column_stack([np.frombuffer(c, dtype=np.int64)
+                                for c in columns]).ravel()
+
     def count(self, s, p, o) -> int:
         """How many triples match a pattern with an unbound position."""
         if s is not None and p is not None:
@@ -366,7 +377,7 @@ class _Base:
         return hi - lo
 
 
-_EMPTY = _Base((), 0)
+_EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
 
 
 class _Buffer:
@@ -464,19 +475,24 @@ class Graph:
             self._derived.clear()
         return True
 
-    def add_ids(self, rows: Iterable[tuple[int, int, int]]) -> int:
-        """Add id triples whose ids `intern` gave out and whose predicate is
-        an IRI and subject not a literal; how many were not yet stored.
+    def add_ids(self, ids: Sequence[int]) -> int:
+        """Add id triples, given as flat ids (s0, p0, o0, s1, ...) that
+        `intern` gave out, each with an IRI predicate and a subject that
+        is no literal; how many were not yet stored. `ids` is a list, a
+        tuple or an `array.array`, read without a tuple per triple.
 
-        The base is built again from the stored triples and `rows`, and
-        published with an empty buffer in one assignment. With no rows this
+        The base is built again from the stored triples and `ids`, and
+        published with an empty buffer in one assignment. With no ids this
         is the fold, which readers may run.
         """
         base, buffer = self._store
         before = base.n + buffer.n
+        flat = np.asarray(ids, dtype=np.int64)
         if before:
-            rows = chain(base.rows(), buffer.rows(), rows)
-        base = _Base(rows, len(self._terms))
+            buffered = np.fromiter(chain.from_iterable(buffer.rows()),
+                                   dtype=np.int64, count=3 * buffer.n)
+            flat = np.concatenate((base.flat(), buffered, flat))
+        base = _Base(flat, len(self._terms))
         self._store = (base, _Buffer())
         added = base.n - before
         if added and self._derived:
@@ -495,8 +511,9 @@ class Graph:
         if not buffer.discard(key):
             if not base.has(key):
                 return False
-            rows = (row for row in base.rows() if row != key)
-            self._store = (_Base(rows, len(self._terms)), buffer)
+            rows = base.flat().reshape(-1, 3)
+            kept = rows[(rows != key).any(axis=1)].ravel()
+            self._store = (_Base(kept, len(self._terms)), buffer)
         self._derived.clear()
         return True
 
@@ -599,6 +616,14 @@ class Graph:
             return [(a, b, o) for a, b in base.osp.pairs(*base.osp.span(o))]
         return base.rows()
 
+    def key_ids(self, position: int) -> list[int]:
+        """The ids that some stored triple holds at `position` (0 subject,
+        1 predicate, 2 object), ascending; folds. They are read off the key
+        runs of the permutation sorted on that position, with no tuple per
+        triple."""
+        base = self._folded()
+        return (base.spo, base.pos, base.osp)[position].firsts()
+
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:
         """How many triples `match_ids` would return, read off the index
@@ -611,8 +636,7 @@ class Graph:
         """A graph of the same triples, its ids given out in id-row order."""
         g = Graph()
         terms, intern = self._terms, g.intern
-        g.add_ids([(intern(terms[s]), intern(terms[p]), intern(terms[o]))
-                   for s, p, o in self.id_rows()])
+        g.add_ids([intern(terms[i]) for row in self.id_rows() for i in row])
         return g
 
     def check_indexes(self) -> bool:

@@ -11,24 +11,42 @@ reports all problems. Each call parses into a fresh graph, and blank-node
 labels are renamed to fresh sequential labels (b0, b1, ...) per call, so
 labels are not stable across a load and never meet those of another graph.
 
-Parsing works in term-id space. A dict maps the raw text of each token
-already read (`<a:x>`, `"v"@en`, `_:n`) to its term id. A line whose three
-tokens are all in it becomes an id triple with no further work; any other
-line, a malformed one included, goes through `_LineScanner`, whose Terms
-validate it, and its tokens enter the dict once the whole line is valid.
-Term ids therefore follow first use on valid lines, as inserting the
-triples one by one would give them. The id rows go straight to the
-store's bulk base build (`Graph.add_ids`) at the end: one sort for the
+Parsing works in term-id space and by slice. The text is cut at line ends
+into slices of about `SLICE_CHARS` characters, so neither a list of all
+its lines nor a copy of the whole text is made. A dict maps the raw text
+of each token already read (`<a:x>`, `"v"@en`, `_:n`) to its term id.
+Each slice is first read with one `findall` of the line pattern, anchored
+per line. When every line
+of the slice matched, each token not read before makes its `Term` once,
+through the scanner's `read_term`, which must consume the whole token;
+once all of them are valid, blank labels are handed out and the Terms
+interned in the order the tokens first appear, and every token maps to its
+id through the dict. Otherwise (a blank, comment, CRLF or malformed line,
+or a new token that makes no Term) the slice goes through the line loop,
+from the same dict, blank labels and line number. The line loop is the
+only code that reports issues: a line whose three tokens are all in the
+dict becomes an id triple with no further work; any other line goes
+through `_LineScanner`, whose Terms validate it, and its tokens enter the
+dict once the whole line is valid. Both ways give term ids and blank
+labels in first use on valid lines, as inserting the triples one by one
+would give them, and the same issues with the same line numbers. An IRI
+or a quoted literal can match across a newline, so a slice counts as
+matched only when it has as many matches as lines.
+
+The flat id rows go straight to the store's bulk base build
+(`Graph.add_ids`) at the end, with no tuple per triple: one sort for the
 whole file, which also drops repeated lines. Serialization renders each
-term id once and joins the id-sorted triples, which the sorted base gives
-without a sort.
+term id once and reads the id-sorted triples, which the sorted base gives
+without a sort, in chunks of `CHUNK_LINES` lines. `save_file` writes those
+chunks one by one, so the whole text is never held; `serialize_ntriples`
+joins the same chunks.
 
 The package's two file boundaries live here. Every input file (KG, query,
 text, corpus, config, checkpoint, bundled and `--data-dir` data) is read by
 `read_text`. Every output file is written all or nothing by `write_atomic`:
-the text goes to a temporary file in the target's directory, which then
-replaces the target, and a failed write leaves the target's bytes as they
-were.
+the text, a string or chunks, goes to a temporary file in the target's
+directory, which then replaces the target, and a failed write leaves the
+target's bytes as they were.
 """
 
 from __future__ import annotations
@@ -38,8 +56,10 @@ import os
 import re
 import secrets
 import shutil
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .kg import (BLANK, BLANK_LABEL, LANGUAGE_TAG, QUOTED, Graph, KgError,
                  Term, Triple, ValidationError, blank, iri, literal, unescape)
@@ -56,6 +76,14 @@ _LITERAL = rf"{QUOTED.pattern}(?:\^\^{_IRI}|@{LANGUAGE_TAG.pattern})?"
 _TRIPLE_LINE = re.compile(
     rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
     r"[ \t]*\.[ \t]*(?:#.*)?")
+# The same, anchored per line of a slice. An IRI or a quoted literal can
+# match across a newline, so `findall` must give one match per line.
+_SLICE_LINE = re.compile(rf"^{_TRIPLE_LINE.pattern}$", re.M)
+
+# Text is parsed in slices of about this many characters, cut at line
+# ends, and written in chunks of this many lines.
+SLICE_CHARS = 1 << 20
+CHUNK_LINES = 8192
 
 
 @dataclass
@@ -164,48 +192,99 @@ def parse_ntriples(text: str) -> ParseResult:
 
     Returns the (possibly partial) graph together with all issues found.
     """
-    graph = Graph()
-    issues: list[ParseIssue] = []
-    token_ids: dict[str, int] = {}
-    blank_map: dict[str, Term] = {}
-    rows: list[tuple[int, int, int]] = []
+    parser = _Parser()
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + SLICE_CHARS)
+        if end < 0:
+            end = len(text)
+            if text.endswith("\n"):
+                end -= 1  # the empty line after it holds nothing
+        parser.read_slice(text, pos, end)
+        pos = end + 1
+    parser.graph.add_ids(parser.ids)
+    return ParseResult(parser.graph, parser.issues)
 
-    # A blank node's label is handed out once its line has passed the
-    # scanner, before the subject and predicate kinds are checked.
-    def fresh(term: Term) -> Term:
+
+class _Parser:
+    """One parse's state: the dict from token text to term id, the blank
+    labels handed out, the flat id rows, the issues and the lines read."""
+
+    def __init__(self):
+        self.graph = Graph()
+        self.lineno = 0
+        self.issues: list[ParseIssue] = []
+        self.token_ids: dict[str, int] = {}
+        self.blank_map: dict[str, Term] = {}
+        self.ids = array("q")
+
+    def fresh(self, term: Term) -> Term:
+        """The term, with a blank node's label renamed fresh."""
         if term.kind != BLANK:
             return term
-        if term.lexical not in blank_map:
-            blank_map[term.lexical] = blank(f"b{len(blank_map)}")
-        return blank_map[term.lexical]
+        if term.lexical not in self.blank_map:
+            self.blank_map[term.lexical] = blank(f"b{len(self.blank_map)}")
+        return self.blank_map[term.lexical]
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    def read_slice(self, text: str, pos: int, end: int):
+        """Read the lines of `text[pos:end]`, which follow the lines read."""
+        lines = text.count("\n", pos, end) + 1
+        rows = _SLICE_LINE.findall(text, pos, end)
+        if len(rows) != lines or not self.take(rows):
+            for n, raw in enumerate(text[pos:end].split("\n"),
+                                    start=self.lineno + 1):
+                self.read_line(raw, n)
+        self.lineno += lines
+
+    def take(self, rows: list[tuple[str, str, str]]) -> bool:
+        """Add the token rows of a slice whose every line matched, unless
+        some token read for the first time makes no Term; then add nothing
+        and return False."""
+        token_ids = self.token_ids
+        new = {}
+        for token in dict.fromkeys(chain.from_iterable(rows)):
+            if token not in token_ids:
+                scanner = _LineScanner(token)
+                try:
+                    new[token] = scanner.read_term()
+                except ValidationError:
+                    return False
+                if scanner.pos != len(token):
+                    return False
+        # in first use, as the line loop hands out blank labels and ids
+        for token, term in new.items():
+            token_ids[token] = self.graph.intern(self.fresh(term))
+        self.ids.extend(map(token_ids.__getitem__, chain.from_iterable(rows)))
+        return True
+
+    def read_line(self, raw: str, lineno: int):
         m = _TRIPLE_LINE.fullmatch(raw)
         if m is not None:
-            s, p, o = m.groups()
             try:
-                rows.append((token_ids[s], token_ids[p], token_ids[o]))
-                continue
+                row = [self.token_ids[token] for token in m.groups()]
             except KeyError:
                 pass  # a token not read before: scan the line
+            else:
+                self.ids.extend(row)
+                return
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
+            return
         scanner = _LineScanner(raw)
         try:
             tokens = [scanner.read_token() for _ in range(3)]
             scanner.read_terminator()
             (_, s), (_, p), (_, o) = tokens
-            triple = Triple(fresh(s), p, fresh(o))
+            # a blank node's label is handed out once its line has passed
+            # the scanner, before the subject and predicate kinds are checked
+            triple = Triple(self.fresh(s), p, self.fresh(o))
         except ValidationError as exc:
-            issues.append(ParseIssue(lineno, str(exc)))
-            continue
-        row = tuple(map(graph.intern, triple))
+            self.issues.append(ParseIssue(lineno, str(exc)))
+            return
+        row = list(map(self.graph.intern, triple))
         for (token, _), tid in zip(tokens, row):
-            token_ids[token] = tid
-        rows.append(row)
-    graph.add_ids(rows)
-    return ParseResult(graph, issues)
+            self.token_ids[token] = tid
+        self.ids.extend(row)
 
 
 def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:
@@ -218,9 +297,16 @@ def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:
         yield n3[s], n3[p], n3[o]
 
 
+def _chunks(graph: Graph) -> Iterator[str]:
+    """The graph's N-Triples text, `CHUNK_LINES` lines at a time."""
+    rows = rendered_rows(graph)
+    while chunk := list(islice(rows, CHUNK_LINES)):
+        yield "".join([f"{s} {p} {o} .\n" for s, p, o in chunk])
+
+
 def serialize_ntriples(graph: Graph) -> str:
     """One line per triple, sorted by term ids for determinism."""
-    return "".join([f"{s} {p} {o} .\n" for s, p, o in rendered_rows(graph)])
+    return "".join(_chunks(graph))
 
 
 def load_file(path) -> ParseResult:
@@ -228,8 +314,9 @@ def load_file(path) -> ParseResult:
 
 
 def save_file(graph: Graph, path) -> None:
-    """Write the graph's N-Triples to `path`, all or nothing."""
-    write_atomic(path, serialize_ntriples(graph))
+    """Write the graph's N-Triples to `path`, all or nothing, a chunk at a
+    time: the whole text is never held."""
+    write_atomic(path, _chunks(graph))
 
 
 def read_text(path) -> str:
@@ -247,12 +334,13 @@ def read_text(path) -> str:
         raise EncodingError(f"{path} is not UTF-8: {exc}") from exc
 
 
-def write_atomic(path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, all or nothing.
+def write_atomic(path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or an iterable of string chunks, to `path`
+    as UTF-8, all or nothing.
 
     The text goes to a temporary file next to the target, which then
-    replaces it; on any failure the temporary file is removed and the
-    target keeps its old bytes. A symlink is followed, so its target is
+    replaces it; on any failure, between chunks or while one is made, the
+    temporary file is removed and the target keeps its old bytes. A symlink is followed, so its target is
     replaced and the link kept; an existing target keeps its permissions.
     Line endings are written as given. An OSError that names a file is
     raised again without the names, as they include the temporary file's;
@@ -267,7 +355,8 @@ def write_atomic(path, text: str) -> None:
         raise _unnamed(exc) from exc
     try:
         with fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)

@@ -572,8 +572,7 @@ def check_ontology_pitfalls(graph: Graph,
         for s, _, o in graph.match_ids(None, graph.term_id(pred)):
             targets.setdefault(s, []).append(o)
     classes = index.classes()
-    properties = {p for _, p, _ in graph.match_ids()}.union(
-        *declared.values())
+    properties = set(graph.key_ids(1)).union(*declared.values())
     builtin = (RDF, RDFS, OWL, XSD)
 
     def in_scope(t: Term) -> bool:

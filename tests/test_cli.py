@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -336,6 +337,28 @@ class TestQaExport:
         assert err.count("\n") == 1
         assert out.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("fmt", ["ntriples", "json", "csv"])
+    def test_export_bytes(self, kg_file, tmp_path, monkeypatch, fmt):
+        # every format lists the triples in id order, each term in its
+        # N-Triples form; N-Triples is written in chunks of a few lines
+        from onokg import ntriples
+        monkeypatch.setattr(ntriples, "CHUNK_LINES", 7)
+        rows = [[term.n3() for term in triple]
+                for triple in ntriples.load_file(kg_file).graph]
+        if fmt == "ntriples":
+            expected = "".join(f"{s} {p} {o} .\n" for s, p, o in rows)
+        elif fmt == "json":
+            expected = json.dumps(rows, indent=2)
+        else:
+            buffer = io.StringIO()
+            csv.writer(buffer).writerows(
+                [["subject", "predicate", "object"], *rows])
+            expected = buffer.getvalue()
+        out = tmp_path / f"kg.{fmt}"
+        assert main(["export", "--kg", str(kg_file), "--out", str(out),
+                     "--format", fmt]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_export_round_trip(self, kg_file, tmp_path):
         from onokg.ntriples import load_file

@@ -134,6 +134,25 @@ def test_paper_query_pack_matches_oracle(fixtures_graph):
         assert engine == oracle, entry["id"]
 
 
+def test_universe_and_properties_match_row_scan():
+    # the graphs of the oracle test below; every fourth one loses some
+    # triples, so its base is built again
+    rng = np.random.default_rng(7)
+    for n in range(60):
+        graph = random_graph(rng, max_triples=60)
+        if n % 4 == 0:
+            for triple in list(graph)[::5]:
+                graph.remove(triple)
+        rows = graph.id_rows()
+        literal = {i for i, t in enumerate(graph.id_terms())
+                   if t.kind == "literal"}
+        assert AboxIndex(graph).universe == \
+            {s for s, _, _ in rows} | {o for _, _, o in rows} - literal
+        assert graph.key_ids(0) == sorted({s for s, _, _ in rows})
+        assert graph.key_ids(1) == sorted({p for _, p, _ in rows})
+        assert graph.key_ids(2) == sorted({o for _, _, o in rows})
+
+
 def test_random_expressions_match_oracle():
     rng = np.random.default_rng(7)
     mismatches = 0

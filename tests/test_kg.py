@@ -285,8 +285,8 @@ class GraphMachine(RuleBasedStateMachine):
     @rule(triples=st.lists(st.sampled_from(_POOL_TRIPLES), max_size=12))
     def add_ids(self, triples):
         g = self.graph
-        rows = [(g.intern(s), g.intern(p), g.intern(o)) for s, p, o in triples]
-        assert g.add_ids(rows) == len(set(triples) - self.model)
+        ids = [g.intern(term) for triple in triples for term in triple]
+        assert g.add_ids(ids) == len(set(triples) - self.model)
         self.model.update(triples)
 
     @rule()

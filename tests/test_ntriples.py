@@ -1,3 +1,4 @@
+import errno
 import os
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_ntriples_scan
+from onokg import ntriples
 from onokg.kg import (Graph, KgError, Triple, ValidationError, blank, iri,
                       literal)
 from onokg.ntriples import (EncodingError, parse_ntriples, read_text,
@@ -142,6 +144,56 @@ class TestSave:
             serialize_ntriples(seed_graph)
         assert real.stat().st_mode & 0o777 == 0o640
         assert sorted(os.listdir(tmp_path)) == ["link.nt", "real.nt"]
+
+    def test_write_failing_after_first_chunk_keeps_target(
+            self, tmp_path, monkeypatch, seed_graph):
+        monkeypatch.setattr(ntriples, "CHUNK_LINES", 50)
+        assert len(seed_graph) > 3 * ntriples.CHUNK_LINES
+        written = []
+
+        class FailsOnSecondChunk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                if written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(chunk)
+                self.fh.write(chunk)
+
+        def failing_open(file, mode="r", **kwargs):
+            return FailsOnSecondChunk(open(file, mode, **kwargs))
+
+        monkeypatch.setattr(ntriples, "open", failing_open, raising=False)
+        target = tmp_path / "kg.nt"
+        target.write_bytes(b"<a:s> <a:p> <a:o> .\n")
+        with pytest.raises(OSError, match="No space"):
+            save_file(seed_graph, target)
+        assert written[0].count("\n") == ntriples.CHUNK_LINES
+        assert target.read_bytes() == b"<a:s> <a:p> <a:o> .\n"
+        assert os.listdir(tmp_path) == ["kg.nt"]
+
+    @pytest.mark.parametrize("chunk_lines", [1, 7, 64])
+    def test_chunked_save_equals_serialization(self, tmp_path, monkeypatch,
+                                               seed_graph, chunk_lines):
+        expected = serialize_ntriples(seed_graph)
+        monkeypatch.setattr(ntriples, "CHUNK_LINES", chunk_lines)
+        assert serialize_ntriples(seed_graph) == expected
+        # a graph of whole chunks ends exactly on a chunk boundary
+        whole = parse_ntriples("".join(
+            expected.splitlines(keepends=True)[:3 * chunk_lines])).graph
+        for graph in (seed_graph, whole):
+            target = tmp_path / "kg.nt"
+            save_file(graph, target)
+            assert target.read_bytes() == \
+                serialize_ntriples(graph).encode("utf-8")
+        assert target.read_bytes().count(b"\n") == 3 * chunk_lines
 
 
 class TestReadText:
@@ -295,9 +347,7 @@ def _nt_text(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_nt_text())
-def test_parser_matches_scan_oracle(text):
+def _assert_matches_oracle(text):
     result = parse_ntriples(text)
     graph, issues = parse_ntriples_scan(text)
     assert [(i.line, i.message) for i in result.issues] == issues
@@ -305,3 +355,78 @@ def test_parser_matches_scan_oracle(text):
     assert result.graph.id_rows() == graph.id_rows()
     assert serialize_ntriples(result.graph) == serialize_ntriples(graph)
     assert result.graph.check_indexes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nt_text())
+def test_parser_matches_scan_oracle(text):
+    _assert_matches_oracle(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nt_text())
+def test_parser_matches_scan_oracle_across_slices(text):
+    # slices of a few lines, so most texts span several
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ntriples, "SLICE_CHARS", 40)
+        _assert_matches_oracle(text)
+
+
+class TestSlices:
+    """Texts cut into slices of two lines each, checked against the scan
+    oracle, with the lines that take the line loop. A slice runs to the
+    first line end at or after 40 characters, and every line here is
+    padded to at least 20."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(ntriples, "SLICE_CHARS", 40)
+        self.scanned = []
+        read_line = ntriples._Parser.read_line
+
+        def spy(parser, raw, lineno):
+            self.scanned.append(lineno)
+            return read_line(parser, raw, lineno)
+
+        monkeypatch.setattr(ntriples._Parser, "read_line", spy)
+
+    def check(self, lines, scanned, final_newline=True):
+        lines = [line.ljust(20) for line in lines]
+        assert max(map(len, lines)) < 40
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        _assert_matches_oracle(text)
+        self.scanned.clear()
+        parse_ntriples(text)
+        assert self.scanned == scanned
+
+    def test_clean_slice_then_bad_token(self):
+        # the pattern takes <a:o b>; its Term does not
+        self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v"@en .',
+                    '<a:s> <a:p> <a:o2> .', '<a:s> <a:p> <a:o b> .',
+                    '<a:s> <a:q> "v"@en .'], [3, 4])
+
+    def test_crlf_slice(self):
+        self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',
+                    '<a:s> <a:p> <a:o2> .\r', '<a:s> <a:p> <a:o3> .\r',
+                    '<a:s> <a:p> <a:o4> .', '<a:s> <a:p> <a:o2> .'], [3, 4])
+
+    def test_slice_of_comments(self):
+        self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',
+                    '# a comment', '  # an indented one',
+                    '<a:s> <a:p> <a:o2> .', '<a:s> <a:p> <a:o> .'], [3, 4])
+
+    def test_no_final_newline(self):
+        self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',
+                    '<a:s> <a:p> <a:o2> .', '<a:s> <a:p> "last" .'], [],
+                   final_newline=False)
+
+    def test_blank_node_first_seen_in_later_slice(self):
+        self.check(['_:x <a:p> <a:o> .', '<a:s> <a:p> _:y .',
+                    '_:z <a:p> _:x .', '<a:s> <a:p> _:z .',
+                    '_:w <a:q> _:y .', '_:v <a:p> <a:o> .'], [])
+
+    def test_blank_label_taken_by_a_rejected_line(self):
+        # the rejected line still takes b0 for _:y, which a later slice
+        # must reuse
+        self.check(['"v" <a:p> _:y .', '<a:s> <a:p> <a:o> .',
+                    '_:x <a:p> _:y .', '<a:s> <a:p> <a:o2> .'], [1, 2])
