@@ -247,7 +247,7 @@ def _mentions_of(text: str, checkpoint: Checkpoint,
 
 
 def cmd_tag(args, cfg: AppConfig) -> int:
-    checkpoint = _load_checkpoint(args.model or cfg.model_path)
+    checkpoint = _load_checkpoint(cfg.model_path)
     text = _read_text_arg(args)
     table = AliasTable.build(csv_path=data_path("aliases.csv"))
     doc, extraction = _mentions_of(text, checkpoint, table)
@@ -270,7 +270,7 @@ def cmd_tag(args, cfg: AppConfig) -> int:
 
 
 def cmd_extract(args, cfg: AppConfig) -> int:
-    checkpoint = _load_checkpoint(args.model or cfg.model_path)
+    checkpoint = _load_checkpoint(cfg.model_path)
     text = _read_text_arg(args)
     table = AliasTable.build(csv_path=data_path("aliases.csv"))
     _doc, extraction = _mentions_of(text, checkpoint, table)
@@ -292,16 +292,14 @@ def cmd_extract(args, cfg: AppConfig) -> int:
 
 def cmd_ingest(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
-    checkpoint = _load_checkpoint(args.model or cfg.model_path)
+    checkpoint = _load_checkpoint(cfg.model_path)
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise OSError(f"corpus directory not found: {corpus_dir}")
     docs = pipeline_mod.read_corpus_dir(corpus_dir)
     table = AliasTable.build(graph, data_path("aliases.csv"))
-    threshold = args.threshold if args.threshold is not None \
-        else cfg.threshold
     report = pipeline_mod.ingest_documents(graph, docs, checkpoint, table,
-                                           threshold)
+                                           cfg.threshold)
     out = Path(args.out) if args.out else Path(args.kg)
     with _writing(out):
         ntriples.save_file(graph, out)
@@ -320,7 +318,7 @@ def cmd_explain(args, cfg: AppConfig) -> int:
                         f"{args.epsilon}")
     if not math.isfinite(args.delta):
         raise UserError(f"--delta must be a finite number, got {args.delta}")
-    checkpoint = _load_checkpoint(args.model or cfg.model_path)
+    checkpoint = _load_checkpoint(cfg.model_path)
     text = _read_text_arg(args)
     space = next(iter(checkpoint.models.values())).space
     tokens: list[str] = []
@@ -411,7 +409,6 @@ REPL_HELP = """commands:
 
 def cmd_repl(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
-    checkpoint = None
     interactive = sys.stdin.isatty()
     if interactive:
         print(f"loaded {len(graph)} triples; :quit to exit")
@@ -448,17 +445,13 @@ def cmd_repl(args, cfg: AppConfig) -> int:
             elif command == ":qa":
                 print(_qa_output(graph, cfg, "table"))
             elif command == ":explain":
-                if checkpoint is None:
-                    checkpoint = _load_checkpoint(args.model
-                                                  or cfg.model_path)
                 # the argument may be a document file or inline text
                 as_path = Path(rest)
                 text_arg, file_arg = (None, rest) if as_path.is_file() \
                     else (rest, None)
                 fake = argparse.Namespace(
-                    model=args.model, text=text_arg, file=file_arg,
-                    method="lrp", epsilon=0.01, delta=1.0,
-                    format="terminal", out=None)
+                    text=text_arg, file=file_arg, method="lrp",
+                    epsilon=0.01, delta=1.0, format="terminal", out=None)
                 cmd_explain(fake, cfg)
             else:
                 print(f"unknown command {command!r}")

@@ -367,7 +367,7 @@ class AboxIndex:
         for cls, members in self.hierarchy.direct.items():
             if cls not in meta:
                 self._individuals |= members
-        self._literal = [t.kind == LITERAL for t in graph.id_terms()]
+        self._literal = [t.kind == LITERAL for t in graph.terms()]
         self._succ: dict[tuple[Term, bool], dict[int, set[int]]] = {}
         literal = self._literal
         self.universe: frozenset[int] = frozenset(graph.key_ids(0)).union(

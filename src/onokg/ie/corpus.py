@@ -20,6 +20,7 @@ from .tagger import (EncodedSentence, FeatureSpace, Gazetteer, TaggerModel,
 from .wordpiece import SubwordVocab, demo_vocab
 
 ENTITY_TYPES = ("Disease", "Gene")
+TRAIN_FRACTION = 0.8
 
 _TEMPLATES = (
     (6, ("GENE", "is", "responsible", "for", "a", "disease", "called",
@@ -130,9 +131,10 @@ def make_corpus(n: int = 2000, seed: int = 42) -> list[LabeledSentence]:
     return out
 
 
-def split_corpus(corpus: Sequence[LabeledSentence], train_fraction: float = 0.8
+def split_corpus(corpus: Sequence[LabeledSentence]
                  ) -> tuple[list[LabeledSentence], list[LabeledSentence]]:
-    cut = int(len(corpus) * train_fraction)
+    """The first `TRAIN_FRACTION` of the sentences, and the rest."""
+    cut = int(len(corpus) * TRAIN_FRACTION)
     return list(corpus[:cut]), list(corpus[cut:])
 
 

@@ -33,9 +33,6 @@ class EntityMention:
     type_distribution: dict[str, float] = field(default_factory=dict)
     normalized_id: Optional[Term] = None
 
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 def word_level_tags(encoded: EncodedSentence, tags: Sequence[int],
                     probabilities: np.ndarray

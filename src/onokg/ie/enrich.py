@@ -9,7 +9,7 @@ same enrichment twice adds nothing the second time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..kg import Graph, Term, Triple, iri, literal
 from ..ontology import NORM, RDF, SCHEMA
@@ -26,7 +26,6 @@ class EnrichmentReport:
     accepted: int = 0
     duplicates: int = 0
     rejected: int = 0
-    added: list[Triple] = field(default_factory=list)
 
     @property
     def newly_added(self) -> int:
@@ -77,9 +76,7 @@ def enrich_kg(graph: Graph, candidates: list[RelationCandidate],
             continue
         triple = candidate_triple(candidate)
         report.accepted += 1
-        if graph.insert(triple):
-            report.added.append(triple)
-        else:
+        if not graph.insert(triple):
             report.duplicates += 1
         add_provenance(graph, triple, candidate.doc_id)
     return report

@@ -36,10 +36,6 @@ class AliasTable:
     def lookup(self, surface: str, entity_type: str) -> Optional[Term]:
         return self._entries.get((normalize_surface(surface), entity_type))
 
-    def surfaces(self, entity_type: str) -> list[str]:
-        return sorted(key[0] for key in self._entries
-                      if key[1] == entity_type)
-
     def __len__(self):
         return len(self._entries)
 

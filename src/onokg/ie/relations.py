@@ -33,7 +33,6 @@ class RelationCandidate:
     confidence: float
     subject: Optional[Term]
     object: Optional[Term]
-    pattern: str = ""
 
     def __post_init__(self):
         if self.label not in RELATION_LABELS:
@@ -193,7 +192,6 @@ def _match_at(tokens: Sequence[_AnonToken], start: int, pattern: Pattern
             captures.setdefault(SLOT_SOURCE, token)
         pos += 1
     captures["_start"] = start
-    captures["_end"] = pos
     return captures
 
 
@@ -249,7 +247,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
                 doc_id=doc_id, sentence_index=sentence_index,
                 anonymized=text,
                 label=pattern.label, confidence=pattern.confidence,
-                subject=subject, object=object_, pattern=pattern.name))
+                subject=subject, object=object_))
     genes = [t.mention for t in tokens
              if t.mention is not None and t.mention.entity_type == "Gene"]
     diseases = [t.mention for t in tokens
@@ -262,7 +260,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
                     doc_id=doc_id, sentence_index=sentence_index,
                     anonymized=text, label="none",
                     confidence=0.0, subject=g.normalized_id,
-                    object=d.normalized_id, pattern=""))
+                    object=d.normalized_id))
     return candidates
 
 

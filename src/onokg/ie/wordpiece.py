@@ -17,9 +17,8 @@ CONTINUATION = "##"
 
 
 class SubwordVocab:
-    def __init__(self, pieces, unknown: str = UNKNOWN):
+    def __init__(self, pieces):
         self.pieces = frozenset(pieces)
-        self.unknown = unknown
 
     def tokenize(self, word: str) -> list[str]:
         if not word:
@@ -38,7 +37,7 @@ class SubwordVocab:
                     break
                 end -= 1
             if found is None:
-                return [self.unknown]
+                return [UNKNOWN]
             out.append(found)
             start = end
         return out

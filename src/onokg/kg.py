@@ -26,21 +26,22 @@ The triples live in two disjoint parts:
   the only code that writes single triples, and it answers membership and
   the sorted id rows, nothing else.
 
-Fold rule: the shape of a read decides, not a size. `insert`, membership,
-all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `copy` and `add_ids`
-read the two parts as they are. Any other `match_ids`/`count_ids` shape,
-`key_ids` and `terms()` first fold a non-empty buffer into the base:
-`add_ids` of no new ids, one bulk build of the base and buffer triples.
-So a graph built by inserts, as the ontology API builds one, is saved by
-reading the buffer's keys in order and folded once, when it is first
-queried. `add_ids` (the N-Triples parse and `copy`) always builds the
-base, from the stored triples and its flat ids, and leaves the buffer
-empty.
+Write rule: the store is append-only, as the KG only grows by integrated
+sources and extracted facts. `insert` and `add_ids` are its only writers,
+and nothing removes a triple. Each writer interns only the terms of the
+rows it stores, so every interned term is in some stored triple: `terms()`,
+the id-indexed term list, is exactly the terms in use. There are no
+tombstones: every stored triple is in exactly one part.
 
-Removing a buffered triple discards it; removing a base triple builds the
-base again without it (no command removes). There are no tombstones:
-every stored triple is in exactly one part. A term is in use exactly when
-some stored triple has it; its id stays reserved regardless.
+Fold rule: the shape of a read decides, not a size. `insert`, membership,
+all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `terms` and `add_ids`
+read the two parts as they are. Any other `match_ids`/`count_ids` shape
+and `key_ids` first fold a non-empty buffer into the base: `add_ids` of no
+new ids, one bulk build of the base and buffer triples. So a graph built
+by inserts, as the ontology API builds one, is saved by reading the
+buffer's keys in order and folded once, when it is first queried.
+`add_ids` (the N-Triples parse) always builds the base, from the stored
+triples and its flat ids, and leaves the buffer empty.
 
 Readers in this package work on ids: `match_ids` and `count_ids` answer a
 pattern from the indexes, `term_id` gives -1 for a term never interned
@@ -64,8 +65,8 @@ buffer that has been published. So readers that race on a fold each
 build an equal base and the last assignment is kept, and a reader that
 took the old pair finishes on it. Readers may fill the derived-value
 cache in the same way: two that race on an entry each build an equal
-value and one of them is kept. A write (insert, remove, add_ids) changes
-the buffer in place or replaces the pair, and clears the cache; writes
+value and one of them is kept. A write (insert, add_ids) changes the
+buffer in place or replaces the pair, and clears the cache; writes
 already exclude readers.
 """
 
@@ -257,9 +258,6 @@ class PrefixTable:
             raise ValidationError(f"not a prefixed name: {qname!r}")
         return iri(self.namespace(prefix) + local)
 
-    def items(self):
-        return self._ns.items()
-
     def copy(self) -> "PrefixTable":
         return PrefixTable(self._ns)
 
@@ -337,9 +335,6 @@ class _Base:
         self.spo = _Sorted(s, p, o, size)
         self.pos = _Sorted(pos[:, 1], pos[:, 2], pos[:, 0], size)
         self.osp = _Sorted(osp[:, 2], osp[:, 0], osp[:, 1], size)
-        used = np.zeros(size, dtype=np.uint8)
-        used[spo.ravel()] = 1
-        self.used = used.tobytes()  # used[tid] is 1 iff some row has tid
 
     def has(self, key: tuple[int, int, int]) -> bool:
         s, p, o = key
@@ -382,8 +377,7 @@ _EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
 
 class _Buffer:
     """Triples inserted since the base was built, as subject -> predicate
-    -> set of objects. A discard may leave an empty set behind, which no
-    read sees."""
+    -> set of objects."""
 
     __slots__ = ("spo", "n")
 
@@ -402,14 +396,6 @@ class _Buffer:
             return False
         objs.add(o)
         self.n += 1
-        return True
-
-    def discard(self, key: tuple[int, int, int]) -> bool:
-        if not self.has(key):
-            return False
-        s, p, o = key
-        self.spo[s][p].remove(o)
-        self.n -= 1
         return True
 
     def rows(self) -> list[tuple[int, int, int]]:
@@ -434,6 +420,8 @@ class Graph:
     # dictionary
 
     def intern(self, term: Term) -> int:
+        """The term's id, given out if new. Writers intern only the terms
+        of the rows they store (see the write rule)."""
         tid = self._term_ids.get(term)
         if tid is None:
             tid = len(self._terms)
@@ -448,18 +436,9 @@ class Graph:
     def term(self, tid: int) -> Term:
         return self._terms[tid]
 
-    def terms(self) -> Iterator[Term]:
-        """Terms that some stored triple uses, in id order; folds.
-
-        A term whose last triple was removed is left out, but it keeps its
-        id: ids are never reused or renumbered.
-        """
-        used = self._folded().used
-        return (term for tid, term in enumerate(self._terms)
-                if tid < len(used) and used[tid])
-
-    def id_terms(self) -> list[Term]:
-        """Every interned term, indexed by its id (unused ones included)."""
+    def terms(self) -> list[Term]:
+        """Every interned term, indexed by its id: the terms that some
+        stored triple uses, in id order. Reads no triple, so never folds."""
         return list(self._terms)
 
     # mutation
@@ -502,27 +481,12 @@ class Graph:
     def add(self, subject: Term, predicate: Term, object: Term) -> bool:
         return self.insert(Triple(subject, predicate, object))
 
-    def remove(self, t: Triple) -> bool:
-        """Remove a triple; False (and no change) if absent. A base triple
-        is removed by building the base again without it."""
-        key = (self.term_id(t.subject), self.term_id(t.predicate),
-               self.term_id(t.object))
-        base, buffer = self._store
-        if not buffer.discard(key):
-            if not base.has(key):
-                return False
-            rows = base.flat().reshape(-1, 3)
-            kept = rows[(rows != key).any(axis=1)].ravel()
-            self._store = (_Base(kept, len(self._terms)), buffer)
-        self._derived.clear()
-        return True
-
     def cached(self, build: Callable[["Graph"], T]) -> T:
         """`build(self)`, built once per graph state.
 
-        The value is kept until the next insert or remove that changes the
-        graph, so it must be derived from the triples alone and must not be
-        mutated by callers.
+        The value is kept until the next write that changes the graph, so
+        it must be derived from the triples alone and must not be mutated
+        by callers.
         """
         try:
             return self._derived[build]
@@ -631,13 +595,6 @@ class Graph:
         if s is not None and p is not None and o is not None:
             return len(self.match_ids(s, p, o))
         return self._folded().count(s, p, o)
-
-    def copy(self) -> "Graph":
-        """A graph of the same triples, its ids given out in id-row order."""
-        g = Graph()
-        terms, intern = self._terms, g.intern
-        g.add_ids([intern(terms[i]) for row in self.id_rows() for i in row])
-        return g
 
     def check_indexes(self) -> bool:
         """The base permutations hold one sorted, duplicate-free set, and

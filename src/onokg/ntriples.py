@@ -292,7 +292,7 @@ def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:
 
     Every term id is rendered once, however many triples use it.
     """
-    n3 = [term.n3() for term in graph.id_terms()]
+    n3 = [term.n3() for term in graph.terms()]
     for s, p, o in graph.id_rows():
         yield n3[s], n3[p], n3[o]
 

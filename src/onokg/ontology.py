@@ -556,12 +556,11 @@ class ClassIndex:
         return cycles
 
 
-def check_ontology_pitfalls(graph: Graph,
-                            home_namespaces: tuple[str, ...] = (ONO,),
-                            ) -> PitfallReport:
+def check_ontology_pitfalls(graph: Graph) -> PitfallReport:
     """Local versions of the three scanner findings: hierarchy cycles,
-    identifier naming, and domains/ranges declared as an intersection of
-    classes with no common instances."""
+    identifier naming (of the IRIs in the ONO namespace), and
+    domains/ranges declared as an intersection of classes with no common
+    instances."""
     index = graph.cached(ClassIndex)
     report = PitfallReport(cycles=[list(c) for c in index.cycles])
     term = graph.term
@@ -573,12 +572,9 @@ def check_ontology_pitfalls(graph: Graph,
             targets.setdefault(s, []).append(o)
     classes = index.classes()
     properties = set(graph.key_ids(1)).union(*declared.values())
-    builtin = (RDF, RDFS, OWL, XSD)
 
     def in_scope(t: Term) -> bool:
-        return (t.kind == "iri"
-                and any(t.lexical.startswith(ns) for ns in home_namespaces)
-                and not any(t.lexical.startswith(ns) for ns in builtin))
+        return t.kind == "iri" and t.lexical.startswith(ONO)
 
     for cls in _by_iri(map(term, classes)):
         if in_scope(cls) and not CLASS_NAME_PATTERN.fullmatch(

@@ -242,7 +242,7 @@ def _valid_lexical(term: Term) -> bool:
 def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     report = QualityReport()
     metrics = report.metrics
-    terms = graph.id_terms()
+    terms = graph.terms()
     ids = graph.term_id
     namespaces = tuple(cfg.home_namespaces)
     home = [t.kind == IRI and t.lexical.startswith(namespaces)

@@ -25,14 +25,13 @@ also filters, up front, the matches of each pattern that binds its
 variable, and that pattern joins as the table of the matches left.
 Patterns are joined greedily, in the style of RDF-3X: the next one is
 the cheapest of those sharing a bound variable, costed by its match count
-on the SPO/POS/OSP index sizes, narrowed by the values any table allows
-for a shared variable, with ties going to the pattern written first. The
-first step is the one that, joined with its cheapest neighbour pattern,
-gives the fewest rows, counted on the index, so a one-row filtered label
-whose value fans out to thousands of rows does not start the order. Each
-conjunct runs right after the join that binds the last of its variables
-(a conjunct over a variable nothing binds runs at the end, where that
-leaf is false).
+on the SPO/POS/OSP index sizes, with ties going to the pattern written
+first. The first step is the one that, joined with its cheapest
+neighbour pattern, gives the fewest rows, counted on the index, so a
+one-row filtered label whose value fans out to thousands of rows does
+not start the order. Each conjunct runs right after the join that binds
+the last of its variables (a conjunct over a variable nothing binds runs
+at the end, where that leaf is false).
 Regexes compile once per query and each filter leaf caches its result per
 term id. Ids become Terms only for the final rows. The answer, as a bag
 of rows, is the same as joining the patterns in written order and
@@ -791,10 +790,9 @@ def _plan(graph: Graph, steps: list[_Step], rows: list[tuple],
     bound = set(slots)
     remaining = list(steps)
     order: list[_Step] = []
-    narrowed = _narrowed_estimates(graph, steps)
 
     def cost(step: _Step):
-        estimate = narrowed.get(step.index, step.estimate)
+        estimate = step.estimate
         if step.pattern is not None and bound.issuperset(step.variables):
             estimate = min(estimate, 1)
         return estimate, step.index
@@ -844,31 +842,6 @@ def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
         if best is None or size < best[0]:
             best = (size, pair)
     return best[1]
-
-
-def _narrowed_estimates(graph: Graph, steps: list[_Step]) -> dict[int, int]:
-    """Pattern estimates narrowed by the tables: a pattern that shares a
-    variable with a table step matches at most the triples whose value
-    there is one the table holds, counted on the index. This is how a
-    regex pre-filter on one pattern reaches the patterns around it."""
-    narrowed: dict[int, int] = {}
-    for table in steps:
-        if table.table is None:
-            continue
-        header, rows = table.table
-        for step in steps:
-            if step.pattern is None:
-                continue
-            for name in table.variables:
-                if name not in step.variables:
-                    continue
-                column = header.index(name)
-                total = sum(graph.count_ids(*_probe(step.pattern, (value,),
-                                                    {name: 0}))
-                            for value in {row[column] for row in rows})
-                narrowed[step.index] = min(
-                    total, narrowed.get(step.index, step.estimate))
-    return narrowed
 
 
 def _probe(pattern: tuple, row: tuple,
@@ -973,9 +946,8 @@ def evaluate(graph: Graph, query: SelectQuery) -> SolutionTable:
     return SolutionTable(header, projected)
 
 
-def run_query(graph: Graph, text: str,
-              prefixes: Optional[PrefixTable] = None) -> SolutionTable:
-    return evaluate(graph, parse_select(text, prefixes or default_prefixes()))
+def run_query(graph: Graph, text: str) -> SolutionTable:
+    return evaluate(graph, parse_select(text, default_prefixes()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from onokg.ie.tagger import FeatureSpace, save_checkpoint
 from onokg.ie.train import TrainConfig, train_tagger
 from onokg.ie.wordpiece import demo_vocab
 from onokg.ontology import build_seed_ontology
-from helpers import apply_query_fixtures
+from helpers import apply_query_fixtures, copy_graph
 
 
 @pytest.fixture(scope="session")
@@ -23,12 +23,12 @@ def seed_graph():
 
 @pytest.fixture()
 def seed_copy(seed_graph):
-    return seed_graph.copy()
+    return copy_graph(seed_graph)
 
 
 @pytest.fixture(scope="session")
 def fixtures_graph(seed_graph):
-    graph = seed_graph.copy()
+    graph = copy_graph(seed_graph)
     apply_query_fixtures(graph)
     return graph
 

@@ -1,8 +1,9 @@
 """Helpers that only the tests call.
 
 The CoNLL rendering of a preprocessed document with its rule-based PoS
-tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, and
-the query fixtures: the cancers CARC, CRC and ESO and their associations,
+tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, a
+graph copy for the tests that write to a shared graph, and the query
+fixtures: the cancers CARC, CRC and ESO and their associations,
 which the bundled SPARQL and DL packs filter on and which no command
 loads. `fixture_genes.csv` stays bundled with the package because the
 tagger's gene gazetteer reads it; the other two fixture files live in
@@ -92,6 +93,14 @@ def covers(vocab: SubwordVocab, word: str) -> bool:
     """Every character of word is present as head and continuation."""
     return all(c in vocab.pieces and CONTINUATION + c in vocab.pieces
                for c in word)
+
+
+def copy_graph(graph: Graph) -> Graph:
+    """A graph of the same triples, its ids given out in id-row order."""
+    g = Graph()
+    terms, intern = graph.terms(), g.intern
+    g.add_ids([intern(terms[i]) for row in graph.id_rows() for i in row])
+    return g
 
 
 def load_extension(graph: Graph, cancers_csv: Optional[Path] = None,

@@ -748,7 +748,7 @@ _RELATION = {"causes": ONO + "causes", "hasType": ONO + "hasType",
 
 def enriched(graph: Graph, candidates, threshold: float):
     """What enriching `graph` with `candidates` should give: the report's
-    counts and added triples, and the graph's triple set afterwards.
+    counts, and the graph's triple set afterwards.
 
     A candidate is rejected when its label is "none" or its confidence is
     below `threshold`, and accepted otherwise. An accepted triple that the
@@ -760,7 +760,7 @@ def enriched(graph: Graph, candidates, threshold: float):
     """
     triples = set(_scan(graph))
     report = {"proposed": len(candidates), "accepted": 0, "duplicates": 0,
-              "rejected": 0, "added": []}
+              "rejected": 0, "newly_added": 0}
     for candidate in candidates:
         if candidate.label == "none" or candidate.confidence < threshold:
             report["rejected"] += 1
@@ -771,7 +771,7 @@ def enriched(graph: Graph, candidates, threshold: float):
         if triple in triples:
             report["duplicates"] += 1
         else:
-            report["added"].append(triple)
+            report["newly_added"] += 1
             triples.add(triple)
         key = "\x1f".join(term.n3() for term in triple)
         node = iri(NORM + "stmt/"

@@ -398,6 +398,26 @@ class TestConfigPrecedence:
         with pytest.raises(UserError):
             AppConfig.resolve(argparse.Namespace(threshold=1.5))
 
+    def test_env_model_alone_selects_the_checkpoint(self, checkpoint_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("ONOKG_MODEL", str(checkpoint_path))
+        assert main(["tag", "--text", "TP53 causes Breast Cancer."]) == 0
+        assert "'TP53' Gene" in capsys.readouterr().out
+
+    def test_threshold_flag_beats_env_in_ingest(self, kg_file,
+                                                checkpoint_path, tmp_path,
+                                                monkeypatch, capsys):
+        from onokg.ontology import data_path
+        monkeypatch.setenv("ONOKG_THRESHOLD", "0")
+        assert main(["ingest", "--kg", str(kg_file),
+                     "--corpus", str(data_path("demo_corpus")),
+                     "--model", str(checkpoint_path), "--threshold", "1.0",
+                     "--out", str(tmp_path / "out.nt")]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        proposed = int(summary.split(",")[0].removeprefix("proposed "))
+        assert proposed > 0 and "accepted 0 " in summary
+        assert summary.endswith(f"rejected {proposed}")
+
 
 class TestConfigErrors:
     """A bad config file ends in one `error:` line and exit code 1; one

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, invariant,
-                                 precondition, rule)
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from helpers import copy_graph
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
                       ValidationError, blank, iri, literal)
+from onokg.ntriples import parse_ntriples
 from onokg.ontology import ONO, ono
 
 
@@ -93,38 +94,36 @@ class TestGraph:
         assert g.insert(triple) is False
         assert len(g) == 1
 
-    def test_remove_nonexistent_is_noop(self):
-        g = Graph()
-        triple = t(iri("a:s"), iri("a:p"), iri("a:o"))
-        assert g.remove(triple) is False
-        assert len(g) == 0
-        g.insert(triple)
-        assert g.remove(triple) is True
-        assert triple not in g
-
     def test_terms_are_those_in_use(self):
+        # the term list is the terms of the stored triples, in id order:
+        # inserts and `add_ids` intern only the terms of the rows they
+        # store, and a parse interns nothing for a line it rejects
+        def stored(g):
+            return sorted({term for triple in g for term in triple},
+                          key=g.term_id)
+
         g = Graph()
-        first = t(iri("a:s"), iri("a:p"), literal("v"))
-        second = t(iri("a:s"), iri("a:q"), iri("a:o"))
-        g.insert(first)
-        g.insert(second)
-        g.remove(second)
-        assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v")]
-        # ids: a:s 0, a:p 1, "v" 2, a:q 3, a:o 4
-        assert [g.count_ids(None, i) for i in range(5)] == [0, 1, 0, 0, 0]
-        assert [g.count_ids(None, None, i) for i in range(5)] == \
-            [0, 0, 1, 0, 0]
-        assert g.match_ids(None, 3) == g.match_ids(None, None, 4) == []
-        g.insert(second)
-        assert g.term_id(iri("a:o")) == 4  # the id is kept, not reissued
-        assert list(g.terms()) == [iri("a:s"), iri("a:p"), literal("v"),
-                                   iri("a:q"), iri("a:o")]
-        g.remove(first)
-        g.remove(second)
-        assert list(g.terms()) == [] and g.match_ids() == []
-        assert all(g.count_ids(i) == g.count_ids(None, i)
-                   == g.count_ids(None, None, i) == 0 for i in range(5))
-        assert g.check_indexes()
+        for _ in range(2):
+            g.insert(t(iri("a:s"), iri("a:p"), literal("v")))
+        assert g.terms() == stored(g) == [iri("a:s"), iri("a:p"),
+                                          literal("v")]
+        g.add_ids([g.intern(term) for term in
+                   (iri("a:o"), iri("a:q"), blank("n"))])
+        assert g.terms() == stored(g) == [iri("a:s"), iri("a:p"),
+                                          literal("v"), iri("a:o"),
+                                          iri("a:q"), blank("n")]
+        # a slice whose lines all match the line pattern but hold a token
+        # that makes no Term, then one with lines that do not match
+        for text in ('<a:s> <a:p> "v" .\n<a:s> <a:p> <a:bad iri> .\n'
+                     '<a:s> <a:q> <a:o> .\n',
+                     '<a:s> <a:p> "v" .\n"lit" <a:p> <a:x> .\n'
+                     '<a:s> _:n <a:y> .\n<a:s> <a:p> <a:z> junk\n'
+                     '<a:s> <a:q> <a:o> .\n'):
+            result = parse_ntriples(text)
+            assert result.issues and len(result.graph) == 2
+            assert result.graph.terms() == stored(result.graph) == [
+                iri("a:s"), iri("a:p"), literal("v"), iri("a:q"),
+                iri("a:o")]
 
     def test_cached_value_lives_until_a_change(self):
         g = Graph()
@@ -139,14 +138,11 @@ class TestGraph:
 
         assert g.cached(size) == g.cached(size) == 1
         g.insert(first)    # already present: no change
-        g.remove(second)   # absent: no change
         assert g.cached(size) == 1 and builds == [1]
         g.insert(second)
         assert g.cached(size) == 2
-        g.remove(first)
-        assert g.cached(size) == 1
-        assert builds == [1, 2, 1]
-        assert g.copy().cached(size) == 1 and builds == [1, 2, 1, 1]
+        assert builds == [1, 2]
+        assert copy_graph(g).cached(size) == 2 and builds == [1, 2, 2]
 
     def test_match_bound_positions(self):
         g = Graph()
@@ -187,8 +183,9 @@ class TestGraph:
 
 def test_only_indexed_reads_fold_the_buffer():
     # the reads the ontology API, ingest and save make keep the insert
-    # buffer; any other match_ids/count_ids shape, or terms(), folds it
-    # into a new base and leaves the published (base, buffer) pair as it was
+    # buffer, and so does the term list; any other match_ids/count_ids
+    # shape folds it into a new base and leaves the published (base,
+    # buffer) pair as it was
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
     published = g._store
@@ -196,14 +193,14 @@ def test_only_indexed_reads_fold_the_buffer():
     first = next(iter(g))
     assert g.insert(first) is False and first in g and len(g) == len(rows)
     assert g.match_ids(*rows[0]) == [rows[0]] and g.count_ids(*rows[0]) == 1
-    assert set(g.copy()) == set(g)
+    assert set(g.terms()) == {term for triple in g for term in triple}
+    assert set(copy_graph(g)) == set(g)
     assert g._store is published
     s, p, o = rows[0]
     shapes = [(s, p, None), (s, None, o), (None, p, o), (s, None, None),
               (None, p, None), (None, None, o), (None, None, None)]
     reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
-             + [lambda g, k=k: g.count_ids(*k) for k in shapes]
-             + [lambda g: list(g.terms())])
+             + [lambda g, k=k: g.count_ids(*k) for k in shapes])
     for read in reads:
         g = build_seed_ontology()
         base, buffer = published = g._store
@@ -258,9 +255,9 @@ def _snapshot(graph):
 
 class GraphMachine(RuleBasedStateMachine):
     """`Graph` against a plain set of triples, through every write path:
-    single inserts and removes, bulk `add_ids` (which builds the sorted
-    base, or rebuilds it on a non-empty graph) and `copy`. With so few
-    terms, removes and re-inserts often hit triples of the base."""
+    single inserts and bulk `add_ids` (which builds the sorted base, or
+    rebuilds it on a non-empty graph), and copies of the graph. With so
+    few terms, inserts often hit triples of the base."""
 
     def __init__(self):
         super().__init__()
@@ -272,16 +269,6 @@ class GraphMachine(RuleBasedStateMachine):
         assert self.graph.insert(triple) is (triple not in self.model)
         self.model.add(triple)
 
-    @rule(triple=st.sampled_from(_POOL_TRIPLES))
-    def remove(self, triple):
-        assert self.graph.remove(triple) is (triple in self.model)
-        self.model.discard(triple)
-
-    @precondition(lambda self: self.model)
-    @rule(data=st.data())
-    def remove_stored(self, data):
-        self.remove(data.draw(st.sampled_from(sorted(self.model, key=repr))))
-
     @rule(triples=st.lists(st.sampled_from(_POOL_TRIPLES), max_size=12))
     def add_ids(self, triples):
         g = self.graph
@@ -291,8 +278,8 @@ class GraphMachine(RuleBasedStateMachine):
 
     @rule()
     def copy(self):
-        before = list(self.graph.terms())
-        self.graph = self.graph.copy()
+        before = self.graph.terms()
+        self.graph = copy_graph(self.graph)
         assert set(self.graph.terms()) == set(before)
 
     @invariant()
@@ -306,9 +293,9 @@ class GraphMachine(RuleBasedStateMachine):
         assert g.cached(_snapshot) == ids  # a stale memo would differ
         assert all((t in g) is (t in self.model) for t in _POOL_TRIPLES)
         used = {term for triple in self.model for term in triple}
-        assert list(g.terms()) == sorted(used, key=g.term_id)
-        # every bound/unbound shape, with ids in use, unused, unknown (-1)
-        # and one of a term only ever seen in another position
+        assert g.terms() == sorted(used, key=g.term_id)
+        # every bound/unbound shape, with ids in use, unknown (-1) and one
+        # of a term only ever seen in another position
         def keys(terms, other):
             return [None, -1] + [g.term_id(term) for term in terms + [other]]
         for s, p, o in itertools.product(
@@ -336,10 +323,6 @@ def test_insert_remove_idempotence(triples):
     for triple in triples:
         assert g.insert(triple) is False
     assert len(g) == count
-    for triple in set(triples):
-        assert g.remove(triple) is True
-        assert g.remove(triple) is False
-    assert len(g) == 0
 
 
 class TestPrefixTable:

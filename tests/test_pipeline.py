@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import copy_graph
 from onokg.ie.corpus import make_corpus, tag_sentence
 from onokg.ie.decode import decode_entities
 from onokg.ie.linking import AliasTable, link_entity
@@ -144,8 +145,8 @@ class TestDemoCorpusIngest:
 
     def test_order_independence(self, seed_graph, checkpoint, alias_table):
         docs = read_corpus_dir(data_path("demo_corpus"))
-        forward = seed_graph.copy()
-        backward = seed_graph.copy()
+        forward = copy_graph(seed_graph)
+        backward = copy_graph(seed_graph)
         ingest_documents(forward, docs, checkpoint, alias_table, 0.5)
         ingest_documents(backward, list(reversed(docs)), checkpoint,
                          alias_table, 0.5)
