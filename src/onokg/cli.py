@@ -12,7 +12,6 @@ Output of build/query/dlq is byte-stable for identical inputs and seed
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -29,6 +28,7 @@ from .ie import pipeline as pipeline_mod
 from .ie.linking import AliasTable
 from .ie.preprocess import preprocess
 from .ie.tagger import Checkpoint, load_checkpoint, save_checkpoint
+from .ie.wordpiece import demo_vocab
 from .ie.train import TrainConfig, TrainingDiverged, train_tagger
 from .kg import Graph, KgError
 from .ontology import (build_seed_ontology, check_ontology_pitfalls,
@@ -109,16 +109,6 @@ def _load_graph(path) -> Graph:
     return result.graph
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Name the target in an OSError raised while writing it; `main` turns
-    that into one `error:` line and exit code 2."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
 def _load_checkpoint(path) -> Checkpoint:
     if path is None:
         raise UserError("a tagger checkpoint is required (--model)")
@@ -134,8 +124,7 @@ def _load_checkpoint(path) -> Checkpoint:
 def cmd_build(args, cfg: AppConfig) -> int:
     graph = build_seed_ontology(cfg.data_dir)
     out = Path(args.out)
-    with _writing(out):
-        ntriples.save_file(graph, out)
+    ntriples.save_file(graph, out)
     stats = seed_statistics(graph)
     for key in ("triples", "cancers", "biomarkers", "potsf_biomarkers",
                 "features"):
@@ -206,7 +195,7 @@ def cmd_train(args, cfg: AppConfig) -> int:
     if not train_set:
         raise UserError(f"--sentences {args.sentences} leaves no training "
                         "sentences; use at least 2")
-    vocab = corpus_mod.default_vocab()
+    vocab = demo_vocab()
     gazetteers = corpus_mod.build_gazetteers()
     space = corpus_mod.FeatureSpace()
     encoded = corpus_mod.encode_corpus(train_set, vocab, space, gazetteers)
@@ -229,28 +218,26 @@ def cmd_train(args, cfg: AppConfig) -> int:
           f"({scores.correct}/{scores.predicted} predicted, "
           f"{scores.gold} gold)")
     out = Path(args.out)
-    with _writing(out):
-        save_checkpoint(out, models, vocab, gazetteers,
-                        config={"sentences": args.sentences,
-                                "seed": cfg.seed, "epochs": args.epochs,
-                                "learning_rate": args.lr,
-                                "batch_size": args.batch_size})
+    save_checkpoint(out, models, vocab, gazetteers,
+                    config={"sentences": args.sentences, "seed": cfg.seed,
+                            "epochs": args.epochs, "learning_rate": args.lr,
+                            "batch_size": args.batch_size})
     print(f"checkpoint written to {out}")
     return EXIT_OK
 
 
-def _mentions_of(text: str, checkpoint: Checkpoint,
-                 table: AliasTable):
-    doc = preprocess(text, "cli")
-    extraction = pipeline_mod.extract_document(doc, checkpoint, table)
-    return doc, extraction
-
-
-def cmd_tag(args, cfg: AppConfig) -> int:
+def _extract(args, cfg: AppConfig) -> pipeline_mod.DocumentExtraction:
+    """Mentions and relation candidates of the --text or --file text; the
+    checkpoint is loaded before the text is read."""
     checkpoint = _load_checkpoint(cfg.model_path)
     text = _read_text_arg(args)
     table = AliasTable.build(csv_path=data_path("aliases.csv"))
-    doc, extraction = _mentions_of(text, checkpoint, table)
+    return pipeline_mod.extract_document(preprocess(text, "cli"), checkpoint,
+                                         table)
+
+
+def cmd_tag(args, cfg: AppConfig) -> int:
+    extraction = _extract(args, cfg)
     if args.format == "json":
         print(json.dumps([{
             "sentence": m.sentence_index, "start": m.start, "end": m.end,
@@ -270,11 +257,7 @@ def cmd_tag(args, cfg: AppConfig) -> int:
 
 
 def cmd_extract(args, cfg: AppConfig) -> int:
-    checkpoint = _load_checkpoint(cfg.model_path)
-    text = _read_text_arg(args)
-    table = AliasTable.build(csv_path=data_path("aliases.csv"))
-    _doc, extraction = _mentions_of(text, checkpoint, table)
-    rows = [c for c in extraction.candidates if c.label != "none"]
+    rows = [c for c in _extract(args, cfg).candidates if c.label != "none"]
     if args.format == "json":
         print(json.dumps([{
             "subject": c.subject.lexical, "label": c.label,
@@ -301,8 +284,7 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
     report = pipeline_mod.ingest_documents(graph, docs, checkpoint, table,
                                            cfg.threshold)
     out = Path(args.out) if args.out else Path(args.kg)
-    with _writing(out):
-        ntriples.save_file(graph, out)
+    ntriples.save_file(graph, out)
     print(report.summary())
     print(f"graph now has {len(graph)} triples -> {out}")
     return EXIT_OK
@@ -341,8 +323,7 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     else:
         rendered = render_heatmap(tokens, scores, args.format)
     if args.out:
-        with _writing(args.out):
-            ntriples.write_atomic(args.out, rendered)
+        ntriples.write_atomic(args.out, rendered)
         print(f"heatmap written to {args.out}")
     else:
         sys.stdout.write(rendered)
@@ -379,18 +360,16 @@ def cmd_qa(args, cfg: AppConfig) -> int:
 def cmd_export(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     out = Path(args.out)
-    with _writing(out):
-        if args.format == "ntriples":
-            ntriples.save_file(graph, out)
-        elif args.format == "json":
-            rows = list(ntriples.rendered_rows(graph))
-            ntriples.write_atomic(out, json.dumps(rows, indent=2))
-        else:
-            buffer = io.StringIO()
-            csv.writer(buffer).writerows(
-                [("subject", "predicate", "object"),
-                 *ntriples.rendered_rows(graph)])
-            ntriples.write_atomic(out, buffer.getvalue())
+    if args.format == "ntriples":
+        ntriples.save_file(graph, out)
+    elif args.format == "json":
+        rows = list(ntriples.rendered_rows(graph))
+        ntriples.write_atomic(out, json.dumps(rows, indent=2))
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([("subject", "predicate", "object"),
+                                      *ntriples.rendered_rows(graph)])
+        ntriples.write_atomic(out, buffer.getvalue())
     print(f"exported {len(graph)} triples to {out}")
     return EXIT_OK
 

@@ -67,13 +67,11 @@ class DlxError(KgError):
 class DlxParseError(DlxError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
-        self.position = position
 
 
 class UnknownNameError(DlxError):
     def __init__(self, name: str):
         super().__init__(f"unknown class or property name {name!r}")
-        self.name = name
 
 
 class HierarchyCycleError(DlxError):
@@ -91,33 +89,20 @@ class PropRef:
     term: Term
     inverse: bool = False
 
-    def __repr__(self):
-        mark = "inverse " if self.inverse else ""
-        return f"{mark}{self.term.local_name()}"
-
 
 @dataclass(frozen=True)
 class Atomic:
     term: Term
-
-    def __repr__(self):
-        return self.term.local_name()
 
 
 @dataclass(frozen=True)
 class And:
     parts: tuple
 
-    def __repr__(self):
-        return "(" + " and ".join(map(repr, self.parts)) + ")"
-
 
 @dataclass(frozen=True)
 class Or:
     parts: tuple
-
-    def __repr__(self):
-        return "(" + " or ".join(map(repr, self.parts)) + ")"
 
 
 @dataclass(frozen=True)
@@ -125,17 +110,11 @@ class Some:
     prop: PropRef
     filler: "ClassExpression"
 
-    def __repr__(self):
-        return f"({self.prop!r} some {self.filler!r})"
-
 
 @dataclass(frozen=True)
 class Only:
     prop: PropRef
     filler: "ClassExpression"
-
-    def __repr__(self):
-        return f"({self.prop!r} only {self.filler!r})"
 
 
 @dataclass(frozen=True)
@@ -143,17 +122,11 @@ class MinCard:
     prop: PropRef
     n: int
 
-    def __repr__(self):
-        return f"({self.prop!r} min {self.n})"
-
 
 @dataclass(frozen=True)
 class MaxCard:
     prop: PropRef
     n: int
-
-    def __repr__(self):
-        return f"({self.prop!r} max {self.n})"
 
 
 ClassExpression = Union[Atomic, And, Or, Some, Only, MinCard, MaxCard]

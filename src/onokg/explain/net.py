@@ -16,7 +16,6 @@ ACTIVATIONS = ("identity", "relu")
 class NumericError(ArithmeticError):
     def __init__(self, layer: int):
         super().__init__(f"non-finite activations in layer {layer}")
-        self.layer = layer
 
 
 @dataclass

@@ -25,18 +25,12 @@ class SingularDenominatorError(ZeroDivisionError):
     def __init__(self, layer: int, neuron: int):
         super().__init__(f"zero denominator at layer {layer}, "
                          f"neuron {neuron}; use a nonzero epsilon")
-        self.layer = layer
-        self.neuron = neuron
 
 
 @dataclass
 class RelevanceMap:
     scores: np.ndarray
-    target: int
-    method: str
     total: float
-    epsilon: float | None = None
-    delta: float | None = None
     layer_sums: list[float] = field(default_factory=list)
 
 
@@ -58,8 +52,7 @@ def sensitivity(net: FeedForwardNet, x: np.ndarray, c: int) -> RelevanceMap:
     """R_d = (d f_c / d x_d)^2; the total is the squared gradient norm."""
     grad = gradient(net, x, c)
     scores = grad ** 2
-    return RelevanceMap(scores=scores, target=c, method="sensitivity",
-                        total=float(scores.sum()))
+    return RelevanceMap(scores=scores, total=float(scores.sum()))
 
 
 def lrp(net: FeedForwardNet, x: np.ndarray, c: int,
@@ -90,7 +83,5 @@ def lrp(net: FeedForwardNet, x: np.ndarray, c: int,
         messages = numer / denom[:, None] * relevance[:, None]
         relevance = messages.sum(axis=0)
         layer_sums.append(float(relevance.sum()))
-    return RelevanceMap(scores=relevance, target=c, method="lrp",
-                        total=float(relevance.sum()),
-                        epsilon=epsilon, delta=delta,
+    return RelevanceMap(scores=relevance, total=float(relevance.sum()),
                         layer_sums=layer_sums)

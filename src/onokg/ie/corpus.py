@@ -17,7 +17,7 @@ import numpy as np
 from .decode import decode_entities
 from .tagger import (EncodedSentence, FeatureSpace, Gazetteer, TaggerModel,
                      encode_sentence, gold_tags, tag_probabilities)
-from .wordpiece import SubwordVocab, demo_vocab
+from .wordpiece import SubwordVocab
 
 ENTITY_TYPES = ("Disease", "Gene")
 TRAIN_FRACTION = 0.8
@@ -194,6 +194,3 @@ def evaluate_entities(models: dict[str, TaggerModel],
         recall=correct / gold if gold else 1.0,
         predicted=predicted, gold=gold, correct=correct)
 
-
-def default_vocab() -> SubwordVocab:
-    return demo_vocab()

@@ -10,7 +10,7 @@ probability wins; exact ties break lexicographically by type name.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,14 +23,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class EntityMention:
-    doc_id: str
     sentence_index: int
     start: int
     end: int           # exclusive word index
     surface: str
     entity_type: str
     score: float
-    type_distribution: dict[str, float] = field(default_factory=dict)
     normalized_id: Optional[Term] = None
 
 
@@ -87,8 +85,7 @@ def _span_candidates(word_tags, word_probs, entity_type):
 
 def decode_entities(encoded: EncodedSentence,
                     tagged: dict[str, tuple[Sequence[int], np.ndarray]],
-                    doc_id: str = "", sentence_index: int = 0
-                    ) -> list[EntityMention]:
+                    sentence_index: int = 0) -> list[EntityMention]:
     """Merge the per-type tag sequences into typed, non-overlapping
     mentions."""
     candidates = []
@@ -97,10 +94,6 @@ def decode_entities(encoded: EncodedSentence,
         word_tags, word_probs = word_level_tags(encoded, tags, probs)
         candidates.extend(_span_candidates(word_tags, word_probs,
                                            entity_type))
-    # same-span probability distribution over candidate types
-    by_span: dict[tuple[int, int], list[tuple[str, float]]] = {}
-    for start, end, etype, score in candidates:
-        by_span.setdefault((start, end), []).append((etype, score))
     ordered = sorted(candidates,
                      key=lambda c: (-c[3], c[2], c[0], c[1]))
     taken: list[tuple[int, int]] = []
@@ -109,16 +102,10 @@ def decode_entities(encoded: EncodedSentence,
         if any(s < end and start < e for s, e in taken):
             continue
         taken.append((start, end))
-        rivals = by_span[(start, end)]
-        total = sum(sc for _, sc in rivals)
-        distribution = {t: (sc / total if total > 0 else 1.0 / len(rivals))
-                        for t, sc in rivals}
         mentions.append(EntityMention(
-            doc_id=doc_id, sentence_index=sentence_index,
-            start=start, end=end,
+            sentence_index=sentence_index, start=start, end=end,
             surface=" ".join(encoded.words[start:end]),
-            entity_type=etype, score=score,
-            type_distribution=distribution))
+            entity_type=etype, score=score))
     mentions.sort(key=lambda m: (m.start, m.end))
     return mentions
 

@@ -68,14 +68,13 @@ def split_to_fit(words: list[str], vocab, max_len: int,
 
 @dataclass
 class DocumentExtraction:
-    doc_id: str
     mentions: list[EntityMention] = field(default_factory=list)
     candidates: list[RelationCandidate] = field(default_factory=list)
 
 
 def extract_document(doc: Document, checkpoint: Checkpoint,
                      alias_table: AliasTable) -> DocumentExtraction:
-    result = DocumentExtraction(doc.id)
+    result = DocumentExtraction()
     space = next(iter(checkpoint.models.values())).space
 
     def encode(words: list[str]) -> EncodedSentence:
@@ -92,15 +91,14 @@ def extract_document(doc: Document, checkpoint: Checkpoint,
                                    checkpoint.gazetteers)]
         for offset, encoded in chunks:
             mentions = decode_entities(
-                encoded, tag_sentence(checkpoint.models, encoded),
-                doc.id, sent_idx)
+                encoded, tag_sentence(checkpoint.models, encoded), sent_idx)
             for mention in mentions:
                 mention.normalized_id = link_entity(
                     mention.surface, mention.entity_type, alias_table)
             # relations see chunk-local spans; the result holds sentence
             # spans
             result.candidates.extend(extract_relations(
-                encoded.words, mentions, doc.id, sent_idx))
+                encoded.words, mentions, doc.id))
             if offset:
                 mentions = [replace(m, start=m.start + offset,
                                     end=m.end + offset) for m in mentions]

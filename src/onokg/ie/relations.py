@@ -27,7 +27,6 @@ RELATION_LABELS = ("causes", "hasType", "hasEvidence", "isA", "none")
 @dataclass
 class RelationCandidate:
     doc_id: str
-    sentence_index: int
     anonymized: str
     label: str
     confidence: float
@@ -77,7 +76,6 @@ def opt(*options):
 
 @dataclass(frozen=True)
 class Pattern:
-    name: str
     elements: tuple
     label: str
     confidence: float
@@ -86,34 +84,34 @@ class Pattern:
 
 
 PATTERNS = (
-    Pattern("responsible-for",
-            (SLOT_G, lit("is", "are", "was", "were"), lit("responsible"),
+    # responsible-for
+    Pattern((SLOT_G, lit("is", "are", "was", "were"), lit("responsible"),
              lit("for"), opt("a", "the"), opt("disease"), opt("called"),
              SLOT_D),
             "causes", 0.95, SLOT_G, SLOT_D),
-    Pattern("causes-verb",
-            (SLOT_G, lit("causes", "cause", "caused"), SLOT_D),
+    # causes-verb
+    Pattern((SLOT_G, lit("causes", "cause", "caused"), SLOT_D),
             "causes", 0.95, SLOT_G, SLOT_D),
-    Pattern("mutations-in",
-            (lit("mutations"), lit("in"), SLOT_G,
+    # mutations-in
+    Pattern((lit("mutations"), lit("in"), SLOT_G,
              lit("are", "is", "were"), lit("associated", "linked"),
              lit("with"), SLOT_D),
             "causes", 0.85, SLOT_G, SLOT_D),
-    Pattern("driven-by",
-            (SLOT_D, lit("is"), opt("a"), opt("disease"),
+    # driven-by
+    Pattern((SLOT_D, lit("is"), opt("a"), opt("disease"),
              lit("driven", "caused"), lit("by"), SLOT_G),
             "causes", 0.85, SLOT_G, SLOT_D),
-    Pattern("has-functionality",
-            (SLOT_G, lit("has"), SLOT_TYPE, lit("functionality")),
+    # has-functionality
+    Pattern((SLOT_G, lit("has"), SLOT_TYPE, lit("functionality")),
             "hasType", 0.95, SLOT_G, SLOT_TYPE),
-    Pattern("is-a-type",
-            (SLOT_G, lit("is"), lit("a", "an"), SLOT_TYPE),
+    # is-a-type
+    Pattern((SLOT_G, lit("is"), lit("a", "an"), SLOT_TYPE),
             "isA", 0.9, SLOT_G, SLOT_TYPE),
-    Pattern("disease-called",
-            (lit("a", "the"), lit("disease"), lit("called"), SLOT_D),
+    # disease-called
+    Pattern((lit("a", "the"), lit("disease"), lit("called"), SLOT_D),
             "isA", 0.9, SLOT_D, "DISEASE_CLASS"),
-    Pattern("mentioned-in",
-            (lit("mentioned", "cited"), lit("in"),
+    # mentioned-in
+    Pattern((lit("mentioned", "cited"), lit("in"),
              opt("numerous", "several", "many"), SLOT_SOURCE,
              lit("articles", "publications", "literature")),
             "hasEvidence", 0.9, "CONTEXT", SLOT_SOURCE),
@@ -220,8 +218,8 @@ def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken]
     return token.mention.normalized_id if token.mention else None
 
 
-def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
-                    sentence_index: int) -> list[RelationCandidate]:
+def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str
+                    ) -> list[RelationCandidate]:
     text = anonymized_text(tokens)
     candidates: list[RelationCandidate] = []
     covered_pairs: set[tuple[int, int]] = set()
@@ -244,8 +242,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
             if gene is not None and disease is not None:
                 covered_pairs.add((gene.mention.start, disease.mention.start))
             candidates.append(RelationCandidate(
-                doc_id=doc_id, sentence_index=sentence_index,
-                anonymized=text,
+                doc_id=doc_id, anonymized=text,
                 label=pattern.label, confidence=pattern.confidence,
                 subject=subject, object=object_))
     genes = [t.mention for t in tokens
@@ -257,8 +254,7 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
         for d in diseases:
             if (g.start, d.start) not in covered_pairs:
                 candidates.append(RelationCandidate(
-                    doc_id=doc_id, sentence_index=sentence_index,
-                    anonymized=text, label="none",
+                    doc_id=doc_id, anonymized=text, label="none",
                     confidence=0.0, subject=g.normalized_id,
                     object=d.normalized_id))
     return candidates
@@ -266,8 +262,6 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str,
 
 def extract_relations(words: Sequence[str],
                       mentions: Sequence[EntityMention],
-                      doc_id: str = "", sentence_index: int = 0
-                      ) -> list[RelationCandidate]:
+                      doc_id: str = "") -> list[RelationCandidate]:
     """Anonymize the sentence and match the relation templates."""
-    return _match_patterns(anonymize(words, mentions), doc_id,
-                           sentence_index)
+    return _match_patterns(anonymize(words, mentions), doc_id)

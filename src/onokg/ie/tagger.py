@@ -28,7 +28,7 @@ near 1 MB on the template corpus whatever the corpus size.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -420,7 +420,8 @@ def loss_and_gradients(model: TaggerModel,
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON object holding the tag set, the shared feature
 # table (name -> id), the subword vocabulary, the gazetteer surfaces, the
-# per-type heads (weights and bias) and the training settings. Checkpoints
+# per-type heads (weights and bias) and the training settings ("config",
+# kept for a reader of the file; loading does not read it). Checkpoints
 # written before the "provenance" key (a table of BERT fine-tuning settings
 # nothing read) was dropped still load: unknown keys are ignored.
 
@@ -451,7 +452,6 @@ class Checkpoint:
     models: dict[str, TaggerModel]
     vocab: SubwordVocab
     gazetteers: dict[str, Gazetteer]
-    config: dict = field(default_factory=dict)
 
 
 def _is_string_list(value) -> bool:
@@ -492,4 +492,4 @@ def load_checkpoint(path) -> Checkpoint:
     vocab = SubwordVocab(payload["vocab"])
     gazetteers = {name: Gazetteer(surfaces)
                   for name, surfaces in payload["gazetteers"].items()}
-    return Checkpoint(models, vocab, gazetteers, payload.get("config", {}))
+    return Checkpoint(models, vocab, gazetteers)

@@ -99,7 +99,6 @@ class ValidationError(KgError):
 class UnknownPrefixError(KgError):
     def __init__(self, prefix: str):
         super().__init__(f"unknown prefix {prefix!r}")
-        self.prefix = prefix
 
 
 # Term syntax (see the module docstring); the parsers reuse `.pattern`

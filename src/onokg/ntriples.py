@@ -340,33 +340,30 @@ def write_atomic(path, text: str | Iterable[str]) -> None:
 
     The text goes to a temporary file next to the target, which then
     replaces it; on any failure, between chunks or while one is made, the
-    temporary file is removed and the target keeps its old bytes. A symlink is followed, so its target is
-    replaced and the link kept; an existing target keeps its permissions.
-    Line endings are written as given. An OSError that names a file is
-    raised again without the names, as they include the temporary file's;
-    the caller knows the target.
+    temporary file is removed and the target keeps its old bytes. A
+    symlink is followed, so its target is replaced and the link kept; an
+    existing target keeps its permissions. Line endings are written as
+    given. An OSError is raised again as `cannot write <path>: [Errno N]
+    <reason>`, without the temporary file's name.
     """
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                for chunk in [text] if isinstance(text, str) else text:
+                    fh.write(chunk)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
-        raise _unnamed(exc) from exc
-    try:
-        with fh:
-            for chunk in [text] if isinstance(text, str) else text:
-                fh.write(chunk)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            raise _unnamed(exc) from exc
-        raise
-
-
-def _unnamed(exc: OSError) -> OSError:
-    return type(exc)(exc.errno, exc.strerror)
+        # the file names an OSError holds include the temporary file's
+        reason = exc if exc.filename is None \
+            else OSError(exc.errno, exc.strerror)
+        raise OSError(f"cannot write {path}: {reason}") from exc

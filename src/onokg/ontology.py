@@ -117,7 +117,7 @@ class OnoSchema:
 
     def gene_type_term(self, gene_type: str) -> Term:
         name = gene_type.replace("-", "").replace("Proteincoding", "ProteinCoding")
-        if name.lower() == "protein-coding" or name.lower() == "proteincoding":
+        if name.lower() == "proteincoding":
             return self.protein_coding
         if name not in GENE_TYPES:
             raise KgError(f"unknown gene type {gene_type!r}")
@@ -277,32 +277,16 @@ def add_schema(graph: Graph) -> None:
     # hasType/hasSignificance/hasEvidence and be retrieved by queries.
     for member, parent in hierarchy[2:]:
         graph.add(member, RDF_TYPE, parent)
-    labels = {
-        s.disease: "Disease",
-        s.disease_of_cellular_proliferation: "DiseaseOfCellularProliferation",
-        s.cancer: "Cancer",
-        s.biomarker: "Biomarker",
-        s.feature: "Feature",
-        s.biomarker_type: "BiomarkerType",
-        s.oncogene: "Oncogene",
-        s.protein_coding: "ProteinCoding",
-        s.potsf: "POTSF",
-        s.significance: "Significance",
-        s.high: "High",
-        s.medium: "Medium",
-        s.low: "Low",
-        s.evidence: "Evidence",
-        s.pubmed: "PubMed",
-        s.mesh: "MeSH",
-        s.cancer_index: "CancerIndex",
-    }
-    for term, text in labels.items():
-        graph.add(term, RDFS_LABEL, literal(text))
-    for prop in (s.causes, s.is_a, s.has_type, s.has_significance,
-                 s.has_evidence, s.has_citations, s.cross_responsibility,
-                 s.has_go_association, s.feature_gene, s.feature_cancer,
-                 s.full_name):
-        graph.add(prop, RDFS_LABEL, literal(prop.local_name()))
+    # the significance levels are HIGH/MEDIUM/LOW in IRIs, High/Medium/Low
+    # in labels
+    levels = {s.high, s.medium, s.low}
+    for term in s.classes():
+        name = term.local_name()
+        graph.add(term, RDFS_LABEL,
+                  literal(name.title() if term in levels else name))
+    for prop in s.properties():
+        if prop != s.instance_of:
+            graph.add(prop, RDFS_LABEL, literal(prop.local_name()))
     declarations = [
         (s.causes, s.biomarker, s.disease),
         (s.cross_responsibility, s.biomarker, s.cancer),

@@ -257,12 +257,11 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
                                                   terms[i].lexical))
     objects = {o for _, _, o in rows}
     predicates = {p for _, p, _ in rows}
-    used = objects.union(predicates, subjects)
 
-    # 1. schema completeness
+    # 1. schema completeness: a term has an id iff a stored triple uses it
     gold = set(cfg.gold_classes) | set(cfg.gold_properties)
     if gold:
-        missing = sorted(g.lexical for g in gold if ids(g) not in used)
+        missing = sorted(g.lexical for g in gold if ids(g) < 0)
         metrics["schema_completeness"] = MetricResult.ratio(
             "schema_completeness", len(gold) - len(missing), len(gold),
             missing)
@@ -345,7 +344,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
          for _, _, o in invalid])
 
     # 8. dereferenceable URIs across all three positions
-    uris = sorted(terms[i].lexical for i in used if terms[i].kind == IRI)
+    uris = sorted(t.lexical for t in terms if t.kind == IRI)
     rejected = [u for u in uris if not resolve_uri(cfg.resolver_mode, u,
                                                    cfg.allowlist)]
     metrics["dereferenceable_uris"] = MetricResult.ratio(

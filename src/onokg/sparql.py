@@ -65,7 +65,6 @@ class SparqlParseError(SparqlError):
         super().__init__(f"{line}:{col}: {message}{hint}")
         self.line = line
         self.col = col
-        self.expected = expected
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +73,6 @@ class SparqlParseError(SparqlError):
 @dataclass(frozen=True)
 class Var:
     name: str
-
-    def __repr__(self):
-        return f"?{self.name}"
 
 
 Node = Union[Var, Term]
@@ -137,7 +133,6 @@ class SubSelect:
 
 @dataclass
 class SelectQuery:
-    prefixes: PrefixTable
     projection: list[Var]
     distinct: bool
     pattern: list[Union[TriplePattern, SubSelect]]
@@ -314,8 +309,8 @@ class _Parser:
                 group_by.append(Var(self.next().value[1:]))
             if not group_by:
                 self.error("expected grouping variables", expected="?variable")
-        query = SelectQuery(self.prefixes, projection, distinct, pattern,
-                            values, filters, group_by)
+        query = SelectQuery(projection, distinct, pattern, values, filters,
+                            group_by)
         self.validate(query)
         return query
 
@@ -956,7 +951,6 @@ def run_query(graph: Graph, text: str) -> SolutionTable:
 @dataclass
 class PackResult:
     name: str
-    text: str
     table: SolutionTable
     seconds: float
 
@@ -985,5 +979,5 @@ def run_query_pack(graph: Graph) -> list[PackResult]:
         start = time.perf_counter()
         table = evaluate(graph, query)
         elapsed = time.perf_counter() - start
-        results.append(PackResult(name, text, table, elapsed))
+        results.append(PackResult(name, table, elapsed))
     return results

@@ -941,7 +941,7 @@ def random_dl_expr(rng: np.random.Generator, graph: Graph, depth: int = 3):
 
 def random_sparql_query(rng: np.random.Generator, graph: Graph
                         ) -> SelectQuery:
-    from onokg.kg import PrefixTable, literal
+    from onokg.kg import literal
     classes, props, individuals = graph_vocabulary(graph)
     pool = classes + props + individuals
     var_names = ["a", "b", "c"]
@@ -986,8 +986,8 @@ def random_sparql_query(rng: np.random.Generator, graph: Graph
                                       literal(str(rng.integers(0, 50)))))
     distinct = bool(rng.random() < 0.5)
     group_by = list(projection) if rng.random() < 0.3 else []
-    return SelectQuery(PrefixTable(), projection, distinct, patterns,
-                       values, filters, group_by)
+    return SelectQuery(projection, distinct, patterns, values, filters,
+                       group_by)
 
 
 def random_rich_sparql_query(rng: np.random.Generator, graph: Graph,
@@ -1002,7 +1002,7 @@ def random_rich_sparql_query(rng: np.random.Generator, graph: Graph,
     Patterns are walks over stored triples, so that joins often match:
     `names` maps a term to the variable that stands for it.
     """
-    from onokg.kg import PrefixTable, literal
+    from onokg.kg import literal
     individuals = graph_vocabulary(graph)[2]
     ghosts = [iri(EX + "ghost"), literal("77")]
     names = {} if names is None else names
@@ -1083,5 +1083,5 @@ def random_rich_sparql_query(rng: np.random.Generator, graph: Graph,
                       1, len(scope) + 1)), replace=False))]
     distinct = bool(rng.random() < 0.5)
     group_by = list(projection) if rng.random() < 0.3 else []
-    return SelectQuery(PrefixTable(), projection, distinct, pattern,
-                       values, filters, group_by)
+    return SelectQuery(projection, distinct, pattern, values, filters,
+                       group_by)

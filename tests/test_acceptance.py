@@ -32,7 +32,7 @@ from onokg.ontology import (RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASS, SCHEMA,
                             check_ontology_pitfalls, data_path, ono)
 from onokg.quality import QualityConfig, assess
 from onokg.sparql import evaluate as sparql_evaluate
-from onokg.sparql import parse_select, run_query_pack
+from onokg.sparql import load_query_pack, parse_select, run_query_pack
 from onokg.ontology import default_prefixes
 
 from test_quality import fixture_config, planted_defect_graph
@@ -104,8 +104,9 @@ def test_criterion_03_dl_oracle_equivalence(fixtures_graph):
 def test_criterion_04_sparql_oracle_equivalence(fixtures_graph):
     start = time.perf_counter()
     mismatches = 0
+    texts = dict(load_query_pack())
     for result in run_query_pack(fixtures_graph):
-        query = parse_select(result.text, default_prefixes())
+        query = parse_select(texts[result.name], default_prefixes())
         oracle = sorted(sparql_rows(fixtures_graph, query), key=repr)
         if sorted(result.table.rows, key=repr) != oracle:
             mismatches += 1

@@ -133,7 +133,7 @@ class TestLinking:
 
 
 def _mention(surface, etype, start, end, target):
-    return EntityMention(doc_id="d", sentence_index=0, start=start, end=end,
+    return EntityMention(sentence_index=0, start=start, end=end,
                          surface=surface, entity_type=etype, score=1.0,
                          normalized_id=target)
 
@@ -272,8 +272,8 @@ def _candidates(draw, stored):
             obj = draw(st.sampled_from(_NEW_OBJECTS))
         drawn.append((subject, label, obj))
     return [RelationCandidate(
-        doc_id=draw(st.sampled_from(["d1", "d2"])), sentence_index=0,
-        anonymized="", label=label,
+        doc_id=draw(st.sampled_from(["d1", "d2"])), anonymized="",
+        label=label,
         confidence=draw(st.sampled_from(_GRID) | st.floats(0.0, 1.0)),
         subject=subject, object=obj) for subject, label, obj in drawn]
 

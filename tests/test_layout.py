@@ -1,22 +1,35 @@
-"""`src/` holds what a command reaches.
+"""`src/` holds what a command reaches, and no data that nothing reads.
 
-The scan walks `src/onokg` with `ast` and collects every module-level
-function and class and every method whose name is not a dunder. A
-definition is reached when its name appears outside its own body anywhere
-in `src/` or `bench/`: as a name, an attribute, an imported name, or a part
-of a string constant split on "." (`bench/layertrace.LAYERS` names methods
-as "Graph.insert"). A definition nothing reaches is code that only tests
-call, and it belongs under `tests/`. `ALLOWED` names the exceptions, each
-with its reason.
+The first scan walks `src/onokg` with `ast` and collects every
+module-level function and class and every method whose name is not a
+dunder. A definition is reached when its name appears outside its own body
+anywhere in `src/` or `bench/`: as a name, an attribute, an imported name,
+or a part of a string constant split on "." (`bench/layertrace.LAYERS`
+names methods as "Graph.insert"). A definition nothing reaches is code that
+only tests call, and it belongs under `tests/`. `ALLOWED` names the
+exceptions, each with its reason.
 
-Known gap: names are matched bare, so a method whose name is common counts
-as reached when any attribute of that name is used. An audit owner by
-owner found these behind common names: `Graph.remove` and `Graph.copy`
-(reached by `list.remove`, `os.remove` and `PrefixTable.copy`),
-`PrefixTable.items` (`dict.items`), `AliasTable.surfaces`
-(`Gazetteer.surfaces`) and `EntityMention.span` (`_Sorted.span`); none is
-left in `src/`. The scan also sees no dataclass field or dict key that is
-written and never read, nor a parameter that no caller passes.
+The second scan collects every `@dataclass` field in `src/onokg`. A field
+is read when its name appears in `src/` or `bench/` as an attribute that
+is loaded (not stored) or as a part of a string constant split on "."
+(`getattr`, or a JSON key). A field nothing reads is data that code fills
+for no reader: delete it with what fills it, or allow it in
+`ALLOWED_FIELDS` with its reason.
+
+Known gap: both scans match names bare, so a definition or a field whose
+name is common counts as reached or read when any attribute of that name
+is. An audit owner by owner found these behind common names, and none is
+left in `src/`: `Graph.remove` and `Graph.copy` (reached by `list.remove`,
+`os.remove` and `PrefixTable.copy`), `PrefixTable.items` (`dict.items`),
+`AliasTable.surfaces` (`Gazetteer.surfaces`) and `EntityMention.span`
+(`_Sorted.span`); and the fields `Pattern.name` (read as `Var.name`),
+`EntityMention.doc_id` and `DocumentExtraction.doc_id`
+(`RelationCandidate.doc_id`), `PackResult.text` (`_AnonToken.text`),
+`RelevanceMap.method`, `.epsilon` and `.delta` (the `explain` options),
+`SelectQuery.prefixes` (the parser's table) and `Checkpoint.config` (the
+checkpoint's "config" key). The scans also see no exception attribute,
+dict key or unpacked value that is written and never read, nor a
+parameter that no caller passes.
 """
 
 import ast
@@ -28,6 +41,15 @@ PACKAGE = ROOT / "src" / "onokg"
 ALLOWED = {
     "kg.Graph.check_indexes": "a test invariant: tests assert after writes "
                               "that the store's permutations agree",
+}
+
+ALLOWED_FIELDS = {
+    "explain.relevance.RelevanceMap.total":
+        "criterion 08 and test_explain check the squared gradient norm "
+        "and LRP conservation with it",
+    "explain.relevance.RelevanceMap.layer_sums":
+        "criterion 07 and test_explain check that each layer conserves "
+        "relevance with it",
 }
 
 
@@ -61,10 +83,18 @@ def _appearances(tree: ast.Module):
                 yield part, node.lineno
 
 
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for top in ("src", "bench")
+            for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+def _module(path: Path) -> str:
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
 def unreached_definitions() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for top in ("src", "bench")
-             for path in sorted((ROOT / top).rglob("*.py"))}
+    trees = _trees()
     seen: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _appearances(tree):
@@ -73,7 +103,7 @@ def unreached_definitions() -> list[str]:
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
             continue
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        module = _module(path)
         for qualified, name, node in _definitions(tree):
             if not any(where != path
                        or not node.lineno <= line <= node.end_lineno
@@ -88,3 +118,44 @@ def test_src_holds_what_a_command_reaches():
         "definitions that no src/ or bench/ code reaches (move them under "
         "tests/, or allow one in ALLOWED with its reason): "
         + ", ".join(unreached))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated `@dataclass` or `@dataclass(...)`."""
+    return any(ast.unparse(getattr(d, "func", d)) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields() -> list[str]:
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.update(node.value.split("."))
+    unread = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name) \
+                        and item.target.id not in read:
+                    unread.append(
+                        f"{_module(path)}.{node.name}.{item.target.id}")
+    return sorted(unread)
+
+
+def test_src_holds_no_field_that_nothing_reads():
+    unread = unread_fields()
+    assert unread == sorted(ALLOWED_FIELDS), (
+        "dataclass fields that no src/ or bench/ code reads (delete each "
+        "with what fills it, or allow one in ALLOWED_FIELDS with its "
+        "reason): " + ", ".join(unread))

@@ -179,6 +179,15 @@ class TestSave:
         assert target.read_bytes() == b"<a:s> <a:p> <a:o> .\n"
         assert os.listdir(tmp_path) == ["kg.nt"]
 
+    def test_error_names_the_target_only(self, tmp_path, seed_graph):
+        target = tmp_path / "missing" / "kg.nt"
+        with pytest.raises(OSError) as caught:
+            save_file(seed_graph, target)
+        prefix = f"cannot write {target}: "
+        text = str(caught.value)
+        assert text.startswith(prefix)
+        assert str(tmp_path) not in text[len(prefix):]
+
     @pytest.mark.parametrize("chunk_lines", [1, 7, 64])
     def test_chunked_save_equals_serialization(self, tmp_path, monkeypatch,
                                                seed_graph, chunk_lines):

@@ -86,12 +86,11 @@ class TestLongSentences:
                 assert len(encoded) <= MAX_PIECES
                 found = decode_entities(
                     encoded, tag_sentence(checkpoint.models, encoded),
-                    doc.id, sent_idx)
+                    sent_idx)
                 for m in found:
                     m.normalized_id = link_entity(m.surface, m.entity_type,
                                                   alias_table)
-                candidates += extract_relations(chunk, found, doc.id,
-                                                sent_idx)
+                candidates += extract_relations(chunk, found, doc.id)
                 mentions += [replace(m, start=m.start + offset,
                                      end=m.end + offset) for m in found]
                 shifted += len(found) if offset else 0

@@ -227,8 +227,9 @@ class TestQueryPack:
     def test_pack_parses_and_matches_oracle(self, fixtures_graph):
         results = run_query_pack(fixtures_graph)
         assert len(results) == 5
+        texts = dict(load_query_pack())
         for result in results:
-            query = parse_select(result.text, default_prefixes())
+            query = parse_select(texts[result.name], default_prefixes())
             oracle = sorted(sparql_rows(fixtures_graph, query), key=repr)
             assert sorted(result.table.rows, key=repr) == oracle, result.name
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -324,7 +325,8 @@ class TestCheckpoint:
             assert np.allclose(loaded.models[name].weights, model.weights)
             assert np.allclose(loaded.models[name].bias, model.bias)
         assert loaded.vocab.pieces == trained.vocab.pieces
-        assert loaded.config["seed"] == 42
+        assert json.loads(path.read_text(encoding="utf-8"))["config"] == \
+            {"seed": 42}
 
     def test_loaded_model_tags_identically(self, trained, tmp_path):
         from onokg.ie.tagger import encode_sentence
