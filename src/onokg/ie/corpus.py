@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .decode import decode_entities
-from .tagger import (EncodedSentence, FeatureSpace, Gazetteer, TaggerModel,
-                     encode_sentence, gold_tags, tag_probabilities)
+from .tagger import (LOSS_CHUNK, EncodedSentence, FeatureSpace, Gazetteer,
+                     TaggerModel, _pack, encode_sentence, gold_tags, logits,
+                     softmax)
 from .wordpiece import SubwordVocab
 
 ENTITY_TYPES = ("Disease", "Gene")
@@ -156,11 +157,28 @@ def encode_corpus(corpus: Sequence[LabeledSentence],
 
 
 def tag_sentence(models: dict[str, TaggerModel],
-                 encoded: EncodedSentence) -> dict[str, tuple]:
-    tagged = {}
-    for entity_type in sorted(models):
-        probs = tag_probabilities(models[entity_type], encoded.feature_ids)
-        tagged[entity_type] = (probs.argmax(axis=1), probs)
+                 encoded: Sequence[EncodedSentence]) -> list[dict[str, tuple]]:
+    """Each sentence's (argmax tags, tag distributions) per entity type.
+
+    The piece rows of up to `LOSS_CHUNK` sentences are packed once, each
+    model scores them with one `logits` call, and the result is split at the
+    sentence bounds. A row's logit sums only that row's weights, in the same
+    order, so the distributions are those of one call per sentence, to the
+    bit.
+    """
+    tagged: list[dict[str, tuple]] = []
+    for start in range(0, len(encoded), LOSS_CHUNK):
+        group = encoded[start:start + LOSS_CHUNK]
+        flat, counts = _pack([row for e in group for row in e.feature_ids])
+        ends = np.cumsum([len(e) for e in group]).tolist()
+        bounds = list(zip([0] + ends, ends))
+        by_sentence: list[dict[str, tuple]] = [{} for _ in group]
+        for entity_type in sorted(models):
+            probs = softmax(logits(models[entity_type], flat, counts))
+            tags = probs.argmax(axis=1)
+            for out, (a, b) in zip(by_sentence, bounds):
+                out[entity_type] = (tags[a:b], probs[a:b])
+        tagged += by_sentence
     return tagged
 
 
@@ -177,18 +195,26 @@ def evaluate_entities(models: dict[str, TaggerModel],
                       corpus: Sequence[LabeledSentence],
                       vocab: SubwordVocab, space: FeatureSpace,
                       gazetteers: dict[str, Gazetteer]) -> EntityScores:
-    """Exact-match entity-level precision/recall over merged typed spans."""
+    """Exact-match entity-level precision/recall over merged typed spans.
+
+    The corpus is encoded and tagged `LOSS_CHUNK` sentences at a time, so
+    only one group's encodings are held at once.
+    """
     predicted = gold = correct = 0
-    for sentence in corpus:
-        encoded = encode_sentence(sentence.words, vocab, space, gazetteers)
-        mentions = decode_entities(encoded, tag_sentence(models, encoded))
-        found = {(m.entity_type, m.start, m.end) for m in mentions}
-        truth = {(etype, start, end)
-                 for etype in ENTITY_TYPES
-                 for start, end in sentence.spans_for(etype)}
-        predicted += len(found)
-        gold += len(truth)
-        correct += len(found & truth)
+    for first in range(0, len(corpus), LOSS_CHUNK):
+        group = corpus[first:first + LOSS_CHUNK]
+        encodings = [encode_sentence(sentence.words, vocab, space,
+                                     gazetteers) for sentence in group]
+        for sentence, encoded, tagged in zip(
+                group, encodings, tag_sentence(models, encodings)):
+            mentions = decode_entities(encoded, tagged)
+            found = {(m.entity_type, m.start, m.end) for m in mentions}
+            truth = {(etype, start, end)
+                     for etype in ENTITY_TYPES
+                     for start, end in sentence.spans_for(etype)}
+            predicted += len(found)
+            gold += len(truth)
+            correct += len(found & truth)
     return EntityScores(
         precision=correct / predicted if predicted else 1.0,
         recall=correct / gold if gold else 1.0,

@@ -40,15 +40,18 @@ def word_level_tags(encoded: EncodedSentence, tags: Sequence[int],
         raise ValueError("tags/probabilities misaligned with pieces")
     word_tags = ["O"] * len(encoded.words)
     word_probs = [1.0] * len(encoded.words)
-    for pos, (word_idx, head) in enumerate(zip(encoded.word_of_piece,
-                                               encoded.is_head_piece)):
+    tag_ids = np.asarray(tags)
+    picked = probabilities[np.arange(len(tag_ids)), tag_ids].tolist()
+    for word_idx, head, tag_id, prob in zip(encoded.word_of_piece,
+                                            encoded.is_head_piece,
+                                            tag_ids.tolist(), picked):
         if word_idx < 0 or not head:
             continue
-        tag = TAGS[tags[pos]]
+        tag = TAGS[tag_id]
         if tag in ("X", "[CLS]", "[SEP]", "PAD"):
             tag = "O"
         word_tags[word_idx] = tag
-        word_probs[word_idx] = float(probabilities[pos][tags[pos]])
+        word_probs[word_idx] = prob
     return word_tags, word_probs
 
 

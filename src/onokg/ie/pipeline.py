@@ -1,6 +1,7 @@
 """End-to-end document processing: preprocess, tag, decode, link, relate,
-and enrich. Documents are committed in sorted-id order so the result does
-not depend on arrival order.
+and enrich. A document's sentences are encoded first and then tagged
+together (see `corpus.tag_sentence`). Documents are committed in sorted-id
+order so the result does not depend on arrival order.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .corpus import tag_sentence
 
 log = logging.getLogger(__name__)
 
-# The longest encoding ([CLS] + pieces + [SEP]) tagged at once; a longer
-# sentence is cut by split_to_fit, and each chunk is encoded and tagged on
-# its own.
+# The longest encoding ([CLS] + pieces + [SEP]) tagged as one sequence; a
+# longer sentence is cut by split_to_fit, and each chunk is encoded and
+# tagged as a sequence of its own.
 MAX_PIECES = 128
 
 
@@ -81,28 +82,30 @@ def extract_document(doc: Document, checkpoint: Checkpoint,
         return encode_sentence(words, checkpoint.vocab, space,
                                checkpoint.gazetteers)
 
+    # (sentence index, word offset, encoding) of each sentence, or of each
+    # chunk of a sentence too long to tag at once
+    units: list[tuple[int, int, EncodedSentence]] = []
     for sent_idx, words in enumerate(doc.sentences):
         encoded = encode(words)
         if len(encoded) <= MAX_PIECES:
-            chunks = [(0, encoded)]
+            units.append((sent_idx, 0, encoded))
         else:
-            chunks = [(offset, encode(chunk)) for offset, chunk in
+            units += [(sent_idx, offset, encode(chunk)) for offset, chunk in
                       split_to_fit(words, checkpoint.vocab, MAX_PIECES,
                                    checkpoint.gazetteers)]
-        for offset, encoded in chunks:
-            mentions = decode_entities(
-                encoded, tag_sentence(checkpoint.models, encoded), sent_idx)
-            for mention in mentions:
-                mention.normalized_id = link_entity(
-                    mention.surface, mention.entity_type, alias_table)
-            # relations see chunk-local spans; the result holds sentence
-            # spans
-            result.candidates.extend(extract_relations(
-                encoded.words, mentions, doc.id))
-            if offset:
-                mentions = [replace(m, start=m.start + offset,
-                                    end=m.end + offset) for m in mentions]
-            result.mentions.extend(mentions)
+    tagged = tag_sentence(checkpoint.models, [e for _, _, e in units])
+    for (sent_idx, offset, encoded), by_type in zip(units, tagged):
+        mentions = decode_entities(encoded, by_type, sent_idx)
+        for mention in mentions:
+            mention.normalized_id = link_entity(
+                mention.surface, mention.entity_type, alias_table)
+        # relations see chunk-local spans; the result holds sentence spans
+        result.candidates.extend(extract_relations(
+            encoded.words, mentions, doc.id))
+        if offset:
+            mentions = [replace(m, start=m.start + offset,
+                                end=m.end + offset) for m in mentions]
+        result.mentions.extend(mentions)
     return result
 
 

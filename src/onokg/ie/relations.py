@@ -157,39 +157,30 @@ def anonymized_text(tokens: Sequence[_AnonToken]) -> str:
     return " ".join(t.text for t in tokens)
 
 
+def _element_matches(token: _AnonToken, element) -> bool:
+    """Whether the token fills the template element (a literal or a slot)."""
+    if isinstance(element, Lit):
+        return token.mention is None and token.text.lower() in element.options
+    if element == SLOT_G:
+        return token.text == GENE_SLOT
+    if element == SLOT_D:
+        return token.text == DISEASE_SLOT
+    if element == SLOT_TYPE:
+        return token.type_term is not None
+    return token.source_term is not None    # SLOT_SOURCE
+
+
 def _match_at(tokens: Sequence[_AnonToken], start: int, pattern: Pattern
               ) -> Optional[dict]:
-    captures: dict[str, _AnonToken] = {}
+    captures: dict = {"_start": start}
     pos = start
     for element in pattern.elements:
-        token = tokens[pos] if pos < len(tokens) else None
-        if isinstance(element, Lit):
-            if token is not None and token.mention is None \
-                    and token.text.lower() in element.options:
-                pos += 1
-            elif not element.optional:
-                return None
-            continue
-        if token is None:
+        if pos < len(tokens) and _element_matches(tokens[pos], element):
+            if not isinstance(element, Lit):
+                captures.setdefault(element, tokens[pos])
+            pos += 1
+        elif not (isinstance(element, Lit) and element.optional):
             return None
-        if element == SLOT_G:
-            if token.text != GENE_SLOT:
-                return None
-            captures.setdefault(SLOT_G, token)
-        elif element == SLOT_D:
-            if token.text != DISEASE_SLOT:
-                return None
-            captures.setdefault(SLOT_D, token)
-        elif element == SLOT_TYPE:
-            if token.type_term is None:
-                return None
-            captures.setdefault(SLOT_TYPE, token)
-        elif element == SLOT_SOURCE:
-            if token.source_term is None:
-                return None
-            captures.setdefault(SLOT_SOURCE, token)
-        pos += 1
-    captures["_start"] = start
     return captures
 
 
@@ -225,7 +216,12 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str
     covered_pairs: set[tuple[int, int]] = set()
     seen: set[tuple] = set()
     for pattern in PATTERNS:
-        for start in range(len(tokens)):
+        # no template starts with an optional element, so a match can only
+        # start where its first element does
+        first = pattern.elements[0]
+        for start, token in enumerate(tokens):
+            if not _element_matches(token, first):
+                continue
             captures = _match_at(tokens, start, pattern)
             if captures is None:
                 continue

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from onokg import dlx
+from onokg.ie import relations
 from onokg.ie.preprocess import stopwords
 from onokg.ie.tagger import PROB_FLOOR, EncodedSentence
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
@@ -737,6 +738,88 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
         except ValidationError as exc:
             issues.append((lineno, str(exc)))
     return graph, issues
+
+
+# ---------------------------------------------------------------------------
+# Relation templates tried at every position of the anonymized sentence, the
+# matcher as it was before a match had to start where its first element
+# does.
+
+def _match_at_scan(tokens, start: int, pattern) -> Optional[dict]:
+    captures: dict = {}
+    pos = start
+    for element in pattern.elements:
+        token = tokens[pos] if pos < len(tokens) else None
+        if isinstance(element, relations.Lit):
+            if token is not None and token.mention is None \
+                    and token.text.lower() in element.options:
+                pos += 1
+            elif not element.optional:
+                return None
+            continue
+        if token is None:
+            return None
+        if element == relations.SLOT_G:
+            if token.text != relations.GENE_SLOT:
+                return None
+        elif element == relations.SLOT_D:
+            if token.text != relations.DISEASE_SLOT:
+                return None
+        elif element == relations.SLOT_TYPE:
+            if token.type_term is None:
+                return None
+        elif element == relations.SLOT_SOURCE:
+            if token.source_term is None:
+                return None
+        captures.setdefault(element, token)
+        pos += 1
+    captures["_start"] = start
+    return captures
+
+
+def match_patterns_scan(tokens, doc_id: str) -> list:
+    """`relations._match_patterns` with every template tried at every
+    position: candidates pattern by pattern, then by start position."""
+    text = relations.anonymized_text(tokens)
+    candidates = []
+    covered_pairs: set[tuple[int, int]] = set()
+    seen: set[tuple] = set()
+    for pattern in relations.PATTERNS:
+        for start in range(len(tokens)):
+            captures = _match_at_scan(tokens, start, pattern)
+            if captures is None:
+                continue
+            subject = relations._slot_term(pattern.subject_slot, captures,
+                                           tokens)
+            object_ = relations._slot_term(pattern.object_slot, captures,
+                                           tokens)
+            if subject is None or object_ is None:
+                continue
+            key = (pattern.label, subject, object_)
+            if key in seen:
+                continue
+            seen.add(key)
+            gene = captures.get(relations.SLOT_G)
+            disease = captures.get(relations.SLOT_D)
+            if gene is not None and disease is not None:
+                covered_pairs.add((gene.mention.start, disease.mention.start))
+            candidates.append(relations.RelationCandidate(
+                doc_id=doc_id, anonymized=text, label=pattern.label,
+                confidence=pattern.confidence, subject=subject,
+                object=object_))
+    genes = [t.mention for t in tokens
+             if t.mention is not None and t.mention.entity_type == "Gene"]
+    diseases = [t.mention for t in tokens
+                if t.mention is not None
+                and t.mention.entity_type == "Disease"]
+    for g in genes:
+        for d in diseases:
+            if (g.start, d.start) not in covered_pairs:
+                candidates.append(relations.RelationCandidate(
+                    doc_id=doc_id, anonymized=text, label="none",
+                    confidence=0.0, subject=g.normalized_id,
+                    object=d.normalized_id))
+    return candidates
 
 
 # ---------------------------------------------------------------------------

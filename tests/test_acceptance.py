@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import encode_word_tags
 from oracles import (central_difference, dl_instances, random_dl_expr,
@@ -26,7 +25,7 @@ from onokg.ie.preprocess import preprocess
 from onokg.ie.tagger import (Checkpoint, K, TaggerModel, tag_probabilities,
                              tagging_loss, loss_and_gradients)
 from onokg.ie.wordpiece import demo_vocab
-from onokg.kg import Graph, Triple, iri, literal, typed_int
+from onokg.kg import Graph, Triple
 from onokg.ntriples import parse_ntriples, serialize_ntriples
 from onokg.ontology import (RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASS, SCHEMA,
                             check_ontology_pitfalls, data_path, ono)

@@ -155,7 +155,7 @@ class TestTrainedDecoding:
                                   trained.gazetteers)
         from onokg.ie.corpus import tag_sentence
         mentions = decode_entities(encoded,
-                                   tag_sentence(trained.models, encoded))
+                                   tag_sentence(trained.models, [encoded])[0])
         found = {(m.surface, m.entity_type) for m in mentions}
         assert found == {("TP53", "Gene"), ("Breast Cancer", "Disease")}
 

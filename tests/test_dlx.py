@@ -5,13 +5,12 @@ import pytest
 
 from helpers import copy_graph
 from oracles import dl_instances, random_dl_expr, random_graph
-from onokg import dlx
 from onokg.dlx import (AboxIndex, And, Atomic, DlxParseError,
                        HierarchyCycleError, MAX_NESTING, MaxCard, MinCard,
                        Only, Or, PropRef, Some, SYLLOGISM_RULES,
                        UnknownNameError, deduce_syllogism, instances,
                        parse_dlx, query)
-from onokg.kg import Graph, Triple, iri
+from onokg.kg import Graph, Triple
 from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, ClassIndex, data_path,
                             ono)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onokg.ie import relations
 from onokg.ie.decode import EntityMention
 from onokg.ie.enrich import enrich_kg
 from onokg.ie.linking import AliasTable, link_entity, mint_normalized_id
@@ -14,7 +15,7 @@ from onokg.kg import Triple, iri
 from onokg.ntriples import parse_ntriples, serialize_ntriples
 from onokg.ontology import SCHEMA, build_seed_ontology, data_path, ono
 from helpers import conll, covers, join_pieces
-from oracles import enriched
+from oracles import enriched, match_patterns_scan
 
 FIG4 = ("TP53 is responsible for a disease called Breast Cancer. "
         "TP53 has POTSF functionality, which is mentioned in numerous "
@@ -194,6 +195,74 @@ class TestRelations:
         candidates = extract_relations(words, mentions)
         fired = {(c.subject, c.label, c.object) for c in candidates}
         assert (SCHEMA.potsf, "hasEvidence", SCHEMA.pubmed) in fired
+
+
+_LITERALS = sorted({option for pattern in relations.PATTERNS
+                    for element in pattern.elements
+                    if isinstance(element, relations.Lit)
+                    for option in element.options})
+_TYPE_WORDS = ["POTSF", "Oncogene", "oncogenes", "ProteinCoding"]
+_SOURCE_WORDS = ["PubMed", "MeSH", "CancerIndex"]
+# a mention's type, linked target (None: unlinked) and words; a mention over
+# a type or source word stays literal in the anonymized sentence
+_MENTIONS = st.tuples(
+    st.sampled_from(["Gene", "Disease"]),
+    st.sampled_from([None, "TP53", "EZH2", "BRCA", "DLBC"]),
+    st.sampled_from([("X1",), ("Big", "Tumor"), ("PubMed",), ("POTSF",)]))
+_ITEMS = st.one_of(
+    st.sampled_from(_LITERALS + [w.title() for w in _LITERALS]
+                    + _TYPE_WORDS + _SOURCE_WORDS + ["banana", ",", "."]),
+    _MENTIONS)
+
+
+@st.composite
+def _template_run(draw):
+    """The items of one relation template, each element filled with a
+    token that fits it; a literal comes in any case, and an optional one
+    is sometimes left out."""
+    items = []
+    for element in draw(st.sampled_from(relations.PATTERNS)).elements:
+        if isinstance(element, relations.Lit):
+            if not (element.optional and draw(st.booleans())):
+                case = draw(st.sampled_from([str.lower, str.title,
+                                             str.upper]))
+                items.append(case(draw(st.sampled_from(element.options))))
+        elif element == relations.SLOT_TYPE:
+            items.append(draw(st.sampled_from(_TYPE_WORDS)))
+        elif element == relations.SLOT_SOURCE:
+            items.append(draw(st.sampled_from(_SOURCE_WORDS)))
+        else:
+            etype = "Gene" if element == relations.SLOT_G else "Disease"
+            items.append(draw(_MENTIONS.map(lambda m: (etype,) + m[1:])))
+    return items
+
+
+class TestAnchoredMatching:
+    """A template is tried only where its first element matches; the
+    result equals trying it at every position."""
+
+    def test_no_template_starts_with_an_optional_element(self):
+        for pattern in relations.PATTERNS:
+            first = pattern.elements[0]
+            assert not (isinstance(first, relations.Lit) and first.optional)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(runs=st.lists(st.one_of(_ITEMS.map(lambda item: [item]),
+                                   _template_run()), max_size=10))
+    def test_matches_all_positions_oracle(self, runs):
+        words, mentions = [], []
+        for item in (item for run in runs for item in run):
+            if isinstance(item, str):
+                words.append(item)
+                continue
+            etype, target, surface = item
+            mentions.append(_mention(" ".join(surface), etype, len(words),
+                                     len(words) + len(surface),
+                                     ono(target) if target else None))
+            words.extend(surface)
+        tokens = relations.anonymize(words, mentions)
+        assert relations._match_patterns(tokens, "d") \
+            == match_patterns_scan(tokens, "d")
 
 
 class TestEnrich:

@@ -1,4 +1,5 @@
-"""`src/` holds what a command reaches, and no data that nothing reads.
+"""`src/` holds what a command reaches, no data that nothing reads, and no
+file imports a name that it never uses.
 
 The first scan walks `src/onokg` with `ast` and collects every
 module-level function and class and every method whose name is not a
@@ -16,20 +17,25 @@ is loaded (not stored) or as a part of a string constant split on "."
 for no reader: delete it with what fills it, or allow it in
 `ALLOWED_FIELDS` with its reason.
 
-Known gap: both scans match names bare, so a definition or a field whose
-name is common counts as reached or read when any attribute of that name
-is. An audit owner by owner found these behind common names, and none is
-left in `src/`: `Graph.remove` and `Graph.copy` (reached by `list.remove`,
-`os.remove` and `PrefixTable.copy`), `PrefixTable.items` (`dict.items`),
-`AliasTable.surfaces` (`Gazetteer.surfaces`) and `EntityMention.span`
-(`_Sorted.span`); and the fields `Pattern.name` (read as `Var.name`),
-`EntityMention.doc_id` and `DocumentExtraction.doc_id`
+The third scan reads every module of `src/`, `bench/` and `tests/`. An
+imported name is used when a module-level import's name is loaded anywhere
+in the module, or listed in its `__all__`, and when a function's own import
+is loaded in that function. No lint tool is needed.
+
+Known gap: the first two scans match names bare, so a definition or a field
+whose name is common counts as reached or read when any attribute of that
+name is. An audit owner by owner found these behind common names, and none
+is left in `src/`: `Graph.remove` and `Graph.copy` (reached by
+`list.remove`, `os.remove` and `PrefixTable.copy`), `PrefixTable.items`
+(`dict.items`), `AliasTable.surfaces` (`Gazetteer.surfaces`) and
+`EntityMention.span` (`_Sorted.span`); and the fields `Pattern.name` (read
+as `Var.name`), `EntityMention.doc_id` and `DocumentExtraction.doc_id`
 (`RelationCandidate.doc_id`), `PackResult.text` (`_AnonToken.text`),
 `RelevanceMap.method`, `.epsilon` and `.delta` (the `explain` options),
 `SelectQuery.prefixes` (the parser's table) and `Checkpoint.config` (the
-checkpoint's "config" key). The scans also see no exception attribute,
-dict key or unpacked value that is written and never read, nor a
-parameter that no caller passes.
+checkpoint's "config" key). The scans also see no exception attribute, dict
+key or unpacked value that is written and never read, nor a parameter that
+no caller passes.
 """
 
 import ast
@@ -83,9 +89,9 @@ def _appearances(tree: ast.Module):
                 yield part, node.lineno
 
 
-def _trees() -> dict[Path, ast.Module]:
+def _trees(tops=("src", "bench")) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(encoding="utf-8"))
-            for top in ("src", "bench")
+            for top in tops
             for path in sorted((ROOT / top).rglob("*.py"))}
 
 
@@ -159,3 +165,48 @@ def test_src_holds_no_field_that_nothing_reads():
         "dataclass fields that no src/ or bench/ code reads (delete each "
         "with what fills it, or allow one in ALLOWED_FIELDS with its "
         "reason): " + ", ".join(unread))
+
+
+def _scopes(tree: ast.Module):
+    """The module and each function, with the imports made directly in it
+    (not in a nested function)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, functions)]:
+        imports, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.append(node)
+            elif not isinstance(node, functions):
+                todo.extend(ast.iter_child_nodes(node))
+        yield scope, imports
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for path, tree in _trees(("src", "bench", "tests")).items():
+        for scope, imports in _scopes(tree):
+            used = {node.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Name)}
+            if scope is tree:   # names a package re-exports
+                used.update(elt.value for node in tree.body
+                            if isinstance(node, ast.Assign)
+                            and any(getattr(t, "id", None) == "__all__"
+                                    for t in node.targets)
+                            for elt in node.value.elts)
+            for node in imports:
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append((str(path.relative_to(ROOT)),
+                                       node.lineno, bound))
+    return [f"{path}:{line}: {name}" for path, line, name in sorted(unused)]
+
+
+def test_no_unused_imports():
+    unused = unused_imports()
+    assert not unused, "imported names that nothing uses: " \
+        + ", ".join(unused)

@@ -5,15 +5,14 @@ from helpers import load_extension
 from oracles import class_instances, random_graph, reachability_closure
 from onokg import dlx
 from onokg.quality import QualityConfig, assess
-from onokg.kg import Graph, Triple, iri, literal
-from onokg.ontology import (ONO, RDF_TYPE, RDFS_DOMAIN, RDFS_LABEL,
+from onokg.kg import Graph, Triple
+from onokg.ontology import (RDF_TYPE, RDFS_DOMAIN, RDFS_LABEL,
                             RDFS_SUBCLASS, SCHEMA, AssociationFeature,
-                            ClassIndex,
-                            DataFileError, ReferentialError,
-                            add_biomarker, add_cancer, add_schema,
-                            assert_association, build_seed_ontology,
-                            check_ontology_pitfalls, load_cohorts,
-                            load_potsf_genes, ono, seed_statistics)
+                            ClassIndex, DataFileError, ReferentialError,
+                            add_biomarker, assert_association,
+                            build_seed_ontology, check_ontology_pitfalls,
+                            load_cohorts, load_potsf_genes, ono,
+                            seed_statistics)
 
 
 class TestSeedCardinalities:

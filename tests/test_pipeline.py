@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import copy_graph
+from oracles import _tag_probabilities
+from onokg.ie import corpus as corpus_mod
 from onokg.ie.corpus import make_corpus, tag_sentence
 from onokg.ie.decode import decode_entities
 from onokg.ie.linking import AliasTable, link_entity
@@ -60,6 +63,73 @@ class TestSplitToFit:
                 assert chunk[i:i + 3] == ["Breast", "invasive", "carcinoma"]
 
 
+def _oracle_tags(models, encoded):
+    """Each type's (argmax tags, distributions) for one sentence, from one
+    oracle logits call."""
+    tagged = {}
+    for etype in sorted(models):
+        probs = _tag_probabilities(models[etype], encoded.feature_ids)
+        tagged[etype] = (probs.argmax(axis=1), probs)
+    return tagged
+
+
+def _encoder(checkpoint):
+    def encode(words):
+        return encode_sentence(words, checkpoint.vocab,
+                               checkpoint.models["Gene"].space,
+                               checkpoint.gazetteers)
+    return encode
+
+
+class TestGroupedTagging:
+    """`tag_sentence` packs up to 64 sentences into one logits call per
+    model; each sentence's tags and distributions equal those of one
+    oracle call for that sentence alone, to the bit."""
+
+    def assert_matches_oracle(self, checkpoint, group, monkeypatch,
+                              logits_calls):
+        calls = []
+        logits = corpus_mod.logits
+
+        def counted(*args):
+            calls.append(args)
+            return logits(*args)
+
+        monkeypatch.setattr(corpus_mod, "logits", counted)
+        tagged = tag_sentence(checkpoint.models, group)
+        assert len(calls) == logits_calls
+        assert len(tagged) == len(group)
+        for encoded, by_type in zip(group, tagged):
+            expected = _oracle_tags(checkpoint.models, encoded)
+            assert list(by_type) == list(expected)
+            for etype, (tags, probs) in by_type.items():
+                assert np.array_equal(probs, expected[etype][1])
+                assert np.array_equal(tags, expected[etype][0])
+
+    @pytest.mark.parametrize("size,groups", [(0, 0), (1, 1), (65, 2)])
+    def test_group_matches_per_sentence_oracle(self, checkpoint, monkeypatch,
+                                               size, groups):
+        encode = _encoder(checkpoint)
+        group = [encode(s.words) for s in make_corpus(size, seed=8)]
+        self.assert_matches_oracle(checkpoint, group, monkeypatch,
+                                   groups * len(checkpoint.models))
+
+    def test_chunks_of_a_cut_sentence(self, checkpoint, monkeypatch):
+        encode = _encoder(checkpoint)
+        clauses = [" ".join(w for w in s.words if w != ".")
+                   for s in make_corpus(40, seed=5)]
+        words = preprocess(" ; ".join(clauses) + ".", "long").sentences[0]
+        chunks = split_to_fit(words, checkpoint.vocab, MAX_PIECES,
+                              checkpoint.gazetteers)
+        assert len(chunks) > 2
+        short = encode(make_corpus(1, seed=9)[0].words)
+        group = [short] + [encode(chunk) for _, chunk in chunks] \
+            + [encode(words), short]
+        assert len(group[-2]) > 2 * MAX_PIECES
+        self.assert_matches_oracle(checkpoint, group, monkeypatch,
+                                   len(checkpoint.models))
+
+
 class TestLongSentences:
     """A sentence longer than MAX_PIECES is tagged chunk by chunk."""
 
@@ -70,11 +140,7 @@ class TestLongSentences:
             + " ; ".join(clauses[41:]) + "."
         doc = preprocess(text, "long")
         extraction = extract_document(doc, checkpoint, alias_table)
-
-        def encode(words):
-            return encode_sentence(words, checkpoint.vocab,
-                                   checkpoint.models["Gene"].space,
-                                   checkpoint.gazetteers)
+        encode = _encoder(checkpoint)
 
         mentions, candidates, lengths, shifted = [], [], [], 0
         for sent_idx, words in enumerate(doc.sentences):
@@ -85,7 +151,7 @@ class TestLongSentences:
                 encoded = encode(chunk)
                 assert len(encoded) <= MAX_PIECES
                 found = decode_entities(
-                    encoded, tag_sentence(checkpoint.models, encoded),
+                    encoded, _oracle_tags(checkpoint.models, encoded),
                     sent_idx)
                 for m in found:
                     m.normalized_id = link_entity(m.surface, m.entity_type,

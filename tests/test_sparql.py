@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (random_graph, random_rich_sparql_query,
                      random_sparql_query, sparql_rows)
-from onokg.kg import Graph, PrefixTable, Triple, iri, literal
+from onokg.kg import Graph, Triple, iri, literal
 from onokg.ontology import ONO, RDF_TYPE, SCHEMA, default_prefixes, ono
 from onokg.sparql import (MAX_NESTING, SolutionTable, SparqlParseError,
                           SubSelect, TriplePattern, Var, evaluate,
@@ -269,7 +269,7 @@ class TestProperties:
             assert len(set(once)) == len(once)
 
     def test_adding_conjunct_never_grows(self):
-        from onokg.sparql import AndExpr, Comparison
+        from onokg.sparql import Comparison
         rng = np.random.default_rng(31)
         for _ in range(20):
             graph = random_graph(rng, max_triples=40)
