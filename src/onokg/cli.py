@@ -168,15 +168,23 @@ def cmd_dlq(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     if args.pack:
         pack = json.loads(ntriples.read_text(data_path("dlx_pack.json")))
+        rows = []
         for entry in pack:
             try:
                 results = dlx.query(graph, entry["expression"])
             except dlx.UnknownNameError as exc:
                 # pack queries may name nodes a given KG does not carry
-                print(f"{entry['id']}: (skipped: {exc})")
-                continue
-            names = ", ".join(t.local_name() for t in results)
-            print(f"{entry['id']}: [{names}]")
+                rows.append({"id": entry["id"], "skipped": str(exc)})
+            else:
+                rows.append({"id": entry["id"], "instances":
+                             [t.local_name() for t in results]})
+        if args.format == "json":
+            print(json.dumps(rows, indent=2))
+            return EXIT_OK
+        for row in rows:
+            listed = (f"(skipped: {row['skipped']})" if "skipped" in row
+                      else f"[{', '.join(row['instances'])}]")
+            print(f"{row['id']}: {listed}")
         return EXIT_OK
     if not args.expr:
         raise UserError("either an expression or --pack is required")

@@ -14,6 +14,12 @@ with the same patterns:
 - a literal: any text. Quoted (`QUOTED`), it escapes `"`, `\\`, newline
   and tab (`escape_literal`, undone by `unescape`).
 
+Terms and Triples are validated tuples. A `Term` is the tuple (kind,
+lexical, datatype, language) and a `Triple` the tuple (subject, predicate,
+object) of Terms. Each `__new__` applies the rules, and a copy or an
+unpickle constructs again, so no path makes an unchecked one. Each equals,
+hashes and orders as the plain tuple of its fields, in C.
+
 The triples live in two disjoint parts:
 
 - the base, an immutable sorted triple set: the SPO, POS and OSP
@@ -22,15 +28,17 @@ The triples live in two disjoint parts:
   positions is answered from an index. One bulk sort builds it and drops
   duplicates; probes search its columns with `bisect`, and numpy only
   builds it;
-- the buffer, the triples inserted since, in one SPO nested dict. It is
-  the only code that writes single triples, and it answers membership and
-  the sorted id rows, nothing else.
+- the buffer, the triples inserted since, in one SPO nested dict. It
+  answers membership and the sorted id rows, nothing else.
 
 Write rule: the store is append-only, as the KG only grows by integrated
 sources and extracted facts. `insert` and `add_ids` are its only writers,
-and nothing removes a triple. Each writer interns only the terms of the
-rows it stores, so every interned term is in some stored triple: `terms()`,
-the id-indexed term list, is exactly the terms in use. There are no
+and nothing removes a triple. `insert` is the one writer of single
+triples. It takes any (subject, predicate, object) sequence of Terms and
+applies the triple kind rules itself, so `add` passes a plain tuple and
+builds no `Triple`. Each writer interns only the terms of the rows it
+stores, so every interned term is in some stored triple: `terms()`, the
+id-indexed term list, is exactly the terms in use. There are no
 tombstones: every stored triple is in exactly one part.
 
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
@@ -75,8 +83,8 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -136,37 +144,46 @@ def _unescape_one(match: re.Match) -> str:
             f"unsupported escape \\{match.group(1)}") from None
 
 
-@dataclass(frozen=True)
-class Term:
-    """An RDF-style term: IRI, literal, or blank node.
+class Term(tuple):
+    """An RDF-style term: IRI, literal, or blank node, as the validated
+    tuple (kind, lexical, datatype, language).
 
-    Equality and hashing are structural over all four fields; lexical
-    comparison is exact code-point equality (no Unicode normalization).
+    Equality, hashing and order are those of that plain tuple, computed in
+    C; lexical comparison is exact code-point equality (no Unicode
+    normalization). Every construction runs `__new__`'s checks: a copy or
+    an unpickle calls `Term(*fields)`.
     """
 
-    kind: str
-    lexical: str
-    datatype: Optional[str] = None
-    language: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        kind, datatype, language = self.kind, self.datatype, self.language
+    def __new__(cls, kind: str, lexical: str, datatype: Optional[str] = None,
+                language: Optional[str] = None):
         if kind == IRI:
-            _check_iri(self.lexical)
-        elif kind == BLANK and not BLANK_LABEL.fullmatch(self.lexical):
-            raise ValidationError(f"invalid blank node label: {self.lexical!r}")
+            _check_iri(lexical)
+        elif kind == BLANK and not BLANK_LABEL.fullmatch(lexical):
+            raise ValidationError(f"invalid blank node label: {lexical!r}")
         elif kind not in (LITERAL, BLANK):
             raise ValidationError(f"unknown term kind {kind!r}")
-        if datatype is None and language is None:
-            return
-        if kind != LITERAL:
-            raise ValidationError("datatype/language are only valid on literals")
-        if datatype is not None and language is not None:
-            raise ValidationError("a literal has at most one of datatype, language")
-        if datatype is not None:
-            _check_iri(datatype)
-        elif not LANGUAGE_TAG.fullmatch(language):
-            raise ValidationError(f"invalid language tag: {language!r}")
+        if datatype is not None or language is not None:
+            if kind != LITERAL:
+                raise ValidationError(
+                    "datatype/language are only valid on literals")
+            if datatype is not None and language is not None:
+                raise ValidationError(
+                    "a literal has at most one of datatype, language")
+            if datatype is not None:
+                _check_iri(datatype)
+            elif not LANGUAGE_TAG.fullmatch(language):
+                raise ValidationError(f"invalid language tag: {language!r}")
+        return tuple.__new__(cls, (kind, lexical, datatype, language))
+
+    kind = property(itemgetter(0))
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(2))
+    language = property(itemgetter(3))
+
+    def __reduce__(self):
+        return Term, tuple(self)
 
     def local_name(self) -> str:
         """Last path/fragment segment of an IRI (the name after '#' or '/')."""
@@ -216,20 +233,31 @@ def typed_int(value: int) -> Term:
     return Term(LITERAL, str(int(value)), datatype=XSD + "integer")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+def _check_triple(subject: Term, predicate: Term) -> None:
+    """The two kind rules of a triple: no literal subject, an IRI
+    predicate."""
+    if subject.kind == LITERAL:
+        raise ValidationError("triple subject must not be a literal")
+    if predicate.kind != IRI:
+        raise ValidationError("triple predicate must be an IRI")
 
-    def __post_init__(self):
-        if self.subject.kind == LITERAL:
-            raise ValidationError("triple subject must not be a literal")
-        if self.predicate.kind != IRI:
-            raise ValidationError("triple predicate must be an IRI")
 
-    def __iter__(self):
-        return iter((self.subject, self.predicate, self.object))
+class Triple(tuple):
+    """A validated (subject, predicate, object) tuple of Terms; it equals,
+    hashes and orders as that plain tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term):
+        _check_triple(subject, predicate)
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __reduce__(self):
+        return Triple, tuple(self)
 
     def __repr__(self):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
@@ -442,10 +470,15 @@ class Graph:
 
     # mutation
 
-    def insert(self, t: Triple) -> bool:
-        """Insert a triple; True iff it was not already present."""
-        key = (self.intern(t.subject), self.intern(t.predicate),
-               self.intern(t.object))
+    def insert(self, t: Sequence[Term]) -> bool:
+        """Insert a triple, given as a Triple or any (subject, predicate,
+        object) sequence of Terms; True iff it was not already present.
+        The one writer of single triples: it applies the triple kind rules
+        before it interns a term, so a rejected triple changes nothing."""
+        s, p, o = t
+        _check_triple(s, p)
+        intern = self.intern
+        key = (intern(s), intern(p), intern(o))
         base, buffer = self._store
         if base.n and base.has(key) or not buffer.add(key):
             return False
@@ -478,7 +511,7 @@ class Graph:
         return added
 
     def add(self, subject: Term, predicate: Term, object: Term) -> bool:
-        return self.insert(Triple(subject, predicate, object))
+        return self.insert((subject, predicate, object))
 
     def cached(self, build: Callable[["Graph"], T]) -> T:
         """`build(self)`, built once per graph state.
@@ -508,10 +541,12 @@ class Graph:
         base, buffer = self._store
         return base.n + buffer.n
 
-    def __contains__(self, t: Triple) -> bool:
-        return bool(self.match_ids(self.term_id(t.subject),
-                                   self.term_id(t.predicate),
-                                   self.term_id(t.object)))
+    def __contains__(self, t: Sequence[Term]) -> bool:
+        """Whether a Triple, or any (subject, predicate, object) sequence
+        of Terms, is stored."""
+        s, p, o = t
+        get = self.term_id
+        return bool(self.match_ids(get(s), get(p), get(o)))
 
     def __iter__(self) -> Iterator[Triple]:
         for s, p, o in self.id_rows():

@@ -19,8 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .kg import (Graph, KgError, PrefixTable, Term, Triple, iri, literal,
-                 typed_int)
+from .kg import Graph, KgError, PrefixTable, Term, iri, literal, typed_int
 from .ntriples import read_text
 
 ONO = "http://www.example.com/ontologies/ono/ono.owl#"
@@ -332,9 +331,9 @@ def assert_association(graph: Graph, f: AssociationFeature) -> Term:
     tuple, so re-asserting an identical association is a no-op that
     returns the existing node.
     """
-    if Triple(f.gene, RDF_TYPE, SCHEMA.biomarker) not in graph:
+    if (f.gene, RDF_TYPE, SCHEMA.biomarker) not in graph:
         raise ReferentialError(f"unknown gene {f.gene.n3()}")
-    if Triple(f.cancer, RDF_TYPE, SCHEMA.cancer) not in graph:
+    if (f.cancer, RDF_TYPE, SCHEMA.cancer) not in graph:
         raise ReferentialError(f"unknown cancer {f.cancer.n3()}")
     slug = "_".join([f.gene.local_name(), f.cancer.local_name(),
                      f.significance, f.evidence.local_name(),

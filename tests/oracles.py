@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import re
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,62 @@ _META = {iri("http://www.w3.org/2002/07/owl#Class"),
          iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#Property"),
          iri("http://www.w3.org/2002/07/owl#ObjectProperty"),
          iri("http://www.w3.org/2002/07/owl#DatatypeProperty")}
+
+
+# ---------------------------------------------------------------------------
+# the data model's checks as frozen dataclasses, which is what `Term` and
+# `Triple` were before they became validated tuples: a construction must
+# raise ValidationError, with the same message, exactly when these do. The
+# term rules are written out here, not taken from `kg`.
+
+def _oracle_check_iri(value: str) -> None:
+    if ":" not in value:
+        raise ValidationError(f"relative IRI not allowed: <{value}>")
+    if any(c in value for c in ' "<>\n'):
+        raise ValidationError(f"invalid character in IRI: <{value}>")
+
+
+@dataclass(frozen=True)
+class DataclassTerm:
+    kind: str
+    lexical: str
+    datatype: Optional[str] = None
+    language: Optional[str] = None
+
+    def __post_init__(self):
+        kind, datatype, language = self.kind, self.datatype, self.language
+        if kind == "iri":
+            _oracle_check_iri(self.lexical)
+        elif kind == "blank" and not re.fullmatch(r"[\w-]+", self.lexical):
+            raise ValidationError(
+                f"invalid blank node label: {self.lexical!r}")
+        elif kind not in ("literal", "blank"):
+            raise ValidationError(f"unknown term kind {kind!r}")
+        if datatype is None and language is None:
+            return
+        if kind != "literal":
+            raise ValidationError(
+                "datatype/language are only valid on literals")
+        if datatype is not None and language is not None:
+            raise ValidationError(
+                "a literal has at most one of datatype, language")
+        if datatype is not None:
+            _oracle_check_iri(datatype)
+        elif not re.fullmatch(r"(?:[^\W_]|-)+", language):
+            raise ValidationError(f"invalid language tag: {language!r}")
+
+
+@dataclass(frozen=True)
+class DataclassTriple:
+    subject: Term
+    predicate: Term
+    object: Term
+
+    def __post_init__(self):
+        if self.subject.kind == "literal":
+            raise ValidationError("triple subject must not be a literal")
+        if self.predicate.kind != "iri":
+            raise ValidationError("triple predicate must be an IRI")
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,32 @@ class TestDlq:
         assert any("skipped" in line for line in lines)
 
 
+    def test_pack_json_on_seed_kg(self, kg_file, capsys):
+        # the table's entries in pack order, as one JSON list: each names
+        # its instances or why it was skipped
+        assert main(["dlq", "--kg", str(kg_file), "--pack"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert main(["dlq", "--kg", str(kg_file), "--pack",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out)
+        assert out == json.dumps(rows, indent=2) + "\n"
+        pack = json.loads(data_path("dlx_pack.json").read_text(
+            encoding="utf-8"))
+        assert [row["id"] for row in rows] == [e["id"] for e in pack]
+        assert {"skipped"} in [set(row) - {"id"} for row in rows]
+        for row, line, entry in zip(rows, table, pack):
+            if "skipped" in row:
+                assert set(row) == {"id", "skipped"}
+                assert line == f"{row['id']}: (skipped: {row['skipped']})"
+                continue
+            assert set(row) == {"id", "instances"}
+            assert line == f"{row['id']}: [{', '.join(row['instances'])}]"
+            assert main(["dlq", "--kg", str(kg_file), entry["expression"],
+                         "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == row["instances"]
+
+
 class TestRepl:
     def test_scripted_session(self, kg_file):
         result = run_cli(["repl", "--kg", str(kg_file)],

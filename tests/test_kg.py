@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import copy_graph
+from oracles import DataclassTerm, DataclassTriple
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
                       ValidationError, blank, iri, literal)
 from onokg.ntriples import parse_ntriples
@@ -84,6 +87,170 @@ class TestTriple:
 
     def test_blank_subject_allowed(self):
         t(blank("b0"), iri("a:p"), literal("v"))
+
+
+class TestTuples:
+    """Terms and Triples are validated tuples: they equal, hash and order
+    as the plain tuples of their fields, and a copy or an unpickle runs the
+    checks again."""
+
+    FIELDS = {iri("a:b"): ("iri", "a:b", None, None),
+              literal("x"): ("literal", "x", None, None),
+              literal("5", datatype="a:int"): ("literal", "5", "a:int", None),
+              literal("x", language="en"): ("literal", "x", None, "en"),
+              blank("b0"): ("blank", "b0", None, None)}
+    TERMS = list(FIELDS)
+    TRIPLES = [t(iri("a:s"), iri("a:p"), literal("v", language="en")),
+               t(blank("b0"), iri("a:p"), iri("a:o"))]
+
+    def test_term_is_the_tuple_of_its_fields(self):
+        for term, fields in self.FIELDS.items():
+            assert (term.kind, term.lexical, term.datatype,
+                    term.language) == fields
+            assert term == fields and tuple(term) == fields
+            assert hash(term) == hash(fields)
+            assert {fields: 1}[term] == 1
+
+    def test_triple_is_the_tuple_of_its_terms(self):
+        for triple in self.TRIPLES:
+            terms = (triple.subject, triple.predicate, triple.object)
+            assert triple == terms and hash(triple) == hash(terms)
+            assert triple in {terms} and terms in {triple}
+            assert list(triple) == list(terms)
+
+    def test_hashes_are_tuple_hashes(self):
+        # the hash runs in C; a Python-level __hash__ would cost a call
+        # and a tuple per hash on every intern and lookup
+        assert Term.__hash__ is tuple.__hash__
+        assert Triple.__hash__ is tuple.__hash__
+        assert Term.__eq__ is tuple.__eq__ and Triple.__eq__ is tuple.__eq__
+
+    def test_terms_sort_as_tuples(self):
+        assert sorted([iri("a:c"), blank("z"), literal("y"), iri("a:b")]) \
+            == [blank("z"), iri("a:b"), iri("a:c"), literal("y")]
+        # None against a string, as a tuple comparison raises
+        with pytest.raises(TypeError):
+            sorted([literal("x"), literal("x", language="en")])
+        with pytest.raises(TypeError):
+            literal("x", datatype="a:int") < literal("x", language="en")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        *(lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_and_pickles_round_trip(self, clone):
+        for value in self.TERMS + self.TRIPLES:
+            twin = clone(value)
+            assert twin == value and type(twin) is type(value)
+            assert hash(twin) == hash(value) and repr(twin) == repr(value)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_pickled_invalid_tuple_does_not_load(self, protocol):
+        # the same bytes with the IRI's ':' made a space: loading calls
+        # Term(...) again, which rejects it, whatever the protocol
+        data = pickle.dumps(iri("a:xy"), protocol)
+        assert data.count(b"a:xy") == 1
+        forged = data.replace(b"a:xy", b"a xy")
+        with pytest.raises(ValidationError,
+                           match="relative IRI not allowed"):
+            pickle.loads(forged)
+
+    def test_add_builds_no_triple_and_writes_through_insert(self,
+                                                            monkeypatch):
+        writes = []
+        insert = Graph.insert
+
+        def traced(graph, triple):
+            writes.append(triple)
+            return insert(graph, triple)
+
+        def no_triple(*_args):
+            raise AssertionError("a Triple was built")
+
+        monkeypatch.setattr(Graph, "insert", traced)
+        monkeypatch.setattr(Triple, "__new__", no_triple)
+        g = Graph()
+        assert g.add(iri("a:s"), iri("a:p"), literal("v")) is True
+        assert g.add(iri("a:s"), iri("a:p"), literal("v")) is False
+        assert g.insert((iri("a:s"), iri("a:q"), blank("b"))) is True
+        assert (iri("a:s"), iri("a:q"), blank("b")) in g
+        assert writes == [(iri("a:s"), iri("a:p"), literal("v"))] * 2 + [
+            (iri("a:s"), iri("a:q"), blank("b"))]
+        assert len(g) == 2
+
+
+def construction_error(build, *args):
+    """The message of the ValidationError that `build(*args)` raises, or
+    None if it returns."""
+    try:
+        build(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# hostile text: every character some term rule is about, and a few others;
+# about half of it holds a ':', as an absolute IRI does
+_TEXT = st.text(st.sampled_from(list('ab:_-é1 "<>\n\t\r#/\\.@^')),
+                max_size=6)
+_IRI_TEXT = st.one_of(_TEXT, st.builds("{}:{}".format, _TEXT, _TEXT))
+
+
+def _term_args():
+    """(kind, lexical, datatype, language): about half valid terms of each
+    kind, half an unknown kind, text that breaks one rule, or fields that
+    do not go together."""
+    word = st.from_regex(r"[a-zé0-9_-]{1,5}", fullmatch=True)
+    valid = st.one_of(
+        st.builds(lambda w: ("iri", "a:" + w, None, None), word),
+        st.builds(lambda w: ("blank", w, None, None), word),
+        st.tuples(st.just("literal"), _TEXT, st.sampled_from(
+            [None, "a:int"]), st.none()),
+        st.tuples(st.just("literal"), _TEXT, st.none(),
+                  st.sampled_from(["en", "en-GB"])))
+    hostile = st.one_of(
+        st.tuples(st.sampled_from(["iri", "literal", "blank", "uri", ""]),
+                  _IRI_TEXT, st.one_of(st.none(), _IRI_TEXT),
+                  st.one_of(st.none(), st.sampled_from(["en", "en-GB"]),
+                            _TEXT)),
+        st.tuples(st.just("literal"), _TEXT, st.none(), _TEXT))
+    return st.booleans().flatmap(lambda ok: valid if ok else hostile)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_term_args())
+def test_term_validation_matches_the_dataclass_oracle(args):
+    expected = construction_error(DataclassTerm, *args)
+    assert construction_error(Term, *args) == expected
+    if expected is None:
+        fields = DataclassTerm(*args)
+        assert Term(*args) == (fields.kind, fields.lexical, fields.datatype,
+                               fields.language)
+
+
+_SOME_TERMS = [iri("a:s"), iri("a:p"), literal("v"), literal("v", "a:int"),
+               literal("v", language="en"), blank("b0")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.tuples(*[st.sampled_from(_SOME_TERMS)] * 3),
+       st.sampled_from(["add", "insert", "insert_triple"]))
+def test_triple_validation_matches_the_dataclass_oracle(terms, write):
+    expected = construction_error(DataclassTriple, *terms)
+    assert construction_error(Triple, *terms) == expected
+    # a write of the plain tuple checks the same rules, and a rejected one
+    # changes neither the triples nor the term list
+    g = Graph()
+    g.add(iri("a:x"), iri("a:p"), literal("v"))
+    before = (g.id_rows(), g.terms(), len(g))
+    writes = {"add": lambda: g.add(*terms),
+              "insert": lambda: g.insert(terms),
+              "insert_triple": lambda: g.insert(Triple(*terms))}
+    assert construction_error(writes[write]) == expected
+    if expected is None:
+        assert terms in g and Triple(*terms) in g
+    else:
+        assert (g.id_rows(), g.terms(), len(g)) == before
 
 
 class TestGraph:
