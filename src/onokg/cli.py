@@ -143,11 +143,17 @@ def _format_solutions(table: sparql.SolutionTable, fmt: str) -> str:
 def cmd_query(args, cfg: AppConfig) -> int:
     graph = _load_graph(args.kg)
     if args.pack:
-        for result in sparql.run_query_pack(graph):
-            print(f"## {result.name}: {len(result.table.rows)} rows")
-            print(_format_solutions(result.table, args.format))
+        results = sparql.run_query_pack(graph)
+        for result in results:
             print(f"{result.name}: {result.seconds * 1000:.1f} ms",
                   file=sys.stderr)
+        if args.format == "json":
+            print(json.dumps([{"name": r.name, **r.table.to_dict()}
+                              for r in results], indent=2))
+            return EXIT_OK
+        for result in results:
+            print(f"## {result.name}: {len(result.table.rows)} rows")
+            print(_format_solutions(result.table, args.format))
         return EXIT_OK
     if not args.file:
         raise UserError("either --file or --pack is required")

@@ -13,25 +13,27 @@ labels are not stable across a load and never meet those of another graph.
 
 Parsing works in term-id space and by slice. The text is cut at line ends
 into slices of about `SLICE_CHARS` characters, so neither a list of all
-its lines nor a copy of the whole text is made. A dict maps the raw text
-of each token already read (`<a:x>`, `"v"@en`, `_:n`) to its term id.
-Each slice is first read with one `findall` of the line pattern, anchored
-per line. When every line
-of the slice matched, each token not read before makes its `Term` once,
-through the scanner's `read_term`, which must consume the whole token;
-once all of them are valid, blank labels are handed out and the Terms
-interned in the order the tokens first appear, and every token maps to its
-id through the dict. Otherwise (a blank, comment, CRLF or malformed line,
-or a new token that makes no Term) the slice goes through the line loop,
-from the same dict, blank labels and line number. The line loop is the
-only code that reports issues: a line whose three tokens are all in the
-dict becomes an id triple with no further work; any other line goes
-through `_LineScanner`, whose Terms validate it, and its tokens enter the
-dict once the whole line is valid. Both ways give term ids and blank
-labels in first use on valid lines, as inserting the triples one by one
-would give them, and the same issues with the same line numbers. An IRI
-or a quoted literal can match across a newline, so a slice counts as
-matched only when it has as many matches as lines.
+its lines nor a copy of the whole text is made. Token text becomes ids
+one way, `_Parser.take`, given the (subject, predicate, object) token
+texts of whole lines. A dict maps the raw text of each token already read
+(`<a:x>`, `"v"@en`, `_:n`) to its term id. Each token not read before
+makes its `Term` once, through the scanner's `read_term`, which must
+consume the whole token; once all of them are valid, blank labels are
+handed out and the Terms interned in the order the tokens first appear,
+and every token maps to its id through the dict. If one makes no Term,
+`take` adds nothing. Each slice is first read with one `findall` of the
+line pattern, anchored per line, and when every line of the slice
+matched, its rows go to `take` at once. Otherwise (a blank, comment, CRLF
+or malformed line, or a new token that makes no Term) the slice goes
+through the line loop, from the same dict, blank labels and line number.
+The line loop is the only code that reports issues: a line that the
+pattern matches goes to `take` on its own, and a line that the pattern
+misses, or that `take` refuses, goes through `_LineScanner`, whose Terms
+validate it. Both ways give term ids and blank labels in first use on
+valid lines, as inserting the triples one by one would give them, and the
+same issues with the same line numbers. An IRI or a quoted literal can
+match across a newline, so a slice counts as matched only when it has as
+many matches as lines.
 
 The flat id rows go straight to the store's bulk base build
 (`Graph.add_ids`) at the end, with no tuple per triple: one sort for the
@@ -121,14 +123,8 @@ class _LineScanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def read_token(self) -> tuple[str, Term]:
-        """The next term and the text it was read from."""
-        self.skip_ws()
-        start = self.pos
-        term = self.read_term()
-        return self.text[start:self.pos], term
-
     def read_term(self) -> Term:
+        self.skip_ws()
         ch = self.peek()
         if ch == "<":
             return self._read_iri()
@@ -237,9 +233,10 @@ class _Parser:
         self.lineno += lines
 
     def take(self, rows: list[tuple[str, str, str]]) -> bool:
-        """Add the token rows of a slice whose every line matched, unless
-        some token read for the first time makes no Term; then add nothing
-        and return False."""
+        """Add the token rows of lines that the line pattern matched (a
+        whole slice, or one line of the line loop), unless some token read
+        for the first time makes no Term; then add nothing and return
+        False."""
         token_ids = self.token_ids
         new = {}
         for token in dict.fromkeys(chain.from_iterable(rows)):
@@ -259,32 +256,22 @@ class _Parser:
 
     def read_line(self, raw: str, lineno: int):
         m = _TRIPLE_LINE.fullmatch(raw)
-        if m is not None:
-            try:
-                row = [self.token_ids[token] for token in m.groups()]
-            except KeyError:
-                pass  # a token not read before: scan the line
-            else:
-                self.ids.extend(row)
-                return
+        if m is not None and self.take([m.groups()]):
+            return
         line = raw.strip()
         if not line or line.startswith("#"):
             return
         scanner = _LineScanner(raw)
         try:
-            tokens = [scanner.read_token() for _ in range(3)]
+            s, p, o = [scanner.read_term() for _ in range(3)]
             scanner.read_terminator()
-            (_, s), (_, p), (_, o) = tokens
             # a blank node's label is handed out once its line has passed
             # the scanner, before the subject and predicate kinds are checked
             triple = Triple(self.fresh(s), p, self.fresh(o))
         except ValidationError as exc:
             self.issues.append(ParseIssue(lineno, str(exc)))
             return
-        row = list(map(self.graph.intern, triple))
-        for (token, _), tid in zip(tokens, row):
-            self.token_ids[token] = tid
-        self.ids.extend(row)
+        self.ids.extend(map(self.graph.intern, triple))
 
 
 def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:

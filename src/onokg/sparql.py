@@ -23,15 +23,18 @@ evaluated once and joined as a table on the variables it projects.
 Each FILTER is split at its top-level `&&`. A conjunct that is one regex
 also filters, up front, the matches of each pattern that binds its
 variable, and that pattern joins as the table of the matches left.
-Patterns are joined greedily, in the style of RDF-3X: the next one is
-the cheapest of those sharing a bound variable, costed by its match count
-on the SPO/POS/OSP index sizes, with ties going to the pattern written
-first. The first step is the one that, joined with its cheapest
-neighbour pattern, gives the fewest rows, counted on the index, so a
-one-row filtered label whose value fans out to thousands of rows does
-not start the order. Each conjunct runs right after the join that binds
-the last of its variables (a conjunct over a variable nothing binds runs
-at the end, where that leaf is false).
+The patterns and tables are joined in one loop. Each round runs every
+conjunct whose variables are now all bound, then picks the next step,
+joins it and binds its variables. The pick is greedy, in the style of
+RDF-3X: the cheapest of the steps sharing a bound variable, costed by its
+match count on the SPO/POS/OSP index sizes (at most 1 once all its
+variables are bound), with ties going to the pattern written first. The
+first step, and the step after one that shares nothing with what is
+bound, is the one that, joined with its cheapest neighbour pattern, gives
+the fewest rows, counted on the index, so a one-row filtered label whose
+value fans out to thousands of rows does not start the order; that
+neighbour joins next. Once no step is left, the conjuncts over a
+variable that nothing binds run too, where that leaf is false.
 Regexes compile once per query and each filter leaf caches its result per
 term id. Ids become Terms only for the final rows. The answer, as a bag
 of rows, is the same as joining the patterns in written order and
@@ -59,10 +62,8 @@ class SparqlError(KgError):
 
 
 class SparqlParseError(SparqlError):
-    def __init__(self, message: str, line: int, col: int,
-                 expected: Optional[str] = None):
-        hint = f" (expected {expected})" if expected else ""
-        super().__init__(f"{line}:{col}: {message}{hint}")
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
 
@@ -232,12 +233,11 @@ class _Parser:
                                    "levels", tok.line, tok.col)
         self.depth += 1
 
-    def error(self, message: str, expected: Optional[str] = None):
+    def error(self, message: str):
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise SparqlParseError(message, last.line, last.col, expected)
-        raise SparqlParseError(message, tok.line, tok.col, expected)
+            tok = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
+        raise SparqlParseError(message, tok.line, tok.col)
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.index] if self.index < len(self.tokens) \
@@ -257,14 +257,14 @@ class _Parser:
 
     def expect_keyword(self, word: str) -> _Token:
         if not self.at_keyword(word):
-            self.error(f"expected {word.upper()}", expected=word.upper())
+            self.error(f"expected {word.upper()}")
         return self.next()
 
     def expect_punct(self, value: str) -> _Token:
         tok = self.peek()
         if tok is None or tok.kind not in ("punct", "op") \
                 or tok.value != value:
-            self.error(f"expected {value!r}", expected=value)
+            self.error(f"expected {value!r}")
         return self.next()
 
     # grammar
@@ -297,8 +297,7 @@ class _Parser:
         while self.peek() is not None and self.peek().kind == "var":
             projection.append(Var(self.next().value[1:]))
         if not projection:
-            self.error("expected at least one projected variable",
-                       expected="?variable")
+            self.error("expected at least one projected ?variable")
         self.expect_keyword("where")
         pattern, values, filters = self.parse_group()
         group_by: list[Var] = []
@@ -308,7 +307,7 @@ class _Parser:
             while self.peek() is not None and self.peek().kind == "var":
                 group_by.append(Var(self.next().value[1:]))
             if not group_by:
-                self.error("expected grouping variables", expected="?variable")
+                self.error("expected at least one grouping ?variable")
         query = SelectQuery(projection, distinct, pattern, values, filters,
                             group_by)
         self.validate(query)
@@ -322,7 +321,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok is None:
-                self.error("unterminated group, expected '}'", expected="}")
+                self.error("unterminated group, expected '}'")
             if tok.kind == "punct" and tok.value == "}":
                 self.next()
                 break
@@ -362,7 +361,7 @@ class _Parser:
         while True:
             nxt = self.peek()
             if nxt is None:
-                self.error("unterminated VALUES block", expected="}")
+                self.error("unterminated VALUES block, expected '}'")
             if nxt.kind == "punct" and nxt.value == "}":
                 self.next()
                 break
@@ -383,7 +382,7 @@ class _Parser:
                                    tok.line, tok.col)
         elif tok is None or tok.value != "}":
             # '.' is optional only before the closing brace
-            self.error("expected '.' after triple pattern", expected=".")
+            self.error("expected '.' after triple pattern")
         return TriplePattern(s, p, o)
 
     def parse_node(self, predicate: bool = False,
@@ -470,8 +469,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok.kind != "op" \
                 or tok.value not in (">=", "<=", ">", "<", "="):
-            self.error("expected a comparison operator",
-                       expected=">= <= > < =")
+            self.error("expected a comparison operator: >=, <=, >, < or =")
         op = self.next().value
         rhs = self.parse_operand()
         return Comparison(op, lhs, rhs)
@@ -537,11 +535,13 @@ class SolutionTable:
     header: list[str]
     rows: list[tuple[Term, ...]]
 
+    def to_dict(self) -> dict:
+        """The header, and each row's terms in N-Triples form."""
+        return {"header": self.header,
+                "rows": [[t.n3() for t in row] for row in self.rows]}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "header": self.header,
-            "rows": [[t.n3() for t in row] for row in self.rows],
-        }, indent=2)
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         import csv as _csv
@@ -571,12 +571,6 @@ class SolutionTable:
 
 def _term_sort_key(term: Term):
     return (term.kind, term.lexical, term.datatype or "", term.language or "")
-
-
-def _numeric(term: Term) -> float:
-    if term.kind != "literal":
-        raise ValueError("not a literal")
-    return float(term.lexical)
 
 
 class _IdSpace:
@@ -626,8 +620,10 @@ _COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
 
 
 def _number_or_none(term: Term) -> Optional[float]:
+    if term.kind != "literal":
+        return None
     try:
-        return _numeric(term)
+        return float(term.lexical)
     except ValueError:
         return None
 
@@ -774,39 +770,6 @@ def _prefiltered(graph: Graph, step: _Step, regexes: list[Regex],
                  table=(step.variables, rows))
 
 
-def _plan(graph: Graph, steps: list[_Step], rows: list[tuple],
-          slots: dict[str, int]) -> list[_Step]:
-    """Greedy join order: among the steps that share a variable with what
-    is already bound, take the one whose estimate is smallest; a pattern
-    all of whose variables are bound is a lookup and estimates at most 1.
-    Ties go to the step written first. The first steps, and those after
-    a step that shares nothing with what came before, come from
-    `_start`."""
-    bound = set(slots)
-    remaining = list(steps)
-    order: list[_Step] = []
-
-    def cost(step: _Step):
-        estimate = step.estimate
-        if step.pattern is not None and bound.issuperset(step.variables):
-            estimate = min(estimate, 1)
-        return estimate, step.index
-
-    while remaining:
-        linked = [s for s in remaining if bound.intersection(s.variables)]
-        if order and linked:
-            chosen = [min(linked, key=cost)]
-        elif order:
-            chosen = _start(graph, remaining, [()], {})
-        else:
-            chosen = _start(graph, remaining, rows, slots)
-        for step in chosen:
-            remaining.remove(step)
-            order.append(step)
-            bound.update(step.variables)
-    return order
-
-
 def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
            slots: dict[str, int]) -> list[_Step]:
     """The step to join `rows` with first, and the pattern to join next:
@@ -888,33 +851,44 @@ def _solve(graph: Graph, query: SelectQuery,
         if regexes:
             step = _prefiltered(graph, step, regexes, space, numbers)
         steps.append(step)
-    order = _plan(graph, steps, rows, slots)
 
-    # push each conjunct down to the first step that binds all of its
-    # variables; one over a never-bound variable runs after the last step
-    bind_step = dict.fromkeys(slots, 0)
-    for n, step in enumerate(order, start=1):
-        for name in step.variables:
-            bind_step.setdefault(name, n)
-    final = {name: slot for slot, name in enumerate(bind_step)}
-    pending: dict[int, list] = {}
-    for conjunct in conjuncts:
-        at = max((bind_step.get(v, len(order)) for v in
-                  _filter_vars(conjunct)), default=0)
-        pending.setdefault(at, []).append(
-            _compile_filter(conjunct, final, space, numbers))
+    def cost(step: _Step):
+        estimate = step.estimate
+        if step.pattern is not None and slots.keys() >= set(step.variables):
+            estimate = min(estimate, 1)
+        return estimate, step.index
 
-    def apply(n: int, rows: list[tuple]) -> list[tuple]:
-        for keep in pending.get(n, ()):
+    # each round runs the conjuncts whose variables are all bound, then
+    # joins the next step; once no step is left, the conjuncts over a
+    # variable that nothing binds run too, where that leaf is false.
+    # `chosen` keeps the second step of a pair that `_start` picked
+    chosen: list[_Step] = []
+    started = False
+    while True:
+        waiting = []
+        for conjunct in conjuncts:
+            if steps and not slots.keys() >= _filter_vars(conjunct):
+                waiting.append(conjunct)
+                continue
+            keep = _compile_filter(conjunct, slots, space, numbers)
             rows = [row for row in rows if keep(row)]
-        return rows
-
-    rows = apply(0, rows)
-    for n, step in enumerate(order, start=1):
+        conjuncts = waiting
+        if not steps:
+            break
+        if not chosen:
+            if not started:
+                chosen = _start(graph, steps, rows, slots)
+            elif linked := [s for s in steps
+                            if slots.keys() & set(s.variables)]:
+                chosen = [min(linked, key=cost)]
+            else:  # a step that shares nothing with what is bound
+                chosen = _start(graph, steps, [()], {})
+        step = chosen.pop(0)
+        steps.remove(step)
+        started = True
         rows = _join(graph, rows, step, slots)
         for name in step.variables:
             slots.setdefault(name, len(slots))
-        rows = apply(n, rows)
 
     if query.group_by:
         key_slots = [slots[v.name] for v in query.group_by]

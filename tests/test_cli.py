@@ -83,6 +83,25 @@ class TestQuery:
         assert payload["header"] == ["x"]
         assert payload["rows"]
 
+    def test_pack_json_on_seed_kg(self, kg_file, capsys):
+        # one JSON list in pack order; each entry is what the query's own
+        # file gives with --format json, under the query's name
+        assert main(["query", "--kg", str(kg_file), "--pack",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        entries = json.loads(out)
+        assert out == json.dumps(entries, indent=2) + "\n"
+        paths = sorted(data_path("sparql_pack").glob("*.rq"))
+        assert [e["name"] for e in entries] == [p.stem for p in paths]
+        assert len(entries) == 5
+        for entry, path in zip(entries, paths):
+            assert list(entry) == ["name", "header", "rows"]
+            assert main(["query", "--kg", str(kg_file), "--file", str(path),
+                         "--format", "json"]) == 0
+            alone = json.loads(capsys.readouterr().out)
+            assert alone == {"header": entry["header"],
+                             "rows": entry["rows"]}
+
     def test_empty_query_file_exits_1(self, kg_file, tmp_path, capsys):
         query = tmp_path / "empty.rq"
         query.write_text("", encoding="utf-8")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (random_graph, random_rich_sparql_query,
                      random_sparql_query, sparql_rows)
+from onokg import sparql
 from onokg.kg import Graph, Triple, iri, literal
 from onokg.ontology import ONO, RDF_TYPE, SCHEMA, default_prefixes, ono
 from onokg.sparql import (MAX_NESTING, SolutionTable, SparqlParseError,
@@ -29,6 +30,66 @@ SELECT DISTINCT ?labelBiomarker WHERE {
 }
 GROUP BY ?labelBiomarker
 """
+
+
+# The (step index, rows in, rows out) of every join that each pack query
+# makes, in call order: `_start` joins a candidate first step to count it,
+# and the loop joins the steps it picks. Step indexes are positions in the
+# query; q3's outer query joins its sub-select (step 0) after the inner
+# query's joins.
+PACK_JOINS = {
+    "seed": {
+        "q1_brca_high_pubmed": [
+            (8, 1, 1), (9, 1, 1), (7, 1, 3), (7, 1, 3), (2, 3, 6), (0, 6, 6),
+            (1, 6, 6), (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4),
+            (6, 4, 4)
+        ],
+        "q2_three_cancers": [
+            (7, 1, 0), (7, 1, 0), (6, 0, 0), (5, 0, 0), (4, 0, 0), (1, 0, 0),
+            (0, 0, 0), (2, 0, 0), (3, 0, 0), (8, 0, 0), (9, 0, 0), (10, 0, 0),
+            (11, 0, 0), (12, 0, 0)
+        ],
+        "q3_oncogenes_cancerindex": [
+            (4, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 2), (1, 2, 4), (0, 4, 4),
+            (2, 4, 4), (5, 4, 4), (3, 4, 4), (4, 4, 1), (8, 1, 1), (0, 1, 1),
+            (0, 1, 1)
+        ],
+        "q4_hnsc_eso_significant": [
+            (9, 2, 0), (9, 2, 0), (5, 0, 0), (8, 0, 0), (7, 0, 0), (6, 0, 0),
+            (0, 0, 0), (1, 0, 0), (4, 0, 0), (2, 0, 0), (3, 0, 0), (10, 0, 0)
+        ],
+        "q5_oncogenes_brca_pubmed": [
+            (5, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 2), (0, 2, 4), (1, 4, 4),
+            (2, 4, 4), (4, 4, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
+        ],
+    },
+    "fixtures": {
+        "q1_brca_high_pubmed": [
+            (8, 1, 1), (9, 1, 1), (7, 1, 3), (7, 1, 3), (2, 3, 6), (0, 6, 6),
+            (1, 6, 6), (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4),
+            (6, 4, 4)
+        ],
+        "q2_three_cancers": [
+            (3, 1, 1), (7, 1, 1), (11, 1, 1), (7, 1, 1), (6, 1, 1), (5, 1, 1),
+            (4, 1, 1), (1, 1, 3), (0, 3, 3), (2, 3, 3), (3, 3, 1), (8, 1, 3),
+            (9, 3, 3), (10, 3, 3), (11, 3, 1), (12, 1, 1)
+        ],
+        "q3_oncogenes_cancerindex": [
+            (4, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 4), (1, 4, 9), (0, 9, 9),
+            (2, 9, 9), (5, 9, 9), (3, 9, 9), (4, 9, 1), (8, 1, 1), (0, 1, 1),
+            (0, 1, 1)
+        ],
+        "q4_hnsc_eso_significant": [
+            (3, 2, 2), (9, 2, 2), (3, 2, 2), (5, 2, 2), (2, 2, 6), (1, 6, 6),
+            (4, 6, 3), (0, 3, 3), (6, 3, 4), (7, 4, 4), (8, 4, 4), (9, 4, 1),
+            (10, 1, 1)
+        ],
+        "q5_oncogenes_brca_pubmed": [
+            (5, 1, 1), (7, 1, 1), (4, 1, 3), (7, 1, 1), (6, 1, 4), (0, 4, 9),
+            (1, 9, 9), (2, 9, 9), (4, 9, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
+        ],
+    },
+}
 
 
 class TestParser:
@@ -96,6 +157,33 @@ class TestParser:
         with pytest.raises(SparqlParseError) as err:
             parse_select(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT ?x { ?x <a:p> <a:o> . }", "1:11: expected WHERE"),
+        ("SELECT ?x WHERE ?x <a:p> <a:o> . }", "1:17: expected '{'"),
+        ("SELECT WHERE { ?x <a:p> <a:o> . }",
+         "1:8: expected at least one projected ?variable"),
+        ("SELECT ?x WHERE { ?x <a:p> <a:o> . } GROUP BY",
+         "1:44: expected at least one grouping ?variable"),
+        ("SELECT ?x WHERE { ?x <a:p> <a:o> . } GROUP ?x", "1:44: expected BY"),
+        ("SELECT ?x WHERE { ?x <a:p> <a:o> .",
+         "1:34: unterminated group, expected '}'"),
+        ("SELECT ?x WHERE { VALUES ?x { <a:o>",
+         "1:31: unterminated VALUES block, expected '}'"),
+        ("SELECT ?x WHERE { ?x <a:p> <a:o> ?y <a:p> <a:o> }",
+         "1:34: expected '.' after triple pattern"),
+        ("SELECT ?x WHERE { ?x <a:p> ?y . FILTER (?y <a:o>) }",
+         "1:44: expected a comparison operator: >=, <=, >, < or ="),
+        ("SELECT ?x WHERE { ?x <a:p> ?y . FILTER (?y > 1 }",
+         "1:48: expected ')'"),
+        ("SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y)) }",
+         "1:49: expected ','"),
+    ])
+    def test_error_states_its_expectation_once(self, text, message):
+        with pytest.raises(SparqlParseError) as err:
+            parse_select(text)
+        assert str(err.value) == message
+        assert str(err.value).count("expected") == 1
 
     def test_values_clause(self):
         query = parse_select(
@@ -244,6 +332,44 @@ class TestQueryPack:
 
     def test_pack_files_present(self):
         assert len(load_query_pack()) == 5
+
+
+class TestJoinOrder:
+    @pytest.fixture()
+    def joins(self, monkeypatch):
+        """The joins made so far, as in `PACK_JOINS`."""
+        joins = []
+        join = sparql._join
+
+        def spy(graph, rows, step, slots):
+            out = join(graph, rows, step, slots)
+            joins.append((step.index, len(rows), len(out)))
+            return out
+
+        monkeypatch.setattr(sparql, "_join", spy)
+        return joins
+
+    @pytest.mark.parametrize("kg", ["seed", "fixtures"])
+    def test_pack_join_order(self, kg, request, joins):
+        # on the seed KG q2 and q4 find nothing; the query fixtures give
+        # both rows
+        graph = request.getfixturevalue(f"{kg}_graph")
+        seen = {}
+        for name, text in load_query_pack():
+            joins.clear()
+            run_query(graph, text)
+            seen[name] = list(joins)
+        assert seen == PACK_JOINS[kg]
+
+    def test_conjunct_runs_once_its_variables_are_bound(self, seed_graph,
+                                                        joins):
+        # no pack query's conjunct drops a row before the last join: each
+        # regex also filters its pattern's matches up front, and q1's
+        # ?number >= 100 keeps every row it sees. Here it drops 2 of 6
+        # rows right after step 3 binds ?number, before step 4 joins
+        run_query(seed_graph, FIG5_STYLE)
+        assert joins == [(5, 1, 3), (5, 1, 3), (2, 3, 6), (0, 6, 6),
+                         (1, 6, 6), (3, 6, 6), (4, 4, 4)]
 
 
 class TestProperties:
