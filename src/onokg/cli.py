@@ -355,7 +355,7 @@ def _qa_output(graph: Graph, cfg: AppConfig, fmt: str) -> str:
     report = assess(graph, quality_cfg)
     pitfalls = check_ontology_pitfalls(graph)
     if fmt == "json":
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         payload["_pitfalls"] = {
             "cycles": len(pitfalls.cycles),
             "naming_violations": len(pitfalls.naming_violations),

@@ -1,16 +1,31 @@
 """Relation extraction over anonymized sentences.
 
-Mention spans are replaced by @GENE$/@DISEASE$ slots; fixed token
-templates are then matched against the anonymized sentence and produce
-labeled candidates (causes, hasType, isA, hasEvidence). Biomarker-type
-words (POTSF, Oncogene, ...) and evidence sources (PubMed, ...) are
+Mention spans are replaced by @GENE$/@DISEASE$ slots; fixed templates are
+then matched against the anonymized sentence and produce labeled
+candidates (causes, hasType, isA, hasEvidence). Biomarker-type words
+(POTSF, Oncogene, ...) and evidence sources (PubMed, ...) are
 controlled-vocabulary terms matched lexically, not free-text entities.
 Mention pairs not covered by any template yield a `none` candidate with
 confidence 0. The templates are the only relation extractor.
+
+Each template is one regular expression over the match text: the words
+lowercased and the mentions kept as @GENE$/@DISEASE$, joined by single
+spaces (a token holds no space; the tokenizer splits at whitespace). A
+lowercased word has no capitals, so no word can spell a slot, and a
+literal matches exactly the words whose `lower()` it is; `re.IGNORECASE`
+would not, since it matches `ſ` to `s` and `İ` to `i`, which `lower()`
+keeps apart. The slots {G}, {D}, {TYPE} and {SOURCE} are named groups over
+one token, and `(?:w )?` is an optional word. A template takes an optional
+word whenever it is there, but the regex may also backtrack past it (the
+possessive `?+` would not, but needs Python 3.11). That changes a match
+only where the word could also fill the element after it, and no template
+allows that. Each template runs at every token start, left to right, as
+one `finditer` of zero-width matches.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,68 +68,59 @@ _SOURCE_LEXICON = {
 }
 
 
-# template elements
-@dataclass(frozen=True)
-class Lit:
-    options: tuple
-    optional: bool = False
+def _slot(name: str, texts) -> str:
+    """A named group that matches one of `texts`."""
+    return f"(?P<{name}>{'|'.join(map(re.escape, texts))})"
 
 
-SLOT_G = "G"
-SLOT_D = "D"
-SLOT_TYPE = "TYPE"
-SLOT_SOURCE = "SOURCE"
-
-
-def lit(*options):
-    return Lit(tuple(options))
-
-
-def opt(*options):
-    return Lit(tuple(options), optional=True)
+_SLOTS = {"G": _slot("G", [GENE_SLOT]), "D": _slot("D", [DISEASE_SLOT]),
+          "TYPE": _slot("TYPE", _TYPE_LEXICON),
+          "SOURCE": _slot("SOURCE", _SOURCE_LEXICON)}
 
 
 @dataclass(frozen=True)
 class Pattern:
-    elements: tuple
+    regex: re.Pattern
     label: str
     confidence: float
     subject_slot: str   # G | D | TYPE | CONTEXT
     object_slot: str    # G | D | TYPE | SOURCE | DISEASE_CLASS
 
 
+def _pattern(template: str, label: str, confidence: float,
+             subject_slot: str, object_slot: str) -> Pattern:
+    """The template with its slots filled, as a zero-width match at a token
+    start (after no character but a space) whose last token ends at a
+    space or at the end of the text (`$` would also end it before a final
+    newline)."""
+    body = template.format(**_SLOTS)
+    return Pattern(re.compile(rf"(?<![^ ])(?={body}(?= |\Z))"), label,
+                   confidence, subject_slot, object_slot)
+
+
 PATTERNS = (
     # responsible-for
-    Pattern((SLOT_G, lit("is", "are", "was", "were"), lit("responsible"),
-             lit("for"), opt("a", "the"), opt("disease"), opt("called"),
-             SLOT_D),
-            "causes", 0.95, SLOT_G, SLOT_D),
+    _pattern("{G} (?:is|are|was|were) responsible for (?:(?:a|the) )?"
+             "(?:disease )?(?:called )?{D}", "causes", 0.95, "G", "D"),
     # causes-verb
-    Pattern((SLOT_G, lit("causes", "cause", "caused"), SLOT_D),
-            "causes", 0.95, SLOT_G, SLOT_D),
+    _pattern("{G} (?:causes|cause|caused) {D}", "causes", 0.95, "G", "D"),
     # mutations-in
-    Pattern((lit("mutations"), lit("in"), SLOT_G,
-             lit("are", "is", "were"), lit("associated", "linked"),
-             lit("with"), SLOT_D),
-            "causes", 0.85, SLOT_G, SLOT_D),
+    _pattern("mutations in {G} (?:are|is|were) (?:associated|linked) with "
+             "{D}", "causes", 0.85, "G", "D"),
     # driven-by
-    Pattern((SLOT_D, lit("is"), opt("a"), opt("disease"),
-             lit("driven", "caused"), lit("by"), SLOT_G),
-            "causes", 0.85, SLOT_G, SLOT_D),
+    _pattern("{D} is (?:a )?(?:disease )?(?:driven|caused) by {G}",
+             "causes", 0.85, "G", "D"),
     # has-functionality
-    Pattern((SLOT_G, lit("has"), SLOT_TYPE, lit("functionality")),
-            "hasType", 0.95, SLOT_G, SLOT_TYPE),
+    _pattern("{G} has {TYPE} functionality", "hasType", 0.95, "G", "TYPE"),
     # is-a-type
-    Pattern((SLOT_G, lit("is"), lit("a", "an"), SLOT_TYPE),
-            "isA", 0.9, SLOT_G, SLOT_TYPE),
+    _pattern("{G} is (?:a|an) {TYPE}", "isA", 0.9, "G", "TYPE"),
     # disease-called
-    Pattern((lit("a", "the"), lit("disease"), lit("called"), SLOT_D),
-            "isA", 0.9, SLOT_D, "DISEASE_CLASS"),
+    _pattern("(?:a|the) disease called {D}", "isA", 0.9, "D",
+             "DISEASE_CLASS"),
     # mentioned-in
-    Pattern((lit("mentioned", "cited"), lit("in"),
-             opt("numerous", "several", "many"), SLOT_SOURCE,
-             lit("articles", "publications", "literature")),
-            "hasEvidence", 0.9, "CONTEXT", SLOT_SOURCE),
+    _pattern("(?:mentioned|cited) in (?:(?:numerous|several|many) )?"
+             "{SOURCE} (?:articles|publications|literature)",
+             "hasEvidence", 0.9, "CONTEXT", "SOURCE"),
 )
 
 
@@ -157,41 +163,13 @@ def anonymized_text(tokens: Sequence[_AnonToken]) -> str:
     return " ".join(t.text for t in tokens)
 
 
-def _element_matches(token: _AnonToken, element) -> bool:
-    """Whether the token fills the template element (a literal or a slot)."""
-    if isinstance(element, Lit):
-        return token.mention is None and token.text.lower() in element.options
-    if element == SLOT_G:
-        return token.text == GENE_SLOT
-    if element == SLOT_D:
-        return token.text == DISEASE_SLOT
-    if element == SLOT_TYPE:
-        return token.type_term is not None
-    return token.source_term is not None    # SLOT_SOURCE
-
-
-def _match_at(tokens: Sequence[_AnonToken], start: int, pattern: Pattern
-              ) -> Optional[dict]:
-    captures: dict = {"_start": start}
-    pos = start
-    for element in pattern.elements:
-        if pos < len(tokens) and _element_matches(tokens[pos], element):
-            if not isinstance(element, Lit):
-                captures.setdefault(element, tokens[pos])
-            pos += 1
-        elif not (isinstance(element, Lit) and element.optional):
-            return None
-    return captures
-
-
-def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken]
-               ) -> Optional[Term]:
+def _slot_term(slot: str, slots: dict, start: int,
+               tokens: Sequence[_AnonToken]) -> Optional[Term]:
     if slot == "DISEASE_CLASS":
         return SCHEMA.disease
     if slot == "CONTEXT":
         # anaphoric subject: last type term before the match, else the
         # nearest preceding mention
-        start = captures["_start"]
         for token in reversed(tokens[:start]):
             if token.type_term is not None:
                 return token.type_term
@@ -199,44 +177,40 @@ def _slot_term(slot: str, captures: dict, tokens: Sequence[_AnonToken]
             if token.mention is not None:
                 return token.mention.normalized_id
         return None
-    token = captures.get(slot)
-    if token is None:
-        return None
-    if slot == SLOT_TYPE:
+    token = slots[slot]
+    if slot == "TYPE":
         return token.type_term
-    if slot == SLOT_SOURCE:
+    if slot == "SOURCE":
         return token.source_term
-    return token.mention.normalized_id if token.mention else None
+    return token.mention.normalized_id
 
 
 def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str
                     ) -> list[RelationCandidate]:
     text = anonymized_text(tokens)
+    match_text = " ".join(t.text if t.mention else t.text.lower()
+                          for t in tokens)
     candidates: list[RelationCandidate] = []
     covered_pairs: set[tuple[int, int]] = set()
     seen: set[tuple] = set()
     for pattern in PATTERNS:
-        # no template starts with an optional element, so a match can only
-        # start where its first element does
-        first = pattern.elements[0]
-        for start, token in enumerate(tokens):
-            if not _element_matches(token, first):
-                continue
-            captures = _match_at(tokens, start, pattern)
-            if captures is None:
-                continue
-            subject = _slot_term(pattern.subject_slot, captures, tokens)
-            object_ = _slot_term(pattern.object_slot, captures, tokens)
+        for m in pattern.regex.finditer(match_text):
+            # a token holds no space: the spaces before an offset count
+            # the tokens before it
+            slots = {name: tokens[match_text.count(" ", 0, m.start(name))]
+                     for name in pattern.regex.groupindex}
+            start = match_text.count(" ", 0, m.start())
+            subject = _slot_term(pattern.subject_slot, slots, start, tokens)
+            object_ = _slot_term(pattern.object_slot, slots, start, tokens)
             if subject is None or object_ is None:
                 continue
             key = (pattern.label, subject, object_)
             if key in seen:
                 continue
             seen.add(key)
-            gene = captures.get(SLOT_G)
-            disease = captures.get(SLOT_D)
-            if gene is not None and disease is not None:
-                covered_pairs.add((gene.mention.start, disease.mention.start))
+            if "G" in slots and "D" in slots:
+                covered_pairs.add((slots["G"].mention.start,
+                                   slots["D"].mention.start))
             candidates.append(RelationCandidate(
                 doc_id=doc_id, anonymized=text,
                 label=pattern.label, confidence=pattern.confidence,

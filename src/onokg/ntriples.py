@@ -75,12 +75,12 @@ from .kg import (BLANK, BLANK_LABEL, LANGUAGE_TAG, QUOTED, Graph, KgError,
 _IRI = r"<[^>]*>"
 _BLANK = rf"_:{BLANK_LABEL.pattern}"
 _LITERAL = rf"{QUOTED.pattern}(?:\^\^{_IRI}|@{LANGUAGE_TAG.pattern})?"
-_TRIPLE_LINE = re.compile(
-    rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
-    r"[ \t]*\.[ \t]*(?:#.*)?")
-# The same, anchored per line of a slice. An IRI or a quoted literal can
-# match across a newline, so `findall` must give one match per line.
-_SLICE_LINE = re.compile(rf"^{_TRIPLE_LINE.pattern}$", re.M)
+# The pattern is anchored per line of a slice: an IRI or a quoted literal
+# can match across a newline, so `findall` must give one match per line. A
+# line cut out of the text holds no newline, so `fullmatch` reads it alone.
+_SLICE_LINE = re.compile(
+    rf"^[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})"
+    rf"[ \t]*({_IRI}|{_BLANK}|{_LITERAL})[ \t]*\.[ \t]*(?:#.*)?$", re.M)
 
 # Text is parsed in slices of about this many characters, cut at line
 # ends, and written in chunks of this many lines.
@@ -255,7 +255,7 @@ class _Parser:
         return True
 
     def read_line(self, raw: str, lineno: int):
-        m = _TRIPLE_LINE.fullmatch(raw)
+        m = _SLICE_LINE.fullmatch(raw)
         if m is not None and self.take([m.groups()]):
             return
         line = raw.strip()

@@ -154,14 +154,18 @@ class QualityReport:
     def __getitem__(self, name: str) -> MetricResult:
         return self.metrics[name]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """Each metric's fields by metric name, in assessment order."""
+        return {
             name: {
                 "kind": m.kind, "value": m.value,
                 "numerator": m.numerator, "denominator": m.denominator,
                 "status": m.status, "sample": m.sample,
             } for name, m in self.metrics.items()
-        }, indent=2)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
         width = max(len(name) for name in self.metrics)

@@ -293,25 +293,30 @@ class _Parser:
         if self.at_keyword("distinct"):
             self.next()
             distinct = True
-        projection: list[Var] = []
-        while self.peek() is not None and self.peek().kind == "var":
-            projection.append(Var(self.next().value[1:]))
-        if not projection:
+        projected = self.parse_vars()
+        if not projected:
             self.error("expected at least one projected ?variable")
         self.expect_keyword("where")
         pattern, values, filters = self.parse_group()
-        group_by: list[Var] = []
+        grouped: list[_Token] = []
         if self.at_keyword("group"):
             self.next()
             self.expect_keyword("by")
-            while self.peek() is not None and self.peek().kind == "var":
-                group_by.append(Var(self.next().value[1:]))
-            if not group_by:
+            grouped = self.parse_vars()
+            if not grouped:
                 self.error("expected at least one grouping ?variable")
-        query = SelectQuery(projection, distinct, pattern, values, filters,
-                            group_by)
-        self.validate(query)
+        query = SelectQuery([Var(t.value[1:]) for t in projected], distinct,
+                            pattern, values, filters,
+                            [Var(t.value[1:]) for t in grouped])
+        self.validate(query, projected, grouped)
         return query
+
+    def parse_vars(self) -> list[_Token]:
+        """The run of ?variable tokens at the cursor."""
+        tokens = []
+        while self.peek() is not None and self.peek().kind == "var":
+            tokens.append(self.next())
+        return tokens
 
     def parse_group(self):
         self.enter(self.expect_punct("{"))
@@ -485,22 +490,28 @@ class _Parser:
         raise SparqlParseError(f"unexpected operand {tok.value!r}",
                                tok.line, tok.col)
 
-    def validate(self, query: SelectQuery) -> None:
+    def validate(self, query: SelectQuery, projected: list[_Token],
+                 grouped: list[_Token]) -> None:
+        """Report an unbound projected or grouping variable, or a projected
+        one that is not grouped, at its token."""
         scope = query.in_scope_variables()
-        for var in query.projection:
-            if var.name not in scope:
+        for tok in projected:
+            if tok.value[1:] not in scope:
                 raise SparqlParseError(
-                    f"projected variable ?{var.name} is unbound", 1, 1)
-        for var in query.group_by:
-            if var.name not in scope:
+                    f"projected variable {tok.value} is unbound",
+                    tok.line, tok.col)
+        for tok in grouped:
+            if tok.value[1:] not in scope:
                 raise SparqlParseError(
-                    f"grouping variable ?{var.name} is unbound", 1, 1)
-        if query.group_by:
-            keys = {v.name for v in query.group_by}
-            for var in query.projection:
-                if var.name not in keys:
+                    f"grouping variable {tok.value} is unbound",
+                    tok.line, tok.col)
+        if grouped:
+            keys = {tok.value for tok in grouped}
+            for tok in projected:
+                if tok.value not in keys:
                     raise SparqlParseError(
-                        f"?{var.name} is projected but not grouped", 1, 1)
+                        f"{tok.value} is projected but not grouped",
+                        tok.line, tok.col)
 
 
 def parse_select(text: str,

@@ -23,7 +23,7 @@ from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
 from onokg.ontology import (NORM, ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
                             RDFS_DOMAIN, RDFS_LABEL, RDFS_RANGE,
-                            RDFS_SUBCLASS, XSD)
+                            RDFS_SUBCLASS, SCHEMA, XSD)
 from onokg.sparql import (AndExpr, Comparison, NotExpr, OrExpr, Regex,
                           SelectQuery, SubSelect, TriplePattern, Values,
                           Var, _compile_regex)
@@ -798,16 +798,81 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
 
 
 # ---------------------------------------------------------------------------
-# Relation templates tried at every position of the anonymized sentence, the
-# matcher as it was before a match had to start where its first element
-# does.
+# Relation templates as element tuples, each tried at every position of the
+# anonymized sentence by a token-by-token scan: the reference for the
+# regular expressions of `relations.PATTERNS`. An optional literal is taken
+# whenever it matches, with no backtracking.
 
-def _match_at_scan(tokens, start: int, pattern) -> Optional[dict]:
+@dataclass(frozen=True)
+class Lit:
+    options: tuple
+    optional: bool = False
+
+
+SLOT_G = "G"
+SLOT_D = "D"
+SLOT_TYPE = "TYPE"
+SLOT_SOURCE = "SOURCE"
+
+
+def lit(*options):
+    return Lit(tuple(options))
+
+
+def opt(*options):
+    return Lit(tuple(options), optional=True)
+
+
+@dataclass(frozen=True)
+class Template:
+    elements: tuple
+    label: str
+    confidence: float
+    subject_slot: str   # G | D | TYPE | CONTEXT
+    object_slot: str    # G | D | TYPE | SOURCE | DISEASE_CLASS
+
+
+TEMPLATES = (
+    # responsible-for
+    Template((SLOT_G, lit("is", "are", "was", "were"), lit("responsible"),
+              lit("for"), opt("a", "the"), opt("disease"), opt("called"),
+              SLOT_D),
+             "causes", 0.95, SLOT_G, SLOT_D),
+    # causes-verb
+    Template((SLOT_G, lit("causes", "cause", "caused"), SLOT_D),
+             "causes", 0.95, SLOT_G, SLOT_D),
+    # mutations-in
+    Template((lit("mutations"), lit("in"), SLOT_G,
+              lit("are", "is", "were"), lit("associated", "linked"),
+              lit("with"), SLOT_D),
+             "causes", 0.85, SLOT_G, SLOT_D),
+    # driven-by
+    Template((SLOT_D, lit("is"), opt("a"), opt("disease"),
+              lit("driven", "caused"), lit("by"), SLOT_G),
+             "causes", 0.85, SLOT_G, SLOT_D),
+    # has-functionality
+    Template((SLOT_G, lit("has"), SLOT_TYPE, lit("functionality")),
+             "hasType", 0.95, SLOT_G, SLOT_TYPE),
+    # is-a-type
+    Template((SLOT_G, lit("is"), lit("a", "an"), SLOT_TYPE),
+             "isA", 0.9, SLOT_G, SLOT_TYPE),
+    # disease-called
+    Template((lit("a", "the"), lit("disease"), lit("called"), SLOT_D),
+             "isA", 0.9, SLOT_D, "DISEASE_CLASS"),
+    # mentioned-in
+    Template((lit("mentioned", "cited"), lit("in"),
+              opt("numerous", "several", "many"), SLOT_SOURCE,
+              lit("articles", "publications", "literature")),
+             "hasEvidence", 0.9, "CONTEXT", SLOT_SOURCE),
+)
+
+
+def _match_at_scan(tokens, start: int, template: Template) -> Optional[dict]:
     captures: dict = {}
     pos = start
-    for element in pattern.elements:
+    for element in template.elements:
         token = tokens[pos] if pos < len(tokens) else None
-        if isinstance(element, relations.Lit):
+        if isinstance(element, Lit):
             if token is not None and token.mention is None \
                     and token.text.lower() in element.options:
                 pos += 1
@@ -816,16 +881,16 @@ def _match_at_scan(tokens, start: int, pattern) -> Optional[dict]:
             continue
         if token is None:
             return None
-        if element == relations.SLOT_G:
+        if element == SLOT_G:
             if token.text != relations.GENE_SLOT:
                 return None
-        elif element == relations.SLOT_D:
+        elif element == SLOT_D:
             if token.text != relations.DISEASE_SLOT:
                 return None
-        elif element == relations.SLOT_TYPE:
+        elif element == SLOT_TYPE:
             if token.type_term is None:
                 return None
-        elif element == relations.SLOT_SOURCE:
+        elif element == SLOT_SOURCE:
             if token.source_term is None:
                 return None
         captures.setdefault(element, token)
@@ -834,35 +899,58 @@ def _match_at_scan(tokens, start: int, pattern) -> Optional[dict]:
     return captures
 
 
+def _slot_term_scan(slot: str, captures: dict, tokens) -> Optional[Term]:
+    if slot == "DISEASE_CLASS":
+        return SCHEMA.disease
+    if slot == "CONTEXT":
+        # anaphoric subject: last type term before the match, else the
+        # nearest preceding mention
+        start = captures["_start"]
+        for token in reversed(tokens[:start]):
+            if token.type_term is not None:
+                return token.type_term
+        for token in reversed(tokens[:start]):
+            if token.mention is not None:
+                return token.mention.normalized_id
+        return None
+    token = captures.get(slot)
+    if token is None:
+        return None
+    if slot == SLOT_TYPE:
+        return token.type_term
+    if slot == SLOT_SOURCE:
+        return token.source_term
+    return token.mention.normalized_id if token.mention else None
+
+
 def match_patterns_scan(tokens, doc_id: str) -> list:
-    """`relations._match_patterns` with every template tried at every
-    position: candidates pattern by pattern, then by start position."""
+    """`relations._match_patterns` with every template of `TEMPLATES` tried
+    at every position: candidates template by template, then by start
+    position."""
     text = relations.anonymized_text(tokens)
     candidates = []
     covered_pairs: set[tuple[int, int]] = set()
     seen: set[tuple] = set()
-    for pattern in relations.PATTERNS:
+    for template in TEMPLATES:
         for start in range(len(tokens)):
-            captures = _match_at_scan(tokens, start, pattern)
+            captures = _match_at_scan(tokens, start, template)
             if captures is None:
                 continue
-            subject = relations._slot_term(pattern.subject_slot, captures,
-                                           tokens)
-            object_ = relations._slot_term(pattern.object_slot, captures,
-                                           tokens)
+            subject = _slot_term_scan(template.subject_slot, captures, tokens)
+            object_ = _slot_term_scan(template.object_slot, captures, tokens)
             if subject is None or object_ is None:
                 continue
-            key = (pattern.label, subject, object_)
+            key = (template.label, subject, object_)
             if key in seen:
                 continue
             seen.add(key)
-            gene = captures.get(relations.SLOT_G)
-            disease = captures.get(relations.SLOT_D)
+            gene = captures.get(SLOT_G)
+            disease = captures.get(SLOT_D)
             if gene is not None and disease is not None:
                 covered_pairs.add((gene.mention.start, disease.mention.start))
             candidates.append(relations.RelationCandidate(
-                doc_id=doc_id, anonymized=text, label=pattern.label,
-                confidence=pattern.confidence, subject=subject,
+                doc_id=doc_id, anonymized=text, label=template.label,
+                confidence=template.confidence, subject=subject,
                 object=object_))
     genes = [t.mention for t in tokens
              if t.mention is not None and t.mention.entity_type == "Gene"]

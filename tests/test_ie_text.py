@@ -15,7 +15,8 @@ from onokg.kg import Triple, iri
 from onokg.ntriples import parse_ntriples, serialize_ntriples
 from onokg.ontology import SCHEMA, build_seed_ontology, data_path, ono
 from helpers import conll, covers, join_pieces
-from oracles import enriched, match_patterns_scan
+from oracles import (SLOT_G, SLOT_SOURCE, SLOT_TYPE, TEMPLATES, Lit,
+                     enriched, match_patterns_scan)
 
 FIG4 = ("TP53 is responsible for a disease called Breast Cancer. "
         "TP53 has POTSF functionality, which is mentioned in numerous "
@@ -197,9 +198,9 @@ class TestRelations:
         assert (SCHEMA.potsf, "hasEvidence", SCHEMA.pubmed) in fired
 
 
-_LITERALS = sorted({option for pattern in relations.PATTERNS
-                    for element in pattern.elements
-                    if isinstance(element, relations.Lit)
+_LITERALS = sorted({option for template in TEMPLATES
+                    for element in template.elements
+                    if isinstance(element, Lit)
                     for option in element.options})
 _TYPE_WORDS = ["POTSF", "Oncogene", "oncogenes", "ProteinCoding"]
 _SOURCE_WORDS = ["PubMed", "MeSH", "CancerIndex"]
@@ -215,54 +216,107 @@ _ITEMS = st.one_of(
     _MENTIONS)
 
 
+def _mixed_case(word: str) -> str:
+    return "".join(c.upper() if i % 2 else c for i, c in enumerate(word))
+
+
+# Spellings whose case does not round-trip: `lower()` keeps "ſ" (long s)
+# and turns "İ" into "i" plus a combining dot, so neither word equals a
+# literal; the Kelvin sign lowers to "k", so "LIN\u212aED" is "linked".
+_HOSTILE_CASES = [
+    str.lower, str.title, str.upper, _mixed_case,
+    lambda w: w.replace("s", "\u017f"), lambda w: w.replace("i", "\u0130"),
+    lambda w: w.upper().replace("K", "\u212a")]
+_HOSTILE_WORDS = ["@GENE$", "@DISEASE$", "ONCOGENE", "PUBMED", "\u212a",
+                  "\u017f", "\u0130s", "\u0130", "i\u0307s"]
+
+
 @st.composite
-def _template_run(draw):
+def _template_run(draw, cases=(str.lower, str.title, str.upper)):
     """The items of one relation template, each element filled with a
-    token that fits it; a literal comes in any case, and an optional one
-    is sometimes left out."""
+    token that fits it; a literal comes in any of `cases`, and an optional
+    one is sometimes left out."""
     items = []
-    for element in draw(st.sampled_from(relations.PATTERNS)).elements:
-        if isinstance(element, relations.Lit):
+    for element in draw(st.sampled_from(TEMPLATES)).elements:
+        if isinstance(element, Lit):
             if not (element.optional and draw(st.booleans())):
-                case = draw(st.sampled_from([str.lower, str.title,
-                                             str.upper]))
+                case = draw(st.sampled_from(cases))
                 items.append(case(draw(st.sampled_from(element.options))))
-        elif element == relations.SLOT_TYPE:
+        elif element == SLOT_TYPE:
             items.append(draw(st.sampled_from(_TYPE_WORDS)))
-        elif element == relations.SLOT_SOURCE:
+        elif element == SLOT_SOURCE:
             items.append(draw(st.sampled_from(_SOURCE_WORDS)))
         else:
-            etype = "Gene" if element == relations.SLOT_G else "Disease"
+            etype = "Gene" if element == SLOT_G else "Disease"
             items.append(draw(_MENTIONS.map(lambda m: (etype,) + m[1:])))
     return items
 
 
-class TestAnchoredMatching:
-    """A template is tried only where its first element matches; the
-    result equals trying it at every position."""
+def _sentence(runs):
+    """The words and mentions of a list of runs of items."""
+    words, mentions = [], []
+    for item in (item for run in runs for item in run):
+        if isinstance(item, str):
+            words.append(item)
+            continue
+        etype, target, surface = item
+        mentions.append(_mention(" ".join(surface), etype, len(words),
+                                 len(words) + len(surface),
+                                 ono(target) if target else None))
+        words.extend(surface)
+    return words, mentions
 
-    def test_no_template_starts_with_an_optional_element(self):
-        for pattern in relations.PATTERNS:
-            first = pattern.elements[0]
-            assert not (isinstance(first, relations.Lit) and first.optional)
+
+class TestAnchoredMatching:
+    """Each template is one regular expression over the lowercased words;
+    the candidates equal those of the element templates tried at every
+    position."""
+
+    def test_templates_agree_with_oracle(self):
+        assert len(relations.PATTERNS) == len(TEMPLATES)
+        for pattern, template in zip(relations.PATTERNS, TEMPLATES):
+            assert (pattern.label, pattern.confidence, pattern.subject_slot,
+                    pattern.object_slot) \
+                == (template.label, template.confidence,
+                    template.subject_slot, template.object_slot)
+            assert set(pattern.regex.groupindex) \
+                == {e for e in template.elements if not isinstance(e, Lit)}
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(runs=st.lists(st.one_of(_ITEMS.map(lambda item: [item]),
                                    _template_run()), max_size=10))
     def test_matches_all_positions_oracle(self, runs):
-        words, mentions = [], []
-        for item in (item for run in runs for item in run):
-            if isinstance(item, str):
-                words.append(item)
-                continue
-            etype, target, surface = item
-            mentions.append(_mention(" ".join(surface), etype, len(words),
-                                     len(words) + len(surface),
-                                     ono(target) if target else None))
-            words.extend(surface)
-        tokens = relations.anonymize(words, mentions)
+        tokens = relations.anonymize(*_sentence(runs))
         assert relations._match_patterns(tokens, "d") \
             == match_patterns_scan(tokens, "d")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(runs=st.lists(st.one_of(
+        st.sampled_from(_HOSTILE_WORDS).map(lambda word: [word]),
+        _ITEMS.map(lambda item: [item]),
+        _template_run(_HOSTILE_CASES)), max_size=10))
+    def test_hostile_words_match_oracle(self, runs):
+        tokens = relations.anonymize(*_sentence(runs))
+        assert relations._match_patterns(tokens, "d") \
+            == match_patterns_scan(tokens, "d")
+
+    @pytest.mark.parametrize("sentence, labels", [
+        ("TP53 CaUsEs BRCA", ["causes"]),
+        ("TP53 cau\u017fes BRCA", ["none"]),
+        ("TP53 is an oncogene", ["isA"]),
+        ("TP53 \u0130s an oncogene", []),
+        ("Mutations in TP53 are LIN\u212aED with BRCA", ["causes"]),
+        ("@GENE$ causes BRCA , @gene$ has POTSF functionality", [])])
+    def test_hostile_words(self, sentence, labels):
+        # a word fills a literal when its lower() is the literal, and a
+        # slot only as a mention: "@GENE$" typed in the text is a word
+        words = sentence.split()
+        mentions = [_mention(w, etype, i, i + 1, ono(w))
+                    for i, w in enumerate(words)
+                    for etype, name in (("Gene", "TP53"), ("Disease", "BRCA"))
+                    if w == name]
+        assert [c.label for c in extract_relations(words, mentions)] \
+            == labels
 
 
 class TestEnrich:

@@ -185,6 +185,19 @@ class TestParser:
         assert str(err.value) == message
         assert str(err.value).count("expected") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT ?y WHERE {\n ?x <a:p> <a:o> . }",
+         "1:8: projected variable ?y is unbound"),
+        ("SELECT ?x WHERE {\n ?x <a:p> <a:o> . }\nGROUP BY ?x ?z",
+         "3:13: grouping variable ?z is unbound"),
+        ("SELECT ?x\n  ?y WHERE { ?x <a:p> ?y . } GROUP BY ?x",
+         "2:3: ?y is projected but not grouped"),
+    ])
+    def test_static_check_names_the_variable(self, text, message):
+        with pytest.raises(SparqlParseError) as err:
+            parse_select(text)
+        assert str(err.value) == message
+
     def test_values_clause(self):
         query = parse_select(
             'SELECT ?v WHERE { VALUES ?v { <a:x> "lit" } }')
