@@ -305,9 +305,10 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
 
 
 def cmd_explain(args, cfg: AppConfig) -> int:
-    from .explain.bridge import sentence_token_relevance
+    from .explain import NumericError, SingularDenominatorError
+    from .explain.bridge import feature_offsets, sentence_token_relevance
     from .explain.heatmap import render_heatmap
-    from .ie.tagger import encode_sentence
+    from .ie.corpus import encode_and_tag
     import numpy as np
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
         raise UserError(f"--epsilon must be a finite number >= 0, got "
@@ -317,17 +318,23 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     checkpoint = _load_checkpoint(cfg.model_path)
     text = _read_text_arg(args)
     space = next(iter(checkpoint.models.values())).space
+    offsets = feature_offsets(space)
     tokens: list[str] = []
     scores: list[float] = []
-    for words in preprocess(text).sentences:
-        encoded = encode_sentence(words, checkpoint.vocab, space,
-                                  checkpoint.gazetteers)
-        combined = np.zeros(len(words))
-        for model in checkpoint.models.values():
-            combined += sentence_token_relevance(
-                model, encoded, method=args.method,
-                epsilon=args.epsilon, delta=args.delta)
-        tokens.extend(words)
+    for encoded, tagged in encode_and_tag(
+            checkpoint.models, preprocess(text).sentences, checkpoint.vocab,
+            space, checkpoint.gazetteers):
+        combined = np.zeros(len(encoded.words))
+        for name, model in checkpoint.models.items():
+            try:
+                combined += sentence_token_relevance(
+                    model, encoded, *tagged[name], offsets,
+                    method=args.method, epsilon=args.epsilon,
+                    delta=args.delta)
+            except (NumericError, SingularDenominatorError) as exc:
+                raise UserError(f"cannot explain the {name} tagger's "
+                                f"predictions: {exc}") from exc
+        tokens.extend(encoded.words)
         scores.extend(combined.tolist())
     if args.format == "json":
         rendered = json.dumps({

@@ -4,58 +4,96 @@ The tagger head is a one-layer network over multi-hot features, so
 relevance lands on individual features; each feature describes a sentence
 position (its own word, or the previous/next word for context features),
 and per-word scores are the sums of their features' relevances.
+
+Each head piece of an entity word is explained toward the class c that the
+dense forward pass z = W @ x + b predicts for it, where x is the piece's
+multi-hot vector over the H features. Only the piece's active feature ids
+reach a word, and for those ε-LRP of the one layer has a closed form:
+
+    R[ids] = (W[c, ids] * 1.0 + (ε·sign[c] + δ·b[c]) / H) / denom[c] * z[c]
+
+with sign = +1 where z >= 0 and -1 elsewhere, and denom = z + ε·sign. The
+operations run in exactly that order, which is that of `relevance.lrp`:
+its sum over the K classes adds exact zeros for the K - 1 classes other
+than c, so the scores are lrp's to the bit. Sensitivity is W[c, ids] ** 2,
+the squared gradient of z[c]. As in lrp, a non-finite z raises
+`NumericError` and the first zero denominator among the K classes raises
+`SingularDenominatorError`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ..ie.decode import decode_entities
-from ..ie.tagger import EncodedSentence, TaggerModel, tag_probabilities
-from .net import FeedForwardNet, Layer
-from .relevance import lrp, sensitivity
+from ..ie.decode import find_spans, word_level_tags
+from ..ie.tagger import EncodedSentence, FeatureSpace, TaggerModel
+from .net import NumericError
+from .relevance import SingularDenominatorError
 
 _CONTEXT_OFFSET = {"prev": -1, "prevcase": -1, "next": 1, "nextcase": 1}
 
 
-def _feature_offset(model: TaggerModel, fid: int) -> int:
-    """Word offset of the position a feature describes (-1, 0 or +1)."""
-    family = model.space.name(fid).split("=", 1)[0]
-    return _CONTEXT_OFFSET.get(family, 0)
+def feature_offsets(space: FeatureSpace) -> np.ndarray:
+    """Word offset (-1, 0 or +1) of the position each feature describes."""
+    return np.array([_CONTEXT_OFFSET.get(space.name(fid).split("=", 1)[0], 0)
+                     for fid in range(len(space))], dtype=np.int64)
 
 
 def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
-                             method: str = "lrp", epsilon: float = 0.01,
+                             tags: Sequence[int], probs: np.ndarray,
+                             offsets: np.ndarray, method: str = "lrp",
+                             epsilon: float = 0.01,
                              delta: float = 1.0) -> np.ndarray:
     """Per-word relevance toward the predicted entity tags.
 
-    Every word predicted inside a mention span contributes the relevance
-    of its head piece's prediction, explained toward the class the head
-    network predicts for that piece; feature scores fold back onto the
-    words they describe (subword scores sum into words).
+    `tags` and `probs` are the model's tagging of the sentence, and
+    `offsets` is `feature_offsets` of its feature space. Every word
+    predicted inside a mention span contributes the relevance of its head
+    piece's prediction; feature scores fold back onto the words they
+    describe (subword scores sum into words, in piece and feature order).
     """
-    probs = tag_probabilities(model, encoded.feature_ids)
-    tags = probs.argmax(axis=1)
-    mentions = decode_entities(encoded, {model.entity_type: (tags, probs)})
-    scores = np.zeros(len(encoded.words))
-    entity_words = {i for m in mentions for i in range(m.start, m.end)}
-    net = FeedForwardNet([Layer(model.weights, model.bias, "identity")])
-    for pos, (word_idx, head) in enumerate(zip(encoded.word_of_piece,
-                                               encoded.is_head_piece)):
-        if word_idx < 0 or not head or word_idx not in entity_words:
+    if method not in ("lrp", "sensitivity"):
+        raise ValueError(f"unknown method {method!r}")
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    word_tags, _probs = word_level_tags(encoded, tags, probs)
+    entity_words = {i for start, end in find_spans(word_tags)
+                    for i in range(start, end)}
+    weights, bias = model.weights, model.bias
+    hidden = model.hidden_size
+    x = np.zeros(hidden)
+    targets, values = [], []
+    for word_idx, head, ids in zip(encoded.word_of_piece,
+                                   encoded.is_head_piece,
+                                   encoded.feature_ids):
+        if not head or word_idx not in entity_words:
             continue
-        ids = encoded.feature_ids[pos]
-        x = np.zeros(model.hidden_size)
         x[ids] = 1.0
-        target = int(net.output(x).argmax())
-        if method == "lrp":
-            rmap = lrp(net, x, target, epsilon=epsilon, delta=delta)
-        elif method == "sensitivity":
-            rmap = sensitivity(net, x, target)
+        z = weights @ x + bias
+        x[ids] = 0.0
+        if not np.isfinite(z).all():
+            raise NumericError(0)
+        c = int(z.argmax())
+        if method == "sensitivity":
+            relevance = weights[c, ids] ** 2
         else:
-            raise ValueError(f"unknown method {method!r}")
-        for fid in ids:
-            target_word = word_idx + _feature_offset(model, int(fid))
-            if 0 <= target_word < len(scores):
-                scores[target_word] += rmap.scores[fid]
-    return scores
+            sign = np.where(z >= 0, 1.0, -1.0)
+            denom = z + epsilon * sign
+            zero = np.nonzero(denom == 0.0)[0]
+            if len(zero):
+                raise SingularDenominatorError(0, int(zero[0]))
+            relevance = (weights[c, ids] * 1.0
+                         + (epsilon * sign[c] + delta * bias[c]) / hidden) \
+                / denom[c] * z[c]
+        targets.append(word_idx + offsets[ids])
+        values.append(relevance)
+    n = len(encoded.words)
+    if not targets:
+        return np.zeros(n)
+    # bins shifted by one, so the words before the first and after the last
+    # take what falls outside the sentence; bincount adds in input order
+    return np.bincount(np.concatenate(targets) + 1,
+                       weights=np.concatenate(values),
+                       minlength=n + 2)[1:n + 1]

@@ -182,6 +182,20 @@ def tag_sentence(models: dict[str, TaggerModel],
     return tagged
 
 
+def encode_and_tag(models: dict[str, TaggerModel],
+                   sentences: Sequence[Sequence[str]], vocab: SubwordVocab,
+                   space: FeatureSpace, gazetteers: dict[str, Gazetteer]):
+    """Each sentence's encoding and its `tag_sentence` result, in order.
+
+    The sentences are encoded and tagged `LOSS_CHUNK` at a time, so only
+    one group's encodings are held at once.
+    """
+    for first in range(0, len(sentences), LOSS_CHUNK):
+        encodings = [encode_sentence(words, vocab, space, gazetteers)
+                     for words in sentences[first:first + LOSS_CHUNK]]
+        yield from zip(encodings, tag_sentence(models, encodings))
+
+
 @dataclass
 class EntityScores:
     precision: float
@@ -195,26 +209,19 @@ def evaluate_entities(models: dict[str, TaggerModel],
                       corpus: Sequence[LabeledSentence],
                       vocab: SubwordVocab, space: FeatureSpace,
                       gazetteers: dict[str, Gazetteer]) -> EntityScores:
-    """Exact-match entity-level precision/recall over merged typed spans.
-
-    The corpus is encoded and tagged `LOSS_CHUNK` sentences at a time, so
-    only one group's encodings are held at once.
-    """
+    """Exact-match entity-level precision/recall over merged typed spans."""
     predicted = gold = correct = 0
-    for first in range(0, len(corpus), LOSS_CHUNK):
-        group = corpus[first:first + LOSS_CHUNK]
-        encodings = [encode_sentence(sentence.words, vocab, space,
-                                     gazetteers) for sentence in group]
-        for sentence, encoded, tagged in zip(
-                group, encodings, tag_sentence(models, encodings)):
-            mentions = decode_entities(encoded, tagged)
-            found = {(m.entity_type, m.start, m.end) for m in mentions}
-            truth = {(etype, start, end)
-                     for etype in ENTITY_TYPES
-                     for start, end in sentence.spans_for(etype)}
-            predicted += len(found)
-            gold += len(truth)
-            correct += len(found & truth)
+    tagged_corpus = encode_and_tag(models, [s.words for s in corpus], vocab,
+                                   space, gazetteers)
+    for sentence, (encoded, tagged) in zip(corpus, tagged_corpus):
+        mentions = decode_entities(encoded, tagged)
+        found = {(m.entity_type, m.start, m.end) for m in mentions}
+        truth = {(etype, start, end)
+                 for etype in ENTITY_TYPES
+                 for start, end in sentence.spans_for(etype)}
+        predicted += len(found)
+        gold += len(truth)
+        correct += len(found & truth)
     return EntityScores(
         precision=correct / predicted if predicted else 1.0,
         recall=correct / gold if gold else 1.0,

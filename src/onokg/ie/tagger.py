@@ -342,12 +342,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def tag_probabilities(model: TaggerModel,
-                      feature_ids: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-token distributions over the 7 tags; rows sum to 1."""
-    return softmax(logits(model, *_pack(feature_ids)))
-
-
 # tagging_loss scores a corpus this many sentences at a time, which bounds
 # the (K, pieces x features) gather inside logits to about 1 MB.
 LOSS_CHUNK = 64

@@ -187,9 +187,9 @@ class Term(tuple):
 
     def local_name(self) -> str:
         """Last path/fragment segment of an IRI (the name after '#' or '/')."""
-        if self.kind != IRI:
-            return self.lexical
-        lex = self.lexical
+        lex = self[1]
+        if self[0] != IRI:
+            return lex
         for sep in ("#", "/", ":"):
             idx = lex.rfind(sep)
             if idx >= 0 and idx < len(lex) - 1:
@@ -197,16 +197,18 @@ class Term(tuple):
         return lex
 
     def n3(self) -> str:
-        """N-Triples rendering of the term."""
-        if self.kind == IRI:
-            return f"<{self.lexical}>"
-        if self.kind == BLANK:
-            return f"_:{self.lexical}"
-        out = '"' + escape_literal(self.lexical) + '"'
-        if self.datatype is not None:
-            out += f"^^<{self.datatype}>"
-        elif self.language is not None:
-            out += f"@{self.language}"
+        """N-Triples rendering of the term. The fields are read by index,
+        which is faster than through their properties."""
+        kind = self[0]
+        if kind == IRI:
+            return f"<{self[1]}>"
+        if kind == BLANK:
+            return f"_:{self[1]}"
+        out = '"' + escape_literal(self[1]) + '"'
+        if self[2] is not None:
+            out += f"^^<{self[2]}>"
+        elif self[3] is not None:
+            out += f"@{self[3]}"
         return out
 
     def __repr__(self):

@@ -2,7 +2,8 @@
 
 The CoNLL rendering of a preprocessed document with its rule-based PoS
 tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, a
-graph copy for the tests that write to a shared graph, and the query
+graph copy for the tests that write to a shared graph, a sentence's tag
+distributions from one `logits` call, and the query
 fixtures: the cancers CARC, CRC and ESO and their associations,
 which the bundled SPARQL and DL packs filter on and which no command
 loads. `fixture_genes.csv` stays bundled with the package because the
@@ -15,7 +16,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from onokg.ie.preprocess import Document, stem, stopwords
+from onokg.ie.tagger import TaggerModel, _pack, logits, softmax
 from onokg.ie.wordpiece import CONTINUATION, SubwordVocab
 from onokg.kg import Graph
 from onokg.ontology import (_assert_association_rows, _row_of, add_biomarker,
@@ -93,6 +97,12 @@ def covers(vocab: SubwordVocab, word: str) -> bool:
     """Every character of word is present as head and continuation."""
     return all(c in vocab.pieces and CONTINUATION + c in vocab.pieces
                for c in word)
+
+
+def tag_probabilities(model: TaggerModel,
+                      feature_ids: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-token distributions over the 7 tags; rows sum to 1."""
+    return softmax(logits(model, *_pack(feature_ids)))
 
 
 def copy_graph(graph: Graph) -> Graph:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import json
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -16,9 +17,12 @@ from typing import Optional
 import numpy as np
 
 from onokg import dlx
+from onokg.explain import FeedForwardNet, Layer, lrp, sensitivity
 from onokg.ie import relations
-from onokg.ie.preprocess import stopwords
-from onokg.ie.tagger import PROB_FLOOR, EncodedSentence
+from onokg.ie.decode import decode_entities
+from onokg.ie.preprocess import preprocess, stopwords
+from onokg.ie.tagger import PROB_FLOOR, EncodedSentence, TaggerModel
+from onokg.ie.tagger import encode_sentence as tagger_encode_sentence
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
 from onokg.ontology import (NORM, ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
@@ -646,6 +650,73 @@ def loss_and_gradients(model, batch):
             if len(row):
                 grad_w[:, row] += delta[i][:, None]
     return total / len(batch), grad_w, grad_b
+
+
+# ---------------------------------------------------------------------------
+# The explainer's bridge as it was before the closed form: one tagging call
+# per sentence, and for each explained head piece a dense input vector, a
+# one-layer `FeedForwardNet` and the generic (K, H) `lrp` or `sensitivity`;
+# each feature's word offset comes from splitting its name.
+
+_CONTEXT_OFFSET = {"prev": -1, "prevcase": -1, "next": 1, "nextcase": 1}
+
+
+def _feature_offset(model: TaggerModel, fid: int) -> int:
+    """Word offset of the position a feature describes (-1, 0 or +1)."""
+    family = model.space.name(fid).split("=", 1)[0]
+    return _CONTEXT_OFFSET.get(family, 0)
+
+
+def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
+                             method: str = "lrp", epsilon: float = 0.01,
+                             delta: float = 1.0) -> np.ndarray:
+    """Per-word relevance toward the predicted entity tags."""
+    probs = _tag_probabilities(model, encoded.feature_ids)
+    tags = probs.argmax(axis=1)
+    mentions = decode_entities(encoded, {model.entity_type: (tags, probs)})
+    scores = np.zeros(len(encoded.words))
+    entity_words = {i for m in mentions for i in range(m.start, m.end)}
+    net = FeedForwardNet([Layer(model.weights, model.bias, "identity")])
+    for pos, (word_idx, head) in enumerate(zip(encoded.word_of_piece,
+                                               encoded.is_head_piece)):
+        if word_idx < 0 or not head or word_idx not in entity_words:
+            continue
+        ids = encoded.feature_ids[pos]
+        x = np.zeros(model.hidden_size)
+        x[ids] = 1.0
+        target = int(net.output(x).argmax())
+        if method == "lrp":
+            rmap = lrp(net, x, target, epsilon=epsilon, delta=delta)
+        elif method == "sensitivity":
+            rmap = sensitivity(net, x, target)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        for fid in ids:
+            target_word = word_idx + _feature_offset(model, int(fid))
+            if 0 <= target_word < len(scores):
+                scores[target_word] += rmap.scores[fid]
+    return scores
+
+
+def explain_json(checkpoint, text: str) -> str:
+    """`explain --format json` with the default options as it was printed:
+    each sentence encoded and explained on its own, through the per-piece
+    bridge above."""
+    space = next(iter(checkpoint.models.values())).space
+    tokens: list[str] = []
+    scores: list[float] = []
+    for words in preprocess(text).sentences:
+        encoded = tagger_encode_sentence(words, checkpoint.vocab, space,
+                                         checkpoint.gazetteers)
+        combined = np.zeros(len(words))
+        for model in checkpoint.models.values():
+            combined += sentence_token_relevance(model, encoded)
+        tokens.extend(words)
+        scores.extend(combined.tolist())
+    return json.dumps({
+        "tokens": tokens, "scores": scores, "method": "lrp",
+        "epsilon": 0.01, "delta": 1.0,
+    }, indent=2) + "\n"
 
 
 def spans_by_regex(tags: list[str]) -> list[tuple[int, int]]:

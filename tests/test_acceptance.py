@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import encode_word_tags
+from helpers import encode_word_tags, tag_probabilities
 from oracles import (central_difference, dl_instances, random_dl_expr,
                      random_graph, random_sparql_query, sparql_rows)
 from onokg import dlx
@@ -22,8 +22,8 @@ from onokg.ie.decode import find_spans
 from onokg.ie.linking import AliasTable
 from onokg.ie.pipeline import extract_document
 from onokg.ie.preprocess import preprocess
-from onokg.ie.tagger import (Checkpoint, K, TaggerModel, tag_probabilities,
-                             tagging_loss, loss_and_gradients)
+from onokg.ie.tagger import (Checkpoint, K, TaggerModel, tagging_loss,
+                             loss_and_gradients)
 from onokg.ie.wordpiece import demo_vocab
 from onokg.kg import Graph, Triple
 from onokg.ntriples import parse_ntriples, serialize_ntriples

@@ -584,6 +584,48 @@ class TestExplainJson:
         assert err.startswith(f"error: {option} must be a finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("sentences", [0, 1, 64, 65])
+    def test_grouped_json_matches_sentence_at_a_time_oracle(
+            self, checkpoint_path, tmp_path, capsys, sentences):
+        # 64 sentences fill one group exactly; 65 cross into a second one
+        from oracles import explain_json
+        from onokg.ie.corpus import make_corpus
+        from onokg.ie.preprocess import preprocess
+        from onokg.ie.tagger import load_checkpoint
+        text = " ".join(" ".join(s.words)
+                        for s in make_corpus(sentences, seed=11))
+        assert len(preprocess(text).sentences) == sentences
+        path = tmp_path / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["explain", "--model", str(checkpoint_path),
+                     "--file", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out == explain_json(
+            load_checkpoint(checkpoint_path), text)
+
+    @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
+    def test_zero_logit_at_epsilon_zero_is_one_error_line(
+            self, checkpoint_path, tmp_path, capsys, method):
+        # a zero PAD row and bias make the PAD logit exactly 0, so epsilon
+        # 0 leaves lrp a zero denominator; sensitivity has none
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        for model in payload["models"].values():
+            model["weights"][6] = [0.0] * len(model["weights"][6])
+            model["bias"][6] = 0.0
+        padzero = tmp_path / "padzero.json"
+        padzero.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["explain", "--model", str(padzero), "--text",
+                     "TP53 causes Breast Cancer.", "--epsilon", "0",
+                     "--method", method, "--format", "json"])
+        out, err = capsys.readouterr()
+        if method == "sensitivity":
+            assert code == 0 and err == ""
+            assert json.loads(out)["tokens"][0] == "TP53"
+            return
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot explain the ")
+        assert "zero denominator at layer 0, neuron 6" in err
+        assert err.count("\n") == 1
+
 
 class TestDeepNesting:
     """Input nested deeper than the parsers' limit ends in one `error:`

@@ -2,11 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import central_difference
 from onokg.explain import (FeedForwardNet, Layer, NumericError,
                            SingularDenominatorError, gradient, lrp,
                            render_heatmap, sensitivity)
+from onokg.explain.bridge import feature_offsets, sentence_token_relevance
+from onokg.ie.corpus import tag_sentence
+from onokg.ie.tagger import (K, EncodedSentence, FeatureSpace, TaggerModel,
+                             encode_sentence)
 
 
 def random_relu_net(rng, sizes=(4, 5, 3), bias_free=False, scale=1.0):
@@ -190,16 +197,143 @@ class TestHeatmap:
         assert "# scores: []" in render_heatmap([], [])
 
 
+def _relevance(model, encoded, method="lrp", epsilon=0.01, delta=1.0):
+    """The closed-form bridge on the model's own tagging of the sentence,
+    or the (type, message) of the error it raises."""
+    tags, probs = tag_sentence({"m": model}, [encoded])[0]["m"]
+    try:
+        return sentence_token_relevance(
+            model, encoded, tags, probs, feature_offsets(model.space),
+            method=method, epsilon=epsilon, delta=delta)
+    except (NumericError, SingularDenominatorError) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_relevance(model, encoded, method="lrp", epsilon=0.01,
+                      delta=1.0):
+    try:
+        return oracles.sentence_token_relevance(
+            model, encoded, method=method, epsilon=epsilon, delta=delta)
+    except (NumericError, SingularDenominatorError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_FAMILIES = ("p", "w", "case", "prev", "next", "prevcase", "nextcase")
+# no magnitude below 1e-3, so that no quotient by a logit overflows in the
+# generic lrp's (K, H) messages, where it would turn a zero message into NaN
+_VALUES = st.one_of(st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3),
+                    st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _head_and_sentence(draw):
+    """A random head (K = 7, small H) over features of random families, and
+    a sentence of random sorted id rows: [CLS], 1-4 words of 1-3 pieces
+    each, [SEP]."""
+    hidden = draw(st.integers(1, 6))
+    space = FeatureSpace()
+    for fid in range(hidden):
+        space.intern(f"{draw(st.sampled_from(_FAMILIES))}={fid}")
+    space.frozen = True
+    weights = np.array(draw(st.lists(_VALUES, min_size=K * hidden,
+                                     max_size=K * hidden))).reshape(K, hidden)
+    bias = np.array(draw(st.lists(_VALUES, min_size=K, max_size=K)))
+    # lift B or I in most heads, so that most sentences have entity words
+    lifted = draw(st.sampled_from([None, 0, 0, 1]))
+    if lifted is not None:
+        bias[lifted] += 6.0
+    # classes whose logit is exactly 0 (a zero denominator at epsilon 0)
+    for k in draw(st.sets(st.integers(0, K - 1), max_size=2)):
+        weights[k] = 0.0
+        bias[k] = 0.0
+    row = st.sets(st.integers(0, hidden - 1), min_size=1).map(
+        lambda ids: np.array(sorted(ids), dtype=np.int64))
+    words = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    pieces, word_of_piece, is_head = ["[CLS]"], [-1], [False]
+    for i, word in enumerate(words):
+        for j in range(draw(st.integers(1, 3))):
+            pieces.append(word if j == 0 else f"##{j}")
+            word_of_piece.append(i)
+            is_head.append(j == 0)
+    pieces.append("[SEP]")
+    word_of_piece.append(-1)
+    is_head.append(False)
+    ids = [draw(row) for _ in pieces]
+    return (TaggerModel(space, weights, bias, "Gene"),
+            EncodedSentence(words, pieces, word_of_piece, is_head, ids))
+
+
 class TestTaggerBridge:
     def test_entity_words_lead_relevance(self, trained):
-        from onokg.explain.bridge import sentence_token_relevance
-        from onokg.ie.tagger import encode_sentence
         words = ["TP53", "is", "responsible", "for", "a", "disease",
                  "called", "Breast", "Cancer", "."]
         encoded = encode_sentence(words, trained.vocab, trained.space,
                                   trained.gazetteers)
+        tagged = tag_sentence(trained.models, [encoded])[0]
+        offsets = feature_offsets(trained.space)
         total = np.zeros(len(words))
-        for model in trained.models.values():
-            total += sentence_token_relevance(model, encoded)
+        for name, model in trained.models.items():
+            total += sentence_token_relevance(model, encoded, *tagged[name],
+                                              offsets)
         ranked = [words[i] for i in np.argsort(-np.abs(total))]
         assert {"TP53", "Breast", "Cancer"} <= set(ranked[:3])
+
+    @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
+    def test_trained_heads_match_per_piece_oracle(self, trained, method):
+        for sentence in trained.test_set[:40]:
+            encoded = encode_sentence(sentence.words, trained.vocab,
+                                      trained.space, trained.gazetteers)
+            for model in trained.models.values():
+                _assert_same(_relevance(model, encoded, method),
+                             _oracle_relevance(model, encoded, method))
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(case=_head_and_sentence(),
+           method=st.sampled_from(["lrp", "sensitivity"]),
+           epsilon=st.one_of(st.floats(1e-3, 5.0), st.just(0.0)),
+           delta=st.one_of(st.floats(-3.0, -1e-3), st.floats(1e-3, 3.0),
+                           st.just(0.0)))
+    def test_closed_form_matches_per_piece_oracle(self, case, method,
+                                                  epsilon, delta):
+        model, encoded = case
+        _assert_same(_relevance(model, encoded, method, epsilon, delta),
+                     _oracle_relevance(model, encoded, method, epsilon,
+                                       delta))
+
+    @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
+    def test_overflowing_logit_raises_numeric_error(self, method):
+        space = FeatureSpace()
+        space.intern("w=a")
+        space.intern("w=b")
+        weights = np.zeros((K, 2))
+        weights[0] = 1e308              # z[0] = 2e308 overflows
+        model = TaggerModel(space, weights, np.zeros(K), "Gene")
+        encoded = EncodedSentence(
+            ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
+            [np.array([0]), np.array([0, 1]), np.array([1])])
+        with np.errstate(all="ignore"):
+            got = _relevance(model, encoded, method)
+            want = _oracle_relevance(model, encoded, method)
+        assert got == want == (NumericError, "non-finite activations in "
+                                             "layer 0")
+
+    def test_zero_logit_at_epsilon_zero_names_the_class(self):
+        space = FeatureSpace()
+        space.intern("w=a")
+        weights = np.ones((K, 1))
+        weights[6] = 0.0                # z[PAD] = 0
+        model = TaggerModel(space, weights, np.zeros(K), "Gene")
+        encoded = EncodedSentence(
+            ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
+            [np.array([0])] * 3)
+        got = _relevance(model, encoded, epsilon=0.0)
+        assert got == _oracle_relevance(model, encoded, epsilon=0.0)
+        assert got[0] is SingularDenominatorError and "neuron 6" in got[1]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import tag_probabilities
 from oracles import central_difference
 from onokg.ie.tagger import (CheckpointError, DimensionError, FeatureSpace,
                              K, TAGS, TaggerModel, encode_sentence, gold_tags,
                              load_checkpoint, loss_and_gradients,
-                             save_checkpoint,
-                             tag_probabilities, tagging_loss)
+                             save_checkpoint, tagging_loss)
 from onokg.ie import train as train_mod
 from onokg.ie.corpus import (ENTITY_TYPES, build_gazetteers, encode_corpus,
                              make_corpus)
