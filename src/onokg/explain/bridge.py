@@ -13,9 +13,9 @@ reach a word, and for those ε-LRP of the one layer has a closed form:
     R[ids] = (W[c, ids] * 1.0 + (ε·sign[c] + δ·b[c]) / H) / denom[c] * z[c]
 
 with sign = +1 where z >= 0 and -1 elsewhere, and denom = z + ε·sign. The
-operations run in exactly that order, which is that of `relevance.lrp`:
-its sum over the K classes adds exact zeros for the K - 1 classes other
-than c, so the scores are lrp's to the bit. Sensitivity is W[c, ids] ** 2,
+operations run in exactly that order, which is that of `relevance.lrp`,
+where only class c holds relevance and so only c sends messages: the
+scores are lrp's to the bit. Sensitivity is W[c, ids] ** 2,
 the squared gradient of z[c]. As in lrp, a non-finite z raises
 `NumericError` and the first zero denominator among the K classes raises
 `SingularDenominatorError`.
@@ -65,11 +65,13 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
     hidden = model.hidden_size
     x = np.zeros(hidden)
     targets, values = [], []
-    for word_idx, head, ids in zip(encoded.word_of_piece,
-                                   encoded.is_head_piece,
-                                   encoded.feature_ids):
+    ends = np.cumsum(encoded.counts).tolist()
+    for word_idx, head, start, end in zip(encoded.word_of_piece,
+                                          encoded.is_head_piece,
+                                          [0] + ends, ends):
         if not head or word_idx not in entity_words:
             continue
+        ids = encoded.flat[start:end]
         x[ids] = 1.0
         z = weights @ x + bias
         x[ids] = 0.0

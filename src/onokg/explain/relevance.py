@@ -77,10 +77,13 @@ def lrp(net: FeedForwardNet, x: np.ndarray, c: int,
         zero = np.nonzero(denom == 0.0)[0]
         if len(zero):
             raise SingularDenominatorError(index, int(zero[0]))
-        n = len(lower)
-        numer = layer.weights * lower[None, :] \
-            + ((epsilon * sign + delta * layer.bias) / n)[:, None]
-        messages = numer / denom[:, None] * relevance[:, None]
+        # a neuron that holds no relevance sends no messages, even where
+        # its quotient numer / denom overflows (inf * 0 would be NaN)
+        live = relevance != 0.0
+        numer = layer.weights[live] * lower[None, :] \
+            + ((epsilon * sign[live] + delta * layer.bias[live])
+               / len(lower))[:, None]
+        messages = numer / denom[live, None] * relevance[live, None]
         relevance = messages.sum(axis=0)
         layer_sums.append(float(relevance.sum()))
     return RelevanceMap(scores=relevance, total=float(relevance.sum()),

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .decode import decode_entities
-from .tagger import (LOSS_CHUNK, EncodedSentence, FeatureSpace, Gazetteer,
-                     TaggerModel, _pack, encode_sentence, gold_tags, logits,
-                     softmax)
+from .tagger import (LOSS_CHUNK, EncodedSentence, Example, FeatureSpace,
+                     Gazetteer, TaggerModel, encode_sentence, gold_tags,
+                     logits, softmax)
 from .wordpiece import SubwordVocab
 
 ENTITY_TYPES = ("Disease", "Gene")
@@ -142,16 +142,17 @@ def split_corpus(corpus: Sequence[LabeledSentence]
 def encode_corpus(corpus: Sequence[LabeledSentence],
                   vocab: SubwordVocab, space: FeatureSpace,
                   gazetteers: dict[str, Gazetteer]
-                  ) -> dict[str, list[tuple[list[np.ndarray], np.ndarray]]]:
-    """Training examples (feature ids, gold tags) per entity type.
+                  ) -> dict[str, list[Example]]:
+    """Training examples (flat feature ids, counts, gold tags) per entity
+    type.
 
-    Each sentence is encoded once; the types share its feature-id arrays.
+    Each sentence is encoded once; the types share its packed arrays.
     """
     examples: dict[str, list] = {etype: [] for etype in ENTITY_TYPES}
     for sentence in corpus:
         encoded = encode_sentence(sentence.words, vocab, space, gazetteers)
         for etype, typed in examples.items():
-            typed.append((encoded.feature_ids,
+            typed.append((encoded.flat, encoded.counts,
                           gold_tags(encoded, sentence.spans_for(etype))))
     return examples
 
@@ -160,16 +161,17 @@ def tag_sentence(models: dict[str, TaggerModel],
                  encoded: Sequence[EncodedSentence]) -> list[dict[str, tuple]]:
     """Each sentence's (argmax tags, tag distributions) per entity type.
 
-    The piece rows of up to `LOSS_CHUNK` sentences are packed once, each
-    model scores them with one `logits` call, and the result is split at the
-    sentence bounds. A row's logit sums only that row's weights, in the same
-    order, so the distributions are those of one call per sentence, to the
-    bit.
+    The packed arrays of up to `LOSS_CHUNK` sentences are joined, each
+    model scores their pieces with one `logits` call, and the result is
+    split at the sentence bounds. A row's logit sums only that row's
+    weights, in the same order, so the distributions are those of one call
+    per sentence, to the bit.
     """
     tagged: list[dict[str, tuple]] = []
     for start in range(0, len(encoded), LOSS_CHUNK):
         group = encoded[start:start + LOSS_CHUNK]
-        flat, counts = _pack([row for e in group for row in e.feature_ids])
+        flat = np.concatenate([e.flat for e in group])
+        counts = np.concatenate([e.counts for e in group])
         ends = np.cumsum([len(e) for e in group]).tolist()
         bounds = list(zip([0] + ends, ends))
         by_sentence: list[dict[str, tuple]] = [{} for _ in group]

@@ -10,26 +10,28 @@ A 1e-12 probability floor keeps the loss finite.
 One model is trained per entity type; the decoder reconciles overlapping
 spans from different type models by their probabilities.
 
-Training works on packed batches. The piece rows of a batch's sentences
-are taken in order: their feature ids run into one flat array, with a
-count per piece, and each sentence keeps the bounds of its rows. One
-`logits` call scores every piece (one `np.add.reduceat` segment per
-piece), and the weight gradient is one `np.bincount` per tag over the
-flat ids, weighted by each piece's delta. A checkpoint stays the same to
-the bit as under a per-sentence loop: a piece's logit sums the same
-weights in the same order; bincount adds to each weight column in index
-order, which is piece order; and the per-sentence mean NLL and bias sums
-stay one `mean` / `sum` per sentence segment, as one reduceat over the
-sentences would reassociate their additions. `tagging_loss` scores a
-corpus `LOSS_CHUNK` sentences at a time, so its (K, features) gather stays
-near 1 MB on the template corpus whatever the corpus size.
+A sentence is encoded once into packed form: one flat array of every
+piece's sorted feature ids, piece after piece, and a count per piece
+(`EncodedSentence`). The ids come from word types cached on the feature
+space, so a sentence costs one padded id array, not a set and an array
+per piece. Every consumer joins the arrays of its sentences: `logits`
+scores each piece as one `np.add.reduceat` segment of `flat`, and the
+weight gradient is one `np.bincount` per tag over the flat ids, weighted
+by each piece's delta. A checkpoint stays the same to the bit as under a
+per-sentence loop: a piece's logit sums the same weights in the same
+order; bincount adds to each weight column in index order, which is piece
+order; and the per-sentence mean NLL and bias sums stay one `mean` / `sum`
+per sentence segment, as one reduceat over the sentences would
+reassociate their additions. `tagging_loss` scores a corpus `LOSS_CHUNK`
+sentences at a time, so its (K, features) gather stays near 1 MB on the
+template corpus whatever the corpus size.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +44,10 @@ TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 K = len(TAGS)
 
 PROB_FLOOR = 1e-12
+
+# FeatureSpace.lookup's id for a name that a growing space has not seen
+UNSEEN = -2
+
 
 class DimensionError(ValueError):
     pass
@@ -64,35 +70,36 @@ def _case_class(word: str) -> str:
 
 
 class Gazetteer:
-    """Longest-match dictionary of multi-word surfaces, queried per word."""
+    """Longest-match dictionary of multi-word surfaces, queried per word.
+
+    For each first word it keeps the length of the longest entry that
+    starts with it, so `mark` tries spans only where an entry can start,
+    and only up to that length.
+    """
 
     def __init__(self, surfaces: Sequence[str]):
         self._entries: set[tuple[str, ...]] = set()
-        self.max_len = 1
+        self._longest: dict[str, int] = {}
         for surface in surfaces:
             words = tuple(w.lower() for w in surface.split())
             if words:
                 self._entries.add(words)
-                self.max_len = max(self.max_len, len(words))
+                self._longest[words[0]] = max(
+                    self._longest.get(words[0], 0), len(words))
 
     def mark(self, words: Sequence[str]) -> list[str]:
         """Per-word B/I/O hit marks using longest-match-first scanning."""
         lower = [w.lower() for w in words]
-        marks = ["O"] * len(words)
-        i = 0
-        while i < len(words):
-            matched = 0
-            for span in range(min(self.max_len, len(words) - i), 0, -1):
-                if tuple(lower[i:i + span]) in self._entries:
-                    matched = span
+        marks = ["O"] * len(lower)
+        end = 0     # the words before end are inside a match
+        for i, word in enumerate(lower):
+            if i < end or word not in self._longest:
+                continue
+            for n in range(min(self._longest[word], len(lower) - i), 0, -1):
+                if tuple(lower[i:i + n]) in self._entries:
+                    marks[i:i + n] = ["B"] + ["I"] * (n - 1)
+                    end = i + n
                     break
-            if matched:
-                marks[i] = "B"
-                for j in range(i + 1, i + matched):
-                    marks[j] = "I"
-                i += matched
-            else:
-                i += 1
         return marks
 
     def surfaces(self) -> list[tuple[str, ...]]:
@@ -110,24 +117,36 @@ class FeatureSpace:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self.frozen = False
-        # encode_sentence's word types, per vocabulary. They stay valid
-        # while the space lives: a name never changes id, and freezing only
-        # adds the <unk> slots, which no interned name falls back to.
+        # encode_sentence's word types, per vocabulary, with their ids. A
+        # name never changes id, but in a growing space a type may hold
+        # UNSEEN for a context name that no sentence has used yet:
+        # encode_sentence looks a type up again when it interns, and
+        # freezing drops the types.
         self.word_types: dict[SubwordVocab, dict[str, _WordType]] = {}
 
     def __len__(self):
         return len(self._index)
 
-    def intern(self, name: str) -> Optional[int]:
+    def intern(self, name: str) -> int:
+        """The name's id; a growing space gives a new name the next id. In
+        a frozen space an unseen name falls back to its family's <unk>
+        slot, or to -1 where the family has none."""
         idx = self._index.get(name)
         if idx is None:
             if self.frozen:
                 family = name.split("=", 1)[0]
-                return self._index.get(f"{family}=<unk>")
+                return self._index.get(f"{family}=<unk>", -1)
             idx = len(self._index)
             self._index[name] = idx
             self._names.append(name)
         return idx
+
+    def lookup(self, name: str) -> int:
+        """`intern` in a frozen space; a growing space interns nothing and
+        gives `UNSEEN` for a name it has not seen."""
+        if self.frozen:
+            return self.intern(name)
+        return self._index.get(name, UNSEEN)
 
     def name(self, idx: int) -> str:
         return self._names[idx]
@@ -137,6 +156,7 @@ class FeatureSpace:
             for family in ("p", "w", "prev", "next"):
                 self.intern(f"{family}=<unk>")
             self.frozen = True
+            self.word_types.clear()
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._index)
@@ -157,13 +177,20 @@ class FeatureSpace:
 
 @dataclass
 class EncodedSentence:
-    """A sentence rendered to [CLS] + pieces + [SEP] with feature ids."""
+    """A sentence rendered to [CLS] + pieces + [SEP] with packed feature ids.
+
+    `flat` holds every piece's sorted feature ids, piece after piece, and
+    `counts[i]` is the number of them that belong to piece i, so piece i's
+    ids are `flat[s:s + counts[i]]` with `s = counts[:i].sum()`. Consumers
+    join the arrays of several sentences with `np.concatenate`.
+    """
 
     words: list[str]
     pieces: list[str]
     word_of_piece: list[int]     # -1 for [CLS]/[SEP]
     is_head_piece: list[bool]
-    feature_ids: list[np.ndarray]
+    flat: np.ndarray
+    counts: np.ndarray
 
     def __len__(self):
         return len(self.pieces)
@@ -171,36 +198,29 @@ class EncodedSentence:
 
 class _WordType:
     """What encode_sentence derives from a word alone: its pieces, its
-    lowercase form and case class (also a neighbour's context), and the ids
-    of each piece's own features (piece, head/cont, word, case, stopword),
-    which are interned at the type's first encoding."""
+    lowercase form and case class, and `ids`, its `features` looked up in
+    the space."""
 
-    __slots__ = ("pieces", "lower", "case", "stop", "own")
+    __slots__ = ("pieces", "lower", "case", "stop", "ids")
 
-    def __init__(self, word: str, vocab: SubwordVocab):
+    def __init__(self, word: str, vocab: SubwordVocab, space: FeatureSpace):
         self.pieces = vocab.tokenize(word)
         self.lower = word.lower()
         self.case = _case_class(word)
-        self.stop = ["stop"] if self.lower in stopwords() else []
-        self.own: Optional[list[frozenset]] = None
+        self.stop = self.lower in stopwords()
+        self.ids = self.features(space.lookup)
 
-    def intern(self, space: FeatureSpace, context: list[str],
-               tail: list[str]) -> None:
-        """Intern the word's rows name by name in row order, so that a
-        growing space numbers features in first-use order; keep each
-        piece's own ids."""
-        self.own = []
-        for j, piece in enumerate(self.pieces):
-            own = [f"p={piece}", "head" if j == 0 else "cont",
-                   f"w={self.lower}", f"case={self.case}"]
-            for name in own + context + self.stop + tail:
-                space.intern(name)
-            self.own.append(_interned(space, own + self.stop))
-
-
-def _interned(space: FeatureSpace, names) -> frozenset:
-    return frozenset(fid for fid in map(space.intern, names)
-                     if fid is not None)
+    def features(self, look: Callable[[str], Any]) -> tuple:
+        """Each piece's own features (piece, head/cont, word, case), the
+        stopword feature or -1, and the context features that the word
+        gives a neighbour (prev=, next=, prevcase=, nextcase=), each name
+        passed through `look`."""
+        own = [[look(f"p={piece}"), look("head" if j == 0 else "cont"),
+                look(f"w={self.lower}"), look(f"case={self.case}")]
+               for j, piece in enumerate(self.pieces)]
+        gives = [look(f"prev={self.lower}"), look(f"next={self.lower}"),
+                 look(f"prevcase={self.case}"), look(f"nextcase={self.case}")]
+        return own, look("stop") if self.stop else -1, gives
 
 
 def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
@@ -209,49 +229,77 @@ def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
     """Each piece row holds the sorted ids of its word type's own features
     and of the features of its position: the neighbours' forms and case
     classes, first/last, and one gazetteer mark per gazetteer. Word types
-    are cached on the space (see `FeatureSpace.word_types`)."""
+    are cached on the space (see `FeatureSpace.word_types`).
+
+    The rows fill one array padded with -1, which is sorted along each row
+    and masked into `flat` and `counts`. The mask also drops an id repeated
+    within a row, so each row is a set.
+
+    A growing space (`train`) numbers features in first-use order, and that
+    order is the checkpoint's feature table. It is the order in which the
+    per-row encoder this one replaced interned names (`encode_sentence` in
+    tests/oracles.py): special=[CLS]; then for each piece row its piece,
+    head/cont, word, case, prev, next, prevcase, nextcase, stop, first,
+    last and gazetteer marks; then special=[SEP]. `_rows` lays a row out in
+    that order. So when a sentence holds a name the space has not seen, the
+    names of its rows are interned in row order (a row with no unseen name
+    adds nothing), and the rows are looked up again.
+    """
     cache = space.word_types.setdefault(vocab, {})
     types = []
     for word in words:
         wtype = cache.get(word)
         if wtype is None:
-            wtype = cache[word] = _WordType(word, vocab)
+            wtype = cache[word] = _WordType(word, vocab, space)
         types.append(wtype)
     marks = [(f"gaz-{name}=", gaz.mark(words))
              for name, gaz in gazetteers.items()]
-    last = len(words) - 1
-    pieces: list[str] = ["[CLS]"]
-    word_of_piece: list[int] = [-1]
-    is_head: list[bool] = [False]
-    ids = [_row(_interned(space, ["special=[CLS]"]))]
+    rows = _rows([wtype.ids for wtype in types], marks, space.lookup)
+    if not space.frozen and UNSEEN in rows:
+        # str passes each name through, so _rows lays out the names
+        for name in _rows([t.features(str) for t in types], marks, str):
+            if name != -1:
+                space.intern(name)
+        for wtype in types:
+            wtype.ids = wtype.features(space.lookup)
+        rows = _rows([wtype.ids for wtype in types], marks, space.lookup)
+    pieces, word_of_piece, is_head = ["[CLS]"], [-1], [False]
     for i, wtype in enumerate(types):
-        if not wtype.pieces:    # no rows, so no names to intern
-            continue
-        before = types[i - 1] if i > 0 else None
-        after = types[i + 1] if i < last else None
-        context = [f"prev={before.lower}" if before else "prev=<s>",
-                   f"next={after.lower}" if after else "next=</s>",
-                   f"prevcase={before.case}" if before else "prevcase=<s>",
-                   f"nextcase={after.case}" if after else "nextcase=</s>"]
-        tail = (["first"] if i == 0 else []) + (["last"] if i == last else [])
-        tail += [prefix + mark[i] for prefix, mark in marks]
-        if wtype.own is None:
-            wtype.intern(space, context, tail)
-        position = _interned(space, context + tail)
-        for j, piece in enumerate(wtype.pieces):
-            pieces.append(piece)
-            word_of_piece.append(i)
-            is_head.append(j == 0)
-            ids.append(_row(wtype.own[j] | position))
-    pieces.append("[SEP]")
-    word_of_piece.append(-1)
-    is_head.append(False)
-    ids.append(_row(_interned(space, ["special=[SEP]"])))
-    return EncodedSentence(list(words), pieces, word_of_piece, is_head, ids)
+        pieces += wtype.pieces
+        word_of_piece += [i] * len(wtype.pieces)
+        is_head += [j == 0 for j in range(len(wtype.pieces))]
+    ids = np.array(rows, dtype=np.int64).reshape(len(pieces) + 1, -1)
+    ids.sort(axis=1)
+    # every row holds a -1, which sorts first; keeping each id that exceeds
+    # the one before it drops the padding and any repeated id
+    keep = ids[:, 1:] > ids[:, :-1]
+    return EncodedSentence(list(words), pieces + ["[SEP]"],
+                           word_of_piece + [-1], is_head + [False],
+                           ids[:, 1:][keep], keep.sum(axis=1))
 
 
-def _row(fids: frozenset) -> np.ndarray:
-    return np.asarray(sorted(fids), dtype=np.int64)
+def _rows(features: list[tuple], marks: list[tuple[str, list[str]]],
+          look: Callable[[str], Any]) -> list:
+    """The rows of [CLS], each piece and [SEP], run together and each
+    padded with -1, from the word types' `features` and the other names
+    passed through `look`. A piece row holds its word type's own features,
+    prev= and prevcase= from the word before and next= and nextcase= from
+    the word after (<s> and </s> at the edges), stop, first, last, the
+    gazetteer marks and a -1, in that order."""
+    edge = [look("prev=<s>"), look("next=</s>"), look("prevcase=<s>"),
+            look("nextcase=</s>")]
+    gives = [edge, *(gives for _own, _stop, gives in features), edge]
+    marked = [[look(prefix + m) for m in mark] for prefix, mark in marks]
+    pad = [-1] * (11 + len(marks))
+    rows = [look("special=[CLS]"), *pad]
+    for i, ((own, stop, _gives), before, after, *gaz) in enumerate(
+            zip(features, gives, gives[2:], *marked)):
+        position = [before[0], after[1], before[2], after[3], stop,
+                    look("first") if i == 0 else -1,
+                    look("last") if i == len(features) - 1 else -1, *gaz, -1]
+        for piece in own:
+            rows += piece + position
+    return rows + [look("special=[SEP]"), *pad]
 
 
 def gold_tags(encoded: EncodedSentence,
@@ -304,22 +352,13 @@ class TaggerModel:
                    entity_type)
 
 
-def _pack(feature_ids: Sequence[np.ndarray]
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Every token's feature ids run together, and each token's count."""
-    counts = np.fromiter(map(len, feature_ids), dtype=np.int64,
-                         count=len(feature_ids))
-    if not len(feature_ids):
-        return np.zeros(0, dtype=np.int64), counts
-    return np.concatenate(feature_ids), counts
-
-
 def logits(model: TaggerModel, flat: np.ndarray, counts: np.ndarray
            ) -> np.ndarray:
     """T_i W^T + b for every token; T_i is the multi-hot feature vector.
 
-    The tokens come packed by `_pack`: token i has the `counts[i]` feature
-    ids that follow those of the tokens before it in `flat`.
+    The tokens come packed as in `EncodedSentence`: token i has the
+    `counts[i]` feature ids that follow those of the tokens before it in
+    `flat`.
     """
     out = np.repeat(model.bias[None, :], len(counts), axis=0)
     if len(flat):
@@ -346,15 +385,17 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 # the (K, pieces x features) gather inside logits to about 1 MB.
 LOSS_CHUNK = 64
 
+# A training example: a sentence's packed feature ids (flat, counts) and
+# its gold tag per piece.
+Example = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _packed(model: TaggerModel,
-            batch: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]):
-    """The batch's piece rows in order, packed (flat ids and counts),
-    their tag distributions from one logits call, their gold labels, and
-    each sentence's row bounds."""
-    flat, counts = _pack([row for ids, _labels in batch for row in ids])
-    labels = np.concatenate([labels for _ids, labels in batch])
-    ends = np.cumsum([len(labels) for _ids, labels in batch])
+
+def _packed(model: TaggerModel, batch: Sequence[Example]):
+    """The batch's sentences joined (flat ids, counts and gold labels),
+    their tag distributions from one logits call, and each sentence's row
+    bounds."""
+    flat, counts, labels = map(np.concatenate, zip(*batch))
+    ends = np.cumsum([len(example[2]) for example in batch])
     return flat, counts, softmax(logits(model, flat, counts)), labels, ends
 
 
@@ -367,9 +408,7 @@ def _sentence_losses(probs: np.ndarray, labels: np.ndarray,
     return [float(-log_picked[a:b].mean()) for a, b in zip(starts, ends)]
 
 
-def tagging_loss(model: TaggerModel,
-                 batch: Sequence[tuple[Sequence[np.ndarray], np.ndarray]]
-                 ) -> float:
+def tagging_loss(model: TaggerModel, batch: Sequence[Example]) -> float:
     """Mean over sequences of the per-sequence mean NLL."""
     if not batch:
         return 0.0
@@ -381,9 +420,7 @@ def tagging_loss(model: TaggerModel,
     return float(np.mean(losses))
 
 
-def loss_and_gradients(model: TaggerModel,
-                       batch: Sequence[tuple[Sequence[np.ndarray],
-                                             np.ndarray]]
+def loss_and_gradients(model: TaggerModel, batch: Sequence[Example]
                        ) -> tuple[float, np.ndarray, np.ndarray]:
     """Analytic gradient of tagging_loss w.r.t. weights and bias.
 

@@ -2,8 +2,9 @@
 
 The CoNLL rendering of a preprocessed document with its rule-based PoS
 tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, a
-graph copy for the tests that write to a shared graph, a sentence's tag
-distributions from one `logits` call, and the query
+graph copy for the tests that write to a shared graph, feature-id rows
+packed as `EncodedSentence` holds them, a sentence's tag distributions
+from one `logits` call, and the query
 fixtures: the cancers CARC, CRC and ESO and their associations,
 which the bundled SPARQL and DL packs filter on and which no command
 loads. `fixture_genes.csv` stays bundled with the package because the
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from onokg.ie.preprocess import Document, stem, stopwords
-from onokg.ie.tagger import TaggerModel, _pack, logits, softmax
+from onokg.ie.tagger import TaggerModel, logits, softmax
 from onokg.ie.wordpiece import CONTINUATION, SubwordVocab
 from onokg.kg import Graph
 from onokg.ontology import (_assert_association_rows, _row_of, add_biomarker,
@@ -99,10 +100,18 @@ def covers(vocab: SubwordVocab, word: str) -> bool:
                for c in word)
 
 
+def pack(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of feature ids as one flat array and a count per row."""
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), counts
+    return np.concatenate(rows), counts
+
+
 def tag_probabilities(model: TaggerModel,
                       feature_ids: Sequence[np.ndarray]) -> np.ndarray:
     """Per-token distributions over the 7 tags; rows sum to 1."""
-    return softmax(logits(model, *_pack(feature_ids)))
+    return softmax(logits(model, *pack(feature_ids)))
 
 
 def copy_graph(graph: Graph) -> Graph:

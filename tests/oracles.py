@@ -539,9 +539,51 @@ def central_difference(function, x: np.ndarray, h: float = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# The tagger's training path as it was before batches were packed: one
-# logits call per sentence, a Python loop over the pieces for the weight
-# gradient, and every feature name of every row interned in row order.
+# The tagger's encoder and training path as they were before sentences were
+# packed: a sorted id array per piece row, with every feature name of every
+# row interned in row order; one logits call per sentence, and a Python loop
+# over the rows for the weight gradient. The training functions take the
+# packed examples (flat ids, counts, labels) and split them into rows.
+
+def gazetteer_marks(gazetteer, words) -> list[str]:
+    """`Gazetteer.mark` as a scan: at every word not inside a match, every
+    span from the longest entry's length down."""
+    entries = set(gazetteer.surfaces())
+    max_len = max(map(len, entries), default=1)
+    lower = [w.lower() for w in words]
+    marks = ["O"] * len(words)
+    i = 0
+    while i < len(words):
+        matched = 0
+        for span in range(min(max_len, len(words) - i), 0, -1):
+            if tuple(lower[i:i + span]) in entries:
+                matched = span
+                break
+        if matched:
+            marks[i] = "B"
+            for j in range(i + 1, i + matched):
+                marks[j] = "I"
+            i += matched
+        else:
+            i += 1
+    return marks
+
+
+@dataclass
+class RowEncoding:
+    """A sentence encoded with one sorted feature-id array per row."""
+
+    words: list[str]
+    pieces: list[str]
+    word_of_piece: list[int]
+    is_head_piece: list[bool]
+    feature_ids: list[np.ndarray]
+
+
+def feature_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Packed feature ids split back into one array per row."""
+    return np.split(flat, np.cumsum(counts)[:-1]) if len(counts) else []
+
 
 def _case_class(word: str) -> str:
     if word.isupper() and len(word) > 1:
@@ -555,10 +597,11 @@ def _case_class(word: str) -> str:
     return "other"
 
 
-def encode_sentence(words, vocab, space, gazetteers) -> EncodedSentence:
+def encode_sentence(words, vocab, space, gazetteers) -> RowEncoding:
     stop = stopwords()
     lower = [w.lower() for w in words]
-    marks = {name: gaz.mark(words) for name, gaz in gazetteers.items()}
+    marks = {name: gazetteer_marks(gaz, words)
+             for name, gaz in gazetteers.items()}
     pieces: list[str] = ["[CLS]"]
     word_of_piece: list[int] = [-1]
     is_head: list[bool] = [False]
@@ -592,10 +635,9 @@ def encode_sentence(words, vocab, space, gazetteers) -> EncodedSentence:
     features.append(["special=[SEP]"])
     ids = []
     for names in features:
-        row = sorted({fid for fid in (space.intern(n) for n in names)
-                      if fid is not None})
+        row = sorted({fid for fid in map(space.intern, names) if fid >= 0})
         ids.append(np.asarray(row, dtype=np.int64))
-    return EncodedSentence(list(words), pieces, word_of_piece, is_head, ids)
+    return RowEncoding(list(words), pieces, word_of_piece, is_head, ids)
 
 
 def _logits(model, feature_ids) -> np.ndarray:
@@ -628,8 +670,9 @@ def tagging_loss(model, batch) -> float:
     """Mean over sequences of the per-sequence mean NLL."""
     if not batch:
         return 0.0
-    return float(np.mean([_sequence_loss(model, ids, labels)
-                          for ids, labels in batch]))
+    return float(np.mean([_sequence_loss(model, feature_rows(flat, counts),
+                                         labels)
+                          for flat, counts, labels in batch]))
 
 
 def loss_and_gradients(model, batch):
@@ -637,7 +680,8 @@ def loss_and_gradients(model, batch):
     grad_w = np.zeros_like(model.weights)
     grad_b = np.zeros_like(model.bias)
     total = 0.0
-    for ids, labels in batch:
+    for flat, counts, labels in batch:
+        ids = feature_rows(flat, counts)
         probs = _tag_probabilities(model, ids)
         n = len(labels)
         picked = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
@@ -671,7 +715,8 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
                              method: str = "lrp", epsilon: float = 0.01,
                              delta: float = 1.0) -> np.ndarray:
     """Per-word relevance toward the predicted entity tags."""
-    probs = _tag_probabilities(model, encoded.feature_ids)
+    rows = feature_rows(encoded.flat, encoded.counts)
+    probs = _tag_probabilities(model, rows)
     tags = probs.argmax(axis=1)
     mentions = decode_entities(encoded, {model.entity_type: (tags, probs)})
     scores = np.zeros(len(encoded.words))
@@ -681,7 +726,7 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
                                                encoded.is_head_piece)):
         if word_idx < 0 or not head or word_idx not in entity_words:
             continue
-        ids = encoded.feature_ids[pos]
+        ids = rows[pos]
         x = np.zeros(model.hidden_size)
         x[ids] = 1.0
         target = int(net.output(x).argmax())

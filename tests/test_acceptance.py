@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import encode_word_tags, tag_probabilities
+from helpers import encode_word_tags, pack, tag_probabilities
 from oracles import (central_difference, dl_instances, random_dl_expr,
                      random_graph, random_sparql_query, sparql_rows)
 from onokg import dlx
@@ -148,7 +148,7 @@ def test_criterion_05b_uniform_loss_is_ln7():
     model = random_model(rng, scale=0.0)
     ids = random_ids(rng, model.hidden_size, 17)
     labels = rng.integers(0, K, size=17)
-    loss = tagging_loss(model, [(ids, labels)])
+    loss = tagging_loss(model, [(*pack(ids), labels)])
     _report(5, abs(loss - math.log(7)) <= 1e-9,
             "uniform model loss equals ln 7 within 1e-9")
 
@@ -159,7 +159,7 @@ def test_criterion_05c_head_gradients_match_fd():
     batch = []
     for _ in range(2):
         ids = random_ids(rng, model.hidden_size, 3)
-        batch.append((ids, rng.integers(0, K, size=3)))
+        batch.append((*pack(ids), rng.integers(0, K, size=3)))
     _loss, grad_w, grad_b = loss_and_gradients(model, batch)
     flat = np.concatenate([model.weights.ravel(), model.bias])
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import pack
 from oracles import central_difference
 from onokg.explain import (FeedForwardNet, Layer, NumericError,
                            SingularDenominatorError, gradient, lrp,
@@ -163,6 +164,16 @@ class TestLrp:
         with pytest.raises(SingularDenominatorError, match="neuron 0"):
             lrp(net, np.array([1.0, 1.0]), 0, epsilon=0.0)
 
+    def test_class_without_relevance_sends_no_messages(self):
+        # at epsilon 0 the quotient of class 1 overflows (its logit is
+        # 1e-308), but class 1 holds no relevance, so it sends nothing
+        net = FeedForwardNet([Layer(np.array([[2.0, 1.0], [4.0, -4.0]]),
+                                    np.array([0.0, 1e-308]))])
+        with np.errstate(all="raise"):
+            rmap = lrp(net, np.ones(2), 0, epsilon=0.0)
+        assert rmap.scores.tolist() == [2.0, 1.0]
+        assert rmap.layer_sums == [3.0, 3.0]
+
     def test_bad_class_index(self):
         net = FeedForwardNet([Layer(np.eye(2), np.zeros(2))])
         with pytest.raises(IndexError):
@@ -227,8 +238,8 @@ def _assert_same(got, want):
 
 
 _FAMILIES = ("p", "w", "case", "prev", "next", "prevcase", "nextcase")
-# no magnitude below 1e-3, so that no quotient by a logit overflows in the
-# generic lrp's (K, H) messages, where it would turn a zero message into NaN
+# magnitudes of at least 1e-3, or zeros; a quotient by a logit that
+# overflows is test_overflowing_quotient_of_another_class_matches_oracle
 _VALUES = st.one_of(st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3),
                     st.sampled_from([0.0, -0.0]))
 
@@ -268,7 +279,8 @@ def _head_and_sentence(draw):
     is_head.append(False)
     ids = [draw(row) for _ in pieces]
     return (TaggerModel(space, weights, bias, "Gene"),
-            EncodedSentence(words, pieces, word_of_piece, is_head, ids))
+            EncodedSentence(words, pieces, word_of_piece, is_head,
+                            *pack(ids)))
 
 
 class TestTaggerBridge:
@@ -318,12 +330,34 @@ class TestTaggerBridge:
         model = TaggerModel(space, weights, np.zeros(K), "Gene")
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
-            [np.array([0]), np.array([0, 1]), np.array([1])])
+            *pack([np.array([0]), np.array([0, 1]), np.array([1])]))
         with np.errstate(all="ignore"):
             got = _relevance(model, encoded, method)
             want = _oracle_relevance(model, encoded, method)
         assert got == want == (NumericError, "non-finite activations in "
                                              "layer 0")
+
+    def test_overflowing_quotient_of_another_class_matches_oracle(self):
+        # B wins with logit 3, and class I's logit is 1e-308: at epsilon 0
+        # the generic lrp's quotient for I overflows, yet I holds no
+        # relevance, so lrp and the closed form give the same scores
+        space = FeatureSpace()
+        space.intern("w=a")
+        space.intern("w=b")
+        weights = np.zeros((K, 2))
+        weights[0] = [2.0, 1.0]
+        weights[1] = [4.0, -4.0]
+        bias = np.full(K, -1.0)
+        bias[0], bias[1] = 0.0, 1e-308
+        model = TaggerModel(space, weights, bias, "Gene")
+        encoded = EncodedSentence(
+            ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
+            *pack([np.array([0]), np.array([0, 1]), np.array([1])]))
+        with np.errstate(all="raise"):
+            got = _relevance(model, encoded, epsilon=0.0)
+            want = _oracle_relevance(model, encoded, epsilon=0.0)
+        _assert_same(got, want)
+        assert np.isfinite(got).all() and got.any()
 
     def test_zero_logit_at_epsilon_zero_names_the_class(self):
         space = FeatureSpace()
@@ -333,7 +367,7 @@ class TestTaggerBridge:
         model = TaggerModel(space, weights, np.zeros(K), "Gene")
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
-            [np.array([0])] * 3)
+            *pack([np.array([0])] * 3))
         got = _relevance(model, encoded, epsilon=0.0)
         assert got == _oracle_relevance(model, encoded, epsilon=0.0)
         assert got[0] is SingularDenominatorError and "neuron 6" in got[1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import copy_graph
-from oracles import _tag_probabilities
+from oracles import _tag_probabilities, feature_rows
 from onokg.ie import corpus as corpus_mod
 from onokg.ie.corpus import make_corpus, tag_sentence
 from onokg.ie.decode import decode_entities
@@ -68,7 +68,8 @@ def _oracle_tags(models, encoded):
     oracle logits call."""
     tagged = {}
     for etype in sorted(models):
-        probs = _tag_probabilities(models[etype], encoded.feature_ids)
+        probs = _tag_probabilities(
+            models[etype], feature_rows(encoded.flat, encoded.counts))
         tagged[etype] = (probs.argmax(axis=1), probs)
     return tagged
 

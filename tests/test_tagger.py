@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from helpers import tag_probabilities
+from helpers import pack, tag_probabilities
 from oracles import central_difference
+from onokg.ie.pipeline import MAX_PIECES, split_to_fit
 from onokg.ie.tagger import (CheckpointError, DimensionError, FeatureSpace,
-                             K, TAGS, TaggerModel, encode_sentence, gold_tags,
-                             load_checkpoint, loss_and_gradients,
+                             Gazetteer, K, TAGS, TaggerModel, encode_sentence,
+                             gold_tags, load_checkpoint, loss_and_gradients,
                              save_checkpoint, tagging_loss)
 from onokg.ie import train as train_mod
 from onokg.ie.corpus import (ENTITY_TYPES, build_gazetteers, encode_corpus,
@@ -94,7 +97,7 @@ class TestTaggingLoss:
         model.bias[TAGS.index("O")] = 0.0
         ids = random_ids(rng, model.hidden_size, 8)
         labels = np.full(8, TAGS.index("O"))
-        assert tagging_loss(model, [(ids, labels)]) == pytest.approx(
+        assert tagging_loss(model, [(*pack(ids), labels)]) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_uniform_model_is_ln_k(self):
@@ -102,7 +105,7 @@ class TestTaggingLoss:
         model = random_model(rng, scale=0.0)
         ids = random_ids(rng, model.hidden_size, 11)
         labels = rng.integers(0, K, size=11)
-        assert tagging_loss(model, [(ids, labels)]) == pytest.approx(
+        assert tagging_loss(model, [(*pack(ids), labels)]) == pytest.approx(
             math.log(7), abs=1e-9)
 
     def test_matches_independent_summation(self):
@@ -125,7 +128,8 @@ class TestTaggingLoss:
                     p = np.exp(logits) / np.exp(logits).sum()
                     seq += -math.log(max(p[label], 1e-12))
                 total += seq / len(labels)
-            assert tagging_loss(model, batch) == pytest.approx(
+            packed = [(*pack(ids), labels) for ids, labels in batch]
+            assert tagging_loss(model, packed) == pytest.approx(
                 total / len(batch), abs=1e-9)
 
     def test_gradients_match_central_differences(self):
@@ -135,7 +139,7 @@ class TestTaggingLoss:
         for _ in range(2):
             ids = random_ids(rng, model.hidden_size, 4)
             labels = rng.integers(0, K, size=4)
-            batch.append((ids, labels))
+            batch.append((*pack(ids), labels))
         _loss, grad_w, grad_b = loss_and_gradients(model, batch)
 
         flat = np.concatenate([model.weights.ravel(), model.bias])
@@ -166,7 +170,7 @@ class TestTraining:
         examples = []
         for words, spans in sentences:
             encoded = encode_sentence(words, vocab, space, gaz)
-            examples.append((encoded.feature_ids,
+            examples.append((encoded.flat, encoded.counts,
                              gold_tags(encoded, spans)))
         return examples
 
@@ -211,17 +215,17 @@ def test_encode_corpus_matches_per_sentence_encoding(trained):
         encoded = encode_sentence(sentence.words, trained.vocab,
                                   reference_space, trained.gazetteers)
         for etype in ENTITY_TYPES:
-            ids, labels = examples[etype][i]
-            assert len(ids) == len(encoded.feature_ids)
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(ids, encoded.feature_ids))
+            flat, counts, labels = examples[etype][i]
+            assert np.array_equal(flat, encoded.flat)
+            assert np.array_equal(counts, encoded.counts)
             assert np.array_equal(
                 labels, gold_tags(encoded, sentence.spans_for(etype)))
     assert space.to_dict() == reference_space.to_dict()
 
 
 def _oracle_batch(rng, hidden, sentences):
-    """Sentences of 1..12 rows of up to 6 distinct ids, some rows H-1."""
+    """Sentences of 1..12 rows of up to 6 distinct ids, some rows H-1,
+    packed as training examples."""
     batch = []
     for _ in range(sentences):
         n = int(rng.integers(1, 13))
@@ -230,16 +234,74 @@ def _oracle_batch(rng, hidden, sentences):
                for _ in range(n)]
         if rng.random() < 0.3:
             ids[int(rng.integers(n))] = np.array([hidden - 1])
-        batch.append((ids, rng.integers(0, K, size=n)))
+        batch.append((*pack(ids), rng.integers(0, K, size=n)))
     return batch
 
 
 def assert_same_encoding(got, want):
+    """A packed encoding against the oracle's rows: the same pieces, and
+    flat ids and counts that are the rows run together and their lengths."""
     assert (got.words, got.pieces, got.word_of_piece, got.is_head_piece) == (
         want.words, want.pieces, want.word_of_piece, want.is_head_piece)
-    assert len(got.feature_ids) == len(want.feature_ids)
-    for a, b in zip(got.feature_ids, want.feature_ids):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.flat.dtype == got.counts.dtype == np.int64
+    assert np.array_equal(got.flat, np.concatenate(want.feature_ids))
+    assert np.array_equal(got.counts, [len(row) for row in want.feature_ids])
+
+
+# words that stress the encoder: non-ASCII, empty (no pieces), mixed case,
+# digits, stopwords, and gazetteer surfaces in several cases
+_HOSTILE_WORDS = ["Ω", "", "ΩΩ", "TP53", "tp53", "Tp53", "BRCA1", "123",
+                  "a1b2", "MiXeD", "the", "of", "and", "a", "Breast",
+                  "Cancer", "breast", "CANCER", "invasive", "carcinoma",
+                  "BLCA", ".", ",", "x"]
+_WORDS = st.one_of(st.sampled_from(_HOSTILE_WORDS),
+                   st.text(alphabet="aZ9Ω.-", max_size=4))
+_SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=12), min_size=1,
+                      max_size=5)
+# long enough for split_to_fit to cut it into chunks
+_LONG = " ; ".join(["TP53 is responsible for a disease called Breast "
+                    "Cancer"] * 20).split() + ["."]
+_TEMPLATE_SENTENCES = [s.words for s in make_corpus(80, seed=73)]
+
+
+@pytest.fixture(scope="module")
+def gazetteers():
+    return build_gazetteers()
+
+
+# words of overlapping gazetteer entries ("breast cancer", "breast invasive
+# carcinoma", "cervical and endocervical cancers", ...) in several cases
+_GAZETTEER_WORDS = ["Breast", "breast", "BREAST", "cancer", "Cancer",
+                    "invasive", "carcinoma", "acute", "myeloid", "leukemia",
+                    "brain", "lower", "grade", "glioma", "cervical", "and",
+                    "endocervical", "cancers", "TP53", "BRCA1", "BLCA"]
+
+
+class TestGazetteer:
+    """`Gazetteer.mark` against the scan it replaced (tests/oracles.py)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(words=st.lists(st.one_of(st.sampled_from(_GAZETTEER_WORDS),
+                                    _WORDS), max_size=14),
+           surfaces=st.lists(st.lists(st.sampled_from("abcA"), min_size=1,
+                                      max_size=3).map(" ".join), max_size=6),
+           small=st.lists(st.sampled_from("abcAB"), max_size=10))
+    def test_marks_match_scan_oracle(self, gazetteers, words, surfaces,
+                                     small):
+        """The bundled gazetteers, and small random ones whose entries
+        overlap and nest, as in "a b" and "b c" over "a b c"."""
+        for gazetteer in gazetteers.values():
+            assert gazetteer.mark(words) == oracles.gazetteer_marks(
+                gazetteer, words)
+        gazetteer = Gazetteer(surfaces)
+        assert gazetteer.mark(small) == oracles.gazetteer_marks(gazetteer,
+                                                                small)
+
+    def test_corpus_marks_match_scan_oracle(self, gazetteers):
+        for sentence in make_corpus(500, seed=75):
+            for gazetteer in gazetteers.values():
+                assert gazetteer.mark(sentence.words) == \
+                    oracles.gazetteer_marks(gazetteer, sentence.words)
 
 
 class TestPackedTrainingMatchesOracle:
@@ -268,25 +330,44 @@ class TestPackedTrainingMatchesOracle:
             assert tagging_loss(model, batch) == oracles.tagging_loss(model,
                                                                       batch)
 
-    def test_encoding_and_feature_order(self):
-        vocab, gazetteers = demo_vocab(), build_gazetteers()
-        # a one-word sentence first, so that "first" and "last" are new
-        sentences = [["a"], ["TP53", "TP53", "and", "tp53", "Ω", ""],
-                     ["Breast", "Cancer", "Breast", "Cancer", "."]]
-        sentences += [s.words for s in make_corpus(80, seed=73)]
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(growing=_SENTENCES, frozen=_SENTENCES)
+    # a one-word sentence first, so that "first" and "last" are new; then
+    # template sentences, frozen on the last 17 of them and unseen words
+    @example(growing=[["a"], *_TEMPLATE_SENTENCES[:63], _LONG],
+             frozen=[*_TEMPLATE_SENTENCES[63:], ["Unseen", "XQZ9"], _LONG])
+    def test_encoding_and_feature_order(self, gazetteers, growing, frozen):
+        """In a growing space and then, frozen, on unseen words: each
+        sentence, and each chunk of one too long to tag whole, encodes as
+        the oracle's rows, and features are numbered in the same order."""
+        vocab = demo_vocab()
         space, reference = FeatureSpace(), FeatureSpace()
-        for words in sentences[:63]:
-            assert_same_encoding(
-                encode_sentence(words, vocab, space, gazetteers),
-                oracles.encode_sentence(words, vocab, reference, gazetteers))
-        assert list(space.to_dict().items()) == list(
-            reference.to_dict().items())
-        space.freeze()
-        reference.freeze()
-        for words in sentences[63:] + [["Unseen", "XQZ9", "words", "TP53"]]:
-            assert_same_encoding(
-                encode_sentence(words, vocab, space, gazetteers),
-                oracles.encode_sentence(words, vocab, reference, gazetteers))
+        for sentences in (growing, frozen):
+            for words in sentences:
+                units = [words]
+                pieces = sum(len(vocab.tokenize(word)) for word in words)
+                if pieces + 2 > MAX_PIECES:
+                    units += [chunk for _offset, chunk in split_to_fit(
+                        words, vocab, MAX_PIECES, gazetteers)]
+                for unit in units:
+                    assert_same_encoding(
+                        encode_sentence(unit, vocab, space, gazetteers),
+                        oracles.encode_sentence(unit, vocab, reference,
+                                                gazetteers))
+            assert list(space.to_dict().items()) == list(
+                reference.to_dict().items())
+            space.freeze()
+            reference.freeze()
+
+    def test_repeated_id_in_a_row_is_kept_once(self):
+        # two gazetteer marks whose names fall back to one <unk> slot
+        table = {"special=[CLS]": 0, "gaz-g=<unk>": 1, "w=<unk>": 2}
+        gazetteers = {"g": Gazetteer([]), "g=h": Gazetteer([])}
+        got = encode_sentence(["a"], demo_vocab(), FeatureSpace.from_dict(
+            table), gazetteers)
+        assert_same_encoding(got, oracles.encode_sentence(
+            ["a"], demo_vocab(), FeatureSpace.from_dict(table), gazetteers))
+        assert got.counts.tolist() == [1, 2, 0]
 
     def test_trained_weights(self, monkeypatch):
         def train(space):
@@ -340,13 +421,15 @@ class TestCheckpoint:
         encoded = encode_sentence(words, trained.vocab, original_space,
                                   trained.gazetteers)
         for name in trained.models:
-            reference = tag_probabilities(trained.models[name],
-                                          encoded.feature_ids)
+            reference = tag_probabilities(
+                trained.models[name],
+                oracles.feature_rows(encoded.flat, encoded.counts))
             loaded_space = loaded.models[name].space
             re_encoded = encode_sentence(words, loaded.vocab, loaded_space,
                                          loaded.gazetteers)
-            observed = tag_probabilities(loaded.models[name],
-                                         re_encoded.feature_ids)
+            observed = tag_probabilities(
+                loaded.models[name],
+                oracles.feature_rows(re_encoded.flat, re_encoded.counts))
             assert np.allclose(reference, observed, atol=1e-12)
 
 
@@ -388,6 +471,6 @@ def test_sequence_loss_floor_keeps_finite():
     model.bias[0] = 1e9  # probability of other tags underflows to 0
     ids = random_ids(rng, model.hidden_size, 3)
     labels = np.array([1, 2, 3])
-    loss = tagging_loss(model, [(ids, labels)])
+    loss = tagging_loss(model, [(*pack(ids), labels)])
     assert np.isfinite(loss)
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-6)
