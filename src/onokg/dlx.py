@@ -19,11 +19,17 @@ individual. The nominal half is what makes fillers like `some BRCA` or
 `some High` work, since cohorts, significance levels, and evidence sources
 are individuals in the graph.
 
-Names resolve to Terms, but evaluation runs over term ids: the graph's
-shared `ontology.ClassIndex` gives class extents as id sets, `AboxIndex`
-builds per-property successor maps from `Graph.match_ids` and its universe
-from `Graph.key_ids`, and every node of an expression evaluates to a set
-of ids. Only `instances` turns ids back into Terms, sorted for output.
+Names resolve to Terms, but evaluation runs over term ids, with no Python
+object per triple: every node of an expression evaluates to a boolean mask
+indexed by term id. `AboxIndex` reads the folded store's columns
+(`Graph.columns`): a property's edges are the (source, target) column
+pair of its POS run, the universe comes from the SPO and OSP key offsets,
+and a class's members from the rdf:type pair and the subclass closure of
+the graph's shared `ontology.ClassIndex`. `some` marks the sources of the
+edges whose target the filler holds, `only` clears from the universe the
+sources of the edges whose target it lacks, `min`/`max` compare a
+`bincount` of the sources, and `and`/`or` combine masks. Only `instances`
+turns a mask back into Terms, sorted for output.
 The index, the `AboxIndex` built on it and the `NameResolver` are
 memoized with `Graph.cached`, so repeated queries share them and a graph
 write makes the next query rebuild them. A cyclic subclass hierarchy
@@ -35,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Union
+
+import numpy as np
 
 from .kg import LITERAL, Graph, KgError, Term, Triple
 from .ontology import (OWL, RDF, RDF_TYPE, RDFS, RDFS_LABEL, SCHEMA,
@@ -322,8 +330,9 @@ def _parse_restriction(tokens: _Tokens, resolver: NameResolver, name: str,
 
 class AboxIndex:
     """Per-graph evaluation index over the graph's `ClassIndex`, in term
-    ids: typed individuals, per-property successor maps, and the queried
-    universe (every non-literal subject or object).
+    ids: the rdf:type (subject, class) columns, the masks of the typed
+    individuals and of the queried universe (every non-literal subject or
+    object), and views of the POS columns for each property's edges.
 
     Raises HierarchyCycleError, naming the members of the first cyclic
     component, when the subclass hierarchy has a cycle. Get it through
@@ -335,74 +344,73 @@ class AboxIndex:
         self.hierarchy = graph.cached(ClassIndex)
         if self.hierarchy.cycles:
             raise HierarchyCycleError(list(self.hierarchy.cycles[0]))
-        meta = {graph.term_id(t) for t in _META_TYPES}
-        self._individuals: set[int] = set()
-        for cls, members in self.hierarchy.direct.items():
-            if cls not in meta:
-                self._individuals |= members
-        self._literal = [t.kind == LITERAL for t in graph.terms()]
-        self._succ: dict[tuple[Term, bool], dict[int, set[int]]] = {}
-        literal = self._literal
-        self.universe: frozenset[int] = frozenset(graph.key_ids(0)).union(
-            o for o in graph.key_ids(2) if not literal[o])
+        terms = graph.terms()
+        self.size = len(terms)
+        self._literal = np.array([t[0] == LITERAL for t in terms], bool)
+        self._pos = graph.columns(1)
+        self._typed, self._types = self._pairs(graph.term_id(RDF_TYPE))
+        meta = np.isin(self._types, [graph.term_id(t) for t in _META_TYPES])
+        self._individuals = self.mask(self._typed[~meta])
+        self.universe = self.mask(graph.key_ids(0)) | (
+            self.mask(graph.key_ids(2)) & ~self._literal)
 
-    def successors(self, prop: PropRef) -> dict[int, set[int]]:
-        key = (prop.term, prop.inverse)
-        cached = self._succ.get(key)
-        if cached is None:
-            cached = {}
-            literal = self._literal
-            for s, _, o in self.graph.match_ids(
-                    None, self.graph.term_id(prop.term)):
-                src, dst = (o, s) if prop.inverse else (s, o)
-                if not literal[src]:
-                    cached.setdefault(src, set()).add(dst)
-            self._succ[key] = cached
-        return cached
+    def mask(self, ids) -> np.ndarray:
+        """The mask that holds the term ids `ids`."""
+        out = np.zeros(self.size, dtype=bool)
+        out[ids] = True
+        return out
 
-    def evaluate(self, expr: ClassExpression) -> set[int]:
+    def _pairs(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (subject, object) columns of the triples with predicate
+        `pid`: views of its POS run."""
+        off, objects, subjects = self._pos
+        lo, hi = (off[pid], off[pid + 1]) if 0 <= pid < len(off) - 1 \
+            else (0, 0)
+        return subjects[lo:hi], objects[lo:hi]
+
+    def successors(self, prop: PropRef) -> tuple[np.ndarray, np.ndarray]:
+        """The property's (source, target) columns, one row per edge;
+        `inverse` swaps them and drops the rows with a literal source."""
+        src, dst = self._pairs(self.graph.term_id(prop.term))
+        if prop.inverse:
+            keep = ~self._literal[dst]
+            return dst[keep], src[keep]
+        return src, dst
+
+    def evaluate(self, expr: ClassExpression) -> np.ndarray:
+        """The members of `expr` as a new mask over term ids."""
         if isinstance(expr, Atomic):
             tid = self.graph.term_id(expr.term)
-            out = self.hierarchy.instances(tid)
-            if tid in self._individuals:
-                out.add(tid)
+            classes = list(self.hierarchy.descendants(tid))
+            out = self.mask(self._typed[np.isin(self._types, classes)])
+            if 0 <= tid < self.size:
+                out[tid] |= self._individuals[tid]
             return out
-        if isinstance(expr, And):
-            parts = [self.evaluate(p) for p in expr.parts]
-            out = parts[0]
-            for p in parts[1:]:
-                out = out & p
-            return out
-        if isinstance(expr, Or):
-            out: set[int] = set()
-            for p in expr.parts:
-                out |= self.evaluate(p)
-            return out
-        if isinstance(expr, Some):
+        if isinstance(expr, (And, Or)):
+            combine = np.logical_and if isinstance(expr, And) \
+                else np.logical_or
+            return combine.reduce([self.evaluate(p) for p in expr.parts])
+        if isinstance(expr, (Some, Only)):
             filler = self.evaluate(expr.filler)
-            succ = self.successors(expr.prop)
-            return {x for x, targets in succ.items() if targets & filler}
-        if isinstance(expr, Only):
-            filler = self.evaluate(expr.filler)
-            succ = self.successors(expr.prop)
-            return {x for x in self.universe
-                    if succ.get(x, set()) <= filler}
-        if isinstance(expr, MinCard):
-            if expr.n == 0:
-                return set(self.universe)
-            succ = self.successors(expr.prop)
-            return {x for x, targets in succ.items() if len(targets) >= expr.n}
-        if isinstance(expr, MaxCard):
-            succ = self.successors(expr.prop)
-            return {x for x in self.universe
-                    if len(succ.get(x, ())) <= expr.n}
+            src, dst = self.successors(expr.prop)
+            if isinstance(expr, Some):
+                return self.mask(src[filler[dst]])
+            return self.universe & ~self.mask(src[~filler[dst]])
+        if isinstance(expr, (MinCard, MaxCard)):
+            src, _ = self.successors(expr.prop)
+            degree = np.bincount(src, minlength=self.size)
+            if isinstance(expr, MinCard):
+                return self.universe & (degree >= expr.n)
+            return self.universe & (degree <= expr.n)
         raise DlxError(f"unknown expression node {expr!r}")
 
 
 def instances(graph: Graph, expr: ClassExpression) -> list[Term]:
-    """Members of the class expression, sorted for deterministic output."""
-    return sorted(map(graph.term, graph.cached(AboxIndex).evaluate(expr)),
-                  key=lambda t: (t.kind, t.lexical))
+    """Members of the class expression, sorted for deterministic output.
+    None is a literal, so ordering the Terms, which are tuples, orders
+    them by (kind, lexical)."""
+    members = graph.cached(AboxIndex).evaluate(expr)
+    return sorted(map(graph.term, np.flatnonzero(members).tolist()))
 
 
 def query(graph: Graph, text: str) -> list[Term]:

@@ -26,8 +26,8 @@ The triples live in two disjoint parts:
   permutations (as in RDF-3X) as `array.array` id columns with offsets per
   first key, so that any combination of bound and unbound pattern
   positions is answered from an index. One bulk sort builds it and drops
-  duplicates; probes search its columns with `bisect`, and numpy only
-  builds it;
+  duplicates; probes search its columns with `bisect`, and whole-column
+  readers view them as numpy arrays (`columns`);
 - the buffer, the triples inserted since, in one SPO nested dict. It
   answers membership and the sorted id rows, nothing else.
 
@@ -43,17 +43,21 @@ tombstones: every stored triple is in exactly one part.
 
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
 all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `terms` and `add_ids`
-read the two parts as they are. Any other `match_ids`/`count_ids` shape
-and `key_ids` first fold a non-empty buffer into the base: `add_ids` of no
-new ids, one bulk build of the base and buffer triples. So a graph built
-by inserts, as the ontology API builds one, is saved by reading the
-buffer's keys in order and folded once, when it is first queried.
+read the two parts as they are. Any other `match_ids`/`count_ids` shape,
+`key_ids` and `columns` first fold a non-empty buffer into the base:
+`add_ids` of no new ids, one bulk build of the base and buffer triples.
+So a graph built by inserts, as the ontology API builds one, is saved by
+reading the buffer's keys in order and folded once, when it is first
+queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
 
 Readers in this package work on ids: `match_ids` and `count_ids` answer a
 pattern from the indexes, `term_id` gives -1 for a term never interned
-(which matches nothing), and Terms are looked up only for output. `match`
+(which matches nothing), and Terms are looked up only for output.
+`columns` gives a whole permutation as read-only numpy views of the base's
+columns and key offsets, with no copy and no tuple per triple; the DL
+evaluator and the quality metrics compute over them as arrays. `match`
 is the Term-space convenience for outside callers: it builds and sorts a
 `Triple` for every hit.
 
@@ -328,11 +332,6 @@ class _Sorted:
 
     def pairs(self, lo: int, hi: int):
         return zip(self.second[lo:hi], self.third[lo:hi])
-
-    def firsts(self) -> list[int]:
-        """The first keys that begin some row, ascending."""
-        counts = np.diff(np.frombuffer(self.off, dtype=np.int64))
-        return np.flatnonzero(counts).tolist()
 
     def triples(self) -> list[tuple[int, int, int]]:
         """Every row as (first, second, third), in stored order."""
@@ -616,13 +615,29 @@ class Graph:
             return [(a, b, o) for a, b in base.osp.pairs(*base.osp.span(o))]
         return base.rows()
 
+    def columns(self, position: int) -> tuple[np.ndarray, ...]:
+        """The permutation sorted on `position` (0 SPO, 1 POS, 2 OSP) as
+        read-only int64 views of the folded base: the key offsets `off`,
+        with the rows of first key `a` at `off[a]:off[a + 1]`, and the
+        second and third columns; folds. Nothing is copied: a published
+        base is never mutated, so a view stays valid, but it shows the
+        graph as it was read. Keep one past a write only in a `cached`
+        value, which that write drops."""
+        base = self._folded()
+        perm = (base.spo, base.pos, base.osp)[position]
+        views = tuple(np.frombuffer(column, dtype=np.int64)
+                      for column in (perm.off, perm.second, perm.third))
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def key_ids(self, position: int) -> list[int]:
         """The ids that some stored triple holds at `position` (0 subject,
         1 predicate, 2 object), ascending; folds. They are read off the key
-        runs of the permutation sorted on that position, with no tuple per
-        triple."""
-        base = self._folded()
-        return (base.spo, base.pos, base.osp)[position].firsts()
+        offsets of the permutation sorted on that position, with no tuple
+        per triple."""
+        off = self.columns(position)[0]
+        return np.flatnonzero(off[1:] > off[:-1]).tolist()
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:

@@ -7,9 +7,14 @@ exactly; a metric whose configuration is missing is reported as skipped,
 and a 0/0 ratio is reported as 1.0 and flagged vacuous. "Foreign" always
 means: an IRI outside the configured home namespaces.
 
-The metrics are computed over term ids: one pass over the id triples
-groups each subject's (predicate, object) pairs, and a per-id flag says
-whether a term is an IRI in a home namespace. Terms are looked up only to
+The metrics are computed over term ids, with no Python object per
+triple. `Graph.columns` gives the store's SPO permutation as numpy views:
+a subject's description is its run of (predicate, object) rows, read off
+the key offsets. Per-id masks say whether a term is an IRI in a home
+namespace or a foreign one, and one `reduceat` per metric tells which
+runs hold a foreign object (metric 2) or a label predicate (metric 13).
+The subjects, objects and predicates in use are the key runs of the SPO,
+OSP and POS permutations. Terms are looked up only to sort subjects and to
 write the samples.
 """
 
@@ -19,6 +24,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .kg import IRI, LITERAL, Graph, KgError, Term
 from .ntriples import read_text
@@ -192,7 +199,7 @@ def resolve_uri(mode: str, uri: str, allowlist: tuple[str, ...] = (),
     if mode == "syntactic":
         return ":" in uri
     if mode == "offline-allowlist":
-        return any(uri.startswith(ns) for ns in allowlist)
+        return uri.startswith(tuple(allowlist))
     if mode == "live":
         if fetch is None:
             fetch = _live_fetch
@@ -249,18 +256,23 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     terms = graph.terms()
     ids = graph.term_id
     namespaces = tuple(cfg.home_namespaces)
-    home = [t.kind == IRI and t.lexical.startswith(namespaces)
-            for t in terms]
-    foreign = [t.kind == IRI and not h for t, h in zip(terms, home)]
+    home = np.array([t[0] == IRI and t[1].startswith(namespaces)
+                     for t in terms], bool)
+    foreign = np.array([t[0] == IRI for t in terms], bool) & ~home
 
-    rows = graph.match_ids()
-    description: dict[int, list[tuple[int, int]]] = {}
-    for s, p, o in rows:
-        description.setdefault(s, []).append((p, o))
-    subjects = sorted(description, key=lambda i: (terms[i].kind,
-                                                  terms[i].lexical))
-    objects = {o for _, _, o in rows}
-    predicates = {p for _, p, _ in rows}
+    # subject s describes itself by its SPO run, the (p, o) rows at
+    # off[s]:off[s + 1]; subjects are no literals, so ordering the Terms
+    # orders them by (kind, lexical)
+    off, p_column, o_column = graph.columns(0)
+    present = graph.key_ids(0)
+    subjects = sorted(present, key=terms.__getitem__)
+    objects = graph.key_ids(2)
+    labels = [ids(p) for p in cfg.label_predicates]
+    starts = off[present]
+    linked = dict(zip(present, np.logical_or.reduceat(
+        foreign[o_column], starts).tolist()))
+    labeled = dict(zip(present, np.logical_or.reduceat(
+        np.isin(p_column, labels), starts).tolist()))
 
     # 1. schema completeness: a term has an id iff a stored triple uses it
     gold = set(cfg.gold_classes) | set(cfg.gold_properties)
@@ -275,8 +287,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
 
     # 2. interlinking completeness: home subjects with >= 1 foreign object
     linkable = [s for s in subjects if home[s]]
-    unlinked = [terms[s].lexical for s in linkable
-                if not any(foreign[o] for _, o in description[s])]
+    unlinked = [terms[s].lexical for s in linkable if not linked[s]]
     metrics["interlinking_completeness"] = MetricResult.ratio(
         "interlinking_completeness", len(linkable) - len(unlinked),
         len(linkable), unlinked)
@@ -318,10 +329,15 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
         metrics["numeric_range_violations"] = \
             MetricResult.skipped("numeric_range_violations")
 
-    # 5. extensional conciseness: distinct (p, o) description sets
-    duplicate_sets: dict[frozenset, list[int]] = {}
+    # 5. extensional conciseness: distinct (p, o) description sets. SPO
+    # is sorted and holds no duplicate, so two subjects have equal sets
+    # iff their runs have equal bytes
+    runs = np.column_stack((p_column, o_column)).tobytes()
+    bounds = off.tolist()
+    duplicate_sets: dict[bytes, list[int]] = {}
     for s in subjects:
-        duplicate_sets.setdefault(frozenset(description[s]), []).append(s)
+        duplicate_sets.setdefault(runs[16 * bounds[s]:16 * bounds[s + 1]],
+                                  []).append(s)
     duplicated = [", ".join(terms[x].lexical for x in group)
                   for group in duplicate_sets.values() if len(group) > 1]
     metrics["extensional_conciseness"] = MetricResult.ratio(
@@ -335,17 +351,17 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
         "external_sameas_links", len(external),
         [f"{terms[s].lexical} -> {terms[o].lexical}" for s, o in external])
 
-    # 7. datatype compatibility over the validated xsd types, per triple
+    # 7. datatype compatibility over the validated xsd types, per triple:
+    # the objects of the SPO rows, in row order
     validated = {o: _valid_lexical(terms[o]) for o in objects
                  if terms[o].kind == LITERAL
                  and terms[o].datatype in _DATATYPE_CHECKS}
-    checked = sum(graph.count_ids(None, None, o) for o in validated)
-    invalid = sorted(row for o, ok in validated.items() if not ok
-                     for row in graph.match_ids(None, None, o))
+    checked = int(np.isin(o_column, list(validated)).sum())
+    invalid = o_column[np.isin(o_column, [o for o, ok in validated.items()
+                                          if not ok])].tolist()
     metrics["datatype_compatibility"] = MetricResult.ratio(
         "datatype_compatibility", checked - len(invalid), checked,
-        [f"{terms[o].lexical!r} as {terms[o].datatype}"
-         for _, _, o in invalid])
+        [f"{terms[o].lexical!r} as {terms[o].datatype}" for o in invalid])
 
     # 8. dereferenceable URIs across all three positions
     uris = sorted(t.lexical for t in terms if t.kind == IRI)
@@ -357,7 +373,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
 
     # 9. back links: objects that are home-namespace IRIs
     metrics["dereferenceable_back_links"] = MetricResult.ratio(
-        "dereferenceable_back_links", sum(home[o] for o in objects),
+        "dereferenceable_back_links", int(home[objects].sum()),
         len(objects))
 
     # 10. forward links: subjects that are home-namespace IRIs
@@ -366,14 +382,13 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
 
     # 11/12. coverage: distinct properties, distinct described instances
     metrics["coverage_detail"] = MetricResult.count(
-        "coverage_detail", len(predicates))
+        "coverage_detail", len(graph.key_ids(1)))
     metrics["coverage_scope"] = MetricResult.count(
         "coverage_scope", len(subjects))
 
     # 13. labeled resources
-    labels = {ids(p) for p in cfg.label_predicates}
     unlabeled = sorted(terms[s].lexical for s in subjects
-                       if not any(p in labels for p, _ in description[s]))
+                       if not labeled[s])
     metrics["labeled_resources"] = MetricResult.ratio(
         "labeled_resources", len(subjects) - len(unlabeled), len(subjects),
         unlabeled)

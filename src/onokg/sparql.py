@@ -782,15 +782,15 @@ def _prefiltered(graph: Graph, step: _Step, regexes: list[Regex],
 
 
 def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
-           slots: dict[str, int]) -> list[_Step]:
-    """The step to join `rows` with first, and the pattern to join next:
-    the pair that yields the fewest rows, counted on the index from the
-    rows the first step actually gives. So a small filtered table whose
-    values fan out widely does not start the order. Steps are tried
-    smallest estimate first, and none whose estimate reaches the best
-    pair found so far; a step with no pattern to pair with costs its own
-    rows."""
-    best: Optional[tuple[int, list[_Step]]] = None
+           slots: dict[str, int]) -> tuple[list[_Step], list[tuple]]:
+    """The step to join `rows` with first and the pattern to join next,
+    with the rows that joining the first step gives: the pair that yields
+    the fewest rows, counted on the index from the rows the first step
+    actually gives. So a small filtered table whose values fan out widely
+    does not start the order. Steps are tried smallest estimate first, and
+    none whose estimate reaches the best pair found so far; a step with no
+    pattern to pair with costs its own rows."""
+    best: Optional[tuple[int, list[_Step], list[tuple]]] = None
     for first in sorted(steps, key=lambda s: (s.estimate, s.index)):
         if best is not None and len(rows) * first.estimate >= best[0]:
             break
@@ -809,8 +809,8 @@ def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
             if len(pair) == 1 or total < size:
                 size, pair = total, [first, step]
         if best is None or size < best[0]:
-            best = (size, pair)
-    return best[1]
+            best = (size, pair, joined)
+    return best[1], best[2]
 
 
 def _probe(pattern: tuple, row: tuple,
@@ -872,7 +872,8 @@ def _solve(graph: Graph, query: SelectQuery,
     # each round runs the conjuncts whose variables are all bound, then
     # joins the next step; once no step is left, the conjuncts over a
     # variable that nothing binds run too, where that leaf is false.
-    # `chosen` keeps the second step of a pair that `_start` picked
+    # `chosen` keeps the second step of a pair that `_start` picked, and
+    # `joined` the rows `_start` got by joining the first step of its pair
     chosen: list[_Step] = []
     started = False
     while True:
@@ -888,16 +889,16 @@ def _solve(graph: Graph, query: SelectQuery,
             break
         if not chosen:
             if not started:
-                chosen = _start(graph, steps, rows, slots)
+                chosen, joined = _start(graph, steps, rows, slots)
             elif linked := [s for s in steps
                             if slots.keys() & set(s.variables)]:
                 chosen = [min(linked, key=cost)]
             else:  # a step that shares nothing with what is bound
-                chosen = _start(graph, steps, [()], {})
+                chosen, _ = _start(graph, steps, [()], {})
         step = chosen.pop(0)
         steps.remove(step)
+        rows = _join(graph, rows, step, slots) if started else joined
         started = True
-        rows = _join(graph, rows, step, slots)
         for name in step.variables:
             slots.setdefault(name, len(slots))
 

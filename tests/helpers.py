@@ -2,7 +2,8 @@
 
 The CoNLL rendering of a preprocessed document with its rule-based PoS
 tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, a
-graph copy for the tests that write to a shared graph, feature-id rows
+graph copy for the tests that write to a shared graph, a copy whose
+triples are split between the store's base and its buffer, feature-id rows
 packed as `EncodedSentence` holds them, a sentence's tag distributions
 from one `logits` call, and the query
 fixtures: the cancers CARC, CRC and ESO and their associations,
@@ -119,6 +120,18 @@ def copy_graph(graph: Graph) -> Graph:
     g = Graph()
     terms, intern = graph.terms(), g.intern
     g.add_ids([intern(terms[i]) for row in graph.id_rows() for i in row])
+    return g
+
+
+def split_graph(graph: Graph, head: int) -> Graph:
+    """A graph of the same triples: the first `head` in iteration order
+    bulk-loaded into the base, the rest inserted after them, so a read
+    that folds finds both a base and a buffer."""
+    g = Graph()
+    rows = list(graph)
+    g.add_ids([g.intern(term) for triple in rows[:head] for term in triple])
+    for triple in rows[head:]:
+        g.insert(triple)
     return g
 
 

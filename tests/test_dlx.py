@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from helpers import copy_graph
-from oracles import dl_instances, random_dl_expr, random_graph
+from helpers import copy_graph, split_graph
+from oracles import (EX, dl_instances, graph_vocabulary, random_dl_expr,
+                     random_graph)
 from onokg.dlx import (AboxIndex, And, Atomic, DlxParseError,
                        HierarchyCycleError, MAX_NESTING, MaxCard, MinCard,
                        Only, Or, PropRef, Some, SYLLOGISM_RULES,
                        UnknownNameError, deduce_syllogism, instances,
                        parse_dlx, query)
-from onokg.kg import Graph, Triple
+from onokg.kg import Graph, Triple, iri, literal
 from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, ClassIndex, data_path,
                             ono)
 
@@ -97,20 +98,20 @@ class TestInstances:
         g.insert(Triple(ono("z"), ono("q"), ono("y")))
         # z has no p-successors, so `p only <anything>` admits it
         expr = Only(PropRef(ono("p")), Atomic(ono("nothing")))
-        assert g.term_id(ono("z")) in AboxIndex(g).evaluate(expr)
+        assert AboxIndex(g).evaluate(expr)[g.term_id(ono("z"))]
 
     def test_min_zero_is_universal(self, fixtures_graph):
         index = AboxIndex(fixtures_graph)
         everything = index.evaluate(MinCard(PropRef(SCHEMA.causes), 0))
-        assert everything == set(index.universe)
+        assert np.array_equal(everything, index.universe)
 
     def test_max_above_outdegree_is_no_constraint(self, fixtures_graph):
         index = AboxIndex(fixtures_graph)
-        degrees = [len(v) for v in
-                   index.successors(PropRef(SCHEMA.causes)).values()]
-        cap = max(degrees) + 1
-        assert index.evaluate(MaxCard(PropRef(SCHEMA.causes), cap)) == \
-            set(index.universe)
+        sources, _ = index.successors(PropRef(SCHEMA.causes))
+        cap = np.bincount(sources).max() + 1
+        assert np.array_equal(
+            index.evaluate(MaxCard(PropRef(SCHEMA.causes), cap)),
+            index.universe)
 
     def test_cancer_count(self, seed_graph):
         assert len(query(seed_graph, "Cancer")) == 34
@@ -144,7 +145,8 @@ def test_universe_and_properties_match_row_scan():
         rows = graph.id_rows()
         literal = {i for i, t in enumerate(graph.terms())
                    if t.kind == "literal"}
-        assert AboxIndex(graph).universe == \
+        universe = set(np.flatnonzero(AboxIndex(graph).universe).tolist())
+        assert universe == \
             {s for s, _, _ in rows} | {o for _, _, o in rows} - literal
         assert graph.key_ids(0) == sorted({s for s, _, _ in rows})
         assert graph.key_ids(1) == sorted({p for _, p, _ in rows})
@@ -164,6 +166,55 @@ def test_random_expressions_match_oracle():
     assert mismatches == 0
 
 
+def test_edge_expressions_match_oracle_on_split_graphs():
+    # each graph holds a base and buffered inserts when it is first
+    # queried, so the evaluator reads freshly folded columns
+    rng = np.random.default_rng(19)
+    unused = iri(EX + "unused")    # never interned
+    score = iri(EX + "score")      # only literal objects
+    for _ in range(40):
+        built = random_graph(rng, max_triples=60)
+        classes, props, individuals = graph_vocabulary(built)
+        for i, entity in enumerate(individuals):
+            built.insert(Triple(entity, score, literal(str(i % 3))))
+        graph = split_graph(built, int(rng.integers(len(built))))
+        filler = Atomic(classes[0])
+        # an individual is interned but is no triple's predicate
+        refs = [PropRef(unused), PropRef(individuals[0]),
+                PropRef(score), PropRef(score, inverse=True)]
+        refs += [PropRef(p, inverse) for p in props
+                 for inverse in (False, True)]
+        exprs = [random_dl_expr(rng, graph, depth=3) for _ in range(4)]
+        for ref in refs:
+            exprs += [Some(ref, filler), Only(ref, filler), MinCard(ref, 0),
+                      MinCard(ref, 1), MaxCard(ref, 0), MaxCard(ref, 1)]
+        for expr in exprs:
+            assert set(instances(graph, expr)) == \
+                dl_instances(graph, expr), expr
+
+
+def test_empty_graph_has_no_instances():
+    graph = Graph()
+    ref = PropRef(iri(EX + "p"))
+    filler = Atomic(iri(EX + "C"))
+    for expr in (filler, Some(ref, filler), Only(ref, filler),
+                 MinCard(ref, 0), MaxCard(ref, 0),
+                 Or((filler, MaxCard(PropRef(ref.term, True), 2)))):
+        assert instances(graph, expr) == []
+        assert dl_instances(graph, expr) == set()
+
+
+def test_write_after_a_query_is_seen(seed_copy):
+    # the index holds views of the store's columns; a write must drop it
+    text = "Cancer and inverse causes some TP53"
+    before = query(seed_copy, text)
+    added = next(c for c in query(seed_copy, "Cancer") if c not in before)
+    seed_copy.insert(Triple(ono("TP53"), SCHEMA.causes, added))
+    after = query(seed_copy, text)
+    assert after == sorted(before + [added])
+    assert set(after) == dl_instances(seed_copy, parse_dlx(text, seed_copy))
+
+
 class TestEvaluatorLaws:
     def test_and_or_are_set_operations(self):
         rng = np.random.default_rng(11)
@@ -173,9 +224,10 @@ class TestEvaluatorLaws:
             a = random_dl_expr(rng, graph, depth=2)
             b = random_dl_expr(rng, graph, depth=2)
             left = index.evaluate(And((a, b)))
-            assert left == index.evaluate(a) & index.evaluate(b)
-            assert index.evaluate(Or((a, b))) == \
-                index.evaluate(a) | index.evaluate(b)
+            assert np.array_equal(left, index.evaluate(a)
+                                  & index.evaluate(b))
+            assert np.array_equal(index.evaluate(Or((a, b))),
+                                  index.evaluate(a) | index.evaluate(b))
 
     def test_conjunct_monotone(self):
         rng = np.random.default_rng(13)
@@ -184,20 +236,22 @@ class TestEvaluatorLaws:
             index = AboxIndex(graph)
             a = random_dl_expr(rng, graph, depth=2)
             b = random_dl_expr(rng, graph, depth=2)
-            assert index.evaluate(And((a, b))) <= index.evaluate(a)
-            assert index.evaluate(Or((a, b))) >= index.evaluate(a)
+            # masks: `<=` is elementwise implication
+            assert np.all(index.evaluate(And((a, b))) <= index.evaluate(a))
+            assert np.all(index.evaluate(Or((a, b))) >= index.evaluate(a))
 
     def test_only_within_some_complement(self, fixtures_graph):
         # where every instance has a causes-successor, `only` implies the
         # negation of `some` into the complementary filler
         index = AboxIndex(fixtures_graph)
         filler = Atomic(ono("BRCA"))
-        succ = index.successors(PropRef(SCHEMA.causes))
-        total = {x for x, targets in succ.items() if targets}
+        sources, targets = index.successors(PropRef(SCHEMA.causes))
         only_in = index.evaluate(Only(PropRef(SCHEMA.causes), filler))
-        brca_set = index.evaluate(filler)
-        for x in only_in & total:
-            assert succ[x] <= brca_set
+        brca = index.evaluate(filler)
+        assert only_in[sources].any()
+        for x, y in zip(sources.tolist(), targets.tolist()):
+            if only_in[x]:
+                assert brca[y]
 
 
 class TestClosure:

@@ -367,7 +367,8 @@ def test_only_indexed_reads_fold_the_buffer():
     shapes = [(s, p, None), (s, None, o), (None, p, o), (s, None, None),
               (None, p, None), (None, None, o), (None, None, None)]
     reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
-             + [lambda g, k=k: g.count_ids(*k) for k in shapes])
+             + [lambda g, k=k: g.count_ids(*k) for k in shapes]
+             + [lambda g, k=k: g.columns(k) for k in range(3)])
     for read in reads:
         g = build_seed_ontology()
         base, buffer = published = g._store
@@ -377,6 +378,20 @@ def test_only_indexed_reads_fold_the_buffer():
         assert published == (base, buffer) and base.n == 0
         assert buffer.n == len(rows) and buffer.rows() == rows
         assert g.id_rows() == rows and g.check_indexes()
+
+
+def test_columns_are_read_only_views_of_each_permutation():
+    from onokg.ontology import build_seed_ontology
+    g = build_seed_ontology()
+    rows = g.id_rows()
+    for position in range(3):
+        off, second, third = g.columns(position)
+        assert not any(view.flags.writeable for view in (off, second, third))
+        got = [(a, second[i], third[i]) for a in range(len(off) - 1)
+               for i in range(off[a], off[a + 1])]
+        assert got == sorted(row[position:] + row[:position] for row in rows)
+    with pytest.raises(ValueError):
+        g.columns(0)[1][0] = 0
 
 
 # pools kept tiny so patterns actually overlap

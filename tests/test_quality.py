@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import split_graph
 from oracles import EX as RANDOM_EX, FOREIGN, pitfalls, quality_metrics, \
     random_graph
 from onokg.kg import Graph, Triple, iri, literal, typed_int
@@ -259,3 +260,38 @@ def test_metrics_and_pitfalls_match_scan_oracles():
                 ("range", report["numeric_range_violations"].numerator)):
             seen[key] += bool(hit)
     assert min(seen.values()) >= 5, seen
+
+
+def test_metrics_match_scan_oracle_on_more_graphs():
+    # graphs whose triples are split between the base and buffered inserts
+    # when assessed, the empty graph, and configs that name predicates no
+    # triple uses
+    rng = np.random.default_rng(43)
+    absent = iri(RANDOM_EX + "absent")
+    graphs = [Graph()]
+    for _ in range(30):
+        built = random_graph(rng, max_triples=120, planted=True)
+        graphs.append(split_graph(built, int(rng.integers(len(built)))))
+    for graph in graphs:
+        for cfg in (random_config(rng), QualityConfig(
+                home_namespaces=(RANDOM_EX,), label_predicates=(absent,),
+                completeness_class=absent, completeness_predicate=absent,
+                range_predicate=absent, allowlist=(FOREIGN,))):
+            report = assess(graph, cfg)
+            got = {name: (m.kind, m.value, m.numerator, m.denominator,
+                          m.status, m.sample)
+                   for name, m in report.metrics.items()}
+            assert got == quality_metrics(graph, cfg)
+
+
+def test_write_after_assess_is_seen():
+    g = planted_defect_graph()
+    cfg = fixture_config()
+    assert assess(g, cfg)["labeled_resources"].numerator == 7
+    g.insert(Triple(ex("s10"), RDFS_LABEL, literal("s10")))
+    g.insert(Triple(ex("s11"), ex("link"), iri(EXT + "r3")))
+    report = assess(g, cfg)
+    assert (report["labeled_resources"].numerator,
+            report["labeled_resources"].denominator) == (8, 11)
+    assert report["interlinking_completeness"].numerator == 3
+    assert report["coverage_scope"].numerator == 11

@@ -33,60 +33,55 @@ GROUP BY ?labelBiomarker
 
 
 # The (step index, rows in, rows out) of every join that each pack query
-# makes, in call order: `_start` joins a candidate first step to count it,
-# and the loop joins the steps it picks. Step indexes are positions in the
-# query; q3's outer query joins its sub-select (step 0) after the inner
-# query's joins.
+# makes, in call order: `_start` joins each candidate first step to count
+# it, the loop takes the chosen one's rows from `_start`, and it joins the
+# other steps it picks. Step indexes are positions in the query; q3's
+# outer query joins its sub-select (step 0) after the inner query's joins.
 PACK_JOINS = {
     "seed": {
         "q1_brca_high_pubmed": [
-            (8, 1, 1), (9, 1, 1), (7, 1, 3), (7, 1, 3), (2, 3, 6), (0, 6, 6),
-            (1, 6, 6), (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4),
-            (6, 4, 4)
+            (8, 1, 1), (9, 1, 1), (7, 1, 3), (2, 3, 6), (0, 6, 6), (1, 6, 6),
+            (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4), (6, 4, 4)
         ],
         "q2_three_cancers": [
-            (7, 1, 0), (7, 1, 0), (6, 0, 0), (5, 0, 0), (4, 0, 0), (1, 0, 0),
-            (0, 0, 0), (2, 0, 0), (3, 0, 0), (8, 0, 0), (9, 0, 0), (10, 0, 0),
-            (11, 0, 0), (12, 0, 0)
+            (7, 1, 0), (6, 0, 0), (5, 0, 0), (4, 0, 0), (1, 0, 0), (0, 0, 0),
+            (2, 0, 0), (3, 0, 0), (8, 0, 0), (9, 0, 0), (10, 0, 0), (11, 0, 0),
+            (12, 0, 0)
         ],
         "q3_oncogenes_cancerindex": [
-            (4, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 2), (1, 2, 4), (0, 4, 4),
-            (2, 4, 4), (5, 4, 4), (3, 4, 4), (4, 4, 1), (8, 1, 1), (0, 1, 1),
-            (0, 1, 1)
+            (4, 1, 1), (7, 1, 1), (6, 1, 2), (1, 2, 4), (0, 4, 4), (2, 4, 4),
+            (5, 4, 4), (3, 4, 4), (4, 4, 1), (8, 1, 1), (0, 1, 1)
         ],
         "q4_hnsc_eso_significant": [
-            (9, 2, 0), (9, 2, 0), (5, 0, 0), (8, 0, 0), (7, 0, 0), (6, 0, 0),
-            (0, 0, 0), (1, 0, 0), (4, 0, 0), (2, 0, 0), (3, 0, 0), (10, 0, 0)
+            (9, 2, 0), (5, 0, 0), (8, 0, 0), (7, 0, 0), (6, 0, 0), (0, 0, 0),
+            (1, 0, 0), (4, 0, 0), (2, 0, 0), (3, 0, 0), (10, 0, 0)
         ],
         "q5_oncogenes_brca_pubmed": [
-            (5, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 2), (0, 2, 4), (1, 4, 4),
-            (2, 4, 4), (4, 4, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
+            (5, 1, 1), (7, 1, 1), (6, 1, 2), (0, 2, 4), (1, 4, 4), (2, 4, 4),
+            (4, 4, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
         ],
     },
     "fixtures": {
         "q1_brca_high_pubmed": [
-            (8, 1, 1), (9, 1, 1), (7, 1, 3), (7, 1, 3), (2, 3, 6), (0, 6, 6),
-            (1, 6, 6), (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4),
-            (6, 4, 4)
+            (8, 1, 1), (9, 1, 1), (7, 1, 3), (2, 3, 6), (0, 6, 6), (1, 6, 6),
+            (4, 6, 6), (9, 6, 6), (3, 6, 6), (8, 6, 4), (5, 4, 4), (6, 4, 4)
         ],
         "q2_three_cancers": [
-            (3, 1, 1), (7, 1, 1), (11, 1, 1), (7, 1, 1), (6, 1, 1), (5, 1, 1),
-            (4, 1, 1), (1, 1, 3), (0, 3, 3), (2, 3, 3), (3, 3, 1), (8, 1, 3),
-            (9, 3, 3), (10, 3, 3), (11, 3, 1), (12, 1, 1)
+            (3, 1, 1), (7, 1, 1), (11, 1, 1), (6, 1, 1), (5, 1, 1), (4, 1, 1),
+            (1, 1, 3), (0, 3, 3), (2, 3, 3), (3, 3, 1), (8, 1, 3), (9, 3, 3),
+            (10, 3, 3), (11, 3, 1), (12, 1, 1)
         ],
         "q3_oncogenes_cancerindex": [
-            (4, 1, 1), (7, 1, 1), (7, 1, 1), (6, 1, 4), (1, 4, 9), (0, 9, 9),
-            (2, 9, 9), (5, 9, 9), (3, 9, 9), (4, 9, 1), (8, 1, 1), (0, 1, 1),
-            (0, 1, 1)
+            (4, 1, 1), (7, 1, 1), (6, 1, 4), (1, 4, 9), (0, 9, 9), (2, 9, 9),
+            (5, 9, 9), (3, 9, 9), (4, 9, 1), (8, 1, 1), (0, 1, 1)
         ],
         "q4_hnsc_eso_significant": [
-            (3, 2, 2), (9, 2, 2), (3, 2, 2), (5, 2, 2), (2, 2, 6), (1, 6, 6),
-            (4, 6, 3), (0, 3, 3), (6, 3, 4), (7, 4, 4), (8, 4, 4), (9, 4, 1),
-            (10, 1, 1)
+            (3, 2, 2), (9, 2, 2), (5, 2, 2), (2, 2, 6), (1, 6, 6), (4, 6, 3),
+            (0, 3, 3), (6, 3, 4), (7, 4, 4), (8, 4, 4), (9, 4, 1), (10, 1, 1)
         ],
         "q5_oncogenes_brca_pubmed": [
-            (5, 1, 1), (7, 1, 1), (4, 1, 3), (7, 1, 1), (6, 1, 4), (0, 4, 9),
-            (1, 9, 9), (2, 9, 9), (4, 9, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
+            (5, 1, 1), (7, 1, 1), (4, 1, 3), (6, 1, 4), (0, 4, 9), (1, 9, 9),
+            (2, 9, 9), (4, 9, 2), (3, 2, 2), (5, 2, 2), (8, 2, 2)
         ],
     },
 }
@@ -381,8 +376,8 @@ class TestJoinOrder:
         # ?number >= 100 keeps every row it sees. Here it drops 2 of 6
         # rows right after step 3 binds ?number, before step 4 joins
         run_query(seed_graph, FIG5_STYLE)
-        assert joins == [(5, 1, 3), (5, 1, 3), (2, 3, 6), (0, 6, 6),
-                         (1, 6, 6), (3, 6, 6), (4, 4, 4)]
+        assert joins == [(5, 1, 3), (2, 3, 6), (0, 6, 6), (1, 6, 6),
+                         (3, 6, 6), (4, 4, 4)]
 
 
 class TestProperties:
