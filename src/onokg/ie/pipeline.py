@@ -30,7 +30,8 @@ MAX_PIECES = 128
 
 def split_to_fit(words: list[str], vocab, max_len: int,
                  gazetteers) -> list[tuple[int, list[str]]]:
-    """Chunk a long sentence so each piece sequence fits max_len.
+    """Chunk a sentence so each piece sequence fits max_len; a sentence
+    that fits is one chunk, (0, words).
 
     The cut lands on the last stopword before the limit, and never inside
     a gazetteer span.
@@ -77,22 +78,14 @@ def extract_document(doc: Document, checkpoint: Checkpoint,
                      alias_table: AliasTable) -> DocumentExtraction:
     result = DocumentExtraction()
     space = next(iter(checkpoint.models.values())).space
-
-    def encode(words: list[str]) -> EncodedSentence:
-        return encode_sentence(words, checkpoint.vocab, space,
-                               checkpoint.gazetteers)
-
+    vocab, gazetteers = checkpoint.vocab, checkpoint.gazetteers
     # (sentence index, word offset, encoding) of each sentence, or of each
-    # chunk of a sentence too long to tag at once
-    units: list[tuple[int, int, EncodedSentence]] = []
-    for sent_idx, words in enumerate(doc.sentences):
-        encoded = encode(words)
-        if len(encoded) <= MAX_PIECES:
-            units.append((sent_idx, 0, encoded))
-        else:
-            units += [(sent_idx, offset, encode(chunk)) for offset, chunk in
-                      split_to_fit(words, checkpoint.vocab, MAX_PIECES,
-                                   checkpoint.gazetteers)]
+    # chunk of a sentence too long to tag at once; each is encoded once
+    units: list[tuple[int, int, EncodedSentence]] = [
+        (sent_idx, offset, encode_sentence(chunk, vocab, space, gazetteers))
+        for sent_idx, words in enumerate(doc.sentences)
+        for offset, chunk in split_to_fit(words, vocab, MAX_PIECES,
+                                          gazetteers)]
     tagged = tag_sentence(checkpoint.models, [e for _, _, e in units])
     for (sent_idx, offset, encoded), by_type in zip(units, tagged):
         mentions = decode_entities(encoded, by_type, sent_idx)

@@ -19,8 +19,16 @@ CONTINUATION = "##"
 class SubwordVocab:
     def __init__(self, pieces):
         self.pieces = frozenset(pieces)
+        self._known: dict[str, list[str]] = {}
 
     def tokenize(self, word: str) -> list[str]:
+        """The word's pieces. The list is kept per word on the vocab, so
+        callers must not mutate it."""
+        if word not in self._known:
+            self._known[word] = self._longest_first(word)
+        return self._known[word]
+
+    def _longest_first(self, word: str) -> list[str]:
         if not word:
             return []
         out: list[str] = []

@@ -28,8 +28,9 @@ The triples live in two disjoint parts:
   positions is answered from an index. One bulk sort builds it and drops
   duplicates; probes search its columns with `bisect`, and whole-column
   readers view them as numpy arrays (`columns`);
-- the buffer, the triples inserted since, in one SPO nested dict. It
-  answers membership and the sorted id rows, nothing else.
+- the buffer, the id triples inserted since, as the keys of one dict in
+  insertion order (a dict used as an ordered set). It answers membership,
+  its size and its keys, nothing else.
 
 Write rule: the store is append-only, as the KG only grows by integrated
 sources and extracted facts. `insert` and `add_ids` are its only writers,
@@ -45,9 +46,11 @@ Fold rule: the shape of a read decides, not a size. `insert`, membership,
 all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `terms` and `add_ids`
 read the two parts as they are. Any other `match_ids`/`count_ids` shape,
 `key_ids` and `columns` first fold a non-empty buffer into the base:
-`add_ids` of no new ids, one bulk build of the base and buffer triples.
-So a graph built by inserts, as the ontology API builds one, is saved by
-reading the buffer's keys in order and folded once, when it is first
+`add_ids` of no new ids, one bulk build of the base and buffer triples,
+which sorts them, so the fold reads the buffer's keys unsorted. A graph
+built by inserts, as the ontology API builds one, is saved by one sort of
+the buffer's keys, which the API inserts in nearly id-sorted order (it
+interns terms in first-use order), and folded once, when it is first
 queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
@@ -403,46 +406,18 @@ class _Base:
 _EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
 
 
-class _Buffer:
-    """Triples inserted since the base was built, as subject -> predicate
-    -> set of objects."""
-
-    __slots__ = ("spo", "n")
-
-    def __init__(self):
-        self.spo: dict[int, dict[int, set[int]]] = {}
-        self.n = 0
-
-    def has(self, key: tuple[int, int, int]) -> bool:
-        s, p, o = key
-        return o in self.spo.get(s, {}).get(p, ())
-
-    def add(self, key: tuple[int, int, int]) -> bool:
-        s, p, o = key
-        objs = self.spo.setdefault(s, {}).setdefault(p, set())
-        if o in objs:
-            return False
-        objs.add(o)
-        self.n += 1
-        return True
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        """Every triple, sorted: keys are read in order, no tuple sort."""
-        spo = self.spo
-        return [(s, p, o) for s in sorted(spo) for p in sorted(spo[s])
-                for o in sorted(spo[s][p])]
-
-
 class Graph:
     """Set of triples over a term dictionary: a sorted base and a buffer of
-    later inserts, held as one (base, buffer) pair. A read that needs an
-    index the buffer lacks folds the buffer into the base first and
-    publishes the equal, folded pair in one assignment."""
+    later inserts, a dict whose keys are id triples in insertion order,
+    held as one (base, buffer) pair. A read that needs an index the buffer
+    lacks folds the buffer into the base first and publishes the equal,
+    folded pair in one assignment."""
 
     def __init__(self):
         self._term_ids: dict[Term, int] = {}
         self._terms: list[Term] = []
-        self._store: tuple[_Base, _Buffer] = (_EMPTY, _Buffer())
+        self._store: tuple[_Base, dict[tuple[int, int, int], None]] = (
+            _EMPTY, {})
         self._derived: dict[Callable, object] = {}
 
     # dictionary
@@ -481,8 +456,9 @@ class Graph:
         intern = self.intern
         key = (intern(s), intern(p), intern(o))
         base, buffer = self._store
-        if base.n and base.has(key) or not buffer.add(key):
+        if key in buffer or base.n and base.has(key):
             return False
+        buffer[key] = None
         if self._derived:
             self._derived.clear()
         return True
@@ -498,14 +474,14 @@ class Graph:
         is the fold, which readers may run.
         """
         base, buffer = self._store
-        before = base.n + buffer.n
+        before = base.n + len(buffer)
         flat = np.asarray(ids, dtype=np.int64)
         if before:
-            buffered = np.fromiter(chain.from_iterable(buffer.rows()),
-                                   dtype=np.int64, count=3 * buffer.n)
+            buffered = np.fromiter(chain.from_iterable(buffer),
+                                   dtype=np.int64, count=3 * len(buffer))
             flat = np.concatenate((base.flat(), buffered, flat))
         base = _Base(flat, len(self._terms))
-        self._store = (base, _Buffer())
+        self._store = (base, {})
         added = base.n - before
         if added and self._derived:
             self._derived.clear()
@@ -533,14 +509,14 @@ class Graph:
         """The base, after folding the buffer into it if it holds any
         triple."""
         base, buffer = self._store
-        if buffer.n:
+        if buffer:
             self.add_ids(())
             base = self._store[0]
         return base
 
     def __len__(self) -> int:
         base, buffer = self._store
-        return base.n + buffer.n
+        return base.n + len(buffer)
 
     def __contains__(self, t: Sequence[Term]) -> bool:
         """Whether a Triple, or any (subject, predicate, object) sequence
@@ -556,17 +532,14 @@ class Graph:
     def id_rows(self) -> list[tuple[int, int, int]]:
         """The stored id triples, sorted: the order iteration yields.
 
-        The base and the buffer are each read in sorted order; the rows are
-        sorted together only when both parts hold triples.
+        The base is read in sorted order. Buffered keys are sorted with it
+        in one `sorted`, which runs fast over the long sorted runs that the
+        base and inserts in first-use id order make.
         """
         base, buffer = self._store
-        if not buffer.n:
+        if not buffer:
             return base.rows()
-        if not base.n:
-            return buffer.rows()
-        rows = base.rows() + buffer.rows()
-        rows.sort()
-        return rows
+        return sorted(chain(base.rows(), buffer))
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
@@ -590,7 +563,7 @@ class Graph:
         if s is not None and p is not None and o is not None:
             key = (s, p, o)
             base, buffer = self._store
-            return [key] if base.has(key) or buffer.has(key) else []
+            return [key] if base.has(key) or key in buffer else []
         base = self._folded()
         if s is not None and p is not None:
             lo, hi = base.spo.span(s, p)
@@ -649,7 +622,7 @@ class Graph:
 
     def check_indexes(self) -> bool:
         """The base permutations hold one sorted, duplicate-free set, and
-        the buffer `n` more triples, none of them in the base."""
+        no buffered triple is in the base."""
         base, buffer = self._store
         spo, pos, osp = (base.spo.triples(), base.pos.triples(),
                          base.osp.triples())
@@ -659,6 +632,4 @@ class Graph:
         same = (base.rows() == spo and len(spo) == base.n
                 and {(s, p, o) for p, o, s in pos} == stored
                 and {(s, p, o) for o, s, p in osp} == stored)
-        buffered = buffer.rows()
-        return (ordered and same and len(buffered) == buffer.n
-                and not any(map(base.has, buffered)))
+        return ordered and same and not any(map(base.has, buffer))

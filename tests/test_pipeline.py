@@ -7,7 +7,7 @@ import pytest
 
 from helpers import copy_graph
 from oracles import _tag_probabilities, feature_rows
-from onokg.ie import corpus as corpus_mod
+from onokg.ie import corpus as corpus_mod, pipeline as pipeline_mod
 from onokg.ie.corpus import make_corpus, tag_sentence
 from onokg.ie.decode import decode_entities
 from onokg.ie.linking import AliasTable, link_entity
@@ -167,6 +167,25 @@ class TestLongSentences:
         assert [c for c in candidates if c.label != "none"]
         assert extraction.mentions == mentions
         assert extraction.candidates == candidates
+
+
+    def test_each_word_is_encoded_once(self, checkpoint, alias_table,
+                                       monkeypatch):
+        # the CLI smoke test's long document: one sentence of 200 words,
+        # cut into chunks that are each encoded, and nothing encoded whole
+        text = " ; ".join(
+            ["TP53 is responsible for a disease called Breast Cancer"] * 20)
+        doc = preprocess(text + ".", "long")
+        assert [len(words) for words in doc.sentences] == [200]
+        encoded = []
+
+        def counted(words, *args):
+            encoded.append(len(words))
+            return encode_sentence(words, *args)
+
+        monkeypatch.setattr(pipeline_mod, "encode_sentence", counted)
+        extract_document(doc, checkpoint, alias_table)
+        assert len(encoded) > 1 and sum(encoded) == 200
 
 
 class TestFig4Extraction:
