@@ -21,15 +21,18 @@ are individuals in the graph.
 
 Names resolve to Terms, but evaluation runs over term ids, with no Python
 object per triple: every node of an expression evaluates to a boolean mask
-indexed by term id. `AboxIndex` reads the folded store's columns
-(`Graph.columns`): a property's edges are the (source, target) column
-pair of its POS run, the universe comes from the SPO and OSP key offsets,
-and a class's members from the rdf:type pair and the subclass closure of
-the graph's shared `ontology.ClassIndex`. `some` marks the sources of the
-edges whose target the filler holds, `only` clears from the universe the
-sources of the edges whose target it lacks, `min`/`max` compare a
-`bincount` of the sources, and `and`/`or` combine masks. Only `instances`
-turns a mask back into Terms, sorted for output.
+indexed by term id. `AboxIndex` reads the folded store's columns: a
+property's edges are the (source, target) column pair of its POS run
+(`Graph.edges`), and the universe comes from the SPO and OSP key offsets.
+An atomic name's class members are the mask of `instances` of the graph's
+shared `ontology.ClassIndex`, which runs one `isin` over the rdf:type
+columns for the class and its subclasses; the pitfall checks, quality
+metric 3 and `deduce_syllogism` take membership from the same call.
+`some` marks the sources of the edges whose target the filler holds,
+`only` clears from the universe the sources of the edges whose target it
+lacks, `min`/`max` compare a `bincount` of the sources, and `and`/`or`
+combine masks. Only the module's `instances` function turns a mask back
+into Terms, sorted for output.
 The index, the `AboxIndex` built on it and the `NameResolver` are
 memoized with `Graph.cached`, so repeated queries share them and a graph
 write makes the next query rebuild them. A cyclic subclass hierarchy
@@ -46,7 +49,7 @@ import numpy as np
 
 from .kg import LITERAL, Graph, KgError, Term, Triple
 from .ontology import (OWL, RDF, RDF_TYPE, RDFS, RDFS_LABEL, SCHEMA,
-                       ClassIndex, iri)
+                       ClassIndex, id_pairs, iri)
 
 _META_TYPES = {
     iri(OWL + "Class"), iri(RDFS + "Class"), iri(RDF + "Property"),
@@ -160,7 +163,7 @@ class NameResolver:
             if term.kind == "iri":
                 self._register(term.local_name(), term)
         term = graph.term
-        for s, _, o in graph.match_ids(None, graph.term_id(RDFS_LABEL)):
+        for s, o in id_pairs(graph, RDFS_LABEL):
             label = term(o)
             if label.kind == LITERAL:
                 self._register(label.lexical, term(s))
@@ -330,9 +333,9 @@ def _parse_restriction(tokens: _Tokens, resolver: NameResolver, name: str,
 
 class AboxIndex:
     """Per-graph evaluation index over the graph's `ClassIndex`, in term
-    ids: the rdf:type (subject, class) columns, the masks of the typed
-    individuals and of the queried universe (every non-literal subject or
-    object), and views of the POS columns for each property's edges.
+    ids: the masks of the typed individuals and of the queried universe
+    (every non-literal subject or object). A class's members come from the
+    `ClassIndex` and a property's edges from `Graph.edges`.
 
     Raises HierarchyCycleError, naming the members of the first cyclic
     component, when the subclass hierarchy has a cycle. Get it through
@@ -347,10 +350,9 @@ class AboxIndex:
         terms = graph.terms()
         self.size = len(terms)
         self._literal = np.array([t[0] == LITERAL for t in terms], bool)
-        self._pos = graph.columns(1)
-        self._typed, self._types = self._pairs(graph.term_id(RDF_TYPE))
-        meta = np.isin(self._types, [graph.term_id(t) for t in _META_TYPES])
-        self._individuals = self.mask(self._typed[~meta])
+        typed, types = self.hierarchy.typed, self.hierarchy.types
+        meta = np.isin(types, [graph.term_id(t) for t in _META_TYPES])
+        self._individuals = self.mask(typed[~meta])
         self.universe = self.mask(graph.key_ids(0)) | (
             self.mask(graph.key_ids(2)) & ~self._literal)
 
@@ -360,18 +362,10 @@ class AboxIndex:
         out[ids] = True
         return out
 
-    def _pairs(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (subject, object) columns of the triples with predicate
-        `pid`: views of its POS run."""
-        off, objects, subjects = self._pos
-        lo, hi = (off[pid], off[pid + 1]) if 0 <= pid < len(off) - 1 \
-            else (0, 0)
-        return subjects[lo:hi], objects[lo:hi]
-
     def successors(self, prop: PropRef) -> tuple[np.ndarray, np.ndarray]:
         """The property's (source, target) columns, one row per edge;
         `inverse` swaps them and drops the rows with a literal source."""
-        src, dst = self._pairs(self.graph.term_id(prop.term))
+        src, dst = self.graph.edges(self.graph.term_id(prop.term))
         if prop.inverse:
             keep = ~self._literal[dst]
             return dst[keep], src[keep]
@@ -381,8 +375,7 @@ class AboxIndex:
         """The members of `expr` as a new mask over term ids."""
         if isinstance(expr, Atomic):
             tid = self.graph.term_id(expr.term)
-            classes = list(self.hierarchy.descendants(tid))
-            out = self.mask(self._typed[np.isin(self._types, classes)])
+            out = self.mask(self.hierarchy.instances(tid))
             if 0 <= tid < self.size:
                 out[tid] |= self._individuals[tid]
             return out

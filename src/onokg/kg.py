@@ -45,12 +45,12 @@ tombstones: every stored triple is in exactly one part.
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
 all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `terms` and `add_ids`
 read the two parts as they are. Any other `match_ids`/`count_ids` shape,
-`key_ids` and `columns` first fold a non-empty buffer into the base:
-`add_ids` of no new ids, one bulk build of the base and buffer triples,
-which sorts them, so the fold reads the buffer's keys unsorted. A graph
-built by inserts, as the ontology API builds one, is saved by one sort of
-the buffer's keys, which the API inserts in nearly id-sorted order (it
-interns terms in first-use order), and folded once, when it is first
+`key_ids`, `columns` and `edges` first fold a non-empty buffer into the
+base: `add_ids` of no new ids, one bulk build of the base and buffer
+triples, which sorts them, so the fold reads the buffer's keys unsorted. A
+graph built by inserts, as the ontology API builds one, is saved by one
+sort of the buffer's keys, which the API inserts in nearly id-sorted order
+(it interns terms in first-use order), and folded once, when it is first
 queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
@@ -59,10 +59,12 @@ Readers in this package work on ids: `match_ids` and `count_ids` answer a
 pattern from the indexes, `term_id` gives -1 for a term never interned
 (which matches nothing), and Terms are looked up only for output.
 `columns` gives a whole permutation as read-only numpy views of the base's
-columns and key offsets, with no copy and no tuple per triple; the DL
-evaluator and the quality metrics compute over them as arrays. `match`
-is the Term-space convenience for outside callers: it builds and sorts a
-`Triple` for every hit.
+columns and key offsets, with no copy and no tuple per triple, and `edges`
+gives one predicate's (subject, object) column pair, its POS run. The
+class index, the DL evaluator, the pitfall checks and the quality metrics
+compute over these as arrays; outside SPARQL, no reader scans a whole
+predicate through `match_ids`. `match` is the Term-space convenience for
+outside callers: it builds and sorts a `Triple` for every hit.
 
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every write that changes the triple set, so
@@ -603,6 +605,17 @@ class Graph:
         for view in views:
             view.flags.writeable = False
         return views
+
+    def edges(self, predicate: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (subjects, objects) of the triples with predicate id
+        `predicate`: read-only int64 views of its POS run, sorted on object
+        and then subject; folds. Both are empty for an id that no triple
+        holds as a predicate, -1 included. Nothing is copied, so the views
+        follow the rules of `columns`."""
+        off, objects, subjects = self.columns(1)
+        lo, hi = (off[predicate:predicate + 2]
+                  if 0 <= predicate < len(off) - 1 else (0, 0))
+        return subjects[lo:hi], objects[lo:hi]
 
     def key_ids(self, position: int) -> list[int]:
         """The ids that some stored triple holds at `position` (0 subject,

@@ -15,9 +15,12 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .kg import Graph, KgError, PrefixTable, Term, iri, literal, typed_int
 from .ntriples import read_text
@@ -445,34 +448,41 @@ def _by_iri(terms) -> list[Term]:
     return sorted(terms, key=lambda t: t.lexical)
 
 
+def id_pairs(graph: Graph, predicate: Term) -> Iterator[tuple[int, int]]:
+    """The (subject, object) ids of the predicate's triples, in POS order."""
+    return zip(*(column.tolist()
+                 for column in graph.edges(graph.term_id(predicate))))
+
+
 class ClassIndex:
     """The asserted subclass hierarchy and rdf:type extents of one graph
-    state, keyed by term id: the one place that reads rdfs:subClassOf.
+    state, keyed by term id: the one place that reads rdfs:subClassOf and
+    the one class-membership computation.
 
     `parents`/`children` map the id of every class in the hierarchy to the
-    ids of its direct super-/subclasses, and `direct` maps the id of every
-    type to the ids of its directly typed subjects. Only `cycles` holds
-    Terms: the hierarchy's strongly connected components that hold a cycle
-    (more than one class, or a self-loop), each sorted by IRI. Get it
-    through `graph.cached(ClassIndex)` so it is built once per graph state;
-    it is read-only afterwards.
+    ids of its direct super-/subclasses, read off the rdfs:subClassOf
+    columns (`Graph.edges`). `typed` and `types` are the rdf:type
+    (subject, class) columns, one row per triple: `instances` gives the
+    members of a class as one sorted id array. Only `cycles` holds Terms:
+    the hierarchy's strongly connected components that hold a cycle (more
+    than one class, or a self-loop), each sorted by IRI. Get it through
+    `graph.cached(ClassIndex)` so it is built once per graph state; it is
+    read-only afterwards.
     """
 
     def __init__(self, graph: Graph):
         self.parents: dict[int, set[int]] = {}
         self.children: dict[int, set[int]] = {}
-        for s, _, o in graph.match_ids(None, graph.term_id(RDFS_SUBCLASS)):
+        for s, o in id_pairs(graph, RDFS_SUBCLASS):
             self.parents.setdefault(s, set()).add(o)
             self.parents.setdefault(o, set())
             self.children.setdefault(o, set()).add(s)
-        self.direct: dict[int, set[int]] = {}
-        for s, _, o in graph.match_ids(None, graph.term_id(RDF_TYPE)):
-            self.direct.setdefault(o, set()).add(s)
+        self.typed, self.types = graph.edges(graph.term_id(RDF_TYPE))
         self.cycles = self._cyclic_components(graph.term)
 
     def classes(self) -> set[int]:
         """Every class in the hierarchy or used as an rdf:type object."""
-        return set(self.parents) | set(self.direct)
+        return set(self.parents).union(np.unique(self.types).tolist())
 
     def descendants(self, cls: int) -> set[int]:
         """cls and every class below it; terminates on cycles."""
@@ -485,12 +495,11 @@ class ClassIndex:
                     queue.append(child)
         return seen
 
-    def instances(self, cls: int) -> set[int]:
-        """Subjects typed with cls or any class below it (a new set)."""
-        out: set[int] = set()
-        for sub in self.descendants(cls):
-            out |= self.direct.get(sub, set())
-        return out
+    def instances(self, cls: int) -> np.ndarray:
+        """The ids of the subjects typed with cls or any class below it,
+        sorted and unique."""
+        below = np.isin(self.types, list(self.descendants(cls)))
+        return np.unique(self.typed[below])
 
     def _cyclic_components(self, term) -> list[tuple[Term, ...]]:
         # Tarjan's algorithm, iterative, visiting nodes in IRI order
@@ -551,7 +560,7 @@ def check_ontology_pitfalls(graph: Graph) -> PitfallReport:
     declared: dict[str, dict[int, list[int]]] = {}
     for position, pred in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
         targets = declared[position] = {}
-        for s, _, o in graph.match_ids(None, graph.term_id(pred)):
+        for s, o in id_pairs(graph, pred):
             targets.setdefault(s, []).append(o)
     classes = index.classes()
     properties = set(graph.key_ids(1)).union(*declared.values())
@@ -575,10 +584,7 @@ def check_ontology_pitfalls(graph: Graph) -> PitfallReport:
             targets = targets_of[prop]
             if len(targets) < 2:
                 continue
-            shared = index.instances(targets[0])
-            for cls in targets[1:]:
-                shared &= index.instances(cls)
-            if not shared:
+            if not len(reduce(np.intersect1d, map(index.instances, targets))):
                 report.intersection_conflicts.append(
                     (term(prop), position, _by_iri(map(term, targets))))
     return report

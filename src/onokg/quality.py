@@ -14,8 +14,10 @@ the key offsets. Per-id masks say whether a term is an IRI in a home
 namespace or a foreign one, and one `reduceat` per metric tells which
 runs hold a foreign object (metric 2) or a label predicate (metric 13).
 The subjects, objects and predicates in use are the key runs of the SPO,
-OSP and POS permutations. Terms are looked up only to sort subjects and to
-write the samples.
+OSP and POS permutations. Metrics 3, 4 and 6 read one predicate's
+(subject, object) columns (`Graph.edges`), and metric 3 takes the class's
+members from `ontology.ClassIndex`, as DL queries do. Terms are looked up
+only to sort subjects and to write the samples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .kg import IRI, LITERAL, Graph, KgError, Term
 from .ntriples import read_text
 from .ontology import (ONO, ASSOC, NORM, OWL_SAMEAS, RDFS_LABEL, SCHEMA,
-                       XSD, ClassIndex, iri)
+                       XSD, ClassIndex, id_pairs, iri)
 
 DEFAULT_HOME_NAMESPACES = (ONO, ASSOC, NORM)
 
@@ -56,7 +58,8 @@ class QualityConfig:
     allowlist: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.range_lower > self.range_upper:
+        # false for a NaN bound too; an infinite bound is an open one
+        if not self.range_lower <= self.range_upper:
             raise ValueError("numeric range needs lower <= upper")
         if self.resolver_mode not in RESOLVER_MODES:
             raise ValueError(f"unknown resolver mode {self.resolver_mode!r}")
@@ -297,9 +300,9 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
             and cfg.completeness_predicate is not None:
         members = graph.cached(ClassIndex).instances(
             ids(cfg.completeness_class))
-        predicate = ids(cfg.completeness_predicate)
-        missing = sorted(terms[m].lexical for m in members
-                         if not graph.count_ids(m, predicate))
+        described = graph.edges(ids(cfg.completeness_predicate))[0]
+        missing = sorted(terms[m].lexical for m in
+                         members[~np.isin(members, described)].tolist())
         metrics["property_completeness"] = MetricResult.ratio(
             "property_completeness", len(members) - len(missing),
             len(members), missing)
@@ -311,8 +314,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     if cfg.range_predicate is not None:
         total = 0
         violations = []
-        for s, _, o in sorted(graph.match_ids(None,
-                                              ids(cfg.range_predicate))):
+        for s, o in sorted(id_pairs(graph, cfg.range_predicate)):
             if terms[o].kind != LITERAL:
                 continue
             try:
@@ -345,8 +347,8 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
         duplicated)
 
     # 6. external sameAs links
-    external = [(s, o) for s, _, o in sorted(graph.match_ids(
-        None, ids(OWL_SAMEAS))) if foreign[o]]
+    external = [(s, o) for s, o in sorted(id_pairs(graph, OWL_SAMEAS))
+                if foreign[o]]
     metrics["external_sameas_links"] = MetricResult.count(
         "external_sameas_links", len(external),
         [f"{terms[s].lexical} -> {terms[o].lexical}" for s, o in external])

@@ -511,6 +511,11 @@ class TestConfigErrors:
         '{"home_namespaces": "http://x.org/"}',
         '{"range_predicate": "http://x.org/p", "range_lower": "1", '
         '"range_upper": "5"}',
+        # json reads NaN, and every comparison with NaN is false
+        '{"range_predicate": "http://x.org/p", "range_lower": NaN, '
+        '"range_upper": 100}',
+        '{"range_predicate": "http://x.org/p", "range_lower": 0, '
+        '"range_upper": NaN}',
     ])
     def test_quality_config_errors(self, kg_file, tmp_path, capsys, text):
         path = tmp_path / "quality.json"

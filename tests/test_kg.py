@@ -2,13 +2,14 @@ import copy
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from helpers import copy_graph
-from oracles import DataclassTerm, DataclassTriple
+from helpers import copy_graph, split_graph
+from oracles import DataclassTerm, DataclassTriple, random_graph
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
                       ValidationError, blank, iri, literal)
 from onokg.ntriples import parse_ntriples
@@ -392,6 +393,31 @@ def test_columns_are_read_only_views_of_each_permutation():
         assert got == sorted(row[position:] + row[:position] for row in rows)
     with pytest.raises(ValueError):
         g.columns(0)[1][0] = 0
+
+
+def test_edges_match_the_predicate_scan_on_split_graphs():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        built = random_graph(rng, max_triples=80, planted=True)
+        graph = split_graph(built, int(rng.integers(len(built))))
+        # the last triple is buffered, so the first read must fold
+        last = graph.term_id(list(built)[-1].predicate)
+        first = graph.edges(last)
+        assert last in graph.key_ids(1) and len(first[0])
+        size = len(graph.terms())
+        for p in [-1, *range(size + 2)]:
+            subjects, objects = graph.edges(p)
+            assert subjects.dtype == objects.dtype == np.int64
+            assert not (subjects.flags.writeable or objects.flags.writeable)
+            pairs = sorted((o, s) for s, _, o in graph.match_ids(None, p))
+            assert list(zip(objects.tolist(), subjects.tolist())) == pairs
+            if p == last:
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(first, (subjects, objects)))
+        with pytest.raises(ValueError):
+            first[0][0] = 0
+        with pytest.raises(ValueError):
+            first[1][0] = 0
 
 
 # pools kept tiny so patterns actually overlap

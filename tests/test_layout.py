@@ -22,6 +22,12 @@ imported name is used when a module-level import's name is loaded anywhere
 in the module, or listed in its `__all__`, and when a function's own import
 is loaded in that function. No lint tool is needed.
 
+The fourth scan finds every call of `match_ids` in `src/onokg` that binds
+only the predicate, such as `match_ids(None, p)`: a scan of a whole
+predicate as a list of 3-tuples. Such a reader takes the predicate's
+column pair from `Graph.edges` instead. `PREDICATE_SCANS` names the
+modules exempt from it, each with its reason.
+
 Known gap: the first two scans match names bare, so a definition or a field
 whose name is common counts as reached or read when any attribute of that
 name is. An audit owner by owner found these behind common names, and none
@@ -59,6 +65,12 @@ ALLOWED_FIELDS = {
     "explain.relevance.RelevanceMap.layer_sums":
         "criterion 07 and test_explain check that each layer conserves "
         "relevance with it",
+}
+
+PREDICATE_SCANS = {
+    "kg": "defines match_ids, and `match` passes each position through",
+    "sparql": "answers a triple pattern of any shape by match_ids rows, "
+              "a pattern whose only bound position is the predicate too",
 }
 
 
@@ -213,3 +225,30 @@ def test_no_unused_imports():
     unused = unused_imports()
     assert not unused, "imported names that nothing uses: " \
         + ", ".join(unused)
+
+
+def _unbound(node) -> bool:
+    return node is None or isinstance(node, ast.Constant) \
+        and node.value is None
+
+
+def predicate_scans() -> list[str]:
+    scans = []
+    for path, tree in _trees(("src",)).items():
+        if _module(path) in PREDICATE_SCANS:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) == "match_ids":
+                bound = dict(zip("spo", node.args))
+                bound.update((k.arg, k.value) for k in node.keywords)
+                if [_unbound(bound.get(k)) for k in "spo"] \
+                        == [True, False, True]:
+                    scans.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return scans
+
+
+def test_no_reader_scans_a_whole_predicate_by_match_ids():
+    scans = predicate_scans()
+    assert not scans, ("match_ids calls that bind only the predicate (read "
+                       "Graph.edges instead): " + ", ".join(scans))
