@@ -36,9 +36,6 @@ class AliasTable:
     def lookup(self, surface: str, entity_type: str) -> Optional[Term]:
         return self._entries.get((normalize_surface(surface), entity_type))
 
-    def __len__(self):
-        return len(self._entries)
-
     @classmethod
     def build(cls, graph: Optional[Graph] = None,
               csv_path: Optional[Path] = None) -> "AliasTable":

@@ -12,19 +12,20 @@ spans from different type models by their probabilities.
 
 A sentence is encoded once into packed form: one flat array of every
 piece's sorted feature ids, piece after piece, and a count per piece
-(`EncodedSentence`). The ids come from word types cached on the feature
-space, so a sentence costs one padded id array, not a set and an array
-per piece. Every consumer joins the arrays of its sentences: `logits`
-scores each piece as one `np.add.reduceat` segment of `flat`, and the
-weight gradient is one `np.bincount` per tag over the flat ids, weighted
-by each piece's delta. A checkpoint stays the same to the bit as under a
-per-sentence loop: a piece's logit sums the same weights in the same
-order; bincount adds to each weight column in index order, which is piece
-order; and the per-sentence mean NLL and bias sums stay one `mean` / `sum`
-per sentence segment, as one reduceat over the sentences would
-reassociate their additions. `tagging_loss` scores a corpus `LOSS_CHUNK`
-sentences at a time, so its (K, features) gather stays near 1 MB on the
-template corpus whatever the corpus size.
+(`EncodedSentence`). Its rows are laid out once, from word types cached on
+the feature space, into one padded array: as ids in a frozen space, and in
+a growing one as names that are then interned in row order, which numbers
+features in first-use order. Every consumer joins the arrays of its
+sentences: `logits` scores each piece as one `np.add.reduceat` segment of
+`flat`, and the weight gradient is one `np.bincount` per tag over the flat
+ids, weighted by each piece's delta. A checkpoint stays the same to the
+bit as under a per-sentence loop: a piece's logit sums the same weights in
+the same order; bincount adds to each weight column in index order, which
+is piece order; and the per-sentence mean NLL and bias sums stay one
+`mean` / `sum` per sentence segment, as one reduceat over the sentences
+would reassociate their additions. `tagging_loss` scores a corpus
+`LOSS_CHUNK` sentences at a time, so its (K, features) gather stays near
+1 MB on the template corpus whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ TAG_INDEX = {tag: i for i, tag in enumerate(TAGS)}
 K = len(TAGS)
 
 PROB_FLOOR = 1e-12
-
-# FeatureSpace.lookup's id for a name that a growing space has not seen
-UNSEEN = -2
 
 
 class DimensionError(ValueError):
@@ -109,18 +107,17 @@ class Gazetteer:
 class FeatureSpace:
     """Embedding table mapping engineered feature names to vector slots.
 
-    The table is frozen after building: unseen feature names at encode
-    time fall back to a per-family unknown slot.
+    While the space grows (`train` encodes its corpus), `intern` gives each
+    new name the next id, so ids follow first use. After `freeze` the table
+    is fixed: an unseen name falls back to its family's unknown slot.
     """
 
     def __init__(self):
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self.frozen = False
-        # encode_sentence's word types, per vocabulary, with their ids. A
-        # name never changes id, but in a growing space a type may hold
-        # UNSEEN for a context name that no sentence has used yet:
-        # encode_sentence looks a type up again when it interns, and
+        # encode_sentence's word types, per vocabulary. A growing space's
+        # types hold feature names and a frozen space's hold ids, so
         # freezing drops the types.
         self.word_types: dict[SubwordVocab, dict[str, _WordType]] = {}
 
@@ -140,13 +137,6 @@ class FeatureSpace:
             self._index[name] = idx
             self._names.append(name)
         return idx
-
-    def lookup(self, name: str) -> int:
-        """`intern` in a frozen space; a growing space interns nothing and
-        gives `UNSEEN` for a name it has not seen."""
-        if self.frozen:
-            return self.intern(name)
-        return self._index.get(name, UNSEEN)
 
     def name(self, idx: int) -> str:
         return self._names[idx]
@@ -196,31 +186,31 @@ class EncodedSentence:
         return len(self.pieces)
 
 
-class _WordType:
-    """What encode_sentence derives from a word alone: its pieces, its
-    lowercase form and case class, and `ids`, its `features` looked up in
-    the space."""
+def _look(space: FeatureSpace) -> Callable[[str], Any]:
+    """How encode_sentence renders a feature name: a frozen space gives
+    its id, and a growing space keeps the name, to intern in row order."""
+    return space.intern if space.frozen else str
 
-    __slots__ = ("pieces", "lower", "case", "stop", "ids")
+
+class _WordType:
+    """What encode_sentence derives from a word alone: its pieces and
+    `features`, which holds each piece's own features (piece, head/cont,
+    word, case), the stopword feature or -1, and the context features that
+    the word gives a neighbour (prev=, next=, prevcase=, nextcase=), each
+    as `_look` renders it."""
+
+    __slots__ = ("pieces", "features")
 
     def __init__(self, word: str, vocab: SubwordVocab, space: FeatureSpace):
         self.pieces = vocab.tokenize(word)
-        self.lower = word.lower()
-        self.case = _case_class(word)
-        self.stop = self.lower in stopwords()
-        self.ids = self.features(space.lookup)
-
-    def features(self, look: Callable[[str], Any]) -> tuple:
-        """Each piece's own features (piece, head/cont, word, case), the
-        stopword feature or -1, and the context features that the word
-        gives a neighbour (prev=, next=, prevcase=, nextcase=), each name
-        passed through `look`."""
+        lower, case, look = word.lower(), _case_class(word), _look(space)
         own = [[look(f"p={piece}"), look("head" if j == 0 else "cont"),
-                look(f"w={self.lower}"), look(f"case={self.case}")]
+                look(f"w={lower}"), look(f"case={case}")]
                for j, piece in enumerate(self.pieces)]
-        gives = [look(f"prev={self.lower}"), look(f"next={self.lower}"),
-                 look(f"prevcase={self.case}"), look(f"nextcase={self.case}")]
-        return own, look("stop") if self.stop else -1, gives
+        gives = [look(f"prev={lower}"), look(f"next={lower}"),
+                 look(f"prevcase={case}"), look(f"nextcase={case}")]
+        self.features = (own, look("stop") if lower in stopwords() else -1,
+                         gives)
 
 
 def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
@@ -235,15 +225,15 @@ def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
     and masked into `flat` and `counts`. The mask also drops an id repeated
     within a row, so each row is a set.
 
-    A growing space (`train`) numbers features in first-use order, and that
-    order is the checkpoint's feature table. It is the order in which the
-    per-row encoder this one replaced interned names (`encode_sentence` in
+    A frozen space gives the rows as ids. A growing space (`train`) gives
+    them as names and then interns the names one by one in row order, so
+    features are numbered in first-use order, and that order is the
+    checkpoint's feature table. It is the order in which the per-row
+    encoder this one replaced interned names (`encode_sentence` in
     tests/oracles.py): special=[CLS]; then for each piece row its piece,
     head/cont, word, case, prev, next, prevcase, nextcase, stop, first,
     last and gazetteer marks; then special=[SEP]. `_rows` lays a row out in
-    that order. So when a sentence holds a name the space has not seen, the
-    names of its rows are interned in row order (a row with no unseen name
-    adds nothing), and the rows are looked up again.
+    that order.
     """
     cache = space.word_types.setdefault(vocab, {})
     types = []
@@ -254,15 +244,9 @@ def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
         types.append(wtype)
     marks = [(f"gaz-{name}=", gaz.mark(words))
              for name, gaz in gazetteers.items()]
-    rows = _rows([wtype.ids for wtype in types], marks, space.lookup)
-    if not space.frozen and UNSEEN in rows:
-        # str passes each name through, so _rows lays out the names
-        for name in _rows([t.features(str) for t in types], marks, str):
-            if name != -1:
-                space.intern(name)
-        for wtype in types:
-            wtype.ids = wtype.features(space.lookup)
-        rows = _rows([wtype.ids for wtype in types], marks, space.lookup)
+    rows = _rows([wtype.features for wtype in types], marks, _look(space))
+    if not space.frozen:
+        rows = [-1 if name == -1 else space.intern(name) for name in rows]
     pieces, word_of_piece, is_head = ["[CLS]"], [-1], [False]
     for i, wtype in enumerate(types):
         pieces += wtype.pieces

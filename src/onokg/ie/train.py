@@ -2,6 +2,13 @@
 with gradient clipping, and seeded per-epoch shuffling. Runs are fully
 deterministic for a fixed seed.
 
+Adam keeps a first and a second moment array (m, v) for each parameter p,
+the weights and the bias, and one loop updates all three in place:
+m = b1*m + (1 - b1)*g and v = b2*v + (1 - b2)*g**2, then
+p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps) at step t.
+Each element takes the same operations in the same order as with new
+arrays on every step, so updating in place changes no bit of the result.
+
 Each step makes one packed `loss_and_gradients` call for its batch, and
 each epoch ends with one `tagging_loss` over the corpus, which scores it
 in chunks of `tagger.LOSS_CHUNK` sentences to bound its memory. Both add
@@ -66,10 +73,9 @@ def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace,
         raise ValueError("empty training corpus")
     model = TaggerModel.zeros(space, entity_type)
     rng = np.random.default_rng(cfg.seed)
-    m_w = np.zeros_like(model.weights)
-    v_w = np.zeros_like(model.weights)
-    m_b = np.zeros_like(model.bias)
-    v_b = np.zeros_like(model.bias)
+    # each parameter with its first and second moment
+    adam = [(p, np.zeros_like(p), np.zeros_like(p))
+            for p in (model.weights, model.bias)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     lr = cfg.learning_rate
@@ -82,18 +88,14 @@ def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace,
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     "non-finite loss; lower the learning rate")
-            grad_w, grad_b = _clip(grad_w, grad_b)
             step += 1
-            m_w = beta1 * m_w + (1 - beta1) * grad_w
-            v_w = beta2 * v_w + (1 - beta2) * grad_w ** 2
-            m_b = beta1 * m_b + (1 - beta1) * grad_b
-            v_b = beta2 * v_b + (1 - beta2) * grad_b ** 2
-            m_w_hat = m_w / (1 - beta1 ** step)
-            v_w_hat = v_w / (1 - beta2 ** step)
-            m_b_hat = m_b / (1 - beta1 ** step)
-            v_b_hat = v_b / (1 - beta2 ** step)
-            model.weights -= lr * m_w_hat / (np.sqrt(v_w_hat) + eps)
-            model.bias -= lr * m_b_hat / (np.sqrt(v_b_hat) + eps)
+            for (p, m, v), g in zip(adam, _clip(grad_w, grad_b)):
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g ** 2
+                p -= lr * (m / (1 - beta1 ** step)) / (
+                    np.sqrt(v / (1 - beta2 ** step)) + eps)
         epoch_loss = tagging_loss(model, examples)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged("non-finite loss; lower the learning rate")

@@ -50,9 +50,6 @@ class SubwordVocab:
             start = end
         return out
 
-    def __len__(self):
-        return len(self.pieces)
-
 
 @lru_cache(maxsize=1)
 def demo_vocab() -> SubwordVocab:

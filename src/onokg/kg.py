@@ -299,9 +299,6 @@ class PrefixTable:
     def copy(self) -> "PrefixTable":
         return PrefixTable(self._ns)
 
-    def __contains__(self, prefix: str) -> bool:
-        return prefix in self._ns
-
 
 class _Sorted:
     """One sorted permutation of the base, in columns. The rows whose first

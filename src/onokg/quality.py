@@ -174,9 +174,6 @@ class QualityReport:
             } for name, m in self.metrics.items()
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def render(self) -> str:
         width = max(len(name) for name in self.metrics)
         lines = []

@@ -521,15 +521,28 @@ def parse_select(text: str,
 
 # ---------------------------------------------------------------------------
 # regex dialect: anchors, character classes, alternation, * + ?, grouping.
-# '.' is a literal character; everything else unsupported is rejected.
+# '.' is a literal character; everything else unsupported is rejected,
+# including Python's extensions that these characters spell outside a
+# character class: '(?' groups (such as the flags "(?i)") and possessive
+# quantifiers ("*+", which Python before 3.11 rejects as a repeat).
 
 _REGEX_ALLOWED = re.compile(r"^[A-Za-z0-9 _\-^$\[\]|*+?()@#/,.:']*$")
+# a character class, all of whose characters are literal; a ']' right
+# after '[' or '[^' is one of them
+_REGEX_CLASS = re.compile(r"\[\^?\]?[^\]]*\]")
+_REGEX_EXTENSION = re.compile(r"\(\?|[*+?]\+")
 
 
 def _compile_regex(pattern: str, line: int = 1, col: int = 1):
     if not _REGEX_ALLOWED.match(pattern):
         raise SparqlParseError(f"regex pattern {pattern!r} uses characters "
                                "outside the supported dialect", line, col)
+    # a class becomes one plain character, so "*[a]+" shows no "*+"
+    extension = _REGEX_EXTENSION.search(_REGEX_CLASS.sub("x", pattern))
+    if extension:
+        raise SparqlParseError(
+            f"regex pattern {pattern!r} uses {extension.group()!r}, which "
+            "is outside the supported dialect", line, col)
     escaped = pattern.replace(".", r"\.")
     try:
         return re.compile(escaped)

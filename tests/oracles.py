@@ -23,6 +23,10 @@ from onokg.ie.decode import decode_entities
 from onokg.ie.preprocess import preprocess, stopwords
 from onokg.ie.tagger import PROB_FLOOR, EncodedSentence, TaggerModel
 from onokg.ie.tagger import encode_sentence as tagger_encode_sentence
+from onokg.ie.tagger import loss_and_gradients as tagger_loss_and_gradients
+from onokg.ie.tagger import tagging_loss as tagger_tagging_loss
+from onokg.ie.train import TrainingDiverged
+from onokg.ie.train import _clip as train_clip
 from onokg.kg import (BLANK, Graph, Term, Triple, ValidationError, blank,
                       iri, literal)
 from onokg.ontology import (NORM, ONO, OWL, OWL_SAMEAS, RDF, RDF_TYPE, RDFS,
@@ -694,6 +698,50 @@ def loss_and_gradients(model, batch):
             if len(row):
                 grad_w[:, row] += delta[i][:, None]
     return total / len(batch), grad_w, grad_b
+
+
+def train_tagger(examples, cfg, space, entity_type: str = "Gene"):
+    """`train.train_tagger` with Adam as it was first written: four moment
+    arrays, each rebuilt on every step, and the weights and the bias
+    updated by separate statements. The gradients and losses come from
+    the package, so a difference lies in the update."""
+    if not examples:
+        raise ValueError("empty training corpus")
+    model = TaggerModel.zeros(space, entity_type)
+    rng = np.random.default_rng(cfg.seed)
+    m_w = np.zeros_like(model.weights)
+    v_w = np.zeros_like(model.weights)
+    m_b = np.zeros_like(model.bias)
+    v_b = np.zeros_like(model.bias)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    lr = cfg.learning_rate
+    losses: list[float] = []
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), cfg.batch_size):
+            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+            loss, grad_w, grad_b = tagger_loss_and_gradients(model, batch)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    "non-finite loss; lower the learning rate")
+            grad_w, grad_b = train_clip(grad_w, grad_b)
+            step += 1
+            m_w = beta1 * m_w + (1 - beta1) * grad_w
+            v_w = beta2 * v_w + (1 - beta2) * grad_w ** 2
+            m_b = beta1 * m_b + (1 - beta1) * grad_b
+            v_b = beta2 * v_b + (1 - beta2) * grad_b ** 2
+            m_w_hat = m_w / (1 - beta1 ** step)
+            v_w_hat = v_w / (1 - beta2 ** step)
+            m_b_hat = m_b / (1 - beta1 ** step)
+            v_b_hat = v_b / (1 - beta2 ** step)
+            model.weights -= lr * m_w_hat / (np.sqrt(v_w_hat) + eps)
+            model.bias -= lr * m_b_hat / (np.sqrt(v_b_hat) + eps)
+        epoch_loss = tagger_tagging_loss(model, examples)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDiverged("non-finite loss; lower the learning rate")
+        losses.append(epoch_loss)
+    return model, losses
 
 
 # ---------------------------------------------------------------------------

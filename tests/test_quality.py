@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,8 @@ class TestPlantedDefectFixture:
 
     def test_determinism(self, report):
         again = assess(planted_defect_graph(), fixture_config())
-        assert again.to_json() == report.to_json()
+        assert json.dumps(again.to_dict(), indent=2) == json.dumps(
+            report.to_dict(), indent=2)
 
 
 class TestSeedQuality:

@@ -147,6 +147,12 @@ class TestParser:
          "2:12: unsupported escape \\q"),
         ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "\\d")) }',
          "1:51: unsupported escape \\d"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "(?i)^a")) }',
+         "1:51: regex pattern '(?i)^a' uses '(?', which is outside the "
+         "supported dialect"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "a*+")) }',
+         "1:51: regex pattern 'a*+' uses '*+', which is outside the "
+         "supported dialect"),
     ])
     def test_term_error_names_the_token(self, text, message):
         with pytest.raises(SparqlParseError) as err:

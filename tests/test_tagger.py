@@ -385,6 +385,27 @@ class TestPackedTrainingMatchesOracle:
         assert np.array_equal(model.weights, want_model.weights)
         assert np.array_equal(model.bias, want_model.bias)
 
+    def test_adam_update(self, monkeypatch):
+        """Adam gives the oracle's weights, bias and loss curve to the bit,
+        unclipped and with a clip norm low enough to scale the gradients
+        (their norm stays under 1.3 on this corpus)."""
+        space = FeatureSpace()
+        examples = encode_corpus(make_corpus(60, seed=74), demo_vocab(),
+                                 space, build_gazetteers())["Gene"]
+        space.freeze()
+        cfg = TrainConfig(epochs=3)
+        runs = []
+        for clip_norm in (train_mod.CLIP_NORM, 0.5):
+            monkeypatch.setattr(train_mod, "CLIP_NORM", clip_norm)
+            model, losses = train_tagger(examples, cfg, space)
+            want_model, want_losses = oracles.train_tagger(examples, cfg,
+                                                           space)
+            assert losses == want_losses
+            assert np.array_equal(model.weights, want_model.weights)
+            assert np.array_equal(model.bias, want_model.bias)
+            runs.append(model.weights)
+        assert not np.array_equal(*runs)
+
 
 @pytest.mark.parametrize("settings", [{"batch_size": 0},
                                       {"learning_rate": float("nan")},
