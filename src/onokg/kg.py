@@ -43,28 +43,27 @@ id-indexed term list, is exactly the terms in use. There are no
 tombstones: every stored triple is in exactly one part.
 
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
-all-bound `match_ids`/`count_ids`, `len`, `id_rows`, `terms` and `add_ids`
-read the two parts as they are. Any other `match_ids`/`count_ids` shape,
-`key_ids`, `columns` and `edges` first fold a non-empty buffer into the
-base: `add_ids` of no new ids, one bulk build of the base and buffer
-triples, which sorts them, so the fold reads the buffer's keys unsorted. A
-graph built by inserts, as the ontology API builds one, is saved by one
-sort of the buffer's keys, which the API inserts in nearly id-sorted order
-(it interns terms in first-use order), and folded once, when it is first
-queried.
+all-bound `match_ids`, `len`, `id_rows`, `terms` and `add_ids` read the two
+parts as they are. Any other `match_ids` shape, `key_ids`, `columns` and
+`edges` first fold a non-empty buffer into the base: `add_ids` of no new
+ids, one bulk build of the base and buffer triples, which sorts them, so
+the fold reads the buffer's keys unsorted. A graph built by inserts, as
+the ontology API builds one, is saved by one sort of the buffer's keys,
+which the API inserts in nearly id-sorted order (it interns terms in
+first-use order), and folded once, when it is first queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
 
-Readers in this package work on ids: `match_ids` and `count_ids` answer a
-pattern from the indexes, `term_id` gives -1 for a term never interned
-(which matches nothing), and Terms are looked up only for output.
-`columns` gives a whole permutation as read-only numpy views of the base's
-columns and key offsets, with no copy and no tuple per triple, and `edges`
-gives one predicate's (subject, object) column pair, its POS run. The
-class index, the DL evaluator, the pitfall checks and the quality metrics
-compute over these as arrays; outside SPARQL, no reader scans a whole
-predicate through `match_ids`. `match` is the Term-space convenience for
-outside callers: it builds and sorts a `Triple` for every hit.
+Readers in this package work on ids: `match_ids` answers a pattern from
+the indexes, `term_id` gives -1 for a term never interned (which matches
+nothing), and Terms are looked up only for output. `columns` gives a whole
+permutation as read-only numpy views of the base's columns and key
+offsets, with no copy and no tuple per triple, and `edges` gives one
+predicate's (subject, object) column pair, its POS run. The class index,
+the DL evaluator, the pitfall checks, the quality metrics, the seed
+statistics and SPARQL compute over these as arrays; no reader scans a
+whole predicate through `match_ids`. `match` is the Term-space convenience
+for outside callers: it builds and sorts a `Triple` for every hit.
 
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every write that changes the triple set, so
@@ -383,24 +382,6 @@ class _Base:
         return np.column_stack([np.frombuffer(c, dtype=np.int64)
                                 for c in columns]).ravel()
 
-    def count(self, s, p, o) -> int:
-        """How many triples match a pattern with an unbound position."""
-        if s is not None and p is not None:
-            lo, hi = self.spo.span(s, p)
-        elif s is not None and o is not None:
-            lo, hi = self.osp.span(o, s)
-        elif p is not None and o is not None:
-            lo, hi = self.pos.span(p, o)
-        elif s is not None:
-            lo, hi = self.spo.span(s)
-        elif p is not None:
-            lo, hi = self.pos.span(p)
-        elif o is not None:
-            lo, hi = self.osp.span(o)
-        else:
-            return self.n
-        return hi - lo
-
 
 _EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
 
@@ -621,14 +602,6 @@ class Graph:
         per triple."""
         off = self.columns(position)[0]
         return np.flatnonzero(off[1:] > off[:-1]).tolist()
-
-    def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
-                  o: Optional[int] = None) -> int:
-        """How many triples `match_ids` would return, read off the index
-        sizes. Folds unless all three positions are bound."""
-        if s is not None and p is not None and o is not None:
-            return len(self.match_ids(s, p, o))
-        return self._folded().count(s, p, o)
 
     def check_indexes(self) -> bool:
         """The base permutations hold one sorted, duplicate-free set, and

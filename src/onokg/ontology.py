@@ -403,7 +403,8 @@ def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
 
 def seed_statistics(graph: Graph) -> dict:
     def subjects(p: Term, o: Term) -> int:
-        return graph.count_ids(None, graph.term_id(p), graph.term_id(o))
+        return int(np.count_nonzero(
+            graph.edges(graph.term_id(p))[1] == graph.term_id(o)))
     return {
         "triples": len(graph),
         "cancers": subjects(RDF_TYPE, SCHEMA.cancer),

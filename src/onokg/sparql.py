@@ -16,38 +16,48 @@ grouping key. Result rows are sorted by term, so evaluation output is
 deterministic across runs and insertion orders.
 
 Evaluation runs on the graph's integer term ids, never on Term objects
-per row. Each pattern's constants are looked up once; a constant the
-graph lacks makes the result empty, and a VALUES term it lacks gets a
-query-local negative id so that it is still projected. A sub-select is
-evaluated once and joined as a table on the variables it projects.
-Each FILTER is split at its top-level `&&`. A conjunct that is one regex
-also filters, up front, the matches of each pattern that binds its
-variable, and that pattern joins as the table of the matches left.
-The patterns and tables are joined in one loop. Each round runs every
-conjunct whose variables are now all bound, then picks the next step,
-joins it and binds its variables. The pick is greedy, in the style of
-RDF-3X: the cheapest of the steps sharing a bound variable, costed by its
-match count on the SPO/POS/OSP index sizes (at most 1 once all its
-variables are bound), with ties going to the pattern written first. The
-first step, and the step after one that shares nothing with what is
-bound, is the one that, joined with its cheapest neighbour pattern, gives
-the fewest rows, counted on the index, so a one-row filtered label whose
-value fans out to thousands of rows does not start the order; that
-neighbour joins next. Once no step is left, the conjuncts over a
-variable that nothing binds run too, where that leaf is false.
-Regexes compile once per query and each filter leaf caches its result per
-term id. Ids become Terms only for the final rows. The answer, as a bag
-of rows, is the same as joining the patterns in written order and
-filtering afterwards; `tests/oracles.py` checks that by brute force.
+per row. A solution set is one int64 table, with a row per solution and a
+column per bound variable. Each pattern's constants are looked up once; a
+constant the graph lacks makes the result empty, and a VALUES term it
+lacks gets a query-local negative id, which no stored id equals, so that
+it is still projected. Every step of a query is a table. A triple pattern
+is the table of its matches, read once from the predicate's
+`Graph.edges` (from `Graph.columns` for a variable predicate), less the
+rows where a constant or a repeated variable disagrees. A sub-select is
+evaluated once and is the table of its projected rows. One join joins
+any step to the rows: it sorts a key over the variables both share and
+finds each row's partners with `np.searchsorted`. Each FILTER is split at
+its top-level `&&`, and a conjunct is a boolean mask over the rows. Each
+leaf runs once per distinct term id of its variable (`np.unique` with
+`return_inverse`): a regex on literal lexicals, and a comparison on each
+term's number, NaN for a term that has none, which compares false. A
+conjunct that is one regex also filters, up front, the table of each
+pattern that binds its variable. The steps are joined in one loop. Each
+round runs every conjunct whose variables are now all bound, then picks
+the next step, joins it and binds its variables. The pick is greedy, in
+the style of RDF-3X: the cheapest of the steps sharing a bound variable,
+costed by its table's rows (at most 1 for a pattern that no regex
+filtered, once all its variables are bound), with ties going to the step
+written first. The first step, and the step after one that shares
+nothing with what is bound, is the one that, joined with its cheapest
+neighbour pattern, gives the fewest rows, so a one-row filtered label
+whose value fans out to thousands of rows does not start the order; that
+neighbour joins next. Once no step is left, the conjuncts over a variable
+that nothing binds run too, where that leaf is false. GROUP BY and
+DISTINCT keep the distinct rows of their columns, found on the join's
+key. Ids become Terms only for the final rows. The answer, as a bag of
+rows, is the same as joining the patterns in written order and filtering
+afterwards; `tests/oracles.py` checks that by brute force.
 """
 from __future__ import annotations
 
 import json
-import operator
 import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
+
+import numpy as np
 
 from .kg import (QUOTED, Graph, KgError, PrefixTable, Term,
                  UnknownPrefixError, ValidationError, iri, literal, unescape)
@@ -522,15 +532,17 @@ def parse_select(text: str,
 # ---------------------------------------------------------------------------
 # regex dialect: anchors, character classes, alternation, * + ?, grouping.
 # '.' is a literal character; everything else unsupported is rejected,
-# including Python's extensions that these characters spell outside a
-# character class: '(?' groups (such as the flags "(?i)") and possessive
-# quantifiers ("*+", which Python before 3.11 rejects as a repeat).
+# including Python's extensions that these characters spell: outside a
+# character class, '(?' groups (such as the flags "(?i)") and possessive
+# quantifiers ("*+", which Python before 3.11 rejects as a repeat); inside
+# one, the future set syntax '[', '--' and '||' (a FutureWarning today).
 
 _REGEX_ALLOWED = re.compile(r"^[A-Za-z0-9 _\-^$\[\]|*+?()@#/,.:']*$")
 # a character class, all of whose characters are literal; a ']' right
 # after '[' or '[^' is one of them
 _REGEX_CLASS = re.compile(r"\[\^?\]?[^\]]*\]")
-_REGEX_EXTENSION = re.compile(r"\(\?|[*+?]\+")
+_REGEX_EXTENSION = re.compile(r"(\(\?|[*+?]\+)")
+_REGEX_SET_SYNTAX = re.compile(r"\[\^?\]?[^\]]*?(\[|--|\|\|)")
 
 
 def _compile_regex(pattern: str, line: int = 1, col: int = 1):
@@ -538,10 +550,11 @@ def _compile_regex(pattern: str, line: int = 1, col: int = 1):
         raise SparqlParseError(f"regex pattern {pattern!r} uses characters "
                                "outside the supported dialect", line, col)
     # a class becomes one plain character, so "*[a]+" shows no "*+"
-    extension = _REGEX_EXTENSION.search(_REGEX_CLASS.sub("x", pattern))
+    extension = (_REGEX_EXTENSION.search(_REGEX_CLASS.sub("x", pattern))
+                 or _REGEX_SET_SYNTAX.search(pattern))
     if extension:
         raise SparqlParseError(
-            f"regex pattern {pattern!r} uses {extension.group()!r}, which "
+            f"regex pattern {pattern!r} uses {extension[1]!r}, which "
             "is outside the supported dialect", line, col)
     escaped = pattern.replace(".", r"\.")
     try:
@@ -639,186 +652,164 @@ def _filter_vars(node: FilterNode) -> set[str]:
     return {n.name for n in (node.lhs, node.rhs) if isinstance(n, Var)}
 
 
-_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
-            "<": operator.lt, "=": operator.eq}
+def _number(term: Term) -> float:
+    """A term's numeric value; NaN, which compares false, where it has
+    none."""
+    if term.kind == "literal":
+        try:
+            return float(term.lexical)
+        except ValueError:
+            pass
+    return np.nan
 
 
-def _number_or_none(term: Term) -> Optional[float]:
-    if term.kind != "literal":
-        return None
-    try:
-        return float(term.lexical)
-    except ValueError:
-        return None
-
-
-def _compile_filter(node: FilterNode, slots: dict[str, int],
-                    space: _IdSpace, numbers: dict[int, Optional[float]]):
-    """A predicate over id rows for a filter tree. Regexes compile once;
-    a regex leaf caches its result per term id, and `numbers` caches
-    numeric values per term id across leaves. A leaf over a variable
-    that has no slot is false."""
+def _mask(node: FilterNode, rows: np.ndarray, slots: dict[str, int],
+          space: _IdSpace) -> np.ndarray:
+    """Which rows pass a filter tree. A leaf is evaluated once per distinct
+    term id of its variable, and is false where that has no slot."""
     if isinstance(node, (AndExpr, OrExpr)):
-        parts = [_compile_filter(p, slots, space, numbers)
-                 for p in node.parts]
-        combine = all if isinstance(node, AndExpr) else any
-        return lambda row: combine(f(row) for f in parts)
+        combine = np.logical_and if isinstance(node, AndExpr) \
+            else np.logical_or
+        return combine.reduce([_mask(p, rows, slots, space)
+                               for p in node.parts])
     if isinstance(node, NotExpr):
-        inner = _compile_filter(node.operand, slots, space, numbers)
-        return lambda row: not inner(row)
+        return ~_mask(node.operand, rows, slots, space)
+
+    def per_term(name: str, value, missing) -> np.ndarray:
+        if name not in slots:
+            return np.full(len(rows), missing)
+        ids, inverse = np.unique(rows[:, slots[name]], return_inverse=True)
+        return np.array([value(space.term(i)) for i in ids.tolist()],
+                        dtype=type(missing))[inverse]
     if isinstance(node, Regex):
-        slot = slots.get(node.var.name)
-        if slot is None:
-            return lambda row: False
         search = _compile_regex(node.pattern).search
-        cache: dict[int, bool] = {}
-
-        def matches(row):
-            tid = row[slot]
-            hit = cache.get(tid)
-            if hit is None:
-                term = space.term(tid)
-                hit = cache[tid] = term.kind == "literal" \
-                    and search(term.lexical) is not None
-            return hit
-        return matches
-    if isinstance(node, Comparison):
-        def operand(n: Node):
-            if not isinstance(n, Var):
-                value = _number_or_none(n)
-                return lambda row: value
-            slot = slots.get(n.name)
-            if slot is None:
-                return lambda row: None
-
-            def number(row):
-                tid = row[slot]
-                if tid not in numbers:
-                    numbers[tid] = _number_or_none(space.term(tid))
-                return numbers[tid]
-            return number
-
-        lhs, rhs, compare = operand(node.lhs), operand(node.rhs), \
-            _COMPARE[node.op]
-
-        def holds(row):
-            left, right = lhs(row), rhs(row)
-            return left is not None and right is not None \
-                and compare(left, right)
-        return holds
-    raise SparqlError(f"unknown filter node {node!r}")
+        return per_term(node.var.name, lambda term: term.kind == "literal"
+                        and search(term.lexical) is not None, False)
+    left, right = (per_term(n.name, _number, np.nan) if isinstance(n, Var)
+                   else np.full(len(rows), _number(n))
+                   for n in (node.lhs, node.rhs))
+    # an operator is spelled by the outcomes it admits
+    return (("<" in node.op) & (left < right)
+            | ("=" in node.op) & (left == right)
+            | (">" in node.op) & (left > right))
 
 
-@dataclass
+@dataclass(eq=False)
 class _Step:
-    """One pattern or sub-select table of a query, compiled to ids."""
+    """One pattern or sub-select of a query, as the id table of its
+    matches."""
     index: int                   # position in the query, breaks ties
-    variables: list[str]         # distinct, in order of first position
-    estimate: int                # rows it matches on its constants alone
-    pattern: Optional[tuple] = None  # (s, p, o), each a term id or a Var
-    table: Optional[tuple[list[str], list]] = None  # sub-select result
+    variables: list[str]         # each column's; a repeated one per column
+    table: np.ndarray
+    pattern: bool = False        # a pattern that no regex has filtered
 
 
-def _join_pattern(graph: Graph, rows: list[tuple], step: _Step,
-                  slots: dict[str, int]) -> list[tuple]:
-    """Extend each row by the matches of a triple pattern, probing the
-    index with every position a constant or an already bound variable
-    fixes. New variables are appended to the row in `step.variables`
-    order; a variable repeated in the pattern must match one term."""
-    fixed, take, same = [], [], []
-    first: dict[str, int] = {}
-    for pos, node in enumerate(step.pattern):
-        if not isinstance(node, Var):
-            fixed.append((False, node))
-        elif node.name in slots:
-            fixed.append((True, slots[node.name]))
+def _matches(graph: Graph, pattern: tuple) -> tuple[list[str], np.ndarray]:
+    """The variables of a triple pattern, each position an id or a Var,
+    and the table of the triples that match its constants, with a column
+    per variable position: the predicate's edges, or every triple for a
+    variable predicate."""
+    if isinstance(pattern[1], Var):
+        off, predicates, objects = graph.columns(0)
+        subjects = np.repeat(np.arange(len(off) - 1), np.diff(off))
+    else:
+        subjects, objects = graph.edges(pattern[1])
+        predicates = np.full(len(subjects), pattern[1])
+    keep = np.ones(len(subjects), dtype=bool)
+    names, columns = [], []
+    for node, column in zip(pattern, (subjects, predicates, objects)):
+        if isinstance(node, Var):
+            names.append(node.name)
+            columns.append(column)
         else:
-            fixed.append((False, None))
-            if node.name in first:
-                same.append((first[node.name], pos))
-            else:
-                first[node.name] = pos
-                take.append(pos)
-    (s_var, s), (p_var, p), (o_var, o) = fixed
-    if not take:  # a lookup: each row is kept or dropped
-        count = graph.count_ids
-        return [row for row in rows
-                if count(row[s] if s_var else s, row[p] if p_var else p,
-                         row[o] if o_var else o)]
-    match_ids = graph.match_ids
-    width = len(take)
-    pick = operator.itemgetter(*take)
-    out = []
-    for row in rows:
-        for t in match_ids(row[s] if s_var else s, row[p] if p_var else p,
-                           row[o] if o_var else o):
-            if same and any(t[i] != t[j] for i, j in same):
-                continue
-            out.append(row + (pick(t),) if width == 1 else row + pick(t))
-    return out
+            keep &= column == node
+    table = np.empty((np.count_nonzero(keep), len(names)), dtype=np.int64)
+    for i, column in enumerate(columns):
+        table[:, i] = column[keep]
+    return names, table
 
 
-def _join_table(rows: list[tuple], step: _Step,
-                slots: dict[str, int]) -> list[tuple]:
-    """Hash join with a sub-select's rows on the variables both share."""
-    header, table = step.table
-    column = {}
-    for i, name in enumerate(header):
-        column.setdefault(name, i)
-    shared = [(column[n], slots[n]) for n in step.variables if n in slots]
-    added = [column[n] for n in step.variables if n not in slots]
-    index: dict[tuple, list[tuple]] = {}
-    for sub in table:
-        index.setdefault(tuple([sub[i] for i, _ in shared]), []).append(
-            tuple([sub[i] for i in added]))
-    out = []
-    for row in rows:
-        for ext in index.get(tuple([row[j] for _, j in shared]), ()):
-            out.append(row + ext)
-    return out
+def _consistent(table: np.ndarray, names: list[str]) -> np.ndarray:
+    """Which rows of a table with a column per name give each repeated
+    name one value."""
+    keep = np.ones(len(table), dtype=bool)
+    for i, name in enumerate(names):
+        keep &= table[:, i] == table[:, names.index(name)]
+    return keep
 
 
-def _prefiltered(graph: Graph, step: _Step, regexes: list[Regex],
-                 space: _IdSpace,
-                 numbers: dict[int, Optional[float]]) -> _Step:
-    """A pattern as the table of its matches that pass the regexes over
-    its variables, so that the planner costs it by the rows that survive
-    them. Each regex still runs where it is pushed down; a kept row passes
-    it again."""
-    slots = {name: i for i, name in enumerate(step.variables)}
-    rows = _join_pattern(graph, [()], step, {})
-    for regex in regexes:
-        keep = _compile_filter(regex, slots, space, numbers)
-        rows = [row for row in rows if keep(row)]
-    return _Step(step.index, step.variables, len(rows),
-                 table=(step.variables, rows))
+def _key(columns: np.ndarray) -> np.ndarray:
+    """One int64 per row of an id table, equal where the rows are: its one
+    column, or each column's rank folded into the key so far and ranked
+    again, so that the key never overflows."""
+    if columns.shape[1] == 1:
+        return columns[:, 0]
+    key = np.zeros(len(columns), dtype=np.int64)
+    for column in columns.T:
+        values, rank = np.unique(column, return_inverse=True)
+        key = np.unique(key * len(values) + rank, return_inverse=True)[1]
+    return key
 
 
-def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
-           slots: dict[str, int]) -> tuple[list[_Step], list[tuple]]:
+def _distinct(table: np.ndarray) -> np.ndarray:
+    """The distinct rows of an id table."""
+    return table[np.unique(_key(table), return_index=True)[1]]
+
+
+def _spans(rows: np.ndarray, step: _Step, slots: dict[str, int]):
+    """The step's table rows sorted on its columns whose variables have a
+    slot, and for each row the slice [lo, hi) of them that agrees with it
+    there."""
+    shared = [i for i, name in enumerate(step.variables) if name in slots]
+    key = _key(np.concatenate((
+        rows[:, [slots[step.variables[i]] for i in shared]],
+        step.table[:, shared])))
+    order = np.argsort(key[len(rows):], kind="stable")
+    ordered = key[len(rows):][order]
+    return (order, np.searchsorted(ordered, key[:len(rows)], "left"),
+            np.searchsorted(ordered, key[:len(rows)], "right"))
+
+
+def _join(rows: np.ndarray, step: _Step, slots: dict[str, int]
+          ) -> np.ndarray:
+    """Each row extended by each row of the step's table that agrees with
+    it on their shared variables and gives a repeated variable one value;
+    the step's other variables are appended in its order."""
+    order, lo, hi = _spans(rows, step, slots)
+    counts = hi - lo
+    which = np.repeat(np.arange(len(rows)), counts)
+    table = step.table[order[np.arange(len(which)) + np.repeat(
+        lo - np.cumsum(counts) + counts, counts)]]
+    added = [step.variables.index(name)
+             for name in dict.fromkeys(step.variables) if name not in slots]
+    return np.hstack((rows[which], table[:, added]))[
+        _consistent(table, step.variables)]
+
+
+def _start(steps: list[_Step], rows: np.ndarray, slots: dict[str, int]
+           ) -> tuple[list[_Step], np.ndarray]:
     """The step to join `rows` with first and the pattern to join next,
     with the rows that joining the first step gives: the pair that yields
-    the fewest rows, counted on the index from the rows the first step
-    actually gives. So a small filtered table whose values fan out widely
-    does not start the order. Steps are tried smallest estimate first, and
-    none whose estimate reaches the best pair found so far; a step with no
-    pattern to pair with costs its own rows."""
-    best: Optional[tuple[int, list[_Step], list[tuple]]] = None
-    for first in sorted(steps, key=lambda s: (s.estimate, s.index)):
-        if best is not None and len(rows) * first.estimate >= best[0]:
+    the fewest rows, counted on the pattern's table from the rows the
+    first step actually gives. So a small filtered table whose values fan
+    out widely does not start the order. Steps are tried smallest table
+    first, and none whose table reaches the best pair found so far; a step
+    with no pattern to pair with costs its own rows."""
+    best: Optional[tuple[int, list[_Step], np.ndarray]] = None
+    for first in sorted(steps, key=lambda s: (len(s.table), s.index)):
+        if best is not None and len(rows) * len(first.table) >= best[0]:
             break
-        joined = _join(graph, rows, first, slots)
+        joined = _join(rows, first, slots)
         after = dict(slots)
         for name in first.variables:
             after.setdefault(name, len(after))
         size, pair = len(joined), [first]
         for step in steps:
-            if step is first or step.pattern is None \
+            if step is first or not step.pattern \
                     or not after.keys() & set(step.variables):
                 continue
-            total = len(joined) + sum(
-                graph.count_ids(*_probe(step.pattern, row, after))
-                for row in joined)
+            _, lo, hi = _spans(joined, step, after)
+            total = len(joined) + int((hi - lo).sum())
             if len(pair) == 1 or total < size:
                 size, pair = total, [first, step]
         if best is None or size < best[0]:
@@ -826,59 +817,43 @@ def _start(graph: Graph, steps: list[_Step], rows: list[tuple],
     return best[1], best[2]
 
 
-def _probe(pattern: tuple, row: tuple,
-           slots: dict[str, int]) -> list[Optional[int]]:
-    """The ids to probe the index with for a pattern: its constants, the
-    values `row` holds for the variables in `slots`, None for the rest."""
-    return [n if not isinstance(n, Var) else
-            row[slots[n.name]] if n.name in slots else None for n in pattern]
-
-
-def _join(graph: Graph, rows: list[tuple], step: _Step,
-          slots: dict[str, int]) -> list[tuple]:
-    if step.pattern is not None:
-        return _join_pattern(graph, rows, step, slots)
-    return _join_table(rows, step, slots)
-
-
 def _solve(graph: Graph, query: SelectQuery,
-           space: _IdSpace) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The projected, grouped and deduplicated rows of a query, as ids."""
+           space: _IdSpace) -> tuple[list[str], np.ndarray]:
+    """The projected, grouped and deduplicated rows of a query, as an id
+    table."""
     header = [v.name for v in query.projection]
     slots: dict[str, int] = {}
-    rows: list[tuple] = [()]
+    rows = np.zeros((1, 0), dtype=np.int64)
     if query.values is not None:
         slots[query.values.var.name] = 0
-        rows = [(space.id_of(t),) for t in query.values.terms]
+        rows = np.array([space.id_of(t) for t in query.values.terms],
+                        dtype=np.int64).reshape(-1, 1)
     conjuncts = _conjuncts(query.filters)
-    numbers: dict[int, Optional[float]] = {}
     steps = []
     for index, elem in enumerate(query.pattern):
         if isinstance(elem, SubSelect):
-            table = _solve(graph, elem.query, space)
-            steps.append(_Step(index, list(dict.fromkeys(table[0])),
-                               len(table[1]), table=table))
+            steps.append(_Step(index, *_solve(graph, elem.query, space)))
             continue
         pattern = []
         for node in (elem.s, elem.p, elem.o):
             if not isinstance(node, Var):
                 node = graph.term_id(node)
                 if node < 0:  # a constant the graph lacks matches nothing
-                    return header, []
+                    return header, np.empty((0, len(header)), dtype=np.int64)
             pattern.append(node)
-        names = [n.name for n in pattern if isinstance(n, Var)]
-        ids = [None if isinstance(n, Var) else n for n in pattern]
-        step = _Step(index, list(dict.fromkeys(names)),
-                     graph.count_ids(*ids), pattern=tuple(pattern))
+        variables, table = _matches(graph, tuple(pattern))
         regexes = [c for c in conjuncts
-                   if isinstance(c, Regex) and c.var.name in step.variables]
-        if regexes:
-            step = _prefiltered(graph, step, regexes, space, numbers)
-        steps.append(step)
+                   if isinstance(c, Regex) and c.var.name in variables]
+        if regexes:  # costed by the matches that pass them
+            table = table[_consistent(table, variables)]
+            for regex in regexes:
+                table = table[_mask(regex, table, {
+                    name: i for i, name in enumerate(variables)}, space)]
+        steps.append(_Step(index, variables, table, pattern=not regexes))
 
     def cost(step: _Step):
-        estimate = step.estimate
-        if step.pattern is not None and slots.keys() >= set(step.variables):
+        estimate = len(step.table)
+        if step.pattern and slots.keys() >= set(step.variables):
             estimate = min(estimate, 1)
         return estimate, step.index
 
@@ -895,37 +870,31 @@ def _solve(graph: Graph, query: SelectQuery,
             if steps and not slots.keys() >= _filter_vars(conjunct):
                 waiting.append(conjunct)
                 continue
-            keep = _compile_filter(conjunct, slots, space, numbers)
-            rows = [row for row in rows if keep(row)]
+            rows = rows[_mask(conjunct, rows, slots, space)]
         conjuncts = waiting
         if not steps:
             break
         if not chosen:
             if not started:
-                chosen, joined = _start(graph, steps, rows, slots)
+                chosen, joined = _start(steps, rows, slots)
             elif linked := [s for s in steps
                             if slots.keys() & set(s.variables)]:
                 chosen = [min(linked, key=cost)]
             else:  # a step that shares nothing with what is bound
-                chosen, _ = _start(graph, steps, [()], {})
+                chosen, _ = _start(steps, np.zeros((1, 0), np.int64), {})
         step = chosen.pop(0)
         steps.remove(step)
-        rows = _join(graph, rows, step, slots) if started else joined
+        rows = _join(rows, step, slots) if started else joined
         started = True
         for name in step.variables:
             slots.setdefault(name, len(slots))
 
     if query.group_by:
-        key_slots = [slots[v.name] for v in query.group_by]
-        groups: dict[tuple, tuple] = {}
-        for row in rows:
-            groups.setdefault(tuple([row[i] for i in key_slots]), row)
-        rows = list(groups.values())
-    take = [slots[name] for name in header]
-    projected = [tuple([row[i] for i in take]) for row in rows]
-    if query.distinct:
-        projected = list(dict.fromkeys(projected))
-    return header, projected
+        # every projected variable is grouped, so a group is its key
+        rows = _distinct(rows[:, [slots[v.name] for v in query.group_by]])
+        slots = {v.name: i for i, v in enumerate(query.group_by)}
+    rows = rows[:, [slots[name] for name in header]]
+    return header, _distinct(rows) if query.distinct else rows
 
 
 def evaluate(graph: Graph, query: SelectQuery) -> SolutionTable:
@@ -935,7 +904,7 @@ def evaluate(graph: Graph, query: SelectQuery) -> SolutionTable:
     space = _IdSpace(graph)
     header, rows = _solve(graph, query, space)
     term = space.term
-    projected = [tuple([term(i) for i in row]) for row in rows]
+    projected = [tuple([term(i) for i in row]) for row in rows.tolist()]
     projected.sort(key=lambda r: tuple(_term_sort_key(t) for t in r))
     return SolutionTable(header, projected)
 

@@ -351,16 +351,16 @@ class TestGraph:
 
 def test_only_indexed_reads_fold_the_buffer():
     # the reads the ontology API, ingest and save make keep the insert
-    # buffer, and so does the term list; any other match_ids/count_ids
-    # shape folds it into a new base and leaves the published (base,
-    # buffer) pair as it was
+    # buffer, and so does the term list; any other match_ids shape folds
+    # it into a new base and leaves the published (base, buffer) pair as
+    # it was
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
     published = g._store
     rows = g.id_rows()
     first = next(iter(g))
     assert g.insert(first) is False and first in g and len(g) == len(rows)
-    assert g.match_ids(*rows[0]) == [rows[0]] and g.count_ids(*rows[0]) == 1
+    assert g.match_ids(*rows[0]) == [rows[0]]
     assert set(g.terms()) == {term for triple in g for term in triple}
     assert set(copy_graph(g)) == set(g)
     assert g._store is published
@@ -368,7 +368,6 @@ def test_only_indexed_reads_fold_the_buffer():
     shapes = [(s, p, None), (s, None, o), (None, p, o), (s, None, None),
               (None, p, None), (None, None, o), (None, None, None)]
     reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
-             + [lambda g, k=k: g.count_ids(*k) for k in shapes]
              + [lambda g, k=k: g.columns(k) for k in range(3)])
     for read in reads:
         g = build_seed_ontology()
@@ -513,7 +512,6 @@ class GraphMachine(RuleBasedStateMachine):
                               if s in (None, row[0]) and p in (None, row[1])
                               and o in (None, row[2]))
             assert sorted(g.match_ids(s, p, o)) == expected
-            assert g.count_ids(s, p, o) == len(expected)
 
 
 TestGraphMachine = GraphMachine.TestCase

@@ -73,8 +73,6 @@ ALLOWED_FIELDS = {
 
 PREDICATE_SCANS = {
     "kg": "defines match_ids, and `match` passes each position through",
-    "sparql": "answers a triple pattern of any shape by match_ids rows, "
-              "a pattern whose only bound position is the predicate too",
 }
 
 

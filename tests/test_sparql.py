@@ -153,6 +153,17 @@ class TestParser:
         ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "a*+")) }',
          "1:51: regex pattern 'a*+' uses '*+', which is outside the "
          "supported dialect"),
+        # Python's future set syntax inside a class, which today compiles
+        # with a FutureWarning
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "[[a]")) }',
+         "1:51: regex pattern '[[a]' uses '[', which is outside the "
+         "supported dialect"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "[a--b]")) }',
+         "1:51: regex pattern '[a--b]' uses '--', which is outside the "
+         "supported dialect"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "[a||b]")) }',
+         "1:51: regex pattern '[a||b]' uses '||', which is outside the "
+         "supported dialect"),
     ])
     def test_term_error_names_the_token(self, text, message):
         with pytest.raises(SparqlParseError) as err:
@@ -324,6 +335,28 @@ class TestEvaluate:
         assert len(run_query(g, text.format("")).rows) == 2
         assert len(run_query(g, text.format("DISTINCT")).rows) == 1
 
+    @pytest.mark.parametrize("patterns, condition, count", [
+        ("?x <a:n> ?n .", "?n >= 0", 4),
+        ("?x <a:n> ?n .", "!(?n >= 0)", 4),
+        ("?x <a:n> ?n .", "?n = ?n", 5),
+        ("?x <a:n> ?n .", "!(?n = ?n)", 3),
+        ("?x <a:n> ?n . ?y <a:n> ?m .", "?n > ?m", 10),
+        ("?x <a:n> ?n .", "!(?q = 1)", 8),
+    ])
+    def test_non_numbers_compare_false(self, patterns, condition, count):
+        # float() reads "NaN", "inf", "-inf", " 7 ", "1e2" and "1_000";
+        # NaN, "abc", the IRI and the unbound ?q compare false
+        g = Graph()
+        for i, value in enumerate(["NaN", "inf", "-inf", " 7 ", "1e2",
+                                   "1_000", "abc"]):
+            g.insert(Triple(iri(f"a:s{i}"), iri("a:n"), literal(value)))
+        g.insert(Triple(iri("a:s7"), iri("a:n"), iri("a:o")))
+        query = parse_select(f"SELECT ?x ?n WHERE {{ {patterns} "
+                             f"FILTER ({condition}) }}")
+        rows = sorted(evaluate(g, query).rows, key=repr)
+        assert rows == sorted(sparql_rows(g, query), key=repr)
+        assert len(rows) == count
+
 
 class TestQueryPack:
     def test_pack_parses_and_matches_oracle(self, fixtures_graph):
@@ -355,8 +388,8 @@ class TestJoinOrder:
         joins = []
         join = sparql._join
 
-        def spy(graph, rows, step, slots):
-            out = join(graph, rows, step, slots)
+        def spy(rows, step, slots):
+            out = join(rows, step, slots)
             joins.append((step.index, len(rows), len(out)))
             return out
 
