@@ -321,9 +321,9 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     offsets = feature_offsets(space)
     tokens: list[str] = []
     scores: list[float] = []
-    for encoded, tagged in encode_and_tag(
-            checkpoint.models, preprocess(text).sentences, checkpoint.vocab,
-            space, checkpoint.gazetteers):
+    groups = encode_and_tag(checkpoint.models, preprocess(text).sentences,
+                            checkpoint.vocab, space, checkpoint.gazetteers)
+    for encoded, tagged in (pair for group in groups for pair in zip(*group)):
         combined = np.zeros(len(encoded.words))
         for name, model in checkpoint.models.items():
             try:

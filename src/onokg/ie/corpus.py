@@ -146,14 +146,18 @@ def encode_corpus(corpus: Sequence[LabeledSentence],
     """Training examples (flat feature ids, counts, gold tags) per entity
     type.
 
-    Each sentence is encoded once; the types share its packed arrays.
+    The sentences are encoded `LOSS_CHUNK` at a time, each sentence once;
+    the types share its packed arrays.
     """
     examples: dict[str, list] = {etype: [] for etype in ENTITY_TYPES}
-    for sentence in corpus:
-        encoded = encode_sentence(sentence.words, vocab, space, gazetteers)
-        for etype, typed in examples.items():
-            typed.append((encoded.flat, encoded.counts,
-                          gold_tags(encoded, sentence.spans_for(etype))))
+    for first in range(0, len(corpus), LOSS_CHUNK):
+        group = corpus[first:first + LOSS_CHUNK]
+        encodings = encode_sentence([s.words for s in group], vocab, space,
+                                    gazetteers)
+        for sentence, encoded in zip(group, encodings):
+            for etype, typed in examples.items():
+                typed.append((encoded.flat, encoded.counts,
+                              gold_tags(encoded, sentence.spans_for(etype))))
     return examples
 
 
@@ -187,15 +191,13 @@ def tag_sentence(models: dict[str, TaggerModel],
 def encode_and_tag(models: dict[str, TaggerModel],
                    sentences: Sequence[Sequence[str]], vocab: SubwordVocab,
                    space: FeatureSpace, gazetteers: dict[str, Gazetteer]):
-    """Each sentence's encoding and its `tag_sentence` result, in order.
-
-    The sentences are encoded and tagged `LOSS_CHUNK` at a time, so only
-    one group's encodings are held at once.
-    """
+    """Each group of up to `LOSS_CHUNK` sentences as its encodings and
+    their `tag_sentence` results, in order, so only one group's encodings
+    are held at once."""
     for first in range(0, len(sentences), LOSS_CHUNK):
-        encodings = [encode_sentence(words, vocab, space, gazetteers)
-                     for words in sentences[first:first + LOSS_CHUNK]]
-        yield from zip(encodings, tag_sentence(models, encodings))
+        encodings = encode_sentence(sentences[first:first + LOSS_CHUNK],
+                                    vocab, space, gazetteers)
+        yield encodings, tag_sentence(models, encodings)
 
 
 @dataclass
@@ -213,10 +215,10 @@ def evaluate_entities(models: dict[str, TaggerModel],
                       gazetteers: dict[str, Gazetteer]) -> EntityScores:
     """Exact-match entity-level precision/recall over merged typed spans."""
     predicted = gold = correct = 0
-    tagged_corpus = encode_and_tag(models, [s.words for s in corpus], vocab,
-                                   space, gazetteers)
-    for sentence, (encoded, tagged) in zip(corpus, tagged_corpus):
-        mentions = decode_entities(encoded, tagged)
+    decoded = (mentions for group in encode_and_tag(
+        models, [s.words for s in corpus], vocab, space, gazetteers)
+        for mentions in decode_entities(*group))
+    for sentence, mentions in zip(corpus, decoded):
         found = {(m.entity_type, m.start, m.end) for m in mentions}
         truth = {(etype, start, end)
                  for etype in ENTITY_TYPES

@@ -28,13 +28,18 @@ def normalize_surface(surface: str) -> str:
 class AliasTable:
     def __init__(self):
         self._entries: dict[tuple[str, str], Term] = {}
+        # each looked-up surface's normalized form; mentions repeat their
+        # surfaces, and normalizing one tokenizes and stems it
+        self._keys: dict[str, str] = {}
 
     def add(self, surface: str, entity_type: str, target: Term) -> None:
         key = (normalize_surface(surface), entity_type)
         self._entries.setdefault(key, target)
 
     def lookup(self, surface: str, entity_type: str) -> Optional[Term]:
-        return self._entries.get((normalize_surface(surface), entity_type))
+        if surface not in self._keys:
+            self._keys[surface] = normalize_surface(surface)
+        return self._entries.get((self._keys[surface], entity_type))
 
     @classmethod
     def build(cls, graph: Optional[Graph] = None,

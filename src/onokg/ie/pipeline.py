@@ -1,7 +1,9 @@
 """End-to-end document processing: preprocess, tag, decode, link, relate,
-and enrich. A document's sentences are encoded first and then tagged
-together (see `corpus.tag_sentence`). Documents are committed in sorted-id
-order so the result does not depend on arrival order.
+and enrich. A document's sentences, and the chunks of any sentence too
+long to tag at once, are encoded, tagged and decoded in groups of
+`tagger.LOSS_CHUNK` (see `corpus.encode_and_tag`); linking and the
+relation rules run per sentence or chunk. Documents are committed in
+sorted-id order so the result does not depend on arrival order.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .enrich import EnrichmentReport, enrich_kg
 from .linking import AliasTable, link_entity
 from .preprocess import Document, preprocess, stopwords
 from .relations import RelationCandidate, extract_relations
-from .tagger import Checkpoint, EncodedSentence, encode_sentence
-from .corpus import tag_sentence
+from .tagger import LOSS_CHUNK, Checkpoint
+from .corpus import encode_and_tag
 
 log = logging.getLogger(__name__)
 
@@ -79,26 +81,31 @@ def extract_document(doc: Document, checkpoint: Checkpoint,
     result = DocumentExtraction()
     space = next(iter(checkpoint.models.values())).space
     vocab, gazetteers = checkpoint.vocab, checkpoint.gazetteers
-    # (sentence index, word offset, encoding) of each sentence, or of each
-    # chunk of a sentence too long to tag at once; each is encoded once
-    units: list[tuple[int, int, EncodedSentence]] = [
-        (sent_idx, offset, encode_sentence(chunk, vocab, space, gazetteers))
-        for sent_idx, words in enumerate(doc.sentences)
-        for offset, chunk in split_to_fit(words, vocab, MAX_PIECES,
-                                          gazetteers)]
-    tagged = tag_sentence(checkpoint.models, [e for _, _, e in units])
-    for (sent_idx, offset, encoded), by_type in zip(units, tagged):
-        mentions = decode_entities(encoded, by_type, sent_idx)
-        for mention in mentions:
-            mention.normalized_id = link_entity(
-                mention.surface, mention.entity_type, alias_table)
-        # relations see chunk-local spans; the result holds sentence spans
-        result.candidates.extend(extract_relations(
-            encoded.words, mentions, doc.id))
-        if offset:
-            mentions = [replace(m, start=m.start + offset,
-                                end=m.end + offset) for m in mentions]
-        result.mentions.extend(mentions)
+    # (sentence index, word offset, words) of each sentence, or of each
+    # chunk of a sentence too long to tag at once
+    units = [(sent_idx, offset, chunk)
+             for sent_idx, words in enumerate(doc.sentences)
+             for offset, chunk in split_to_fit(words, vocab, MAX_PIECES,
+                                               gazetteers)]
+    groups = encode_and_tag(checkpoint.models, [c for _, _, c in units],
+                            vocab, space, gazetteers)
+    for first, (encodings, tagged) in zip(range(0, len(units), LOSS_CHUNK),
+                                          groups):
+        group = units[first:first + LOSS_CHUNK]
+        decoded = decode_entities(encodings, tagged,
+                                  [sent_idx for sent_idx, _, _ in group])
+        for (_sent_idx, offset, chunk), mentions in zip(group, decoded):
+            for mention in mentions:
+                mention.normalized_id = link_entity(
+                    mention.surface, mention.entity_type, alias_table)
+            # relations see chunk-local spans; the result holds sentence
+            # spans
+            result.candidates.extend(extract_relations(chunk, mentions,
+                                                       doc.id))
+            if offset:
+                mentions = [replace(m, start=m.start + offset,
+                                    end=m.end + offset) for m in mentions]
+            result.mentions.extend(mentions)
     return result
 
 

@@ -12,27 +12,30 @@ spans from different type models by their probabilities.
 
 A sentence is encoded once into packed form: one flat array of every
 piece's sorted feature ids, piece after piece, and a count per piece
-(`EncodedSentence`). Its rows are laid out once, from word types cached on
-the feature space, into one padded array: as ids in a frozen space, and in
-a growing one as names that are then interned in row order, which numbers
-features in first-use order. Every consumer joins the arrays of its
-sentences: `logits` scores each piece as one `np.add.reduceat` segment of
-`flat`, and the weight gradient is one `np.bincount` per tag over the flat
-ids, weighted by each piece's delta. A checkpoint stays the same to the
-bit as under a per-sentence loop: a piece's logit sums the same weights in
-the same order; bincount adds to each weight column in index order, which
-is piece order; and the per-sentence mean NLL and bias sums stay one
-`mean` / `sum` per sentence segment, as one reduceat over the sentences
-would reassociate their additions. `tagging_loss` scores a corpus
-`LOSS_CHUNK` sentences at a time, so its (K, features) gather stays near
-1 MB on the template corpus whatever the corpus size.
+(`EncodedSentence`). `encode_sentence` encodes a group of sentences at
+once: the rows of the whole group are gathered from arrays of word types
+cached on the feature space into one padded matrix, as ids in a frozen
+space, and in a growing one as provisional ids that are then interned in
+the order in which they first occur, which numbers features in first-use
+order. Every consumer joins the arrays of its sentences: `logits` scores
+each piece as one `np.add.reduceat` segment of `flat`, and the weight
+gradient is one `np.bincount` per tag over the flat ids, weighted by each
+piece's delta. A checkpoint stays the same to the bit as under a
+per-sentence loop: a piece's logit sums the same weights in the same
+order; bincount adds to each weight column in index order, which is piece
+order; and the per-sentence mean NLL and bias sums stay one `mean` / `sum`
+per sentence segment, as one reduceat over the sentences would
+reassociate their additions. `tagging_loss` scores a corpus `LOSS_CHUNK`
+sentences at a time, so its (K, features) gather stays near 1 MB on the
+template corpus whatever the corpus size; the encoder's matrix of a group
+of `LOSS_CHUNK` sentences stays small the same way.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +120,14 @@ class FeatureSpace:
         self._names: list[str] = []
         self.frozen = False
         # encode_sentence's word types, per vocabulary. A growing space's
-        # types hold feature names and a frozen space's hold ids, so
+        # types hold provisional ids and a frozen space's hold ids, so
         # freezing drops the types.
         self.word_types: dict[SubwordVocab, dict[str, _WordType]] = {}
+        # a growing space's provisional ids: each drafted name, and its id
+        # once `settle` has interned it (-1 before)
+        self._drafts: dict[str, int] = {}
+        self._drafted: list[str] = []
+        self._settled: list[int] = []
 
     def __len__(self):
         return len(self._index)
@@ -141,12 +149,39 @@ class FeatureSpace:
     def name(self, idx: int) -> str:
         return self._names[idx]
 
+    def draft(self, name: str) -> int:
+        """The name's provisional id in a growing space: drafts are
+        numbered as they come, and only `settle` gives a name its id."""
+        idx = self._drafts.get(name)
+        if idx is None:
+            idx = self._drafts[name] = len(self._drafted)
+            self._drafted.append(name)
+            self._settled.append(-1)
+        return idx
+
+    def settle(self, drafts: np.ndarray) -> np.ndarray:
+        """The ids of an array of provisional ids, where -1 stays -1. A
+        name not interned yet is interned where its draft first occurs in
+        the array, read row by row, so ids follow first use."""
+        table = np.array(self._settled + [-1], dtype=np.int64)
+        ids = table[drafts]
+        new = drafts[(ids < 0) & (drafts >= 0)]
+        if len(new):
+            fresh, first = np.unique(new, return_index=True)
+            for idx in fresh[np.argsort(first)].tolist():
+                self._settled[idx] = self.intern(self._drafted[idx])
+            ids = np.array(self._settled + [-1], dtype=np.int64)[drafts]
+        return ids
+
     def freeze(self):
         if not self.frozen:
             for family in ("p", "w", "prev", "next"):
                 self.intern(f"{family}=<unk>")
             self.frozen = True
             self.word_types.clear()
+            self._drafts.clear()
+            self._drafted.clear()
+            self._settled.clear()
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._index)
@@ -186,104 +221,139 @@ class EncodedSentence:
         return len(self.pieces)
 
 
-def _look(space: FeatureSpace) -> Callable[[str], Any]:
-    """How encode_sentence renders a feature name: a frozen space gives
-    its id, and a growing space keeps the name, to intern in row order."""
-    return space.intern if space.frozen else str
-
-
 class _WordType:
-    """What encode_sentence derives from a word alone: its pieces and
-    `features`, which holds each piece's own features (piece, head/cont,
-    word, case), the stopword feature or -1, and the context features that
-    the word gives a neighbour (prev=, next=, prevcase=, nextcase=), each
-    as `_look` renders it."""
+    """What encode_sentence derives from a word alone: its pieces, `own`,
+    each piece's own features (piece, head/cont, word, case) as a
+    (pieces, 4) array, and `gives`: the stopword feature or -1, then the
+    context features that the word gives a neighbour (prev=, next=,
+    prevcase=, nextcase=). Features are ids in a frozen space and
+    provisional ids (`FeatureSpace.draft`) in a growing one."""
 
-    __slots__ = ("pieces", "features")
+    __slots__ = ("pieces", "own", "gives")
 
-    def __init__(self, word: str, vocab: SubwordVocab, space: FeatureSpace):
+    def __init__(self, word: str, vocab: SubwordVocab,
+                 look: Callable[[str], int]):
         self.pieces = vocab.tokenize(word)
-        lower, case, look = word.lower(), _case_class(word), _look(space)
-        own = [[look(f"p={piece}"), look("head" if j == 0 else "cont"),
-                look(f"w={lower}"), look(f"case={case}")]
-               for j, piece in enumerate(self.pieces)]
-        gives = [look(f"prev={lower}"), look(f"next={lower}"),
-                 look(f"prevcase={case}"), look(f"nextcase={case}")]
-        self.features = (own, look("stop") if lower in stopwords() else -1,
-                         gives)
+        lower, case = word.lower(), _case_class(word)
+        self.own = np.array(
+            [[look(f"p={piece}"), look("head" if j == 0 else "cont"),
+              look(f"w={lower}"), look(f"case={case}")]
+             for j, piece in enumerate(self.pieces)],
+            dtype=np.int64).reshape(-1, 4)
+        self.gives = (look("stop") if lower in stopwords() else -1,
+                      look(f"prev={lower}"), look(f"next={lower}"),
+                      look(f"prevcase={case}"), look(f"nextcase={case}"))
 
 
-def encode_sentence(words: Sequence[str], vocab: SubwordVocab,
-                    space: FeatureSpace,
-                    gazetteers: dict[str, Gazetteer]) -> EncodedSentence:
-    """Each piece row holds the sorted ids of its word type's own features
+def encode_sentence(sentences: Sequence[Sequence[str]], vocab: SubwordVocab,
+                    space: FeatureSpace, gazetteers: dict[str, Gazetteer]
+                    ) -> list[EncodedSentence]:
+    """Encode a group of sentences (callers pass up to `LOSS_CHUNK`).
+
+    Each piece row holds the sorted ids of its word type's own features
     and of the features of its position: the neighbours' forms and case
     classes, first/last, and one gazetteer mark per gazetteer. Word types
     are cached on the space (see `FeatureSpace.word_types`).
 
-    The rows fill one array padded with -1, which is sorted along each row
-    and masked into `flat` and `counts`. The mask also drops an id repeated
-    within a row, so each row is a set.
+    The rows of the whole group, [CLS], pieces and [SEP] of each sentence
+    in turn, are gathered from the word types' arrays into one matrix
+    padded with -1, whose columns follow the per-row encoder this one
+    replaced (`encode_sentence` in tests/oracles.py): special=[CLS] or
+    [SEP], or a piece's piece, head/cont, word, case, prev, next,
+    prevcase, nextcase, stop, first, last and gazetteer marks. The matrix
+    is sorted along each row and masked into each sentence's `flat` and
+    `counts`. The mask also drops an id repeated within a row, so each row
+    is a set.
 
-    A frozen space gives the rows as ids. A growing space (`train`) gives
-    them as names and then interns the names one by one in row order, so
-    features are numbered in first-use order, and that order is the
-    checkpoint's feature table. It is the order in which the per-row
-    encoder this one replaced interned names (`encode_sentence` in
-    tests/oracles.py): special=[CLS]; then for each piece row its piece,
-    head/cont, word, case, prev, next, prevcase, nextcase, stop, first,
-    last and gazetteer marks; then special=[SEP]. `_rows` lays a row out in
-    that order.
+    A growing space (`train`) lays the matrix out on provisional ids and
+    then `settle`s it, which interns names where they first occur, read
+    row by row: features are numbered in first-use order, the order of
+    the checkpoint's feature table.
     """
+    if not sentences:
+        return []
+    look = space.intern if space.frozen else space.draft
     cache = space.word_types.setdefault(vocab, {})
+    local: dict[str, int] = {}
+    word_type = np.array([local.setdefault(word, len(local))
+                          for words in sentences for word in words],
+                         dtype=np.int64)
     types = []
-    for word in words:
+    for word in local:
         wtype = cache.get(word)
         if wtype is None:
-            wtype = cache[word] = _WordType(word, vocab, space)
+            wtype = cache[word] = _WordType(word, vocab, look)
         types.append(wtype)
-    marks = [(f"gaz-{name}=", gaz.mark(words))
-             for name, gaz in gazetteers.items()]
-    rows = _rows([wtype.features for wtype in types], marks, _look(space))
+    lengths = np.array([len(words) for words in sentences], dtype=np.int64)
+    n_words = len(word_type)
+    # per word: its pieces, what its type gives (stop and the context
+    # features), and whether it is first or last in its sentence
+    type_pieces = np.array([len(t.pieces) for t in types], dtype=np.int64)
+    own = np.concatenate([t.own for t in types]
+                         or [np.empty((0, 4), dtype=np.int64)])
+    gives = np.array([t.gives for t in types],
+                     dtype=np.int64).reshape(-1, 5)[word_type]
+    n_pieces = type_pieces[word_type]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    first = np.zeros(n_words, dtype=bool)
+    first[starts[lengths > 0]] = True
+    last = np.zeros(n_words, dtype=bool)
+    last[ends[lengths > 0] - 1] = True
+    # a row's position features: prev, next, prevcase, nextcase, stop,
+    # first, last and the gazetteer marks
+    position = np.full((n_words, 7 + len(gazetteers)), -1, dtype=np.int64)
+    before, after = np.roll(gives, 1, axis=0), np.roll(gives, -1, axis=0)
+    position[:, 0] = np.where(first, look("prev=<s>"), before[:, 1])
+    position[:, 1] = np.where(last, look("next=</s>"), after[:, 2])
+    position[:, 2] = np.where(first, look("prevcase=<s>"), before[:, 3])
+    position[:, 3] = np.where(last, look("nextcase=</s>"), after[:, 4])
+    position[:, 4] = gives[:, 0]
+    position[first, 5] = look("first")
+    position[last, 6] = look("last")
+    for column, (name, gaz) in enumerate(gazetteers.items(), start=7):
+        mark_ids = {mark: look(f"gaz-{name}={mark}") for mark in "BIO"}
+        position[:, column] = [mark_ids[mark] for words in sentences
+                               for mark in gaz.mark(words)]
+    # rows: [CLS], the pieces and [SEP] of each sentence in turn; each
+    # row ends in a -1
+    piece_ends = np.concatenate(([0], np.cumsum(n_pieces)))[ends]
+    sentence_pieces = np.diff(piece_ends, prepend=0)
+    row_ends = np.cumsum(sentence_pieces + 2)
+    word_of = np.repeat(np.arange(n_words), n_pieces)
+    piece_in_word = np.arange(len(word_of)) \
+        - (np.cumsum(n_pieces) - n_pieces)[word_of]
+    piece_rows = np.arange(len(word_of)) + 1 + 2 * np.repeat(
+        np.arange(len(sentences)), sentence_pieces)
+    ids = np.full((int(row_ends[-1]), 12 + len(gazetteers)), -1,
+                  dtype=np.int64)
+    ids[row_ends - sentence_pieces - 2, 0] = look("special=[CLS]")
+    ids[row_ends - 1, 0] = look("special=[SEP]")
+    type_first = np.cumsum(type_pieces) - type_pieces
+    ids[piece_rows, :4] = own[type_first[word_type][word_of] + piece_in_word]
+    ids[piece_rows, 4:-1] = position[word_of]
     if not space.frozen:
-        rows = [-1 if name == -1 else space.intern(name) for name in rows]
-    pieces, word_of_piece, is_head = ["[CLS]"], [-1], [False]
-    for i, wtype in enumerate(types):
-        pieces += wtype.pieces
-        word_of_piece += [i] * len(wtype.pieces)
-        is_head += [j == 0 for j in range(len(wtype.pieces))]
-    ids = np.array(rows, dtype=np.int64).reshape(len(pieces) + 1, -1)
+        ids = space.settle(ids)
     ids.sort(axis=1)
     # every row holds a -1, which sorts first; keeping each id that exceeds
     # the one before it drops the padding and any repeated id
     keep = ids[:, 1:] > ids[:, :-1]
-    return EncodedSentence(list(words), pieces + ["[SEP]"],
-                           word_of_piece + [-1], is_head + [False],
-                           ids[:, 1:][keep], keep.sum(axis=1))
-
-
-def _rows(features: list[tuple], marks: list[tuple[str, list[str]]],
-          look: Callable[[str], Any]) -> list:
-    """The rows of [CLS], each piece and [SEP], run together and each
-    padded with -1, from the word types' `features` and the other names
-    passed through `look`. A piece row holds its word type's own features,
-    prev= and prevcase= from the word before and next= and nextcase= from
-    the word after (<s> and </s> at the edges), stop, first, last, the
-    gazetteer marks and a -1, in that order."""
-    edge = [look("prev=<s>"), look("next=</s>"), look("prevcase=<s>"),
-            look("nextcase=</s>")]
-    gives = [edge, *(gives for _own, _stop, gives in features), edge]
-    marked = [[look(prefix + m) for m in mark] for prefix, mark in marks]
-    pad = [-1] * (11 + len(marks))
-    rows = [look("special=[CLS]"), *pad]
-    for i, ((own, stop, _gives), before, after, *gaz) in enumerate(
-            zip(features, gives, gives[2:], *marked)):
-        position = [before[0], after[1], before[2], after[3], stop,
-                    look("first") if i == 0 else -1,
-                    look("last") if i == len(features) - 1 else -1, *gaz, -1]
-        for piece in own:
-            rows += piece + position
-    return rows + [look("special=[SEP]"), *pad]
+    counts = keep.sum(axis=1)
+    flat = ids[:, 1:][keep]
+    flat_ends = np.cumsum(counts)[row_ends - 1]
+    # each sentence's pieces, the word of each and whether it is the head
+    pieces = [p for index in word_type.tolist() for p in types[index].pieces]
+    word_of_piece = (np.arange(n_words)
+                     - np.repeat(starts, lengths))[word_of].tolist()
+    is_head = (piece_in_word == 0).tolist()
+    bounds = [0, *piece_ends.tolist()]
+    return [EncodedSentence(list(words), ["[CLS]", *pieces[a:b], "[SEP]"],
+                            [-1, *word_of_piece[a:b], -1],
+                            [False, *is_head[a:b], False], rows, row_counts)
+            for words, a, b, rows, row_counts in zip(
+                sentences, bounds, bounds[1:],
+                np.split(flat, flat_ends[:-1]),
+                np.split(counts, row_ends[:-1]))]
 
 
 def gold_tags(encoded: EncodedSentence,

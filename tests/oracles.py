@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import logging
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -19,9 +20,9 @@ import numpy as np
 from onokg import dlx
 from onokg.explain import FeedForwardNet, Layer, lrp, sensitivity
 from onokg.ie import relations
-from onokg.ie.decode import decode_entities
+from onokg.ie.decode import EntityMention
 from onokg.ie.preprocess import preprocess, stopwords
-from onokg.ie.tagger import PROB_FLOOR, EncodedSentence, TaggerModel
+from onokg.ie.tagger import PROB_FLOOR, TAGS, EncodedSentence, TaggerModel
 from onokg.ie.tagger import encode_sentence as tagger_encode_sentence
 from onokg.ie.tagger import loss_and_gradients as tagger_loss_and_gradients
 from onokg.ie.tagger import tagging_loss as tagger_tagging_loss
@@ -799,8 +800,8 @@ def explain_json(checkpoint, text: str) -> str:
     tokens: list[str] = []
     scores: list[float] = []
     for words in preprocess(text).sentences:
-        encoded = tagger_encode_sentence(words, checkpoint.vocab, space,
-                                         checkpoint.gazetteers)
+        encoded, = tagger_encode_sentence([words], checkpoint.vocab, space,
+                                          checkpoint.gazetteers)
         combined = np.zeros(len(words))
         for model in checkpoint.models.values():
             combined += sentence_token_relevance(model, encoded)
@@ -810,6 +811,93 @@ def explain_json(checkpoint, text: str) -> str:
         "tokens": tokens, "scores": scores, "method": "lrp",
         "epsilon": 0.01, "delta": 1.0,
     }, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The decoder as it was before it decoded groups: one sentence at a time,
+# each type's word tags projected piece by piece, spans found word by word
+# (a dangling I logged and repaired as it is met), and one np.mean per span.
+
+_decode_log = logging.getLogger(__name__ + ".decode")
+
+
+def word_level_tags(encoded: EncodedSentence, tags, probabilities
+                    ) -> tuple[list[str], list[float]]:
+    """Project piece-level tags onto words via each word's head piece."""
+    if len(tags) != len(encoded.pieces) or len(probabilities) != len(tags):
+        raise ValueError("tags/probabilities misaligned with pieces")
+    word_tags = ["O"] * len(encoded.words)
+    word_probs = [1.0] * len(encoded.words)
+    tag_ids = np.asarray(tags)
+    picked = probabilities[np.arange(len(tag_ids)), tag_ids].tolist()
+    for word_idx, head, tag_id, prob in zip(encoded.word_of_piece,
+                                            encoded.is_head_piece,
+                                            tag_ids.tolist(), picked):
+        if word_idx < 0 or not head:
+            continue
+        tag = TAGS[tag_id]
+        if tag in ("X", "[CLS]", "[SEP]", "PAD"):
+            tag = "O"
+        word_tags[word_idx] = tag
+        word_probs[word_idx] = prob
+    return word_tags, word_probs
+
+
+def find_spans(word_tags) -> list[tuple[int, int]]:
+    """Maximal B I* spans; a dangling I opens a new span (decode repair)."""
+    spans = []
+    start = None
+    for i, tag in enumerate(word_tags):
+        if tag == "B":
+            if start is not None:
+                spans.append((start, i))
+            start = i
+        elif tag == "I":
+            if start is None:
+                _decode_log.warning("I tag without preceding B at word %d; "
+                                    "treating it as B", i)
+                start = i
+        else:
+            if start is not None:
+                spans.append((start, i))
+                start = None
+    if start is not None:
+        spans.append((start, len(word_tags)))
+    return spans
+
+
+def _span_candidates(word_tags, word_probs, entity_type):
+    out = []
+    for start, end in find_spans(word_tags):
+        score = float(np.mean(word_probs[start:end]))
+        out.append((start, end, entity_type, score))
+    return out
+
+
+def decode_entities(encoded: EncodedSentence, tagged,
+                    sentence_index: int = 0) -> list[EntityMention]:
+    """Merge the per-type tag sequences into typed, non-overlapping
+    mentions."""
+    candidates = []
+    for entity_type in sorted(tagged):
+        tags, probs = tagged[entity_type]
+        word_tags, word_probs = word_level_tags(encoded, tags, probs)
+        candidates.extend(_span_candidates(word_tags, word_probs,
+                                           entity_type))
+    ordered = sorted(candidates,
+                     key=lambda c: (-c[3], c[2], c[0], c[1]))
+    taken: list[tuple[int, int]] = []
+    mentions = []
+    for start, end, etype, score in ordered:
+        if any(s < end and start < e for s, e in taken):
+            continue
+        taken.append((start, end))
+        mentions.append(EntityMention(
+            sentence_index=sentence_index, start=start, end=end,
+            surface=" ".join(encoded.words[start:end]),
+            entity_type=etype, score=score))
+    mentions.sort(key=lambda m: (m.start, m.end))
+    return mentions
 
 
 def spans_by_regex(tags: list[str]) -> list[tuple[int, int]]:

@@ -287,8 +287,8 @@ class TestTaggerBridge:
     def test_entity_words_lead_relevance(self, trained):
         words = ["TP53", "is", "responsible", "for", "a", "disease",
                  "called", "Breast", "Cancer", "."]
-        encoded = encode_sentence(words, trained.vocab, trained.space,
-                                  trained.gazetteers)
+        encoded, = encode_sentence([words], trained.vocab, trained.space,
+                                   trained.gazetteers)
         tagged = tag_sentence(trained.models, [encoded])[0]
         offsets = feature_offsets(trained.space)
         total = np.zeros(len(words))
@@ -301,8 +301,8 @@ class TestTaggerBridge:
     @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
     def test_trained_heads_match_per_piece_oracle(self, trained, method):
         for sentence in trained.test_set[:40]:
-            encoded = encode_sentence(sentence.words, trained.vocab,
-                                      trained.space, trained.gazetteers)
+            encoded, = encode_sentence([sentence.words], trained.vocab,
+                                       trained.space, trained.gazetteers)
             for model in trained.models.values():
                 _assert_same(_relevance(model, encoded, method),
                              _oracle_relevance(model, encoded, method))

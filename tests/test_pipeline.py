@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import copy_graph
-from oracles import _tag_probabilities, feature_rows
-from onokg.ie import corpus as corpus_mod, pipeline as pipeline_mod
+from oracles import _tag_probabilities, decode_entities, feature_rows
+from onokg.ie import corpus as corpus_mod
 from onokg.ie.corpus import make_corpus, tag_sentence
-from onokg.ie.decode import decode_entities
 from onokg.ie.linking import AliasTable, link_entity
 from onokg.ie.pipeline import (MAX_PIECES, extract_document,
                                ingest_documents, read_corpus_dir,
@@ -76,9 +75,9 @@ def _oracle_tags(models, encoded):
 
 def _encoder(checkpoint):
     def encode(words):
-        return encode_sentence(words, checkpoint.vocab,
+        return encode_sentence([words], checkpoint.vocab,
                                checkpoint.models["Gene"].space,
-                               checkpoint.gazetteers)
+                               checkpoint.gazetteers)[0]
     return encode
 
 
@@ -179,11 +178,11 @@ class TestLongSentences:
         assert [len(words) for words in doc.sentences] == [200]
         encoded = []
 
-        def counted(words, *args):
-            encoded.append(len(words))
-            return encode_sentence(words, *args)
+        def counted(sentences, *args):
+            encoded.extend(len(words) for words in sentences)
+            return encode_sentence(sentences, *args)
 
-        monkeypatch.setattr(pipeline_mod, "encode_sentence", counted)
+        monkeypatch.setattr(corpus_mod, "encode_sentence", counted)
         extract_document(doc, checkpoint, alias_table)
         assert len(encoded) > 1 and sum(encoded) == 200
 
@@ -247,6 +246,22 @@ class TestDemoCorpusIngest:
         report = ingest_documents(seed_copy, docs, checkpoint, alias_table,
                                   0.5)
         assert report.proposed >= 1
+
+    def test_template_corpus_skips_no_document(self, seed_copy, checkpoint,
+                                               alias_table, caplog):
+        """A document that extraction raises on is skipped with a log
+        line; template documents of more than one group, one of them with
+        a sentence cut into chunks, raise nothing."""
+        texts = [" ".join(s.words) for s in make_corpus(200, seed=31)]
+        texts[150] = " ; ".join(texts[150:170]).replace(" .", "")
+        docs = [preprocess(" ".join(texts[a:a + 100]), f"t{a}")
+                for a in (0, 100)]
+        with caplog.at_level("WARNING"):
+            report = ingest_documents(seed_copy, docs, checkpoint,
+                                      alias_table, 0.5)
+        assert report.accepted
+        assert not [r for r in caplog.records
+                    if "skipping document" in r.getMessage()]
 
     def test_malformed_jsonl_lines_are_skipped(self, tmp_path, caplog):
         path = tmp_path / "docs.jsonl"

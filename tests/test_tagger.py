@@ -169,7 +169,7 @@ class TestTraining:
         ] * 8
         examples = []
         for words, spans in sentences:
-            encoded = encode_sentence(words, vocab, space, gaz)
+            encoded, = encode_sentence([words], vocab, space, gaz)
             examples.append((encoded.flat, encoded.counts,
                              gold_tags(encoded, spans)))
         return examples
@@ -212,8 +212,8 @@ def test_encode_corpus_matches_per_sentence_encoding(trained):
                              trained.gazetteers)
     assert list(examples) == list(ENTITY_TYPES)
     for i, sentence in enumerate(sentences):
-        encoded = encode_sentence(sentence.words, trained.vocab,
-                                  reference_space, trained.gazetteers)
+        encoded, = encode_sentence([sentence.words], trained.vocab,
+                                   reference_space, trained.gazetteers)
         for etype in ENTITY_TYPES:
             flat, counts, labels = examples[etype][i]
             assert np.array_equal(flat, encoded.flat)
@@ -262,6 +262,9 @@ _SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=12), min_size=1,
 _LONG = " ; ".join(["TP53 is responsible for a disease called Breast "
                     "Cancer"] * 20).split() + ["."]
 _TEMPLATE_SENTENCES = [s.words for s in make_corpus(80, seed=73)]
+# where a list of sentences is cut into groups; a repeated cut makes an
+# empty group
+_CUTS = st.lists(st.integers(0, 12), max_size=5)
 
 
 @pytest.fixture(scope="module")
@@ -351,7 +354,7 @@ class TestPackedTrainingMatchesOracle:
                         words, vocab, MAX_PIECES, gazetteers)]
                 for unit in units:
                     assert_same_encoding(
-                        encode_sentence(unit, vocab, space, gazetteers),
+                        encode_sentence([unit], vocab, space, gazetteers)[0],
                         oracles.encode_sentence(unit, vocab, reference,
                                                 gazetteers))
             assert list(space.to_dict().items()) == list(
@@ -359,12 +362,58 @@ class TestPackedTrainingMatchesOracle:
             space.freeze()
             reference.freeze()
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(growing=_SENTENCES, frozen=_SENTENCES,
+           growing_cuts=_CUTS, frozen_cuts=_CUTS)
+    # one-word sentences, a sentence too long to tag whole and an empty
+    # group in each phase, and a group of one sentence with no word;
+    # frozen on the last 17 template sentences
+    @example(growing=[["a"], [], *_TEMPLATE_SENTENCES[:63], _LONG],
+             frozen=[*_TEMPLATE_SENTENCES[63:], ["Unseen"], _LONG],
+             growing_cuts=[1, 1, 2, 40], frozen_cuts=[0, 17, 18])
+    def test_groups_encode_as_the_oracle(self, gazetteers, growing, frozen,
+                                         growing_cuts, frozen_cuts):
+        """Sentences cut into groups anywhere, and each group encoded at
+        once, growing and then frozen: every sentence encodes as the
+        oracle's rows, and features are numbered in the same order."""
+        vocab = demo_vocab()
+        space, reference = FeatureSpace(), FeatureSpace()
+        for sentences, cuts in ((growing, growing_cuts),
+                                (frozen, frozen_cuts)):
+            bounds = [0, *sorted(min(c, len(sentences)) for c in cuts),
+                      len(sentences)]
+            for a, b in zip(bounds, bounds[1:]):
+                got = encode_sentence(sentences[a:b], vocab, space,
+                                      gazetteers)
+                assert len(got) == b - a
+                for encoded, words in zip(got, sentences[a:b]):
+                    assert_same_encoding(encoded, oracles.encode_sentence(
+                        words, vocab, reference, gazetteers))
+                assert list(space.to_dict().items()) == list(
+                    reference.to_dict().items())
+            space.freeze()
+            reference.freeze()
+
+    def test_rows_whose_ids_all_fall_back_to_nothing(self, gazetteers):
+        """No family of the table has an <unk> slot, so the [SEP] row and
+        every piece row are empty, but for the pieces of TP53."""
+        table = {"special=[CLS]": 0, "w=tp53": 1}
+        sentences = [["x", "Ω"], [], ["TP53"], [""]]
+        got = encode_sentence(sentences, demo_vocab(),
+                              FeatureSpace.from_dict(table), gazetteers)
+        for encoded, words in zip(got, sentences):
+            assert_same_encoding(encoded, oracles.encode_sentence(
+                words, demo_vocab(), FeatureSpace.from_dict(table),
+                gazetteers))
+        assert [e.counts.tolist() for e in got] == [
+            [1, 0, 0, 0], [1, 0], [1, 1, 1, 1, 1, 0], [1, 0]]
+
     def test_repeated_id_in_a_row_is_kept_once(self):
         # two gazetteer marks whose names fall back to one <unk> slot
         table = {"special=[CLS]": 0, "gaz-g=<unk>": 1, "w=<unk>": 2}
         gazetteers = {"g": Gazetteer([]), "g=h": Gazetteer([])}
-        got = encode_sentence(["a"], demo_vocab(), FeatureSpace.from_dict(
-            table), gazetteers)
+        got, = encode_sentence([["a"]], demo_vocab(),
+                               FeatureSpace.from_dict(table), gazetteers)
         assert_same_encoding(got, oracles.encode_sentence(
             ["a"], demo_vocab(), FeatureSpace.from_dict(table), gazetteers))
         assert got.counts.tolist() == [1, 2, 0]
@@ -439,15 +488,15 @@ class TestCheckpoint:
         words = ["TP53", "is", "responsible", "for", "Breast", "Cancer",
                  "."]
         original_space = trained.space
-        encoded = encode_sentence(words, trained.vocab, original_space,
-                                  trained.gazetteers)
+        encoded, = encode_sentence([words], trained.vocab, original_space,
+                                   trained.gazetteers)
         for name in trained.models:
             reference = tag_probabilities(
                 trained.models[name],
                 oracles.feature_rows(encoded.flat, encoded.counts))
             loaded_space = loaded.models[name].space
-            re_encoded = encode_sentence(words, loaded.vocab, loaded_space,
-                                         loaded.gazetteers)
+            re_encoded, = encode_sentence([words], loaded.vocab,
+                                          loaded_space, loaded.gazetteers)
             observed = tag_probabilities(
                 loaded.models[name],
                 oracles.feature_rows(re_encoded.flat, re_encoded.counts))
