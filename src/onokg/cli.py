@@ -328,7 +328,7 @@ def cmd_explain(args, cfg: AppConfig) -> int:
         for name, model in checkpoint.models.items():
             try:
                 combined += sentence_token_relevance(
-                    model, encoded, *tagged[name], offsets,
+                    model, encoded, tagged[name][0], offsets,
                     method=args.method, epsilon=args.epsilon,
                     delta=args.delta)
             except (NumericError, SingularDenominatorError) as exc:

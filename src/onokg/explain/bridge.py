@@ -5,8 +5,11 @@ relevance lands on individual features; each feature describes a sentence
 position (its own word, or the previous/next word for context features),
 and per-word scores are the sums of their features' relevances.
 
-Each head piece of an entity word is explained toward the class c that the
-dense forward pass z = W @ x + b predicts for it, where x is the piece's
+An entity word is one whose head piece is tagged B or I: exactly the
+words of the mention spans that `decode.decode_entities` finds, since a
+dangling I opens a span and X, [CLS], [SEP] and PAD at a head piece read
+as O. Its head piece is explained toward the class c that the dense
+forward pass z = W @ x + b predicts for it, where x is the piece's
 multi-hot vector over the H features. Only the piece's active feature ids
 reach a word, and for those ε-LRP of the one layer has a closed form:
 
@@ -27,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ie.decode import find_spans, word_level_tags
 from ..ie.tagger import EncodedSentence, FeatureSpace, TaggerModel
 from .net import NumericError
 from .relevance import SingularDenominatorError
@@ -42,34 +44,35 @@ def feature_offsets(space: FeatureSpace) -> np.ndarray:
 
 
 def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
-                             tags: Sequence[int], probs: np.ndarray,
-                             offsets: np.ndarray, method: str = "lrp",
-                             epsilon: float = 0.01,
+                             tags: Sequence[int], offsets: np.ndarray,
+                             method: str = "lrp", epsilon: float = 0.01,
                              delta: float = 1.0) -> np.ndarray:
     """Per-word relevance toward the predicted entity tags.
 
-    `tags` and `probs` are the model's tagging of the sentence, and
-    `offsets` is `feature_offsets` of its feature space. Every word
-    predicted inside a mention span contributes the relevance of its head
+    `tags` is the model's argmax tagging of the sentence's pieces, and
+    `offsets` is `feature_offsets` of its feature space. Every word whose
+    head piece is tagged B or I contributes the relevance of its head
     piece's prediction; feature scores fold back onto the words they
     describe (subword scores sum into words, in piece and feature order).
+    A tag list whose length is not the number of pieces raises ValueError.
     """
     if method not in ("lrp", "sensitivity"):
         raise ValueError(f"unknown method {method!r}")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    word_tags, _probs = word_level_tags(encoded, tags, probs)
-    entity_words = {i for start, end in find_spans(word_tags)
-                    for i in range(start, end)}
+    if len(tags) != len(encoded.pieces):
+        raise ValueError(f"{len(tags)} tags for a sentence of "
+                         f"{len(encoded.pieces)} pieces")
     weights, bias = model.weights, model.bias
     hidden = model.hidden_size
     x = np.zeros(hidden)
     targets, values = [], []
     ends = np.cumsum(encoded.counts).tolist()
-    for word_idx, head, start, end in zip(encoded.word_of_piece,
-                                          encoded.is_head_piece,
-                                          [0] + ends, ends):
-        if not head or word_idx not in entity_words:
+    for word_idx, head, tag, start, end in zip(encoded.word_of_piece,
+                                               encoded.is_head_piece,
+                                               np.asarray(tags).tolist(),
+                                               [0] + ends, ends):
+        if not head or tag > 1:     # B is tag 0 and I tag 1
             continue
         ids = encoded.flat[start:end]
         x[ids] = 1.0

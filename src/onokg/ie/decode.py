@@ -7,9 +7,8 @@ different entity-type models overlap, the span with the highest mean tag
 probability wins; exact ties break lexicographically by type name.
 
 `decode_entities` decodes a tagged group of sentences with array
-operations; `word_level_tags` and `find_spans` do the same for one
-sentence's tags, for the explainer. A span's score is its mean word
-probability, equal to `np.mean` to the bit.
+operations, and it is the only code that turns piece tags into spans. A
+span's score is its mean word probability, equal to `np.mean` to the bit.
 """
 
 from __future__ import annotations
@@ -38,52 +37,6 @@ class EntityMention:
     normalized_id: Optional[Term] = None
 
 
-def word_level_tags(encoded: EncodedSentence, tags: Sequence[int],
-                    probabilities: np.ndarray
-                    ) -> tuple[list[str], list[float]]:
-    """Project piece-level tags onto words via each word's head piece."""
-    if len(tags) != len(encoded.pieces) or len(probabilities) != len(tags):
-        raise ValueError("tags/probabilities misaligned with pieces")
-    word_tags = ["O"] * len(encoded.words)
-    word_probs = [1.0] * len(encoded.words)
-    tag_ids = np.asarray(tags)
-    picked = probabilities[np.arange(len(tag_ids)), tag_ids].tolist()
-    for word_idx, head, tag_id, prob in zip(encoded.word_of_piece,
-                                            encoded.is_head_piece,
-                                            tag_ids.tolist(), picked):
-        if word_idx < 0 or not head:
-            continue
-        tag = TAGS[tag_id]
-        if tag in ("X", "[CLS]", "[SEP]", "PAD"):
-            tag = "O"
-        word_tags[word_idx] = tag
-        word_probs[word_idx] = prob
-    return word_tags, word_probs
-
-
-def find_spans(word_tags: Sequence[str]) -> list[tuple[int, int]]:
-    """Maximal B I* spans; a dangling I opens a new span (decode repair)."""
-    spans = []
-    start = None
-    for i, tag in enumerate(word_tags):
-        if tag == "B":
-            if start is not None:
-                spans.append((start, i))
-            start = i
-        elif tag == "I":
-            if start is None:
-                log.warning("I tag without preceding B at word %d; "
-                            "treating it as B", i)
-                start = i
-        else:
-            if start is not None:
-                spans.append((start, i))
-                start = None
-    if start is not None:
-        spans.append((start, len(word_tags)))
-    return spans
-
-
 # A span of fewer words than this is scored as its word probabilities
 # added left to right and divided by its length, which is np.mean to the
 # bit: numpy sums fewer than 8 values one by one, and pairwise from 8 on,
@@ -103,11 +56,11 @@ def decode_entities(encoded: Sequence[EncodedSentence],
     `EntityMention.sentence_index` (by default its place in the group).
 
     For each type, one gather over the group's head pieces gives every
-    word its tag and probability (`word_level_tags`), and spans are the
-    maximal B I* runs inside a sentence, where a dangling I opens a span
-    (`find_spans`). The repairs are logged after all types are decoded,
-    sentence by sentence, type by type in name order, word by word.
-    Overlaps are resolved per sentence.
+    word the tag and probability of its head piece (a word without one
+    reads as O), and spans are the maximal B I* runs inside a sentence,
+    where a dangling I opens a span. The repairs are logged after all
+    types are decoded, sentence by sentence, type by type in name order,
+    word by word. Overlaps are resolved per sentence.
     """
     if sentence_indices is None:
         sentence_indices = range(len(encoded))

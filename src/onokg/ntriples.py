@@ -265,13 +265,12 @@ class _Parser:
         try:
             s, p, o = [scanner.read_term() for _ in range(3)]
             scanner.read_terminator()
-            # a blank node's label is handed out once its line has passed
-            # the scanner, before the subject and predicate kinds are checked
-            triple = Triple(self.fresh(s), p, self.fresh(o))
+            triple = Triple(s, p, o)
         except ValidationError as exc:
             self.issues.append(ParseIssue(lineno, str(exc)))
             return
-        self.ids.extend(map(self.graph.intern, triple))
+        # a blank node takes its label only once its line is a triple
+        self.ids.extend(self.graph.intern(self.fresh(t)) for t in triple)
 
 
 def rendered_rows(graph: Graph) -> Iterator[tuple[str, str, str]]:

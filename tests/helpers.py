@@ -1,7 +1,8 @@
 """Helpers that only the tests call.
 
 The CoNLL rendering of a preprocessed document with its rule-based PoS
-tags, the inverses of `decode.find_spans` and `SubwordVocab.tokenize`, a
+tags, the spans that `decode.decode_entities` finds in a list of word
+tags and the inverse of that, the inverse of `SubwordVocab.tokenize`, a
 graph copy for the tests that write to a shared graph, a copy whose
 triples are split between the store's base and its buffer, feature-id rows
 packed as `EncodedSentence` holds them, a sentence's tag distributions
@@ -21,7 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from onokg.ie.preprocess import Document, stem, stopwords
-from onokg.ie.tagger import TaggerModel, logits, softmax
+from onokg.ie.decode import decode_entities
+from onokg.ie.tagger import (K, TAG_INDEX, EncodedSentence, TaggerModel,
+                             logits, softmax)
 from onokg.ie.wordpiece import CONTINUATION, SubwordVocab
 from onokg.kg import Graph
 from onokg.ontology import (_assert_association_rows, _row_of, add_biomarker,
@@ -79,8 +82,25 @@ def conll(doc: Document) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+def decode_word_tags(word_tags: Sequence[str]) -> list[tuple[int, int]]:
+    """The (start, end) word spans that `decode_entities` finds in one
+    type's word tags ("B", "I", "O"), each word one piece between [CLS]
+    and [SEP]."""
+    n = len(word_tags)
+    words = [f"w{i}" for i in range(n)]
+    encoded = EncodedSentence(words, ["[CLS]", *words, "[SEP]"],
+                              [-1, *range(n), -1],
+                              [False, *[True] * n, False],
+                              *pack([np.zeros(0, np.int64)] * (n + 2)))
+    tags = [TAG_INDEX[tag] for tag in ("[CLS]", *word_tags, "[SEP]")]
+    mentions, = decode_entities([encoded], [{"Gene": (
+        tags, np.full((n + 2, K), 1.0 / K))}])
+    return [(m.start, m.end) for m in mentions]
+
+
 def encode_word_tags(spans: Sequence[tuple[int, int]], n: int) -> list[str]:
-    """Inverse of find_spans for non-overlapping spans."""
+    """The word tags of non-overlapping spans: the inverse of
+    `decode_word_tags`."""
     tags = ["O"] * n
     for start, end in spans:
         tags[start] = "B"

@@ -1033,6 +1033,7 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
             p = scanner.read_term()
             o = scanner.read_term()
             scanner.read_terminator()
+            Triple(s, p, o)     # the kinds, before a blank takes a label
             if s.kind == BLANK:
                 if s.lexical not in blank_map:
                     blank_map[s.lexical] = blank(f"b{counter}")

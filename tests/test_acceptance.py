@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from helpers import encode_word_tags, pack, tag_probabilities
+from helpers import (decode_word_tags, encode_word_tags, pack,
+                     tag_probabilities)
 from oracles import (central_difference, dl_instances, random_dl_expr,
                      random_graph, random_sparql_query, sparql_rows)
 from onokg import dlx
@@ -18,7 +19,6 @@ from onokg.explain import (FeedForwardNet, Layer,
                            SingularDenominatorError, gradient, lrp,
                            sensitivity)
 from onokg.ie import corpus as corpus_mod
-from onokg.ie.decode import find_spans
 from onokg.ie.linking import AliasTable
 from onokg.ie.pipeline import extract_document
 from onokg.ie.preprocess import preprocess
@@ -373,7 +373,7 @@ def test_criterion_12_round_trips(seed_graph):
                 cursor += length
             else:
                 cursor += 1
-        if find_spans(encode_word_tags(spans, n)) != spans:
+        if decode_word_tags(encode_word_tags(spans, n)) != spans:
             iob_failures += 1
     _report(12, nt_ok and iob_failures == 0,
             "seed N-Triples serialize->parse identity; 1000 random IOB "

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import encode_word_tags
+from helpers import decode_word_tags, encode_word_tags
 from oracles import spans_by_regex
-from onokg.ie.decode import decode_entities, find_spans, word_level_tags
+from onokg.ie.decode import decode_entities
 from onokg.ie.tagger import (FeatureSpace, TAG_INDEX, encode_sentence,
                              gold_tags)
 from onokg.ie.wordpiece import demo_vocab
@@ -37,25 +37,33 @@ def _uniform_probs(n):
     return np.full((n, 7), 1.0 / 7)
 
 
+def _spans(caplog, encoded, tags):
+    """The spans that `decode_entities` finds in one type's piece tags,
+    and the repair lines it logs."""
+    (mentions,), log = _decoded_and_logged(caplog, lambda: decode_entities(
+        [encoded], [{"Gene": (tags, _uniform_probs(len(tags)))}]))
+    return [(m.start, m.end) for m in mentions], log
+
+
 class TestFindSpans:
     def test_two_token_mention(self):
-        assert find_spans(["O", "O", "B", "I", "O"]) == [(2, 4)]
+        assert decode_word_tags(["O", "O", "B", "I", "O"]) == [(2, 4)]
 
     def test_all_outside(self):
-        assert find_spans(["O"] * 6) == []
+        assert decode_word_tags(["O"] * 6) == []
 
     def test_dangling_i_repaired(self):
-        assert find_spans(["O", "I", "I", "O"]) == [(1, 3)]
+        assert decode_word_tags(["O", "I", "I", "O"]) == [(1, 3)]
 
     def test_adjacent_mentions(self):
-        assert find_spans(["B", "B", "I"]) == [(0, 1), (1, 3)]
+        assert decode_word_tags(["B", "B", "I"]) == [(0, 1), (1, 3)]
 
     def test_random_layouts_match_regex_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             tags = [("B", "I", "O")[i]
                     for i in rng.integers(0, 3, size=rng.integers(1, 15))]
-            assert find_spans(tags) == spans_by_regex(tags)
+            assert decode_word_tags(tags) == spans_by_regex(tags)
 
 
 class TestEncodeDecodeRoundTrip:
@@ -73,32 +81,30 @@ class TestEncodeDecodeRoundTrip:
                 else:
                     cursor += 1
             tags = encode_word_tags(spans, n)
-            assert find_spans(tags) == spans
+            assert decode_word_tags(tags) == spans
 
 
 class TestWordLevelProjection:
-    def test_x_merges_into_head(self):
+    # the spans with no repair line pin the word tags: a span opens at a
+    # B, and every other word in it is an I
+    def test_x_merges_into_head(self, caplog):
         words = ["Breast", "Cancer", "hurts"]
         encoded = _encoded(words)
         tags = _piece_tags(encoded, ["B", "I", "O"])
-        probs = _uniform_probs(len(encoded.pieces))
-        word_tags, _ = word_level_tags(encoded, tags, probs)
-        assert word_tags == ["B", "I", "O"]
+        assert _spans(caplog, encoded, tags) == ([(0, 2)], [])
 
-    def test_special_tags_never_in_mentions(self):
+    def test_special_tags_never_in_mentions(self, caplog):
         words = ["TP53"]
         encoded = _encoded(words)
         tags = [TAG_INDEX["[CLS]"]] + \
             [TAG_INDEX["B"]] + [TAG_INDEX["X"]] * (len(encoded.pieces) - 3) \
             + [TAG_INDEX["[SEP]"]]
-        probs = _uniform_probs(len(encoded.pieces))
-        word_tags, _ = word_level_tags(encoded, tags, probs)
-        assert word_tags == ["B"]
+        assert _spans(caplog, encoded, tags) == ([(0, 1)], [])
 
     def test_misaligned_probabilities_rejected(self):
         encoded = _encoded(["one", "two"])
         with pytest.raises(ValueError):
-            word_level_tags(encoded, [0], _uniform_probs(1))
+            decode_entities([encoded], [{"Gene": ([0], _uniform_probs(1))}])
 
 
 class TestTypeResolution:

@@ -211,10 +211,10 @@ class TestHeatmap:
 def _relevance(model, encoded, method="lrp", epsilon=0.01, delta=1.0):
     """The closed-form bridge on the model's own tagging of the sentence,
     or the (type, message) of the error it raises."""
-    tags, probs = tag_sentence({"m": model}, [encoded])[0]["m"]
+    tags, _probs = tag_sentence({"m": model}, [encoded])[0]["m"]
     try:
         return sentence_token_relevance(
-            model, encoded, tags, probs, feature_offsets(model.space),
+            model, encoded, tags, feature_offsets(model.space),
             method=method, epsilon=epsilon, delta=delta)
     except (NumericError, SingularDenominatorError) as exc:
         return type(exc), str(exc)
@@ -293,8 +293,8 @@ class TestTaggerBridge:
         offsets = feature_offsets(trained.space)
         total = np.zeros(len(words))
         for name, model in trained.models.items():
-            total += sentence_token_relevance(model, encoded, *tagged[name],
-                                              offsets)
+            total += sentence_token_relevance(model, encoded,
+                                              tagged[name][0], offsets)
         ranked = [words[i] for i in np.argsort(-np.abs(total))]
         assert {"TP53", "Breast", "Cancer"} <= set(ranked[:3])
 
@@ -358,6 +358,22 @@ class TestTaggerBridge:
             want = _oracle_relevance(model, encoded, epsilon=0.0)
         _assert_same(got, want)
         assert np.isfinite(got).all() and got.any()
+
+    def test_misaligned_tags_rejected(self):
+        # one tag short of the pieces would drop [SEP] from the piece
+        # loop, and one over would be ignored: each names both lengths
+        space = FeatureSpace()
+        space.intern("w=a")
+        model = TaggerModel(space, np.ones((K, 1)), np.zeros(K), "Gene")
+        encoded = EncodedSentence(
+            ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
+            *pack([np.array([0])] * 3))
+        for tags in ([4, 0], [4, 0, 5, 6]):
+            with pytest.raises(ValueError,
+                               match=f"^{len(tags)} tags for a sentence of "
+                                     f"3 pieces$"):
+                sentence_token_relevance(model, encoded, tags,
+                                         feature_offsets(space))
 
     def test_zero_logit_at_epsilon_zero_names_the_class(self):
         space = FeatureSpace()

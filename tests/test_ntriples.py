@@ -45,6 +45,17 @@ class TestParse:
         assert labels == {"b0", "b1"}
         assert len(result.graph) == 2
 
+    def test_rejected_line_takes_no_blank_label(self):
+        # a literal subject or a non-IRI predicate rejects the line before
+        # its blank nodes are labelled, so the next blank node is b0
+        for rejected in ('"v" <a:p> _:y .', '_:y _:q <a:o> .'):
+            text = f"{rejected}\n_:x <a:p> <a:o> ."
+            result = parse_ntriples(text)
+            assert [issue.line for issue in result.issues] == [1]
+            assert list(result.graph) == [Triple(blank("b0"), iri("a:p"),
+                                                 iri("a:o"))]
+            _assert_matches_oracle(text)
+
     def test_missing_terminator_reports_line(self):
         result = parse_ntriples('<a:s> <a:p> <a:o> .\n<a:s> <a:p> <a:o>')
         assert len(result.issues) == 1
@@ -434,8 +445,8 @@ class TestSlices:
                     '_:z <a:p> _:x .', '<a:s> <a:p> _:z .',
                     '_:w <a:q> _:y .', '_:v <a:p> <a:o> .'], [])
 
-    def test_blank_label_taken_by_a_rejected_line(self):
-        # the rejected line still takes b0 for _:y, which a later slice
-        # must reuse
+    def test_rejected_line_takes_no_blank_label_before_a_slice(self):
+        # the rejected line takes no label for _:y, so the later slice
+        # hands out b0 to _:x and b1 to _:y
         self.check(['"v" <a:p> _:y .', '<a:s> <a:p> <a:o> .',
                     '_:x <a:p> _:y .', '<a:s> <a:p> <a:o2> .'], [1, 2])
