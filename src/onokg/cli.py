@@ -217,8 +217,7 @@ def cmd_train(args, cfg: AppConfig) -> int:
     models = {}
     for etype in corpus_mod.ENTITY_TYPES:
         try:
-            model, losses = train_tagger(encoded[etype], train_cfg, space,
-                                         etype)
+            model, losses = train_tagger(encoded[etype], train_cfg, space)
         except TrainingDiverged as exc:
             raise UserError(f"training the {etype} tagger diverged: "
                             f"{exc}") from exc

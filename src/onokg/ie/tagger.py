@@ -386,7 +386,6 @@ class TaggerModel:
     space: FeatureSpace
     weights: np.ndarray
     bias: np.ndarray
-    entity_type: str = "Gene"
 
     def __post_init__(self):
         if self.weights.shape[0] != K or self.bias.shape != (K,):
@@ -399,11 +398,9 @@ class TaggerModel:
         return self.weights.shape[1]
 
     @classmethod
-    def zeros(cls, space: FeatureSpace, entity_type: str = "Gene"
-              ) -> "TaggerModel":
+    def zeros(cls, space: FeatureSpace) -> "TaggerModel":
         space.freeze()
-        return cls(space, np.zeros((K, len(space))), np.zeros(K),
-                   entity_type)
+        return cls(space, np.zeros((K, len(space))), np.zeros(K))
 
 
 def logits(model: TaggerModel, flat: np.ndarray, counts: np.ndarray
@@ -573,7 +570,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"model {name!r} has weights {weights.shape} and bias "
                 f"{bias.shape}; the feature table needs ({K}, "
                 f"{len(space)}) and ({K},)")
-        models[name] = TaggerModel(space, weights, bias, name)
+        models[name] = TaggerModel(space, weights, bias)
     vocab = SubwordVocab(payload["vocab"])
     gazetteers = {name: Gazetteer(surfaces)
                   for name, surfaces in payload["gazetteers"].items()}

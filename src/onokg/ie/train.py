@@ -50,6 +50,8 @@ class TrainConfig:
         if not math.isfinite(self.learning_rate):
             raise ValueError(
                 f"learning rate must be finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 def _clip(grad_w: np.ndarray, grad_b: np.ndarray):
@@ -63,15 +65,14 @@ def _clip(grad_w: np.ndarray, grad_b: np.ndarray):
 
 # overflow shows up as a non-finite loss, which raises TrainingDiverged
 @np.errstate(over="ignore", invalid="ignore")
-def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace,
-                 entity_type: str = "Gene"
+def train_tagger(examples, cfg: TrainConfig, space: FeatureSpace
                  ) -> tuple[TaggerModel, list[float]]:
     """Minimize the tagging loss; returns the model and the per-epoch loss
     curve (full-corpus loss evaluated after each epoch).
     """
     if not examples:
         raise ValueError("empty training corpus")
-    model = TaggerModel.zeros(space, entity_type)
+    model = TaggerModel.zeros(space)
     rng = np.random.default_rng(cfg.seed)
     # each parameter with its first and second moment
     adam = [(p, np.zeros_like(p), np.zeros_like(p))

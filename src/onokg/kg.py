@@ -23,11 +23,11 @@ hashes and orders as the plain tuple of its fields, in C.
 The triples live in two disjoint parts:
 
 - the base, an immutable sorted triple set: the SPO, POS and OSP
-  permutations (as in RDF-3X) as `array.array` id columns with offsets per
-  first key, so that any combination of bound and unbound pattern
-  positions is answered from an index. One bulk sort builds it and drops
-  duplicates; probes search its columns with `bisect`, and whole-column
-  readers view them as numpy arrays (`columns`);
+  permutations (as in RDF-3X) as read-only int64 numpy columns with
+  offsets per first key, so that any combination of bound and unbound
+  pattern positions is answered from an index. One bulk sort builds it and
+  drops duplicates; membership searches its SPO run with `searchsorted`,
+  and every other reader takes views of its columns (`columns`);
 - the buffer, the id triples inserted since, as the keys of one dict in
   insertion order (a dict used as an ordered set). It answers membership,
   its size and its keys, nothing else.
@@ -89,8 +89,6 @@ already exclude readers.
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
@@ -300,55 +298,36 @@ class PrefixTable:
 
 
 class _Sorted:
-    """One sorted permutation of the base, in columns. The rows whose first
-    key is `a` sit at `off[a]:off[a + 1]` of `second` and `third`, sorted
-    on (second, third); probes search them with `bisect`."""
+    """One sorted permutation of the base, as read-only int64 columns. The
+    rows whose first key is `a` sit at `off[a]:off[a + 1]` of `second` and
+    `third`, sorted on (second, third). Each column owns its data, so no
+    view of it can be made writeable."""
 
-    __slots__ = ("keys", "off", "second", "third")
+    __slots__ = ("off", "second", "third")
 
     def __init__(self, first, second, third, size: int):
-        counts = np.bincount(first, minlength=size)
-        self.keys = len(counts)
-        self.off = _column(np.concatenate(([0], np.cumsum(counts))))
-        self.second = _column(second)
-        self.third = _column(third)
+        self.off = np.concatenate(
+            ([0], np.cumsum(np.bincount(first, minlength=size))))
+        self.second = np.array(second)
+        self.third = np.array(third)
+        for column in (self.off, self.second, self.third):
+            column.flags.writeable = False
 
-    def span(self, a: int, b: Optional[int] = None) -> tuple[int, int]:
-        """The slice of rows with first key `a` (and second key `b`)."""
-        if not 0 <= a < self.keys:
-            return 0, 0
-        off = self.off
-        lo = off[a]
-        hi = off[a + 1]
-        if b is None or lo == hi:
-            return lo, hi
-        second = self.second
-        lo = bisect_left(second, b, lo, hi)
-        # most runs of one second key are one row long: test before bisecting
-        if lo == hi or second[lo] != b:
-            return lo, lo
-        if lo + 1 == hi or second[lo + 1] != b:
-            return lo, lo + 1
-        return lo, bisect_right(second, b, lo + 2, hi)
+    def table(self) -> np.ndarray:
+        """Every row as (first, second, third), in stored order, as one
+        (n, 3) array."""
+        first = np.repeat(np.arange(len(self.off) - 1), np.diff(self.off))
+        return np.column_stack((first, self.second, self.third))
 
-    def pairs(self, lo: int, hi: int):
-        return zip(self.second[lo:hi], self.third[lo:hi])
-
-    def triples(self) -> list[tuple[int, int, int]]:
-        """Every row as (first, second, third), in stored order."""
-        off, second, third = self.off, self.second, self.third
-        return [(a, second[i], third[i]) for a in range(len(off) - 1)
-                for i in range(off[a], off[a + 1])]
-
-
-def _column(values) -> array:
-    return array("q", np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    def rows(self) -> list[tuple[int, int, int]]:
+        """Every row as a tuple of ints, in stored order."""
+        return list(zip(*(column.tolist() for column in self.table().T)))
 
 
 class _Base:
     """An immutable set of id triples in three sorted permutations (SPO,
     POS, OSP), built in bulk from flat ids (s0, p0, o0, s1, ...);
-    duplicates dropped. Numpy builds it; probes read plain arrays."""
+    duplicates dropped."""
 
     def __init__(self, flat: np.ndarray, size: int):
         spo = flat.reshape(-1, 3)
@@ -360,27 +339,22 @@ class _Base:
         pos = spo[np.lexsort((o, p))]
         osp = spo[np.argsort(o, kind="stable")]
         self.n = len(spo)
-        self.subjects = _column(s)
         self.spo = _Sorted(s, p, o, size)
         self.pos = _Sorted(pos[:, 1], pos[:, 2], pos[:, 0], size)
         self.osp = _Sorted(osp[:, 2], osp[:, 0], osp[:, 1], size)
 
     def has(self, key: tuple[int, int, int]) -> bool:
+        """Whether the triple is stored: `searchsorted` finds its predicate
+        within its subject's SPO run, then its object within that."""
         s, p, o = key
-        lo, hi = self.spo.span(s, p)
-        third = self.spo.third
-        i = bisect_left(third, o, lo, hi) if hi - lo > 1 else lo
-        return i < hi and third[i] == o
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        """Every triple, sorted."""
-        return list(zip(self.subjects, self.spo.second, self.spo.third))
-
-    def flat(self) -> np.ndarray:
-        """Every triple, sorted, as flat ids."""
-        columns = (self.subjects, self.spo.second, self.spo.third)
-        return np.column_stack([np.frombuffer(c, dtype=np.int64)
-                                for c in columns]).ravel()
+        off, second, third = self.spo.off, self.spo.second, self.spo.third
+        if not 0 <= s < len(off) - 1:
+            return False
+        lo, hi = off[s], off[s + 1]
+        run = second[lo:hi]
+        lo, hi = lo + run.searchsorted(p), lo + run.searchsorted(p, "right")
+        i = lo + third[lo:hi].searchsorted(o)
+        return bool(i < hi and third[i] == o)
 
 
 _EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
@@ -459,7 +433,8 @@ class Graph:
         if before:
             buffered = np.fromiter(chain.from_iterable(buffer),
                                    dtype=np.int64, count=3 * len(buffer))
-            flat = np.concatenate((base.flat(), buffered, flat))
+            flat = np.concatenate((base.spo.table().ravel(), buffered,
+                                   flat))
         base = _Base(flat, len(self._terms))
         self._store = (base, {})
         added = base.n - before
@@ -518,8 +493,8 @@ class Graph:
         """
         base, buffer = self._store
         if not buffer:
-            return base.rows()
-        return sorted(chain(base.rows(), buffer))
+            return base.spo.rows()
+        return sorted(chain(base.spo.rows(), buffer))
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
@@ -537,59 +512,51 @@ class Graph:
         """Id triples matching all bound id positions, in no set order.
         Folds unless all three are bound.
 
-        An id that no stored triple uses (say -1 for an unknown term)
-        matches nothing.
+        A partly bound pattern reads the run of its first bound position
+        from the permutation sorted on that position (`columns`) and masks
+        the other bound position, if any. An id that no stored triple uses
+        (say -1 for an unknown term) matches nothing.
         """
         if s is not None and p is not None and o is not None:
             key = (s, p, o)
             base, buffer = self._store
             return [key] if base.has(key) or key in buffer else []
-        base = self._folded()
-        if s is not None and p is not None:
-            lo, hi = base.spo.span(s, p)
-            third = base.spo.third
-            return ([(s, p, third[lo])] if hi - lo == 1
-                    else [(s, p, x) for x in third[lo:hi]])
-        if s is not None and o is not None:
-            lo, hi = base.osp.span(o, s)
-            third = base.osp.third
-            return ([(s, third[lo], o)] if hi - lo == 1
-                    else [(s, x, o) for x in third[lo:hi]])
-        if p is not None and o is not None:
-            lo, hi = base.pos.span(p, o)
-            third = base.pos.third
-            return ([(third[lo], p, o)] if hi - lo == 1
-                    else [(x, p, o) for x in third[lo:hi]])
-        if s is not None:
-            return [(s, a, b) for a, b in base.spo.pairs(*base.spo.span(s))]
-        if p is not None:
-            return [(b, p, a) for a, b in base.pos.pairs(*base.pos.span(p))]
-        if o is not None:
-            return [(a, b, o) for a, b in base.osp.pairs(*base.osp.span(o))]
-        return base.rows()
+        bound = (s, p, o)
+        if bound == (None, None, None):
+            return self._folded().spo.rows()
+        position = next(i for i, x in enumerate(bound) if x is not None)
+        # the permutation's rows hold the positions rotated by `position`
+        key, *rest = bound[position:] + bound[:position]
+        off, *run = self.columns(position)
+        if not 0 <= key < len(off) - 1:
+            return []
+        run = [column[off[key]:off[key + 1]] for column in run]
+        keep = np.ones(len(run[0]), dtype=bool)
+        for column, value in zip(run, rest):
+            if value is not None:
+                keep &= column == value
+        rotated = [[key] * int(keep.sum()),
+                   *(column[keep].tolist() for column in run)]
+        return list(zip(*rotated[-position:], *rotated[:-position]))
 
     def columns(self, position: int) -> tuple[np.ndarray, ...]:
         """The permutation sorted on `position` (0 SPO, 1 POS, 2 OSP) as
-        read-only int64 views of the folded base: the key offsets `off`,
-        with the rows of first key `a` at `off[a]:off[a + 1]`, and the
-        second and third columns; folds. Nothing is copied: a published
-        base is never mutated, so a view stays valid, but it shows the
-        graph as it was read. Keep one past a write only in a `cached`
-        value, which that write drops."""
+        views of the folded base's read-only int64 columns: the key offsets
+        `off`, with the rows of first key `a` at `off[a]:off[a + 1]`, and
+        the second and third columns; folds. Nothing is copied, and no
+        view can be made writeable, since the columns it shows own their
+        data and are read-only. A published base is never mutated, so a
+        view stays valid, but it shows the graph as it was read. Keep one
+        past a write only in a `cached` value, which that write drops."""
         base = self._folded()
         perm = (base.spo, base.pos, base.osp)[position]
-        views = tuple(np.frombuffer(column, dtype=np.int64)
-                      for column in (perm.off, perm.second, perm.third))
-        for view in views:
-            view.flags.writeable = False
-        return views
+        return perm.off.view(), perm.second.view(), perm.third.view()
 
     def edges(self, predicate: int) -> tuple[np.ndarray, np.ndarray]:
         """The (subjects, objects) of the triples with predicate id
-        `predicate`: read-only int64 views of its POS run, sorted on object
-        and then subject; folds. Both are empty for an id that no triple
-        holds as a predicate, -1 included. Nothing is copied, so the views
-        follow the rules of `columns`."""
+        `predicate`: slices of the POS views of `columns`, sorted on object
+        and then subject, so they follow its rules; folds. Both are empty
+        for an id that no triple holds as a predicate, -1 included."""
         off, objects, subjects = self.columns(1)
         lo, hi = (off[predicate:predicate + 2]
                   if 0 <= predicate < len(off) - 1 else (0, 0))
@@ -607,12 +574,11 @@ class Graph:
         """The base permutations hold one sorted, duplicate-free set, and
         no buffered triple is in the base."""
         base, buffer = self._store
-        spo, pos, osp = (base.spo.triples(), base.pos.triples(),
-                         base.osp.triples())
+        spo, pos, osp = base.spo.rows(), base.pos.rows(), base.osp.rows()
         stored = set(spo)
         ordered = all(a < b for rows in (spo, pos, osp)
                       for a, b in zip(rows, rows[1:]))
-        same = (base.rows() == spo and len(spo) == base.n
+        same = (len(spo) == base.n
                 and {(s, p, o) for p, o, s in pos} == stored
                 and {(s, p, o) for o, s, p in osp} == stored)
         return ordered and same and not any(map(base.has, buffer))

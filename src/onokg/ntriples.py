@@ -23,9 +23,10 @@ handed out and the Terms interned in the order the tokens first appear,
 and every token maps to its id through the dict. If one makes no Term,
 `take` adds nothing. Each slice is first read with one `findall` of the
 line pattern, anchored per line, and when every line of the slice
-matched, its rows go to `take` at once. Otherwise (a blank, comment, CRLF
-or malformed line, or a new token that makes no Term) the slice goes
-through the line loop, from the same dict, blank labels and line number.
+matched, its rows go to `take` at once; a comment or blank line matches as
+a row of empty tokens, which `take` skips. Otherwise (a CRLF or malformed
+line, or a new token that makes no Term) the slice goes through the line
+loop, from the same dict, blank labels and line number.
 The line loop is the only code that reports issues: a line that the
 pattern matches goes to `take` on its own, and a line that the pattern
 misses, or that `take` refuses, goes through `_LineScanner`, whose Terms
@@ -71,16 +72,19 @@ from .kg import (BLANK, BLANK_LABEL, LANGUAGE_TAG, QUOTED, Graph, KgError,
 # `_LineScanner` reads (an IRI ends at the first '>'), so a match splits a
 # line as the scanner would; a literal subject or a non-IRI predicate does
 # not match. A line whose three token texts all made valid Terms before is
-# valid: the match alone checks no token text, `Term` does.
+# valid: the match alone checks no token text, `Term` does. The triple is
+# optional, so a comment or whitespace-only line is one row of empty
+# tokens, which `take` skips.
 _IRI = r"<[^>]*>"
 _BLANK = rf"_:{BLANK_LABEL.pattern}"
 _LITERAL = rf"{QUOTED.pattern}(?:\^\^{_IRI}|@{LANGUAGE_TAG.pattern})?"
 # The pattern is anchored per line of a slice: an IRI or a quoted literal
 # can match across a newline, so `findall` must give one match per line. A
 # line cut out of the text holds no newline, so `fullmatch` reads it alone.
+# The triple is an alternative to nothing: as `(?:...)?` it runs slower.
 _SLICE_LINE = re.compile(
-    rf"^[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})"
-    rf"[ \t]*({_IRI}|{_BLANK}|{_LITERAL})[ \t]*\.[ \t]*(?:#.*)?$", re.M)
+    rf"^[ \t]*(?:({_IRI}|{_BLANK})[ \t]*({_IRI})"
+    rf"[ \t]*({_IRI}|{_BLANK}|{_LITERAL})[ \t]*\.[ \t]*|)(?:#.*)?$", re.M)
 
 # Text is parsed in slices of about this many characters, cut at line
 # ends, and written in chunks of this many lines.
@@ -236,10 +240,11 @@ class _Parser:
         """Add the token rows of lines that the line pattern matched (a
         whole slice, or one line of the line loop), unless some token read
         for the first time makes no Term; then add nothing and return
-        False."""
+        False. The empty tokens of comment and blank lines are skipped."""
         token_ids = self.token_ids
+        tokens = list(filter(None, chain.from_iterable(rows)))
         new = {}
-        for token in dict.fromkeys(chain.from_iterable(rows)):
+        for token in dict.fromkeys(tokens):
             if token not in token_ids:
                 scanner = _LineScanner(token)
                 try:
@@ -251,7 +256,7 @@ class _Parser:
         # in first use, as the line loop hands out blank labels and ids
         for token, term in new.items():
             token_ids[token] = self.graph.intern(self.fresh(term))
-        self.ids.extend(map(token_ids.__getitem__, chain.from_iterable(rows)))
+        self.ids.extend(map(token_ids.__getitem__, tokens))
         return True
 
     def read_line(self, raw: str, lineno: int):

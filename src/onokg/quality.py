@@ -132,7 +132,6 @@ class QualityConfig:
 
 @dataclass
 class MetricResult:
-    name: str
     kind: str                  # "ratio" or "count"
     value: float
     numerator: int = 0
@@ -141,20 +140,20 @@ class MetricResult:
     sample: list[str] = field(default_factory=list)
 
     @classmethod
-    def ratio(cls, name, numerator, denominator, sample=()):
+    def ratio(cls, numerator, denominator, sample=()):
         if denominator == 0:
-            return cls(name, "ratio", 1.0, 0, 0, "vacuous")
-        return cls(name, "ratio", numerator / denominator, numerator,
-                   denominator, "ok", list(sample)[:100])
+            return cls("ratio", 1.0, 0, 0, "vacuous")
+        return cls("ratio", numerator / denominator, numerator, denominator,
+                   "ok", list(sample)[:100])
 
     @classmethod
-    def count(cls, name, value, sample=()):
-        return cls(name, "count", float(value), int(value), 0, "ok",
+    def count(cls, value, sample=()):
+        return cls("count", float(value), int(value), 0, "ok",
                    list(sample)[:100])
 
     @classmethod
-    def skipped(cls, name):
-        return cls(name, "ratio", 0.0, 0, 0, "skipped")
+    def skipped(cls):
+        return cls("ratio", 0.0, 0, 0, "skipped")
 
 
 @dataclass
@@ -279,18 +278,15 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     if gold:
         missing = sorted(g.lexical for g in gold if ids(g) < 0)
         metrics["schema_completeness"] = MetricResult.ratio(
-            "schema_completeness", len(gold) - len(missing), len(gold),
-            missing)
+            len(gold) - len(missing), len(gold), missing)
     else:
-        metrics["schema_completeness"] = \
-            MetricResult.skipped("schema_completeness")
+        metrics["schema_completeness"] = MetricResult.skipped()
 
     # 2. interlinking completeness: home subjects with >= 1 foreign object
     linkable = [s for s in subjects if home[s]]
     unlinked = [terms[s].lexical for s in linkable if not linked[s]]
     metrics["interlinking_completeness"] = MetricResult.ratio(
-        "interlinking_completeness", len(linkable) - len(unlinked),
-        len(linkable), unlinked)
+        len(linkable) - len(unlinked), len(linkable), unlinked)
 
     # 3. property completeness for (class, predicate)
     if cfg.completeness_class is not None \
@@ -301,11 +297,9 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
         missing = sorted(terms[m].lexical for m in
                          members[~np.isin(members, described)].tolist())
         metrics["property_completeness"] = MetricResult.ratio(
-            "property_completeness", len(members) - len(missing),
-            len(members), missing)
+            len(members) - len(missing), len(members), missing)
     else:
-        metrics["property_completeness"] = \
-            MetricResult.skipped("property_completeness")
+        metrics["property_completeness"] = MetricResult.skipped()
 
     # 4. numeric range violations for a predicate
     if cfg.range_predicate is not None:
@@ -322,11 +316,10 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
             if not cfg.range_lower <= value <= cfg.range_upper:
                 violations.append(f"{terms[s].lexical}: {terms[o].lexical}")
         metrics["numeric_range_violations"] = MetricResult(
-            "numeric_range_violations", "count", float(len(violations)),
-            len(violations), total, "ok", violations[:100])
+            "count", float(len(violations)), len(violations), total, "ok",
+            violations[:100])
     else:
-        metrics["numeric_range_violations"] = \
-            MetricResult.skipped("numeric_range_violations")
+        metrics["numeric_range_violations"] = MetricResult.skipped()
 
     # 5. extensional conciseness: distinct (p, o) description sets. SPO
     # is sorted and holds no duplicate, so two subjects have equal sets
@@ -340,14 +333,13 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     duplicated = [", ".join(terms[x].lexical for x in group)
                   for group in duplicate_sets.values() if len(group) > 1]
     metrics["extensional_conciseness"] = MetricResult.ratio(
-        "extensional_conciseness", len(duplicate_sets), len(subjects),
-        duplicated)
+        len(duplicate_sets), len(subjects), duplicated)
 
     # 6. external sameAs links
     external = [(s, o) for s, o in sorted(id_pairs(graph, OWL_SAMEAS))
                 if foreign[o]]
     metrics["external_sameas_links"] = MetricResult.count(
-        "external_sameas_links", len(external),
+        len(external),
         [f"{terms[s].lexical} -> {terms[o].lexical}" for s, o in external])
 
     # 7. datatype compatibility over the validated xsd types, per triple:
@@ -359,7 +351,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     invalid = o_column[np.isin(o_column, [o for o, ok in validated.items()
                                           if not ok])].tolist()
     metrics["datatype_compatibility"] = MetricResult.ratio(
-        "datatype_compatibility", checked - len(invalid), checked,
+        checked - len(invalid), checked,
         [f"{terms[o].lexical!r} as {terms[o].datatype}" for o in invalid])
 
     # 8. dereferenceable URIs across all three positions
@@ -367,29 +359,24 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     rejected = [u for u in uris if not resolve_uri(cfg.resolver_mode, u,
                                                    cfg.allowlist)]
     metrics["dereferenceable_uris"] = MetricResult.ratio(
-        "dereferenceable_uris", len(uris) - len(rejected), len(uris),
-        rejected)
+        len(uris) - len(rejected), len(uris), rejected)
 
     # 9. back links: objects that are home-namespace IRIs
     metrics["dereferenceable_back_links"] = MetricResult.ratio(
-        "dereferenceable_back_links", int(home[objects].sum()),
-        len(objects))
+        int(home[objects].sum()), len(objects))
 
     # 10. forward links: subjects that are home-namespace IRIs
     metrics["dereferenceable_forward_links"] = MetricResult.ratio(
-        "dereferenceable_forward_links", len(linkable), len(subjects))
+        len(linkable), len(subjects))
 
     # 11/12. coverage: distinct properties, distinct described instances
-    metrics["coverage_detail"] = MetricResult.count(
-        "coverage_detail", len(graph.key_ids(1)))
-    metrics["coverage_scope"] = MetricResult.count(
-        "coverage_scope", len(subjects))
+    metrics["coverage_detail"] = MetricResult.count(len(graph.key_ids(1)))
+    metrics["coverage_scope"] = MetricResult.count(len(subjects))
 
     # 13. labeled resources
     unlabeled = sorted(terms[s].lexical for s in subjects
                        if not labeled[s])
     metrics["labeled_resources"] = MetricResult.ratio(
-        "labeled_resources", len(subjects) - len(unlabeled), len(subjects),
-        unlabeled)
+        len(subjects) - len(unlabeled), len(subjects), unlabeled)
 
     return report

@@ -81,7 +81,7 @@ class TrainedTagger:
         config = TrainConfig()
         for etype in corpus_mod.ENTITY_TYPES:
             model, curve = train_tagger(self.examples[etype], config,
-                                        self.space, etype)
+                                        self.space)
             self.models[etype] = model
             self.losses[etype] = curve
 

@@ -701,14 +701,14 @@ def loss_and_gradients(model, batch):
     return total / len(batch), grad_w, grad_b
 
 
-def train_tagger(examples, cfg, space, entity_type: str = "Gene"):
+def train_tagger(examples, cfg, space):
     """`train.train_tagger` with Adam as it was first written: four moment
     arrays, each rebuilt on every step, and the weights and the bias
     updated by separate statements. The gradients and losses come from
     the package, so a difference lies in the update."""
     if not examples:
         raise ValueError("empty training corpus")
-    model = TaggerModel.zeros(space, entity_type)
+    model = TaggerModel.zeros(space)
     rng = np.random.default_rng(cfg.seed)
     m_w = np.zeros_like(model.weights)
     v_w = np.zeros_like(model.weights)
@@ -767,7 +767,8 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
     rows = feature_rows(encoded.flat, encoded.counts)
     probs = _tag_probabilities(model, rows)
     tags = probs.argmax(axis=1)
-    mentions = decode_entities(encoded, {model.entity_type: (tags, probs)})
+    # one model, so its type name is any constant: only the spans count
+    mentions = decode_entities(encoded, {"Gene": (tags, probs)})
     scores = np.zeros(len(encoded.words))
     entity_words = {i for m in mentions for i in range(m.start, m.end)}
     net = FeedForwardNet([Layer(model.weights, model.bias, "identity")])

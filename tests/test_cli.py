@@ -541,11 +541,21 @@ class TestTrainCommand:
     @pytest.mark.parametrize("option", [
         ["--batch-size", "0"], ["--sentences", "0"], ["--sentences", "1"],
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e308"],
-        ["--epochs", "0"], ["--epochs", "-2"]])
-    def test_bad_option_one_error_line(self, tmp_path, capsys, option):
+        ["--epochs", "0"], ["--epochs", "-2"],
+        # the seed, as a global option and as an environment variable
+        ["--seed", "-1", "train"], ["ONOKG_SEED=-1", "train"]])
+    def test_bad_option_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                       option):
+        # what comes before "train" goes before the command, and a
+        # NAME=value item into the environment
+        before, after = ((option[:-1], []) if option[-1] == "train"
+                         else ([], option))
+        for setting in [item for item in before if "=" in item]:
+            monkeypatch.setenv(*setting.split("="))
+        before = [item for item in before if "=" not in item]
         out = tmp_path / "model.json"
-        assert main(["train", "--out", str(out), "--sentences", "20",
-                     "--epochs", "1", *option]) == 1
+        assert main([*before, "train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1", *after]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()

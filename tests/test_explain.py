@@ -278,7 +278,7 @@ def _head_and_sentence(draw):
     word_of_piece.append(-1)
     is_head.append(False)
     ids = [draw(row) for _ in pieces]
-    return (TaggerModel(space, weights, bias, "Gene"),
+    return (TaggerModel(space, weights, bias),
             EncodedSentence(words, pieces, word_of_piece, is_head,
                             *pack(ids)))
 
@@ -327,7 +327,7 @@ class TestTaggerBridge:
         space.intern("w=b")
         weights = np.zeros((K, 2))
         weights[0] = 1e308              # z[0] = 2e308 overflows
-        model = TaggerModel(space, weights, np.zeros(K), "Gene")
+        model = TaggerModel(space, weights, np.zeros(K))
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
             *pack([np.array([0]), np.array([0, 1]), np.array([1])]))
@@ -349,7 +349,7 @@ class TestTaggerBridge:
         weights[1] = [4.0, -4.0]
         bias = np.full(K, -1.0)
         bias[0], bias[1] = 0.0, 1e-308
-        model = TaggerModel(space, weights, bias, "Gene")
+        model = TaggerModel(space, weights, bias)
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
             *pack([np.array([0]), np.array([0, 1]), np.array([1])]))
@@ -364,7 +364,7 @@ class TestTaggerBridge:
         # loop, and one over would be ignored: each names both lengths
         space = FeatureSpace()
         space.intern("w=a")
-        model = TaggerModel(space, np.ones((K, 1)), np.zeros(K), "Gene")
+        model = TaggerModel(space, np.ones((K, 1)), np.zeros(K))
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
             *pack([np.array([0])] * 3))
@@ -380,7 +380,7 @@ class TestTaggerBridge:
         space.intern("w=a")
         weights = np.ones((K, 1))
         weights[6] = 0.0                # z[PAD] = 0
-        model = TaggerModel(space, weights, np.zeros(K), "Gene")
+        model = TaggerModel(space, weights, np.zeros(K))
         encoded = EncodedSentence(
             ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
             *pack([np.array([0])] * 3))

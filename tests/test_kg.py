@@ -392,6 +392,14 @@ def test_columns_are_read_only_views_of_each_permutation():
         assert got == sorted(row[position:] + row[:position] for row in rows)
     with pytest.raises(ValueError):
         g.columns(0)[1][0] = 0
+    # no caller can turn writes back on through a view
+    handed_out = [*g.columns(0), *g.columns(1), *g.columns(2),
+                  *(array for p in g.key_ids(1) for array in g.edges(p))]
+    for array in handed_out:
+        assert len(array)
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert g.check_indexes()
 
 
 def test_edges_match_the_predicate_scan_on_split_graphs():

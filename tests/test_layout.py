@@ -34,15 +34,18 @@ name is. An audit owner by owner found these behind common names, and none
 is left in `src/`: `Graph.remove` and `Graph.copy` (reached by
 `list.remove`, `os.remove` and `PrefixTable.copy`), `PrefixTable.items`
 (`dict.items`), `AliasTable.surfaces` (`Gazetteer.surfaces`),
-`EntityMention.span` (`_Sorted.span`) and `QualityReport.to_json`
-(`SolutionTable.to_json`); and the fields `Pattern.name` (read
-as `Var.name`), `EntityMention.doc_id` and `DocumentExtraction.doc_id`
-(`RelationCandidate.doc_id`), `PackResult.text` (`_AnonToken.text`),
-`RelevanceMap.method`, `.epsilon` and `.delta` (the `explain` options),
-`SelectQuery.prefixes` (the parser's table) and `Checkpoint.config` (the
-checkpoint's "config" key). Dunder methods are outside the first scan,
-since the language calls them (`len(x)`, `a in b`); an audit that made
-each raise found `PrefixTable.__contains__`, `SubwordVocab.__len__` and
+`EntityMention.span` (the store's `_Sorted.span`, since gone too) and
+`QualityReport.to_json` (`SolutionTable.to_json`); and the fields
+`Pattern.name` (read as `Var.name`), `MetricResult.name` (read as
+`PackResult.name`), `TaggerModel.entity_type` (read as
+`EntityMention.entity_type`), `EntityMention.doc_id` and
+`DocumentExtraction.doc_id` (`RelationCandidate.doc_id`),
+`PackResult.text` (`_AnonToken.text`), `RelevanceMap.method`, `.epsilon`
+and `.delta` (the `explain` options), `SelectQuery.prefixes` (the
+parser's table) and `Checkpoint.config` (the checkpoint's "config" key).
+Dunder methods are outside the first scan, since the language calls them
+(`len(x)`, `a in b`); an audit that made each raise found
+`PrefixTable.__contains__`, `SubwordVocab.__len__` and
 `AliasTable.__len__` reached by nothing, and none is left. The scans also
 see no exception attribute, dict key or unpacked value that is written and
 never read, nor a parameter that no caller passes.

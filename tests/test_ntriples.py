@@ -431,9 +431,12 @@ class TestSlices:
                     '<a:s> <a:p> <a:o4> .', '<a:s> <a:p> <a:o2> .'], [3, 4])
 
     def test_slice_of_comments(self):
+        # a comment or blank line (`check` pads it with spaces) is a row
+        # of empty tokens, so no line takes the line loop
         self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',
                     '# a comment', '  # an indented one',
-                    '<a:s> <a:p> <a:o2> .', '<a:s> <a:p> <a:o> .'], [3, 4])
+                    '<a:s> <a:p> <a:o2> .', '', '_:x <a:p> _:y .',
+                    '<a:s> <a:p> <a:o> .'], [])
 
     def test_no_final_newline(self):
         self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',

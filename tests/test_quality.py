@@ -211,7 +211,7 @@ class TestResolveUri:
 
 
 def test_metric_result_vacuous_constructor():
-    result = MetricResult.ratio("m", 0, 0)
+    result = MetricResult.ratio(0, 0)
     assert result.status == "vacuous"
     assert result.value == 1.0
 
