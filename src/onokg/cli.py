@@ -303,6 +303,19 @@ def cmd_ingest(args, cfg: AppConfig) -> int:
     return EXIT_OK
 
 
+def _indented_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)` of a non-empty dict whose values are
+    scalars or lists of scalars, by the C encoder, which `indent` turns
+    off. A list's items are joined by a comma, a line break and four
+    spaces, and a non-empty list then gets its own lines for its brackets.
+    """
+    def value(v) -> str:
+        text = json.dumps(v, separators=(",\n    ", ": "))
+        return f"[\n    {text[1:-1]}\n  ]" if v and type(v) is list else text
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(v)}"
+                               for k, v in payload.items()) + "\n}"
+
+
 def cmd_explain(args, cfg: AppConfig) -> int:
     from .explain import NumericError, SingularDenominatorError
     from .explain.bridge import feature_offsets, sentence_token_relevance
@@ -336,10 +349,10 @@ def cmd_explain(args, cfg: AppConfig) -> int:
         tokens.extend(encoded.words)
         scores.extend(combined.tolist())
     if args.format == "json":
-        rendered = json.dumps({
+        rendered = _indented_json({
             "tokens": tokens, "scores": scores, "method": args.method,
             "epsilon": args.epsilon, "delta": args.delta,
-        }, indent=2) + "\n"
+        }) + "\n"
     else:
         rendered = render_heatmap(tokens, scores, args.format)
     if args.out:
@@ -383,7 +396,7 @@ def cmd_export(args, cfg: AppConfig) -> int:
     if args.format == "ntriples":
         ntriples.save_file(graph, out)
     elif args.format == "json":
-        rows = list(ntriples.rendered_rows(graph))
+        rows = ntriples.rendered_rows(graph)
         ntriples.write_atomic(out, json.dumps(rows, indent=2))
     else:
         buffer = io.StringIO()

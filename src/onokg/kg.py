@@ -43,14 +43,15 @@ id-indexed term list, is exactly the terms in use. There are no
 tombstones: every stored triple is in exactly one part.
 
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
-all-bound `match_ids`, `len`, `id_rows`, `terms` and `add_ids` read the two
+all-bound `match_ids`, `len`, `terms`, `add_ids` and the sorted reader
+`id_table` (with `id_rows`, its tuple view, and iteration) read the two
 parts as they are. Any other `match_ids` shape, `key_ids`, `columns` and
 `edges` first fold a non-empty buffer into the base: `add_ids` of no new
 ids, one bulk build of the base and buffer triples, which sorts them, so
 the fold reads the buffer's keys unsorted. A graph built by inserts, as
-the ontology API builds one, is saved by one sort of the buffer's keys,
-which the API inserts in nearly id-sorted order (it interns terms in
-first-use order), and folded once, when it is first queried.
+the ontology API builds one, is saved from `id_table`, one `lexsort` of
+the buffer's keys with no tuple per triple, and folded once, when it is
+first queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
 
@@ -357,6 +358,17 @@ class _Base:
         return bool(i < hi and third[i] == o)
 
 
+def _stored(base: _Base, buffer: dict) -> np.ndarray:
+    """The triples of a (base, buffer) pair as one (n, 3) int64 array: the
+    base's SPO table, then the buffer's keys in insertion order. Only a
+    pair with triples in both parts is concatenated."""
+    if not buffer:
+        return base.spo.table()
+    keys = np.fromiter(chain.from_iterable(buffer), dtype=np.int64,
+                       count=3 * len(buffer)).reshape(-1, 3)
+    return np.concatenate((base.spo.table(), keys)) if base.n else keys
+
+
 _EMPTY = _Base(np.empty(0, dtype=np.int64), 0)
 
 
@@ -431,10 +443,7 @@ class Graph:
         before = base.n + len(buffer)
         flat = np.asarray(ids, dtype=np.int64)
         if before:
-            buffered = np.fromiter(chain.from_iterable(buffer),
-                                   dtype=np.int64, count=3 * len(buffer))
-            flat = np.concatenate((base.spo.table().ravel(), buffered,
-                                   flat))
+            flat = np.concatenate((_stored(base, buffer).ravel(), flat))
         base = _Base(flat, len(self._terms))
         self._store = (base, {})
         added = base.n - before
@@ -463,11 +472,9 @@ class Graph:
     def _folded(self) -> _Base:
         """The base, after folding the buffer into it if it holds any
         triple."""
-        base, buffer = self._store
-        if buffer:
+        if self._store[1]:
             self.add_ids(())
-            base = self._store[0]
-        return base
+        return self._store[0]
 
     def __len__(self) -> int:
         base, buffer = self._store
@@ -484,17 +491,24 @@ class Graph:
         for s, p, o in self.id_rows():
             yield Triple(self._terms[s], self._terms[p], self._terms[o])
 
-    def id_rows(self) -> list[tuple[int, int, int]]:
-        """The stored id triples, sorted: the order iteration yields.
+    def id_table(self) -> np.ndarray:
+        """The stored id triples as one (n, 3) int64 array, sorted on
+        (subject, predicate, object): the order iteration yields. Reads the
+        (base, buffer) pair as it is, so never folds.
 
-        The base is read in sorted order. Buffered keys are sorted with it
-        in one `sorted`, which runs fast over the long sorted runs that the
-        base and inserts in first-use id order make.
+        With an empty buffer this is the base's SPO table. Otherwise the
+        base's table and the buffer's keys (`_stored`) are sorted with one
+        `lexsort` and gathered in that order; a buffered key is never in the
+        base, so nothing is dropped.
         """
         base, buffer = self._store
-        if not buffer:
-            return base.spo.rows()
-        return sorted(chain(base.spo.rows(), buffer))
+        table = _stored(base, buffer)
+        return table[np.lexsort(table.T[::-1])] if buffer else table
+
+    def id_rows(self) -> list[tuple[int, int, int]]:
+        """The stored id triples, sorted, as tuples of ints: the rows of
+        `id_table`, the order iteration yields. Never folds."""
+        return list(zip(*self.id_table().T.tolist()))
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:

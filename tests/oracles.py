@@ -1052,6 +1052,38 @@ def parse_ntriples_scan(text: str) -> tuple[Graph, list[tuple[int, str]]]:
 
 
 # ---------------------------------------------------------------------------
+# N-Triples serialization as one f-string per line over Term triples: every
+# term is rendered character by character here, and the graph is asked only
+# for the id of each term, never for its triples.
+
+_NT_ESCAPED = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+
+
+def _n3_scan(term: Term) -> str:
+    kind, lexical, datatype, language = term
+    if kind == "iri":
+        return f"<{lexical}>"
+    if kind == "blank":
+        return f"_:{lexical}"
+    body = "".join(_NT_ESCAPED.get(ch, ch) for ch in lexical)
+    if datatype is not None:
+        return f'"{body}"^^<{datatype}>'
+    if language is not None:
+        return f'"{body}"@{language}'
+    return f'"{body}"'
+
+
+def serialize_ntriples_scan(graph: Graph, triples) -> str:
+    """The N-Triples text of the distinct Term `triples`, one line each,
+    sorted by the ids `graph.term_id` gives their subject, predicate and
+    object: the text a save of a graph holding exactly them writes."""
+    rows = sorted(set(map(tuple, triples)),
+                  key=lambda row: [graph.term_id(term) for term in row])
+    return "".join(f"{_n3_scan(s)} {_n3_scan(p)} {_n3_scan(o)} .\n"
+                   for s, p, o in rows)
+
+
+# ---------------------------------------------------------------------------
 # Relation templates as element tuples, each tried at every position of the
 # anonymized sentence by a token-by-token scan: the reference for the
 # regular expressions of `relations.PATTERNS`. An optional literal is taken

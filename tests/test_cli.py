@@ -571,6 +571,15 @@ class TestTrainCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# JSON scalars as the explain payload may hold them, and the edge cases of
+# the encoder: quotes, control characters, astral code points, -0.0, tiny
+# and non-finite floats
+_json_text = st.text(alphabet='a"\\\x00\x1f\n\u2028\u00e9\U0001f600',
+                     max_size=4)
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([-0.0, 1e-300, 5e-324]) | _json_text)
+
+
 class TestExplainJson:
     def test_relevance_dump_schema(self, checkpoint_path, capsys):
         assert main(["explain", "--model", str(checkpoint_path),
@@ -616,6 +625,16 @@ class TestExplainJson:
                      "--file", str(path), "--format", "json"]) == 0
         assert capsys.readouterr().out == explain_json(
             load_checkpoint(checkpoint_path), text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(_json_text, _json_scalars
+                           | st.lists(_json_scalars, max_size=4),
+                           min_size=1, max_size=5))
+    def test_layout_is_that_of_indent_2(self, payload):
+        # the payload goes through the C encoder, with the bytes of the
+        # pure-Python one that indent=2 selects
+        from onokg.cli import _indented_json
+        assert _indented_json(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize("method", ["lrp", "sensitivity"])
     def test_zero_logit_at_epsilon_zero_is_one_error_line(

@@ -2,15 +2,15 @@ import errno
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_ntriples_scan
+from oracles import parse_ntriples_scan, serialize_ntriples_scan
 from onokg import ntriples
 from onokg.kg import (Graph, KgError, Triple, ValidationError, blank, iri,
                       literal)
 from onokg.ntriples import (EncodingError, parse_ntriples, read_text,
-                            save_file, serialize_ntriples)
+                            rendered_rows, save_file, serialize_ntriples)
 
 
 class TestParse:
@@ -238,8 +238,36 @@ class TestReadText:
 
 
 class TestSerialize:
-    def test_empty_graph(self):
+    def test_empty_graph(self, tmp_path):
         assert serialize_ntriples(Graph()) == ""
+        save_file(Graph(), tmp_path / "kg.nt")
+        assert (tmp_path / "kg.nt").read_bytes() == b""
+        assert rendered_rows(Graph()) == []
+        assert Graph().id_table().shape == (0, 3)
+
+    def test_saving_does_not_fold(self, tmp_path):
+        # a parsed base with two buffered inserts: every serializer reads
+        # the (base, buffer) pair as it is and leaves the graph's state,
+        # its derived values included, as it was
+        g = parse_ntriples('<a:s> <a:p> <a:o> .\n<a:t> <a:p> "v" .\n').graph
+        g.insert(Triple(iri("a:s"), iri("a:q"), literal("w")))
+        g.insert(Triple(blank("n"), iri("a:p"), iri("a:o")))
+
+        def build(graph):
+            return object()
+        derived = g.cached(build)
+        store, keys = g._store, list(g._store[1])
+        terms, size = g.terms(), len(g)
+        text = serialize_ntriples(g)
+        save_file(g, tmp_path / "kg.nt")
+        rows = rendered_rows(g)
+        assert g.id_table().tolist() == [list(row) for row in g.id_rows()]
+        assert g._store is store and list(store[1]) == keys
+        assert (g.terms(), len(g)) == (terms, size)
+        assert g.cached(build) is derived
+        assert (tmp_path / "kg.nt").read_text(encoding="utf-8") == text
+        assert text == "".join(f"{s} {p} {o} .\n" for s, p, o in rows)
+        assert text.splitlines()[1] == '<a:s> <a:q> "w" .'
 
     def test_single_triple_single_line(self):
         g = Graph()
@@ -325,6 +353,73 @@ def test_every_term_the_api_accepts_loads_back(rows):
     assert set(result.graph) == {Triple(renamed(s), p, renamed(o))
                                  for s, p, o in g}
     assert len(result.graph) == len(g)
+
+
+# Terms for the serializer's differential test: literals with every escape,
+# a language tag, a datatype and astral code points, and blank nodes.
+_ser_text = st.text(alphabet='a"\\\n\t \u00e9\U0001f600\U00010348', max_size=4)
+_ser_nodes = st.sampled_from([iri("a:s"), iri("a:o"), iri("b:\U0001f600"),
+                              blank("x"), blank("y")])
+_ser_objects = _ser_nodes | st.builds(literal, _ser_text) | st.builds(
+    literal, _ser_text, st.just("a:int")) | st.builds(
+    lambda v, tag: literal(v, language=tag), _ser_text,
+    st.sampled_from(["en", "en-GB"]))
+_ser_rows = st.lists(st.tuples(_ser_nodes, st.sampled_from(
+    [iri("a:p"), iri("a:q")]), _ser_objects), max_size=20)
+
+
+@pytest.fixture(scope="module")
+def save_target(tmp_path_factory):
+    return tmp_path_factory.mktemp("serialize") / "kg.nt"
+
+
+def _parsed(rows):
+    """The graph parsed from `rows`, written a line each in their order,
+    and its Term rows: blank labels renamed b0, b1, ... in the order the
+    text meets them."""
+    result = parse_ntriples(
+        "".join(f"{s.n3()} {p.n3()} {o.n3()} .\n" for s, p, o in rows))
+    assert result.ok, result.issues
+    names = {}
+
+    def renamed(term):
+        if term.kind != "blank":
+            return term
+        return names.setdefault(term.lexical, blank(f"b{len(names)}"))
+    return result.graph, [(renamed(s), p, renamed(o)) for s, p, o in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ser_rows, _ser_rows)
+# a parsed base, then inserts whose ids sort between the base's rows
+@example([(iri("a:s"), iri("a:p"), iri("a:o")),
+          (iri("a:o"), iri("a:p"), literal("v"))],
+         [(iri("a:s"), iri("a:q"), literal("w")),
+          (iri("a:o"), iri("a:p"), iri("a:s"))])
+def test_serialization_matches_scan_oracle(save_target, first, later):
+    built = Graph()
+    for row in first + later:
+        built.insert(row)
+    parsed, parsed_rows = _parsed(first + later)
+    extended, extended_rows = _parsed(first)
+    for row in later:
+        extended.insert(row)
+    # all buffer, all base, and a base with a buffer
+    cases = [(built, first + later), (parsed, parsed_rows),
+             (extended, extended_rows + later)]
+    for graph, rows in cases:
+        expected = serialize_ntriples_scan(graph, rows)
+        store = graph._store
+        # chunks of 1, 2 and 7 lines end inside a subject's run
+        for chunk_lines in (1, 2, 7, ntriples.CHUNK_LINES):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ntriples, "CHUNK_LINES", chunk_lines)
+                assert serialize_ntriples(graph) == expected
+                save_file(graph, save_target)
+                assert save_target.read_bytes() == expected.encode("utf-8")
+        assert "".join(f"{s} {p} {o} .\n"
+                       for s, p, o in rendered_rows(graph)) == expected
+        assert graph._store is store
 
 
 # Token pools for the differential test, (good, bad) per line position.
