@@ -316,6 +316,20 @@ def _indented_json(payload: dict) -> str:
                                for k, v in payload.items()) + "\n}"
 
 
+def _indented_rows(rows: list[list[str]]) -> str:
+    """`json.dumps(rows, indent=2)` of a list of non-empty lists of
+    strings, by the C encoder: `_indented_json`'s layout one level deeper.
+    An encoded string holds no line break, so the items' separator
+    followed by "[" only ever stands between two rows, which then get
+    their own lines for their brackets."""
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=(",\n    ", ": "))
+    return ("[\n  [\n    "
+            + text[2:-2].replace("],\n    [", "\n  ],\n  [\n    ")
+            + "\n  ]\n]")
+
+
 def cmd_explain(args, cfg: AppConfig) -> int:
     from .explain import NumericError, SingularDenominatorError
     from .explain.bridge import feature_offsets, sentence_token_relevance
@@ -396,8 +410,8 @@ def cmd_export(args, cfg: AppConfig) -> int:
     if args.format == "ntriples":
         ntriples.save_file(graph, out)
     elif args.format == "json":
-        rows = ntriples.rendered_rows(graph)
-        ntriples.write_atomic(out, json.dumps(rows, indent=2))
+        ntriples.write_atomic(out,
+                              _indented_rows(ntriples.rendered_rows(graph)))
     else:
         buffer = io.StringIO()
         csv.writer(buffer).writerows([("subject", "predicate", "object"),

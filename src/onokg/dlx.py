@@ -23,7 +23,8 @@ Names resolve to Terms, but evaluation runs over term ids, with no Python
 object per triple: every node of an expression evaluates to a boolean mask
 indexed by term id. `AboxIndex` reads the folded store's columns: a
 property's edges are the (source, target) column pair of its POS run
-(`Graph.edges`), and the universe comes from the SPO and OSP key offsets.
+(`Graph.edges`), and the universe holds the subjects and the non-literal
+objects in use (`Graph.key_ids`).
 An atomic name's class members are the mask of `instances` of the graph's
 shared `ontology.ClassIndex`, which runs one `isin` over the rdf:type
 columns for the class and its subclasses; the pitfall checks, quality

@@ -54,15 +54,20 @@ class AliasTable:
                 table.add(row["surface"], row["type"], term)
         if graph is not None:
             ids, term_of = graph.term_id, graph.term
-            # in id order, so the first surface added for a key wins
+            typed, classes = graph.edges(ids(RDF_TYPE))
+            off, p_column, o_column = graph.columns()
+            # in id order, so the first surface added for a key wins: a
+            # class's members are ascending in its rdf:type run, and a
+            # predicate's objects in each subject's SPO run
             for rdf_class, entity_type, predicates in (
                     (SCHEMA.biomarker, "Gene", (RDFS_LABEL,)),
                     (SCHEMA.cancer, "Disease", (RDFS_LABEL,
                                                 SCHEMA.full_name))):
-                for s, _, _ in sorted(graph.match_ids(None, ids(RDF_TYPE),
-                                                      ids(rdf_class))):
+                for s in typed[classes == ids(rdf_class)].tolist():
+                    run_p, run_o = (column[off[s]:off[s + 1]]
+                                    for column in (p_column, o_column))
                     for p in predicates:
-                        for _, _, o in sorted(graph.match_ids(s, ids(p))):
+                        for o in run_o[run_p == ids(p)].tolist():
                             table.add(term_of(o).lexical, entity_type,
                                       term_of(s))
         return table

@@ -22,12 +22,9 @@ hashes and orders as the plain tuple of its fields, in C.
 
 The triples live in two disjoint parts:
 
-- the base, an immutable sorted triple set: the SPO, POS and OSP
-  permutations (as in RDF-3X) as read-only int64 numpy columns with
-  offsets per first key, so that any combination of bound and unbound
-  pattern positions is answered from an index. One bulk sort builds it and
-  drops duplicates; membership searches its SPO run with `searchsorted`,
-  and every other reader takes views of its columns (`columns`);
+- the base, an immutable sorted triple set: the SPO and POS permutations
+  as read-only int64 numpy columns with offsets per first key. One bulk
+  sort builds it and drops duplicates;
 - the buffer, the id triples inserted since, as the keys of one dict in
   insertion order (a dict used as an ordered set). It answers membership,
   its size and its keys, nothing else.
@@ -42,29 +39,39 @@ stores, so every interned term is in some stored triple: `terms()`, the
 id-indexed term list, is exactly the terms in use. There are no
 tombstones: every stored triple is in exactly one part.
 
+Readers work on ids, and each read shape has one reader:
+- membership (`in`, and `insert`'s check): a dict probe of the buffer,
+  then `searchsorted` in the subject's SPO run of the base;
+- every triple, sorted on (subject, predicate, object): `id_table`, with
+  `id_rows`, its tuple view, and iteration;
+- a subject's (predicate, object) rows, or every triple as columns:
+  `columns`, the SPO permutation as read-only views of the base's
+  columns and key offsets, with no copy and no tuple per triple;
+- one predicate's (subject, object) pairs: `edges`, its POS run;
+- the ids in use at one position: `key_ids`, off the SPO and POS key
+  offsets for subjects and predicates, and a `bincount` of SPO's object
+  column for objects;
+- any other pattern: `match_ids`, one mask of the SPO table per bound
+  position. Outside this module no reader in the package calls it with
+  a position unbound.
+`term_id` gives -1 for a term never interned (which matches nothing), and
+Terms are looked up only for output. The class index, the DL evaluator,
+the pitfall checks, the quality metrics, the seed statistics and SPARQL
+compute over `columns`, `edges` and `key_ids` as arrays. `match` is the
+Term-space convenience for outside callers over `match_ids`: it builds a
+`Triple` for every hit.
+
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
-all-bound `match_ids`, `len`, `terms`, `add_ids` and the sorted reader
-`id_table` (with `id_rows`, its tuple view, and iteration) read the two
-parts as they are. Any other `match_ids` shape, `key_ids`, `columns` and
-`edges` first fold a non-empty buffer into the base: `add_ids` of no new
-ids, one bulk build of the base and buffer triples, which sorts them, so
-the fold reads the buffer's keys unsorted. A graph built by inserts, as
-the ontology API builds one, is saved from `id_table`, one `lexsort` of
-the buffer's keys with no tuple per triple, and folded once, when it is
-first queried.
+`len`, `terms`, `add_ids` and the sorted reader `id_table` (with its
+views) read the two parts as they are. `columns`, `edges`, `key_ids` and
+`match_ids` first fold a non-empty buffer into the base: `add_ids` of no
+new ids, one bulk build of the base and buffer triples, which sorts them,
+so the fold reads the buffer's keys unsorted. A graph built by inserts,
+as the ontology API builds one, is saved from `id_table`, one `lexsort`
+of the buffer's keys with no tuple per triple, and folded once, when it
+is first queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
-
-Readers in this package work on ids: `match_ids` answers a pattern from
-the indexes, `term_id` gives -1 for a term never interned (which matches
-nothing), and Terms are looked up only for output. `columns` gives a whole
-permutation as read-only numpy views of the base's columns and key
-offsets, with no copy and no tuple per triple, and `edges` gives one
-predicate's (subject, object) column pair, its POS run. The class index,
-the DL evaluator, the pitfall checks, the quality metrics, the seed
-statistics and SPARQL compute over these as arrays; no reader scans a
-whole predicate through `match_ids`. `match` is the Term-space convenience
-for outside callers: it builds and sorts a `Triple` for every hit.
 
 Derived values (class indexes, name tables) are memoized on the graph by
 `Graph.cached` and dropped by every write that changes the triple set, so
@@ -320,15 +327,11 @@ class _Sorted:
         first = np.repeat(np.arange(len(self.off) - 1), np.diff(self.off))
         return np.column_stack((first, self.second, self.third))
 
-    def rows(self) -> list[tuple[int, int, int]]:
-        """Every row as a tuple of ints, in stored order."""
-        return list(zip(*(column.tolist() for column in self.table().T)))
-
 
 class _Base:
-    """An immutable set of id triples in three sorted permutations (SPO,
-    POS, OSP), built in bulk from flat ids (s0, p0, o0, s1, ...);
-    duplicates dropped."""
+    """An immutable set of id triples in two sorted permutations (SPO and
+    POS), built in bulk from flat ids (s0, p0, o0, s1, ...); duplicates
+    dropped."""
 
     def __init__(self, flat: np.ndarray, size: int):
         spo = flat.reshape(-1, 3)
@@ -336,13 +339,11 @@ class _Base:
         if len(spo) > 1:
             spo = spo[np.concatenate(([True], (spo[1:] != spo[:-1]).any(1)))]
         s, p, o = spo.T
-        # stable sorts of the SPO order keep its later keys in order
+        # a stable sort of the SPO order keeps its subjects in order
         pos = spo[np.lexsort((o, p))]
-        osp = spo[np.argsort(o, kind="stable")]
         self.n = len(spo)
         self.spo = _Sorted(s, p, o, size)
         self.pos = _Sorted(pos[:, 1], pos[:, 2], pos[:, 0], size)
-        self.osp = _Sorted(osp[:, 2], osp[:, 0], osp[:, 1], size)
 
     def has(self, key: tuple[int, int, int]) -> bool:
         """Whether the triple is stored: `searchsorted` finds its predicate
@@ -482,10 +483,10 @@ class Graph:
 
     def __contains__(self, t: Sequence[Term]) -> bool:
         """Whether a Triple, or any (subject, predicate, object) sequence
-        of Terms, is stored."""
-        s, p, o = t
-        get = self.term_id
-        return bool(self.match_ids(get(s), get(p), get(o)))
+        of Terms, is stored: a probe of each part, so never folds."""
+        key = tuple(map(self.term_id, t))
+        base, buffer = self._store
+        return key in buffer or base.has(key)
 
     def __iter__(self) -> Iterator[Triple]:
         for s, p, o in self.id_rows():
@@ -513,86 +514,66 @@ class Graph:
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
         """Triples matching all bound positions, in id-sorted order."""
-        get = self.term_id
-        keys = self.match_ids(None if s is None else get(s),
-                              None if p is None else get(p),
-                              None if o is None else get(o))
+        keys = self.match_ids(*(None if x is None else self.term_id(x)
+                                for x in (s, p, o)))
         terms = self._terms
-        return [Triple(terms[a], terms[b], terms[c])
-                for a, b, c in sorted(keys)]
+        return [Triple(terms[a], terms[b], terms[c]) for a, b, c in keys]
 
     def match_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> list[tuple[int, int, int]]:
-        """Id triples matching all bound id positions, in no set order.
-        Folds unless all three are bound.
-
-        A partly bound pattern reads the run of its first bound position
-        from the permutation sorted on that position (`columns`) and masks
-        the other bound position, if any. An id that no stored triple uses
-        (say -1 for an unknown term) matches nothing.
-        """
-        if s is not None and p is not None and o is not None:
-            key = (s, p, o)
-            base, buffer = self._store
-            return [key] if base.has(key) or key in buffer else []
-        bound = (s, p, o)
-        if bound == (None, None, None):
-            return self._folded().spo.rows()
-        position = next(i for i, x in enumerate(bound) if x is not None)
-        # the permutation's rows hold the positions rotated by `position`
-        key, *rest = bound[position:] + bound[:position]
-        off, *run = self.columns(position)
-        if not 0 <= key < len(off) - 1:
-            return []
-        run = [column[off[key]:off[key + 1]] for column in run]
-        keep = np.ones(len(run[0]), dtype=bool)
-        for column, value in zip(run, rest):
+        """Id triples matching all bound id positions, sorted on (subject,
+        predicate, object); folds. The folded SPO table is masked on each
+        bound position, so an id that no stored triple uses (say -1 for an
+        unknown term) matches nothing."""
+        table = self._folded().spo.table()
+        keep = np.ones(len(table), dtype=bool)
+        for column, value in zip(table.T, (s, p, o)):
             if value is not None:
                 keep &= column == value
-        rotated = [[key] * int(keep.sum()),
-                   *(column[keep].tolist() for column in run)]
-        return list(zip(*rotated[-position:], *rotated[:-position]))
+        return list(zip(*table[keep].T.tolist()))
 
-    def columns(self, position: int) -> tuple[np.ndarray, ...]:
-        """The permutation sorted on `position` (0 SPO, 1 POS, 2 OSP) as
-        views of the folded base's read-only int64 columns: the key offsets
-        `off`, with the rows of first key `a` at `off[a]:off[a + 1]`, and
-        the second and third columns; folds. Nothing is copied, and no
-        view can be made writeable, since the columns it shows own their
-        data and are read-only. A published base is never mutated, so a
-        view stays valid, but it shows the graph as it was read. Keep one
-        past a write only in a `cached` value, which that write drops."""
-        base = self._folded()
-        perm = (base.spo, base.pos, base.osp)[position]
-        return perm.off.view(), perm.second.view(), perm.third.view()
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The SPO permutation as views of the folded base's read-only
+        int64 columns: the subject offsets `off`, with the rows of subject
+        `a` at `off[a]:off[a + 1]`, and the predicate and object columns,
+        sorted on (predicate, object) within each subject; folds. Nothing
+        is copied, and no view can be made writeable, since the columns it
+        shows own their data and are read-only. A published base is never
+        mutated, so a view stays valid, but it shows the graph as it was
+        read. Keep one past a write only in a `cached` value, which that
+        write drops."""
+        spo = self._folded().spo
+        return spo.off.view(), spo.second.view(), spo.third.view()
 
     def edges(self, predicate: int) -> tuple[np.ndarray, np.ndarray]:
         """The (subjects, objects) of the triples with predicate id
-        `predicate`: slices of the POS views of `columns`, sorted on object
-        and then subject, so they follow its rules; folds. Both are empty
-        for an id that no triple holds as a predicate, -1 included."""
-        off, objects, subjects = self.columns(1)
-        lo, hi = (off[predicate:predicate + 2]
-                  if 0 <= predicate < len(off) - 1 else (0, 0))
-        return subjects[lo:hi], objects[lo:hi]
+        `predicate`: slices of the folded base's POS columns, sorted on
+        object and then subject, which follow the rules of `columns`;
+        folds. Both are empty for an id that no triple holds as a
+        predicate, -1 included."""
+        pos = self._folded().pos
+        lo, hi = (pos.off[predicate:predicate + 2]
+                  if 0 <= predicate < len(pos.off) - 1 else (0, 0))
+        return pos.third[lo:hi], pos.second[lo:hi]
 
     def key_ids(self, position: int) -> list[int]:
         """The ids that some stored triple holds at `position` (0 subject,
-        1 predicate, 2 object), ascending; folds. They are read off the key
-        offsets of the permutation sorted on that position, with no tuple
-        per triple."""
-        off = self.columns(position)[0]
-        return np.flatnonzero(off[1:] > off[:-1]).tolist()
+        1 predicate, 2 object), ascending; folds. Subjects and predicates
+        are read off the SPO and POS key offsets, and objects off a
+        `bincount` of SPO's object column, with no tuple per triple."""
+        base = self._folded()
+        counts = (np.bincount(base.spo.third) if position == 2
+                  else np.diff((base.spo, base.pos)[position].off))
+        return np.flatnonzero(counts).tolist()
 
     def check_indexes(self) -> bool:
         """The base permutations hold one sorted, duplicate-free set, and
         no buffered triple is in the base."""
         base, buffer = self._store
-        spo, pos, osp = base.spo.rows(), base.pos.rows(), base.osp.rows()
-        stored = set(spo)
-        ordered = all(a < b for rows in (spo, pos, osp)
+        spo, pos = ([tuple(row) for row in perm.table().tolist()]
+                    for perm in (base.spo, base.pos))
+        ordered = all(a < b for rows in (spo, pos)
                       for a, b in zip(rows, rows[1:]))
         same = (len(spo) == base.n
-                and {(s, p, o) for p, o, s in pos} == stored
-                and {(s, p, o) for o, s, p in osp} == stored)
+                and {(s, p, o) for p, o, s in pos} == set(spo))
         return ordered and same and not any(map(base.has, buffer))

@@ -13,11 +13,11 @@ a subject's description is its run of (predicate, object) rows, read off
 the key offsets. Per-id masks say whether a term is an IRI in a home
 namespace or a foreign one, and one `reduceat` per metric tells which
 runs hold a foreign object (metric 2) or a label predicate (metric 13).
-The subjects, objects and predicates in use are the key runs of the SPO,
-OSP and POS permutations. Metrics 3, 4 and 6 read one predicate's
-(subject, object) columns (`Graph.edges`), and metric 3 takes the class's
-members from `ontology.ClassIndex`, as DL queries do. Terms are looked up
-only to sort subjects and to write the samples.
+The subjects, objects and predicates in use come from `Graph.key_ids`.
+Metrics 3, 4 and 6 read one predicate's (subject, object) columns
+(`Graph.edges`), and metric 3 takes the class's members from
+`ontology.ClassIndex`, as DL queries do. Terms are looked up only to sort
+subjects and to write the samples.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     # subject s describes itself by its SPO run, the (p, o) rows at
     # off[s]:off[s + 1]; subjects are no literals, so ordering the Terms
     # orders them by (kind, lexical)
-    off, p_column, o_column = graph.columns(0)
+    off, p_column, o_column = graph.columns()
     present = graph.key_ids(0)
     subjects = sorted(present, key=terms.__getitem__)
     objects = graph.key_ids(2)

@@ -543,14 +543,34 @@ _REGEX_ALLOWED = re.compile(r"^[A-Za-z0-9 _\-^$\[\]|*+?()@#/,.:']*$")
 _REGEX_CLASS = re.compile(r"\[\^?\]?[^\]]*\]")
 _REGEX_EXTENSION = re.compile(r"(\(\?|[*+?]\+)")
 _REGEX_SET_SYNTAX = re.compile(r"\[\^?\]?[^\]]*?(\[|--|\|\|)")
+# an innermost group, then its quantifier if it has one
+_REGEX_GROUP = re.compile(r"\(([^()]*)\)([*+?]?)")
 
 
 def _compile_regex(pattern: str, line: int = 1, col: int = 1):
+    """The compiled pattern, or a `SparqlParseError` that names it.
+
+    Besides characters and Python extensions outside the dialect, two
+    kinds of pattern are refused, since Python's `re` backtracks and can
+    take exponential time on the first, such as `^(a|a)*$` on a run of
+    `a`s, and time of a high power of n on the second:
+    - a quantifier on a group that holds a quantifier or `|`;
+    - more than two unbounded quantifiers (`*`, `+`).
+    So each repeat of a quantified group matches one fixed-length run of
+    characters in one way, and a match path passes at most two unbounded
+    repeats. A match attempt from one start position on a label of n
+    characters then takes O(n²) steps, times a factor that the pattern
+    alone sets: the product of 2 per `?` and of each alternation's branch
+    count. A search tries each start position, so it takes at most O(n³)
+    steps, and O(n²) when the pattern is anchored by a leading `^`
+    without a top-level `|`.
+    """
     if not _REGEX_ALLOWED.match(pattern):
         raise SparqlParseError(f"regex pattern {pattern!r} uses characters "
                                "outside the supported dialect", line, col)
     # a class becomes one plain character, so "*[a]+" shows no "*+"
-    extension = (_REGEX_EXTENSION.search(_REGEX_CLASS.sub("x", pattern))
+    plain = _REGEX_CLASS.sub("x", pattern)
+    extension = (_REGEX_EXTENSION.search(plain)
                  or _REGEX_SET_SYNTAX.search(pattern))
     if extension:
         raise SparqlParseError(
@@ -558,10 +578,26 @@ def _compile_regex(pattern: str, line: int = 1, col: int = 1):
             "is outside the supported dialect", line, col)
     escaped = pattern.replace(".", r"\.")
     try:
-        return re.compile(escaped)
+        compiled = re.compile(escaped)
     except re.error as exc:
         raise SparqlParseError(f"bad regex pattern {pattern!r}: {exc}",
                                line, col) from None
+    if plain.count("*") + plain.count("+") > 2:
+        raise SparqlParseError(
+            f"regex pattern {pattern!r} has more than two unbounded "
+            "quantifiers ('*', '+')", line, col)
+    # innermost group first: one that holds a quantifier or "|" becomes
+    # "!", so that each group that encloses it holds one too
+    while group := _REGEX_GROUP.search(plain):
+        branching = re.search(r"[*+?|!]", group[1]) is not None
+        if branching and group[2]:
+            raise SparqlParseError(
+                f"regex pattern {pattern!r} repeats a group that holds a "
+                "quantifier or '|', which can take exponential time",
+                line, col)
+        plain = (plain[:group.start()] + ("!" if branching else "x")
+                 + group[2] + plain[group.end():])
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -591,17 +627,11 @@ class SolutionTable:
         return buf.getvalue()
 
     def render(self) -> str:
-        cells = [[t.n3() for t in row] for row in self.rows]
-        widths = [len(h) for h in self.header]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = ["  ".join(h.ljust(widths[i])
-                           for i, h in enumerate(self.header)).rstrip()]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)).rstrip())
+        cells = [self.header, *([t.n3() for t in row] for row in self.rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(cell.ljust(width) for cell, width
+                           in zip(row, widths)).rstrip() for row in cells]
+        lines.insert(1, "  ".join("-" * w for w in widths))
         lines.append(f"({len(self.rows)} rows)")
         return "\n".join(lines)
 
@@ -710,7 +740,7 @@ def _matches(graph: Graph, pattern: tuple) -> tuple[list[str], np.ndarray]:
     per variable position: the predicate's edges, or every triple for a
     variable predicate."""
     if isinstance(pattern[1], Var):
-        off, predicates, objects = graph.columns(0)
+        off, predicates, objects = graph.columns()
         subjects = np.repeat(np.arange(len(off) - 1), np.diff(off))
     else:
         subjects, objects = graph.edges(pattern[1])

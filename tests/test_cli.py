@@ -112,6 +112,20 @@ class TestQuery:
         assert main(["query", "--kg", str(tmp_path / "none.nt"),
                      "--pack"]) == 2
 
+    def test_exponential_regex_is_one_error_line(self, tmp_path, capsys):
+        # a backtracking search for this pattern doubles its time with
+        # each further "a" of the label, so it is refused before it runs
+        kg = tmp_path / "one.nt"
+        kg.write_text('<a:s> <a:label> "' + "a" * 20 + 'b" .\n',
+                      encoding="utf-8")
+        query = tmp_path / "q.rq"
+        query.write_text('SELECT ?s WHERE { ?s <a:label> ?l . '
+                         'FILTER (regex(?l, "^(a|a)*$")) }', encoding="utf-8")
+        assert main(["query", "--kg", str(kg), "--file", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "regex pattern '^(a|a)*$'" in err
+
     def test_deterministic_output(self, kg_file, tmp_path):
         query = tmp_path / "q.rq"
         query.write_text(
@@ -404,6 +418,26 @@ class TestQaExport:
         assert main(["export", "--kg", str(kg_file), "--out", str(out),
                      "--format", fmt]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_export_json_matches_the_indenting_encoder(self, tmp_path):
+        # the JSON export is json.dumps(rows, indent=2), byte for byte, for
+        # no triples and for literals that JSON or N-Triples escapes
+        from onokg.kg import Graph, iri, literal
+        from onokg.ntriples import load_file, rendered_rows, save_file
+        texts = ['say "hi"', "back\\slash", "two\nlines", "a\tb",
+                 "Krebs ü → 癌", '"\\\n\t"', "]\n    ["]
+        graph = Graph()
+        for i, text in enumerate(texts):
+            graph.add(iri(f"a:s{i}"), iri("a:label"), literal(text))
+        graph.add(iri("a:s0"), iri("a:note"), literal("ja", language="ja"))
+        for name, kg in (("empty", Graph()), ("escapes", graph)):
+            path, out = tmp_path / f"{name}.nt", tmp_path / f"{name}.json"
+            save_file(kg, path)
+            assert main(["export", "--kg", str(path), "--out", str(out),
+                         "--format", "json"]) == 0
+            expected = json.dumps(rendered_rows(load_file(path).graph),
+                                  indent=2)
+            assert out.read_bytes() == expected.encode("utf-8")
 
     def test_export_round_trip(self, kg_file, tmp_path):
         from onokg.ntriples import load_file

@@ -417,5 +417,5 @@ def test_enrichment_matches_oracle(seed_graph, candidates, threshold):
         assert {name: getattr(report, name) for name in expected} == expected
         assert set(graph) == triples and len(graph) == len(triples)
         assert graph.check_indexes()
-        graph.columns(0)  # folds the buffer
+        graph.columns()  # folds the buffer
         assert len(graph) == len(triples)

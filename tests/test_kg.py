@@ -351,24 +351,25 @@ class TestGraph:
 
 def test_only_indexed_reads_fold_the_buffer():
     # the reads the ontology API, ingest and save make keep the insert
-    # buffer, and so does the term list; any other match_ids shape folds
-    # it into a new base and leaves the published (base, buffer) pair as
-    # it was
+    # buffer, and so do membership and the term list; match_ids of any
+    # shape and the column readers fold it into a new base and leave the
+    # published (base, buffer) pair as it was
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
     published = g._store
     rows = g.id_rows()
     first = next(iter(g))
     assert g.insert(first) is False and first in g and len(g) == len(rows)
-    assert g.match_ids(*rows[0]) == [rows[0]]
     assert set(g.terms()) == {term for triple in g for term in triple}
     assert set(copy_graph(g)) == set(g)
     assert g._store is published
     s, p, o = rows[0]
-    shapes = [(s, p, None), (s, None, o), (None, p, o), (s, None, None),
-              (None, p, None), (None, None, o), (None, None, None)]
+    shapes = [(s, p, o), (s, p, None), (s, None, o), (None, p, o),
+              (s, None, None), (None, p, None), (None, None, o),
+              (None, None, None)]
     reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
-             + [lambda g, k=k: g.columns(k) for k in range(3)])
+             + [lambda g: g.columns(), lambda g: g.edges(p)]
+             + [lambda g, k=k: g.key_ids(k) for k in range(3)])
     for read in reads:
         g = build_seed_ontology()
         base, buffer = published = g._store
@@ -384,16 +385,18 @@ def test_columns_are_read_only_views_of_each_permutation():
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
     rows = g.id_rows()
-    for position in range(3):
-        off, second, third = g.columns(position)
-        assert not any(view.flags.writeable for view in (off, second, third))
-        got = [(a, second[i], third[i]) for a in range(len(off) - 1)
-               for i in range(off[a], off[a + 1])]
-        assert got == sorted(row[position:] + row[:position] for row in rows)
+    off, second, third = g.columns()
+    assert not any(view.flags.writeable for view in (off, second, third))
+    got = [(a, second[i], third[i]) for a in range(len(off) - 1)
+           for i in range(off[a], off[a + 1])]
+    assert got == rows
+    got = [(s, p, o) for p in g.key_ids(1)
+           for s, o in zip(*(column.tolist() for column in g.edges(p)))]
+    assert got == sorted(rows, key=lambda row: (row[1], row[2], row[0]))
     with pytest.raises(ValueError):
-        g.columns(0)[1][0] = 0
+        g.columns()[1][0] = 0
     # no caller can turn writes back on through a view
-    handed_out = [*g.columns(0), *g.columns(1), *g.columns(2),
+    handed_out = [*g.columns(),
                   *(array for p in g.key_ids(1) for array in g.edges(p))]
     for array in handed_out:
         assert len(array)
@@ -409,8 +412,12 @@ def test_edges_match_the_predicate_scan_on_split_graphs():
         graph = split_graph(built, int(rng.integers(len(built))))
         # the last triple is buffered, so the first read must fold
         last = graph.term_id(list(built)[-1].predicate)
+        rows = graph.id_rows()
         first = graph.edges(last)
         assert last in graph.key_ids(1) and len(first[0])
+        for position in range(3):
+            assert graph.key_ids(position) == \
+                sorted({row[position] for row in rows})
         size = len(graph.terms())
         for p in [-1, *range(size + 2)]:
             subjects, objects = graph.edges(p)

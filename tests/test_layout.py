@@ -23,10 +23,12 @@ in the module, or listed in its `__all__`, and when a function's own import
 is loaded in that function. No lint tool is needed.
 
 The fourth scan finds every call of `match_ids` in `src/onokg` that binds
-only the predicate, such as `match_ids(None, p)`: a scan of a whole
-predicate as a list of 3-tuples. Such a reader takes the predicate's
-column pair from `Graph.edges` instead. `PREDICATE_SCANS` names the
-modules exempt from it, each with its reason.
+fewer than three positions, such as `match_ids(None, p)` or
+`match_ids(s, p)`: a mask of the whole SPO table, returned as a list of
+3-tuples. Such a reader takes a predicate's column pair from
+`Graph.edges`, or a subject's run from `Graph.columns`, instead.
+`PREDICATE_SCANS` names the modules exempt from it, each with its
+reason.
 
 Known gap: the first two scans match names bare, so a definition or a field
 whose name is common counts as reached or read when any attribute of that
@@ -75,7 +77,8 @@ ALLOWED_FIELDS = {
 }
 
 PREDICATE_SCANS = {
-    "kg": "defines match_ids, and `match` passes each position through",
+    "kg": "defines match_ids, and `match`, the Term-space reader for "
+          "outside callers, passes each position through unbound or bound",
 }
 
 
@@ -247,13 +250,13 @@ def predicate_scans() -> list[str]:
                     and getattr(node.func, "attr", None) == "match_ids":
                 bound = dict(zip("spo", node.args))
                 bound.update((k.arg, k.value) for k in node.keywords)
-                if [_unbound(bound.get(k)) for k in "spo"] \
-                        == [True, False, True]:
+                if any(_unbound(bound.get(k)) for k in "spo"):
                     scans.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return scans
 
 
 def test_no_reader_scans_a_whole_predicate_by_match_ids():
     scans = predicate_scans()
-    assert not scans, ("match_ids calls that bind only the predicate (read "
-                       "Graph.edges instead): " + ", ".join(scans))
+    assert not scans, ("match_ids calls that leave a position unbound (read "
+                       "Graph.edges or Graph.columns instead): "
+                       + ", ".join(scans))

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -14,6 +15,17 @@ from onokg.sparql import (MAX_NESTING, SolutionTable, SparqlParseError,
                           SubSelect, TriplePattern, Var, evaluate,
                           load_query_pack, parse_select, run_query,
                           run_query_pack)
+
+# patterns of the regex dialect, built from single-character atoms by
+# concatenation, alternation, quantifiers and groups
+_REGEXES = st.recursive(
+    st.sampled_from(["a", "b", "[ab]", "."]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map("({0[0]}|{0[1]})".format),
+        st.tuples(inner, st.sampled_from("*+?")).map("".join),
+        inner.map("({})".format)),
+    max_leaves=8)
 
 FIG5_STYLE = """
 PREFIX ono: <http://www.example.com/ontologies/ono/ono.owl#>
@@ -164,6 +176,17 @@ class TestParser:
         ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "[a||b]")) }',
          "1:51: regex pattern '[a||b]' uses '||', which is outside the "
          "supported dialect"),
+        # patterns on which a backtracking search can take exponential
+        # time, or time of a high power of the label's length
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "^(a|a)*$")) }',
+         "1:51: regex pattern '^(a|a)*$' repeats a group that holds a "
+         "quantifier or '|', which can take exponential time"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "((a+)b)?")) }',
+         "1:51: regex pattern '((a+)b)?' repeats a group that holds a "
+         "quantifier or '|', which can take exponential time"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "a*[*]a+a*")) }',
+         "1:51: regex pattern 'a*[*]a+a*' has more than two unbounded "
+         "quantifiers ('*', '+')"),
     ])
     def test_term_error_names_the_token(self, text, message):
         with pytest.raises(SparqlParseError) as err:
@@ -233,6 +256,32 @@ class TestEvaluate:
         table = run_query(g, "SELECT ?x WHERE { ?x <a:n> ?n . "
                              "FILTER (?n >= 100) }")
         assert len(table.rows) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(st.sampled_from(["", "^"]), _REGEXES,
+                     st.sampled_from(["", "$", "b"])).map("".join))
+    def test_accepted_regex_searches_in_bounded_time(self, pattern):
+        # a pattern is refused, or it searches adversarial labels, runs of
+        # each of its characters and of both letters then one that fails,
+        # in under 1 s; `re` checks signals, so an alarm stops a search
+        try:
+            search = sparql._compile_regex(pattern).search
+        except SparqlParseError:
+            return
+        labels = [(run * 199)[:199] + "!" for run in ("a", "b", ".", "ab")]
+
+        def stop(signum, frame):
+            raise TimeoutError
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            for label in labels:
+                search(label)
+        except TimeoutError:
+            pytest.fail(f"regex {pattern!r} searched for over 1 s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_regex_on_non_literal_fails_row(self):
         g = Graph()
