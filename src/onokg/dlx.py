@@ -8,6 +8,11 @@ Grammar (keywords case-insensitive, `and` binds tighter than `or`):
     restriction := ['inverse'] NAME ('some' unit | 'only' unit
                                      | 'min' INT | 'max' INT)
 
+Tokens come from one regex, `_TOKEN`, read with `finditer`: a parenthesis,
+a run of ASCII letters, digits, `_` and `-` (an INT when all digits, a
+keyword when it is one), or whitespace. Any other character is a
+`DlxParseError` at its offset.
+
 A parenthesized expression and a `some`/`only` filler each open one
 nesting level; an expression nested deeper than `MAX_NESTING` levels is a
 `DlxParseError` at the token that opens the level too many.
@@ -43,6 +48,7 @@ raises `HierarchyCycleError` in DL queries, while
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -192,37 +198,27 @@ class NameResolver:
 # ---------------------------------------------------------------------------
 # parser
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+# A parenthesis, a run of name characters, whitespace, or any other
+# character, which is refused at its offset. `\s` matches what
+# `str.isspace` accepts, and the ASCII ranges match no other letter or digit.
+_TOKEN = re.compile(
+    r"(?P<punct>[()])|(?P<name>[A-Za-z0-9_-]+)|\s+|(?P<stray>.)")
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch in "()":
-                self.items.append(("punct", ch, pos))
-                pos += 1
-                continue
-            if ch in _NAME_CHARS:
-                start = pos
-                while pos < len(text) and text[pos] in _NAME_CHARS:
-                    pos += 1
-                word = text[start:pos]
-                if word.isdigit():
-                    self.items.append(("int", word, start))
-                elif word.casefold() in KEYWORDS:
-                    self.items.append(("kw", word.casefold(), start))
-                else:
-                    self.items.append(("name", word, start))
-                continue
-            raise DlxParseError(f"unexpected character {ch!r}", pos)
+        for m in _TOKEN.finditer(text):
+            kind, word, pos = m.lastgroup, m.group(), m.start()
+            if kind == "stray":
+                raise DlxParseError(f"unexpected character {word!r}", pos)
+            if kind == "name" and word.isdigit():
+                kind = "int"
+            elif kind == "name" and word.casefold() in KEYWORDS:
+                kind, word = "kw", word.casefold()
+            if kind:
+                self.items.append((kind, word, pos))
         self.index = 0
         self.depth = 0
 
@@ -259,27 +255,22 @@ def parse_dlx(text: str, graph: Graph) -> ClassExpression:
 
 
 def _parse_or(tokens: _Tokens, resolver: NameResolver) -> ClassExpression:
-    parts = [_parse_and(tokens, resolver)]
-    while True:
-        tok = tokens.peek()
-        if tok and tok[0] == "kw" and tok[1] == "or":
-            tokens.next()
-            parts.append(_parse_and(tokens, resolver))
-        else:
-            break
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+    return _parse_chain(tokens, resolver, "or", Or, _parse_and)
 
 
 def _parse_and(tokens: _Tokens, resolver: NameResolver) -> ClassExpression:
-    parts = [_parse_unit(tokens, resolver)]
-    while True:
-        tok = tokens.peek()
-        if tok and tok[0] == "kw" and tok[1] == "and":
-            tokens.next()
-            parts.append(_parse_unit(tokens, resolver))
-        else:
-            break
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
+    return _parse_chain(tokens, resolver, "and", And, _parse_unit)
+
+
+def _parse_chain(tokens: _Tokens, resolver: NameResolver, keyword: str,
+                 node, parse_part) -> ClassExpression:
+    """One or more `parse_part` operands joined by `keyword`, as one `node`
+    when there are several."""
+    parts = [parse_part(tokens, resolver)]
+    while (tok := tokens.peek()) and tok[:2] == ("kw", keyword):
+        tokens.next()
+        parts.append(parse_part(tokens, resolver))
+    return parts[0] if len(parts) == 1 else node(tuple(parts))
 
 
 def _parse_unit(tokens: _Tokens, resolver: NameResolver) -> ClassExpression:

@@ -13,28 +13,23 @@ labels are not stable across a load and never meet those of another graph.
 
 Parsing works in term-id space and by slice. The text is cut at line ends
 into slices of about `SLICE_CHARS` characters, so neither a list of all
-its lines nor a copy of the whole text is made. Token text becomes ids
-one way, `_Parser.take`, given the (subject, predicate, object) token
-texts of whole lines. A dict maps the raw text of each token already read
-(`<a:x>`, `"v"@en`, `_:n`) to its term id. Each token not read before
-makes its `Term` once, through the scanner's `read_term`, which must
-consume the whole token; once all of them are valid, blank labels are
-handed out and the Terms interned in the order the tokens first appear,
-and every token maps to its id through the dict. If one makes no Term,
-`take` adds nothing. Each slice is first read with one `findall` of the
-line pattern, anchored per line, and when every line of the slice
-matched, its rows go to `take` at once; a comment or blank line matches as
-a row of empty tokens, which `take` skips. Otherwise (a CRLF or malformed
-line, or a new token that makes no Term) the slice goes through the line
-loop, from the same dict, blank labels and line number.
-The line loop is the only code that reports issues: a line that the
-pattern matches goes to `take` on its own, and a line that the pattern
-misses, or that `take` refuses, goes through `_LineScanner`, whose Terms
-validate it. Both ways give term ids and blank labels in first use on
-valid lines, as inserting the triples one by one would give them, and the
-same issues with the same line numbers. An IRI or a quoted literal can
-match across a newline, so a slice counts as matched only when it has as
-many matches as lines.
+its lines nor a copy of the whole text is made. Each slice is first read
+with one `findall` of the line pattern, anchored per line; a comment or
+blank line matches as a row of empty tokens. When every line of the slice
+matched, its rows go to `_Parser.take` at once, which serves whole slices
+only. A dict maps the raw text of each token already read (`<a:x>`,
+`"v"@en`, `_:n`) to its term id. Each token not read before makes its
+`Term` once, through the scanner's `read_term`, which must consume the
+whole token; once all of them are valid, blank labels are handed out and
+the Terms interned in the order the tokens first appear, and every token
+maps to its id through the dict. If one makes no Term, `take` adds
+nothing. A slice that fails (a CRLF or malformed line, or a new token that
+makes no Term) is read line by line by `_LineScanner`, from the same blank
+labels and line number, and the line loop is the only code that reports
+issues. Both ways give term ids and blank labels in first use on valid
+lines, as inserting the triples one by one would give them. An IRI or a
+quoted literal can match across a newline, so a slice counts as matched
+only when it has as many matches as lines.
 
 The flat id rows go straight to the store's bulk base build
 (`Graph.add_ids`) at the end, with no tuple per triple: one sort for the
@@ -88,8 +83,7 @@ _IRI = r"<[^>]*>"
 _BLANK = rf"_:{BLANK_LABEL.pattern}"
 _LITERAL = rf"{QUOTED.pattern}(?:\^\^{_IRI}|@{LANGUAGE_TAG.pattern})?"
 # The pattern is anchored per line of a slice: an IRI or a quoted literal
-# can match across a newline, so `findall` must give one match per line. A
-# line cut out of the text holds no newline, so `fullmatch` reads it alone.
+# can match across a newline, so `findall` must give one match per line.
 # The triple is an alternative to nothing: as `(?:...)?` it runs slower.
 _SLICE_LINE = re.compile(
     rf"^[ \t]*(?:({_IRI}|{_BLANK})[ \t]*({_IRI})"
@@ -246,10 +240,10 @@ class _Parser:
         self.lineno += lines
 
     def take(self, rows: list[tuple[str, str, str]]) -> bool:
-        """Add the token rows of lines that the line pattern matched (a
-        whole slice, or one line of the line loop), unless some token read
-        for the first time makes no Term; then add nothing and return
-        False. The empty tokens of comment and blank lines are skipped."""
+        """Add the token rows of a whole slice, every line of which the
+        line pattern matched, unless some token read for the first time
+        makes no Term; then add nothing and return False. The empty tokens
+        of comment and blank lines are skipped."""
         token_ids = self.token_ids
         tokens = list(filter(None, chain.from_iterable(rows)))
         new = {}
@@ -269,9 +263,8 @@ class _Parser:
         return True
 
     def read_line(self, raw: str, lineno: int):
-        m = _SLICE_LINE.fullmatch(raw)
-        if m is not None and self.take([m.groups()]):
-            return
+        """Read one line of a failing slice with `_LineScanner`: add its
+        triple, skip a comment or blank line, or report one issue."""
         line = raw.strip()
         if not line or line.startswith("#"):
             return

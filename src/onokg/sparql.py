@@ -430,18 +430,19 @@ class _Parser:
     # filter expressions
 
     def parse_or_expr(self) -> FilterNode:
-        parts = [self.parse_and_expr()]
-        while self.peek() is not None and self.peek().value == "||":
-            self.next()
-            parts.append(self.parse_and_expr())
-        return parts[0] if len(parts) == 1 else OrExpr(tuple(parts))
+        return self.parse_chain("||", OrExpr, self.parse_and_expr)
 
     def parse_and_expr(self) -> FilterNode:
-        parts = [self.parse_unary_expr()]
-        while self.peek() is not None and self.peek().value == "&&":
+        return self.parse_chain("&&", AndExpr, self.parse_unary_expr)
+
+    def parse_chain(self, op: str, node, parse_part) -> FilterNode:
+        """One or more `parse_part` operands joined by `op`, as one `node`
+        when there are several."""
+        parts = [parse_part()]
+        while (tok := self.peek()) is not None and tok.value == op:
             self.next()
-            parts.append(self.parse_unary_expr())
-        return parts[0] if len(parts) == 1 else AndExpr(tuple(parts))
+            parts.append(parse_part())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
 
     def parse_unary_expr(self) -> FilterNode:
         tok = self.peek()
@@ -550,20 +551,24 @@ _REGEX_GROUP = re.compile(r"\(([^()]*)\)([*+?]?)")
 def _compile_regex(pattern: str, line: int = 1, col: int = 1):
     """The compiled pattern, or a `SparqlParseError` that names it.
 
-    Besides characters and Python extensions outside the dialect, two
+    Besides characters and Python extensions outside the dialect, three
     kinds of pattern are refused, since Python's `re` backtracks and can
     take exponential time on the first, such as `^(a|a)*$` on a run of
-    `a`s, and time of a high power of n on the second:
+    `a`s, time of a high power of n on the second, and time exponential
+    in the pattern's length on the third, such as `a?` 7 times then `a` 7
+    times:
     - a quantifier on a group that holds a quantifier or `|`;
-    - more than two unbounded quantifiers (`*`, `+`).
+    - more than two unbounded quantifiers (`*`, `+`);
+    - a branching factor over 64. The factor is the product of 2 per `?`
+      outside a character class (a lazy `*?` or `+?` included) and of
+      each alternation's branch count, the top level's included.
     So each repeat of a quantified group matches one fixed-length run of
     characters in one way, and a match path passes at most two unbounded
     repeats. A match attempt from one start position on a label of n
-    characters then takes O(n²) steps, times a factor that the pattern
-    alone sets: the product of 2 per `?` and of each alternation's branch
-    count. A search tries each start position, so it takes at most O(n³)
-    steps, and O(n²) when the pattern is anchored by a leading `^`
-    without a top-level `|`.
+    characters then takes O(n²) steps, times the branching factor, which
+    is at most 64. A search tries each start position, so it takes at
+    most O(n³) steps, and O(n²) when the pattern is anchored by a leading
+    `^` without a top-level `|`.
     """
     if not _REGEX_ALLOWED.match(pattern):
         raise SparqlParseError(f"regex pattern {pattern!r} uses characters "
@@ -586,8 +591,10 @@ def _compile_regex(pattern: str, line: int = 1, col: int = 1):
         raise SparqlParseError(
             f"regex pattern {pattern!r} has more than two unbounded "
             "quantifiers ('*', '+')", line, col)
+    factor = 2 ** plain.count("?")
     # innermost group first: one that holds a quantifier or "|" becomes
-    # "!", so that each group that encloses it holds one too
+    # "!", so that each group that encloses it holds one too, and each
+    # alternation's branches are counted once
     while group := _REGEX_GROUP.search(plain):
         branching = re.search(r"[*+?|!]", group[1]) is not None
         if branching and group[2]:
@@ -595,8 +602,13 @@ def _compile_regex(pattern: str, line: int = 1, col: int = 1):
                 f"regex pattern {pattern!r} repeats a group that holds a "
                 "quantifier or '|', which can take exponential time",
                 line, col)
+        factor *= group[1].count("|") + 1
         plain = (plain[:group.start()] + ("!" if branching else "x")
                  + group[2] + plain[group.end():])
+    if factor * (plain.count("|") + 1) > 64:
+        raise SparqlParseError(
+            f"regex pattern {pattern!r} branches more than 64 ways (2 per "
+            "'?', times each alternation's branch count)", line, col)
     return compiled
 
 

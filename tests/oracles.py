@@ -194,6 +194,40 @@ def dl_instances(graph: Graph, expr) -> set[Term]:
     return evaluate(expr)
 
 
+_DL_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz"
+                     "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+
+def dl_tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of a class expression, by a
+    character loop; a stray character raises `DlxParseError`."""
+    items = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in "()":
+            items.append(("punct", ch, pos))
+            pos += 1
+            continue
+        if ch in _DL_NAME_CHARS:
+            start = pos
+            while pos < len(text) and text[pos] in _DL_NAME_CHARS:
+                pos += 1
+            word = text[start:pos]
+            if word.isdigit():
+                items.append(("int", word, start))
+            elif word.casefold() in dlx.KEYWORDS:
+                items.append(("kw", word.casefold(), start))
+            else:
+                items.append(("name", word, start))
+            continue
+        raise dlx.DlxParseError(f"unexpected character {ch!r}", pos)
+    return items
+
+
 def reachability_closure(graph: Graph) -> set[tuple[Term, Term]]:
     """Reflexive-transitive subclass pairs via boolean matrix powers."""
     nodes = sorted({t for tr in graph.match(None, RDFS_SUBCLASS, None)

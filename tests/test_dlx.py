@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import copy_graph, split_graph
-from oracles import (EX, dl_instances, graph_vocabulary, random_dl_expr,
-                     random_graph)
+from oracles import (EX, dl_instances, dl_tokens, graph_vocabulary,
+                     random_dl_expr, random_graph)
 from onokg.dlx import (AboxIndex, And, Atomic, DlxParseError,
                        HierarchyCycleError, MAX_NESTING, MaxCard, MinCard,
                        Only, Or, PropRef, Some, SYLLOGISM_RULES,
-                       UnknownNameError, deduce_syllogism, instances,
-                       parse_dlx, query)
+                       UnknownNameError, _Tokens, deduce_syllogism,
+                       instances, parse_dlx, query)
 from onokg.kg import Graph, Triple, iri, literal
 from onokg.ontology import (RDFS_SUBCLASS, SCHEMA, ClassIndex, data_path,
                             ono)
@@ -84,6 +86,29 @@ class TestParser:
             query(seed_copy, "Sarcoma")
         seed_copy.insert(edge)
         assert query(seed_copy, "Sarcoma") == []
+
+
+# name characters and digits, keywords in mixed case, parentheses, ASCII
+# and Unicode whitespace, and stray characters: the long s and the Kelvin
+# sign fold to ASCII letters, but are not name characters
+_DL_PIECES = st.sampled_from(
+    list("aZq09_-") + ["Cancer", "TP53", "AND", "Or", "sOmE", "inverse",
+                       "MIN", "max", "only"]
+    + list("()") + [" ", "\t", "\n", "\x1c", "\u00a0", "\u3000"]
+    + ["\u00e9", "*", ".", "\u017f", "\u212a"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_DL_PIECES, max_size=12).map("".join))
+def test_tokens_match_character_loop(text):
+    try:
+        expected = dl_tokens(text)
+    except DlxParseError as exc:
+        with pytest.raises(DlxParseError) as err:
+            _Tokens(text)
+        assert str(err.value) == str(exc)
+        return
+    assert _Tokens(text).items == expected
 
 
 class TestInstances:

@@ -1,9 +1,10 @@
 import json
+import re
 import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_graph, random_rich_sparql_query,
@@ -187,6 +188,10 @@ class TestParser:
         ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "a*[*]a+a*")) }',
          "1:51: regex pattern 'a*[*]a+a*' has more than two unbounded "
          "quantifiers ('*', '+')"),
+        ('SELECT ?x WHERE { ?x <a:p> ?y . FILTER (regex(?y, "'
+         + "a?" * 7 + "a" * 7 + '")) }',
+         "1:51: regex pattern 'a?a?a?a?a?a?a?aaaaaaa' branches more than "
+         "64 ways (2 per '?', times each alternation's branch count)"),
     ])
     def test_term_error_names_the_token(self, text, message):
         with pytest.raises(SparqlParseError) as err:
@@ -260,6 +265,8 @@ class TestEvaluate:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.tuples(st.sampled_from(["", "^"]), _REGEXES,
                      st.sampled_from(["", "$", "b"])).map("".join))
+    # the most that the branching cap admits, before two unbounded repeats
+    @example("a?" * 6 + "a*a*b")
     def test_accepted_regex_searches_in_bounded_time(self, pattern):
         # a pattern is refused, or it searches adversarial labels, runs of
         # each of its characters and of both letters then one that fails,
@@ -282,6 +289,33 @@ class TestEvaluate:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+    # 2 per '?', times each alternation's branch count, at most 64
+    @pytest.mark.parametrize("pattern, refused", [
+        ("a?" * 6 + "a" * 6, False),
+        ("a?" * 7 + "a" * 7, True),
+        ("a??" * 3, False),
+        ("a*?" * 2 + "a??" * 3, True),
+        ("^(A|B|C|D|E|F|G|H|I)", False),
+        ("(a|b|c|d|e|f|g|h)(a|b|c|d|e|f|g|h)", False),
+        ("(a|b|c|d|e|f|g|h|i)(a|b|c|d|e|f|g|h)", True),
+        ("a?" * 6 + "b|c", True),
+        ("([a|b?]|c)" * 6, False),
+    ])
+    def test_regex_branching_cap(self, pattern, refused):
+        if refused:
+            with pytest.raises(SparqlParseError, match="more than 64 ways"):
+                sparql._compile_regex(pattern)
+        else:
+            sparql._compile_regex(pattern)
+
+    def test_pack_regexes_are_accepted(self):
+        patterns = [pattern for _, text in load_query_pack()
+                    for pattern in re.findall(r'regex\(\?\w+, "([^"]*)"\)',
+                                              text)]
+        assert len(patterns) == 13
+        for pattern in patterns:
+            assert sparql._compile_regex(pattern).search(pattern[1:])
 
     def test_regex_on_non_literal_fails_row(self):
         g = Graph()
