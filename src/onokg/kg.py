@@ -29,6 +29,12 @@ The triples live in two disjoint parts:
   insertion order (a dict used as an ordered set). It answers membership,
   its size and its keys, nothing else.
 
+Sort rule: every sort of id rows (the base's SPO and POS orders and
+`id_table`) is `_order`, one stable `argsort` of a packed int64 key per
+row, (s * n + p) * n + o for n terms, while n³ < 2⁶³. From n = 2,097,152
+on a key could overflow, and `_order` falls back to a `lexsort` of the
+three columns.
+
 Write rule: the store is append-only, as the KG only grows by integrated
 sources and extracted facts. `insert` and `add_ids` are its only writers,
 and nothing removes a triple. `insert` is the one writer of single
@@ -67,7 +73,7 @@ views) read the two parts as they are. `columns`, `edges`, `key_ids` and
 `match_ids` first fold a non-empty buffer into the base: `add_ids` of no
 new ids, one bulk build of the base and buffer triples, which sorts them,
 so the fold reads the buffer's keys unsorted. A graph built by inserts,
-as the ontology API builds one, is saved from `id_table`, one `lexsort`
+as the ontology API builds one, is saved from `id_table`, one `_order`
 of the buffer's keys with no tuple per triple, and folded once, when it
 is first queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
@@ -305,20 +311,39 @@ class PrefixTable:
         return PrefixTable(self._ns)
 
 
+def _order(a, b, c, size: int) -> np.ndarray:
+    """The stable order of the id rows (a, b, c), every id below `size`:
+    ascending on (a, b, c), with equal rows in their given order.
+
+    While size³ < 2⁶³, that is below 2,097,152 terms, each row packs into
+    one int64 key, (a * size + b) * size + c, which orders as the row does.
+    The key is built in place, so one n-element temporary exists, and one
+    stable `argsort` orders it. At and above that limit a key could
+    overflow, and `np.lexsort` of the three columns gives the order.
+    """
+    if size ** 3 >= 2 ** 63:
+        return np.lexsort((c, b, a))
+    key = a * size
+    key += b
+    key *= size
+    key += c
+    return np.argsort(key, kind="stable")
+
+
 class _Sorted:
     """One sorted permutation of the base, as read-only int64 columns. The
     rows whose first key is `a` sit at `off[a]:off[a + 1]` of `second` and
-    `third`, sorted on (second, third). Each column owns its data, so no
-    view of it can be made writeable."""
+    `third`, sorted on (second, third). The columns are taken as given and
+    must own their data, as a gather's result does, so that no view of one
+    can be made writeable."""
 
     __slots__ = ("off", "second", "third")
 
     def __init__(self, first, second, third, size: int):
         self.off = np.concatenate(
             ([0], np.cumsum(np.bincount(first, minlength=size))))
-        self.second = np.array(second)
-        self.third = np.array(third)
-        for column in (self.off, self.second, self.third):
+        self.second, self.third = second, third
+        for column in (self.off, second, third):
             column.flags.writeable = False
 
     def table(self) -> np.ndarray:
@@ -330,20 +355,22 @@ class _Sorted:
 
 class _Base:
     """An immutable set of id triples in two sorted permutations (SPO and
-    POS), built in bulk from flat ids (s0, p0, o0, s1, ...); duplicates
-    dropped."""
+    POS), built in bulk from flat ids (s0, p0, o0, s1, ...), every id below
+    `size`. `_order` sorts the rows on their packed keys, or with `lexsort`
+    from 2,097,152 terms on, and they are gathered in that order once. A
+    row equal to the one before it is dropped, and `_order` sorts the
+    distinct rows again on (p, o, s) for POS."""
 
     def __init__(self, flat: np.ndarray, size: int):
-        spo = flat.reshape(-1, 3)
-        spo = spo[np.lexsort(spo.T[::-1])]
-        if len(spo) > 1:
-            spo = spo[np.concatenate(([True], (spo[1:] != spo[:-1]).any(1)))]
-        s, p, o = spo.T
-        # a stable sort of the SPO order keeps its subjects in order
-        pos = spo[np.lexsort((o, p))]
-        self.n = len(spo)
+        rows = flat.reshape(-1, 3)
+        s, p, o = rows[_order(*rows.T, size)].T
+        new = np.ones(len(s), bool)
+        new[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
+        s, p, o = s[new], p[new], o[new]
+        pos = _order(p, o, s, size)
+        self.n = len(s)
         self.spo = _Sorted(s, p, o, size)
-        self.pos = _Sorted(pos[:, 1], pos[:, 2], pos[:, 0], size)
+        self.pos = _Sorted(p[pos], o[pos], s[pos], size)
 
     def has(self, key: tuple[int, int, int]) -> bool:
         """Whether the triple is stored: `searchsorted` finds its predicate
@@ -498,13 +525,14 @@ class Graph:
         (base, buffer) pair as it is, so never folds.
 
         With an empty buffer this is the base's SPO table. Otherwise the
-        base's table and the buffer's keys (`_stored`) are sorted with one
-        `lexsort` and gathered in that order; a buffered key is never in the
-        base, so nothing is dropped.
+        base's table and the buffer's keys (`_stored`) are ordered by
+        `_order`, one stable `argsort` of their packed int64 keys (a
+        `lexsort` from 2,097,152 terms on), and gathered in that order; a
+        buffered key is never in the base, so nothing is dropped.
         """
         base, buffer = self._store
         table = _stored(base, buffer)
-        return table[np.lexsort(table.T[::-1])] if buffer else table
+        return table[_order(*table.T, len(self._terms))] if buffer else table
 
     def id_rows(self) -> list[tuple[int, int, int]]:
         """The stored id triples, sorted, as tuples of ints: the rows of

@@ -17,13 +17,15 @@ The subjects, objects and predicates in use come from `Graph.key_ids`.
 Metrics 3, 4 and 6 read one predicate's (subject, object) columns
 (`Graph.edges`), and metric 3 takes the class's members from
 `ontology.ClassIndex`, as DL queries do. Terms are looked up only to sort
-subjects and to write the samples.
+subjects, to write the samples, and to read metric 4's numbers, once per
+distinct object.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -147,8 +149,8 @@ class MetricResult:
                    "ok", list(sample)[:100])
 
     @classmethod
-    def count(cls, value, sample=()):
-        return cls("count", float(value), int(value), 0, "ok",
+    def count(cls, value, sample=(), denominator=0):
+        return cls("count", float(value), int(value), int(denominator), "ok",
                    list(sample)[:100])
 
     @classmethod
@@ -301,23 +303,24 @@ def assess(graph: Graph, cfg: QualityConfig) -> QualityReport:
     else:
         metrics["property_completeness"] = MetricResult.skipped()
 
-    # 4. numeric range violations for a predicate
+    # 4. numeric range violations for a predicate, over the literal
+    # objects that `float` reads, each read once. A stable sort on the
+    # subjects of its POS run, which is sorted on objects, orders the rows
+    # on (subject, object)
     if cfg.range_predicate is not None:
-        total = 0
-        violations = []
-        for s, o in sorted(id_pairs(graph, cfg.range_predicate)):
-            if terms[o].kind != LITERAL:
-                continue
-            try:
-                value = float(terms[o].lexical)
-            except ValueError:
-                continue
-            total += 1
-            if not cfg.range_lower <= value <= cfg.range_upper:
-                violations.append(f"{terms[s].lexical}: {terms[o].lexical}")
-        metrics["numeric_range_violations"] = MetricResult(
-            "count", float(len(violations)), len(violations), total, "ok",
-            violations[:100])
+        s, o = graph.edges(ids(cfg.range_predicate))
+        values = {}
+        for x in np.unique(o).tolist():
+            if terms[x].kind == LITERAL:
+                with suppress(ValueError):
+                    values[x] = float(terms[x].lexical)
+        outside = [x for x, value in values.items()
+                   if not cfg.range_lower <= value <= cfg.range_upper]
+        order = np.argsort(s, kind="stable")
+        bad = order[np.isin(o[order], outside)].tolist()
+        metrics["numeric_range_violations"] = MetricResult.count(
+            len(bad), [f"{terms[s[i]].lexical}: {terms[o[i]].lexical}"
+                       for i in bad[:100]], np.isin(o, list(values)).sum())
     else:
         metrics["numeric_range_violations"] = MetricResult.skipped()
 

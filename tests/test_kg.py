@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import copy_graph, split_graph
 from oracles import DataclassTerm, DataclassTriple, random_graph
+from onokg import kg
 from onokg.kg import (Graph, PrefixTable, Term, Triple, UnknownPrefixError,
                       ValidationError, blank, iri, literal)
 from onokg.ntriples import parse_ntriples
@@ -432,6 +434,47 @@ def test_edges_match_the_predicate_scan_on_split_graphs():
             first[0][0] = 0
         with pytest.raises(ValueError):
             first[1][0] = 0
+
+
+# the fewest terms whose packed row key, (s * size + p) * size + o, could
+# overflow int64: 2**21, since (2**21)**3 == 2**63
+PACKED_LIMIT = 2_097_152
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_packed_order_matches_lexsort(data):
+    # at the largest size that packs, ids near size - 1 give keys just
+    # below 2**63, so a key built in a narrower type overflows; one more
+    # term forces the lexsort fallback. Every row over the ids 0, 1,
+    # size - 2 and size - 1 is in each case, so two rows whose keys a
+    # wrong packing makes equal, such as (0, 0, size - 1) and (0, 1, 0),
+    # meet in a drawn order
+    size = data.draw(st.sampled_from([PACKED_LIMIT - 1, PACKED_LIMIT]))
+    ids = st.one_of(st.integers(0, 2), st.integers(size - 3, size - 1),
+                    st.integers(0, size - 1))
+    drawn = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=30))
+    grid = list(itertools.product([0, 1, size - 2, size - 1], repeat=3))
+    rows = np.array(drawn + grid, dtype=np.int64)
+    rows = np.concatenate((rows, rows[:data.draw(
+        st.integers(0, len(rows)))]))
+    rows = rows[data.draw(st.permutations(range(len(rows))))]
+    s, p, o = rows.T
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        order = kg._order(s, p, o, size)
+    assert lexsort.called is (size >= PACKED_LIMIT)
+    assert order.tolist() == np.lexsort((o, p, s)).tolist()
+
+    base = kg._Base(rows.ravel(), size)
+    graph = Graph()
+    graph._store = (base, {})
+    assert graph.check_indexes()
+    spo = np.unique(rows, axis=0)
+    pos = spo[np.lexsort((spo[:, 0], spo[:, 2], spo[:, 1]))][:, [1, 2, 0]]
+    assert base.n == len(spo)
+    assert base.spo.table().tolist() == spo.tolist()
+    assert base.pos.table().tolist() == pos.tolist()
+    assert len(base.spo.off) == len(base.pos.off) == size + 1
 
 
 # pools kept tiny so patterns actually overlap

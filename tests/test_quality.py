@@ -6,7 +6,7 @@ import pytest
 from helpers import split_graph
 from oracles import EX as RANDOM_EX, FOREIGN, pitfalls, quality_metrics, \
     random_graph
-from onokg.kg import Graph, Triple, iri, literal, typed_int
+from onokg.kg import Graph, Triple, blank, iri, literal, typed_int
 from onokg.ontology import (OWL_SAMEAS, RDF_TYPE, RDFS_LABEL, SCHEMA, XSD,
                             check_ontology_pitfalls)
 from onokg.quality import (MetricResult, QualityConfig, assess, resolve_uri)
@@ -265,21 +265,48 @@ def test_metrics_and_pitfalls_match_scan_oracles():
     assert min(seen.values()) >= 5, seen
 
 
+def range_edge_graph() -> Graph:
+    """Range-predicate objects that `float` reads in its own way ("nan",
+    "inf", "-0", " 7 ", "1_000", "1e400") or refuses ("abc"), a tagged and
+    a typed literal, an IRI, and blank nodes whose labels `float` would
+    read. Subjects take their ids out of lexical order, one subject holds
+    several of them, and 150 subjects share one literal outside 0..20,
+    more than the sample's 100 items."""
+    g = Graph()
+    cites = iri(RANDOM_EX + "hasCitations")
+    objects = [literal(x) for x in ("nan", "inf", "-0", " 7 ", "1_000",
+                                    "1e400", "abc", "-5", "20")]
+    objects += [literal("5", language="en"), literal("25", XSD + "integer"),
+                iri(RANDOM_EX + "e0"), blank("5"), blank("inf")]
+    for i, obj in enumerate(objects):
+        g.insert(Triple(iri(RANDOM_EX + f"odd{len(objects) - i}"), cites,
+                        obj))
+        g.insert(Triple(iri(RANDOM_EX + "all"), cites, obj))
+        for j in range(i * 150 // len(objects), (i + 1) * 150 // len(objects)):
+            g.insert(Triple(iri(RANDOM_EX + f"shared{j}"), cites,
+                            literal("25")))
+    return g
+
+
 def test_metrics_match_scan_oracle_on_more_graphs():
     # graphs whose triples are split between the base and buffered inserts
-    # when assessed, the empty graph, and configs that name predicates no
-    # triple uses
+    # when assessed, the empty graph, configs that name predicates no
+    # triple uses, and metric 4's edge cases (`range_edge_graph`)
     rng = np.random.default_rng(43)
     absent = iri(RANDOM_EX + "absent")
     graphs = [Graph()]
     for _ in range(30):
         built = random_graph(rng, max_triples=120, planted=True)
         graphs.append(split_graph(built, int(rng.integers(len(built)))))
+    edges = range_edge_graph()
+    graphs += [edges, *(split_graph(edges, head) for head in (1, 100, 200))]
     for graph in graphs:
         for cfg in (random_config(rng), QualityConfig(
                 home_namespaces=(RANDOM_EX,), label_predicates=(absent,),
                 completeness_class=absent, completeness_predicate=absent,
-                range_predicate=absent, allowlist=(FOREIGN,))):
+                range_predicate=absent, allowlist=(FOREIGN,)), QualityConfig(
+                range_predicate=iri(RANDOM_EX + "hasCitations"),
+                range_lower=0, range_upper=20)):
             report = assess(graph, cfg)
             got = {name: (m.kind, m.value, m.numerator, m.denominator,
                           m.status, m.sample)
