@@ -8,6 +8,12 @@ controlled-vocabulary terms matched lexically, not free-text entities.
 Mention pairs not covered by any template yield a `none` candidate with
 confidence 0. The templates are the only relation extractor.
 
+A sentence's tokens are two plain lists: each token's text (the word, or
+@GENE$/@DISEASE$ for the mention over its words) and its mention, or None.
+Mentions are taken in start order, the last of an equal start wins, and a
+mention whose lowercased surface is a type or source word stays literal.
+The texts joined by single spaces are the anonymized sentence.
+
 Each template is one regular expression over the match text: the words
 lowercased and the mentions kept as @GENE$/@DISEASE$, joined by single
 spaces (a token holds no space; the tokenizer splits at whitespace). A
@@ -20,7 +26,15 @@ word whenever it is there, but the regex may also backtrack past it (the
 possessive `?+` would not, but needs Python 3.11). That changes a match
 only where the word could also fill the element after it, and no template
 allows that. Each template runs at every token start, left to right, as
-one `finditer` of zero-width matches.
+one `finditer` of zero-width matches. A TYPE or SOURCE group's text is one
+lowercased word, so it is the key of its term in `_TYPE_LEXICON` or
+`_SOURCE_LEXICON`; the CONTEXT subject walks the lowercased tokens back
+from the match. The `none` pairs come from the mentions that became slots,
+in token order, genes first.
+
+The reference in `tests/oracles.py` anonymizes each sentence for itself,
+into token records, and tries the element templates at every position, so
+a fault in this module's anonymizer shows against it.
 """
 
 from __future__ import annotations
@@ -73,9 +87,9 @@ def _slot(name: str, texts) -> str:
     return f"(?P<{name}>{'|'.join(map(re.escape, texts))})"
 
 
+_LEXICONS = {"TYPE": _TYPE_LEXICON, "SOURCE": _SOURCE_LEXICON}
 _SLOTS = {"G": _slot("G", [GENE_SLOT]), "D": _slot("D", [DISEASE_SLOT]),
-          "TYPE": _slot("TYPE", _TYPE_LEXICON),
-          "SOURCE": _slot("SOURCE", _SOURCE_LEXICON)}
+          **{name: _slot(name, words) for name, words in _LEXICONS.items()}}
 
 
 @dataclass(frozen=True)
@@ -124,102 +138,84 @@ PATTERNS = (
 )
 
 
-@dataclass
-class _AnonToken:
-    text: str
-    mention: Optional[EntityMention] = None
-    type_term: Optional[Term] = None
-    source_term: Optional[Term] = None
+def _token(match: re.Match, group: int | str = 0) -> int:
+    """The index of the token where `group` of the match starts: a token
+    holds no space, so the spaces before an offset count the tokens before
+    it."""
+    return match.string.count(" ", 0, match.start(group))
 
 
-def anonymize(words: Sequence[str], mentions: Sequence[EntityMention]
-              ) -> list[_AnonToken]:
-    """Replace mention spans with @GENE$/@DISEASE$ slot tokens."""
+def _slot_term(slot: str, match: re.Match, lowered: list[str],
+               marks: list) -> Optional[Term]:
+    """The term that fills `slot` in a template's match over the lowercased
+    tokens `lowered`, whose mentions (or None) are `marks`."""
+    if slot == "DISEASE_CLASS":
+        return SCHEMA.disease
+    if slot in _LEXICONS:
+        # the group is one lowercased word, so it is a lexicon key
+        return _LEXICONS[slot][match[slot]]
+    if slot == "CONTEXT":
+        # anaphoric subject: last type word before the match, else the
+        # nearest preceding mention
+        start = _token(match)
+        for word in reversed(lowered[:start]):
+            if word in _TYPE_LEXICON:
+                return _TYPE_LEXICON[word]
+        for mention in reversed(marks[:start]):
+            if mention is not None:
+                return mention.normalized_id
+        return None
+    return marks[_token(match, slot)].normalized_id
+
+
+def extract_relations(words: Sequence[str],
+                      mentions: Sequence[EntityMention],
+                      doc_id: str = "") -> list[RelationCandidate]:
+    """Anonymize the sentence and match the relation templates."""
     by_start = {}
     for m in sorted(mentions, key=lambda m: m.start):
         # controlled-vocabulary words stay literal even if tagged
-        if m.surface.lower() in _TYPE_LEXICON \
-                or m.surface.lower() in _SOURCE_LEXICON:
-            continue
-        by_start[m.start] = m
-    out: list[_AnonToken] = []
+        if m.surface.lower() not in _TYPE_LEXICON \
+                and m.surface.lower() not in _SOURCE_LEXICON:
+            by_start[m.start] = m
+    texts, marks = [], []   # each token's text, and its mention or None
     i = 0
     while i < len(words):
         mention = by_start.get(i)
-        if mention is not None:
-            slot = GENE_SLOT if mention.entity_type == "Gene" \
-                else DISEASE_SLOT
-            out.append(_AnonToken(slot, mention=mention))
+        marks.append(mention)
+        if mention is None:
+            texts.append(words[i])
+            i += 1
+        else:
+            texts.append(GENE_SLOT if mention.entity_type == "Gene"
+                         else DISEASE_SLOT)
             i = mention.end
-            continue
-        lower = words[i].lower()
-        out.append(_AnonToken(words[i], type_term=_TYPE_LEXICON.get(lower),
-                              source_term=_SOURCE_LEXICON.get(lower)))
-        i += 1
-    return out
-
-
-def anonymized_text(tokens: Sequence[_AnonToken]) -> str:
-    return " ".join(t.text for t in tokens)
-
-
-def _slot_term(slot: str, slots: dict, start: int,
-               tokens: Sequence[_AnonToken]) -> Optional[Term]:
-    if slot == "DISEASE_CLASS":
-        return SCHEMA.disease
-    if slot == "CONTEXT":
-        # anaphoric subject: last type term before the match, else the
-        # nearest preceding mention
-        for token in reversed(tokens[:start]):
-            if token.type_term is not None:
-                return token.type_term
-        for token in reversed(tokens[:start]):
-            if token.mention is not None:
-                return token.mention.normalized_id
-        return None
-    token = slots[slot]
-    if slot == "TYPE":
-        return token.type_term
-    if slot == "SOURCE":
-        return token.source_term
-    return token.mention.normalized_id
-
-
-def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str
-                    ) -> list[RelationCandidate]:
-    text = anonymized_text(tokens)
-    match_text = " ".join(t.text if t.mention else t.text.lower()
-                          for t in tokens)
+    lowered = [word.lower() if mention is None else word
+               for word, mention in zip(texts, marks)]
+    text, match_text = " ".join(texts), " ".join(lowered)
     candidates: list[RelationCandidate] = []
     covered_pairs: set[tuple[int, int]] = set()
     seen: set[tuple] = set()
     for pattern in PATTERNS:
         for m in pattern.regex.finditer(match_text):
-            # a token holds no space: the spaces before an offset count
-            # the tokens before it
-            slots = {name: tokens[match_text.count(" ", 0, m.start(name))]
-                     for name in pattern.regex.groupindex}
-            start = match_text.count(" ", 0, m.start())
-            subject = _slot_term(pattern.subject_slot, slots, start, tokens)
-            object_ = _slot_term(pattern.object_slot, slots, start, tokens)
+            subject = _slot_term(pattern.subject_slot, m, lowered, marks)
+            object_ = _slot_term(pattern.object_slot, m, lowered, marks)
             if subject is None or object_ is None:
                 continue
             key = (pattern.label, subject, object_)
             if key in seen:
                 continue
             seen.add(key)
-            if "G" in slots and "D" in slots:
-                covered_pairs.add((slots["G"].mention.start,
-                                   slots["D"].mention.start))
+            if {"G", "D"} <= pattern.regex.groupindex.keys():
+                covered_pairs.add((marks[_token(m, "G")].start,
+                                   marks[_token(m, "D")].start))
             candidates.append(RelationCandidate(
                 doc_id=doc_id, anonymized=text,
                 label=pattern.label, confidence=pattern.confidence,
                 subject=subject, object=object_))
-    genes = [t.mention for t in tokens
-             if t.mention is not None and t.mention.entity_type == "Gene"]
-    diseases = [t.mention for t in tokens
-                if t.mention is not None
-                and t.mention.entity_type == "Disease"]
+    genes = [m for m in marks if m is not None and m.entity_type == "Gene"]
+    diseases = [m for m in marks
+                if m is not None and m.entity_type == "Disease"]
     for g in genes:
         for d in diseases:
             if (g.start, d.start) not in covered_pairs:
@@ -228,10 +224,3 @@ def _match_patterns(tokens: Sequence[_AnonToken], doc_id: str
                     confidence=0.0, subject=g.normalized_id,
                     object=d.normalized_id))
     return candidates
-
-
-def extract_relations(words: Sequence[str],
-                      mentions: Sequence[EntityMention],
-                      doc_id: str = "") -> list[RelationCandidate]:
-    """Anonymize the sentence and match the relation templates."""
-    return _match_patterns(anonymize(words, mentions), doc_id)

@@ -505,7 +505,9 @@ def loss_and_gradients(model: TaggerModel, batch: Sequence[Example]
 # per-type heads (weights and bias) and the training settings ("config",
 # kept for a reader of the file; loading does not read it). Checkpoints
 # written before the "provenance" key (a table of BERT fine-tuning settings
-# nothing read) was dropped still load: unknown keys are ignored.
+# nothing read) was dropped still load: unknown keys are ignored. Loading
+# refuses a "tags" list other than `TAGS`, and a weight or bias that is not
+# finite.
 
 def save_checkpoint(path, models: dict[str, TaggerModel],
                     vocab: SubwordVocab, gazetteers: dict[str, Gazetteer],
@@ -544,6 +546,8 @@ def load_checkpoint(path) -> Checkpoint:
     payload = json.loads(read_text(path))
     if not isinstance(payload, dict):
         raise CheckpointError("a checkpoint must be a JSON object")
+    if payload.get("tags", list(TAGS)) != list(TAGS):
+        raise CheckpointError(f'"tags" must be {list(TAGS)}')
     if not isinstance(payload["features"], dict):
         raise CheckpointError('"features" must be a JSON object')
     if not isinstance(payload["models"], dict) or not payload["models"]:
@@ -570,6 +574,10 @@ def load_checkpoint(path) -> Checkpoint:
                 f"model {name!r} has weights {weights.shape} and bias "
                 f"{bias.shape}; the feature table needs ({K}, "
                 f"{len(space)}) and ({K},)")
+        # JSON reads NaN and Infinity, which no trained model holds
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise CheckpointError(f"model {name!r} holds a weight or bias "
+                                  "that is not finite")
         models[name] = TaggerModel(space, weights, bias)
     vocab = SubwordVocab(payload["vocab"])
     gazetteers = {name: Gazetteer(surfaces)

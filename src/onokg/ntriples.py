@@ -24,12 +24,17 @@ whole token; once all of them are valid, blank labels are handed out and
 the Terms interned in the order the tokens first appear, and every token
 maps to its id through the dict. If one makes no Term, `take` adds
 nothing. A slice that fails (a CRLF or malformed line, or a new token that
-makes no Term) is read line by line by `_LineScanner`, from the same blank
-labels and line number, and the line loop is the only code that reports
-issues. Both ways give term ids and blank labels in first use on valid
-lines, as inserting the triples one by one would give them. An IRI or a
-quoted literal can match across a newline, so a slice counts as matched
-only when it has as many matches as lines.
+makes no Term) is read in two halves, cut at a line end near its middle,
+each by the same rule, while it has more than one line and more than half
+of its lines matched; so a few bad lines send only themselves, not their
+whole slice, to the line loop. Any other failing slice (a CRLF file, where
+no line matches) is read line by line by `_LineScanner`, from the same
+blank labels and line number, and the line loop is the only code that
+reports issues. Every way gives term ids and blank labels in first use on
+valid lines, as inserting the triples one by one would give them, since
+`take` adds all of a slice or nothing. An IRI or a quoted literal can match
+across a newline, so a slice counts as matched only when it has as many
+matches as lines.
 
 The flat id rows go straight to the store's bulk base build
 (`Graph.add_ids`) at the end, with no tuple per triple: one sort for the
@@ -230,14 +235,26 @@ class _Parser:
         return self.blank_map[term.lexical]
 
     def read_slice(self, text: str, pos: int, end: int):
-        """Read the lines of `text[pos:end]`, which follow the lines read."""
+        """Read the lines of `text[pos:end]`, which follow the lines read.
+
+        A failing slice of several lines, more than half of which matched,
+        is read as two halves, cut at a line end near its middle; any other
+        failing slice, line by line."""
         lines = text.count("\n", pos, end) + 1
         rows = _SLICE_LINE.findall(text, pos, end)
-        if len(rows) != lines or not self.take(rows):
+        if len(rows) == lines and self.take(rows):
+            self.lineno += lines
+        elif lines > 1 and 2 * len(rows) > lines:
+            # the last line end before the middle, else the first one
+            cut = max(text.rfind("\n", pos, (pos + end) // 2),
+                      text.find("\n", pos))
+            self.read_slice(text, pos, cut)
+            self.read_slice(text, cut + 1, end)
+        else:
             for n, raw in enumerate(text[pos:end].split("\n"),
                                     start=self.lineno + 1):
                 self.read_line(raw, n)
-        self.lineno += lines
+            self.lineno += lines
 
     def take(self, rows: list[tuple[str, str, str]]) -> bool:
         """Add the token rows of a whole slice, every line of which the

@@ -59,6 +59,12 @@ def ono(local: str) -> Term:
     return iri(ONO + local)
 
 
+# the term of each significance level, gene type and evidence source, made
+# once: `OnoSchema`'s lookups run once per association a build asserts
+_NAMED = {name: ono(name)
+          for name in SIGNIFICANCE_LEVELS + GENE_TYPES + EVIDENCE_SOURCES}
+
+
 @dataclass(frozen=True)
 class OnoSchema:
     """IRIs of the ONO classes and properties."""
@@ -114,8 +120,7 @@ class OnoSchema:
     def significance_term(self, level: str) -> Term:
         if level not in SIGNIFICANCE_LEVELS:
             raise KgError(f"unknown significance level {level!r}")
-        return {"HIGH": self.high, "MEDIUM": self.medium,
-                "LOW": self.low}[level]
+        return _NAMED[level]
 
     def gene_type_term(self, gene_type: str) -> Term:
         name = gene_type.replace("-", "").replace("Proteincoding", "ProteinCoding")
@@ -123,14 +128,12 @@ class OnoSchema:
             return self.protein_coding
         if name not in GENE_TYPES:
             raise KgError(f"unknown gene type {gene_type!r}")
-        return {"Oncogene": self.oncogene, "ProteinCoding": self.protein_coding,
-                "POTSF": self.potsf}[name]
+        return _NAMED[name]
 
     def evidence_term(self, source: str) -> Term:
         if source not in EVIDENCE_SOURCES:
             raise KgError(f"unknown evidence source {source!r}")
-        return {"PubMed": self.pubmed, "MeSH": self.mesh,
-                "CancerIndex": self.cancer_index}[source]
+        return _NAMED[source]
 
 
 SCHEMA = OnoSchema()

@@ -1187,6 +1187,44 @@ TEMPLATES = (
 )
 
 
+@dataclass
+class AnonToken:
+    """One token of an anonymized sentence: a word, with the type and
+    source terms its lowercased text names, or one mention's slot."""
+    text: str
+    mention: Optional[EntityMention] = None
+    type_term: Optional[Term] = None
+    source_term: Optional[Term] = None
+
+
+def anonymize(words, mentions) -> list:
+    """The sentence as `AnonToken`s, each kept mention's words replaced by
+    its one slot token. A mention whose lowercased surface is a type or
+    source word is not kept; of the kept mentions that start at a word, the
+    last one given wins, and the words it covers are skipped."""
+    kept = [m for m in mentions
+            if m.surface.lower() not in relations._TYPE_LEXICON
+            and m.surface.lower() not in relations._SOURCE_LEXICON]
+    tokens = []
+    position = 0
+    while position < len(words):
+        starting = [m for m in kept if m.start == position]
+        if starting:
+            mention = starting[-1]
+            slot = relations.GENE_SLOT if mention.entity_type == "Gene" \
+                else relations.DISEASE_SLOT
+            tokens.append(AnonToken(slot, mention=mention))
+            position = mention.end
+        else:
+            word = words[position].lower()
+            tokens.append(AnonToken(
+                words[position],
+                type_term=relations._TYPE_LEXICON.get(word),
+                source_term=relations._SOURCE_LEXICON.get(word)))
+            position += 1
+    return tokens
+
+
 def _match_at_scan(tokens, start: int, template: Template) -> Optional[dict]:
     captures: dict = {}
     pos = start
@@ -1244,10 +1282,10 @@ def _slot_term_scan(slot: str, captures: dict, tokens) -> Optional[Term]:
 
 
 def match_patterns_scan(tokens, doc_id: str) -> list:
-    """`relations._match_patterns` with every template of `TEMPLATES` tried
-    at every position: candidates template by template, then by start
-    position."""
-    text = relations.anonymized_text(tokens)
+    """`relations.extract_relations` on the sentence that `anonymize` gave
+    as `tokens`, with every template of `TEMPLATES` tried at every
+    position: candidates template by template, then by start position."""
+    text = " ".join(token.text for token in tokens)
     candidates = []
     covered_pairs: set[tuple[int, int]] = set()
     seen: set[tuple] = set()

@@ -358,6 +358,41 @@ class TestModelCommands:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.nt").exists()
 
+    @pytest.mark.parametrize("part, value", [
+        *[(part, value) for part in ("weights", "bias")
+          for value in ("NaN", "Infinity", "-Infinity")],
+        ("tags", None)])
+    def test_checkpoint_that_cannot_describe_a_model(
+            self, kg_file, checkpoint_path, tmp_path, part, value):
+        """A non-finite weight or bias, which JSON reads, or a reordered
+        tag list is refused at load: each command ends in one `error:`
+        line, with no warning and nothing on stdout."""
+        from onokg.ie.tagger import TAGS, CheckpointError, load_checkpoint
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        gene = payload["models"]["Gene"]
+        if part == "weights":
+            gene["weights"][2][0] = float(value)
+        elif part == "bias":
+            gene["bias"][2] = float(value)
+        else:
+            payload["tags"] = ["I", "B", *TAGS[2:]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match="'Gene'" if value else '"tags"'):
+            load_checkpoint(bad)
+        out = tmp_path / "out.nt"
+        for argv in (["tag", "--text", "TP53 causes Breast Cancer."],
+                     ["extract", "--text", "TP53 causes Breast Cancer."],
+                     ["ingest", "--kg", str(kg_file), "--corpus",
+                      str(data_path("demo_corpus")), "--out", str(out)],
+                     ["explain", "--text", "TP53 causes BRCA."]):
+            stdout = io.StringIO()
+            code, err = run_quietly(argv + ["--model", str(bad)], stdout)
+            assert_failed_cleanly(code, err, out)
+            assert code == 1 and stdout.getvalue() == ""
+            assert err.startswith(f"error: malformed checkpoint {bad}: ")
+
     def test_missing_model_exits_errorcode(self, kg_file, tmp_path):
         code = main(["tag", "--model", str(tmp_path / "none.json"),
                      "--text", "x"])
@@ -848,11 +883,13 @@ def copy_data_dir(root):
     return root
 
 
-def run_quietly(argv):
-    """The exit code and stderr of `main(argv)`; an exception escaping
-    `main` fails the calling test."""
+def run_quietly(argv, stdout=None):
+    """The exit code and stderr of `main(argv)`, whose stdout goes to the
+    file `stdout` (by default, nowhere); an exception escaping `main`
+    fails the calling test."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with contextlib.redirect_stdout(io.StringIO() if stdout is None
+                                    else stdout), \
             contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()

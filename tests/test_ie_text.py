@@ -14,6 +14,7 @@ from onokg.ie.wordpiece import SubwordVocab, demo_vocab
 from onokg.kg import Triple, iri
 from onokg.ntriples import parse_ntriples, serialize_ntriples
 from onokg.ontology import SCHEMA, build_seed_ontology, data_path, ono
+import oracles
 from helpers import conll, covers, join_pieces
 from oracles import (SLOT_G, SLOT_SOURCE, SLOT_TYPE, TEMPLATES, Lit,
                      enriched, match_patterns_scan)
@@ -197,6 +198,19 @@ class TestRelations:
         fired = {(c.subject, c.label, c.object) for c in candidates}
         assert (SCHEMA.potsf, "hasEvidence", SCHEMA.pubmed) in fired
 
+    def test_last_mention_of_an_equal_start_wins(self):
+        words = ["TP53", "causes", "Big", "Tumor", "."]
+        mentions = [_mention("Big Tumor", "Disease", 2, 4, ono("BRCA")),
+                    _mention("TP53", "Disease", 0, 1, ono("DLBC")),
+                    _mention("TP53", "Gene", 0, 1, ono("TP53"))]
+        candidates = extract_relations(words, mentions, "d")
+        assert candidates == match_patterns_scan(
+            oracles.anonymize(words, mentions), "d")
+        assert [(c.anonymized, c.label, c.subject, c.object)
+                for c in candidates] \
+            == [("@GENE$ causes @DISEASE$ .", "causes", ono("TP53"),
+                 ono("BRCA"))]
+
 
 _LITERALS = sorted({option for template in TEMPLATES
                     for element in template.elements
@@ -286,9 +300,9 @@ class TestAnchoredMatching:
     @given(runs=st.lists(st.one_of(_ITEMS.map(lambda item: [item]),
                                    _template_run()), max_size=10))
     def test_matches_all_positions_oracle(self, runs):
-        tokens = relations.anonymize(*_sentence(runs))
-        assert relations._match_patterns(tokens, "d") \
-            == match_patterns_scan(tokens, "d")
+        words, mentions = _sentence(runs)
+        assert extract_relations(words, mentions, "d") \
+            == match_patterns_scan(oracles.anonymize(words, mentions), "d")
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(runs=st.lists(st.one_of(
@@ -296,9 +310,9 @@ class TestAnchoredMatching:
         _ITEMS.map(lambda item: [item]),
         _template_run(_HOSTILE_CASES)), max_size=10))
     def test_hostile_words_match_oracle(self, runs):
-        tokens = relations.anonymize(*_sentence(runs))
-        assert relations._match_patterns(tokens, "d") \
-            == match_patterns_scan(tokens, "d")
+        words, mentions = _sentence(runs)
+        assert extract_relations(words, mentions, "d") \
+            == match_patterns_scan(oracles.anonymize(words, mentions), "d")
 
     @pytest.mark.parametrize("sentence, labels", [
         ("TP53 CaUsEs BRCA", ["causes"]),

@@ -518,12 +518,28 @@ class TestSlices:
         # the pattern takes <a:o b>; its Term does not
         self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v"@en .',
                     '<a:s> <a:p> <a:o2> .', '<a:s> <a:p> <a:o b> .',
-                    '<a:s> <a:q> "v"@en .'], [3, 4])
+                    '<a:s> <a:q> "v"@en .'], [4])
 
     def test_crlf_slice(self):
         self.check(['<a:s> <a:p> <a:o> .', '<a:s> <a:q> "v" .',
                     '<a:s> <a:p> <a:o2> .\r', '<a:s> <a:p> <a:o3> .\r',
                     '<a:s> <a:p> <a:o4> .', '<a:s> <a:p> <a:o2> .'], [3, 4])
+
+    @pytest.mark.parametrize("bad", ['<a:s> <a:p> .',
+                                     '<a:s> <a:p> <a:o b> .'])
+    def test_one_bad_line_in_a_long_slice(self, monkeypatch, bad):
+        # one slice of 10 lines, halved while most of its lines match:
+        # lines 1-4 and 5-10, 5-6 and 7-10, 7 and 8-10, then 8 and 9-10
+        monkeypatch.setattr(ntriples, "SLICE_CHARS", 200)
+        lines = [f'<a:s> <a:p> "v{i}" .' for i in range(10)]
+        lines[7] = bad
+        self.check(lines, [8])
+
+    def test_crlf_long_slice(self, monkeypatch):
+        # no line of a CRLF slice matches, so each takes the line loop
+        monkeypatch.setattr(ntriples, "SLICE_CHARS", 200)
+        self.check([f'<a:s> <a:p> "v{i}" .\r' for i in range(10)],
+                   list(range(1, 11)))
 
     def test_slice_of_comments(self):
         # a comment or blank line (`check` pads it with spaces) is a row
