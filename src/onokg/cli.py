@@ -2,7 +2,8 @@
 
 Subcommands: build, ingest, train, tag, extract, query, dlq, repl,
 explain, qa, export. Configuration precedence is flags > ONOKG_* env vars
-> --config JSON file. Exit codes: 0 success; 1 user or parse error,
+> --config JSON file, which holds only the keys of `FILE_SETTINGS`, each
+of its JSON type. Exit codes: 0 success; 1 user or parse error,
 including a bad input or `--data-dir` data file (not UTF-8, malformed, a
 short row); 2 I/O error, such as a file that cannot be read or written.
 Output of build/query/dlq is byte-stable for identical inputs and seed
@@ -46,6 +47,13 @@ class UserError(Exception):
     pass
 
 
+# the keys a config file may hold, each with its JSON type; a bool is
+# none of them
+FILE_SETTINGS = {"data_dir": (str, "string"), "seed": (int, "integer"),
+                 "threshold": ((int, float), "number"),
+                 "model": (str, "string"), "quality_config": (str, "string")}
+
+
 @dataclass
 class AppConfig:
     data_dir: Optional[Path] = None
@@ -68,6 +76,10 @@ class AppConfig:
             if not isinstance(file_values, dict):
                 raise UserError(f"config file {config_path} must hold a "
                                 "JSON object")
+            unknown = sorted(set(file_values) - set(FILE_SETTINGS))
+            if unknown:
+                raise UserError(f"config file {config_path}: not a setting: "
+                                + ", ".join(map(repr, unknown)))
 
         def pick(flag_name, env_name, file_key, default, convert):
             value = getattr(args, flag_name, None)
@@ -75,6 +87,11 @@ class AppConfig:
                 value = os.environ.get(ENV_PREFIX + env_name)
             if value is None:
                 value = file_values.get(file_key)
+                kind, name = FILE_SETTINGS[file_key]
+                if value is not None and (isinstance(value, bool)
+                                          or not isinstance(value, kind)):
+                    raise UserError(f"bad {file_key} setting {value!r}: "
+                                    f"must be a JSON {name}")
             if value is None:
                 return default
             try:

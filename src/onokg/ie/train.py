@@ -47,9 +47,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(
                 f"batch size must be at least 1, got {self.batch_size}")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(
-                f"learning rate must be finite, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and above 0, "
+                             f"got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
 

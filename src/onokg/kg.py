@@ -48,34 +48,29 @@ tombstones: every stored triple is in exactly one part.
 Readers work on ids, and each read shape has one reader:
 - membership (`in`, and `insert`'s check): a dict probe of the buffer,
   then `searchsorted` in the subject's SPO run of the base;
-- every triple, sorted on (subject, predicate, object): `id_table`, with
-  `id_rows`, its tuple view, and iteration;
+- every triple, sorted on (subject, predicate, object): `id_table`;
 - a subject's (predicate, object) rows, or every triple as columns:
   `columns`, the SPO permutation as read-only views of the base's
   columns and key offsets, with no copy and no tuple per triple;
 - one predicate's (subject, object) pairs: `edges`, its POS run;
 - the ids in use at one position: `key_ids`, off the SPO and POS key
   offsets for subjects and predicates, and a `bincount` of SPO's object
-  column for objects;
-- any other pattern: `match_ids`, one mask of the SPO table per bound
-  position. Outside this module no reader in the package calls it with
-  a position unbound.
+  column for objects.
 `term_id` gives -1 for a term never interned (which matches nothing), and
 Terms are looked up only for output. The class index, the DL evaluator,
 the pitfall checks, the quality metrics, the seed statistics and SPARQL
 compute over `columns`, `edges` and `key_ids` as arrays. `match` is the
-Term-space convenience for outside callers over `match_ids`: it builds a
-`Triple` for every hit.
+one Term-space view, for outside callers: one mask of `id_table` per
+bound position, with a `Triple` built for every hit.
 
 Fold rule: the shape of a read decides, not a size. `insert`, membership,
-`len`, `terms`, `add_ids` and the sorted reader `id_table` (with its
-views) read the two parts as they are. `columns`, `edges`, `key_ids` and
-`match_ids` first fold a non-empty buffer into the base: `add_ids` of no
-new ids, one bulk build of the base and buffer triples, which sorts them,
-so the fold reads the buffer's keys unsorted. A graph built by inserts,
-as the ontology API builds one, is saved from `id_table`, one `_order`
-of the buffer's keys with no tuple per triple, and folded once, when it
-is first queried.
+`len`, `terms`, `add_ids`, the sorted reader `id_table` and `match` on it
+read the two parts as they are. `columns`, `edges` and `key_ids` first
+fold a non-empty buffer into the base: `add_ids` of no new ids, one bulk
+build of the base and buffer triples, which sorts them, so the fold reads
+the buffer's keys unsorted. A graph built by inserts, as the ontology API
+builds one, is saved from `id_table`, one `_order` of the buffer's keys
+with no tuple per triple, and folded once, when it is first queried.
 `add_ids` (the N-Triples parse) always builds the base, from the stored
 triples and its flat ids, and leaves the buffer empty.
 
@@ -105,7 +100,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -515,14 +510,10 @@ class Graph:
         base, buffer = self._store
         return key in buffer or base.has(key)
 
-    def __iter__(self) -> Iterator[Triple]:
-        for s, p, o in self.id_rows():
-            yield Triple(self._terms[s], self._terms[p], self._terms[o])
-
     def id_table(self) -> np.ndarray:
         """The stored id triples as one (n, 3) int64 array, sorted on
-        (subject, predicate, object): the order iteration yields. Reads the
-        (base, buffer) pair as it is, so never folds.
+        (subject, predicate, object). Reads the (base, buffer) pair as it
+        is, so never folds.
 
         With an empty buffer this is the base's SPO table. Otherwise the
         base's table and the buffer's keys (`_stored`) are ordered by
@@ -534,31 +525,20 @@ class Graph:
         table = _stored(base, buffer)
         return table[_order(*table.T, len(self._terms))] if buffer else table
 
-    def id_rows(self) -> list[tuple[int, int, int]]:
-        """The stored id triples, sorted, as tuples of ints: the rows of
-        `id_table`, the order iteration yields. Never folds."""
-        return list(zip(*self.id_table().T.tolist()))
-
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
-        """Triples matching all bound positions, in id-sorted order."""
-        keys = self.match_ids(*(None if x is None else self.term_id(x)
-                                for x in (s, p, o)))
-        terms = self._terms
-        return [Triple(terms[a], terms[b], terms[c]) for a, b, c in keys]
-
-    def match_ids(self, s: Optional[int] = None, p: Optional[int] = None,
-                  o: Optional[int] = None) -> list[tuple[int, int, int]]:
-        """Id triples matching all bound id positions, sorted on (subject,
-        predicate, object); folds. The folded SPO table is masked on each
-        bound position, so an id that no stored triple uses (say -1 for an
-        unknown term) matches nothing."""
-        table = self._folded().spo.table()
+        """Triples matching all bound positions, sorted on (subject,
+        predicate, object), with a `Triple` built for each hit. `id_table`
+        is masked on each bound position, so this never folds, and a term
+        never interned (id -1) matches nothing."""
+        table = self.id_table()
         keep = np.ones(len(table), dtype=bool)
-        for column, value in zip(table.T, (s, p, o)):
-            if value is not None:
-                keep &= column == value
-        return list(zip(*table[keep].T.tolist()))
+        for column, term in zip(table.T, (s, p, o)):
+            if term is not None:
+                keep &= column == self.term_id(term)
+        terms = self._terms
+        return [Triple(terms[a], terms[b], terms[c])
+                for a, b, c in table[keep].tolist()]
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The SPO permutation as views of the folded base's read-only

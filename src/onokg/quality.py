@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,6 +95,9 @@ class QualityConfig:
     def _from_dict(cls, raw) -> "QualityConfig":
         if not isinstance(raw, dict):
             raise TypeError("expected a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("not a setting: " + ", ".join(map(repr, unknown)))
         if ("completeness_class" in raw) != ("completeness_predicate" in raw):
             raise ValueError("completeness_class and completeness_predicate "
                              "must be given together")
@@ -161,9 +164,6 @@ class MetricResult:
 @dataclass
 class QualityReport:
     metrics: dict[str, MetricResult] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> MetricResult:
-        return self.metrics[name]
 
     def to_dict(self) -> dict:
         """Each metric's fields by metric name, in assessment order."""

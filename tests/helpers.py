@@ -139,16 +139,17 @@ def copy_graph(graph: Graph) -> Graph:
     """A graph of the same triples, its ids given out in id-row order."""
     g = Graph()
     terms, intern = graph.terms(), g.intern
-    g.add_ids([intern(terms[i]) for row in graph.id_rows() for i in row])
+    g.add_ids([intern(terms[i]) for row in graph.id_table().tolist()
+               for i in row])
     return g
 
 
 def split_graph(graph: Graph, head: int) -> Graph:
-    """A graph of the same triples: the first `head` in iteration order
+    """A graph of the same triples: the first `head` in sorted order
     bulk-loaded into the base, the rest inserted after them, so a read
     that folds finds both a base and a buffer."""
     g = Graph()
-    rows = list(graph)
+    rows = graph.match()
     g.add_ids([g.intern(term) for triple in rows[:head] for term in triple])
     for triple in rows[head:]:
         g.insert(triple)

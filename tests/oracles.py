@@ -105,7 +105,7 @@ class DataclassTriple:
 # definitions
 
 def _scan(graph: Graph):
-    return list(graph)
+    return graph.match()
 
 
 def _subclass_ancestors(triples, cls: Term) -> set[Term]:
@@ -1485,8 +1485,8 @@ def graph_vocabulary(graph: Graph):
                      | {x for t in graph.match(None, RDFS_SUBCLASS, None)
                         for x in (t.subject, t.object)},
                      key=lambda t: t.lexical)
-    props = sorted({t.predicate for t in graph} - {RDF_TYPE, RDFS_SUBCLASS},
-                   key=lambda t: t.lexical)
+    props = sorted({t.predicate for t in graph.match()}
+                   - {RDF_TYPE, RDFS_SUBCLASS}, key=lambda t: t.lexical)
     individuals = sorted({t.subject for t in graph.match(None, RDF_TYPE,
                                                          None)},
                          key=lambda t: t.lexical)
@@ -1613,7 +1613,7 @@ def random_rich_sparql_query(rng: np.random.Generator, graph: Graph,
             return Var(pick(fresh))
         return term
 
-    triples = list(graph)
+    triples = graph.match()
     pattern = []
     for _ in range(int(rng.integers(1, 4 if depth else 3))):
         linked = [t for t in triples if any(x in names for x in t)]

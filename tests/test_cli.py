@@ -439,7 +439,7 @@ class TestQaExport:
         from onokg import ntriples
         monkeypatch.setattr(ntriples, "CHUNK_LINES", 7)
         rows = [[term.n3() for term in triple]
-                for triple in ntriples.load_file(kg_file).graph]
+                for triple in ntriples.load_file(kg_file).graph.match()]
         if fmt == "ntriples":
             expected = "".join(f"{s} {p} {o} .\n" for s, p, o in rows)
         elif fmt == "json":
@@ -479,7 +479,8 @@ class TestQaExport:
         out = tmp_path / "copy.nt"
         assert main(["export", "--kg", str(kg_file),
                      "--out", str(out)]) == 0
-        assert set(load_file(out).graph) == set(load_file(kg_file).graph)
+        assert (set(load_file(out).graph.match())
+                == set(load_file(kg_file).graph.match()))
 
 
 class TestConfigPrecedence:
@@ -542,6 +543,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_config_unreadable(self, kg_file, tmp_path, capsys, name):
@@ -562,11 +564,22 @@ class TestConfigErrors:
         self.assert_one_error_line(
             capsys, ["--config", str(path), "qa", "--kg", str(kg_file)])
 
-    def test_config_bad_value(self, kg_file, tmp_path, capsys):
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": "many"}', "seed"),
+        # a file value has its JSON type: an integer seed, a number
+        # threshold (neither a bool) and a string path
+        ('{"seed": 2.7}', "seed"), ('{"seed": true}', "seed"),
+        ('{"threshold": true}', "threshold"),
+        ('{"threshold": "0.9"}', "threshold"), ('{"model": 3}', "model"),
+        ('{"data_dir": ["d"]}', "data_dir"),
+        # and a file holds only the settings the program reads
+        ('{"treshold": 0.9}', "treshold"), ('{"seed": 3, "lr": 0.1}', "lr")])
+    def test_config_bad_value(self, kg_file, tmp_path, capsys, text, key):
         path = tmp_path / "cfg.json"
-        path.write_text('{"seed": "many"}', encoding="utf-8")
-        self.assert_one_error_line(
+        path.write_text(text, encoding="utf-8")
+        err = self.assert_one_error_line(
             capsys, ["--config", str(path), "qa", "--kg", str(kg_file)])
+        assert key in err
 
     @pytest.mark.parametrize("text", [
         '{"completeness_class": "http://x.org/C"}',
@@ -585,6 +598,9 @@ class TestConfigErrors:
         '"range_upper": 100}',
         '{"range_predicate": "http://x.org/p", "range_lower": 0, '
         '"range_upper": NaN}',
+        # keys that are not fields of the config
+        '{"home_namespace": ["http://x.org/"]}',
+        '{"resolver_mod": "syntactic"}',
     ])
     def test_quality_config_errors(self, kg_file, tmp_path, capsys, text):
         path = tmp_path / "quality.json"
@@ -610,6 +626,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("option", [
         ["--batch-size", "0"], ["--sentences", "0"], ["--sentences", "1"],
         ["--lr", "nan"], ["--lr", "inf"], ["--lr", "1e308"],
+        ["--lr", "0"], ["--lr", "-0.05"],
         ["--epochs", "0"], ["--epochs", "-2"],
         # the seed, as a global option and as an environment variable
         ["--seed", "-1", "train"], ["ONOKG_SEED=-1", "train"]])

@@ -165,9 +165,9 @@ def test_universe_and_properties_match_row_scan():
         graph = random_graph(rng, max_triples=60)
         if n % 4 == 0:
             graph.add_ids([graph.intern(term) for triple in
-                           random_graph(rng, max_triples=20)
+                           random_graph(rng, max_triples=20).match()
                            for term in triple])
-        rows = graph.id_rows()
+        rows = graph.id_table().tolist()
         literal = {i for i, t in enumerate(graph.terms())
                    if t.kind == "literal"}
         universe = set(np.flatnonzero(AboxIndex(graph).universe).tolist())

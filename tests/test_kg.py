@@ -245,7 +245,7 @@ def test_triple_validation_matches_the_dataclass_oracle(terms, write):
     # changes neither the triples nor the term list
     g = Graph()
     g.add(iri("a:x"), iri("a:p"), literal("v"))
-    before = (g.id_rows(), g.terms(), len(g))
+    before = (g.id_table().tolist(), g.terms(), len(g))
     writes = {"add": lambda: g.add(*terms),
               "insert": lambda: g.insert(terms),
               "insert_triple": lambda: g.insert(Triple(*terms))}
@@ -253,7 +253,7 @@ def test_triple_validation_matches_the_dataclass_oracle(terms, write):
     if expected is None:
         assert terms in g and Triple(*terms) in g
     else:
-        assert (g.id_rows(), g.terms(), len(g)) == before
+        assert (g.id_table().tolist(), g.terms(), len(g)) == before
 
 
 class TestGraph:
@@ -269,7 +269,7 @@ class TestGraph:
         # inserts and `add_ids` intern only the terms of the rows they
         # store, and a parse interns nothing for a line it rejects
         def stored(g):
-            return sorted({term for triple in g for term in triple},
+            return sorted({term for triple in g.match() for term in triple},
                           key=g.term_id)
 
         g = Graph()
@@ -353,24 +353,20 @@ class TestGraph:
 
 def test_only_indexed_reads_fold_the_buffer():
     # the reads the ontology API, ingest and save make keep the insert
-    # buffer, and so do membership and the term list; match_ids of any
-    # shape and the column readers fold it into a new base and leave the
-    # published (base, buffer) pair as it was
+    # buffer, and so do membership, the term list and `match`; the column
+    # readers fold it into a new base and leave the published (base,
+    # buffer) pair as it was
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
     published = g._store
-    rows = g.id_rows()
-    first = next(iter(g))
+    rows = g.id_table().tolist()
+    first = g.match()[0]
     assert g.insert(first) is False and first in g and len(g) == len(rows)
-    assert set(g.terms()) == {term for triple in g for term in triple}
-    assert set(copy_graph(g)) == set(g)
+    assert set(g.terms()) == {term for triple in g.match() for term in triple}
+    assert set(copy_graph(g).match()) == set(g.match())
     assert g._store is published
-    s, p, o = rows[0]
-    shapes = [(s, p, o), (s, p, None), (s, None, o), (None, p, o),
-              (s, None, None), (None, p, None), (None, None, o),
-              (None, None, None)]
-    reads = ([lambda g, k=k: g.match_ids(*k) for k in shapes]
-             + [lambda g: g.columns(), lambda g: g.edges(p)]
+    p = rows[0][1]
+    reads = ([lambda g: g.columns(), lambda g: g.edges(p)]
              + [lambda g, k=k: g.key_ids(k) for k in range(3)])
     for read in reads:
         g = build_seed_ontology()
@@ -379,20 +375,20 @@ def test_only_indexed_reads_fold_the_buffer():
         assert g._store[0].n == len(rows) and not g._store[1]
         assert g._store[0] is not base and g._store[1] is not buffer
         assert published == (base, buffer) and base.n == 0
-        assert sorted(buffer) == rows
-        assert g.id_rows() == rows and g.check_indexes()
+        assert sorted(map(list, buffer)) == rows
+        assert g.id_table().tolist() == rows and g.check_indexes()
 
 
 def test_columns_are_read_only_views_of_each_permutation():
     from onokg.ontology import build_seed_ontology
     g = build_seed_ontology()
-    rows = g.id_rows()
+    rows = g.id_table().tolist()
     off, second, third = g.columns()
     assert not any(view.flags.writeable for view in (off, second, third))
-    got = [(a, second[i], third[i]) for a in range(len(off) - 1)
+    got = [[a, second[i], third[i]] for a in range(len(off) - 1)
            for i in range(off[a], off[a + 1])]
     assert got == rows
-    got = [(s, p, o) for p in g.key_ids(1)
+    got = [[s, p, o] for p in g.key_ids(1)
            for s, o in zip(*(column.tolist() for column in g.edges(p)))]
     assert got == sorted(rows, key=lambda row: (row[1], row[2], row[0]))
     with pytest.raises(ValueError):
@@ -413,8 +409,8 @@ def test_edges_match_the_predicate_scan_on_split_graphs():
         built = random_graph(rng, max_triples=80, planted=True)
         graph = split_graph(built, int(rng.integers(len(built))))
         # the last triple is buffered, so the first read must fold
-        last = graph.term_id(list(built)[-1].predicate)
-        rows = graph.id_rows()
+        last = graph.term_id(built.match()[-1].predicate)
+        rows = graph.id_table().tolist()
         first = graph.edges(last)
         assert last in graph.key_ids(1) and len(first[0])
         for position in range(3):
@@ -425,7 +421,7 @@ def test_edges_match_the_predicate_scan_on_split_graphs():
             subjects, objects = graph.edges(p)
             assert subjects.dtype == objects.dtype == np.int64
             assert not (subjects.flags.writeable or objects.flags.writeable)
-            pairs = sorted((o, s) for s, _, o in graph.match_ids(None, p))
+            pairs = sorted((o, s) for s, q, o in rows if q == p)
             assert list(zip(objects.tolist(), subjects.tolist())) == pairs
             if p == last:
                 assert all(np.array_equal(a, b)
@@ -434,6 +430,37 @@ def test_edges_match_the_predicate_scan_on_split_graphs():
             first[0][0] = 0
         with pytest.raises(ValueError):
             first[1][0] = 0
+
+
+def test_match_equals_the_scan_on_split_graphs():
+    # every bound/unbound shape, each bound position a Term in use there,
+    # one never interned, or one only ever seen in another position. The
+    # scan reads the built graph's id table; `match` reads the split
+    # graph's (base, buffer) pair as it is, so it never folds
+    rng = np.random.default_rng(43)
+    absent = iri("a:absent")
+    for _ in range(30):
+        built = random_graph(rng, max_triples=60, planted=True)
+        triples = [Triple(*map(built.term, row))
+                   for row in built.id_table().tolist()]
+        graph = split_graph(built, int(rng.integers(1, len(built) + 1)))
+        used = {term for triple in triples for term in triple}
+        choices = []
+        for position in range(3):
+            here = sorted({x[position] for x in triples}, key=graph.term_id)
+            elsewhere = sorted(used - set(here), key=graph.term_id)
+            choices.append([None, absent, here[rng.integers(len(here))],
+                            elsewhere[rng.integers(len(elsewhere))]])
+        store = graph._store
+        for pattern in itertools.product(*choices):
+            expected = sorted(
+                (x for x in triples
+                 if all(b in (None, v) for b, v in zip(pattern, x))),
+                key=lambda x: tuple(map(graph.term_id, x)))
+            assert graph.match(*pattern) == expected
+        assert graph._store is store
+        assert graph.match() == sorted(
+            triples, key=lambda x: tuple(map(graph.term_id, x)))
 
 
 # the fewest terms whose packed row key, (s * size + p) * size + o, could
@@ -500,7 +527,7 @@ def test_match_equals_linear_scan(triples):
     assert g.check_indexes()
     patterns = itertools.product([None] + _SUBJECTS, [None] + _PREDICATES,
                                  [None] + _OBJECTS)
-    all_triples = list(g)
+    all_triples = set(triples)
     for s, p, o in patterns:
         expected = [x for x in all_triples
                     if (s is None or x.subject == s)
@@ -515,7 +542,7 @@ _POOL_TRIPLES = [Triple(s, p, o) for s in _SUBJECTS for p in _PREDICATES
 
 
 def _snapshot(graph):
-    return frozenset(graph.id_rows())
+    return frozenset(map(tuple, graph.id_table().tolist()))
 
 
 class GraphMachine(RuleBasedStateMachine):
@@ -554,22 +581,26 @@ class GraphMachine(RuleBasedStateMachine):
                for s, p, o in self.model}
         assert g.check_indexes()
         assert len(g) == len(ids)
-        assert g.id_rows() == sorted(ids)
+        assert list(map(tuple, g.id_table().tolist())) == sorted(ids)
         assert g.cached(_snapshot) == ids  # a stale memo would differ
         assert all((t in g) is (t in self.model) for t in _POOL_TRIPLES)
         used = {term for triple in self.model for term in triple}
         assert g.terms() == sorted(used, key=g.term_id)
-        # every bound/unbound shape, with ids in use, unknown (-1) and one
-        # of a term only ever seen in another position
+        # `match` of every bound/unbound shape, with Terms in use, one
+        # never interned and one only ever seen in another position, in id
+        # order and without a fold
         def keys(terms, other):
-            return [None, -1] + [g.term_id(term) for term in terms + [other]]
-        for s, p, o in itertools.product(
+            return [None, iri("a:absent")] + terms + [other]
+        store = g._store
+        for pattern in itertools.product(
                 keys(_SUBJECTS, literal("v")), keys(_PREDICATES, iri("a:s1")),
                 keys(_OBJECTS, iri("a:p1"))):
-            expected = sorted(row for row in ids
-                              if s in (None, row[0]) and p in (None, row[1])
-                              and o in (None, row[2]))
-            assert sorted(g.match_ids(s, p, o)) == expected
+            bound = [None if x is None else g.term_id(x) for x in pattern]
+            expected = sorted(row for row in ids if all(
+                b in (None, v) for b, v in zip(bound, row)))
+            got = g.match(*pattern)
+            assert [tuple(map(g.term_id, x)) for x in got] == expected
+        assert g._store is store
 
 
 TestGraphMachine = GraphMachine.TestCase
@@ -606,20 +637,21 @@ class TestPrefixTable:
 
 def test_concurrent_readers_see_consistent_results(seed_graph):
     # reader-or-writer contract: many readers may share one graph value,
-    # also a fresh insert-built one, whose first indexed read folds its
-    # buffer. Thread 0 reads at once and folds; the others poll `len` for
-    # a while first, so some of them read while a fold publishes. Each
-    # call into the store pauses first, which widens every gap between two
-    # steps of a fold, as a preemptive scheduler might.
+    # also a fresh insert-built one, whose first indexed read (`key_ids`)
+    # folds its buffer. Thread 0 reads at once and folds; the others poll
+    # `len` for a while first, so some of them read while a fold publishes.
+    # Each call into the store pauses first, which widens every gap between
+    # two steps of a fold, as a preemptive scheduler might.
     import sys
     import threading
     import time
     from onokg.ontology import SCHEMA, build_seed_ontology
 
     def read(graph):
-        return (len(graph), graph.id_rows(),
+        return (len(graph), graph.id_table().tolist(),
                 [t.subject for t in graph.match(None, SCHEMA.has_type,
-                                                SCHEMA.potsf)])
+                                                SCHEMA.potsf)],
+                graph.key_ids(1))
 
     def pause(frame, event, _arg):
         if event == "call" and frame.f_globals.get("__name__") == "onokg.kg":

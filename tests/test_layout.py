@@ -22,13 +22,14 @@ imported name is used when a module-level import's name is loaded anywhere
 in the module, or listed in its `__all__`, and when a function's own import
 is loaded in that function. No lint tool is needed.
 
-The fourth scan finds every call of `match_ids` in `src/onokg` that binds
-fewer than three positions, such as `match_ids(None, p)` or
-`match_ids(s, p)`: a mask of the whole SPO table, returned as a list of
-3-tuples. Such a reader takes a predicate's column pair from
-`Graph.edges`, or a subject's run from `Graph.columns`, instead.
-`PREDICATE_SCANS` names the modules exempt from it, each with its
-reason.
+The fourth scan is the static twin of the traced check that no package
+reader goes through the Term-space `Graph.match`. It finds every call of a
+`.match` attribute in `src/onokg` whose receiver is not a constant pattern
+of its module: an upper-case name that the module binds at its top level,
+by assignment or import, such as `QUOTED` or `_TOKEN_RE`. A call on any
+other receiver, such as `graph.match(None, p)`, builds a `Triple` per hit;
+such a reader takes a predicate's column pair from `Graph.edges`, or a
+subject's run from `Graph.columns`, instead.
 
 Known gap: the first two scans match names bare, so a definition or a field
 whose name is common counts as reached or read when any attribute of that
@@ -48,9 +49,11 @@ parser's table) and `Checkpoint.config` (the checkpoint's "config" key).
 Dunder methods are outside the first scan, since the language calls them
 (`len(x)`, `a in b`); an audit that made each raise found
 `PrefixTable.__contains__`, `SubwordVocab.__len__` and
-`AliasTable.__len__` reached by nothing, and none is left. The scans also
-see no exception attribute, dict key or unpacked value that is written and
-never read, nor a parameter that no caller passes.
+`AliasTable.__len__` reached by nothing. It missed `Graph.__iter__` and
+`QualityReport.__getitem__`, which only tests reached. None of these is
+left. The scans also see no exception attribute, dict key or unpacked
+value that is written and never read, nor a parameter that no caller
+passes.
 """
 
 import ast
@@ -75,12 +78,6 @@ ALLOWED_FIELDS = {
         "criterion 07 and test_explain check that each layer conserves "
         "relevance with it",
 }
-
-PREDICATE_SCANS = {
-    "kg": "defines match_ids, and `match`, the Term-space reader for "
-          "outside callers, passes each position through unbound or bound",
-}
-
 
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, node) of each definition the scan
@@ -235,28 +232,44 @@ def test_no_unused_imports():
         + ", ".join(unused)
 
 
-def _unbound(node) -> bool:
-    return node is None or isinstance(node, ast.Constant) \
-        and node.value is None
+def _constant_patterns(tree: ast.Module) -> set[str]:
+    """The upper-case names the module binds at its top level, by
+    assignment or import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return {name for name in names if name.isupper()}
 
 
-def predicate_scans() -> list[str]:
-    scans = []
-    for path, tree in _trees(("src",)).items():
-        if _module(path) in PREDICATE_SCANS:
-            continue
+def term_space_reads(package: Path = PACKAGE) -> list[str]:
+    reads = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = _constant_patterns(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) \
-                    and getattr(node.func, "attr", None) == "match_ids":
-                bound = dict(zip("spo", node.args))
-                bound.update((k.arg, k.value) for k in node.keywords)
-                if any(_unbound(bound.get(k)) for k in "spo"):
-                    scans.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    return scans
+                    and getattr(node.func, "attr", None) == "match" \
+                    and getattr(node.func.value, "id", None) not in constants:
+                reads.append(f"{path.relative_to(package)}:{node.lineno}")
+    return reads
 
 
-def test_no_reader_scans_a_whole_predicate_by_match_ids():
-    scans = predicate_scans()
-    assert not scans, ("match_ids calls that leave a position unbound (read "
-                       "Graph.edges or Graph.columns instead): "
-                       + ", ".join(scans))
+def test_no_reader_goes_through_the_term_space_match():
+    reads = term_space_reads()
+    assert not reads, ("`.match` calls on anything but a constant pattern "
+                       "of the module (read Graph.edges, Graph.columns or "
+                       "Graph.key_ids instead): " + ", ".join(reads))
+
+
+def test_the_term_space_scan_flags_a_graph_match(tmp_path):
+    (tmp_path / "reader.py").write_text(
+        "import re\n"
+        "PATTERN = re.compile('x')\n"
+        "def read(graph, text):\n"
+        "    PATTERN.match(text)\n"
+        "    return graph.match(None, None, None)\n", encoding="utf-8")
+    assert term_space_reads(tmp_path) == ["reader.py:5"]

@@ -167,7 +167,7 @@ class TestClassIndex:
             assert [set(c) for c in report.cycles] == [members]
             quality = assess(graph, QualityConfig(
                 completeness_class=low, completeness_predicate=RDFS_LABEL))
-            assert quality["property_completeness"].denominator == \
+            assert quality.metrics["property_completeness"].denominator == \
                 len(class_instances(graph, low))
             with pytest.raises(dlx.HierarchyCycleError) as err:
                 dlx.AboxIndex(graph)
@@ -184,7 +184,7 @@ class TestDerivedIndexesFollowWrites:
     def observe(self, graph):
         members = dlx.query(graph, "Cancer")
         report = assess(graph, QualityConfig.for_ono_seed())
-        completeness = report["property_completeness"]
+        completeness = report.metrics["property_completeness"]
         pitfalls = check_ontology_pitfalls(graph)
         return (members, completeness.denominator, completeness.sample,
                 [term for term, _ in pitfalls.naming_violations])

@@ -234,7 +234,7 @@ class TestDemoCorpusIngest:
         ingest_documents(forward, docs, checkpoint, alias_table, 0.5)
         ingest_documents(backward, list(reversed(docs)), checkpoint,
                          alias_table, 0.5)
-        assert set(forward) == set(backward)
+        assert set(forward.match()) == set(backward.match())
 
     def test_jsonl_corpus(self, tmp_path, checkpoint, alias_table,
                           seed_copy):

@@ -86,22 +86,22 @@ class TestPlantedDefectFixture:
         ("labeled_resources", 7, 10),
     ])
     def test_exact_ratios(self, report, metric, numerator, denominator):
-        result = report[metric]
+        result = report.metrics[metric]
         assert (result.numerator, result.denominator) == \
             (numerator, denominator)
         assert result.value == numerator / denominator
 
     def test_numeric_range_violations(self, report):
-        result = report["numeric_range_violations"]
+        result = report.metrics["numeric_range_violations"]
         assert result.numerator == 1
         assert result.denominator == 2
 
     def test_external_sameas(self, report):
-        assert report["external_sameas_links"].numerator == 1
+        assert report.metrics["external_sameas_links"].numerator == 1
 
     def test_coverage(self, report):
-        assert report["coverage_detail"].numerator == 7
-        assert report["coverage_scope"].numerator == 10
+        assert report.metrics["coverage_detail"].numerator == 7
+        assert report.metrics["coverage_scope"].numerator == 10
 
     def test_all_thirteen_present(self, report):
         assert len(report.metrics) == 13
@@ -121,32 +121,34 @@ class TestPlantedDefectFixture:
 class TestSeedQuality:
     def test_schema_completeness_is_one(self, seed_graph):
         report = assess(seed_graph, QualityConfig.for_ono_seed())
-        result = report["schema_completeness"]
+        result = report.metrics["schema_completeness"]
         assert result.value == 1.0
         assert result.denominator == len(SCHEMA.classes()) + \
             len(SCHEMA.properties())
 
     def test_empty_graph_zero_completeness(self):
         report = assess(Graph(), QualityConfig.for_ono_seed())
-        assert report["schema_completeness"].value == 0.0
-        assert report["coverage_detail"].numerator == 0
+        assert report.metrics["schema_completeness"].value == 0.0
+        assert report.metrics["coverage_detail"].numerator == 0
 
 
 class TestMonotonicity:
     def test_adding_label_never_decreases(self):
         g = planted_defect_graph()
-        before = assess(g, fixture_config())["labeled_resources"].value
+        before = assess(g, fixture_config()).metrics["labeled_resources"].value
         g.insert(Triple(ex("s10"), RDFS_LABEL, literal("s10")))
-        after = assess(g, fixture_config())["labeled_resources"].value
+        after = assess(g, fixture_config()).metrics["labeled_resources"].value
         assert after >= before
 
     def test_adding_duplicate_never_increases_conciseness(self):
         g = planted_defect_graph()
-        before = assess(g, fixture_config())["extensional_conciseness"].value
+        before = assess(g, fixture_config()).metrics[
+            "extensional_conciseness"].value
         s11 = ex("s11")
         g.insert(Triple(s11, RDF_TYPE, ex("Thing")))
         g.insert(Triple(s11, ex("note"), literal("same")))
-        after = assess(g, fixture_config())["extensional_conciseness"].value
+        after = assess(g, fixture_config()).metrics[
+            "extensional_conciseness"].value
         assert after <= before
 
 
@@ -154,16 +156,16 @@ class TestConfigHandling:
     def test_unconfigured_metrics_skipped(self):
         report = assess(planted_defect_graph(),
                         QualityConfig(home_namespaces=(EX,)))
-        assert report["schema_completeness"].status == "skipped"
-        assert report["property_completeness"].status == "skipped"
-        assert report["numeric_range_violations"].status == "skipped"
+        assert report.metrics["schema_completeness"].status == "skipped"
+        assert report.metrics["property_completeness"].status == "skipped"
+        assert report.metrics["numeric_range_violations"].status == "skipped"
         # the rest still computes
-        assert report["coverage_scope"].numerator == 10
+        assert report.metrics["coverage_scope"].numerator == 10
 
     def test_vacuous_ratio_flagged(self):
         report = assess(Graph(), QualityConfig(home_namespaces=(EX,)))
-        assert report["labeled_resources"].status == "vacuous"
-        assert report["labeled_resources"].value == 1.0
+        assert report.metrics["labeled_resources"].status == "vacuous"
+        assert report.metrics["labeled_resources"].value == 1.0
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError, match="lower"):
@@ -195,7 +197,7 @@ class TestResolveUri:
                             gold_properties=cfg.gold_properties,
                             allowlist=())
         report = assess(seed_graph, cfg)
-        assert report["dereferenceable_uris"].numerator == 0
+        assert report.metrics["dereferenceable_uris"].numerator == 0
 
     def test_syntactic_mode(self):
         assert resolve_uri("syntactic", "urn:x")
@@ -254,13 +256,14 @@ def test_metrics_and_pitfalls_match_scan_oracles():
         assert len(found.cycles) == len(cycles)
         assert found.naming_violations == naming
         assert found.intersection_conflicts == conflicts
+        metrics = report.metrics
         for key, hit in (
                 ("cycles", cycles), ("naming", naming),
                 ("conflicts", conflicts),
-                ("duplicates", report["extensional_conciseness"].sample),
-                ("bad_literals", report["datatype_compatibility"].sample),
-                ("sameas", report["external_sameas_links"].numerator),
-                ("range", report["numeric_range_violations"].numerator)):
+                ("duplicates", metrics["extensional_conciseness"].sample),
+                ("bad_literals", metrics["datatype_compatibility"].sample),
+                ("sameas", metrics["external_sameas_links"].numerator),
+                ("range", metrics["numeric_range_violations"].numerator)):
             seen[key] += bool(hit)
     assert min(seen.values()) >= 5, seen
 
@@ -317,11 +320,11 @@ def test_metrics_match_scan_oracle_on_more_graphs():
 def test_write_after_assess_is_seen():
     g = planted_defect_graph()
     cfg = fixture_config()
-    assert assess(g, cfg)["labeled_resources"].numerator == 7
+    assert assess(g, cfg).metrics["labeled_resources"].numerator == 7
     g.insert(Triple(ex("s10"), RDFS_LABEL, literal("s10")))
     g.insert(Triple(ex("s11"), ex("link"), iri(EXT + "r3")))
     report = assess(g, cfg)
-    assert (report["labeled_resources"].numerator,
-            report["labeled_resources"].denominator) == (8, 11)
-    assert report["interlinking_completeness"].numerator == 3
-    assert report["coverage_scope"].numerator == 11
+    assert (report.metrics["labeled_resources"].numerator,
+            report.metrics["labeled_resources"].denominator) == (8, 11)
+    assert report.metrics["interlinking_completeness"].numerator == 3
+    assert report.metrics["coverage_scope"].numerator == 11

@@ -174,14 +174,13 @@ class TestTraining:
                              gold_tags(encoded, spans)))
         return examples
 
-    def test_zero_learning_rate_flat_curve(self):
-        space = FeatureSpace()
-        examples = self._tiny_examples(space)
-        space.freeze()
-        _, losses = train_tagger(examples,
-                                 TrainConfig(learning_rate=0.0, epochs=4),
-                                 space)
-        assert len(set(losses)) == 1
+    @pytest.mark.parametrize("rate", [0.0, -0.05, float("nan"),
+                                      float("inf")])
+    def test_learning_rate_is_finite_and_positive(self, rate):
+        # a zero rate leaves the weights at zero, and a negative one
+        # climbs the loss
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
 
     def test_loss_decreases(self):
         space = FeatureSpace()
