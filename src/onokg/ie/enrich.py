@@ -54,10 +54,10 @@ def statement_node(triple: Triple) -> Term:
 
 def add_provenance(graph: Graph, triple: Triple, source: str) -> Term:
     node = statement_node(triple)
-    graph.add(node, RDF_SUBJECT, triple.subject)
-    graph.add(node, RDF_PREDICATE, triple.predicate)
-    graph.add(node, RDF_OBJECT, triple.object)
-    graph.add(node, SCHEMA.source_document, literal(source))
+    graph.insert((node, RDF_SUBJECT, triple.subject))
+    graph.insert((node, RDF_PREDICATE, triple.predicate))
+    graph.insert((node, RDF_OBJECT, triple.object))
+    graph.insert((node, SCHEMA.source_document, literal(source)))
     return node
 
 

@@ -38,12 +38,14 @@ three columns.
 Write rule: the store is append-only, as the KG only grows by integrated
 sources and extracted facts. `insert` and `add_ids` are its only writers,
 and nothing removes a triple. `insert` is the one writer of single
-triples. It takes any (subject, predicate, object) sequence of Terms and
-applies the triple kind rules itself, so `add` passes a plain tuple and
-builds no `Triple`. Each writer interns only the terms of the rows it
-stores, so every interned term is in some stored triple: `terms()`, the
-id-indexed term list, is exactly the terms in use. There are no
-tombstones: every stored triple is in exactly one part.
+triples, and nothing wraps it: the ontology API calls it with a plain
+(subject, predicate, object) tuple, and it applies the triple kind rules
+itself, so no `Triple` is built. It looks the three ids up with one dict
+probe each and interns, in (s, p, o) order, only on a miss, so ids come
+out in first-insertion order. Each writer interns only the terms of the
+rows it stores, so every interned term is in some stored triple:
+`terms()`, the id-indexed term list, is exactly the terms in use. There
+are no tombstones: every stored triple is in exactly one part.
 
 Readers work on ids, and each read shape has one reader:
 - membership (`in`, and `insert`'s check): a dict probe of the buffer,
@@ -439,11 +441,17 @@ class Graph:
         """Insert a triple, given as a Triple or any (subject, predicate,
         object) sequence of Terms; True iff it was not already present.
         The one writer of single triples: it applies the triple kind rules
-        before it interns a term, so a rejected triple changes nothing."""
+        before it interns a term, so a rejected triple changes nothing.
+        Known terms cost one dict probe each, and only a miss interns the
+        three in (s, p, o) order."""
         s, p, o = t
-        _check_triple(s, p)
-        intern = self.intern
-        key = (intern(s), intern(p), intern(o))
+        if s[0] == LITERAL or p[0] != IRI:
+            _check_triple(s, p)
+        term_ids = self._term_ids
+        try:
+            key = (term_ids[s], term_ids[p], term_ids[o])
+        except KeyError:
+            key = (self.intern(s), self.intern(p), self.intern(o))
         base, buffer = self._store
         if key in buffer or base.n and base.has(key):
             return False
@@ -474,9 +482,6 @@ class Graph:
             self._derived.clear()
         return added
 
-    def add(self, subject: Term, predicate: Term, object: Term) -> bool:
-        return self.insert((subject, predicate, object))
-
     def cached(self, build: Callable[["Graph"], T]) -> T:
         """`build(self)`, built once per graph state.
 
@@ -506,7 +511,8 @@ class Graph:
     def __contains__(self, t: Sequence[Term]) -> bool:
         """Whether a Triple, or any (subject, predicate, object) sequence
         of Terms, is stored: a probe of each part, so never folds."""
-        key = tuple(map(self.term_id, t))
+        get = self._term_ids.get
+        key = (get(t[0], -1), get(t[1], -1), get(t[2], -1))
         base, buffer = self._store
         return key in buffer or base.has(key)
 

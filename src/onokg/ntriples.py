@@ -19,22 +19,25 @@ blank line matches as a row of empty tokens. When every line of the slice
 matched, its rows go to `_Parser.take` at once, which serves whole slices
 only. A dict maps the raw text of each token already read (`<a:x>`,
 `"v"@en`, `_:n`) to its term id. Each token not read before makes its
-`Term` once, through the scanner's `read_term`, which must consume the
-whole token; once all of them are valid, blank labels are handed out and
-the Terms interned in the order the tokens first appear, and every token
-maps to its id through the dict. If one makes no Term, `take` adds
-nothing. A slice that fails (a CRLF or malformed line, or a new token that
-makes no Term) is read in two halves, cut at a line end near its middle,
-each by the same rule, while it has more than one line and more than half
-of its lines matched; so a few bad lines send only themselves, not their
+`Term` once, from its own text (`_token_term`): the line pattern has fixed
+its extent, so its first character tells its kind, a literal's closing
+quote is the one search made, and `Term` checks the rest. Once all of them
+are valid, blank labels are handed out and the Terms interned in the order
+the tokens first appear, and the slice's tokens map to their ids with one
+`itemgetter` call on the dict. If one makes no Term, `take` adds nothing.
+A slice that fails (a CRLF or malformed line, or a new token that makes
+no Term) is read in two halves, cut at a line end near its middle, each
+by the same rule, while it has more than one line and more than half of
+its lines matched; so a few bad lines send only themselves, not their
 whole slice, to the line loop. Any other failing slice (a CRLF file, where
 no line matches) is read line by line by `_LineScanner`, from the same
 blank labels and line number, and the line loop is the only code that
-reports issues. Every way gives term ids and blank labels in first use on
-valid lines, as inserting the triples one by one would give them, since
-`take` adds all of a slice or nothing. An IRI or a quoted literal can match
-across a newline, so a slice counts as matched only when it has as many
-matches as lines.
+reports issues. The scanner finds each token's extent, or reports why
+there is none, and makes its Term with `_token_term` too. Every way
+gives term ids and blank labels in first use on valid lines, as inserting
+the triples one by one would give them, since `take` adds all of a slice
+or nothing. An IRI or a quoted literal can match across a newline, so a
+slice counts as matched only when it has as many matches as lines.
 
 The flat id rows go straight to the store's bulk base build
 (`Graph.add_ids`) at the end, with no tuple per triple: one sort for the
@@ -69,6 +72,7 @@ import shutil
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -123,7 +127,25 @@ class EncodingError(KgError):
     """A file whose bytes are not UTF-8."""
 
 
+def _token_term(token: str) -> Term:
+    """The Term of one whole token, whose extent the line pattern or the
+    scanner has already fixed: the first character tells its kind, and
+    only a literal's closing quote is searched for. `Term` checks the
+    rest; an unsupported escape is raised before a bad datatype."""
+    if token[0] == "<":
+        return iri(token[1:-1])
+    if token[0] == "_":
+        return blank(token[2:])
+    end = QUOTED.match(token).end()
+    value, mark = unescape(token[1:end - 1]), token[end:end + 1]
+    return literal(value, token[end + 3:-1] if mark == "^" else None,
+                   token[end + 1:] if mark == "@" else None)
+
+
 class _LineScanner:
+    """Reads a line's terms in turn: it finds each token's extent, reporting
+    what makes none, and `_token_term` makes its Term."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -137,52 +159,48 @@ class _LineScanner:
 
     def read_term(self) -> Term:
         self.skip_ws()
-        ch = self.peek()
+        start, ch = self.pos, self.peek()
         if ch == "<":
-            return self._read_iri()
-        if ch == '"':
-            return self._read_literal()
-        if ch == "_" and self.text[self.pos:self.pos + 2] == "_:":
-            return self._read_blank()
-        if ch == "":
+            self._skip_iri()
+        elif ch == '"':
+            self._skip_literal()
+        elif ch == "_" and self.text.startswith("_:", start):
+            m = BLANK_LABEL.match(self.text, start + 2)
+            if m is None:
+                raise ValidationError("blank node with empty label")
+            self.pos = m.end()
+        elif ch == "":
             raise ValidationError("unexpected end of line, expected a term")
-        raise ValidationError(f"unexpected character {ch!r}, expected a term")
+        else:
+            raise ValidationError(
+                f"unexpected character {ch!r}, expected a term")
+        return _token_term(self.text[start:self.pos])
 
-    def _read_iri(self) -> Term:
-        start = self.pos + 1
-        end = self.text.find(">", start)
+    def _skip_iri(self):
+        end = self.text.find(">", self.pos + 1)
         if end < 0:
             raise ValidationError("unterminated IRI (missing '>')")
         self.pos = end + 1
-        return iri(self.text[start:end])
 
-    def _read_blank(self) -> Term:
-        m = BLANK_LABEL.match(self.text, self.pos + 2)
-        if m is None:
-            raise ValidationError("blank node with empty label")
-        self.pos = m.end()
-        return blank(m.group())
-
-    def _read_literal(self) -> Term:
+    def _skip_literal(self):
         m = QUOTED.match(self.text, self.pos)
+        # an unsupported escape is reported before a missing quote or a bad
+        # suffix, so the body is unescaped before either is looked for
+        unescape(m.group()[1:-1] if m else self.text[self.pos + 1:])
         if m is None:
-            # an unsupported escape is reported before the missing quote
-            unescape(self.text[self.pos + 1:])
             raise ValidationError("unterminated literal")
         self.pos = m.end()
-        value = unescape(m.group()[1:-1])
         if self.text.startswith("^^", self.pos):
             self.pos += 2
             if self.peek() != "<":
-                raise ValidationError("datatype must be an IRI in angle brackets")
-            return literal(value, datatype=self._read_iri().lexical)
-        if self.peek() == "@":
+                raise ValidationError(
+                    "datatype must be an IRI in angle brackets")
+            self._skip_iri()
+        elif self.peek() == "@":
             m = LANGUAGE_TAG.match(self.text, self.pos + 1)
             if m is None:
                 raise ValidationError("empty language tag")
             self.pos = m.end()
-            return literal(value, language=m.group())
-        return literal(value)
 
     def read_terminator(self):
         self.skip_ws()
@@ -262,21 +280,25 @@ class _Parser:
         makes no Term; then add nothing and return False. The empty tokens
         of comment and blank lines are skipped."""
         token_ids = self.token_ids
-        tokens = list(filter(None, chain.from_iterable(rows)))
+        tokens = list(chain.from_iterable(rows))
+        first = dict.fromkeys(tokens)
+        if "" in first:
+            del first[""]
+            tokens = list(filter(None, tokens))
         new = {}
-        for token in dict.fromkeys(tokens):
+        for token in first:
             if token not in token_ids:
-                scanner = _LineScanner(token)
                 try:
-                    new[token] = scanner.read_term()
+                    new[token] = _token_term(token)
                 except ValidationError:
-                    return False
-                if scanner.pos != len(token):
                     return False
         # in first use, as the line loop hands out blank labels and ids
         for token, term in new.items():
             token_ids[token] = self.graph.intern(self.fresh(term))
-        self.ids.extend(map(token_ids.__getitem__, tokens))
+        # three or more tokens, so `itemgetter` gives a tuple; `fromlist`
+        # stores a list's ids in one pass, where `extend` iterates
+        if tokens:
+            self.ids.fromlist(list(itemgetter(*tokens)(token_ids)))
         return True
 
     def read_line(self, raw: str, lineno: int):

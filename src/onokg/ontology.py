@@ -277,21 +277,21 @@ def add_schema(graph: Graph) -> None:
         (s.cancer_index, s.evidence),
     ]
     for child, parent in hierarchy:
-        graph.add(child, RDFS_SUBCLASS, parent)
+        graph.insert((child, RDFS_SUBCLASS, parent))
     # Enum members double as individuals so they can appear as objects of
     # hasType/hasSignificance/hasEvidence and be retrieved by queries.
     for member, parent in hierarchy[2:]:
-        graph.add(member, RDF_TYPE, parent)
+        graph.insert((member, RDF_TYPE, parent))
     # the significance levels are HIGH/MEDIUM/LOW in IRIs, High/Medium/Low
     # in labels
     levels = {s.high, s.medium, s.low}
     for term in s.classes():
         name = term.local_name()
-        graph.add(term, RDFS_LABEL,
-                  literal(name.title() if term in levels else name))
+        graph.insert((term, RDFS_LABEL,
+                      literal(name.title() if term in levels else name)))
     for prop in s.properties():
         if prop != s.instance_of:
-            graph.add(prop, RDFS_LABEL, literal(prop.local_name()))
+            graph.insert((prop, RDFS_LABEL, literal(prop.local_name())))
     declarations = [
         (s.causes, s.biomarker, s.disease),
         (s.cross_responsibility, s.biomarker, s.cancer),
@@ -307,26 +307,26 @@ def add_schema(graph: Graph) -> None:
     ]
     for prop, domain, range_ in declarations:
         if domain is not None:
-            graph.add(prop, RDFS_DOMAIN, domain)
+            graph.insert((prop, RDFS_DOMAIN, domain))
         if range_ is not None:
-            graph.add(prop, RDFS_RANGE, range_)
+            graph.insert((prop, RDFS_RANGE, range_))
 
 
 def add_cancer(graph: Graph, code: str, name: str) -> Term:
     node = ono(code)
-    graph.add(node, RDF_TYPE, SCHEMA.cancer)
-    graph.add(node, RDFS_LABEL, literal(code))
-    graph.add(node, SCHEMA.full_name, literal(name))
+    graph.insert((node, RDF_TYPE, SCHEMA.cancer))
+    graph.insert((node, RDFS_LABEL, literal(code)))
+    graph.insert((node, SCHEMA.full_name, literal(name)))
     return node
 
 
 def add_biomarker(graph: Graph, symbol: str, gene_type: str) -> Term:
     node = ono(symbol)
     type_term = SCHEMA.gene_type_term(gene_type)
-    graph.add(node, RDF_TYPE, SCHEMA.biomarker)
-    graph.add(node, RDFS_LABEL, literal(symbol))
-    graph.add(node, SCHEMA.is_a, type_term)
-    graph.add(node, SCHEMA.has_type, type_term)
+    graph.insert((node, RDF_TYPE, SCHEMA.biomarker))
+    graph.insert((node, RDFS_LABEL, literal(symbol)))
+    graph.insert((node, SCHEMA.is_a, type_term))
+    graph.insert((node, SCHEMA.has_type, type_term))
     return node
 
 
@@ -347,17 +347,17 @@ def assert_association(graph: Graph, f: AssociationFeature) -> Term:
     node = iri(ASSOC + slug)
     sig = SCHEMA.significance_term(f.significance)
     cites = typed_int(f.citations)
-    graph.add(node, RDF_TYPE, SCHEMA.feature)
-    graph.add(node, SCHEMA.feature_gene, f.gene)
-    graph.add(node, SCHEMA.feature_cancer, f.cancer)
-    graph.add(node, SCHEMA.has_significance, sig)
-    graph.add(node, SCHEMA.has_evidence, f.evidence)
-    graph.add(node, SCHEMA.has_citations, cites)
-    graph.add(f.gene, SCHEMA.causes, f.cancer)
-    graph.add(f.gene, SCHEMA.cross_responsibility, f.cancer)
-    graph.add(f.gene, SCHEMA.has_significance, sig)
-    graph.add(f.gene, SCHEMA.has_evidence, f.evidence)
-    graph.add(f.gene, SCHEMA.has_citations, cites)
+    graph.insert((node, RDF_TYPE, SCHEMA.feature))
+    graph.insert((node, SCHEMA.feature_gene, f.gene))
+    graph.insert((node, SCHEMA.feature_cancer, f.cancer))
+    graph.insert((node, SCHEMA.has_significance, sig))
+    graph.insert((node, SCHEMA.has_evidence, f.evidence))
+    graph.insert((node, SCHEMA.has_citations, cites))
+    graph.insert((f.gene, SCHEMA.causes, f.cancer))
+    graph.insert((f.gene, SCHEMA.cross_responsibility, f.cancer))
+    graph.insert((f.gene, SCHEMA.has_significance, sig))
+    graph.insert((f.gene, SCHEMA.has_evidence, f.evidence))
+    graph.insert((f.gene, SCHEMA.has_citations, cites))
     return node
 
 
@@ -394,11 +394,11 @@ def build_seed_ontology(data_dir: Optional[Path] = None) -> Graph:
             add_biomarker(graph, symbol, gene_type)
     # TP53 is additionally asserted as an Oncogene instance; the deduction
     # examples rely on that membership premise.
-    graph.add(ono("TP53"), RDF_TYPE, SCHEMA.oncogene)
+    graph.insert((ono("TP53"), RDF_TYPE, SCHEMA.oncogene))
     # Example GO annotation on AKT1, kept for the hasGOAssociation pattern.
     go_node = iri(ASSOC + "AKT1_GO_0000060")
-    graph.add(ono("AKT1"), SCHEMA.has_go_association, go_node)
-    graph.add(go_node, RDF_TYPE, iri(OBO + "GO_0000060"))
+    graph.insert((ono("AKT1"), SCHEMA.has_go_association, go_node))
+    graph.insert((go_node, RDF_TYPE, iri(OBO + "GO_0000060")))
     for name in ("associations.csv", "extension_associations.csv"):
         _assert_association_rows(graph, _open_data(name, data_dir))
     return graph

@@ -98,9 +98,11 @@ class QualityConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("not a setting: " + ", ".join(map(repr, unknown)))
-        if ("completeness_class" in raw) != ("completeness_predicate" in raw):
-            raise ValueError("completeness_class and completeness_predicate "
-                             "must be given together")
+        for group in (("completeness_class", "completeness_predicate"),
+                      ("range_predicate", "range_lower", "range_upper")):
+            if 0 < sum(key in raw for key in group) < len(group):
+                raise ValueError(f"{', '.join(group[:-1])} and {group[-1]} "
+                                 "must be given together")
         for key in ("gold_classes", "gold_properties", "home_namespaces",
                     "label_predicates", "allowlist"):
             value = raw.get(key, [])
@@ -130,8 +132,8 @@ class QualityConfig:
                 iri(raw["completeness_predicate"])
         if "range_predicate" in raw:
             kwargs["range_predicate"] = iri(raw["range_predicate"])
-            kwargs["range_lower"] = raw.get("range_lower", 0)
-            kwargs["range_upper"] = raw.get("range_upper", 0)
+            kwargs["range_lower"] = raw["range_lower"]
+            kwargs["range_upper"] = raw["range_upper"]
         return cls(**kwargs)
 
 

@@ -463,8 +463,9 @@ class TestQaExport:
                  "Krebs ü → 癌", '"\\\n\t"', "]\n    ["]
         graph = Graph()
         for i, text in enumerate(texts):
-            graph.add(iri(f"a:s{i}"), iri("a:label"), literal(text))
-        graph.add(iri("a:s0"), iri("a:note"), literal("ja", language="ja"))
+            graph.insert((iri(f"a:s{i}"), iri("a:label"), literal(text)))
+        graph.insert((iri("a:s0"), iri("a:note"),
+                      literal("ja", language="ja")))
         for name, kg in (("empty", Graph()), ("escapes", graph)):
             path, out = tmp_path / f"{name}.nt", tmp_path / f"{name}.json"
             save_file(kg, path)
@@ -584,6 +585,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         '{"completeness_class": "http://x.org/C"}',
         '{"completeness_predicate": "http://x.org/p"}',
+        # a numeric range is all three keys or none
+        '{"range_lower": 5, "range_upper": 9}',
+        '{"range_predicate": "http://x.org/p"}',
         '{"gold_classes": [',
         '["not", "an", "object"]',
         '{"range_predicate": "http://x.org/p", "range_lower": 5, '

@@ -158,8 +158,7 @@ class TestTuples:
                            match="relative IRI not allowed"):
             pickle.loads(forged)
 
-    def test_add_builds_no_triple_and_writes_through_insert(self,
-                                                            monkeypatch):
+    def test_insert_of_a_plain_tuple_builds_no_triple(self, monkeypatch):
         writes = []
         insert = Graph.insert
 
@@ -173,8 +172,8 @@ class TestTuples:
         monkeypatch.setattr(Graph, "insert", traced)
         monkeypatch.setattr(Triple, "__new__", no_triple)
         g = Graph()
-        assert g.add(iri("a:s"), iri("a:p"), literal("v")) is True
-        assert g.add(iri("a:s"), iri("a:p"), literal("v")) is False
+        assert g.insert((iri("a:s"), iri("a:p"), literal("v"))) is True
+        assert g.insert((iri("a:s"), iri("a:p"), literal("v"))) is False
         assert g.insert((iri("a:s"), iri("a:q"), blank("b"))) is True
         assert (iri("a:s"), iri("a:q"), blank("b")) in g
         assert writes == [(iri("a:s"), iri("a:p"), literal("v"))] * 2 + [
@@ -237,17 +236,16 @@ _SOME_TERMS = [iri("a:s"), iri("a:p"), literal("v"), literal("v", "a:int"),
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.tuples(*[st.sampled_from(_SOME_TERMS)] * 3),
-       st.sampled_from(["add", "insert", "insert_triple"]))
+       st.sampled_from(["insert", "insert_triple"]))
 def test_triple_validation_matches_the_dataclass_oracle(terms, write):
     expected = construction_error(DataclassTriple, *terms)
     assert construction_error(Triple, *terms) == expected
     # a write of the plain tuple checks the same rules, and a rejected one
     # changes neither the triples nor the term list
     g = Graph()
-    g.add(iri("a:x"), iri("a:p"), literal("v"))
+    g.insert((iri("a:x"), iri("a:p"), literal("v")))
     before = (g.id_table().tolist(), g.terms(), len(g))
-    writes = {"add": lambda: g.add(*terms),
-              "insert": lambda: g.insert(terms),
+    writes = {"insert": lambda: g.insert(terms),
               "insert_triple": lambda: g.insert(Triple(*terms))}
     assert construction_error(writes[write]) == expected
     if expected is None:

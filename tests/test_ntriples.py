@@ -1,11 +1,13 @@
 import errno
 import os
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_ntriples_scan, serialize_ntriples_scan
+from oracles import (_NtScanner, parse_ntriples_scan,
+                     serialize_ntriples_scan)
 from onokg import ntriples
 from onokg.kg import (Graph, KgError, Triple, ValidationError, blank, iri,
                       literal)
@@ -33,6 +35,17 @@ class TestParse:
         assert result.ok
         (triple,) = result.graph.match()
         assert triple.object.lexical == 'a"b\\c\nd\te'
+
+    def test_an_unsupported_escape_is_reported_first(self):
+        # before a missing quote, a datatype that is no IRI, an
+        # unterminated datatype IRI, an empty language tag and a bad
+        # datatype IRI
+        text = "\n".join(f'<a:s> <a:p> "a\\rb{rest} .' for rest in
+                         ("", '"^^x', '"^^<a:int', '"@', '"^^<a int>'))
+        result = parse_ntriples(text)
+        assert [str(issue) for issue in result.issues] == [
+            f"line {n}: unsupported escape \\r" for n in range(1, 6)]
+        _assert_matches_oracle(text)
 
     def test_comments_and_blank_lines(self):
         result = parse_ntriples('# header\n\n<a:s> <a:p> <a:o> .\n')
@@ -352,6 +365,55 @@ def test_every_term_the_api_accepts_loads_back(rows):
     assert set(result.graph.match()) == {Triple(renamed(s), p, renamed(o))
                                          for s, p, o in g.match()}
     assert len(result.graph) == len(g)
+
+
+# Raw token texts, valid or not, for the token reader: IRIs, blank labels
+# and quoted literals with any escape, datatype or language suffix, as well
+# as the N-Triples form of a term the API accepts.
+_raw = st.text(st.sampled_from('ab:"<\\ \té中_-@^#.nrt'), max_size=6)
+_raw_iris = _raw.map("<{}>".format)
+_raw_tokens = st.one_of(
+    _raw_iris, _raw.map("_:".__add__),
+    st.builds('"{}"{}'.format, _raw,
+              st.sampled_from(["", "@en", "@en-GB", "@", "^^"])
+              | _raw_iris.map("^^".__add__)),
+    (_hostile_iris | _hostile_blanks | _hostile_literals).map(
+        lambda term: term.n3() if term else "<a:x>"))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(_raw_tokens, _raw_tokens, _raw_tokens).map(
+    lambda row: " ".join(row) + " ."))
+@example('<a:s> <a:p> "a\tb" .')          # a raw tab inside the quotes
+@example('<a:s> <a:p> "say \\"hi\\"" .')
+@example('<a:s> <a:p> "a\\rb" .')        # an unsupported escape
+@example('<a:s> <a:p> "v"^^<a:b"c> .')  # a datatype holding '"'
+@example('_:x <a:p> "v"@en-GB .')
+def test_a_token_makes_the_term_the_scanners_read(line):
+    # every token that the line pattern cuts out makes the Term that both
+    # scanners read from its text, ending at its end, or none of them does
+    for token in filter(None, chain.from_iterable(
+            ntriples._SLICE_LINE.findall(line))):
+        term = _made(ntriples._token_term, token)
+        scanner, oracle = ntriples._LineScanner(token), _NtScanner(token)
+        assert _made(scanner.read_term) == _made(oracle.read_term) == term
+        if term is not None:
+            assert scanner.pos == oracle.pos == len(token)
+
+
+@pytest.mark.parametrize("token, term", [
+    ('"a\tb"', literal("a\tb")),
+    ('"say \\"hi\\""', literal('say "hi"')),
+    ('"a\\rb"', None),
+    ('"v"^^<a:b"c>', None),
+    ('"v"@en-GB', literal("v", language="en-GB")),
+    ('"7"^^<a:int>', literal("7", "a:int")),
+    ("_:x-1", blank("x-1")),
+])
+def test_a_token_of_each_shape_makes_its_term(token, term):
+    rows = ntriples._SLICE_LINE.findall(f"<a:s> <a:p> {token} .")
+    assert [row[2] for row in rows] == [token]
+    assert _made(ntriples._token_term, token) == term
 
 
 # Terms for the serializer's differential test: literals with every escape,

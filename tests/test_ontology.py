@@ -112,6 +112,22 @@ class TestAssertAssociation:
         with pytest.raises(ReferentialError, match="NOPE1"):
             assert_association(seed_copy, feature)
 
+    def test_each_triple_is_one_insert(self, seed_copy, monkeypatch):
+        # the API looks `graph.insert` up at each call, so a patch of the
+        # class attribute, as the layer tracer makes, sees every write
+        calls = []
+        insert = Graph.insert
+        monkeypatch.setattr(Graph, "insert", lambda graph, triple: (
+            calls.append(triple) or insert(graph, triple)))
+        add_biomarker(seed_copy, "TESTG", "Oncogene")
+        assert len(calls) == 4
+        feature = AssociationFeature(ono("TESTG"), ono("UVM"), "HIGH",
+                                     SCHEMA.pubmed, 100)
+        for _ in range(2):
+            assert_association(seed_copy, feature)
+        assert len(calls) == 4 + 2 * 11
+        assert {type(triple) for triple in calls} == {tuple}
+
     def test_new_association_enables_query(self, seed_copy):
         from onokg.dlx import query
         add_biomarker(seed_copy, "TESTG", "Oncogene")
@@ -207,7 +223,7 @@ class TestDerivedIndexesFollowWrites:
         # not an instance of Cancer, so `causes some Cancer` cannot show it;
         # `causes min 1` does.
         gene = add_biomarker(seed_copy, "NEWONC", "Oncogene")
-        seed_copy.add(gene, RDF_TYPE, SCHEMA.oncogene)
+        seed_copy.insert((gene, RDF_TYPE, SCHEMA.oncogene))
         question = "Oncogene and causes min 1"
         assert gene not in dlx.query(seed_copy, question)
         deduction = dlx.deduce_syllogism(
