@@ -30,7 +30,7 @@ from .ie.linking import AliasTable
 from .ie.preprocess import preprocess
 from .ie.tagger import Checkpoint, load_checkpoint, save_checkpoint
 from .ie.wordpiece import demo_vocab
-from .ie.train import TrainConfig, TrainingDiverged, train_tagger
+from .ie.train import TrainConfig, TrainingDiverged, train_heads
 from .kg import Graph, KgError
 from .ontology import (build_seed_ontology, check_ontology_pitfalls,
                        data_path, seed_statistics)
@@ -216,6 +216,18 @@ def cmd_dlq(args, cfg: AppConfig) -> int:
 
 
 def cmd_train(args, cfg: AppConfig) -> int:
+    """Train one tagger head per entity type on the synthetic corpus,
+    print each head's loss curve and the held-out scores, and write the
+    checkpoint.
+
+    The heads train through `train_heads`: the first in this process and
+    the others, where more than one CPU is usable, each in a forked child
+    at the same time. Its results come back in `ENTITY_TYPES` order, so
+    the curves print in that order, and the first head that diverged is
+    one `error:` line (exit 1) with no checkpoint, as when every head
+    trains here. A child that dies without a result is one `error:` line
+    naming its head (exit 2).
+    """
     try:
         train_cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                 seed=cfg.seed, batch_size=args.batch_size)
@@ -232,13 +244,11 @@ def cmd_train(args, cfg: AppConfig) -> int:
     encoded = corpus_mod.encode_corpus(train_set, vocab, space, gazetteers)
     space.freeze()
     models = {}
-    for etype in corpus_mod.ENTITY_TYPES:
-        try:
-            model, losses = train_tagger(encoded[etype], train_cfg, space)
-        except TrainingDiverged as exc:
+    for etype, result in train_heads(encoded, train_cfg, space).items():
+        if isinstance(result, TrainingDiverged):
             raise UserError(f"training the {etype} tagger diverged: "
-                            f"{exc}") from exc
-        models[etype] = model
+                            f"{result}") from result
+        models[etype], losses = result
         curve = " ".join(f"{loss:.4f}" for loss in losses)
         print(f"{etype}: loss per epoch: {curve}")
     scores = corpus_mod.evaluate_entities(models, test_set, vocab, space,

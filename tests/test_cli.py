@@ -6,12 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onokg.cli import main
+from onokg.ie import train as train_mod
 from onokg.ontology import data_path
 
 
@@ -659,6 +661,133 @@ class TestTrainCommand:
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1 and "No space" in err
         assert list(tmp_path.iterdir()) == []
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="heads train in forked children")
+
+
+@needs_fork
+class TestTrainHeads:
+    """`train` fits its later heads in forked children where more than one
+    CPU is usable, and all of them in process otherwise: the checkpoint,
+    stdout and each failure's error line are the same either way."""
+
+    @pytest.fixture()
+    def cpus(self, monkeypatch):
+        def set_cpus(count):
+            monkeypatch.setattr(train_mod, "usable_cpus", lambda: count)
+        return set_cpus
+
+    @pytest.fixture()
+    def gene_examples(self, monkeypatch):
+        """Holds the Gene examples that `train` encodes, so that a patched
+        `train_tagger` can tell the Gene head from the Disease head; a
+        forked child inherits both patches."""
+        from onokg.ie import corpus as corpus_mod
+        held = {}
+        encode = corpus_mod.encode_corpus
+
+        def keep(*args):
+            examples = encode(*args)
+            held["Gene"] = examples["Gene"]
+            return examples
+
+        monkeypatch.setattr(corpus_mod, "encode_corpus", keep)
+        return held
+
+    # a numpy warning in either process fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_forked_and_in_process_heads_give_same_bytes(
+            self, tmp_path, capsys, cpus, seed):
+        printed = {}
+        for count in (2, 1):
+            cpus(count)
+            out = tmp_path / f"model{count}.json"
+            assert main(["--seed", str(seed), "train", "--out", str(out),
+                         "--sentences", "150", "--epochs", "2"]) == 0
+            printed[count] = capsys.readouterr().out.replace(out.name, "")
+            assert_no_child_left()
+        assert printed[2] == printed[1]
+        assert printed[2].startswith("Disease: loss per epoch: ")
+        assert ((tmp_path / "model2.json").read_bytes()
+                == (tmp_path / "model1.json").read_bytes())
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_diverged_gene_head_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, cpus, gene_examples, count):
+        cpus(count)
+        train_tagger = train_mod.train_tagger
+
+        def diverge_gene(examples, cfg, space):
+            if examples is gene_examples["Gene"]:
+                raise train_mod.TrainingDiverged("non-finite loss")
+            return train_tagger(examples, cfg, space)
+
+        monkeypatch.setattr(train_mod, "train_tagger", diverge_gene)
+        out = tmp_path / "model.json"
+        assert main(["train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1"]) == 1
+        printed = capsys.readouterr()
+        assert printed.out.startswith("Disease: loss per epoch: ")
+        assert printed.out.count("\n") == 1
+        assert printed.err == ("error: training the Gene tagger diverged: "
+                               "non-finite loss\n")
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_child_without_result_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, cpus, gene_examples):
+        cpus(2)
+        parent = os.getpid()
+        train_tagger = train_mod.train_tagger
+
+        def exit_in_child(examples, cfg, space):
+            if examples is gene_examples["Gene"] and os.getpid() != parent:
+                os._exit(3)
+            return train_tagger(examples, cfg, space)
+
+        monkeypatch.setattr(train_mod, "train_tagger", exit_in_child)
+        out = tmp_path / "model.json"
+        assert main(["train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Gene" in err and "status 3" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_first_head_diverging_kills_the_children(
+            self, tmp_path, capsys, monkeypatch, cpus, gene_examples):
+        cpus(2)
+        train_tagger = train_mod.train_tagger
+
+        def diverge_disease(examples, cfg, space):
+            if examples is gene_examples["Gene"]:
+                time.sleep(60)
+                return train_tagger(examples, cfg, space)
+            raise train_mod.TrainingDiverged("non-finite loss")
+
+        monkeypatch.setattr(train_mod, "train_tagger", diverge_disease)
+        out = tmp_path / "model.json"
+        start = time.monotonic()
+        assert main(["train", "--out", str(out), "--sentences", "20",
+                     "--epochs", "1"]) == 1
+        # the sleeping Gene child was killed, not waited for
+        assert time.monotonic() - start < 30
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == ("error: training the Disease tagger "
+                               "diverged: non-finite loss\n")
+        assert not out.exists()
+        assert_no_child_left()
 
 
 # JSON scalars as the explain payload may hold them, and the edge cases of
