@@ -358,6 +358,18 @@ def _indented_rows(rows: list[list[str]]) -> str:
 
 
 def cmd_explain(args, cfg: AppConfig) -> int:
+    """Heatmap of each word's relevance toward the tagger heads' entity
+    predictions, summed over the heads.
+
+    Each `encode_and_tag` group is explained with one
+    `sentence_token_relevance` call per head. A word's score is 0.0 plus
+    each head's score in checkpoint order, and the group's scores become
+    floats with one `tolist`. A head that fails names the error line:
+    the one that fails on the group's earliest sentence, and of those the
+    first in checkpoint order, as when each sentence ran through every
+    head in turn. The heads after a failing one are explained only on the
+    sentences before its failing sentence.
+    """
     from .explain import NumericError, SingularDenominatorError
     from .explain.bridge import feature_offsets, sentence_token_relevance
     from .explain.heatmap import render_heatmap
@@ -376,18 +388,27 @@ def cmd_explain(args, cfg: AppConfig) -> int:
     scores: list[float] = []
     groups = encode_and_tag(checkpoint.models, preprocess(text).sentences,
                             checkpoint.vocab, space, checkpoint.gazetteers)
-    for encoded, tagged in (pair for group in groups for pair in zip(*group)):
-        combined = np.zeros(len(encoded.words))
+    for encodings, tagged in groups:
+        combined = np.zeros(sum(len(e.words) for e in encodings))
+        failure = None
         for name, model in checkpoint.models.items():
             try:
-                combined += sentence_token_relevance(
-                    model, encoded, tagged[name][0], offsets,
-                    method=args.method, epsilon=args.epsilon,
+                per_sentence = sentence_token_relevance(
+                    model, encodings, [tags[name][0] for tags in tagged],
+                    offsets, method=args.method, epsilon=args.epsilon,
                     delta=args.delta)
             except (NumericError, SingularDenominatorError) as exc:
-                raise UserError(f"cannot explain the {name} tagger's "
-                                f"predictions: {exc}") from exc
-        tokens.extend(encoded.words)
+                # later heads need only the sentences before this one
+                failure = name, exc
+                del encodings[exc.sentence:], tagged[exc.sentence:]
+                continue
+            if failure is None:
+                combined += np.concatenate(per_sentence)
+        if failure is not None:
+            name, exc = failure
+            raise UserError(f"cannot explain the {name} tagger's "
+                            f"predictions: {exc}") from exc
+        tokens.extend(word for encoded in encodings for word in encoded.words)
         scores.extend(combined.tolist())
     if args.format == "json":
         rendered = _indented_json({

@@ -827,10 +827,10 @@ def sentence_token_relevance(model: TaggerModel, encoded: EncodedSentence,
     return scores
 
 
-def explain_json(checkpoint, text: str) -> str:
-    """`explain --format json` with the default options as it was printed:
-    each sentence encoded and explained on its own, through the per-piece
-    bridge above."""
+def explain_json(checkpoint, text: str, method: str = "lrp",
+                 epsilon: float = 0.01, delta: float = 1.0) -> str:
+    """`explain --format json` as it was printed: each sentence encoded and
+    explained on its own, through the per-piece bridge above."""
     space = next(iter(checkpoint.models.values())).space
     tokens: list[str] = []
     scores: list[float] = []
@@ -839,12 +839,13 @@ def explain_json(checkpoint, text: str) -> str:
                                           checkpoint.gazetteers)
         combined = np.zeros(len(words))
         for model in checkpoint.models.values():
-            combined += sentence_token_relevance(model, encoded)
+            combined += sentence_token_relevance(model, encoded, method,
+                                                 epsilon, delta)
         tokens.extend(words)
         scores.extend(combined.tolist())
     return json.dumps({
-        "tokens": tokens, "scores": scores, "method": "lrp",
-        "epsilon": 0.01, "delta": 1.0,
+        "tokens": tokens, "scores": scores, "method": method,
+        "epsilon": epsilon, "delta": delta,
     }, indent=2) + "\n"
 
 

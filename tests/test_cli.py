@@ -827,9 +827,11 @@ class TestExplainJson:
         assert err.startswith(f"error: {option} must be a finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("options", [
+        (), ("--method", "sensitivity"), ("--epsilon", "0", "--delta", "0.5")])
     @pytest.mark.parametrize("sentences", [0, 1, 64, 65])
     def test_grouped_json_matches_sentence_at_a_time_oracle(
-            self, checkpoint_path, tmp_path, capsys, sentences):
+            self, checkpoint_path, tmp_path, capsys, sentences, options):
         # 64 sentences fill one group exactly; 65 cross into a second one
         from oracles import explain_json
         from onokg.ie.corpus import make_corpus
@@ -841,9 +843,13 @@ class TestExplainJson:
         path = tmp_path / "doc.txt"
         path.write_text(text, encoding="utf-8")
         assert main(["explain", "--model", str(checkpoint_path),
-                     "--file", str(path), "--format", "json"]) == 0
+                     "--file", str(path), "--format", "json",
+                     *options]) == 0
+        method = "sensitivity" if "sensitivity" in options else "lrp"
+        epsilon, delta = (0.0, 0.5) if "--epsilon" in options else (0.01, 1.0)
         assert capsys.readouterr().out == explain_json(
-            load_checkpoint(checkpoint_path), text)
+            load_checkpoint(checkpoint_path), text, method=method,
+            epsilon=epsilon, delta=delta)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.dictionaries(_json_text, _json_scalars
@@ -878,6 +884,42 @@ class TestExplainJson:
         assert err.startswith("error: cannot explain the ")
         assert "zero denominator at layer 0, neuron 6" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("same_sentence", [False, True])
+    def test_error_names_first_failing_sentence_then_head(
+            self, checkpoint_path, tmp_path, capsys, same_sentence):
+        # a head whose PAD row is 1.0 at one word's feature and 0.0
+        # elsewhere, with a PAD bias of -1.0, has a PAD logit of exactly 0
+        # at that word's head piece and -1 at every other piece: at
+        # epsilon 0 only that word's sentence fails, with a zero
+        # denominator. The first failing sentence names the error, and
+        # within it the first head in checkpoint order.
+        payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        first, second = payload["models"]
+        sentences = ({"Gene": "tp53", "Disease": "blca"},
+                     {"Gene": "rb1", "Disease": "kirp"})
+        # one head fails only on sentence 2 and the other only on
+        # sentence 1; or both fail only on sentence 2
+        failing = {first: 1, second: 1 if same_sentence else 0}
+        for name, model in payload["models"].items():
+            word = sentences[failing[name]][name]
+            model["weights"][6] = [0.0] * len(model["weights"][6])
+            model["weights"][6][payload["features"][f"w={word}"]] = 1.0
+            model["bias"][6] = -1.0
+        path = tmp_path / "onefails.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        # sentence 2 alone names the first head; both sentences name the
+        # head that fails on sentence 1, if any
+        for text, named in (("RB1 causes KIRP.", first),
+                            ("TP53 causes BLCA. RB1 causes KIRP.",
+                             first if same_sentence else second)):
+            code = main(["explain", "--model", str(path), "--text", text,
+                         "--epsilon", "0", "--format", "json"])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err == f"error: cannot explain the {named} tagger's " \
+                "predictions: zero denominator at layer 0, neuron 6; " \
+                "use a nonzero epsilon\n"
 
 
 class TestDeepNesting:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,8 +215,8 @@ def _relevance(model, encoded, method="lrp", epsilon=0.01, delta=1.0):
     tags, _probs = tag_sentence({"m": model}, [encoded])[0]["m"]
     try:
         return sentence_token_relevance(
-            model, encoded, tags, feature_offsets(model.space),
-            method=method, epsilon=epsilon, delta=delta)
+            model, [encoded], [tags], feature_offsets(model.space),
+            method=method, epsilon=epsilon, delta=delta)[0]
     except (NumericError, SingularDenominatorError) as exc:
         return type(exc), str(exc)
 
@@ -265,6 +266,11 @@ def _head_and_sentence(draw):
     for k in draw(st.sets(st.integers(0, K - 1), max_size=2)):
         weights[k] = 0.0
         bias[k] = 0.0
+    return (TaggerModel(space, weights, bias), _sentence(draw, hidden))
+
+
+def _sentence(draw, hidden):
+    """A sentence of random sorted id rows over `hidden` features."""
     row = st.sets(st.integers(0, hidden - 1), min_size=1).map(
         lambda ids: np.array(sorted(ids), dtype=np.int64))
     words = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
@@ -278,9 +284,23 @@ def _head_and_sentence(draw):
     word_of_piece.append(-1)
     is_head.append(False)
     ids = [draw(row) for _ in pieces]
-    return (TaggerModel(space, weights, bias),
-            EncodedSentence(words, pieces, word_of_piece, is_head,
-                            *pack(ids)))
+    return EncodedSentence(words, pieces, word_of_piece, is_head, *pack(ids))
+
+
+@st.composite
+def _head_and_group(draw):
+    """A random head as `_head_and_sentence` draws it, and a group of 1-5
+    random sentences over its features."""
+    model, first = draw(_head_and_sentence())
+    return model, [first] + [_sentence(draw, model.hidden_size)
+                             for _ in range(draw(st.integers(0, 4)))]
+
+
+def _one_word(ids):
+    """[CLS] a [SEP], with the head piece of "a" on feature ids `ids`."""
+    return EncodedSentence(
+        ["a"], ["[CLS]", "a", "[SEP]"], [-1, 0, -1], [False, True, False],
+        *pack([np.array([0]), np.array(ids), np.array([0])]))
 
 
 class TestTaggerBridge:
@@ -293,8 +313,8 @@ class TestTaggerBridge:
         offsets = feature_offsets(trained.space)
         total = np.zeros(len(words))
         for name, model in trained.models.items():
-            total += sentence_token_relevance(model, encoded,
-                                              tagged[name][0], offsets)
+            total += sentence_token_relevance(model, [encoded],
+                                              [tagged[name][0]], offsets)[0]
         ranked = [words[i] for i in np.argsort(-np.abs(total))]
         assert {"TP53", "Breast", "Cancer"} <= set(ranked[:3])
 
@@ -372,8 +392,67 @@ class TestTaggerBridge:
             with pytest.raises(ValueError,
                                match=f"^{len(tags)} tags for a sentence of "
                                      f"3 pieces$"):
-                sentence_token_relevance(model, encoded, tags,
+                sentence_token_relevance(model, [encoded], [tags],
                                          feature_offsets(space))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_head_and_group(),
+           method=st.sampled_from(["lrp", "sensitivity"]),
+           epsilon=st.one_of(st.floats(1e-3, 5.0), st.just(0.0)),
+           delta=st.one_of(st.floats(-3.0, 3.0), st.just(0.0)))
+    def test_group_matches_one_sentence_calls(self, case, method, epsilon,
+                                              delta):
+        # each sentence's scores have the bits of its own call, and a
+        # failing group raises the first failing sentence's error, with
+        # that sentence's index
+        model, encodings = case
+        singles = [_relevance(model, encoded, method, epsilon, delta)
+                   for encoded in encodings]
+        failed = [i for i, got in enumerate(singles) if type(got) is tuple]
+        tags = [tagged["m"][0]
+                for tagged in tag_sentence({"m": model}, encodings)]
+        try:
+            grouped = sentence_token_relevance(
+                model, encodings, tags, feature_offsets(model.space),
+                method=method, epsilon=epsilon, delta=delta)
+        except (NumericError, SingularDenominatorError) as exc:
+            assert failed and exc.sentence == failed[0]
+            assert (type(exc), str(exc)) == singles[failed[0]]
+        else:
+            assert not failed and len(grouped) == len(encodings)
+            for got, want in zip(grouped, singles):
+                _assert_same(got, want)
+
+    def test_pieces_after_the_failing_one_do_not_warn(self):
+        # sentence 1's head piece has a zero logit at epsilon 0, and
+        # sentence 2's logits overflow: the group stops at sentence 1
+        # without a floating-point error from sentence 2
+        space = FeatureSpace()
+        for name in ("w=a", "w=b", "w=c"):
+            space.intern(name)
+        weights = np.zeros((K, 3))
+        weights[0, 0] = 1.0
+        weights[:, 1:] = 1e308
+        model = TaggerModel(space, weights, np.zeros(K))
+        with np.errstate(all="raise"), \
+                pytest.raises(SingularDenominatorError,
+                              match="neuron 1;") as info:
+            sentence_token_relevance(
+                model, [_one_word([0]), _one_word([1, 2])], [[4, 0, 5]] * 2,
+                feature_offsets(space), epsilon=0.0)
+        assert info.value.sentence == 0
+
+    @pytest.mark.parametrize("option", ["epsilon", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_or_delta_rejected(self, option, value):
+        space = FeatureSpace()
+        space.intern("w=a")
+        model = TaggerModel(space, np.ones((K, 1)), np.zeros(K))
+        with pytest.raises(ValueError,
+                           match=f"^{option} must be a finite number"):
+            sentence_token_relevance(model, [_one_word([0])], [[4, 0, 5]],
+                                     feature_offsets(space),
+                                     **{option: value})
 
     def test_zero_logit_at_epsilon_zero_names_the_class(self):
         space = FeatureSpace()
